@@ -1,7 +1,7 @@
 (* Benchmark-regression baselines: the model of a kp-bench/1 run file
    (written by main.exe --json) and the tolerance-band comparison that
    bench/compare.exe applies between a fresh run and the committed
-   baseline (BENCH_*.json).
+   baseline (BENCH.json).
 
    Metrics fall into three classes:
    - deterministic counters (field-op tallies, solver attempt/success

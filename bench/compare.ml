@@ -1,6 +1,6 @@
 (* Diff a fresh benchmark run against the committed baseline.
 
-     dune exec bench/compare.exe -- --baseline BENCH_PR3.json --current fresh.json
+     dune exec bench/compare.exe -- --baseline BENCH.json --current fresh.json
 
    Exit codes: 0 = no regression (info lines may still print), 1 = at
    least one metric outside its tolerance band, 2 = usage/parse error.

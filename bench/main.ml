@@ -13,7 +13,7 @@
      E9  intro       wall-clock: practicality of the classical-multiplier
                      instantiation; sparse black-box crossover; multicore
      E13 §2/§3       solve sessions: k solves of one matrix, fresh vs the
-                     cached RHS-independent prefix (charpoly computed once)
+                     cached RHS-independent prefix (generator computed once)
      E14 kernel      bulk vector-kernel layer: word-level GF(p) loops vs the
                      scalar abstract-field path, bit-identical by assertion
      E15 serve       kp serve under load: concurrent clients, typed overload
@@ -58,9 +58,9 @@ module Counting = Kp_field.Counting
 module Tables = Kp_util.Tables
 
 (* Pin every functor application below (and thus tables E1..E17) to the
-   PR-5 word backends regardless of KP_KERNEL_BACKEND: the committed
-   BENCH_PR3..PR8 baselines gate per-backend counter names
-   (kernel.gfp_word, ...), so the legacy tables must keep producing them.
+   word backends regardless of KP_KERNEL_BACKEND: the committed BENCH.json
+   baseline gates per-backend counter names (kernel.gfp_word, ...), so
+   these tables must keep producing them.
    E18 is the Bigarray/C-stub family's own table; it forces each mode
    explicitly per measurement. *)
 let () = Kp_kernel.Dispatch.set_mode Kp_kernel.Dispatch.Word
@@ -178,7 +178,8 @@ let e1 () =
             let engine_ops =
               measure_ops (fun () ->
                   let f =
-                    CPN.minimal_generator ~charpoly:CPN.charpoly_leverrier
+                    CPN.minimal_generator
+                      ~generator:(CPN.Toeplitz CPN.charpoly_leverrier)
                       ~strategy:CPN.Sequential ~n !seq
                   in
                   ignore (CPN.det_hd ~charpoly:CPN.charpoly_leverrier ~n ~h ~d);
@@ -297,8 +298,8 @@ let e3 () =
             let u = Array.init n (fun _ -> F.sample st ~card_s) in
             match
               let p = P.precond_of ~charpoly:P.charpoly_leverrier ~n ~h ~d in
-              P.solve ~charpoly:P.charpoly_leverrier ~strategy:P.Sequential a
-                ~b ~p ~u
+              P.solve ~generator:(P.Toeplitz P.charpoly_leverrier)
+                ~strategy:P.Sequential a ~b ~p ~u
             with
             | exception Division_by_zero -> incr failures
             | { P.x; _ } ->
@@ -858,11 +859,12 @@ let e13 () =
   let rng = st () in
   print_endline
     "E13 (sessions): k solves against ONE matrix.  Fresh pays the full \
-     Theorem-4 pipeline per RHS (~(2+log n)n^3 + two charpoly engines); a \
-     session computes the RHS-independent prefix once and serves each RHS \
-     with the O(n^3) rectangular-Krylov remainder.  'identical' checks the \
+     Theorem-4 pipeline per RHS (~(2+log n)n^3 Krylov doubling plus a \
+     Berlekamp-Massey generator and an elimination det(P)); a session \
+     computes the RHS-independent prefix once and serves each RHS with \
+     the O(n^3) rectangular-Krylov remainder.  'identical' checks the \
      sessioned answers equal the fresh ones; misses = 1 certifies exactly \
-     one charpoly computation.\n";
+     one prefix computation.\n";
   let t =
     Tables.create ~title:"k certified solves of the same matrix, single runs"
       ~columns:
@@ -1612,14 +1614,12 @@ let e19 () =
   let module C2 = Kp_poly.Conv.Karatsuba_field (F2) in
   let module SP2 = Kp_precond.Precond.Make (F2) (C2) in
   let module Sp2 = Kp_matrix.Sparse.Make (F2) in
-  let module TC2 = Kp_structured.Toeplitz_charpoly.Make (F2) (C2) in
   (* counted instantiation — Counting.Make preserves [t = F.t], so the
      CSR value arrays of the GF(2) matrix are reused verbatim *)
   let module Cnt2 = Kp_field.Counting.Make (F2) in
   let module CC2 = Kp_poly.Conv.Karatsuba (Cnt2) in
   let module CSP2 = Kp_precond.Precond.Make (Cnt2) (CC2) in
   let module CSp2 = Kp_matrix.Sparse.Make (Cnt2) in
-  let module CTC2 = Kp_structured.Toeplitz_charpoly.Make (Cnt2) (CC2) in
   let rng = st () in
   print_endline
     "E19 (preconditioner kinds on sparse GF(2)): field ops of one\n\
@@ -1635,8 +1635,6 @@ let e19 () =
     let _, c = Cnt2.measure f in
     Counting.total c
   in
-  let ccharpoly ~n d = CTC2.charpoly ~n d in
-  let fcharpoly ~n d = TC2.charpoly ~n d in
   let builds0 name =
     Option.value ~default:0 (Kp_obs.Counter.find ("precond.build." ^ name))
   in
@@ -1670,7 +1668,7 @@ let e19 () =
           let v = Array.init n (fun _ -> F2.random rng) in
           let a_ops = measure_ops2 (fun () -> CSp2.matvec ca v) in
           let counted_ops kind =
-            let p = CSP2.build ~charpoly:ccharpoly ~card_s:256 ~n kind rng in
+            let p = CSP2.build ~card_s:256 ~n kind rng in
             measure_ops2 (fun () -> p.Pc.apply v)
           in
           let dense_ops = counted_ops Pc.Dense_hd in
@@ -1683,7 +1681,7 @@ let e19 () =
                   (%d ops) at n=%d"
                  sparse_ops dense_ops n);
           let wall kind =
-            let p = SP2.build ~charpoly:fcharpoly ~card_s:256 ~n kind rng in
+            let p = SP2.build ~card_s:256 ~n kind rng in
             let reps = if !fast then 20 else 100 in
             let (), s =
               time (fun () ->

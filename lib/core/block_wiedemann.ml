@@ -25,11 +25,6 @@ struct
     let bound = max (4 * 3 * n * n) 64 in
     match F.cardinality with Some q -> min bound q | None -> bound
 
-  let charpoly_for_field ~pool ~n =
-    if F.characteristic = 0 || F.characteristic > n then
-      P.charpoly_leverrier_pooled pool
-    else P.charpoly_chistov_pooled pool
-
   (* sequential, pool-parallel or row-block sharded product — all
      bit-identical; ?shards makes every blocked Krylov product Ãⁱ·V and
      projection Uᵀ·Kᵢ fan out as row blocks over the pool *)
@@ -75,9 +70,9 @@ struct
      random); produce K_i = Ãⁱ·V for i < σ and the projected b×b sequence
      S_i = Uᵀ·K_i.  Each step is one kernel-backed n×n by n×b product —
      the b-column replacement for the scalar engine's matvec chain. *)
-  let krylov_phase ~mul ~charpoly ~kind st ~card_s ~b (a : M.t) ~rhs =
+  let krylov_phase ~mul ~kind st ~card_s ~b (a : M.t) ~rhs =
     let n = a.M.rows in
-    let p = SP.build ~charpoly ~card_s ~n kind st in
+    let p = SP.build ~card_s ~n kind st in
     let a_tilde = P.preconditioned ~mul a p in
     let k = Array.length rhs in
     let v =
@@ -177,7 +172,6 @@ struct
       (a : M.t) rhs =
     let n = a.M.rows in
     let mul = mul_of ?shards pool in
-    let charpoly = charpoly_for_field ~pool ~n in
     let k = Array.length rhs in
     let requested = Pc.resolve precond in
     Rt.run ~ns:"block" ~op:"solve"
@@ -185,7 +179,7 @@ struct
     @@ fun ~attempt ~card_s ->
     let kind = Pc.kind_for_attempt ~retries ~attempt requested in
     let b_eff = max k (attempt_block ~n ~b ~attempt) in
-    let p, ks, seq = krylov_phase ~mul ~charpoly ~kind st ~card_s ~b:b_eff a ~rhs in
+    let p, ks, seq = krylov_phase ~mul ~kind st ~card_s ~b:b_eff a ~rhs in
     let h_ok = p_nonsingular p in
     match
       generator_phase ~b:b_eff ~n ~sigma:(sigma ~n ~b:b_eff) ~h_ok seq
@@ -261,9 +255,9 @@ struct
      evaluation re-projects the same Krylov blocks onto a fresh Uᵀ′ (the
      recurrence certificate against corrupted blocks), recomputes det(P)
      twice, and [det] requires two fully independent evaluations to agree. *)
-  let det_eval ~mul ~charpoly ~kind st ~card_s ~b (a : M.t) =
+  let det_eval ~mul ~kind st ~card_s ~b (a : M.t) =
     let n = a.M.rows in
-    let p, ks, seq = krylov_phase ~mul ~charpoly ~kind st ~card_s ~b a ~rhs:[||] in
+    let p, ks, seq = krylov_phase ~mul ~kind st ~card_s ~b a ~rhs:[||] in
     let h_ok = p_nonsingular p in
     match generator_phase ~b ~n ~sigma:(sigma ~n ~b) ~h_ok seq with
     | Error reject -> reject
@@ -300,12 +294,12 @@ struct
       | Some _ -> invalid_arg (op ^ ": block_factor < 1")
       | None -> auto_block_factor ~n ~pool
     in
-    (n, card_s, b, charpoly_for_field ~pool ~n)
+    (n, card_s, b)
 
   let det ?(retries = 10) ?card_s ?deadline_ns ?pool ?block_factor ?shards
       ?(precond = Pc.default_choice ()) st (a : M.t) =
     Span.with_ "block.det" @@ fun () ->
-    let n, card_s, b, charpoly =
+    let n, card_s, b =
       det_setup ?card_s ?pool ?block_factor "Block_wiedemann.det" a
     in
     let mul = mul_of ?shards pool in
@@ -316,7 +310,7 @@ struct
        @@ fun ~attempt ~card_s ->
        let kind = Pc.kind_for_attempt ~retries ~attempt requested in
        let b_eff = attempt_block ~n ~b ~attempt in
-       let eval_once () = det_eval ~mul ~charpoly ~kind st ~card_s ~b:b_eff a in
+       let eval_once () = det_eval ~mul ~kind st ~card_s ~b:b_eff a in
        match eval_once () with
        | Rt.Accept d1 -> begin
            match eval_once () with
@@ -329,7 +323,7 @@ struct
   let det_once ?(retries = 10) ?card_s ?deadline_ns ?pool ?block_factor
       ?shards ?(precond = Pc.default_choice ()) st (a : M.t) =
     Span.with_ "block.det_once" @@ fun () ->
-    let n, card_s, b, charpoly =
+    let n, card_s, b =
       det_setup ?card_s ?pool ?block_factor "Block_wiedemann.det_once" a
     in
     let mul = mul_of ?shards pool in
@@ -340,7 +334,7 @@ struct
        @@ fun ~attempt ~card_s ->
        let kind = Pc.kind_for_attempt ~retries ~attempt requested in
        let b_eff = attempt_block ~n ~b ~attempt in
-       det_eval ~mul ~charpoly ~kind st ~card_s ~b:b_eff a)
+       det_eval ~mul ~kind st ~card_s ~b:b_eff a)
 
   (* ---- rank ----
 

@@ -6,6 +6,7 @@ module Make
     (C : Kp_poly.Conv.S with type elt = F.t) =
 struct
   module S = Solver.Make (F) (C)
+  module SP = Kp_precond.Precond.Make (F) (C)
   module M = S.M
   module MD = Kp_matrix.Dense.Make (F)
   module O = Kp_robust.Outcome
@@ -40,7 +41,9 @@ struct
       | `Chistov -> P.charpoly_chistov_parallel
     in
     let p = P.precond_of ~charpoly:engine ~n ~h ~d in
-    let det = P.det ~charpoly:engine ~strategy:P.Doubling a ~p ~u ~v in
+    let det =
+      P.det ~generator:(P.Toeplitz engine) ~strategy:P.Doubling a ~p ~u ~v
+    in
     B.finish ~outputs:[| det |];
     B.circuit
 
@@ -70,7 +73,7 @@ struct
     let hd_nonsingular () =
       let h = Array.sub randoms 0 ((2 * n) - 1) in
       let d = Array.sub randoms ((2 * n) - 1) n in
-      match S.P.det_hd ~charpoly:(S.charpoly_for_field ?pool:None ~n) ~n ~h ~d with
+      match SP.det_hd_elimination ~n ~h ~d with
       | exception Division_by_zero -> false
       | dhd -> not (F.is_zero dhd)
     in

@@ -30,12 +30,16 @@ struct
 
   type strategy = Doubling | Sequential
 
+  type generator =
+    | Toeplitz of charpoly_engine
+    | Direct of (n:int -> F.t array -> F.t array)
+
   module Span = Kp_obs.Span
 
   type precond = F.t Pc.t
 
   let precond_of ~charpoly ~n ~h ~d =
-    PcC.hankel_diag ~charpoly ~n ~h ~d ()
+    PcC.hankel_diag ~det:(PcC.det_hd ~charpoly) ~n ~h ~d ()
 
   let preconditioned ?mul (a : M.t) (p : precond) =
     Span.with_ "pipeline.precondition" @@ fun () ->
@@ -68,15 +72,18 @@ struct
     let neg_inv = F.neg (F.inv cp.(0)) in
     Array.map (F.mul neg_inv) acc
 
-  let minimal_generator ?mul ?pool ~charpoly ~strategy ~n seq =
+  let minimal_generator ?mul ?pool ~generator ~strategy ~n seq =
     Span.with_ "pipeline.generator" @@ fun () ->
-    let mul = Option.value mul ~default:M.mul in
     if Array.length seq < 2 * n then invalid_arg "Pipeline.minimal_generator";
-    let dt = Array.sub seq 0 ((2 * n) - 1) in
-    let rhs = Array.init n (fun j -> seq.(n + j)) in
-    let x = toeplitz_ch_solve ?pool ~charpoly ~strategy ~mul ~n dt rhs in
-    (* x solves T x = rhs; generator f(λ) = λ^n - Σ_{i<n} x_{n-1-i} λ^i *)
-    Array.init (n + 1) (fun i -> if i = n then F.one else F.neg x.(n - 1 - i))
+    match generator with
+    | Direct gen -> gen ~n (Array.sub seq 0 (2 * n))
+    | Toeplitz charpoly ->
+      let mul = Option.value mul ~default:M.mul in
+      let dt = Array.sub seq 0 ((2 * n) - 1) in
+      let rhs = Array.init n (fun j -> seq.(n + j)) in
+      let x = toeplitz_ch_solve ?pool ~charpoly ~strategy ~mul ~n dt rhs in
+      (* x solves T x = rhs; generator f(λ) = λ^n - Σ_{i<n} x_{n-1-i} λ^i *)
+      Array.init (n + 1) (fun i -> if i = n then F.one else F.neg x.(n - 1 - i))
 
   let det_from_generator ~n f =
     if n land 1 = 0 then f.(0) else F.neg f.(0)
@@ -85,15 +92,9 @@ struct
      for the circuit builders that re-derive det(H·D) from recorded wires *)
   let det_hd = PcC.det_hd
 
-  type solve_result = {
-    x : F.t array;
-    f : F.t array;
-    seq : F.t array;
-    det_tilde : F.t;
-    det : F.t;
-  }
+  type solve_result = { x : F.t array; f : F.t array; seq : F.t array }
 
-  let sequence_of ~strategy ~mul a_tilde ~u ~v n =
+  let krylov ~strategy ~mul a_tilde ~u ~v n =
     Span.with_ "pipeline.krylov" @@ fun () ->
     let cols =
       match strategy with
@@ -112,16 +113,14 @@ struct
     let x_tilde = Array.map (F.mul neg_inv) comb in
     p.Pc.apply ?pool x_tilde
 
-  let solve ?mul ?pool ~charpoly ~strategy (a : M.t) ~b ~p ~u =
+  let solve ?mul ?pool ~generator ~strategy (a : M.t) ~b ~p ~u =
     let mul = Option.value mul ~default:M.mul in
     let n = a.M.rows in
     let a_tilde = preconditioned ~mul a p in
-    let cols, seq = sequence_of ~strategy ~mul a_tilde ~u ~v:b n in
-    let f = minimal_generator ~mul ?pool ~charpoly ~strategy ~n seq in
+    let cols, seq = krylov ~strategy ~mul a_tilde ~u ~v:b n in
+    let f = minimal_generator ~mul ?pool ~generator ~strategy ~n seq in
     let x = recover ?pool ~n ~f ~p cols in
-    let det_tilde = det_from_generator ~n f in
-    let det = F.div det_tilde (p.Pc.det ()) in
-    { x; f; seq; det_tilde; det }
+    { x; f; seq }
 
   (* ---- the RHS-independent prefix of Theorem 4, as a reusable record ----
 
@@ -140,7 +139,7 @@ struct
     dhd : F.t;               (* det(P) *)
   }
 
-  let precompute ?mul ?pool ~charpoly ~strategy (a : M.t) ~p ~u ~v =
+  let precompute ?mul ?pool ~generator ~strategy (a : M.t) ~p ~u ~v =
     Span.with_ "pipeline.precompute" @@ fun () ->
     let mul = Option.value mul ~default:M.mul in
     let n = a.M.rows in
@@ -157,7 +156,7 @@ struct
                K.columns_sequential a_tilde v (2 * n))
     in
     let seq = K.sequence ~u cols in
-    let f = minimal_generator ~mul ?pool ~charpoly ~strategy ~n seq in
+    let f = minimal_generator ~mul ?pool ~generator ~strategy ~n seq in
     let dhd = p.Pc.det () in
     ({ p_pre = p; a_tilde; powers; charpoly_f = f; dhd }, cols, seq)
 
@@ -176,12 +175,12 @@ struct
   let det_of_precomp ~n pc =
     F.div (det_from_generator ~n pc.charpoly_f) pc.dhd
 
-  let det ?mul ?pool ~charpoly ~strategy (a : M.t) ~p ~u ~v =
+  let det ?mul ?pool ~generator ~strategy (a : M.t) ~p ~u ~v =
     let mul = Option.value mul ~default:M.mul in
     let n = a.M.rows in
     let a_tilde = preconditioned ~mul a p in
-    let _, seq = sequence_of ~strategy ~mul a_tilde ~u ~v n in
-    let f = minimal_generator ~mul ?pool ~charpoly ~strategy ~n seq in
+    let _, seq = krylov ~strategy ~mul a_tilde ~u ~v n in
+    let f = minimal_generator ~mul ?pool ~generator ~strategy ~n seq in
     let det_tilde = det_from_generator ~n f in
     F.div det_tilde (p.Pc.det ())
 end

@@ -8,9 +8,11 @@
     Theorem-6 inverse (E4) and the §4 transposed solver (E7).
 
     Stages: Ã = A·H·D (Hankel × diagonal preconditioning, Theorem 2) →
-    Krylov doubling (9) → Toeplitz minimal generator via the supplied
-    characteristic-polynomial engine + Cayley–Hamilton → determinant and
-    solution, undoing the preconditioner. *)
+    Krylov doubling (9) → the degree-n minimal generator → determinant and
+    solution, undoing the preconditioner.  The generator stage is a
+    parameter: circuit builders pass the paper's Toeplitz route (a
+    characteristic-polynomial engine + Cayley–Hamilton, polylog depth);
+    the concrete-field solver passes Berlekamp–Massey. *)
 
 module Make
     (F : Kp_field.Field_intf.FIELD_CORE)
@@ -47,6 +49,17 @@ module Make
       (O(n^ω log n) size, O((log n)²) depth); [Sequential] trades depth for
       total work (O(n²·m) size, Θ(m) depth). *)
 
+  type generator =
+    | Toeplitz of charpoly_engine
+        (** §3: characteristic polynomial of the Toeplitz matrix (4) and a
+            Cayley–Hamilton application of T⁻¹ — straight-line; a singular
+            T divides by zero. *)
+    | Direct of (n:int -> F.t array -> F.t array)
+        (** Any routine mapping the 2n-term sequence to its degree-n monic
+            generator (the concrete-field solver passes Berlekamp–Massey).
+            It signals "no degree-n generator" by raising, like the
+            Toeplitz route. *)
+
   type precond = F.t Kp_precond.Precond.t
   (** The pluggable preconditioner P with Ã = A·P (see {!Kp_precond}). *)
 
@@ -61,22 +74,32 @@ module Make
   (** Ã = A·P: P materialised densely, then one matrix product (through
       [mul] when given, so a pooled product reaches this stage). *)
 
+  val krylov :
+    strategy:strategy ->
+    mul:(M.t -> M.t -> M.t) ->
+    M.t -> u:F.t array -> v:F.t array -> int -> M.t * F.t array
+  (** [krylov ~strategy ~mul ã ~u ~v n]: the 2n Krylov columns Ãⁱ·v and
+      the projected sequence {u·Ãⁱ·v}, under the [pipeline.krylov] span. *)
+
   val minimal_generator :
     ?mul:(M.t -> M.t -> M.t) ->
     ?pool:Kp_util.Pool.t ->
-    charpoly:charpoly_engine -> strategy:strategy -> n:int -> F.t array -> F.t array
+    generator:generator -> strategy:strategy -> n:int -> F.t array -> F.t array
   (** From the 2n-term sequence {u·Ãⁱ·v}: the degree-n monic generator f
-      (length n+1, low-to-high), via the characteristic polynomial of the
-      Toeplitz matrix (4) and a Cayley–Hamilton application of T⁻¹.
-      Straight-line: if T is singular a division by zero occurs (the
-      Las Vegas wrapper catches it). *)
+      (length n+1, low-to-high), under the [pipeline.generator] span.
+      [mul], [pool] and [strategy] only reach the {!Toeplitz} route. *)
+
+  val recover :
+    ?pool:Kp_util.Pool.t ->
+    n:int -> f:F.t array -> p:precond -> M.t -> F.t array
+  (** Undo the preconditioner: from the Krylov columns of Ã on b and the
+      generator f, x = P·x̃ with x̃ = −(1/f₀)·Σᵢ fᵢ₊₁·Ãⁱ·b.  Divides by
+      f(0). *)
 
   type solve_result = {
     x : F.t array;           (** solution of A·x = b *)
     f : F.t array;           (** the degree-n generator (= charpoly of Ã whp) *)
     seq : F.t array;         (** the 2n-term scalar sequence *)
-    det_tilde : F.t;         (** det(Ã) = (−1)ⁿ·f(0) *)
-    det : F.t;               (** det(A) = det(Ã)/(det H · det D) *)
   }
 
   val det_hd : charpoly:charpoly_engine -> n:int -> h:F.t array -> d:F.t array -> F.t
@@ -86,7 +109,7 @@ module Make
   val solve :
     ?mul:(M.t -> M.t -> M.t) ->
     ?pool:Kp_util.Pool.t ->
-    charpoly:charpoly_engine ->
+    generator:generator ->
     strategy:strategy ->
     M.t -> b:F.t array -> p:precond -> u:F.t array ->
     solve_result
@@ -100,7 +123,7 @@ module Make
   val det :
     ?mul:(M.t -> M.t -> M.t) ->
     ?pool:Kp_util.Pool.t ->
-    charpoly:charpoly_engine ->
+    generator:generator ->
     strategy:strategy ->
     M.t -> p:precond -> u:F.t array -> v:F.t array ->
     F.t
@@ -122,15 +145,15 @@ module Make
   val precompute :
     ?mul:(M.t -> M.t -> M.t) ->
     ?pool:Kp_util.Pool.t ->
-    charpoly:charpoly_engine ->
+    generator:generator ->
     strategy:strategy ->
     M.t -> p:precond -> u:F.t array -> v:F.t array ->
     precomp * M.t * F.t array
   (** Build the record plus the 2n Krylov columns of [v] and the projected
       scalar sequence {u·Ãⁱ·v} (returned so the Las Vegas wrapper can run
-      its generator certificates without recomputing them).  Straight-line:
-      raises [Division_by_zero] on a singular Toeplitz system or singular
-      H, exactly like {!solve}. *)
+      its generator certificates without recomputing them).  Raises
+      whatever the generator stage raises when no degree-n generator
+      exists, exactly like {!solve}. *)
 
   val apply_precomp :
     ?mul:(M.t -> M.t -> M.t) ->

@@ -28,16 +28,16 @@ struct
   let leading sub i =
     M.init i i (fun r c -> M.get sub r c)
 
-  let leading_minor_nonsingular st ?card_s ?precond (a_hat : M.t) i =
+  let leading_minor_nonsingular st ?card_s ?precond ?route (a_hat : M.t) i =
     if i = 0 then true
     else begin
       let sub = leading a_hat i in
-      match S.det ?card_s ~retries:6 ?precond st sub with
+      match S.det ?card_s ~retries:6 ?precond ?route st sub with
       | Ok (d, _) -> not (F.is_zero d)
       | Error _ -> false
     end
 
-  let rank ?card_s ?precond st (a : M.t) =
+  let rank ?card_s ?precond ?route st (a : M.t) =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Rank.rank: non-square (embed first)";
     let card_s = match card_s with Some s -> s | None -> default_card_s n in
@@ -49,7 +49,7 @@ struct
       if lo >= hi then lo
       else begin
         let mid = (lo + hi + 1) / 2 in
-        if leading_minor_nonsingular st ~card_s ?precond a_hat mid then
+        if leading_minor_nonsingular st ~card_s ?precond ?route a_hat mid then
           search mid hi
         else search lo (mid - 1)
       end

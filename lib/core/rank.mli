@@ -26,12 +26,16 @@ module Make
 
   val leading_minor_nonsingular :
     Random.State.t ->
-    ?card_s:int -> ?precond:Kp_precond.Precond.choice -> M.t -> int -> bool
+    ?card_s:int ->
+    ?precond:Kp_precond.Precond.choice ->
+    ?route:S.route -> M.t -> int -> bool
   (** Theorem-4 determinant of the i×i leading principal submatrix,
       retried; [true] iff certified non-singular. *)
 
   val rank :
     ?card_s:int ->
-    ?precond:Kp_precond.Precond.choice -> Random.State.t -> M.t -> int
-  (** Binary search over leading principal minors of Â. *)
+    ?precond:Kp_precond.Precond.choice ->
+    ?route:S.route -> Random.State.t -> M.t -> int
+  (** Binary search over leading principal minors of Â.  [route] reaches
+      every minor's determinant ({!Solver.Make.route}). *)
 end

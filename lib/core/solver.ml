@@ -20,6 +20,23 @@ struct
       P.charpoly_leverrier_pooled pool
     else P.charpoly_chistov_pooled pool
 
+  type route = Massey_elimination | Toeplitz_charpoly
+
+  exception Linear_complexity_exceeds of int
+
+  (* Berlekamp–Massey on the 2n-term sequence, in the Toeplitz route's
+     output shape: the monic degree-n generator, low-to-high.  Linear
+     complexity L < n means the n×n Hankel of the sequence is singular —
+     raised as the Division_by_zero the Toeplitz route raises there.
+     L > n is impossible for {u·Ãⁱ·v} with Ã n×n, so only a corrupted
+     sequence gets here. *)
+  let massey_generator ~n seq =
+    let c = BM.connection_polynomial seq in
+    let l = Array.length c - 1 in
+    if l < n then raise Division_by_zero
+    else if l > n then raise (Linear_complexity_exceeds l)
+    else Array.init (n + 1) (fun i -> c.(n - i))
+
   let default_card_s n =
     let bound = 4 * 3 * n * n in
     let bound = max bound 64 in
@@ -51,81 +68,119 @@ struct
     Rt.policy ~retries ~max_card_s:(SP.escalation_ceiling kind) ?deadline_ns ()
 
   (* non-singularity of the preconditioner gates every singularity witness:
-     P.det is fresh arithmetic, so a Division_by_zero inside it is a fault,
+     det P is fresh arithmetic, so a Division_by_zero inside it is a fault,
      not a verdict *)
-  let p_nonsingular (p : P.precond) () =
+  let witness (p : P.precond) reason =
     match p.Pc.det () with
-    | exception Division_by_zero -> false
-    | dp -> not (F.is_zero dp)
+    | exception Division_by_zero -> Rt.Reject reason
+    | dp when F.is_zero dp -> Rt.Reject reason
+    | _ -> Rt.Reject_with_witness reason
+
+  (* The one rejection ladder of every dense attempt.  [stage] runs the
+     generator stage and returns (payload, f, the 2n-sequence f came
+     from); the checks run in order and draw randomness only in [fresh],
+     after every earlier check passed. *)
+  let classify ?fresh ~p ~n stage =
+    match stage () with
+    | exception Division_by_zero ->
+      (* no degree-n generator: bad luck or a singular Ã *)
+      Error (witness p O.Low_degree)
+    | exception Linear_complexity_exceeds l ->
+      Error
+        (Rt.Reject
+           (O.Fault
+              (Printf.sprintf "sequence linear complexity %d exceeds n = %d" l n)))
+    | r, f, seq ->
+      if not (generator_ok ~n f seq) then Error (Rt.Reject O.Low_degree)
+      else if F.is_zero f.(0) then
+        (* true minpoly with zero constant term: Ã singular *)
+        Error (witness p O.Zero_constant_term)
+      else if match fresh with Some ok -> not (ok r f) | None -> false then
+        Error (Rt.Reject (O.Fault "krylov recurrence check failed"))
+      else Ok (r, f)
+
+  (* everything an attempt needs besides its random draws *)
+  type ctx = {
+    n : int;
+    mul : M.t -> M.t -> M.t;
+    pool : Kp_util.Pool.t option;
+    strategy : P.strategy;
+    generator : P.generator;
+    det_hd : SP.det_routine option;
+  }
+
+  let context op ?pool ?shards ~strategy ~route (a : M.t) =
+    let n = a.M.rows in
+    if a.M.cols <> n then invalid_arg (op ^ ": non-square");
+    let generator, det_hd =
+      match route with
+      | Massey_elimination -> (P.Direct massey_generator, None)
+      | Toeplitz_charpoly ->
+        let charpoly = charpoly_for_field ?pool ~n in
+        (P.Toeplitz charpoly, Some (SP.det_hd ~charpoly))
+    in
+    { n; mul = mul_of ?shards pool; pool; strategy; generator; det_hd }
+
+  let build ctx st ~card_s kind =
+    SP.build ?det_hd:ctx.det_hd ~card_s ~n:ctx.n kind st
+
+  let generate ctx seq =
+    P.minimal_generator ~mul:ctx.mul ?pool:ctx.pool ~generator:ctx.generator
+      ~strategy:ctx.strategy ~n:ctx.n seq
+
+  (* the 2n Krylov columns of Ã on [v], projected on [u], and the generator *)
+  let krylov_stage ctx (a : M.t) p ~u ~v () =
+    let a_tilde = P.preconditioned ~mul:ctx.mul a p in
+    let cols, seq = P.krylov ~strategy:ctx.strategy ~mul:ctx.mul a_tilde ~u ~v ctx.n in
+    (cols, generate ctx seq, seq)
+
+  (* the transient-fault certificate: the full-degree generator is the
+     characteristic polynomial of Ã, so it must also generate the
+     projection of the same Krylov columns onto a fresh random u′.  A
+     corrupted column (or generator run) satisfies no such recurrence and
+     fails here whp. *)
+  let fresh_projection st ~card_s ~n cols f =
+    BM.generates f (P.K.sequence ~u:(sample_vec st ~card_s n) cols)
+
+  let run ~op ?card_s ?deadline_ns ~retries ~precond ctx body =
+    let card_s = match card_s with Some s -> s | None -> default_card_s ctx.n in
+    let requested = Pc.resolve precond in
+    Rt.run ~ns:"solver" ~op ~policy:(policy ?deadline_ns ~kind:requested retries)
+      ~card_s
+    @@ fun ~attempt ~card_s ->
+    body ~kind:(Pc.kind_for_attempt ~retries ~attempt requested) ~card_s
 
   let solve ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns ?pool
-      ?shards ?(precond = Pc.default_choice ()) st (a : M.t) b =
+      ?shards ?(precond = Pc.default_choice ()) ?(route = Massey_elimination) st
+      (a : M.t) b =
     Span.with_ "solver.solve" @@ fun () ->
-    let n = a.M.rows in
-    if a.M.cols <> n then invalid_arg "Solver.solve: non-square";
-    if Array.length b <> n then invalid_arg "Solver.solve: bad rhs";
-    let mul = mul_of ?shards pool in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let charpoly = charpoly_for_field ?pool ~n in
-    let requested = Pc.resolve precond in
-    Rt.run ~ns:"solver" ~op:"solve"
-      ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-    @@ fun ~attempt ~card_s ->
-    let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-    let p = SP.build ~charpoly ~card_s ~n kind st in
-    let u = sample_vec st ~card_s n in
-    let p_nonsingular = p_nonsingular p in
-    match P.solve ~mul ?pool ~charpoly ~strategy a ~b ~p ~u with
-    | exception Division_by_zero ->
-      (* singular Toeplitz system: the generator has degree < n — could
-         be bad luck or a singular Ã; witness only if P is invertible *)
-      if p_nonsingular () then Rt.Reject_with_witness O.Low_degree
-      else Rt.Reject O.Low_degree
-    | { x; f; seq; _ } ->
-      if F.is_zero f.(0) && generator_ok ~n f seq then begin
-        (* true minpoly with zero constant term: Ã singular; with P
-           non-singular this witnesses singularity of A *)
-        if p_nonsingular () then Rt.Reject_with_witness O.Zero_constant_term
-        else Rt.Reject O.Zero_constant_term
-      end
-      else if verify_solution a x b then Rt.Accept x
+    let ctx = context "Solver.solve" ?pool ?shards ~strategy ~route a in
+    if Array.length b <> ctx.n then invalid_arg "Solver.solve: bad rhs";
+    run ~op:"solve" ?card_s ?deadline_ns ~retries ~precond ctx
+    @@ fun ~kind ~card_s ->
+    let p = build ctx st ~card_s kind in
+    let u = sample_vec st ~card_s ctx.n in
+    match classify ~p ~n:ctx.n (krylov_stage ctx a p ~u ~v:b) with
+    | Error reject -> reject
+    | Ok (cols, f) ->
+      let x = P.recover ?pool:ctx.pool ~n:ctx.n ~f ~p cols in
+      if verify_solution a x b then Rt.Accept x
       else Rt.Reject O.Residual_mismatch
 
   (* one randomized det evaluation — the body both [det] (two agreeing
      evaluations) and the session layer's cache-validation discipline
      ([det_once]) drive through the retry engine *)
-  let det_eval ?pool ~mul ~charpoly ~strategy ~kind st ~card_s (a : M.t) =
-    let n = a.M.rows in
-    let p = SP.build ~charpoly ~card_s ~n kind st in
+  let det_eval ctx st ~card_s ~kind (a : M.t) =
+    let n = ctx.n in
+    let p = build ctx st ~card_s kind in
     let u = sample_vec st ~card_s n in
     let v = sample_vec st ~card_s n in
-    let a_tilde = P.preconditioned ~mul a p in
-    let cols =
-      match strategy with
-      | P.Doubling -> P.K.columns ~mul a_tilde v (2 * n)
-      | P.Sequential -> P.K.columns_sequential a_tilde v (2 * n)
-    in
-    let seq = P.K.sequence ~u cols in
-    let p_nonsingular = p_nonsingular p in
-    match P.minimal_generator ~mul ?pool ~charpoly ~strategy ~n seq with
-    | exception Division_by_zero ->
-      if p_nonsingular () then Rt.Reject_with_witness O.Low_degree
-      else Rt.Reject O.Low_degree
-    | f ->
-      if not (generator_ok ~n f seq) then Rt.Reject O.Low_degree
-      else if F.is_zero f.(0) then begin
-        if p_nonsingular () then Rt.Reject_with_witness O.Zero_constant_term
-        else Rt.Reject O.Zero_constant_term
-      end
-      else if
-        (* transient-fault certificate: the full-degree generator is the
-           characteristic polynomial of Ã, so it must also generate the
-           projection of the same Krylov columns onto a fresh random u′.
-           A corrupted column (or a corrupted Berlekamp/Massey run)
-           satisfies no such recurrence and fails here whp. *)
-        not (BM.generates f (P.K.sequence ~u:(sample_vec st ~card_s n) cols))
-      then Rt.Reject (O.Fault "krylov recurrence check failed")
-      else begin
+    match
+      classify ~fresh:(fresh_projection st ~card_s ~n) ~p ~n
+        (krylov_stage ctx a p ~u ~v)
+    with
+    | Error reject -> reject
+    | Ok (_, f) -> begin
         match (p.Pc.det (), p.Pc.det ()) with
         | exception Division_by_zero -> Rt.Reject O.Singular_preconditioner
         | dhd, dhd' ->
@@ -148,22 +203,13 @@ struct
     | (Ok _ | Error _) as r -> r
 
   let det ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns ?pool
-      ?shards ?(precond = Pc.default_choice ()) st (a : M.t) =
+      ?shards ?(precond = Pc.default_choice ()) ?(route = Massey_elimination) st
+      (a : M.t) =
     Span.with_ "solver.det" @@ fun () ->
-    let n = a.M.rows in
-    if a.M.cols <> n then invalid_arg "Solver.det: non-square";
-    let mul = mul_of ?shards pool in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let charpoly = charpoly_for_field ?pool ~n in
-    let requested = Pc.resolve precond in
+    let ctx = context "Solver.det" ?pool ?shards ~strategy ~route a in
     as_det_result
-      (Rt.run ~ns:"solver" ~op:"det"
-         ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-       @@ fun ~attempt ~card_s ->
-       let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-       let eval_once () =
-         det_eval ?pool ~mul ~charpoly ~strategy ~kind st ~card_s a
-       in
+      (run ~op:"det" ?card_s ?deadline_ns ~retries ~precond ctx
+       @@ fun ~kind ~card_s ->
        (* Unlike solve, det has no residual to check against the ORIGINAL
           input: a corruption while building Ã is self-consistent — f really
           is the characteristic polynomial of the corrupted Ã′, every
@@ -171,9 +217,9 @@ struct
           det(A) is a deterministic function of A, so we require two fully
           independent randomized evaluations to agree; a transient fault in
           either lands on the true value only with negligible probability. *)
-       match eval_once () with
+       match det_eval ctx st ~card_s ~kind a with
        | Rt.Accept d1 -> begin
-           match eval_once () with
+           match det_eval ctx st ~card_s ~kind a with
            | Rt.Accept d2 when F.equal d1 d2 -> Rt.Accept d1
            | Rt.Accept _ -> Rt.Reject (O.Fault "det recomputation mismatch")
            | other -> other
@@ -181,60 +227,42 @@ struct
        | other -> other)
 
   let det_once ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns
-      ?pool ?shards ?(precond = Pc.default_choice ()) st (a : M.t) =
+      ?pool ?shards ?(precond = Pc.default_choice ()) ?(route = Massey_elimination)
+      st (a : M.t) =
     Span.with_ "solver.det_once" @@ fun () ->
-    let n = a.M.rows in
-    if a.M.cols <> n then invalid_arg "Solver.det_once: non-square";
-    let mul = mul_of ?shards pool in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let charpoly = charpoly_for_field ?pool ~n in
-    let requested = Pc.resolve precond in
+    let ctx = context "Solver.det_once" ?pool ?shards ~strategy ~route a in
     as_det_result
-      (Rt.run ~ns:"solver" ~op:"det_once"
-         ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-       @@ fun ~attempt ~card_s ->
-       let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-       det_eval ?pool ~mul ~charpoly ~strategy ~kind st ~card_s a)
+      (run ~op:"det_once" ?card_s ?deadline_ns ~retries ~precond ctx
+       @@ fun ~kind ~card_s -> det_eval ctx st ~card_s ~kind a)
 
   let precompute ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns
-      ?pool ?shards ?(precond = Pc.default_choice ()) st (a : M.t) =
+      ?pool ?shards ?(precond = Pc.default_choice ()) ?(route = Massey_elimination)
+      st (a : M.t) =
     Span.with_ "solver.precompute" @@ fun () ->
-    let n = a.M.rows in
-    if a.M.cols <> n then invalid_arg "Solver.precompute: non-square";
-    let mul = mul_of ?shards pool in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let charpoly = charpoly_for_field ?pool ~n in
-    let requested = Pc.resolve precond in
-    Rt.run ~ns:"solver" ~op:"precompute"
-      ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-    @@ fun ~attempt ~card_s ->
-    let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-    let p = SP.build ~charpoly ~card_s ~n kind st in
+    let ctx = context "Solver.precompute" ?pool ?shards ~strategy ~route a in
+    let n = ctx.n in
+    run ~op:"precompute" ?card_s ?deadline_ns ~retries ~precond ctx
+    @@ fun ~kind ~card_s ->
+    let p = build ctx st ~card_s kind in
     let u = sample_vec st ~card_s n in
     let v = sample_vec st ~card_s n in
-    let p_nonsingular = p_nonsingular p in
-    match P.precompute ~mul ?pool ~charpoly ~strategy a ~p ~u ~v with
-    | exception Division_by_zero ->
-      (* singular Toeplitz system or singular P: witness singularity of A
-         only when P is invertible, exactly as in [solve] *)
-      if p_nonsingular () then Rt.Reject_with_witness O.Low_degree
-      else Rt.Reject O.Low_degree
-    | pc, cols, seq ->
-      let f = pc.P.charpoly_f in
-      if not (generator_ok ~n f seq) then Rt.Reject O.Low_degree
-      else if F.is_zero f.(0) then begin
-        (* charpoly(Ã)(0) = 0: Ã is singular — a singularity witness for A
-           whenever P is invertible.  Never cache such a record: every
-           solve through it would divide by zero. *)
-        if p_nonsingular () then Rt.Reject_with_witness O.Zero_constant_term
-        else Rt.Reject O.Zero_constant_term
-      end
-      else if
-        (* fresh-projection recurrence certificate, as in [det]: the cached
-           generator must also generate the same columns under a new u′ *)
-        not (BM.generates f (P.K.sequence ~u:(sample_vec st ~card_s n) cols))
-      then Rt.Reject (O.Fault "krylov recurrence check failed")
-      else if F.is_zero pc.P.dhd then Rt.Reject O.Singular_preconditioner
+    let stage () =
+      let pc, cols, seq =
+        P.precompute ~mul:ctx.mul ?pool:ctx.pool ~generator:ctx.generator
+          ~strategy:ctx.strategy a ~p ~u ~v
+      in
+      ((pc, cols), pc.P.charpoly_f, seq)
+    in
+    (* a zero constant term is rejected before caching: every solve
+       through such a record would divide by zero *)
+    match
+      classify
+        ~fresh:(fun (_, cols) f -> fresh_projection st ~card_s ~n cols f)
+        ~p ~n stage
+    with
+    | Error reject -> reject
+    | Ok ((pc, _), _) ->
+      if F.is_zero pc.P.dhd then Rt.Reject O.Singular_preconditioner
       else Rt.Accept pc
 
   let minimal_polynomial_wiedemann ?card_s st apply ~n =

@@ -16,9 +16,15 @@
     All failures are typed ({!Kp_robust.Outcome.error}); successes carry
     the attempt {!Kp_robust.Outcome.report}.
 
-    The characteristic-polynomial engine is chosen from the field
-    characteristic: the §3 Leverrier route if char = 0 or char > n, else
-    Chistov's any-characteristic route (§5). *)
+    The generator and det(P) stages follow a {!route}.  The default takes
+    the generator from Berlekamp–Massey and det(P) from Gaussian
+    elimination: the sequential choices, which cost O(n²) and O(n³)
+    instead of a Toeplitz characteristic polynomial each.  The paper's
+    route ({!Toeplitz_charpoly}) stays available as the reference: it picks
+    the §3 Leverrier engine if char = 0 or char > n, else Chistov's
+    any-characteristic route (§5).  Both routes draw the same randomness
+    and return the same answers after the same number of attempts — the
+    generator and det(P) are unique, and neither stage draws. *)
 
 module Make
     (F : Kp_field.Field_intf.FIELD)
@@ -34,6 +40,39 @@ module Make
       The returned engine closes over [?pool]: its Newton/convolution (or
       βᵢ-fan-out) layers run on the pool, with bit-identical output. *)
 
+  type route =
+    | Massey_elimination
+        (** default: Berlekamp–Massey generator, det(P) by elimination *)
+    | Toeplitz_charpoly
+        (** the paper's §3/§4 route: Toeplitz charpoly generator and det(H)
+            through its Toeplitz mirror's charpoly — the reference *)
+
+  exception Linear_complexity_exceeds of int
+  (** Raised by {!massey_generator} when the sequence's linear complexity
+      exceeds n. *)
+
+  val massey_generator : n:int -> F.t array -> F.t array
+  (** The degree-n monic generator (length n+1, low-to-high) of a 2n-term
+      sequence by Berlekamp–Massey.  Linear complexity L < n (a singular
+      n×n Hankel) raises [Division_by_zero], as the Toeplitz route does;
+      L > n, which no Krylov sequence of an n×n matrix has, raises
+      {!Linear_complexity_exceeds}. *)
+
+  val classify :
+    ?fresh:('r -> F.t array -> bool) ->
+    p:P.precond ->
+    n:int ->
+    (unit -> 'r * F.t array * F.t array) ->
+    ('r * F.t array, 'a Kp_robust.Retry.attempt) result
+  (** The rejection ladder every dense attempt runs on its generator
+      stage.  [stage ()] returns (payload, f, sequence).  In order:
+      no degree-n generator ([Division_by_zero]) rejects [Low_degree], a
+      singularity witness only when det P ≠ 0; L > n rejects as a typed
+      [Fault], never a witness; f must generate the whole sequence
+      ([Low_degree]); f(0) = 0 rejects [Zero_constant_term], a witness when
+      det P ≠ 0; [fresh payload f] must hold (a [Fault] otherwise).
+      [Ok (payload, f)] when every check passes. *)
+
   val solve :
     ?retries:int ->
     ?strategy:P.strategy ->
@@ -42,6 +81,7 @@ module Make
     ?pool:Kp_util.Pool.t ->
     ?shards:int ->
     ?precond:Pc.choice ->
+    ?route:route ->
     Random.State.t -> M.t -> F.t array ->
     (F.t array * O.report, O.error) result
   (** Solve A·x = b.  [Ok (x, _)] comes with the certificate A·x = b
@@ -58,6 +98,8 @@ module Make
       preconditioner kind ({!Kp_precond}): the default resolves to the
       dense Hankel·Diagonal and reproduces the legacy draw stream exactly;
       non-dense kinds demote to dense past the attempt-budget midpoint.
+      [route] picks the generator and det(P) stages (default
+      {!Massey_elimination}).
       @raise Invalid_argument if [shards] < 1. *)
 
   val det :
@@ -68,6 +110,7 @@ module Make
     ?pool:Kp_util.Pool.t ->
     ?shards:int ->
     ?precond:Pc.choice ->
+    ?route:route ->
     Random.State.t -> M.t -> (F.t * O.report, O.error) result
   (** Determinant of A (zero is reported as [Ok (F.zero, _)] when the
       singularity witness is confirmed across attempts).  Internally two
@@ -82,6 +125,7 @@ module Make
     ?pool:Kp_util.Pool.t ->
     ?shards:int ->
     ?precond:Pc.choice ->
+    ?route:route ->
     Random.State.t -> M.t -> (F.t * O.report, O.error) result
   (** A {e single} certified-given-generator evaluation of det(A) — the
       same attempt body as {!det} but without the second agreeing
@@ -98,6 +142,7 @@ module Make
     ?pool:Kp_util.Pool.t ->
     ?shards:int ->
     ?precond:Pc.choice ->
+    ?route:route ->
     Random.State.t -> M.t -> (P.precomp * O.report, O.error) result
   (** Certified construction of the RHS-independent {!P.precomp} record:
       random (h, d, u, v) drawn through the usual escalating retry loop,

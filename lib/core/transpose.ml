@@ -37,7 +37,9 @@ struct
       | `Chistov -> P.charpoly_chistov_parallel
     in
     let p = P.precond_of ~charpoly:engine ~n ~h ~d in
-    let { P.x; _ } = P.solve ~charpoly:engine ~strategy:P.Doubling a ~b:c ~p ~u in
+    let { P.x; _ } =
+      P.solve ~generator:(P.Toeplitz engine) ~strategy:P.Doubling a ~b:c ~p ~u
+    in
     (* f = x · b, balanced for depth *)
     let module V = Kp_matrix.Vec.Make (B) in
     let f = V.dot x b in

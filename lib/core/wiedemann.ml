@@ -5,10 +5,6 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
      below stays on the derived-kernel Karatsuba so measured op counts are
      the circuit's, not a word-level backend's *)
   module C = Kp_poly.Conv.Karatsuba_field (F)
-  module HK = Kp_structured.Hankel.Make (F) (C)
-  module TC = Kp_structured.Toeplitz_charpoly.Make (F) (C)
-  module Ch = Kp_structured.Chistov.Make (F) (C)
-  module Lev = Kp_structured.Leverrier.Make (F)
   module BM = Kp_seqgen.Berlekamp_massey.Make (F)
   module LR = Kp_seqgen.Linrec.Make (F)
   module Pc = Kp_precond.Precond
@@ -29,10 +25,6 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
 
   let policy ?deadline_ns ~kind retries =
     Rt.policy ~retries ~max_card_s:(SP.escalation_ceiling kind) ?deadline_ns ()
-
-  let charpoly_engine ~n =
-    if F.characteristic = 0 || F.characteristic > n then TC.charpoly
-    else Ch.charpoly
 
   let minimal_polynomial ?card_s st (bb : Bb.t) =
     Span.with_ "wiedemann.minpoly" @@ fun () ->
@@ -102,13 +94,12 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       invalid_arg "Wiedemann.solve_preconditioned: bad rhs";
     let card_s = match card_s with Some s -> s | None -> default_card_s n in
     let bb_i = Bb.instrument bb in
-    let charpoly ~n dt = charpoly_engine ~n ~n dt in
     let requested = Pc.resolve ~sparse:true precond in
     Rt.run ~ns:"wiedemann" ~op:"solve_preconditioned"
       ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
     @@ fun ~attempt ~card_s ->
     let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-    let p = SP.build ~charpoly ~card_s ~n kind st in
+    let p = SP.build ~card_s ~n kind st in
     let u = sample_vec st ~card_s n in
     let a_tilde =
       Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
@@ -132,7 +123,6 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     Span.with_ "wiedemann.det" @@ fun () ->
     let n = bb.Bb.dim in
     let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let charpoly ~n dt = charpoly_engine ~n ~n dt in
     let requested = Pc.resolve ~sparse:true precond in
     let result =
       Rt.run ~ns:"wiedemann" ~op:"det"
@@ -140,7 +130,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       @@ fun ~attempt ~card_s ->
       let kind = Pc.kind_for_attempt ~retries ~attempt requested in
       let eval_once () =
-        let p = SP.build ~charpoly ~card_s ~n kind st in
+        let p = SP.build ~card_s ~n kind st in
         let u = sample_vec st ~card_s n in
         let v = sample_vec st ~card_s n in
         let a_tilde =

@@ -4,8 +4,8 @@
     site it replaced ([Vec.dot]'s balanced reduction, [Dense.Make.matvec]'s
     sequential row accumulation, the schoolbook convolution leaf, …), so
     routing a call site through this kernel changes neither results nor
-    operation counts — the property the counting-field regression baselines
-    (BENCH_PR3/PR4) gate on, and the reason circuit builders can share the
+    operation counts — the property the counting-field regression baseline
+    (BENCH.json) gates on, and the reason circuit builders can share the
     code path. *)
 
 module Make (F : Kp_field.Field_intf.FIELD_CORE) :

@@ -101,6 +101,7 @@ struct
   module Lev = Kp_structured.Leverrier.Make (F)
 
   type charpoly_engine = n:int -> F.t array -> F.t array
+  type det_routine = n:int -> h:F.t array -> d:F.t array -> F.t
 
   (* balanced product, O(log n) depth when traced *)
   let rec balanced_product d lo hi =
@@ -125,7 +126,7 @@ struct
      (length n).  Every closure repeats the operation order of the code it
      replaced, so dense-kind runs are bit-identical to the pre-refactor
      pipeline (and op-identical under a counting field). *)
-  let hankel_diag ?ops_per_apply ~charpoly ~n ~h ~d () =
+  let hankel_diag ?ops_per_apply ~(det : det_routine) ~n ~h ~d () =
     let ops_per_apply = Option.value ops_per_apply ~default:(lazy 0) in
     let apply ?pool v =
       let dv = Array.init n (fun i -> F.mul d.(i) v.(i)) in
@@ -145,7 +146,7 @@ struct
           (* (H·D)_{ij} = h_{i+j}·d_j, in Dense.Core.init element order *)
           Array.init (n * n) (fun k ->
               F.mul h.((k / n) + (k mod n)) d.(k mod n)));
-      det = (fun () -> det_hd ~charpoly ~n ~h ~d);
+      det = (fun () -> det ~n ~h ~d);
       ops_per_apply;
     }
 end
@@ -214,12 +215,20 @@ struct
 
   (* -- dense Hankel·Diagonal: the exact legacy draw stream (h then d) -- *)
 
-  let build_dense ~charpoly ~card_s ~n st =
+  (* det(H)·det(D) by Gaussian elimination on the materialised Hankel:
+     O(n³) sequential work instead of a Toeplitz charpoly, and the same
+     value — det P is a function of the drawn entries alone *)
+  let det_hd_elimination ~n ~h ~d =
+    Span.with_ "pipeline.det_hd" @@ fun () ->
+    let det_h = G.det (G.M.init n n (fun i j -> h.(i + j))) in
+    F.mul det_h (balanced_product d 0 n)
+
+  let build_dense ~det ~card_s ~n st =
     let h = Array.init ((2 * n) - 1) (fun _ -> F.sample st ~card_s) in
     let d = Array.init n (fun _ -> sample_nonzero st ~card_s) in
     hankel_diag
       ~ops_per_apply:(lazy (hankel_ops_per_apply n + n))
-      ~charpoly ~n ~h ~d ()
+      ~det ~n ~h ~d ()
 
   (* -- sparse butterfly: ⌈log₂ n⌉ exchange layers of determinant-1 2×2
         blocks over a non-zero diagonal -- *)
@@ -583,11 +592,13 @@ struct
 
   (* -- the registry -- *)
 
-  let build ~charpoly ~card_s ~n kind st =
+  (* [?charpoly] is ignored — the dense kind's det(P) is [det_hd] — and
+     stays only so existing callers keep compiling *)
+  let build ?charpoly:_ ?(det_hd = det_hd_elimination) ~card_s ~n kind st =
     Counter.incr (build_counter kind);
     Span.with_ ("precond.build." ^ kind_name kind) @@ fun () ->
     match kind with
-    | Dense_hd -> build_dense ~charpoly ~card_s ~n st
+    | Dense_hd -> build_dense ~det:det_hd ~card_s ~n st
     | Sparse_butterfly -> build_butterfly ~kind:Sparse_butterfly ~card_s ~n st
     | Ext_field -> build_ext ~card_s ~n st
 end

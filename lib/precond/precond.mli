@@ -85,21 +85,24 @@ module Core
     (C : Kp_poly.Conv.S with type elt = F.t) : sig
   type charpoly_engine = n:int -> F.t array -> F.t array
 
+  type det_routine = n:int -> h:F.t array -> d:F.t array -> F.t
+  (** det(H)·det(D) from the Hankel entries h and the diagonal d. *)
+
   val balanced_product : F.t array -> int -> int -> F.t
 
-  val det_hd :
-    charpoly:charpoly_engine -> n:int -> h:F.t array -> d:F.t array -> F.t
-  (** det(H)·det(D): Hankel determinant via its Toeplitz mirror (§4),
-      diagonal determinant as a balanced product. *)
+  val det_hd : charpoly:charpoly_engine -> det_routine
+  (** det(H)·det(D): Hankel determinant via its Toeplitz mirror's
+      characteristic polynomial (§4), diagonal determinant as a balanced
+      product.  Straight-line, so circuit builders can trace it. *)
 
   val hankel_diag :
     ?ops_per_apply:int Lazy.t ->
-    charpoly:charpoly_engine ->
+    det:det_routine ->
     n:int -> h:F.t array -> d:F.t array -> unit -> F.t t
   (** P = H·D from the 2n-1 Hankel entries and the n diagonal entries.
       Bit-identical to the code it replaced: [dense ()] materialises in
       [Dense.Core.init] element order, [apply] scales then Hankel-matvecs
-      in the legacy order, [det ()] is {!det_hd}. *)
+      in the legacy order.  [det ()] runs [det] on the entries. *)
 end
 
 (** The full layer: random builders for every kind. *)
@@ -120,12 +123,20 @@ module Make
       [Ext_field] over a word-sized prime field, which escalates to q^8
       ([None] means unclamped). *)
 
+  val det_hd_elimination : det_routine
+  (** det(H)·det(D) with det(H) by Gaussian elimination on the
+      materialised Hankel (O(n³) sequential work, no charpoly).  Equal to
+      {!det_hd} on every input; runs under the [pipeline.det_hd] span. *)
+
   val build :
-    charpoly:charpoly_engine ->
+    ?charpoly:charpoly_engine ->
+    ?det_hd:det_routine ->
     card_s:int -> n:int -> kind -> Random.State.t -> F.t t
   (** Draw a fresh preconditioner of the given kind from the RNG.
       [Dense_hd] reproduces the legacy draw stream exactly (h then d, with
-      the ≤100-retry non-zero diagonal discipline).  [charpoly] is only
-      consulted by the dense kind's [det].  Each build ticks its
-      [precond.build.<kind>] counter. *)
+      the ≤100-retry non-zero diagonal discipline); its [det] runs
+      [det_hd] (default {!det_hd_elimination}) with fresh arithmetic on
+      every call.  [charpoly] is ignored and kept only for source
+      compatibility.  Each build ticks its [precond.build.<kind>]
+      counter. *)
 end

@@ -9,10 +9,18 @@ let connect path =
   { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
 let request_line t line =
-  output_string t.oc line;
-  output_char t.oc '\n';
-  flush t.oc;
-  input_line t.ic
+  match
+    output_string t.oc line;
+    output_char t.oc '\n';
+    flush t.oc
+  with
+  | () -> input_line t.ic
+  | exception (Sys_error _ as e) -> (
+    (* the server may answer before it has read the whole line (an
+       oversized request) and close mid-write: its reply is queued *)
+    match input_line t.ic with
+    | reply -> reply
+    | exception End_of_file -> raise e)
 
 let request t req =
   let reply = request_line t (Protocol.render_request req) in

@@ -6,6 +6,7 @@ struct
   module I = Kp_core.Inverse.Make (F) (C)
   module BW = Kp_core.Block_wiedemann.Make (F) (C)
   module Sh = Kp_shard.Sharded.Make (F)
+  module MD = Kp_matrix.Dense.Make (F)
   module Pc = Kp_precond.Precond
   module M = S.M
   module O = Kp_robust.Outcome
@@ -233,14 +234,18 @@ struct
     | _ -> Array.init k f
 
   (* every configured-shard-count matrix product in a serve rides the
-     row-block sharded engine; None keeps the sequential/pooled default *)
-  let shard_mul t =
-    Option.map (fun s -> Sh.mul ?pool:t.cfg.pool ~shards:s) t.cfg.shards
+     row-block sharded engine; otherwise the sequential kernel-backed
+     product (per-RHS serves already fan out across the pool) — all
+     bit-identical *)
+  let serve_mul t =
+    match t.cfg.shards with
+    | Some s -> Sh.mul ?pool:t.cfg.pool ~shards:s
+    | None -> MD.mul
 
   (* The pure per-RHS serve: cached-record application plus the live
      certificate.  No session mutation — safe to fan out on the pool. *)
   let serve_pure t pc (a : M.t) b =
-    match S.P.apply_precomp ?mul:(shard_mul t) ?pool:t.cfg.pool pc ~b with
+    match S.P.apply_precomp ~mul:(serve_mul t) ?pool:t.cfg.pool pc ~b with
     | exception Division_by_zero ->
       Error "division by zero applying cached generator"
     | x ->

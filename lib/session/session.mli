@@ -2,14 +2,14 @@
     Kaltofen–Pan pipeline, serve many solves/dets/inverses from it.
 
     The Theorem-4 straight-line program splits at the right-hand side: the
-    §2 preconditioning Ã = A·H·D, the Krylov squarings Ã{^2{^i}}, the §3
-    Toeplitz/characteristic-polynomial stage and det(H·D) are functions of
-    (A, h, d) alone.  A session computes that prefix {e once} per matrix —
+    §2 preconditioning Ã = A·H·D, the Krylov squarings Ã{^2{^i}}, the
+    degree-n generator (the characteristic polynomial of Ã whp) and
+    det(H·D) are functions of (A, h, d) alone.  A session computes that prefix {e once} per matrix —
     through the certified {!Kp_core.Solver.Make.precompute} retry loop —
     keys it by a {!Fingerprint.t}, and answers every subsequent
     [solve]/[det]/[inverse] on the same matrix with only the per-RHS
     remainder (rectangular Krylov products + Cayley–Hamilton recovery,
-    O(n³) instead of the fresh ~(2 + log n)·n³ plus two charpoly engines).
+    O(n³) instead of the fresh ~(2 + log n)·n³ Krylov doubling).
 
     {b Cache validity is never assumed.}  Every served answer re-runs its
     certificate against the live input: solves check A·x = b, determinants

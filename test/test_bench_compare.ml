@@ -187,217 +187,129 @@ let test_fast_flag_mismatch () =
 let find_committed name =
   List.find_opt Sys.file_exists [ name; "../" ^ name; "../../" ^ name ]
 
+let baseline_file = "BENCH.json"
+
 let test_committed_baseline_parses () =
-  (* the baselines committed at the repo root must stay loadable; skip
+  (* the baseline committed at the repo root must stay loadable; skip
      silently if the test runs outside the source tree *)
-  List.iter
-    (fun name ->
-      match find_committed name with
-      | None -> ()
-      | Some path -> (
-        match B.load path with
-        | Error m -> Alcotest.failf "%s failed to parse: %s" name m
-        | Ok run ->
-          check_bool (name ^ " has tables") true (run.B.tables <> []);
-          check_int (name ^ " self-compare is clean") 0
-            (List.length
-               (B.regressions (B.compare_runs ~baseline:run ~current:run ())))))
-    [ "BENCH_PR3.json"; "BENCH_PR4.json"; "BENCH_PR5.json"; "BENCH_PR6.json";
-      "BENCH_PR7.json"; "BENCH_PR8.json"; "BENCH_PR9.json"; "BENCH_PR10.json" ]
-
-let test_pr4_baseline_covers_sessions () =
-  (* the PR-4 baseline is the one CI gates on: it must carry the session
-     experiment and its cache counters, or the E13 regression band is
-     vacuous *)
-  match find_committed "BENCH_PR4.json" with
+  match find_committed baseline_file with
   | None -> ()
   | Some path -> (
     match B.load path with
-    | Error m -> Alcotest.failf "BENCH_PR4.json failed to parse: %s" m
+    | Error m -> Alcotest.failf "%s failed to parse: %s" baseline_file m
     | Ok run ->
-      let e13 = List.find_opt (fun t -> t.B.label = "E13") run.B.tables in
-      (match e13 with
-      | None -> Alcotest.fail "BENCH_PR4.json has no E13 table"
-      | Some t ->
-        check_bool "E13 records the session cache counters" true
-          (List.mem_assoc "session.cache.hit" t.B.counters
-          && List.mem_assoc "session.cache.miss" t.B.counters
-          && List.mem_assoc "session.cache.evict" t.B.counters)))
+      check_bool (baseline_file ^ " has tables") true (run.B.tables <> []);
+      check_int (baseline_file ^ " self-compare is clean") 0
+        (List.length
+           (B.regressions (B.compare_runs ~baseline:run ~current:run ()))))
 
-let test_pr5_baseline_covers_kernels () =
-  (* the PR-5 baseline adds the kernel experiment: it must carry E14 and
-     the kernel.* hit counters, or the kernel fast path could silently stop
-     being taken without any regression firing *)
-  match find_committed "BENCH_PR5.json" with
+(* The single baseline must carry every table CI gates, with the counters
+   that prove the recorded run exercised that table's engine — otherwise a
+   path could silently stop running under the bands.  One case per table;
+   each case name records the change that introduced the table. *)
+let covers label check () =
+  match find_committed baseline_file with
   | None -> ()
   | Some path -> (
     match B.load path with
-    | Error m -> Alcotest.failf "BENCH_PR5.json failed to parse: %s" m
-    | Ok run ->
-      let e14 = List.find_opt (fun t -> t.B.label = "E14") run.B.tables in
-      (match e14 with
-      | None -> Alcotest.fail "BENCH_PR5.json has no E14 table"
-      | Some t ->
-        check_bool "E14 records kernel hit counters" true
-          (List.mem_assoc "kernel.gfp_word" t.B.counters
-          && List.mem_assoc "kernel.bulk_ops" t.B.counters);
-        check_bool "E14 kernel fast path was taken" true
-          (match List.assoc_opt "kernel.gfp_word" t.B.counters with
-          | Some v -> v > 0.
-          | None -> false)))
-
-let test_pr6_baseline_covers_block () =
-  (* the PR-6 baseline adds the block-Wiedemann experiment: it must carry
-     E16 and the block.* counters with the engine actually exercised, or
-     the blocked Krylov path could silently stop running under the bands *)
-  match find_committed "BENCH_PR6.json" with
-  | None -> ()
-  | Some path -> (
-    match B.load path with
-    | Error m -> Alcotest.failf "BENCH_PR6.json failed to parse: %s" m
-    | Ok run ->
-      let e16 = List.find_opt (fun t -> t.B.label = "E16") run.B.tables in
-      (match e16 with
-      | None -> Alcotest.fail "BENCH_PR6.json has no E16 table"
-      | Some t ->
-        check_bool "E16 records the block engine counters" true
-          (List.mem_assoc "block.attempts" t.B.counters
-          && List.mem_assoc "block.krylov.blocks" t.B.counters
-          && List.mem_assoc "block.successes" t.B.counters);
-        check_bool "E16 block solves all succeeded" true
-          (match
-             ( List.assoc_opt "block.successes" t.B.counters,
-               List.assoc_opt "block.failures" t.B.counters )
-           with
-          | Some s, Some f -> s > 0. && f = 0.
-          | _ -> false)))
-
-let test_pr7_baseline_covers_serve () =
-  (* the PR-7 baseline adds the serving experiment: it must carry E15 and
-     the serve.* counters showing admission, shedding and the breaker
-     demotion/re-promotion cycle actually happened in the recorded run.
-     E15 counters are classified iteration-scaled (concurrent clients make
-     the totals schedule-dependent), so only the wall-clock is banded —
-     but the recorded counters still document that the run exercised the
-     whole surface, and this test pins that *)
-  match find_committed "BENCH_PR7.json" with
-  | None -> ()
-  | Some path -> (
-    match B.load path with
-    | Error m -> Alcotest.failf "BENCH_PR7.json failed to parse: %s" m
-    | Ok run ->
-      let e15 = List.find_opt (fun t -> t.B.label = "E15") run.B.tables in
-      (match e15 with
-      | None -> Alcotest.fail "BENCH_PR7.json has no E15 table"
+    | Error m -> Alcotest.failf "%s failed to parse: %s" baseline_file m
+    | Ok run -> (
+      match List.find_opt (fun t -> t.B.label = label) run.B.tables with
+      | None -> Alcotest.failf "%s has no %s table" baseline_file label
       | Some t ->
         let positive name =
           match List.assoc_opt name t.B.counters with
           | Some v -> v > 0.
           | None -> false
         in
-        check_bool "E15 admitted traffic" true (positive "serve.admitted");
-        check_bool "E15 shed traffic with typed rejections" true
-          (positive "serve.shed");
-        check_bool "E15 opened and re-closed the block breaker" true
-          (positive "serve.breaker.block.open"
-          && positive "serve.breaker.block.close");
-        check_bool "E15 walked the degradation ladder" true
-          (positive "serve.engine.block.fail"
-          && positive "serve.engine.scalar.ok"
-          && positive "serve.engine.block.ok")))
+        check t.B.counters positive))
 
-let test_pr8_baseline_covers_shards () =
-  (* the PR-8 baseline adds the sharded-blackbox experiment: it must carry
-     E17 with the shard.* counters showing plans were built and applies /
-     muls actually fanned out over the pool, and with every certified
-     block solve through the sharded engine succeeding — otherwise the
-     sharded path could silently stop being exercised under the bands *)
-  match find_committed "BENCH_PR8.json" with
-  | None -> ()
-  | Some path -> (
-    match B.load path with
-    | Error m -> Alcotest.failf "BENCH_PR8.json failed to parse: %s" m
-    | Ok run ->
-      let e17 = List.find_opt (fun t -> t.B.label = "E17") run.B.tables in
-      (match e17 with
-      | None -> Alcotest.fail "BENCH_PR8.json has no E17 table"
-      | Some t ->
-        let positive name =
-          match List.assoc_opt name t.B.counters with
-          | Some v -> v > 0.
-          | None -> false
-        in
-        check_bool "E17 built shard plans" true (positive "shard.plans");
-        check_bool "E17 ran sharded applies and muls" true
-          (positive "shard.applies" && positive "shard.muls");
-        check_bool "E17 fanned shards over the pool" true
-          (positive "shard.fanouts");
-        check_bool "E17 sharded block solves all succeeded" true
-          (match
-             ( List.assoc_opt "block.successes" t.B.counters,
-               List.assoc_opt "block.failures" t.B.counters )
-           with
-          | Some s, Some f -> s > 0. && f = 0.
-          | _ -> false)))
+let succeeded_all counters prefix =
+  match
+    ( List.assoc_opt (prefix ^ ".successes") counters,
+      List.assoc_opt (prefix ^ ".failures") counters )
+  with
+  | Some s, Some f -> s > 0. && f = 0.
+  | _ -> false
 
-let test_pr9_baseline_covers_cstub () =
-  (* the PR-9 baseline adds the kernel-backend shootout: it must carry
-     E18 with the C-stub family's hit counters and the kernel.cstub.*
-     meters actually advanced — the committed proof that the recorded run
-     took the stub path (and, since E18 asserts cross-backend bit-identity
-     in-bench, that the stubs agreed with word and derived when it did) *)
-  match find_committed "BENCH_PR9.json" with
-  | None -> ()
-  | Some path -> (
-    match B.load path with
-    | Error m -> Alcotest.failf "BENCH_PR9.json failed to parse: %s" m
-    | Ok run ->
-      let e18 = List.find_opt (fun t -> t.B.label = "E18") run.B.tables in
-      (match e18 with
-      | None -> Alcotest.fail "BENCH_PR9.json has no E18 table"
-      | Some t ->
-        let positive name =
-          match List.assoc_opt name t.B.counters with
-          | Some v -> v > 0.
-          | None -> false
-        in
-        check_bool "E18 took the GF(p) C-stub path" true
-          (positive "kernel.gfp_cstub");
-        check_bool "E18 took the GF(2) C-stub path" true
-          (positive "kernel.gf2_cstub");
-        check_bool "E18 exercised every comparison family" true
-          (positive "kernel.gfp_word" && positive "kernel.gfp_bigarray"
-          && positive "kernel.derived");
-        check_bool "E18 advanced the kernel.cstub.* meters" true
-          (positive "kernel.cstub.calls" && positive "kernel.cstub.bulk_ops")))
+let test_pr4_baseline_covers_sessions =
+  (* E13 and its cache counters, or the session regression band is vacuous *)
+  covers "E13" (fun counters _ ->
+      check_bool "E13 records the session cache counters" true
+        (List.mem_assoc "session.cache.hit" counters
+        && List.mem_assoc "session.cache.miss" counters
+        && List.mem_assoc "session.cache.evict" counters))
 
-let test_pr10_baseline_covers_precond () =
-  (* the PR-10 baseline adds the preconditioner-kind experiment: it must
-     carry E19 with every precond.build.* counter advanced — the committed
-     proof that the recorded run really built all three kinds (and, since
-     E19 asserts the ops ordering in-bench, that the butterfly apply was
-     measured cheaper than the dense Hankel·Diagonal when it did) *)
-  match find_committed "BENCH_PR10.json" with
-  | None -> ()
-  | Some path -> (
-    match B.load path with
-    | Error m -> Alcotest.failf "BENCH_PR10.json failed to parse: %s" m
-    | Ok run ->
-      let e19 = List.find_opt (fun t -> t.B.label = "E19") run.B.tables in
-      (match e19 with
-      | None -> Alcotest.fail "BENCH_PR10.json has no E19 table"
-      | Some t ->
-        let positive name =
-          match List.assoc_opt name t.B.counters with
-          | Some v -> v > 0.
-          | None -> false
-        in
-        check_bool "E19 built the dense Hankel·Diagonal kind" true
-          (positive "precond.build.dense");
-        check_bool "E19 built the sparse butterfly kind" true
-          (positive "precond.build.sparse");
-        check_bool "E19 built the extension-field kind" true
-          (positive "precond.build.ext")))
+let test_pr5_baseline_covers_kernels =
+  (* E14 and the kernel.* hit counters, with the fast path taken *)
+  covers "E14" (fun counters positive ->
+      check_bool "E14 records kernel hit counters" true
+        (List.mem_assoc "kernel.gfp_word" counters
+        && List.mem_assoc "kernel.bulk_ops" counters);
+      check_bool "E14 kernel fast path was taken" true
+        (positive "kernel.gfp_word"))
+
+let test_pr6_baseline_covers_block =
+  (* E16 with the block engine exercised and every block solve certified *)
+  covers "E16" (fun counters _ ->
+      check_bool "E16 records the block engine counters" true
+        (List.mem_assoc "block.attempts" counters
+        && List.mem_assoc "block.krylov.blocks" counters
+        && List.mem_assoc "block.successes" counters);
+      check_bool "E16 block solves all succeeded" true
+        (succeeded_all counters "block"))
+
+let test_pr7_baseline_covers_serve =
+  (* E15 counters are schedule-dependent (only its wall-clock is banded),
+     but the recorded run must still show admission, shedding and the
+     breaker demotion/re-promotion cycle *)
+  covers "E15" (fun _ positive ->
+      check_bool "E15 admitted traffic" true (positive "serve.admitted");
+      check_bool "E15 shed traffic with typed rejections" true
+        (positive "serve.shed");
+      check_bool "E15 opened and re-closed the block breaker" true
+        (positive "serve.breaker.block.open"
+        && positive "serve.breaker.block.close");
+      check_bool "E15 walked the degradation ladder" true
+        (positive "serve.engine.block.fail"
+        && positive "serve.engine.scalar.ok"
+        && positive "serve.engine.block.ok"))
+
+let test_pr8_baseline_covers_shards =
+  (* E17: shard plans built, applies and muls fanned over the pool, every
+     certified block solve through the sharded engine succeeding *)
+  covers "E17" (fun counters positive ->
+      check_bool "E17 built shard plans" true (positive "shard.plans");
+      check_bool "E17 ran sharded applies and muls" true
+        (positive "shard.applies" && positive "shard.muls");
+      check_bool "E17 fanned shards over the pool" true
+        (positive "shard.fanouts");
+      check_bool "E17 sharded block solves all succeeded" true
+        (succeeded_all counters "block"))
+
+let test_pr9_baseline_covers_cstub =
+  (* E18: the C-stub families and the kernel.cstub.* meters advanced (E18
+     asserts cross-backend bit-identity in-bench) *)
+  covers "E18" (fun _ positive ->
+      check_bool "E18 took the GF(p) C-stub path" true
+        (positive "kernel.gfp_cstub");
+      check_bool "E18 took the GF(2) C-stub path" true
+        (positive "kernel.gf2_cstub");
+      check_bool "E18 exercised every comparison family" true
+        (positive "kernel.gfp_word" && positive "kernel.gfp_bigarray"
+        && positive "kernel.derived");
+      check_bool "E18 advanced the kernel.cstub.* meters" true
+        (positive "kernel.cstub.calls" && positive "kernel.cstub.bulk_ops"))
+
+let test_pr10_baseline_covers_precond =
+  (* E19: every preconditioner kind really built *)
+  covers "E19" (fun _ positive ->
+      check_bool "E19 built the dense Hankel·Diagonal kind" true
+        (positive "precond.build.dense");
+      check_bool "E19 built the sparse butterfly kind" true
+        (positive "precond.build.sparse");
+      check_bool "E19 built the extension-field kind" true
+        (positive "precond.build.ext"))
 
 let () =
   Alcotest.run "bench_compare"

@@ -71,7 +71,8 @@ let test_minimal_generator_is_charpoly () =
     let cols = KR.columns ~mul:KR.M.mul a v (2 * n) in
     let seq = KR.sequence ~u cols in
     match
-      P.minimal_generator ~charpoly:P.charpoly_leverrier ~strategy:P.Doubling ~n seq
+      P.minimal_generator ~generator:(P.Toeplitz P.charpoly_leverrier)
+        ~strategy:P.Doubling ~n seq
     with
     | exception Division_by_zero -> () (* unlucky draw *)
     | f ->
@@ -94,8 +95,9 @@ let test_minimal_generator_strategies_agree () =
     let v = Array.init n (fun _ -> F.random st) in
     let seq = KR.sequence ~u (KR.columns ~mul:KR.M.mul a v (2 * n)) in
     match
-      ( P.minimal_generator ~charpoly:P.charpoly_leverrier ~strategy:P.Doubling ~n seq,
-        P.minimal_generator ~charpoly:P.charpoly_leverrier ~strategy:P.Sequential ~n seq )
+      let generator = P.Toeplitz P.charpoly_leverrier in
+      ( P.minimal_generator ~generator ~strategy:P.Doubling ~n seq,
+        P.minimal_generator ~generator ~strategy:P.Sequential ~n seq )
     with
     | exception Division_by_zero -> ()
     | f1, f2 -> check_bool "strategies agree" true (farr_eq f1 f2)

@@ -427,6 +427,70 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
           Pc.all_kinds)
       shared_seeds
 
+  (* --- route rows: the default generator and det(P) stages (Berlekamp–
+     Massey, elimination) against the paper's route (Toeplitz charpoly,
+     det(H) through the Toeplitz mirror).  Both draw from the same seed and
+     neither replaced stage draws, so the answers, the whole attempt
+     history and the RNG state afterwards must coincide --- *)
+
+  let same_rng st1 st2 =
+    List.for_all (fun _ -> Random.State.bits st1 = Random.State.bits st2) [ 1; 2; 3 ]
+
+  let same_outcome eq r1 r2 =
+    match (r1, r2) with
+    | Ok (x, rep1), Ok (y, rep2) -> eq x y && rep1 = rep2
+    | Error e1, Error e2 -> e1 = e2
+    | _ -> false
+
+  let route_identical ~key what eq run =
+    let st_default = Kp_util.Rng.make key and st_reference = Kp_util.Rng.make key in
+    let r_default = run None st_default in
+    let r_reference = run (Some S.Toeplitz_charpoly) st_reference in
+    Alcotest.(check bool) (what ^ ": same answer and attempt history") true
+      (eq r_default r_reference);
+    Alcotest.(check bool) (what ^ ": same RNG state afterwards") true
+      (same_rng st_default st_reference)
+
+  let precomp_equal (p1 : S.P.precomp) (p2 : S.P.precomp) =
+    vec_equal p1.S.P.charpoly_f p2.S.P.charpoly_f
+    && F.equal p1.S.P.dhd p2.S.P.dhd
+    && vec_equal p1.S.P.a_tilde.M.data p2.S.P.a_tilde.M.data
+
+  let test_route_identity () =
+    List.iter
+      (fun seed ->
+        let st = Kp_util.Rng.make seed in
+        let inputs =
+          List.map (fun n -> M.random_nonsingular st n) P.sizes
+          @ List.map
+              (fun r -> M.random_of_rank st P.singular_n ~rank:r)
+              [ P.singular_n - 1; P.singular_n - 2 ]
+        in
+        List.iteri
+          (fun i a ->
+            let n = a.M.rows in
+            let b = M.matvec a (Array.init n (fun _ -> F.random st)) in
+            let key = (1000 * seed) + i in
+            let what op = ctx seed n (Printf.sprintf "%s (input %d)" op i) in
+            route_identical ~key (what "solve") (same_outcome vec_equal)
+              (fun route st -> S.solve ?route st a b);
+            (* a tiny sample set: singular Hankels (linear complexity < n)
+               and |S| escalation on most attempts *)
+            route_identical ~key (what "solve card_s=4") (same_outcome vec_equal)
+              (fun route st -> S.solve ~card_s:4 ?route st a b);
+            route_identical ~key (what "det") (same_outcome F.equal)
+              (fun route st -> S.det ?route st a);
+            route_identical ~key (what "det card_s=4") (same_outcome F.equal)
+              (fun route st -> S.det ~card_s:4 ?route st a);
+            route_identical ~key (what "det_once") (same_outcome F.equal)
+              (fun route st -> S.det_once ?route st a);
+            route_identical ~key (what "precompute") (same_outcome precomp_equal)
+              (fun route st -> S.precompute ?route st a);
+            route_identical ~key (what "rank") ( = )
+              (fun route st -> Rk.rank ?route st a))
+          inputs)
+      shared_seeds
+
   let tests =
     [
       Alcotest.test_case (P.name ^ " nonsingular") `Quick test_nonsingular;
@@ -436,6 +500,7 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
       Alcotest.test_case (P.name ^ " sharded nonsingular") `Quick test_sharded_nonsingular;
       Alcotest.test_case (P.name ^ " sharded singular") `Quick test_sharded_singular;
       Alcotest.test_case (P.name ^ " precond kinds") `Quick test_precond_kinds;
+      Alcotest.test_case (P.name ^ " route identity") `Quick test_route_identity;
     ]
 end
 

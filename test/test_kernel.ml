@@ -385,7 +385,7 @@ let test_q_derived = derived_route_identical "Q" (module Kp_field.Rational)
 (* the derived kernel is operation-faithful in every dispatch mode:
    routing the counting field through the kernel-dispatched call sites
    performs exactly the documented scalar operation pattern — the
-   invariant the committed counting-field baselines (BENCH_PR3/PR4) gate
+   invariant the committed counting-field baseline (BENCH.json) gates
    end-to-end.  Quantified over modes because a specialized backend
    sneaking under a counting field would batch these very operations. *)
 let test_counting_op_counts () =

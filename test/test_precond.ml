@@ -71,7 +71,7 @@ let test_dense_bit_identity () =
      samples with the <=100-retry discipline) *)
   let h = Array.init ((2 * n) - 1) (fun _ -> F.sample st_legacy ~card_s) in
   let d = Array.init n (fun _ -> SP.sample_nonzero st_legacy ~card_s) in
-  let p = SP.build ~charpoly ~card_s ~n Pc.Dense_hd st_new in
+  let p = SP.build ~card_s ~n Pc.Dense_hd st_new in
   check_bool "kind" true (p.Pc.kind = Pc.Dense_hd);
   (* identical RNG consumption: the next draw agrees on both streams *)
   check_bool "draw streams stay in lockstep" true
@@ -94,6 +94,48 @@ let test_dense_bit_identity () =
   check_bool "apply = dense matvec" true (farr_eq (p.Pc.apply v) (M.matvec pm v));
   check_bool "transpose = dense^T matvec" true
     (farr_eq (p.Pc.apply_transpose v) (M.matvec (M.transpose pm) v))
+
+(* the dense kind's det(P) runs Gaussian elimination on the materialised
+   Hankel; the paper's route reads det(H) off the Toeplitz mirror's
+   charpoly.  Both are det(H)·det(D) of the same entries, so they must
+   agree on every draw — singular Hankels (det 0) included *)
+let test_elimination_det_matches_charpoly () =
+  let agree what ~n ~h ~d =
+    check_bool
+      (Printf.sprintf "%s n=%d: elimination = charpoly det_hd" what n)
+      true
+      (F.equal (SP.det_hd_elimination ~n ~h ~d) (SP.det_hd ~charpoly ~n ~h ~d))
+  in
+  let singular = ref 0 in
+  List.iter
+    (fun n ->
+      (* random draws; card_s = 2 makes singular Hankels common *)
+      List.iter
+        (fun card_s ->
+          for seed = 1 to 6 do
+            let st = st0 ((1000 * n) + (10 * seed) + card_s) in
+            let h = Array.init ((2 * n) - 1) (fun _ -> F.sample st ~card_s) in
+            let d = Array.init n (fun _ -> SP.sample_nonzero st ~card_s) in
+            if F.is_zero (SP.det_hd_elimination ~n ~h ~d) then incr singular;
+            agree (Printf.sprintf "card_s=%d seed=%d" card_s seed) ~n ~h ~d
+          done)
+        [ 2; 4096 ];
+      (* structured singular Hankels: all zeros, and h_k = r^k (rank 1) *)
+      let d = Array.init n (fun i -> F.of_int (i + 1)) in
+      agree "zero Hankel" ~n ~h:(Array.make ((2 * n) - 1) F.zero) ~d;
+      let r = F.of_int 5 in
+      let h = Array.make ((2 * n) - 1) F.one in
+      for k = 1 to (2 * n) - 2 do
+        h.(k) <- F.mul h.(k - 1) r
+      done;
+      agree "rank-1 Hankel" ~n ~h ~d;
+      if n >= 2 then
+        check_bool "rank-1 Hankel is singular" true
+          (F.is_zero (SP.det_hd_elimination ~n ~h ~d)))
+    [ 1; 2; 3; 5; 8; 12 ];
+  check_bool
+    (Printf.sprintf "random draws hit singular Hankels (%d)" !singular)
+    true (!singular > 0)
 
 let test_dense_choice_is_default_path () =
   (* forcing dense must be indistinguishable from the default on dense
@@ -135,7 +177,7 @@ let test_butterfly_consistent () =
   List.iter
     (fun n ->
       let st = st0 (30 + n) in
-      let p = SP.build ~charpoly ~card_s:4096 ~n Pc.Sparse_butterfly st in
+      let p = SP.build ~card_s:4096 ~n Pc.Sparse_butterfly st in
       check_bool "kind" true (p.Pc.kind = Pc.Sparse_butterfly);
       record_consistent (Printf.sprintf "butterfly n=%d" n) p)
     [ 1; 2; 5; 8; 13 ]
@@ -145,7 +187,7 @@ let test_butterfly_is_cheap () =
      dense Hankel convolution cost for the same n *)
   let n = 64 in
   let st = st0 40 in
-  let p = SP.build ~charpoly ~card_s:4096 ~n Pc.Sparse_butterfly st in
+  let p = SP.build ~card_s:4096 ~n Pc.Sparse_butterfly st in
   let sparse_ops = Lazy.force p.Pc.ops_per_apply in
   let dense_ops = SP.hankel_ops_per_apply n + n in
   check_bool
@@ -167,7 +209,7 @@ let test_ext_field_gf2 () =
   List.iter
     (fun (n, card_s) ->
       let st = st0 (50 + n + card_s) in
-      let p = SP2.build ~charpoly:(fun ~n:_ _ -> [||]) ~card_s ~n Pc.Ext_field st in
+      let p = SP2.build ~card_s ~n Pc.Ext_field st in
       check_bool "kind" true (p.Pc.kind = Pc.Ext_field);
       let dense = p.Pc.dense () in
       let pm = M2.init n n (fun i j -> dense.((i * n) + j)) in
@@ -233,7 +275,7 @@ let test_build_counters () =
   let before name = Option.value ~default:0 (Kp_obs.Counter.find name) in
   let b0 = before "precond.build.sparse" in
   let st = st0 63 in
-  ignore (SP.build ~charpoly ~card_s:4096 ~n:8 Pc.Sparse_butterfly st);
+  ignore (SP.build ~card_s:4096 ~n:8 Pc.Sparse_butterfly st);
   check_int "build ticks its per-kind counter" (b0 + 1)
     (before "precond.build.sparse")
 
@@ -252,6 +294,8 @@ let () =
             test_dense_bit_identity;
           Alcotest.test_case "forced dense = default path" `Quick
             test_dense_choice_is_default_path;
+          Alcotest.test_case "elimination det = charpoly det_hd" `Quick
+            test_elimination_det_matches_charpoly;
         ] );
       ( "structured",
         [

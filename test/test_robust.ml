@@ -213,8 +213,8 @@ let test_control_uncertified_pipeline () =
     let u = Array.init n (fun _ -> F.sample st ~card_s) in
     (match
        let p = FS.P.precond_of ~charpoly:FS.P.charpoly_leverrier ~n ~h ~d in
-       FS.P.solve ~charpoly:FS.P.charpoly_leverrier ~strategy:FS.P.Doubling fa
-         ~b ~p ~u
+       FS.P.solve ~generator:(FS.P.Toeplitz FS.P.charpoly_leverrier)
+         ~strategy:FS.P.Doubling fa ~b ~p ~u
      with
     | exception _ -> () (* uncertified pipeline may just die; not wrong *)
     | { FS.P.x; _ } ->
@@ -235,6 +235,65 @@ let test_control_uncertified_pipeline () =
     (!wrong_uncertified >= 1);
   check_int "certified path: zero wrong on the same schedules" 0
     !wrong_certified
+
+(* ---- the generator stage under a corrupted sequence ---- *)
+
+(* A Krylov sequence {u·Ãⁱ·v} of an n×n matrix has linear complexity at
+   most n.  A transient fault that clears the first n terms of the buffer
+   leaves a sequence whose first non-zero term sits at index n, so its
+   linear complexity is at least n + 1.  The classifier must reject that
+   as a typed fault — counting it as a singularity witness would let a
+   fault schedule turn a non-singular matrix into a "singular" verdict. *)
+let test_overlong_sequence_is_a_fault () =
+  let module SP = Kp_precond.Precond.Make (F) (CK) in
+  let st = st0 800 in
+  let n = 6 in
+  let a = M.random_nonsingular st n in
+  let p = SP.build ~card_s:65536 ~n Kp_precond.Precond.Dense_hd st in
+  check_bool "P is non-singular" true (not (F.is_zero (p.Kp_precond.Precond.det ())));
+  let a_tilde = S.P.preconditioned a p in
+  let u = Array.init n (fun _ -> F.random st) in
+  let v = Array.init n (fun _ -> F.random st) in
+  let _, seq = S.P.krylov ~strategy:S.P.Sequential ~mul:S.M.mul a_tilde ~u ~v n in
+  let corrupted = Array.mapi (fun i s -> if i < n then F.zero else s) seq in
+  check_bool "the fault left a non-zero term at index n" true
+    (not (F.is_zero corrupted.(n)));
+  (match S.massey_generator ~n corrupted with
+  | exception S.Linear_complexity_exceeds l ->
+    check_bool (Printf.sprintf "linear complexity %d > n" l) true (l > n)
+  | _ -> Alcotest.fail "expected Linear_complexity_exceeds");
+  let stage seq () = ((), S.massey_generator ~n seq, seq) in
+  (match S.classify ~p ~n (stage corrupted) with
+  | Error (Rt.Reject (O.Fault _)) -> ()
+  | Error (Rt.Reject_with_witness _) ->
+    Alcotest.fail "a corrupted sequence was counted as a singularity witness"
+  | _ -> Alcotest.fail "expected a typed fault rejection");
+  (* the same stage repeated through the retry engine: exhaustion with a
+     fault history, never a Singular verdict *)
+  let retry stage =
+    Rt.run ~ns:"testns" ~op:"overlong" ~policy:(Rt.policy ~retries:5 ())
+      ~card_s:64
+      (fun ~attempt:_ ~card_s:_ ->
+        match S.classify ~p ~n stage with
+        | Error reject -> reject
+        | Ok _ -> Rt.Accept ())
+  in
+  (match retry (stage corrupted) with
+  | Error (O.Retries_exhausted rep) ->
+    check_int "every attempt ran" 5 rep.O.attempts;
+    check_bool "every rejection is a fault" true
+      (List.for_all
+         (fun r -> match r.O.reason with O.Fault _ -> true | _ -> false)
+         rep.O.rejections)
+  | Error (O.Singular _) -> Alcotest.fail "faults were promoted to Singular"
+  | Ok _ | Error _ -> Alcotest.fail "expected Retries_exhausted");
+  (* control: a genuinely short sequence (linear complexity < n, as from a
+     singular Ã) with the same non-singular P does witness singularity *)
+  let short = Array.mapi (fun i _ -> if i = 0 then F.one else F.zero) seq in
+  match retry (stage short) with
+  | Error (O.Singular { witnesses; _ }) ->
+    check_bool "short sequences are witnesses" true (witnesses > 0)
+  | _ -> Alcotest.fail "expected Singular from a low-degree sequence"
 
 (* ---- retry engine unit tests ---- *)
 
@@ -605,6 +664,8 @@ let () =
             `Quick test_chaos_precond_demotes;
           Alcotest.test_case "control: uncertified pipeline caught" `Quick
             test_control_uncertified_pipeline;
+          Alcotest.test_case "overlong sequence is a fault, not a witness"
+            `Quick test_overlong_sequence_is_a_fault;
         ] );
       ( "chaos-block",
         [

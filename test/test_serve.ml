@@ -185,11 +185,15 @@ let test_ladder_block_demotes_then_repromotes () =
   let a, _, b = random_system st 6 in
   let fa = E.M.init 6 6 (fun i j -> M.get a i j) in
   let now = ref 0L in
-  let session = E.Sess.create (st0 2) in
+  (* dense preconditioner pinned: a non-dense default adds a precond
+     demotion step to the ladder, which would spend the fault budget on a
+     different rung than the one this test follows *)
+  let precond = Kp_precond.Precond.Forced Kp_precond.Precond.Dense_hd in
+  let session = E.Sess.create ~precond (st0 2) in
   let eng =
     E.create ~breaker_threshold:1 ~breaker_cooldown_ns:1_000L
       ~now:(fun () -> !now)
-      ~session (st0 3)
+      ~session ~precond (st0 3)
   in
   (match E.solve ~engine:P.E_block eng fa b with
   | Ok (x, served_by, _) ->
@@ -476,6 +480,8 @@ let test_server_chaos_demote_and_repromote () =
       (FSrv.default_config ~socket_path:path) with
       FSrv.breaker_threshold = 1;
       breaker_cooldown_ms = 1;
+      (* pinned for the same reason as the ladder test above *)
+      precond = Kp_precond.Precond.Forced Kp_precond.Precond.Dense_hd;
     }
   in
   let srv = FSrv.start ~now:(fun () -> !now) cfg (st0 62) in

@@ -12,7 +12,6 @@ module W = Kp_core.Wiedemann.Make (F)
 module Lev = Kp_structured.Leverrier.Make (F)
 module CK = Kp_poly.Conv.Karatsuba (F)
 module SPc = Kp_precond.Precond.Make (F) (CK)
-module TCF = Kp_structured.Toeplitz_charpoly.Make (F) (CK)
 
 (* the pure Hankel operator H(h) as a black box, reconstructed through the
    preconditioner layer with a unit diagonal — the regression targets below
@@ -21,7 +20,7 @@ let hankel_blackbox ~n h =
   let p =
     SPc.hankel_diag
       ~ops_per_apply:(lazy (SPc.hankel_ops_per_apply n))
-      ~charpoly:(fun ~n d -> TCF.charpoly ~n d)
+      ~det:SPc.det_hd_elimination
       ~n ~h ~d:(Array.make n F.one) ()
   in
   W.precond_blackbox p
