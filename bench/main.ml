@@ -14,7 +14,7 @@
                      instantiation; sparse black-box crossover; multicore
      E13 §2/§3       solve sessions: k solves of one matrix, fresh vs the
                      cached RHS-independent prefix (generator computed once)
-     E14 kernel      bulk vector-kernel layer: word-level GF(p) loops vs the
+     E14 kernel      bulk vector-kernel layer: the GF(p) C-stub kernel vs the
                      scalar abstract-field path, bit-identical by assertion
      E15 serve       kp serve under load: concurrent clients, typed overload
                      shedding at queue_limit 0, breaker demotion and
@@ -30,19 +30,17 @@
                      shards, plus one certified block-Wiedemann solve per
                      shard count — every answer asserted bit-identical to
                      the unsharded reference before a row is printed
-     E18 cstub       Bigarray/C-stub kernel family: dense matvec/matmul over
-                     GF(p) and GF(2) through the C stubs vs the pure-OCaml
-                     Bigarray fallback vs the word backends vs derived,
-                     outputs asserted bit-identical across all four
+     E18 cstub       C-stub kernels: dense matvec/matmul over GF(p) and GF(2)
+                     through the C stubs vs the derived reference kernel,
+                     outputs asserted bit-identical
      E19 precond     preconditioner kinds on sparse GF(2) operators: field
                      ops per apply (counting field) of the dense H·D vs the
                      butterfly vs the GF(2^8) extension butterfly across a
                      density sweep — asserts the sparse kinds are cheaper
                      per apply and that the gap widens with n
 
-   Tables E1..E17 run with the kernel dispatcher pinned to the word
-   backends (their committed baselines gate kernel.gfp_word/... counter
-   names); E18 forces each family explicitly per measurement.
+   Every table runs the kernels users get: the dispatcher maps each
+   field's kernel hint to its one fast backend.
 
    Usage:  dune exec bench/main.exe --
              [--table E1 ... | all] [--fast] [--json FILE]
@@ -57,16 +55,8 @@ module Cnt = Kp_field.Counting.Make (F)
 module Counting = Kp_field.Counting
 module Tables = Kp_util.Tables
 
-(* Pin every functor application below (and thus tables E1..E17) to the
-   word backends regardless of KP_KERNEL_BACKEND: the committed BENCH.json
-   baseline gates per-backend counter names (kernel.gfp_word, ...), so
-   these tables must keep producing them.
-   E18 is the Bigarray/C-stub family's own table; it forces each mode
-   explicitly per measurement. *)
-let () = Kp_kernel.Dispatch.set_mode Kp_kernel.Dispatch.Word
-
-(* concrete modules — conv multipliers dispatch on F.kernel_hint (word-level
-   GF(p) loops for Gf_ntt); the counting instantiations below stay on the
+(* concrete modules — conv multipliers dispatch on F.kernel_hint (the GF(p)
+   C stubs for Gf_ntt); the counting instantiations below stay on the
    derived-kernel functors *)
 module CK = Kp_poly.Conv.Karatsuba_field (F)
 module NK = Kp_poly.Conv.Ntt_field (F) (Kp_poly.Conv.Default_ntt_prime)
@@ -583,18 +573,10 @@ let e9 () =
   let b = M.matvec a x_true in
   let mm_b = M.random rng n n in
   let solver_rng = st () in
-  let module Mont = Kp_field.Gfp_mont.Make (struct
-    let p = 998_244_353
-  end) in
-  let module MMont = Kp_matrix.Dense.Make (Mont) in
-  let a_mont = MMont.init n n (fun i j -> Mont.of_standard (M.get a i j)) in
-  let b_mont = MMont.init n n (fun i j -> Mont.of_standard (M.get mm_b i j)) in
   let tests =
     [
       Test.make ~name:(Printf.sprintf "matmul n=%d" n)
         (Staged.stage (fun () -> ignore (M.mul a mm_b)));
-      Test.make ~name:(Printf.sprintf "matmul_montgomery n=%d" n)
-        (Staged.stage (fun () -> ignore (MMont.mul a_mont b_mont)));
       Test.make ~name:(Printf.sprintf "gauss_solve n=%d" n)
         (Staged.stage (fun () -> ignore (G.solve a b)));
       Test.make ~name:(Printf.sprintf "kp_solve_kar n=%d" n)
@@ -926,21 +908,21 @@ let e13 () =
   Tables.print t
 
 (* ------------------------------------------------------------------ *)
-(* E14: kernel layer — word-level bulk loops vs scalar FIELD_CORE ops   *)
+(* E14: kernel layer — C-stub bulk loops vs scalar FIELD_CORE ops       *)
 (* ------------------------------------------------------------------ *)
 
 let e14 () =
   let rng = st () in
   print_endline
     "E14 (kernel layer): GF(p) dense matvec and Krylov doubling through the\n\
-     word-level gfp_word kernel (delayed modular reduction, one division per\n\
-     block) vs the scalar balanced FIELD_CORE loops the kernel replaced.\n\
-     Results are asserted bit-identical before timing; kernel.gfp_word\n\
+     gfp_cstub kernel (delayed modular reduction, one division per block)\n\
+     vs the scalar balanced FIELD_CORE loops the kernel replaced.\n\
+     Results are asserted bit-identical before timing; kernel.gfp_cstub\n\
      counter hits prove the fast path is actually taken.\n";
   let module MC = Kp_matrix.Dense.Core (F) in
   let module K = Kp_core.Krylov.Make (F) in
   let hits () =
-    Option.value ~default:0 (Kp_obs.Counter.find "kernel.gfp_word")
+    Option.value ~default:0 (Kp_obs.Counter.find "kernel.gfp_cstub")
   in
   let bench reps f =
     let (), t =
@@ -971,12 +953,12 @@ let e14 () =
       let h0 = hits () in
       let mv_kernel = M.matvec a v in
       if hits () = h0 then
-        failwith "E14: kernel.gfp_word did not tick on matvec";
+        failwith "E14: kernel.gfp_cstub did not tick on matvec";
       let p_scalar = K.doubling_powers ~mul:MC.mul a (2 * n) in
       let h1 = hits () in
       let p_kernel = K.doubling_powers ~mul:M.mul a (2 * n) in
       if hits () = h1 then
-        failwith "E14: kernel.gfp_word did not tick on doubling";
+        failwith "E14: kernel.gfp_cstub did not tick on doubling";
       let identical =
         Array.for_all2 F.equal mv_scalar mv_kernel
         && Array.length p_scalar = Array.length p_kernel
@@ -1468,26 +1450,19 @@ let e17 () =
   Tables.print t
 
 (* ------------------------------------------------------------------ *)
-(* E18: Bigarray/C-stub kernel family vs word vs derived               *)
+(* E18: C-stub kernels vs the derived reference                        *)
 (* ------------------------------------------------------------------ *)
 
 let e18 () =
   let module D = Kp_kernel.Dispatch in
   let rng = st () in
   print_endline
-    "E18 (Bigarray/C-stub kernels): the same dense matvec/matmul served by\n\
-     every backend of the kernel family — the C stubs (autovectorized\n\
-     delayed-reduction GF(p) loops, bit-packed GF(2)), the pure-OCaml\n\
-     Bigarray fallback, the PR-5 word backends, and the derived reference.\n\
-     Outputs are asserted bit-identical across all four before timing, and\n\
-     kernel.cstub.* counter movement proves the stub path is really taken.\n";
-  let kernel_for mode (fm : int Kp_field.Field_intf.field) =
-    D.with_mode mode (fun () -> D.of_field fm)
-  in
-  let modes =
-    [ ("word", D.Word); ("cstub", D.Cstub); ("bigarray", D.Bigarray_pure);
-      ("derived", D.Derived_only) ]
-  in
+    "E18 (C-stub kernels): the same dense matvec/matmul served by the C\n\
+     stubs (autovectorized delayed-reduction GF(p) loops, bit-packed GF(2))\n\
+     and by the derived reference kernel (the field's own scalar ops, reached\n\
+     through its Generic-hinted twin).  Outputs are asserted bit-identical\n\
+     before timing, and kernel.cstub.* counter movement proves the stub path\n\
+     is really taken.\n";
   let bench reps f =
     let (), t =
       time (fun () ->
@@ -1500,11 +1475,11 @@ let e18 () =
   let t =
     Tables.create
       ~title:
-        "kernel family on the same data, bit-identical (seconds; speedup = \
-         word/cstub)"
+        "C stubs vs derived on the same data, bit-identical (seconds; \
+         speedup = derived/cstub)"
       ~columns:
-        [ "field"; "op"; "n"; "reps"; "word"; "cstub"; "bigarray"; "derived";
-          "cstub speedup"; "identical" ]
+        [ "field"; "op"; "n"; "reps"; "cstub"; "derived"; "cstub speedup";
+          "identical" ]
   in
   let cstub_ops0 =
     Option.value ~default:0 (Kp_obs.Counter.find "kernel.cstub.bulk_ops")
@@ -1512,35 +1487,28 @@ let e18 () =
   let row field_name (fm : int Kp_field.Field_intf.field) op n reps runner =
     let module Fi =
       (val fm : Kp_field.Field_intf.FIELD with type t = int) in
-    let results =
-      List.map
-        (fun (mode_name, mode) ->
-          let k = kernel_for mode fm in
-          let out, secs = runner k reps in
-          (mode_name, out, secs))
-        modes
+    let module Twin = struct
+      include Fi
+
+      let kernel_hint = Kp_field.Field_intf.Generic
+    end in
+    let cstub_out, cstub_s = runner (D.of_field fm) reps in
+    let derived_out, derived_s =
+      runner
+        (D.of_field (module Twin : Kp_field.Field_intf.FIELD with type t = int))
+        reps
     in
-    let _, ref_out, _ = List.hd results in
-    let identical =
-      List.for_all
-        (fun (_, out, _) -> Array.for_all2 Fi.equal out ref_out)
-        results
-    in
+    let identical = Array.for_all2 Fi.equal cstub_out derived_out in
     if not identical then
       failwith
-        (Printf.sprintf "E18: backends disagree on %s %s n=%d" field_name op n);
-    let secs name =
-      let _, _, s = List.find (fun (m, _, _) -> m = name) results in
-      s
-    in
+        (Printf.sprintf "E18: cstub and derived disagree on %s %s n=%d"
+           field_name op n);
     Tables.add_row t
       [
         field_name; op; string_of_int n; string_of_int reps;
-        Tables.fmt_float (secs "word");
-        Tables.fmt_float (secs "cstub");
-        Tables.fmt_float (secs "bigarray");
-        Tables.fmt_float (secs "derived");
-        Printf.sprintf "%.1fx" (secs "word" /. secs "cstub");
+        Tables.fmt_float cstub_s;
+        Tables.fmt_float derived_s;
+        Printf.sprintf "%.1fx" (derived_s /. cstub_s);
         string_of_bool identical;
       ]
   in
@@ -1591,17 +1559,11 @@ let e18 () =
               (out, secs)))
         [ 128; 256 ])
     fields;
-  (if Kp_kernel.Cstub.available () then begin
-     let ops =
-       Option.value ~default:0 (Kp_obs.Counter.find "kernel.cstub.bulk_ops")
-     in
-     if ops <= cstub_ops0 then
-       failwith "E18: kernel.cstub.bulk_ops did not advance — stub path not taken"
-   end
-   else
-     print_endline
-       "note: C stubs not linked in this build; cstub rows measured the \
-        pure-OCaml Bigarray fallback");
+  let ops =
+    Option.value ~default:0 (Kp_obs.Counter.find "kernel.cstub.bulk_ops")
+  in
+  if ops <= cstub_ops0 then
+    failwith "E18: kernel.cstub.bulk_ops did not advance — stub path not taken";
   Tables.print t
 
 (* ------------------------------------------------------------------ *)

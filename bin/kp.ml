@@ -532,15 +532,11 @@ let kernels_cmd =
     (name, Kp_kernel.Dispatch.backend_name F.kernel_hint)
   in
   let rows () =
-    let module Mont = Kp_field.Gfp_mont.Make (struct
-      let p = 998_244_353
-    end) in
     let module Cnt = Kp_field.Counting.Make (Kp_field.Fields.Gf_ntt) in
     [
       resolve "GF(998244353)      Fields.Gf_ntt" (module Kp_field.Fields.Gf_ntt);
       resolve "GF(1073741789)     Fields.Gf_big" (module Kp_field.Fields.Gf_big);
       resolve "GF(97)             Fields.Gf_97" (module Kp_field.Fields.Gf_97);
-      resolve "GF(998244353) Mont Gfp_mont.Make" (module Mont);
       resolve "GF(2)              Fields.Gf2" (module Kp_field.Fields.Gf2);
       resolve "GF(2^16)           Fields.Gf2_16" (module Kp_field.Fields.Gf2_16);
       resolve "Q                  Fields.Q" (module Kp_field.Fields.Q);
@@ -548,32 +544,24 @@ let kernels_cmd =
     ]
   in
   let run prime =
-    Printf.printf "dispatch mode: %s%s   C stubs: %s\n"
-      (Kp_kernel.Dispatch.mode_name (Kp_kernel.Dispatch.mode ()))
-      (match Sys.getenv_opt "KP_KERNEL_BACKEND" with
-      | Some s -> Printf.sprintf " (KP_KERNEL_BACKEND=%s)" s
-      | None -> "")
-      (if Kp_kernel.Cstub.available () then "linked" else "absent");
     (* the runtime field every kp subcommand actually computes in *)
     (match Kp_field.Gfp.make prime with
-    | exception Invalid_argument m -> Printf.printf "kp --prime %d: %s\n\n" prime m
+    | exception Invalid_argument m -> Printf.printf "kp --prime %d: %s\n" prime m
     | m ->
       let module F = (val m) in
-      Printf.printf "kp --prime %d resolves to: %s\n\n" prime
+      Printf.printf "kp --prime %d resolves to: %s\n" prime
         (Kp_kernel.Dispatch.backend_name F.kernel_hint));
+    print_endline
+      "(--prime 2 runs gfp_cstub at p = 2; gf2_cstub serves Fields.Gf2)\n";
     print_endline "built-in fields:";
     List.iter
       (fun (name, backend) -> Printf.printf "  %-36s %s\n" name backend)
       (rows ());
     print_endline
       "\nbackends: gfp_cstub/gf2_cstub (C stubs, delayed reduction /\n\
-       64-bit packing, Bigarray scratch), gfp_bigarray/gf2_bigarray\n\
-       (pure-OCaml fallback for stubless builds), gfp_word\n\
-       (delayed-reduction word loops), gfp_mont (Montgomery form),\n\
-       gf2_bitpacked (62 elements/word), derived (generic FIELD_CORE ops —\n\
+       64-bit packing, Bigarray scratch), derived (generic FIELD_CORE ops —\n\
        op-count-faithful; circuits and counting fields always land here).\n\
-       Set KP_KERNEL_BACKEND=auto|cstub|bigarray|word|derived to force a\n\
-       family; kernel.cstub.* counters in --stats prove the stub path ran."
+       kernel.cstub.* counters in --stats prove the stub path ran."
   in
   Cmd.v
     (Cmd.info "kernels"

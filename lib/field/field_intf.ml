@@ -43,10 +43,10 @@ end
 
     A concrete field may advertise that its runtime representation admits a
     specialized bulk-arithmetic backend: canonical GF(p) residues in a native
-    [int] ([Gfp_word]), Montgomery residues ([Gfp_montgomery]), or 0/1 bits
-    ([Gf2_bits]).  The GADT ties the claim to the representation type, so a
-    dispatcher that matches [Gfp_word] learns [t = int] and can run unboxed
-    int loops that are {e bit-identical} to the scalar operations.
+    [int] ([Gfp_word]) or 0/1 bits ([Gf2_bits]).  The GADT ties the claim to
+    the representation type, so a dispatcher that matches [Gfp_word] learns
+    [t = int] and can run unboxed int loops that are {e bit-identical} to the
+    scalar operations.
 
     [Generic] promises nothing; the kernel layer then derives a
     reference backend from the field's own operations (same results, same
@@ -63,9 +63,6 @@ type _ kernel_hint =
   | Gfp_word : { p : int } -> int kernel_hint
       (** GF(p), p < 2{^30} prime, elements are canonical residues in
           [0, p) stored in a native [int]. *)
-  | Gfp_montgomery : { p : int; r_bits : int } -> int kernel_hint
-      (** GF(p) in Montgomery form: elements are x·R mod p with
-          R = 2{^r_bits}, stored in a native [int]. *)
   | Gf2_bits : int kernel_hint
       (** GF(2), elements are 0 or 1 in a native [int]. *)
 

@@ -8,20 +8,12 @@
     Scratch larger than a register file — the matmul row accumulator, the
     packed-x words of the GF(2) matvec — is an [int64] Bigarray allocated
     by the OCaml side per call (never shared: kernels are fanned out
-    across domains by the pool, so module-level scratch would race).
-
-    [available] reports whether the stubs are linked into this binary.
-    In a stubless build the dispatcher must route the hinted fields to the
-    pure-OCaml Bigarray fallbacks ({!Gfp_bigarray}, {!Gf2_bigarray})
-    instead; [Dispatch] also honours [KP_KERNEL_BACKEND=bigarray] to force
-    that path for differential testing. *)
+    across domains by the pool, so module-level scratch would race). *)
 
 type scratch = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let make_scratch n : scratch =
   Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (max 1 n)
-
-external available : unit -> bool = "kp_cstub_available" [@@noalloc]
 
 (* hit counters for the C-stub family, surfaced by [kp --stats] and gated
    by the E18 baseline: the observable proof the stubs are actually taken *)

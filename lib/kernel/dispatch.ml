@@ -1,25 +1,18 @@
 (** Kernel selection and instrumentation.
 
-    [Make (F)] (or [of_field]) inspects [F.kernel_hint] — the GADT ties the
-    hint to [F.t], so matching [Gfp_word] refines [F.t = int] and the
-    specialized [int] backends typecheck without magic — then picks the
-    concrete implementation for that representation according to the
-    {e dispatch mode}:
+    [Make (F)] (or [of_field]) is a pure function of [F.kernel_hint] — the
+    GADT ties the hint to [F.t], so matching [Gfp_word] refines [F.t = int]
+    and the C-stub [int] backends typecheck without magic:
 
-    - [Auto] (the default): the Bigarray/C-stub family when the stubs are
-      linked ([Cstub.available ()]), else its pure-OCaml Bigarray fallback;
-    - [Cstub] / [Bigarray_pure] / [Word] / [Derived_only]: force one family —
-      how the differential suites pit backends against each other, how CI
-      proves a stubless build passes unchanged ([KP_KERNEL_BACKEND=bigarray]),
-      and how the bench harness pins counter names to the committed
-      baselines.
+    - [Gfp_word { p }] → [gfp_cstub];
+    - [Gf2_bits] → [gf2_cstub];
+    - [Generic] → [derived], the operation-faithful reference kernel.
 
-    The initial mode comes from [KP_KERNEL_BACKEND]
-    (auto|cstub|bigarray|word|derived); unknown values mean [Auto].
-
-    [Generic]-hinted fields resolve to the derived reference kernel in
-    {e every} mode — the PR-5 invariant that counting fields, fault
-    injectors and circuit builders never skip scalar operations.
+    Counting fields, fault injectors and circuit builders declare [Generic],
+    so they never skip scalar operations.  Re-exporting a hinted field with
+    [let kernel_hint = Generic] gives its reference twin: same elements,
+    derived kernel — how the differential suites pit the C stubs against
+    the reference without any global state.
 
     Chosen backends are wrapped with hit counters:
 
@@ -34,49 +27,6 @@
 open Kp_field.Field_intf
 
 let c_bulk_ops = Kp_obs.Counter.make "kernel.bulk_ops"
-
-(* ------------------------------------------------------------------ *)
-(* dispatch mode                                                      *)
-(* ------------------------------------------------------------------ *)
-
-type mode =
-  | Auto  (** C stubs when linked, pure-OCaml Bigarray fallback otherwise. *)
-  | Cstub  (** Force the C-stub family (Bigarray fallback if stubless). *)
-  | Bigarray_pure  (** Force the pure-OCaml Bigarray family. *)
-  | Word  (** Force the PR-5 word backends (gfp_word/gfp_mont/gf2_bitpacked). *)
-  | Derived_only  (** Reference kernel everywhere. *)
-
-let mode_name = function
-  | Auto -> "auto"
-  | Cstub -> "cstub"
-  | Bigarray_pure -> "bigarray"
-  | Word -> "word"
-  | Derived_only -> "derived"
-
-let mode_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "auto" -> Some Auto
-  | "cstub" -> Some Cstub
-  | "bigarray" -> Some Bigarray_pure
-  | "word" -> Some Word
-  | "derived" -> Some Derived_only
-  | _ -> None
-
-let all_modes = [ Auto; Cstub; Bigarray_pure; Word; Derived_only ]
-
-let current =
-  ref
-    (match Sys.getenv_opt "KP_KERNEL_BACKEND" with
-    | Some s -> Option.value (mode_of_string s) ~default:Auto
-    | None -> Auto)
-
-let mode () = !current
-let set_mode m = current := m
-
-let with_mode m f =
-  let old = !current in
-  current := m;
-  Fun.protect ~finally:(fun () -> current := old) f
 
 (* ------------------------------------------------------------------ *)
 (* instrumentation                                                    *)
@@ -137,73 +87,26 @@ module Metered (M : METERS) (K : Kernel_intf.KERNEL) :
     K.matmul_into ~a ~b ~dst ~inner ~bcols ~row_lo ~row_hi
 end
 
-(* historical name: per-backend hit counter + global bulk-ops meter *)
-module Instrument (K : Kernel_intf.KERNEL) :
-  Kernel_intf.KERNEL with type t = K.t =
-  Metered
-    (struct
-      let hits = [ Kp_obs.Counter.make ("kernel." ^ K.backend) ]
-      let ops = [ c_bulk_ops ]
-    end)
-    (K)
-
 let is_cstub_backend name = name = "gfp_cstub" || name = "gf2_cstub"
 
 (* ------------------------------------------------------------------ *)
 (* resolution                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* the fast-family choice shared by the gfp and gf2 hints: stubs when the
-   mode allows them and they are linked, pure-OCaml Bigarray otherwise *)
-let fast_family ~cstub ~bigarray =
-  match !current with
-  | Auto | Cstub -> if Cstub.available () then cstub else bigarray
-  | Bigarray_pure -> bigarray
-  | Word | Derived_only -> assert false
-
-(* resolved backend name for [hint] under the current mode — what a
-   [Make]/[of_field] performed right now would select *)
+(* the backend a [Make]/[of_field] on a field with [hint] selects *)
 let backend_name (type a) (hint : a kernel_hint) =
   match hint with
+  | Gfp_word _ -> "gfp_cstub"
+  | Gf2_bits -> "gf2_cstub"
   | Generic -> "derived"
-  | Gfp_montgomery _ -> (
-    match !current with Derived_only -> "derived" | _ -> "gfp_mont")
-  | Gfp_word _ -> (
-    match !current with
-    | Derived_only -> "derived"
-    | Word -> "gfp_word"
-    | Auto | Cstub | Bigarray_pure ->
-      fast_family ~cstub:"gfp_cstub" ~bigarray:"gfp_bigarray")
-  | Gf2_bits -> (
-    match !current with
-    | Derived_only -> "derived"
-    | Word -> "gf2_bitpacked"
-    | Auto | Cstub | Bigarray_pure ->
-      fast_family ~cstub:"gf2_cstub" ~bigarray:"gf2_bigarray")
 
 (* uninstrumented selection — used by the differential tests to compare raw
    backends, and anywhere counter traffic is unwanted *)
 let of_field_raw (type a) (module F : FIELD with type t = a) :
     a Kernel_intf.kernel =
   match F.kernel_hint with
-  | Gfp_word { p } -> (
-    match !current with
-    | Derived_only -> (module Derived.Make (F))
-    | Word -> Gfp_word.make ~p
-    | Auto | Cstub | Bigarray_pure ->
-      fast_family ~cstub:(Gfp_cstub.make ~p) ~bigarray:(Gfp_bigarray.make ~p))
-  | Gfp_montgomery { p; r_bits } -> (
-    match !current with
-    | Derived_only -> (module Derived.Make (F))
-    | _ -> Gfp_mont.make ~p ~r_bits)
-  | Gf2_bits -> (
-    match !current with
-    | Derived_only -> (module Derived.Make (F))
-    | Word -> (module Gf2_bits)
-    | Auto | Cstub | Bigarray_pure ->
-      fast_family ~cstub:(module Gf2_cstub : Kernel_intf.KERNEL
-                           with type t = int)
-        ~bigarray:(module Gf2_bigarray))
+  | Gfp_word { p } -> Gfp_cstub.make ~p
+  | Gf2_bits -> (module Gf2_cstub)
   | Generic -> (module Derived.Make (F))
 
 let of_field (type a) (module F : FIELD with type t = a) : a Kernel_intf.kernel

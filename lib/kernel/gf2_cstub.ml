@@ -4,8 +4,7 @@
     preserves the tag, XOR re-tags); the matvec packs x once into 64-bit
     words in an [int64] Bigarray scratch and ANDs row words against it
     with a parity fold — any packing width yields the same parity, so the
-    backend is bit-identical to both the derived kernel and the 62-bit
-    pure-OCaml packings ({!Gf2_bits}, {!Gf2_bigarray}). *)
+    backend is bit-identical to the derived kernel. *)
 
 type t = int
 

@@ -1,5 +1,5 @@
-(** C-stub GF(p) kernel: the delayed-reduction word loops of {!Gfp_word}
-    compiled as autovectorizable C ([kp_kernel_stubs.c]).
+(** C-stub GF(p) kernel: delayed-reduction word loops compiled as
+    autovectorizable C ([kp_kernel_stubs.c]).
 
     Elements are canonical residues in [0, p) in native [int]s (the
     [Gfp_word { p }] representation).  Every primitive reduces to the
@@ -7,7 +7,7 @@
     representation, so regrouping the delayed reductions — the only
     freedom the C side takes — cannot change the resulting word: the
     backend is bit-identical to the derived kernel by construction, and
-    the cross-backend torture suite in [test_kernel.ml] enforces it.
+    the differential suite in [test_kernel.ml] enforces it.
 
     The matmul accumulates each output row unreduced in an [int64]
     Bigarray scratch (allocated per call — kernels are fanned out across

@@ -11,16 +11,12 @@
       counting fields, fault-injecting wrappers and circuit builders all go
       through this path.
 
-    - The specialized backends exploit a concrete word-level representation
-      (advertised by the field through {!Kp_field.Field_intf.kernel_hint})
-      and come in two families: the pure-OCaml word backends ({!Gfp_word},
-      {!Gfp_mont}, {!Gf2_bits}) run unboxed [int] loops with delayed modular
-      reduction or bit packing, and the Bigarray/C-stub family
-      ({!Gfp_cstub}, {!Gf2_cstub}, with pure-OCaml fallbacks {!Gfp_bigarray},
-      {!Gf2_bigarray} for stubless builds) compiles the same loops as
-      autovectorizable C with Bigarray reduction scratch.  Every specialized
-      backend is required to be {e bit-identical} to the derived kernel on
-      canonical inputs; {!Dispatch} picks one per field and mode.
+    - The C-stub backends ({!Gfp_cstub}, {!Gf2_cstub}) exploit a concrete
+      word-level representation (advertised by the field through
+      {!Kp_field.Field_intf.kernel_hint}): autovectorizable C loops with
+      delayed modular reduction or bit packing, and Bigarray reduction
+      scratch.  Each is required to be {e bit-identical} to the derived
+      kernel on canonical inputs; {!Dispatch} picks one per hint.
 
     Conventions shared by every primitive:
     - offsets/ranges are trusted (bounds are the caller's contract);
@@ -33,9 +29,8 @@ module type KERNEL = sig
   type t
 
   val backend : string
-  (** One of ["derived"], ["gfp_word"], ["gfp_mont"], ["gf2_bitpacked"],
-      ["gfp_cstub"], ["gf2_cstub"], ["gfp_bigarray"], ["gf2_bigarray"] —
-      also the suffix of the [kernel.<backend>] hit counter. *)
+  (** One of ["derived"], ["gfp_cstub"], ["gf2_cstub"] — also the suffix of
+      the [kernel.<backend>] hit counter. *)
 
   val dot : t array -> t array -> t
   (** Inner product of equal-length arrays, balanced-reduction order

@@ -16,9 +16,8 @@
 
    - GF(p), p < 2^30: canonical residues in [0,p).  A raw product is below
      2^60, so an int64 accumulator absorbs [block] products between
-     reductions (the same delayed-reduction schedule as the OCaml word
-     backend; regrouping reductions cannot change a canonical residue, so
-     the stubs are bit-identical to the derived kernel by construction).
+     reductions (regrouping reductions cannot change a canonical residue,
+     so the stubs are bit-identical to the derived kernel by construction).
 
    - GF(2): 0/1 in native ints.  Tagged 0/1 values obey
        (2a+1) & (2b+1) = 2(a·b)+1      — AND preserves the tag;
@@ -27,9 +26,7 @@
 
    - Reduction/packing scratch larger than a few registers (the matmul row
      accumulator, the packed-x words of the GF(2) matvec) lives in an
-     int64 Bigarray passed in by the caller: no malloc on the hot path,
-     and the buffer is visible to the pure-OCaml fallback implementations
-     that mirror these algorithms.
+     int64 Bigarray passed in by the caller: no malloc on the hot path.
 
    - No `restrict` anywhere: the elementwise primitives may be called with
      dst aliasing a source at a different offset, and C's plain-pointer
@@ -43,12 +40,6 @@
 
 #define ELT(v, i) Long_val(Field((v), (i)))
 #define SET(v, i, x) (Field((v), (i)) = Val_long(x))
-
-CAMLprim value kp_cstub_available(value unit)
-{
-  (void)unit;
-  return Val_true;
-}
 
 /* raw products that fit on top of a canonical residue without overflowing
    an int64 accumulator: (p-1) + block·(p-1)^2 <= INT64_MAX */
@@ -271,7 +262,7 @@ CAMLprim value kp_gfp_matmul(value va, value vb, value vdst, value vinner,
       for (kk = k; kk < stop; kk++) {
         int64_t aik = ELT(va, arow + kk);
         /* adding a zero row then reducing leaves the residues unchanged,
-           so skipping is value-preserving (same rule as the word backend) */
+           so skipping is value-preserving */
         if (aik != 0) {
           intnat brow = kk * bcols;
           for (j = 0; j < bcols; j++)

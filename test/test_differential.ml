@@ -542,149 +542,194 @@ module Q_suite =
       let singular_n = 4
     end)
 
-(* --- kernel-backend rows: the same engine runs with the dispatch mode
-   forced to each kernel family in turn must produce bit-identical
-   answers AND identical attempt counts — the end-to-end form of the
-   kernel suite's bit-identity contract.  Engine functors are applied
-   inside [with_mode] because backend resolution happens at functor
-   application time. --- *)
-module Mode_rows = struct
-  module D = Kp_kernel.Dispatch
+(* --- kernel twin rows: the same engine battery run on a hinted field (C-stub
+   kernel) and on its Generic twin (derived kernel) must produce
+   bit-identical answers AND identical attempt counts — the end-to-end form
+   of the kernel suite's bit-identity contract. --- *)
+module Twin_rows = struct
   module O = Kp_robust.Outcome
-
-  let modes =
-    [
-      ("word", D.Word);
-      ("cstub", D.Cstub);
-      ("bigarray", D.Bigarray_pure);
-      ("derived", D.Derived_only);
-    ]
+  module Twin = Test_seeds.Generic_twin
 
   (* GF(p): the full Theorem-4 battery — solve/det with attempt counts,
      rank, a session run, and the Gauss oracle.  Every component is a
-     plain int or int array, so runs under different modes compare with
-     structural equality. *)
-  let gfp_battery mode seed n =
-    D.with_mode mode (fun () ->
-        let module F = Kp_field.Fields.Gf_ntt in
-        let module C = Kp_poly.Conv.Karatsuba (F) in
-        let module M = Kp_matrix.Dense.Make (F) in
-        let module G = Kp_matrix.Gauss.Make (F) in
-        let module S = Kp_core.Solver.Make (F) (C) in
-        let module Rk = Kp_core.Rank.Make (F) (C) in
-        let module Sess = Kp_session.Session.Make (F) (C) in
-        let fail what e =
-          Alcotest.failf "gfp battery %s @%s seed=%d n=%d: %s" what
-            (D.mode_name mode) seed n (O.error_to_string e)
-        in
-        let st = Kp_util.Rng.make seed in
-        let a = M.random_nonsingular st n in
-        let x_true = Array.init n (fun _ -> F.random st) in
-        let b = M.matvec a x_true in
-        let sts = Test_seeds.states (seed + n) 4 in
-        let solve_x, solve_att =
-          match S.solve sts.(0) a b with
-          | Ok (x, r) -> (x, r.O.attempts)
-          | Error e -> fail "solve" e
-        in
-        let det, det_att =
-          match S.det sts.(1) a with
-          | Ok (d, r) -> (d, r.O.attempts)
-          | Error e -> fail "det" e
-        in
-        let rank = Rk.rank sts.(2) a in
-        let sess = Sess.create sts.(3) in
-        let sess_x =
-          match Sess.solve sess a b with
-          | Ok (x, _) -> x
-          | Error e -> fail "session solve" e
-        in
-        let sess_d =
-          match Sess.det sess a with
-          | Ok (d, _) -> d
-          | Error e -> fail "session det" e
-        in
-        let gauss_x =
-          match G.solve a b with
-          | Some x -> x
-          | None -> Alcotest.failf "gfp battery: oracle called input singular"
-        in
-        (solve_x, solve_att, det, det_att, rank, sess_x, sess_d, gauss_x))
+     plain int or int array, so the two runs compare with structural
+     equality. *)
+  module Gfp_battery (F : Kp_field.Field_intf.FIELD with type t = int) = struct
+    module C = Kp_poly.Conv.Karatsuba (F)
+    module M = Kp_matrix.Dense.Make (F)
+    module G = Kp_matrix.Gauss.Make (F)
+    module S = Kp_core.Solver.Make (F) (C)
+    module Rk = Kp_core.Rank.Make (F) (C)
+    module Sess = Kp_session.Session.Make (F) (C)
 
-  let test_gfp_modes () =
+    let run seed n =
+      let fail what e =
+        Alcotest.failf "gfp battery %s seed=%d n=%d: %s" what seed n
+          (O.error_to_string e)
+      in
+      let st = Kp_util.Rng.make seed in
+      let a = M.random_nonsingular st n in
+      let x_true = Array.init n (fun _ -> F.random st) in
+      let b = M.matvec a x_true in
+      let sts = Test_seeds.states (seed + n) 4 in
+      let solve_x, solve_att =
+        match S.solve sts.(0) a b with
+        | Ok (x, r) -> (x, r.O.attempts)
+        | Error e -> fail "solve" e
+      in
+      let det, det_att =
+        match S.det sts.(1) a with
+        | Ok (d, r) -> (d, r.O.attempts)
+        | Error e -> fail "det" e
+      in
+      let rank = Rk.rank sts.(2) a in
+      let sess = Sess.create sts.(3) in
+      let sess_x =
+        match Sess.solve sess a b with
+        | Ok (x, _) -> x
+        | Error e -> fail "session solve" e
+      in
+      let sess_d =
+        match Sess.det sess a with
+        | Ok (d, _) -> d
+        | Error e -> fail "session det" e
+      in
+      let gauss_x =
+        match G.solve a b with
+        | Some x -> x
+        | None -> Alcotest.failf "gfp battery: oracle called input singular"
+      in
+      (solve_x, solve_att, det, det_att, rank, sess_x, sess_d, gauss_x)
+  end
+
+  (* GF(2), in both representations: [Fields.Gf2] (gf2_cstub) and
+     [Gfp.make 2] (gfp_cstub at p = 2, the runtime field of
+     [kp --prime 2]).  [matrix_layer] pins the kernel-backed products and
+     the deterministic Gauss solve/det/rank; [solve] is the black-box path
+     [kp solve --prime 2] takes — [Wiedemann.solve_preconditioned] with the
+     default preconditioner — as its answer and attempt count, or its typed
+     error (seed 92 at n = 64 needs a second attempt, so the attempt count
+     is not trivially 1). *)
+  module Gf2_battery (F : Kp_field.Field_intf.FIELD with type t = int) = struct
+    module M = Kp_matrix.Dense.Make (F)
+    module Sp = Kp_matrix.Sparse.Make (F)
+    module G = Kp_matrix.Gauss.Make (F)
+    module Bb = Kp_matrix.Blackbox.Make (F)
+    module W = Kp_core.Wiedemann.Make (F)
+
+    let matrix_layer seed n =
+      let st = Kp_util.Rng.make seed in
+      let a = M.random st n n in
+      let b = M.random st n n in
+      let v = Array.init n (fun _ -> F.random st) in
+      let sp = Sp.random st n n ~density:0.3 in
+      let mul = (M.mul a b).M.data in
+      let mv = M.matvec a v in
+      let spmv = Sp.matvec sp v in
+      let det = G.det a in
+      let rank = G.rank a in
+      let solve = G.solve a (M.matvec a v) in
+      (mul, mv, spmv, det, rank, solve)
+
+    let solve seed n =
+      let st = Kp_util.Rng.make seed in
+      let a = M.random_nonsingular st n in
+      let x_true = Array.init n (fun _ -> F.random st) in
+      let b = M.matvec a x_true in
+      let outcome =
+        match
+          W.solve_preconditioned (Kp_util.Rng.make (seed + n)) (Bb.of_dense a) b
+        with
+        | Ok (x, r) -> Ok (x, r.O.attempts)
+        | Error e -> Error (O.error_to_string e)
+      in
+      (outcome, x_true)
+  end
+
+  module Ntt = Gfp_battery (Kp_field.Fields.Gf_ntt)
+  module Ntt_twin = Gfp_battery (Twin (Kp_field.Fields.Gf_ntt))
+  module Gf2 = Gf2_battery (Kp_field.Gf2)
+  module Gf2_twin = Gf2_battery (Twin (Kp_field.Gf2))
+
+  module P2 =
+    (val Kp_field.Gfp.make 2 : Kp_field.Field_intf.FIELD with type t = int)
+
+  module Gfp2 = Gf2_battery (P2)
+  module Gfp2_twin = Gf2_battery (Twin (P2))
+
+  let test_gfp () =
     List.iter
       (fun seed ->
         List.iter
           (fun n ->
-            let sx, sa, d, da, rk, zx, zd, gx = gfp_battery D.Word seed n in
-            List.iter
-              (fun (mname, mode) ->
-                let sx', sa', d', da', rk', zx', zd', gx' =
-                  gfp_battery mode seed n
-                in
-                let lbl what =
-                  Printf.sprintf "gfp %s: %s = word row (seed=%d n=%d)" mname
-                    what seed n
-                in
-                Alcotest.(check bool) (lbl "solve answer") true (sx = sx');
-                Alcotest.(check int) (lbl "solve attempts") sa sa';
-                Alcotest.(check int) (lbl "det") d d';
-                Alcotest.(check int) (lbl "det attempts") da da';
-                Alcotest.(check int) (lbl "rank") rk rk';
-                Alcotest.(check bool) (lbl "session solve") true (zx = zx');
-                Alcotest.(check int) (lbl "session det") zd zd';
-                Alcotest.(check bool) (lbl "gauss solve") true (gx = gx'))
-              modes)
+            let sx, sa, d, da, rk, zx, zd, gx = Ntt.run seed n in
+            let sx', sa', d', da', rk', zx', zd', gx' = Ntt_twin.run seed n in
+            let lbl what =
+              Printf.sprintf "gfp %s: cstub = Generic twin (seed=%d n=%d)" what
+                seed n
+            in
+            Alcotest.(check bool) (lbl "solve answer") true (sx = sx');
+            Alcotest.(check int) (lbl "solve attempts") sa sa';
+            Alcotest.(check int) (lbl "det") d d';
+            Alcotest.(check int) (lbl "det attempts") da da';
+            Alcotest.(check int) (lbl "rank") rk rk';
+            Alcotest.(check bool) (lbl "session solve") true (zx = zx');
+            Alcotest.(check int) (lbl "session det") zd zd';
+            Alcotest.(check bool) (lbl "gauss solve") true (gx = gx'))
           [ 4; 9 ])
       shared_seeds
 
-  (* GF(2): the bit-packed family has no Wiedemann rows in this suite
-     (the sample set is too small for the Theorem-4 probability bound),
-     so the cross-mode contract is pinned on the kernel-backed matrix
-     layer: dense mul/matvec/matmul-shaped products, sparse matvec, and
-     the deterministic Gauss solve/det/rank. *)
-  let gf2_battery mode seed n =
-    D.with_mode mode (fun () ->
-        let module F = Kp_field.Gf2 in
-        let module M = Kp_matrix.Dense.Make (F) in
-        let module Sp = Kp_matrix.Sparse.Make (F) in
-        let module G = Kp_matrix.Gauss.Make (F) in
-        let st = Kp_util.Rng.make seed in
-        let a = M.random st n n in
-        let b = M.random st n n in
-        let v = Array.init n (fun _ -> F.random st) in
-        let sp = Sp.random st n n ~density:0.3 in
-        let mul = (M.mul a b).M.data in
-        let mv = M.matvec a v in
-        let spmv = Sp.matvec sp v in
-        let det = G.det a in
-        let rank = G.rank a in
-        let solve = G.solve a (M.matvec a v) in
-        (mul, mv, spmv, det, rank, solve))
-
-  let test_gf2_modes () =
+  let test_gf2_matrix_layer () =
     List.iter
-      (fun seed ->
+      (fun (name, field, twin) ->
         List.iter
-          (fun n ->
-            let reference = gf2_battery D.Word seed n in
+          (fun seed ->
             List.iter
-              (fun (mname, mode) ->
+              (fun n ->
                 Alcotest.(check bool)
-                  (Printf.sprintf "gf2 %s = word row (seed=%d n=%d)" mname seed
-                     n)
+                  (Printf.sprintf "%s = Generic twin (seed=%d n=%d)" name seed n)
                   true
-                  (gf2_battery mode seed n = reference))
-              modes)
-          [ 7; 64; 100 ])
-      shared_seeds
+                  (field seed n = twin seed n))
+              [ 7; 64; 100 ])
+          shared_seeds)
+      [
+        ("Fields.Gf2", Gf2.matrix_layer, Gf2_twin.matrix_layer);
+        ("Gfp.make 2", Gfp2.matrix_layer, Gfp2_twin.matrix_layer);
+      ]
+
+  let test_gf2_solve () =
+    List.iter
+      (fun (name, field, twin) ->
+        List.iter
+          (fun seed ->
+            List.iter
+              (fun n ->
+                let lbl what =
+                  Printf.sprintf "%s solve %s (seed=%d n=%d)" name what seed n
+                in
+                let outcome, x_true = field seed n in
+                (match outcome with
+                | Ok (x, _) ->
+                  Alcotest.(check bool) (lbl "is the planted solution") true
+                    (x = x_true)
+                | Error e -> Alcotest.failf "%s" (lbl e));
+                Alcotest.(check bool)
+                  (lbl "answer and attempts = Generic twin")
+                  true
+                  (outcome = fst (twin seed n)))
+              [ 16; 64 ])
+          shared_seeds)
+      [
+        ("Gfp.make 2", Gfp2.solve, Gfp2_twin.solve);
+        ("Fields.Gf2", Gf2.solve, Gf2_twin.solve);
+      ]
 
   let tests =
     [
-      Alcotest.test_case "gfp engines: word/cstub/bigarray/derived rows"
-        `Quick test_gfp_modes;
-      Alcotest.test_case "gf2 matrix layer: word/cstub/bigarray/derived rows"
-        `Quick test_gf2_modes;
+      Alcotest.test_case "gfp engines: cstub = twin" `Quick test_gfp;
+      Alcotest.test_case "gf2 matrix layer: cstub = twin" `Quick
+        test_gf2_matrix_layer;
+      Alcotest.test_case "gf2 solve: cstub = twin" `Quick test_gf2_solve;
     ]
 end
 
@@ -821,7 +866,7 @@ let () =
       ("gf_ntt", Ntt_suite.tests);
       ("gf2^8", Gf2_8_suite.tests);
       ("rational", Q_suite.tests);
-      ("kernel_modes", Mode_rows.tests);
+      ("kernel_twins", Twin_rows.tests);
       ("gf2_track", Gf2_track.tests);
       ("session_fuzz", [ QCheck_alcotest.to_alcotest ~long:false Fuzz.test ]);
     ]

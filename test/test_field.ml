@@ -207,35 +207,6 @@ let test_is_irreducible_rejects () =
   check_bool "x^2+1 over GF(3) (no root)" true
     (Gfext.is_irreducible ~p:3 [| 1; 0; 1 |])
 
-module Mont = Gfp_mont.Make (struct
-  let p = 998_244_353
-end)
-
-module Ax_mont = Axioms (Mont)
-
-let test_montgomery_isomorphism () =
-  let module F = Fields.Gf_ntt in
-  let st = Random.State.make [| 77 |] in
-  for _ = 1 to 200 do
-    let a = Random.State.int st F.p and b = Random.State.int st F.p in
-    let ma = Mont.of_standard a and mb = Mont.of_standard b in
-    check_int "add" (F.add a b) (Mont.to_standard (Mont.add ma mb));
-    check_int "mul" (F.mul a b) (Mont.to_standard (Mont.mul ma mb));
-    check_int "sub" (F.sub a b) (Mont.to_standard (Mont.sub ma mb));
-    if a <> 0 then check_int "inv" (F.inv a) (Mont.to_standard (Mont.inv ma))
-  done;
-  check_int "roundtrip" 123456789 (Mont.to_standard (Mont.of_standard 123456789));
-  check_int "of_int negative" (F.of_int (-7)) (Mont.to_standard (Mont.of_int (-7)))
-
-let test_montgomery_rejects_even () =
-  check_bool "even modulus rejected" true
-    (try
-       let module _ = Gfp_mont.Make (struct
-         let p = 2
-       end) in
-       false
-     with Invalid_argument _ -> true)
-
 let test_counting () =
   let module C = Counting.Make (Fields.Gf_97) in
   C.reset ();
@@ -300,12 +271,6 @@ let () =
           Alcotest.test_case "is_irreducible rejects" `Quick test_is_irreducible_rejects;
         ] );
       ("gfext axioms GF(2^16)", qtests (Ax_ext.tests "gf2^16"));
-      ( "montgomery",
-        [
-          Alcotest.test_case "isomorphic to Gfp" `Quick test_montgomery_isomorphism;
-          Alcotest.test_case "rejects even modulus" `Quick test_montgomery_rejects_even;
-        ] );
-      ("montgomery axioms", qtests (Ax_mont.tests "mont"));
       ( "counting",
         [
           Alcotest.test_case "counters" `Quick test_counting;

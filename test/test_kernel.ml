@@ -1,19 +1,17 @@
 (* Bulk vector-kernel layer (lib/kernel): differential correctness.
 
-   The contract under test is bit-identity: every specialized backend —
-   the word family (gfp_word, gfp_mont, gf2_bitpacked) AND the
-   Bigarray/C-stub family (gfp_cstub, gf2_cstub, gfp_bigarray,
-   gf2_bigarray) — must return exactly the words the derived reference
-   kernel returns on the same inputs, for every primitive, every size
-   (including 0, 1 and non-powers-of-two straddling both the GF(2)
-   62-bit packed word and the C stubs' 64-bit packed word), every offset
-   pattern the call sites use (including the aliased dst = x
-   recombination pattern of Karatsuba), and boundary values (all-zero,
-   all p−1 — the lazy-reduction accumulator's worst case).  Dispatch must
-   resolve the documented backend in every mode, pooled call sites must
-   equal their sequential selves over 1/2/4 domains, and generic-hinted
-   fields (GF(2^8), Q, counting, fault-wrapped) must ride the derived
-   kernel in every mode with unchanged operation counts. *)
+   The contract under test is bit-identity: each C-stub backend (gfp_cstub
+   at every prime, gf2_cstub) must return exactly the words the derived
+   reference kernel returns on the same inputs, for every primitive, every
+   size (including 0, 1 and non-powers-of-two straddling the C stubs'
+   64-bit packed GF(2) word), every offset pattern the call sites use
+   (including the aliased dst = x recombination pattern of Karatsuba), and
+   boundary values (all-zero, all p−1 — the delayed-reduction
+   accumulator's worst case).  Dispatch must resolve the documented backend
+   for every hint, pooled call sites must equal their sequential selves
+   over 1/2/4 domains, and generic-hinted fields (GF(2^8), Q, counting,
+   fault-wrapped, a hinted field's Generic twin) must ride the derived
+   kernel with unchanged operation counts. *)
 
 module Dispatch = Kp_kernel.Dispatch
 
@@ -23,51 +21,38 @@ let check_string = Alcotest.(check string)
 
 module type F_INT = Kp_field.Field_intf.FIELD with type t = int
 
-module Mont = Kp_field.Gfp_mont.Make (struct
-  let p = 998_244_353
-end)
-
-(* one instance per specialized hint, plus a small-prime gfp_word whose
-   lazy-reduction block is effectively infinite (different block schedule) *)
+(* one instance per specialized hint, at primes that put the GF(p) stubs
+   on different delayed-reduction blocks: p = 2 (the runtime field of
+   [kp --prime 2] — a Gfp_word field, so gfp_cstub, not gf2_cstub), 97
+   (block effectively unbounded), the NTT prime, and 1073741789, the
+   largest prime below 2^30 (the shortest block, 8 products) *)
 let specialized : (string * (module F_INT)) list =
   [
+    ("gfp.2", Kp_field.Gfp.make 2);
     ("gfp.97", (module Kp_field.Fields.Gf_97));
     ("gfp.ntt", (module Kp_field.Fields.Gf_ntt));
-    ("mont", (module Mont));
+    ("gfp.big", (module Kp_field.Fields.Gf_big));
     ("gf2", (module Kp_field.Gf2));
   ]
 
-(* every specialized backend implementing [F]'s hinted representation —
-   enumerated directly (not through dispatch) so the differential sweep
-   pits the whole family against the derived reference regardless of the
-   ambient mode *)
+(* the fast backend implementing [F]'s hinted representation — built
+   directly, not through dispatch, so the differential sweep tests the
+   backend itself *)
 let backends_for (module F : F_INT) :
     (string * int Kp_kernel.Kernel_intf.kernel) list =
   match F.kernel_hint with
   | Kp_field.Field_intf.Gfp_word { p } ->
-    [
-      ("gfp_word", Kp_kernel.Gfp_word.make ~p);
-      ("gfp_cstub", Kp_kernel.Gfp_cstub.make ~p);
-      ("gfp_bigarray", Kp_kernel.Gfp_bigarray.make ~p);
-    ]
-  | Kp_field.Field_intf.Gfp_montgomery { p; r_bits } ->
-    [ ("gfp_mont", Kp_kernel.Gfp_mont.make ~p ~r_bits) ]
+    [ ("gfp_cstub", Kp_kernel.Gfp_cstub.make ~p) ]
   | Kp_field.Field_intf.Gf2_bits ->
     [
-      ( "gf2_bitpacked",
-        (module Kp_kernel.Gf2_bits : Kp_kernel.Kernel_intf.KERNEL
-          with type t = int) );
       ( "gf2_cstub",
         (module Kp_kernel.Gf2_cstub : Kp_kernel.Kernel_intf.KERNEL
-          with type t = int) );
-      ( "gf2_bigarray",
-        (module Kp_kernel.Gf2_bigarray : Kp_kernel.Kernel_intf.KERNEL
           with type t = int) );
     ]
   | Kp_field.Field_intf.Generic -> []
 
-(* 61..65 straddle the bit-packed GF(2) word width (62) and the C stubs'
-   64-bit packed words; 124..128 straddle the second word of both *)
+(* 61..65 straddle the C stubs' 64-bit packed GF(2) word; 124..128
+   straddle the second word *)
 let edge_sizes = [ 0; 1; 2; 3; 7; 8; 13; 61; 62; 63; 64; 65; 100; 124; 127; 128 ]
 let straddle_sizes = [ 0; 1; 2; 61; 62; 63; 64; 65; 124; 127; 128 ]
 
@@ -196,51 +181,40 @@ let field_backend_pairs =
         (backends_for (module F)))
     specialized
 
-(* dispatch resolves the documented backend for every (hint, mode) pair,
-   and [backend_name] agrees with what [of_field_raw] actually builds *)
+(* dispatch resolves the documented backend for every hint — each
+   field's Generic twin included — and [backend_name] agrees with what
+   [of_field_raw] actually builds *)
 let test_backend_selection () =
-  let stub = Kp_kernel.Cstub.available () in
-  let fast c b = if stub then c else b in
-  let expect (module F : F_INT) (mode : Dispatch.mode) =
+  let expect (module F : F_INT) =
     match F.kernel_hint with
+    | Kp_field.Field_intf.Gfp_word _ -> "gfp_cstub"
+    | Kp_field.Field_intf.Gf2_bits -> "gf2_cstub"
     | Kp_field.Field_intf.Generic -> "derived"
-    | Kp_field.Field_intf.Gfp_montgomery _ -> (
-      match mode with Dispatch.Derived_only -> "derived" | _ -> "gfp_mont")
-    | Kp_field.Field_intf.Gfp_word _ -> (
-      match mode with
-      | Dispatch.Derived_only -> "derived"
-      | Dispatch.Word -> "gfp_word"
-      | Dispatch.Bigarray_pure -> "gfp_bigarray"
-      | Dispatch.Auto | Dispatch.Cstub -> fast "gfp_cstub" "gfp_bigarray")
-    | Kp_field.Field_intf.Gf2_bits -> (
-      match mode with
-      | Dispatch.Derived_only -> "derived"
-      | Dispatch.Word -> "gf2_bitpacked"
-      | Dispatch.Bigarray_pure -> "gf2_bigarray"
-      | Dispatch.Auto | Dispatch.Cstub -> fast "gf2_cstub" "gf2_bigarray")
+  in
+  let resolves name (module F : F_INT) =
+    let expected = expect (module F) in
+    let module S =
+      (val Dispatch.of_field_raw
+             (module F : Kp_field.Field_intf.FIELD with type t = int))
+    in
+    check_string (name ^ " resolves") expected S.backend;
+    check_string (name ^ " backend_name agrees") expected
+      (Dispatch.backend_name F.kernel_hint)
   in
   List.iter
-    (fun mode ->
-      Dispatch.with_mode mode (fun () ->
-          List.iter
-            (fun (name, (module F : F_INT)) ->
-              let expected = expect (module F) mode in
-              let module S =
-                (val Dispatch.of_field_raw
-                       (module F : Kp_field.Field_intf.FIELD with type t = int))
-              in
-              let lbl what =
-                Printf.sprintf "%s %s @%s" name what (Dispatch.mode_name mode)
-              in
-              check_string (lbl "resolves") expected S.backend;
-              check_string (lbl "backend_name agrees") expected
-                (Dispatch.backend_name F.kernel_hint))
-            specialized))
-    Dispatch.all_modes
+    (fun (name, f) ->
+      resolves name f;
+      resolves (name ^ " twin") (Test_seeds.twin f))
+    specialized;
+  let module P2 = (val Kp_field.Gfp.make 2) in
+  check_string "GF(2) as a runtime prime runs gfp_cstub" "gfp_cstub"
+    (Dispatch.backend_name P2.kernel_hint);
+  check_string "Fields.Gf2 runs gf2_cstub" "gf2_cstub"
+    (Dispatch.backend_name Kp_field.Fields.Gf2.kernel_hint)
 
-(* the PR-5 invariant, mode-quantified: FIELD_CORE-derived, counting,
-   fault-wrapped and unhinted fields never resolve to a specialized
-   backend — no mode may let a fast path skip their scalar operations *)
+(* FIELD_CORE-derived, counting, fault-wrapped and unhinted fields never
+   resolve to a specialized backend — a fast path would skip their scalar
+   operations *)
 let test_hint_free_fields () =
   let resolve (type a) (fm : (module Kp_field.Field_intf.FIELD with type t = a))
       =
@@ -250,25 +224,17 @@ let test_hint_free_fields () =
   let module Cnt = Kp_field.Counting.Make (Kp_field.Fields.Gf_ntt) in
   let module FF = Kp_robust.Fault.Field (Kp_field.Fields.Gf_ntt) in
   let faulty = FF.wrap (Kp_robust.Fault.plan ~seed:7 ()) in
-  List.iter
-    (fun mode ->
-      Dispatch.with_mode mode (fun () ->
-          let lbl who =
-            Printf.sprintf "%s stays derived @%s" who (Dispatch.mode_name mode)
-          in
-          check_string (lbl "Counting") "derived"
-            (resolve
-               (module Cnt : Kp_field.Field_intf.FIELD with type t = Cnt.t));
-          check_string (lbl "Fault-wrapped GF(p)") "derived" (resolve faulty);
-          check_string (lbl "Q") "derived"
-            (resolve
-               (module Kp_field.Rational : Kp_field.Field_intf.FIELD
-                 with type t = Kp_field.Rational.t));
-          check_string (lbl "GF(2^8)") "derived"
-            (resolve
-               (module Test_seeds.Gf2_8 : Kp_field.Field_intf.FIELD
-                 with type t = Test_seeds.Gf2_8.t))))
-    Dispatch.all_modes
+  check_string "Counting stays derived" "derived"
+    (resolve (module Cnt : Kp_field.Field_intf.FIELD with type t = Cnt.t));
+  check_string "Fault-wrapped GF(p) stays derived" "derived" (resolve faulty);
+  check_string "Q stays derived" "derived"
+    (resolve
+       (module Kp_field.Rational : Kp_field.Field_intf.FIELD
+         with type t = Kp_field.Rational.t));
+  check_string "GF(2^8) stays derived" "derived"
+    (resolve
+       (module Test_seeds.Gf2_8 : Kp_field.Field_intf.FIELD
+         with type t = Test_seeds.Gf2_8.t))
 
 let test_differential_edges () =
   List.iter
@@ -382,107 +348,82 @@ let derived_route_identical (type a) name
 let test_gf2_8_derived = derived_route_identical "GF(2^8)" (module Test_seeds.Gf2_8)
 let test_q_derived = derived_route_identical "Q" (module Kp_field.Rational)
 
-(* the derived kernel is operation-faithful in every dispatch mode:
-   routing the counting field through the kernel-dispatched call sites
-   performs exactly the documented scalar operation pattern — the
-   invariant the committed counting-field baseline (BENCH.json) gates
-   end-to-end.  Quantified over modes because a specialized backend
-   sneaking under a counting field would batch these very operations. *)
+(* the derived kernel is operation-faithful: routing the counting field
+   through the kernel-dispatched call sites performs exactly the documented
+   scalar operation pattern — the invariant the committed counting-field
+   baseline (BENCH.json) gates end-to-end *)
 let test_counting_op_counts () =
-  List.iter
-    (fun mode ->
-      Dispatch.with_mode mode (fun () ->
-          let m = Dispatch.mode_name mode in
-          let module Cnt = Kp_field.Counting.Make (Kp_field.Fields.Gf_ntt) in
-          let module V = Kp_matrix.Vec.Make (Cnt) in
-          let module CM = Kp_matrix.Dense.Make (Cnt) in
-          let st = Kp_util.Rng.make 5 in
-          let n = 17 in
-          let a = Array.init n (fun _ -> Cnt.random st) in
-          let b = Array.init n (fun _ -> Cnt.random st) in
-          let _, c = Cnt.measure (fun () -> ignore (V.dot a b)) in
-          check_int
-            (Printf.sprintf "dot muls = n @%s" m)
-            n c.Kp_field.Counting.multiplications;
-          check_int
-            (Printf.sprintf "dot adds = n-1 (balanced) @%s" m)
-            (n - 1) c.Kp_field.Counting.additions;
-          let am = CM.init n n (fun _ _ -> Cnt.random st) in
-          let bm = CM.init n n (fun _ _ -> Cnt.random st) in
-          let v = Array.init n (fun _ -> Cnt.random st) in
-          let _, c = Cnt.measure (fun () -> ignore (CM.matvec am v)) in
-          check_int
-            (Printf.sprintf "matvec muls = n^2 @%s" m)
-            (n * n) c.Kp_field.Counting.multiplications;
-          check_int
-            (Printf.sprintf "matvec adds = n^2 (sequential rows) @%s" m)
-            (n * n) c.Kp_field.Counting.additions;
-          let _, c = Cnt.measure (fun () -> ignore (CM.mul am bm)) in
-          check_int
-            (Printf.sprintf "matmul muls = n^3 @%s" m)
-            (n * n * n) c.Kp_field.Counting.multiplications;
-          check_int
-            (Printf.sprintf "matmul adds = n^3 (i,k,j accumulate) @%s" m)
-            (n * n * n) c.Kp_field.Counting.additions;
-          check_int
-            (Printf.sprintf "no divisions anywhere @%s" m)
-            0 c.Kp_field.Counting.divisions))
-    Dispatch.all_modes
+  let module Cnt = Kp_field.Counting.Make (Kp_field.Fields.Gf_ntt) in
+  let module V = Kp_matrix.Vec.Make (Cnt) in
+  let module CM = Kp_matrix.Dense.Make (Cnt) in
+  let st = Kp_util.Rng.make 5 in
+  let n = 17 in
+  let a = Array.init n (fun _ -> Cnt.random st) in
+  let b = Array.init n (fun _ -> Cnt.random st) in
+  let _, c = Cnt.measure (fun () -> ignore (V.dot a b)) in
+  check_int "dot muls = n" n c.Kp_field.Counting.multiplications;
+  check_int "dot adds = n-1 (balanced)" (n - 1) c.Kp_field.Counting.additions;
+  let am = CM.init n n (fun _ _ -> Cnt.random st) in
+  let bm = CM.init n n (fun _ _ -> Cnt.random st) in
+  let v = Array.init n (fun _ -> Cnt.random st) in
+  let _, c = Cnt.measure (fun () -> ignore (CM.matvec am v)) in
+  check_int "matvec muls = n^2" (n * n) c.Kp_field.Counting.multiplications;
+  check_int "matvec adds = n^2 (sequential rows)" (n * n)
+    c.Kp_field.Counting.additions;
+  let _, c = Cnt.measure (fun () -> ignore (CM.mul am bm)) in
+  check_int "matmul muls = n^3" (n * n * n)
+    c.Kp_field.Counting.multiplications;
+  check_int "matmul adds = n^3 (i,k,j accumulate)" (n * n * n)
+    c.Kp_field.Counting.additions;
+  check_int "no divisions anywhere" 0 c.Kp_field.Counting.divisions
 
 (* kernel.* counters: the instrumented dispatch ticks the backend it
-   resolved under the ambient mode, and the kernel.cstub.* meters advance
-   exactly when a C-stub backend served the call *)
+   resolved, and the kernel.cstub.* meters advance exactly when a C-stub
+   backend served the call — on GF(97), and not on its Generic twin *)
 let test_counters_tick () =
-  let module F = Kp_field.Fields.Gf_97 in
   let find c = Option.value ~default:0 (Kp_obs.Counter.find c) in
-  List.iter
-    (fun mode ->
-      Dispatch.with_mode mode (fun () ->
-          let expected = Dispatch.backend_name F.kernel_hint in
-          let hit = "kernel." ^ expected in
-          let before = find hit and ops_before = find "kernel.bulk_ops" in
-          let cc = find "kernel.cstub.calls"
-          and cops = find "kernel.cstub.bulk_ops" in
-          let module K =
-            (val Dispatch.of_field
-                   (module F : Kp_field.Field_intf.FIELD with type t = int))
-          in
-          let a = Array.init 40 (fun i -> i mod 97) in
-          ignore (K.dot a a);
-          let m = Dispatch.mode_name mode in
-          check_int
-            (Printf.sprintf "one bulk call ticked %s @%s" hit m)
-            (before + 1) (find hit);
-          check_int
-            (Printf.sprintf "kernel.bulk_ops advanced by the element count @%s"
-               m)
-            (ops_before + 40)
-            (find "kernel.bulk_ops");
-          let stub_served = Dispatch.is_cstub_backend expected in
-          check_int
-            (Printf.sprintf "kernel.cstub.calls %s @%s"
-               (if stub_served then "ticked" else "untouched")
-               m)
-            (cc + if stub_served then 1 else 0)
-            (find "kernel.cstub.calls");
-          check_int
-            (Printf.sprintf "kernel.cstub.bulk_ops %s @%s"
-               (if stub_served then "advanced" else "untouched")
-               m)
-            (cops + if stub_served then 40 else 0)
-            (find "kernel.cstub.bulk_ops")))
-    Dispatch.all_modes
+  let tick name (module F : F_INT) ~backend =
+    let hit = "kernel." ^ backend in
+    let before = find hit and ops_before = find "kernel.bulk_ops" in
+    let cc = find "kernel.cstub.calls"
+    and cops = find "kernel.cstub.bulk_ops" in
+    let module K =
+      (val Dispatch.of_field
+             (module F : Kp_field.Field_intf.FIELD with type t = int))
+    in
+    check_string (name ^ " resolves") backend K.backend;
+    let a = Array.init 40 (fun i -> i mod 97) in
+    ignore (K.dot a a);
+    check_int (Printf.sprintf "%s: one bulk call ticked %s" name hit)
+      (before + 1) (find hit);
+    check_int (name ^ ": kernel.bulk_ops advanced by the element count")
+      (ops_before + 40)
+      (find "kernel.bulk_ops");
+    let stub_served = Dispatch.is_cstub_backend backend in
+    check_int
+      (Printf.sprintf "%s: kernel.cstub.calls %s" name
+         (if stub_served then "ticked" else "untouched"))
+      (cc + if stub_served then 1 else 0)
+      (find "kernel.cstub.calls");
+    check_int
+      (Printf.sprintf "%s: kernel.cstub.bulk_ops %s" name
+         (if stub_served then "advanced" else "untouched"))
+      (cops + if stub_served then 40 else 0)
+      (find "kernel.cstub.bulk_ops")
+  in
+  let gf97 = (module Kp_field.Fields.Gf_97 : F_INT) in
+  tick "GF(97)" gf97 ~backend:"gfp_cstub";
+  tick "GF(97) twin" (Test_seeds.twin gf97) ~backend:"derived"
 
 let () =
   Alcotest.run "kp_kernel"
     [
       ( "dispatch",
         [
-          Alcotest.test_case "backend selection x modes" `Quick
-            test_backend_selection;
-          Alcotest.test_case "hint-free fields stay derived x modes" `Quick
+          Alcotest.test_case "backend selection" `Quick test_backend_selection;
+          Alcotest.test_case "hint-free fields stay derived" `Quick
             test_hint_free_fields;
-          Alcotest.test_case "counters tick x modes" `Quick test_counters_tick;
+          Alcotest.test_case "counters tick" `Quick test_counters_tick;
         ] );
       ( "differential",
         Alcotest.test_case "edge sizes x all backends" `Quick
@@ -498,7 +439,7 @@ let () =
         [
           Alcotest.test_case "GF(2^8)" `Quick test_gf2_8_derived;
           Alcotest.test_case "Q" `Quick test_q_derived;
-          Alcotest.test_case "counting op counts x modes" `Quick
+          Alcotest.test_case "counting op counts" `Quick
             test_counting_op_counts;
         ] );
     ]

@@ -25,3 +25,16 @@ end)
 let states seed k =
   let root = Kp_util.Rng.make seed in
   Array.init k (fun _ -> Kp_util.Rng.split root)
+
+(* the reference twin of a hinted field: same elements and operations, but
+   [Generic], so every kernel-dispatched call site rides the derived kernel
+   — the oracle the C-stub backends are compared against, selected by type
+   rather than by any global switch *)
+module Generic_twin (F : Kp_field.Field_intf.FIELD) = struct
+  include F
+
+  let kernel_hint = Kp_field.Field_intf.Generic
+end
+
+let twin (type a) (module F : Kp_field.Field_intf.FIELD with type t = a) =
+  (module Generic_twin (F) : Kp_field.Field_intf.FIELD with type t = a)
