@@ -30,9 +30,10 @@
                      shards, plus one certified block-Wiedemann solve per
                      shard count — every answer asserted bit-identical to
                      the unsharded reference before a row is printed
-     E18 cstub       C-stub kernels: dense matvec/matmul over GF(p) and GF(2)
-                     through the C stubs vs the derived reference kernel,
-                     outputs asserted bit-identical
+     E18 cstub       C-stub kernels: dense matvec/matmul, butterfly apply
+                     and CSR matvec over GF(p) and GF(2) through the C
+                     stubs vs the derived reference kernel, outputs
+                     asserted bit-identical
      E19 precond     preconditioner kinds on sparse GF(2) operators: field
                      ops per apply (counting field) of the dense H·D vs the
                      butterfly vs the GF(2^8) extension butterfly across a
@@ -1457,12 +1458,13 @@ let e18 () =
   let module D = Kp_kernel.Dispatch in
   let rng = st () in
   print_endline
-    "E18 (C-stub kernels): the same dense matvec/matmul served by the C\n\
-     stubs (autovectorized delayed-reduction GF(p) loops, bit-packed GF(2))\n\
-     and by the derived reference kernel (the field's own scalar ops, reached\n\
-     through its Generic-hinted twin).  Outputs are asserted bit-identical\n\
-     before timing, and kernel.cstub.* counter movement proves the stub path\n\
-     is really taken.\n";
+    "E18 (C-stub kernels): the same dense matvec/matmul, butterfly apply\n\
+     (diagonal + one exchange layer per stride) and 8-per-row CSR matvec\n\
+     served by the C stubs (delayed-reduction or Barrett GF(p) loops,\n\
+     bit-packed or tagged-word GF(2)) and by the derived reference kernel\n\
+     (the field's own scalar ops, reached through its Generic-hinted twin).\n\
+     Outputs are asserted bit-identical before timing, and kernel.cstub.*\n\
+     counter movement proves the stub path is really taken.\n";
   let bench reps f =
     let (), t =
       time (fun () ->
@@ -1557,7 +1559,58 @@ let e18 () =
                       ~row_hi:n)
               in
               (out, secs)))
-        [ 128; 256 ])
+        [ 128; 256 ];
+      (* butterfly apply: the sparse preconditioner's diagonal, then one
+         exchange layer per stride 1, 2, 4, … < n *)
+      List.iter
+        (fun n ->
+          let d = Array.init n (fun _ -> Fi.random rng) in
+          let v = Array.init n (fun _ -> Fi.random rng) in
+          let rec count s = if s < n then 1 + count (2 * s) else 0 in
+          let layers =
+            Array.init (count 1) (fun l ->
+                let stride = 1 lsl l in
+                let k = Kp_kernel.Kernel_intf.butterfly_pairs ~n ~stride in
+                let coef () = Array.init k (fun _ -> Fi.random rng) in
+                let a = coef () in
+                let b = coef () in
+                let c = coef () in
+                (stride, a, b, c, coef ()))
+          in
+          let reps = if !fast then 200 else 800 in
+          row field_name fm "butterfly" n reps (fun k reps ->
+              let module K = (val k) in
+              let w = Array.make n Fi.zero in
+              let apply () =
+                K.pointwise_mul_into ~x:d ~xoff:0 ~y:v ~yoff:0 ~dst:w ~doff:0
+                  ~len:n;
+                Array.iter
+                  (fun (stride, a, b, c, dd) ->
+                    K.butterfly_into ~a ~b ~c ~d:dd ~stride ~transpose:false
+                      ~w)
+                  layers
+              in
+              apply ();
+              let out = Array.copy w in
+              (out, bench reps apply)))
+        [ 256; 1024 ];
+      (* CSR product: the sparse workload's operator, 8 entries per row *)
+      let n = 1000 and per_row = 8 in
+      let row_ptr = Array.init (n + 1) (fun i -> i * per_row) in
+      let cols = Array.init (n * per_row) (fun _ -> Random.State.int rng n) in
+      let vals = Array.init (n * per_row) (fun _ -> Fi.random rng) in
+      let x = Array.init n (fun _ -> Fi.random rng) in
+      let reps = if !fast then 500 else 2000 in
+      row field_name fm "csr matvec" n reps (fun k reps ->
+          let module K = (val k) in
+          let dst = Array.make n Fi.zero in
+          let run () =
+            K.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo:0 ~row_hi:n ~x ~dst
+              ~doff:0
+          in
+          run ();
+          let out = Array.copy dst in
+          (out, bench reps run)))
     fields;
   let ops =
     Option.value ~default:0 (Kp_obs.Counter.find "kernel.cstub.bulk_ops")

@@ -88,17 +88,21 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
     | Some 0 -> Some (Sh.auto_shards ?pool ())
     | s -> s
 
+  (* every engine needs n >= 1: an empty input is refused here, before
+     any of them runs *)
   let load_matrix setup st =
     match (setup.matrix, setup.random) with
     | Some path, _ ->
       let ints = read_ints path in
       (match ints with
+      | n :: _ when n < 1 -> failwith "matrix file: n must be at least 1"
       | n :: rest when List.length rest >= n * n ->
         let entries = Array.of_list rest in
         ( M.init n n (fun i j -> F.of_int entries.((i * n) + j)),
           Array.to_list
             (Array.sub entries (n * n) (Array.length entries - (n * n))) )
       | _ -> failwith "matrix file: expected n followed by >= n^2 entries")
+    | None, Some n when n < 1 -> failwith "--random: n must be at least 1"
     | None, Some n -> (
       match setup.rank_hint with
       | Some r -> (M.random_of_rank st n ~rank:r, [])

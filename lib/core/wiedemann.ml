@@ -1,5 +1,6 @@
 module Make (F : Kp_field.Field_intf.FIELD) = struct
   module Bb = Kp_matrix.Blackbox.Make (F)
+  module K = Kp_kernel.Dispatch.Make (F)
 
   (* concrete solves dispatch on F.kernel_hint; the counting instantiation
      below stays on the derived-kernel Karatsuba so measured op counts are
@@ -36,20 +37,29 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let seq = LR.krylov_sequence bb.Bb.apply ~u ~b (2 * n) in
     BM.P.to_array (BM.minimal_polynomial seq)
 
-  (* x = -(1/f_0) Σ_{i=1}^{deg} f_i A^{i-1} b, by Cayley–Hamilton *)
+  (* x = -(1/f_0) Σ_{i=1}^{deg} f_i A^{i-1} b, by Cayley–Hamilton: one
+     kernel axpy per Krylov vector into a single accumulator, one kernel
+     scale at the end *)
   let cayley_hamilton_solution apply f ~deg b =
     let n = Array.length b in
-    let acc = ref (Array.make n F.zero) in
+    let acc = Array.make n F.zero in
     let w = ref b in
     for i = 1 to deg do
-      acc := Array.mapi (fun j aj -> F.add aj (F.mul f.(i) !w.(j))) !acc;
+      K.axpy_into ~a:f.(i) ~x:!w ~xoff:0 ~y:acc ~yoff:0 ~len:n;
       if i < deg then w := apply !w
     done;
     let c = F.neg (F.inv f.(0)) in
-    Array.map (F.mul c) !acc
+    K.scale_into ~a:c ~x:acc ~xoff:0 ~dst:acc ~doff:0 ~len:n;
+    acc
+
+  (* a 0×0 black box has no Krylov sequence to generate: every attempt
+     would be rejected as low-degree, so refuse it up front *)
+  let check_dim op (bb : Bb.t) =
+    if bb.Bb.dim < 1 then invalid_arg (op ^ ": empty black box")
 
   let solve ?(retries = 10) ?card_s ?deadline_ns st (bb : Bb.t) b =
     Span.with_ "wiedemann.solve" @@ fun () ->
+    check_dim "Wiedemann.solve" bb;
     let n = bb.Bb.dim in
     if Array.length b <> n then invalid_arg "Wiedemann.solve: bad rhs";
     let card_s = match card_s with Some s -> s | None -> default_card_s n in
@@ -89,6 +99,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let solve_preconditioned ?(retries = 10) ?card_s ?deadline_ns
       ?(precond = Pc.default_choice ()) st (bb : Bb.t) b =
     Span.with_ "wiedemann.solve_preconditioned" @@ fun () ->
+    check_dim "Wiedemann.solve_preconditioned" bb;
     let n = bb.Bb.dim in
     if Array.length b <> n then
       invalid_arg "Wiedemann.solve_preconditioned: bad rhs";
@@ -121,6 +132,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let det ?(retries = 10) ?card_s ?deadline_ns
       ?(precond = Pc.default_choice ()) st (bb : Bb.t) =
     Span.with_ "wiedemann.det" @@ fun () ->
+    check_dim "Wiedemann.det" bb;
     let n = bb.Bb.dim in
     let card_s = match card_s with Some s -> s | None -> default_card_s n in
     let requested = Pc.resolve ~sparse:true precond in

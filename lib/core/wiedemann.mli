@@ -37,7 +37,9 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
     Random.State.t -> Bb.t -> F.t array ->
     (F.t array * O.report, O.error) result
   (** Solve A·x = b for a non-singular black box via the minimum polynomial
-      of the sequence {A^i b}: x = −(1/f₀)·Σ f₍ᵢ₊₁₎·Aⁱ·b.  Verified. *)
+      of the sequence {A^i b}: x = −(1/f₀)·Σ f₍ᵢ₊₁₎·Aⁱ·b.  Verified.
+      Raises [Invalid_argument] on a 0-dimensional black box or a
+      right-hand side of the wrong length. *)
 
   val precond_blackbox : F.t Kp_precond.Precond.t -> Bb.t
   (** A preconditioner record lifted into the black-box algebra: [apply] is
@@ -56,7 +58,8 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
       pass [Forced Dense_hd] for the legacy Hankel·Diagonal.  The residual
       A·x = b is verified against the original black box, so the kind never
       affects correctness.  [Ok (x, report)] carries the number of
-      preconditioner draws consumed in [report.attempts]. *)
+      preconditioner draws consumed in [report.attempts].  Raises
+      [Invalid_argument] as {!solve} does. *)
 
   val det :
     ?retries:int -> ?card_s:int -> ?deadline_ns:int64 ->
@@ -65,7 +68,8 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
   (** Determinant via the paper's preconditioning, retried until the
       minimum polynomial reaches full degree: det A = (−1)ⁿ·f(0)/det P.
       [Auto] resolves sparse, as in {!solve_preconditioned}.
-      Reports [Ok (F.zero, _)] only with a consistent singularity witness. *)
+      Reports [Ok (F.zero, _)] only with a consistent singularity witness.
+      Raises [Invalid_argument] on a 0-dimensional black box. *)
 
   val is_probably_singular :
     ?trials:int -> ?card_s:int -> Random.State.t -> Bb.t -> bool

@@ -24,9 +24,31 @@ external gfp_dot : int array -> int array -> int -> int -> int
   = "kp_gfp_dot"
 [@@noalloc]
 
-external gfp_dot_gather :
-  int array -> int array -> int -> int -> int array -> int -> int
-  = "kp_gfp_dot_gather_byte" "kp_gfp_dot_gather"
+external gfp_csr_matvec :
+  int array ->
+  int array ->
+  int array ->
+  int ->
+  int ->
+  int array ->
+  int array ->
+  int ->
+  int ->
+  unit
+  = "kp_gfp_csr_matvec_byte" "kp_gfp_csr_matvec"
+[@@noalloc]
+
+external gfp_butterfly :
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int ->
+  bool ->
+  int array ->
+  int ->
+  unit
+  = "kp_gfp_butterfly_byte" "kp_gfp_butterfly"
 [@@noalloc]
 
 external gfp_axpy :
@@ -76,9 +98,29 @@ external gfp_matmul :
 external gf2_dot : int array -> int array -> int -> int = "kp_gf2_dot"
 [@@noalloc]
 
-external gf2_dot_gather :
-  int array -> int array -> int -> int -> int array -> int
-  = "kp_gf2_dot_gather"
+external gf2_csr_matvec :
+  int array ->
+  int array ->
+  int array ->
+  int ->
+  int ->
+  int array ->
+  int array ->
+  int ->
+  unit
+  = "kp_gf2_csr_matvec_byte" "kp_gf2_csr_matvec"
+[@@noalloc]
+
+external gf2_butterfly :
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int ->
+  bool ->
+  int array ->
+  unit
+  = "kp_gf2_butterfly_byte" "kp_gf2_butterfly"
 [@@noalloc]
 
 external gf2_axpy : int array -> int -> int array -> int -> int -> unit

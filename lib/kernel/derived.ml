@@ -2,7 +2,8 @@
 
     Each primitive replays {e exactly} the operation pattern of the call
     site it replaced ([Vec.dot]'s balanced reduction, [Dense.Make.matvec]'s
-    sequential row accumulation, the schoolbook convolution leaf, …), so
+    and [Sparse.matvec]'s sequential row accumulation, the butterfly's
+    per-pair exchange, the schoolbook convolution leaf, …), so
     routing a call site through this kernel changes neither results nor
     operation counts — the property the counting-field regression baseline
     (BENCH.json) gates on, and the reason circuit builders can share the
@@ -32,12 +33,32 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) :
 
   let dot a b = balanced_dot a b 0 (Array.length a)
 
-  let dot_gather ~vals ~cols ~lo ~hi ~x =
-    let acc = ref F.zero in
-    for k = lo to hi - 1 do
-      acc := F.add !acc (F.mul vals.(k) x.(cols.(k)))
-    done;
-    !acc
+  let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst ~doff =
+    for i = row_lo to row_hi - 1 do
+      let acc = ref F.zero in
+      for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+        acc := F.add !acc (F.mul vals.(k) x.(cols.(k)))
+      done;
+      dst.(doff + i) <- !acc
+    done
+
+  (* the transposed layer is the forward one with the off-diagonal
+     coefficients exchanged — the same expressions the preconditioner's
+     per-pair loops evaluated *)
+  let butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w =
+    let b, c = if transpose then (c, b) else (b, c) in
+    let n = Array.length w in
+    let k = ref 0 and blk = ref 0 in
+    while !blk < n do
+      for i = !blk to min (!blk + stride) (n - stride) - 1 do
+        let j = i + stride and p = !k in
+        let u = w.(i) and v = w.(j) in
+        w.(i) <- F.add (F.mul a.(p) u) (F.mul b.(p) v);
+        w.(j) <- F.add (F.mul c.(p) u) (F.mul d.(p) v);
+        incr k
+      done;
+      blk := !blk + (2 * stride)
+    done
 
   let axpy_into ~a ~x ~xoff ~y ~yoff ~len =
     for i = 0 to len - 1 do

@@ -54,9 +54,14 @@ module Metered (M : METERS) (K : Kernel_intf.KERNEL) :
     tick (Array.length a);
     K.dot a b
 
-  let dot_gather ~vals ~cols ~lo ~hi ~x =
-    tick (hi - lo);
-    K.dot_gather ~vals ~cols ~lo ~hi ~x
+  let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst ~doff =
+    tick (row_ptr.(row_hi) - row_ptr.(row_lo));
+    K.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst ~doff
+
+  (* four multiply-adds per pair, as matvec counts one per entry *)
+  let butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w =
+    tick (4 * Kernel_intf.butterfly_pairs ~n:(Array.length w) ~stride);
+    K.butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w
 
   let axpy_into ~a ~x ~xoff ~y ~yoff ~len =
     tick len;

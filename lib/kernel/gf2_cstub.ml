@@ -11,7 +11,12 @@ type t = int
 let backend = "gf2_cstub"
 
 let dot a b = Cstub.gf2_dot a b (Array.length a)
-let dot_gather ~vals ~cols ~lo ~hi ~x = Cstub.gf2_dot_gather vals cols lo hi x
+
+let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst ~doff =
+  Cstub.gf2_csr_matvec row_ptr cols vals row_lo row_hi x dst doff
+
+let butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w =
+  Cstub.gf2_butterfly a b c d stride transpose w
 
 let axpy_into ~a ~x ~xoff ~y ~yoff ~len =
   if a <> 0 then Cstub.gf2_axpy x xoff y yoff len

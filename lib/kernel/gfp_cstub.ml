@@ -21,8 +21,11 @@ let make ~p : (module Kernel_intf.KERNEL with type t = int) =
 
     let dot a b = Cstub.gfp_dot a b (Array.length a) p
 
-    let dot_gather ~vals ~cols ~lo ~hi ~x =
-      Cstub.gfp_dot_gather vals cols lo hi x p
+    let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst ~doff =
+      Cstub.gfp_csr_matvec row_ptr cols vals row_lo row_hi x dst doff p
+
+    let butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w =
+      Cstub.gfp_butterfly a b c d stride transpose w p
 
     let axpy_into ~a ~x ~xoff ~y ~yoff ~len =
       if a <> 0 then Cstub.gfp_axpy a x xoff y yoff len p

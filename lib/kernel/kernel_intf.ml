@@ -1,9 +1,10 @@
 (** Bulk vector-kernel interface.
 
     A [KERNEL] packages the allocation-free hot loops of the Theorem-4
-    pipeline — inner products, AXPY updates, pointwise maps, dense
-    matrix-vector and matrix-matrix products — over arrays of one field's
-    elements.  Two families of implementations exist:
+    pipeline and of the black-box route — inner products, AXPY updates,
+    pointwise maps, dense and CSR matrix-vector products, butterfly
+    exchange layers and matrix-matrix products — over arrays of one
+    field's elements.  Two families of implementations exist:
 
     - {!Derived.Make} builds a kernel from any {!Kp_field.Field_intf.FIELD_CORE}
       by replaying exactly the scalar operation patterns the call sites used
@@ -36,9 +37,28 @@ module type KERNEL = sig
   (** Inner product of equal-length arrays, balanced-reduction order
       (matches [Vec.dot]).  Returns zero on empty input. *)
 
-  val dot_gather : vals:t array -> cols:int array -> lo:int -> hi:int -> x:t array -> t
-  (** Σ_{lo ≤ k < hi} [vals.(k) · x.(cols.(k))], sequential accumulation from
-      zero — the CSR sparse-row product (matches [Sparse.matvec]'s row loop). *)
+  val csr_matvec_into :
+    row_ptr:int array -> cols:int array -> vals:t array -> row_lo:int ->
+    row_hi:int -> x:t array -> dst:t array -> doff:int -> unit
+  (** CSR sparse product over rows [row_lo ≤ i < row_hi]:
+      [dst.(doff + i) <- Σ vals.(k) · x.(cols.(k))] over
+      [row_ptr.(i) ≤ k < row_ptr.(i+1)], sequential accumulation from zero
+      per row (matches the historical [Sparse.matvec] row loop).  Row-ranged
+      so pools and shards can chunk it; [doff] places a shard's rebased
+      rows in the global output. *)
+
+  val butterfly_into :
+    a:t array -> b:t array -> c:t array -> d:t array -> stride:int ->
+    transpose:bool -> w:t array -> unit
+  (** One butterfly exchange layer of stride [stride] = s ≥ 1, in place
+      on [w] (n = [Array.length w]).  Its pairs are (i, i+s) for
+      [blk ≤ i < min (blk+s) (n−s)] over the block starts
+      [blk = 0, 2s, 4s, …]; pair number k, counted in that order, has the
+      2×2 block [[a.(k) b.(k)]; [c.(k) d.(k)]].  With u = w.(i) and
+      v = w.(i+s) read before either write:
+      - forward:    [w.(i) <- a·u + b·v], [w.(i+s) <- c·u + d·v];
+      - transposed: [w.(i) <- a·u + c·v], [w.(i+s) <- b·u + d·v].
+      The coefficient arrays hold at least {!butterfly_pairs} entries. *)
 
   val axpy_into : a:t -> x:t array -> xoff:int -> y:t array -> yoff:int -> len:int -> unit
   (** [y.(yoff+i) <- y.(yoff+i) + a·x.(xoff+i)] for [0 ≤ i < len] — the
@@ -71,3 +91,11 @@ end
 
 (** Witness for passing kernels as first-class modules. *)
 type 'a kernel = (module KERNEL with type t = 'a)
+
+(** Number of pairs in one stride-[stride] butterfly layer over n
+    coordinates — the length of that layer's coefficient arrays: [s] per
+    full block of width 2s, plus the part of a ragged last block that
+    still has a partner. *)
+let butterfly_pairs ~n ~stride =
+  let full = n / (2 * stride) and rest = n mod (2 * stride) in
+  (full * stride) + max 0 (rest - stride)

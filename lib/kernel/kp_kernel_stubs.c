@@ -75,31 +75,87 @@ CAMLprim value kp_gfp_dot(value va, value vb, value vn, value vp)
   return Val_long((intnat)acc);
 }
 
-CAMLprim value kp_gfp_dot_gather(value vvals, value vcols, value vlo,
-                                 value vhi, value vx, value vp)
+/* CSR rows [row_lo, row_hi) into dst[doff + i]: each row's gathered
+   products accumulate unreduced, one reduction per block (the same
+   delayed reduction as the dense matvec) */
+CAMLprim value kp_gfp_csr_matvec(value vrow_ptr, value vcols, value vvals,
+                                 value vrow_lo, value vrow_hi, value vx,
+                                 value vdst, value vdoff, value vp)
 {
-  intnat lo = Long_val(vlo), hi = Long_val(vhi);
+  intnat row_lo = Long_val(vrow_lo), row_hi = Long_val(vrow_hi);
+  intnat doff = Long_val(vdoff);
   int64_t p = Long_val(vp);
   int64_t block = gfp_block(p);
-  int64_t acc = 0;
-  intnat k = lo;
-  while (k < hi) {
-    intnat stop = ((int64_t)(hi - k) > block) ? k + (intnat)block : hi;
-    int64_t s = acc;
-    intnat kk;
-    for (kk = k; kk < stop; kk++)
-      s += (int64_t)ELT(vvals, kk) * (int64_t)ELT(vx, ELT(vcols, kk));
-    acc = s % p;
-    k = stop;
+  intnat i;
+  for (i = row_lo; i < row_hi; i++) {
+    intnat k = ELT(vrow_ptr, i), hi = ELT(vrow_ptr, i + 1);
+    int64_t acc = 0;
+    while (k < hi) {
+      intnat stop = ((int64_t)(hi - k) > block) ? k + (intnat)block : hi;
+      int64_t s = acc;
+      intnat kk;
+      for (kk = k; kk < stop; kk++)
+        s += (int64_t)ELT(vvals, kk) * (int64_t)ELT(vx, ELT(vcols, kk));
+      acc = s % p;
+      k = stop;
+    }
+    SET(vdst, doff + i, (intnat)acc);
   }
-  return Val_long((intnat)acc);
+  return Val_unit;
 }
 
-CAMLprim value kp_gfp_dot_gather_byte(value *argv, int argn)
+CAMLprim value kp_gfp_csr_matvec_byte(value *argv, int argn)
 {
   (void)argn;
-  return kp_gfp_dot_gather(argv[0], argv[1], argv[2], argv[3], argv[4],
-                           argv[5]);
+  return kp_gfp_csr_matvec(argv[0], argv[1], argv[2], argv[3], argv[4],
+                           argv[5], argv[6], argv[7], argv[8]);
+}
+
+/* Barrett reduction of x < 2^63 by p, with m = floor((2^64-1)/p): the
+   estimated quotient is short of floor(x/p) by at most one, so a single
+   conditional subtraction makes the residue exact */
+static inline uint64_t gfp_barrett(uint64_t x, uint64_t p, uint64_t m)
+{
+#ifdef __SIZEOF_INT128__
+  uint64_t q = (uint64_t)(((unsigned __int128)x * m) >> 64);
+  uint64_t r = x - q * p;
+  return r >= p ? r - p : r;
+#else
+  (void)m;
+  return x % p;
+#endif
+}
+
+/* one butterfly exchange layer of stride s in place on w.  Pair k is
+   (i, i+s) for i in [blk, min(blk+s, n-s)), blk = 0, 2s, 4s, ...; the
+   transposed layer swaps the off-diagonal coefficients.  Each output is a
+   two-term sum below 2(p-1)^2 < 2^61: one Barrett reduction apiece. */
+CAMLprim value kp_gfp_butterfly(value va, value vb, value vc, value vd,
+                                value vstride, value vtrans, value vw,
+                                value vp)
+{
+  intnat s = Long_val(vstride), n = Wosize_val(vw);
+  uint64_t p = Long_val(vp), m = UINT64_MAX / p;
+  value vlo = Bool_val(vtrans) ? vc : vb, vup = Bool_val(vtrans) ? vb : vc;
+  intnat k = 0, blk;
+  for (blk = 0; blk < n; blk += 2 * s) {
+    intnat stop = blk + s < n - s ? blk + s : n - s, i;
+    for (i = blk; i < stop; i++, k++) {
+      uint64_t u = ELT(vw, i), v = ELT(vw, i + s);
+      uint64_t x = (uint64_t)ELT(va, k) * u + (uint64_t)ELT(vlo, k) * v;
+      uint64_t y = (uint64_t)ELT(vup, k) * u + (uint64_t)ELT(vd, k) * v;
+      SET(vw, i, (intnat)gfp_barrett(x, p, m));
+      SET(vw, i + s, (intnat)gfp_barrett(y, p, m));
+    }
+  }
+  return Val_unit;
+}
+
+CAMLprim value kp_gfp_butterfly_byte(value *argv, int argn)
+{
+  (void)argn;
+  return kp_gfp_butterfly(argv[0], argv[1], argv[2], argv[3], argv[4],
+                          argv[5], argv[6], argv[7]);
 }
 
 CAMLprim value kp_gfp_axpy(value va, value vx, value vxoff, value vy,
@@ -300,15 +356,54 @@ CAMLprim value kp_gf2_dot(value va, value vb, value vn)
   return Val_long((intnat)(acc & 1));
 }
 
-CAMLprim value kp_gf2_dot_gather(value vvals, value vcols, value vlo,
-                                 value vhi, value vx)
+CAMLprim value kp_gf2_csr_matvec(value vrow_ptr, value vcols, value vvals,
+                                 value vrow_lo, value vrow_hi, value vx,
+                                 value vdst, value vdoff)
 {
-  intnat lo = Long_val(vlo), hi = Long_val(vhi);
-  uintnat acc = 0;
-  intnat k;
-  for (k = lo; k < hi; k++)
-    acc ^= (uintnat)(Field(vvals, k) & Field(vx, ELT(vcols, k))) >> 1;
-  return Val_long((intnat)(acc & 1));
+  intnat row_lo = Long_val(vrow_lo), row_hi = Long_val(vrow_hi);
+  intnat doff = Long_val(vdoff);
+  intnat i;
+  for (i = row_lo; i < row_hi; i++) {
+    uintnat acc = 0;
+    intnat k;
+    for (k = ELT(vrow_ptr, i); k < ELT(vrow_ptr, i + 1); k++)
+      acc ^= (uintnat)(Field(vvals, k) & Field(vx, ELT(vcols, k))) >> 1;
+    SET(vdst, doff + i, (intnat)(acc & 1));
+  }
+  return Val_unit;
+}
+
+CAMLprim value kp_gf2_csr_matvec_byte(value *argv, int argn)
+{
+  (void)argn;
+  return kp_gf2_csr_matvec(argv[0], argv[1], argv[2], argv[3], argv[4],
+                           argv[5], argv[6], argv[7]);
+}
+
+/* the butterfly layer on tagged 0/1 words: each product is an AND, each
+   two-term sum an XOR re-tagged with "| 1" */
+CAMLprim value kp_gf2_butterfly(value va, value vb, value vc, value vd,
+                                value vstride, value vtrans, value vw)
+{
+  intnat s = Long_val(vstride), n = Wosize_val(vw);
+  value vlo = Bool_val(vtrans) ? vc : vb, vup = Bool_val(vtrans) ? vb : vc;
+  intnat k = 0, blk;
+  for (blk = 0; blk < n; blk += 2 * s) {
+    intnat stop = blk + s < n - s ? blk + s : n - s, i;
+    for (i = blk; i < stop; i++, k++) {
+      value u = Field(vw, i), v = Field(vw, i + s);
+      Field(vw, i) = ((Field(va, k) & u) ^ (Field(vlo, k) & v)) | 1;
+      Field(vw, i + s) = ((Field(vup, k) & u) ^ (Field(vd, k) & v)) | 1;
+    }
+  }
+  return Val_unit;
+}
+
+CAMLprim value kp_gf2_butterfly_byte(value *argv, int argn)
+{
+  (void)argn;
+  return kp_gf2_butterfly(argv[0], argv[1], argv[2], argv[3], argv[4],
+                          argv[5], argv[6]);
 }
 
 /* caller has already skipped a = 0, so this is y ^= x */

@@ -86,13 +86,17 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     done;
     of_triplets ~rows:m.M.rows ~cols:m.M.cols !triplets
 
-  (* each CSR row is one kernel gather-product — same sequential
-     accumulation as the historical scalar loop *)
+  (* one kernel call per product (per chunk in parallel) — the same
+     sequential per-row accumulation as the historical scalar loop *)
+  let matvec_rows t v out ~row_lo ~row_hi =
+    K.csr_matvec_into ~row_ptr:t.row_ptr ~cols:t.col_idx ~vals:t.values
+      ~row_lo ~row_hi ~x:v ~dst:out ~doff:0
+
   let matvec t v =
     if Array.length v <> t.cols then invalid_arg "Sparse.matvec: dimension mismatch";
-    Array.init t.rows (fun i ->
-        K.dot_gather ~vals:t.values ~cols:t.col_idx ~lo:t.row_ptr.(i)
-          ~hi:t.row_ptr.(i + 1) ~x:v)
+    let out = Array.make t.rows F.zero in
+    matvec_rows t v out ~row_lo:0 ~row_hi:t.rows;
+    out
 
   let matvec_parallel pool t v =
     if Array.length v <> t.cols then
@@ -100,12 +104,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let out = Array.make t.rows F.zero in
     let chunk = max 1 (t.rows / (4 * Kp_util.Pool.size pool)) in
     Kp_util.Pool.parallel_for_chunked pool ~lo:0 ~hi:t.rows ~chunk
-      (fun cl ch ->
-        for i = cl to ch - 1 do
-          out.(i) <-
-            K.dot_gather ~vals:t.values ~cols:t.col_idx ~lo:t.row_ptr.(i)
-              ~hi:t.row_ptr.(i + 1) ~x:v
-        done);
+      (fun row_lo row_hi -> matvec_rows t v out ~row_lo ~row_hi);
     out
 
   let matvec_transpose t v =

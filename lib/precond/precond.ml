@@ -159,6 +159,7 @@ module Make
 struct
   include Core (F) (C)
   module G = Kp_matrix.Gauss.Make (F)
+  module K = Kp_kernel.Dispatch.Make (F)
 
   (* One Hankel matvec is a full convolution of lengths 2n-1 and n.  The
      Karatsuba multiplier is oblivious — its operation sequence depends only
@@ -233,66 +234,61 @@ struct
   (* -- sparse butterfly: ⌈log₂ n⌉ exchange layers of determinant-1 2×2
         blocks over a non-zero diagonal -- *)
 
-  (* Pairs (i, i+s) within blocks of width 2s, one layer per stride s.
-     Each pair's block is [[a b];[c d']] with d' = (1 + b·c)/a, so the
-     block determinant is 1 and det(P) reduces to the diagonal. *)
-  let butterfly_layers ~card_s ~n st =
-    let layers = ref [] in
-    let s = ref 1 in
-    while !s < n do
-      let step = !s in
-      let block = 2 * step in
-      let pairs = ref [] in
-      let bstart = ref 0 in
-      while !bstart < n do
-        for i = !bstart to min (!bstart + step) n - 1 do
-          if i + step < n then begin
-            let a = sample_nonzero st ~card_s in
-            let b = F.sample st ~card_s in
-            let c = F.sample st ~card_s in
-            let dd = F.div (F.add F.one (F.mul b c)) a in
-            pairs := (i, i + step, a, b, c, dd) :: !pairs
-          end
-        done;
-        bstart := !bstart + block
-      done;
-      layers := Array.of_list (List.rev !pairs) :: !layers;
-      s := block
-    done;
-    List.rev !layers
+  (* One exchange layer: pairs (i, i+s) within blocks of width 2s, in the
+     kernel's pair order.  Pair k's block is [[a b];[c dd]] with
+     dd = (1 + b·c)/a, so the block determinant is 1 and det(P) reduces to
+     the diagonal.  The coefficients live here once, as flat arrays the
+     butterfly kernel reads directly. *)
+  type layer = {
+    stride : int;
+    a : F.t array;
+    b : F.t array;
+    c : F.t array;
+    dd : F.t array;
+  }
 
-  let pair_count layers =
-    List.fold_left (fun acc pairs -> acc + Array.length pairs) 0 layers
+  (* per pair, in pair order: a (non-zero), b, c, then dd *)
+  let butterfly_layer ~card_s ~n st stride =
+    let pairs = Kp_kernel.Kernel_intf.butterfly_pairs ~n ~stride in
+    let a = Array.make pairs F.zero and b = Array.make pairs F.zero in
+    let c = Array.make pairs F.zero and dd = Array.make pairs F.zero in
+    for k = 0 to pairs - 1 do
+      a.(k) <- sample_nonzero st ~card_s;
+      b.(k) <- F.sample st ~card_s;
+      c.(k) <- F.sample st ~card_s;
+      dd.(k) <- F.div (F.add F.one (F.mul b.(k) c.(k))) a.(k)
+    done;
+    { stride; a; b; c; dd }
+
+  (* strides 1, 2, 4, … below n, drawn in that order *)
+  let butterfly_layers ~card_s ~n st =
+    let rec count s = if s < n then 1 + count (2 * s) else 0 in
+    Array.init (count 1) (fun l -> butterfly_layer ~card_s ~n st (1 lsl l))
 
   let build_butterfly ~kind ~card_s ~n st =
     let d = Array.init n (fun _ -> sample_nonzero st ~card_s) in
     let layers = butterfly_layers ~card_s ~n st in
-    let apply_pairs w pairs =
-      Array.iter
-        (fun (i, j, a, b, c, dd) ->
-          let u = w.(i) and v = w.(j) in
-          w.(i) <- F.add (F.mul a u) (F.mul b v);
-          w.(j) <- F.add (F.mul c u) (F.mul dd v))
-        pairs
+    let exchange ~transpose w l =
+      K.butterfly_into ~a:l.a ~b:l.b ~c:l.c ~d:l.dd ~stride:l.stride
+        ~transpose ~w
     in
-    let apply_pairs_t w pairs =
-      Array.iter
-        (fun (i, j, a, b, c, dd) ->
-          let u = w.(i) and v = w.(j) in
-          w.(i) <- F.add (F.mul a u) (F.mul c v);
-          w.(j) <- F.add (F.mul b u) (F.mul dd v))
-        pairs
+    let scale_by_d ~src w =
+      K.pointwise_mul_into ~x:d ~xoff:0 ~y:src ~yoff:0 ~dst:w ~doff:0 ~len:n
     in
     (* P = L_m·…·L_1·D *)
     let apply ?pool:_ v =
-      let w = Array.init n (fun i -> F.mul d.(i) v.(i)) in
-      List.iter (apply_pairs w) layers;
+      let w = Array.make n F.zero in
+      scale_by_d ~src:v w;
+      Array.iter (exchange ~transpose:false w) layers;
       w
     in
     let apply_transpose ?pool:_ v =
       let w = Array.copy v in
-      List.iter (apply_pairs_t w) (List.rev layers);
-      Array.init n (fun i -> F.mul d.(i) w.(i))
+      for l = Array.length layers - 1 downto 0 do
+        exchange ~transpose:true w layers.(l)
+      done;
+      scale_by_d ~src:w w;
+      w
     in
     let dense () =
       let data = Array.make (n * n) F.zero in
@@ -309,16 +305,17 @@ struct
     let det () =
       (* fresh arithmetic on every call: the two-evaluation det discipline
          relies on recomputation, not a cached value *)
-      let pd =
-        List.fold_left
-          (fun acc pairs ->
-            Array.fold_left
-              (fun acc (_, _, a, b, c, dd) ->
-                F.mul acc (F.sub (F.mul a dd) (F.mul b c)))
-              acc pairs)
-          F.one layers
-      in
-      F.mul pd (balanced_product d 0 n)
+      let pd = ref F.one in
+      Array.iter
+        (fun { a; b; c; dd; _ } ->
+          for k = 0 to Array.length a - 1 do
+            pd := F.mul !pd (F.sub (F.mul a.(k) dd.(k)) (F.mul b.(k) c.(k)))
+          done)
+        layers;
+      F.mul !pd (balanced_product d 0 n)
+    in
+    let pairs =
+      Array.fold_left (fun acc l -> acc + Array.length l.a) 0 layers
     in
     {
       kind;
@@ -327,7 +324,7 @@ struct
       apply_transpose;
       dense;
       det;
-      ops_per_apply = lazy (n + (6 * pair_count layers));
+      ops_per_apply = lazy (n + (6 * pairs));
     }
 
   (* -- extension-field butterfly: chunk the n coordinates into blocks of k
@@ -577,7 +574,9 @@ struct
         !acc
       in
       let mv_ops = (2 * k * k) - k in
-      let pairs = pair_count chunk_layers in
+      let pairs =
+        List.fold_left (fun acc l -> acc + Array.length l) 0 chunk_layers
+      in
       {
         kind = Ext_field;
         n;

@@ -2,14 +2,27 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   module P = Kp_poly.Dense.Make (F)
 
   (* Massey's LFSR synthesis.  c and b are connection polynomials stored
-     low-to-high with c.(0) = 1. *)
+     low-to-high with c.(0) = 1.  c is zero from index [cl] on, and b is
+     a copy of such a prefix of length [bl]: the update c ← c − coef·x^m·b
+     stops at bl, since subtracting coef·0 would leave every later entry
+     as it is.  [saved] is the spare array the outgoing c is copied into; it
+     becomes the next b, and past bl it is never read. *)
   let connection_polynomial (s : F.t array) =
     let n = Array.length s in
     let c = Array.make (n + 1) F.zero in
-    let b = Array.make (n + 1) F.zero in
+    let b = ref (Array.make (n + 1) F.zero) in
+    let saved = ref (Array.make (n + 1) F.zero) in
     c.(0) <- F.one;
-    b.(0) <- F.one;
+    !b.(0) <- F.one;
+    let cl = ref 1 and bl = ref 1 in
     let l = ref 0 and m = ref 1 and bb = ref F.one in
+    let update coef =
+      let b = !b and hi = min !bl (n + 1 - !m) in
+      for j = 0 to hi - 1 do
+        c.(j + !m) <- F.sub c.(j + !m) (F.mul coef b.(j))
+      done;
+      if hi > 0 then cl := max !cl (hi + !m)
+    in
     for i = 0 to n - 1 do
       (* discrepancy d = s_i + sum_{j=1}^{l} c_j s_{i-j} *)
       let d = ref s.(i) in
@@ -18,21 +31,18 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       done;
       if F.is_zero !d then incr m
       else if 2 * !l <= i then begin
-        let t = Array.copy c in
-        let coef = F.div !d !bb in
-        for j = 0 to n - !m do
-          c.(j + !m) <- F.sub c.(j + !m) (F.mul coef b.(j))
-        done;
+        let t = !saved and tl = !cl in
+        Array.blit c 0 t 0 tl;
+        update (F.div !d !bb);
         l := i + 1 - !l;
-        Array.blit t 0 b 0 (n + 1);
+        saved := !b;
+        b := t;
+        bl := tl;
         bb := !d;
         m := 1
       end
       else begin
-        let coef = F.div !d !bb in
-        for j = 0 to n - !m do
-          c.(j + !m) <- F.sub c.(j + !m) (F.mul coef b.(j))
-        done;
+        update (F.div !d !bb);
         incr m
       end
     done;

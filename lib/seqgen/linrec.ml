@@ -1,4 +1,6 @@
 module Make (F : Kp_field.Field_intf.FIELD) = struct
+  module K = Kp_kernel.Dispatch.Make (F)
+
   let extend ~init ~rec_poly n =
     let l = Array.length rec_poly - 1 in
     if l < 0 then invalid_arg "Linrec.extend: empty recurrence";
@@ -27,9 +29,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let out = Array.make n F.zero in
     let v = ref b in
     for i = 0 to n - 1 do
-      let dot = ref F.zero in
-      Array.iteri (fun k uk -> dot := F.add !dot (F.mul uk (!v).(k))) u;
-      out.(i) <- !dot;
+      out.(i) <- K.dot u !v;
       if i < n - 1 then v := apply !v
     done;
     out

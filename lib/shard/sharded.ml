@@ -103,19 +103,16 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       Pool.region_run pool (Array.to_list thunks)
     | _ -> Array.iter (fun f -> f ()) thunks
 
-  (* forward apply of one shard: writes exactly its rows of dst, with the
-     same kernel call per row the unsharded matvec issues *)
+  (* forward apply of one shard: one kernel call writing exactly its rows
+     of dst, with the per-row accumulation the unsharded matvec uses (a
+     CSR shard's local row r lands at dst.(row_lo + r)) *)
   let shard_apply sh v dst =
     match sh.payload with
     | Dense { data; cols } ->
       K.matvec_into ~m:data ~cols ~row_lo:sh.row_lo ~row_hi:sh.row_hi ~x:v ~dst
     | Csr { row_ptr; col_idx; values } ->
-      for i = sh.row_lo to sh.row_hi - 1 do
-        let r = i - sh.row_lo in
-        dst.(i) <-
-          K.dot_gather ~vals:values ~cols:col_idx ~lo:row_ptr.(r)
-            ~hi:row_ptr.(r + 1) ~x:v
-      done
+      K.csr_matvec_into ~row_ptr ~cols:col_idx ~vals:values ~row_lo:0
+        ~row_hi:(sh.row_hi - sh.row_lo) ~x:v ~dst ~doff:sh.row_lo
 
   let apply_into t v dst =
     if Array.length v <> t.n || Array.length dst <> t.n then

@@ -61,6 +61,75 @@ let straddle_sizes = [ 0; 1; 2; 61; 62; 63; 64; 65; 124; 127; 128 ]
    delayed-reduction accumulators (largest raw products, latest carries) *)
 type style = Rand | Extreme | Max
 
+(* the strides a butterfly check sweeps: every stride up to n + 1 (the
+   last ones have no pairs) for small n; powers of two plus ragged
+   strides above that *)
+let butterfly_strides n =
+  if n <= 130 then List.init (n + 1) (fun s -> s + 1)
+  else
+    let rec pow2 s = if s <= n then s :: pow2 (2 * s) else [] in
+    List.sort_uniq compare (pow2 1 @ [ 3; 5; 7; (n / 2) + 1; n - 1; n + 1 ])
+
+(* CSR product: random row lengths up to 20 (empty rows included, and rows
+   longer than the shortest delayed-reduction block) over random columns;
+   the full range and a partial one, written at [doff] into a dst whose
+   other entries must stay untouched *)
+let check_csr ~ctx (module F : F_INT)
+    (module S : Kp_kernel.Kernel_intf.KERNEL with type t = int) ~elt ~st
+    ~doff ~n =
+  let module D = Kp_kernel.Derived.Make (F) in
+  let xn = max 1 n in
+  let x = Array.init xn (fun _ -> elt ()) in
+  let row_ptr = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    row_ptr.(i + 1) <- row_ptr.(i) + Random.State.int st 21
+  done;
+  let nnz = row_ptr.(n) in
+  let vals = Array.init nnz (fun _ -> elt ()) in
+  let cols = Array.init nnz (fun _ -> Random.State.int st xn) in
+  let dst0 = Array.init (n + doff + 2) (fun _ -> elt ()) in
+  let ranges = if n >= 2 then [ (0, n); (1, n - 1) ] else [ (0, n) ] in
+  List.iter
+    (fun (row_lo, row_hi) ->
+      let d1 = Array.copy dst0 and d2 = Array.copy dst0 in
+      S.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst:d1 ~doff;
+      D.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst:d2 ~doff;
+      check_bool
+        (ctx (Printf.sprintf "csr_matvec_into %d..%d" row_lo row_hi))
+        true
+        (Array.for_all2 F.equal d1 d2))
+    ranges
+
+(* one butterfly layer of the given stride, forward and transposed; the
+   pair count is checked against the preconditioner's original per-block
+   loop, which paired i with i + stride whenever both are below n *)
+let check_butterfly ~ctx (module F : F_INT)
+    (module S : Kp_kernel.Kernel_intf.KERNEL with type t = int) ~elt ~n
+    ~stride =
+  let module D = Kp_kernel.Derived.Make (F) in
+  let pairs = Kp_kernel.Kernel_intf.butterfly_pairs ~n ~stride in
+  let counted = ref 0 and blk = ref 0 in
+  while !blk < n do
+    for i = !blk to min (!blk + stride) n - 1 do
+      if i + stride < n then incr counted
+    done;
+    blk := !blk + (2 * stride)
+  done;
+  check_int (ctx (Printf.sprintf "butterfly_pairs s=%d" stride)) !counted pairs;
+  let coef () = Array.init pairs (fun _ -> elt ()) in
+  let a = coef () and b = coef () and c = coef () and d = coef () in
+  let w0 = Array.init n (fun _ -> elt ()) in
+  List.iter
+    (fun transpose ->
+      let w1 = Array.copy w0 and w2 = Array.copy w0 in
+      S.butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w:w1;
+      D.butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w:w2;
+      check_bool
+        (ctx (Printf.sprintf "butterfly_into s=%d transpose=%b" stride transpose))
+        true
+        (Array.for_all2 F.equal w1 w2))
+    [ false; true ]
+
 (* every KERNEL primitive, one explicit backend vs the derived reference,
    on identical seed-determined inputs; raises on the first mismatch *)
 let check_primitives ~name (module F : F_INT)
@@ -126,20 +195,10 @@ let check_primitives ~name (module F : F_INT)
   into "scale_into(aliased)"
     (fun d -> S.scale_into ~a:alpha ~x:d ~xoff:doff ~dst:d ~doff ~len:n)
     (fun d -> D.scale_into ~a:alpha ~x:d ~xoff:doff ~dst:d ~doff ~len:n);
-  (* sparse row: gathered dot over random column indices *)
-  let xn = max 1 n in
-  let gx = arr xn in
-  let vals = arr n in
-  let cols = Array.init n (fun _ -> Random.State.int st xn) in
-  check_bool (ctx "dot_gather") true
-    (F.equal
-       (S.dot_gather ~vals ~cols ~lo:0 ~hi:n ~x:gx)
-       (D.dot_gather ~vals ~cols ~lo:0 ~hi:n ~x:gx));
-  if n >= 2 then
-    check_bool (ctx "dot_gather(partial)") true
-      (F.equal
-         (S.dot_gather ~vals ~cols ~lo:1 ~hi:(n - 1) ~x:gx)
-         (D.dot_gather ~vals ~cols ~lo:1 ~hi:(n - 1) ~x:gx));
+  check_csr ~ctx (module F) (module S) ~elt ~st ~doff ~n;
+  List.iter
+    (fun stride -> check_butterfly ~ctx (module F) (module S) ~elt ~n ~stride)
+    (butterfly_strides n);
   (* matvec: n rows, irregular column count; full and partial row ranges
      (rows outside the range must be left untouched, which the shared
      initial dst contents verify) *)
@@ -283,6 +342,30 @@ let qcheck_differential =
           true))
     field_backend_pairs
 
+(* the black-box route's two primitives at the sizes its callers use —
+   ragged and power-of-two n up to 1025, every stride, uniform and
+   all-(p−1) inputs, partial row ranges written at a dst offset *)
+let test_sparse_route_sizes () =
+  List.iter
+    (fun (name, (module F : F_INT), k) ->
+      let max_elt = F.sub F.zero F.one in
+      List.iter
+        (fun (style, max) ->
+          List.iter
+            (fun n ->
+              let st = Kp_util.Rng.make (n + if max then 1 else 0) in
+              let elt () = if max then max_elt else F.random st in
+              let ctx prim =
+                Printf.sprintf "%s %s n=%d %s" name prim n style
+              in
+              check_csr ~ctx (module F) k ~elt ~st ~doff:5 ~n;
+              for stride = 1 to n + 1 do
+                check_butterfly ~ctx (module F) k ~elt ~n ~stride
+              done)
+            [ 0; 1; 2; 3; 5; 63; 64; 65; 1000; 1023; 1025 ])
+        [ ("uniform", false); ("all p-1", true) ])
+    field_backend_pairs
+
 (* pooled call sites return the words their sequential selves return *)
 let test_pool_identical () =
   let module F = Kp_field.Fields.Gf_ntt in
@@ -377,6 +460,57 @@ let test_counting_op_counts () =
     c.Kp_field.Counting.additions;
   check_int "no divisions anywhere" 0 c.Kp_field.Counting.divisions
 
+(* the derived butterfly replays the preconditioner's per-pair exchange:
+   4 multiplications and 2 additions per pair, so a counted apply of the
+   butterfly preconditioner — the diagonal, then one kernel layer per
+   stride — costs exactly n + 6·pairs, its advertised ops_per_apply *)
+let test_counting_butterfly_ops () =
+  let module Cnt = Kp_field.Counting.Make (Kp_field.Fields.Gf_ntt) in
+  let module K = Kp_kernel.Derived.Make (Cnt) in
+  let module CK = Kp_poly.Conv.Karatsuba (Cnt) in
+  let module SP = Kp_precond.Precond.Make (Cnt) (CK) in
+  let module Pc = Kp_precond.Precond in
+  let total = Kp_field.Counting.total in
+  let st = Kp_util.Rng.make 11 in
+  List.iter
+    (fun n ->
+      let rec strides s = if s < n then s :: strides (2 * s) else [] in
+      let pairs =
+        List.fold_left
+          (fun acc stride ->
+            acc + Kp_kernel.Kernel_intf.butterfly_pairs ~n ~stride)
+          0 (strides 1)
+      in
+      List.iter
+        (fun stride ->
+          let k = Kp_kernel.Kernel_intf.butterfly_pairs ~n ~stride in
+          let coef () = Array.init k (fun _ -> Cnt.random st) in
+          let a = coef () and b = coef () and c = coef () and d = coef () in
+          let w = Array.init n (fun _ -> Cnt.random st) in
+          let _, ops =
+            Cnt.measure (fun () ->
+                K.butterfly_into ~a ~b ~c ~d ~stride ~transpose:false ~w)
+          in
+          check_int
+            (Printf.sprintf "n=%d s=%d: 4 muls per pair" n stride)
+            (4 * k) ops.Kp_field.Counting.multiplications;
+          check_int
+            (Printf.sprintf "n=%d s=%d: 2 adds per pair" n stride)
+            (2 * k) ops.Kp_field.Counting.additions)
+        (strides 1);
+      let p = SP.build ~card_s:4096 ~n Pc.Sparse_butterfly st in
+      let v = Array.init n (fun _ -> Cnt.random st) in
+      let advertised = Lazy.force p.Pc.ops_per_apply in
+      check_int (Printf.sprintf "n=%d: ops_per_apply = n + 6·pairs" n)
+        (n + (6 * pairs)) advertised;
+      let _, ops = Cnt.measure (fun () -> ignore (p.Pc.apply v)) in
+      check_int (Printf.sprintf "n=%d: counted apply = ops_per_apply" n)
+        advertised (total ops);
+      let _, ops = Cnt.measure (fun () -> ignore (p.Pc.apply_transpose v)) in
+      check_int (Printf.sprintf "n=%d: counted transpose = ops_per_apply" n)
+        advertised (total ops))
+    [ 1; 2; 3; 5; 64; 100 ]
+
 (* kernel.* counters: the instrumented dispatch ticks the backend it
    resolved, and the kernel.cstub.* meters advance exactly when a C-stub
    backend served the call — on GF(97), and not on its Generic twin *)
@@ -430,6 +564,8 @@ let () =
           test_differential_edges
         :: Alcotest.test_case "boundary values x straddle sizes" `Quick
              test_differential_boundary_values
+        :: Alcotest.test_case "csr and butterfly x route sizes" `Quick
+             test_sparse_route_sizes
         :: List.map
              (QCheck_alcotest.to_alcotest ~long:false)
              qcheck_differential );
@@ -441,5 +577,7 @@ let () =
           Alcotest.test_case "Q" `Quick test_q_derived;
           Alcotest.test_case "counting op counts" `Quick
             test_counting_op_counts;
+          Alcotest.test_case "counting butterfly ops" `Quick
+            test_counting_butterfly_ops;
         ] );
     ]

@@ -182,6 +182,92 @@ let test_butterfly_consistent () =
       record_consistent (Printf.sprintf "butterfly n=%d" n) p)
     [ 1; 2; 5; 8; 13 ]
 
+(* The butterfly as it was drawn and applied before its coefficients moved
+   into flat per-layer arrays: d, then per layer (strides 1, 2, 4, …), per
+   pair in block order, (a, b, c) with dd = (1 + b·c)/a, each pair kept as
+   a 6-tuple and applied one scalar exchange at a time. *)
+let reference_butterfly ~card_s ~n st =
+  let d = Array.init n (fun _ -> SP.sample_nonzero st ~card_s) in
+  let layers = ref [] and s = ref 1 in
+  while !s < n do
+    let step = !s in
+    let pairs = ref [] and bstart = ref 0 in
+    while !bstart < n do
+      for i = !bstart to min (!bstart + step) n - 1 do
+        if i + step < n then begin
+          let a = SP.sample_nonzero st ~card_s in
+          let b = F.sample st ~card_s in
+          let c = F.sample st ~card_s in
+          let dd = F.div (F.add F.one (F.mul b c)) a in
+          pairs := (i, i + step, a, b, c, dd) :: !pairs
+        end
+      done;
+      bstart := !bstart + (2 * step)
+    done;
+    layers := List.rev !pairs :: !layers;
+    s := 2 * step
+  done;
+  let layers = List.rev !layers in
+  let apply v =
+    let w = Array.init n (fun i -> F.mul d.(i) v.(i)) in
+    List.iter
+      (List.iter (fun (i, j, a, b, c, dd) ->
+           let u = w.(i) and v = w.(j) in
+           w.(i) <- F.add (F.mul a u) (F.mul b v);
+           w.(j) <- F.add (F.mul c u) (F.mul dd v)))
+      layers;
+    w
+  in
+  let apply_transpose v =
+    let w = Array.copy v in
+    List.iter
+      (List.iter (fun (i, j, a, b, c, dd) ->
+           let u = w.(i) and v = w.(j) in
+           w.(i) <- F.add (F.mul a u) (F.mul c v);
+           w.(j) <- F.add (F.mul b u) (F.mul dd v)))
+      (List.rev layers);
+    Array.init n (fun i -> F.mul d.(i) w.(i))
+  in
+  let det () =
+    List.fold_left
+      (List.fold_left (fun acc (_, _, a, b, c, dd) ->
+           F.mul acc (F.sub (F.mul a dd) (F.mul b c))))
+      F.one layers
+    |> F.mul (Array.fold_left F.mul F.one d)
+  in
+  (apply, apply_transpose, det)
+
+(* the flat-array butterfly draws the same stream and computes the same
+   products as the reference, and its kernel applies agree with its own
+   dense materialisation *)
+let test_butterfly_matches_reference () =
+  List.iter
+    (fun n ->
+      let card_s = 4096 in
+      let st_ref = st0 (70 + n) and st_new = st0 (70 + n) in
+      let ref_apply, ref_transpose, ref_det =
+        reference_butterfly ~card_s ~n st_ref
+      in
+      let p = SP.build ~card_s ~n Pc.Sparse_butterfly st_new in
+      let what fmt = Printf.sprintf ("butterfly n=%d: " ^^ fmt) n in
+      check_bool (what "RNG state equals the reference loop's") true
+        (st_ref = st_new);
+      check_bool (what "draw streams stay in lockstep") true
+        (F.equal (F.sample st_ref ~card_s) (F.sample st_new ~card_s));
+      let v = Array.init n (fun i -> F.of_int ((31 * i) + 7)) in
+      check_bool (what "apply = reference") true
+        (farr_eq (p.Pc.apply v) (ref_apply v));
+      check_bool (what "apply_transpose = reference") true
+        (farr_eq (p.Pc.apply_transpose v) (ref_transpose v));
+      check_bool (what "det = reference") true (F.equal (p.Pc.det ()) (ref_det ()));
+      let dense = p.Pc.dense () in
+      let pm = M.init n n (fun i j -> dense.((i * n) + j)) in
+      check_bool (what "apply = dense matvec") true
+        (farr_eq (p.Pc.apply v) (M.matvec pm v));
+      check_bool (what "apply_transpose = dense^T matvec") true
+        (farr_eq (p.Pc.apply_transpose v) (M.matvec (M.transpose pm) v)))
+    [ 1; 2; 3; 5; 100; 1000 ]
+
 let test_butterfly_is_cheap () =
   (* the sparse track's payoff: ops per apply is O(n log n), far below the
      dense Hankel convolution cost for the same n *)
@@ -303,6 +389,8 @@ let () =
             test_butterfly_consistent;
           Alcotest.test_case "butterfly ops << dense ops" `Quick
             test_butterfly_is_cheap;
+          Alcotest.test_case "butterfly = reference draws and products" `Quick
+            test_butterfly_matches_reference;
           Alcotest.test_case "ext-field GF(2) record consistent" `Quick
             test_ext_field_gf2;
         ] );

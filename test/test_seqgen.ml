@@ -128,6 +128,129 @@ let test_generates_rejects () =
   check_bool "wrong poly rejected" false (BM.generates [| fi 1; fi 1 |] s);
   check_bool "right poly accepted" true (BM.generates [| fi (-1); fi (-1); fi 1 |] s)
 
+(* ---------- bounded update = full-width sweep ---------- *)
+
+(* Massey's synthesis with the update swept over the full width of b and
+   whole-array copies — the loop the library bounds to b's live support *)
+module Unbounded (F : Kp_field.Field_intf.FIELD) = struct
+  let connection_polynomial (s : F.t array) =
+    let n = Array.length s in
+    let c = Array.make (n + 1) F.zero in
+    let b = Array.make (n + 1) F.zero in
+    c.(0) <- F.one;
+    b.(0) <- F.one;
+    let l = ref 0 and m = ref 1 and bb = ref F.one in
+    for i = 0 to n - 1 do
+      let d = ref s.(i) in
+      for j = 1 to !l do
+        d := F.add !d (F.mul c.(j) s.(i - j))
+      done;
+      if F.is_zero !d then incr m
+      else if 2 * !l <= i then begin
+        let t = Array.copy c in
+        let coef = F.div !d !bb in
+        for j = 0 to n - !m do
+          c.(j + !m) <- F.sub c.(j + !m) (F.mul coef b.(j))
+        done;
+        l := i + 1 - !l;
+        Array.blit t 0 b 0 (n + 1);
+        bb := !d;
+        m := 1
+      end
+      else begin
+        let coef = F.div !d !bb in
+        for j = 0 to n - !m do
+          c.(j + !m) <- F.sub c.(j + !m) (F.mul coef b.(j))
+        done;
+        incr m
+      end
+    done;
+    Array.sub c 0 (!l + 1)
+end
+
+(* sequences of every generator degree the solvers meet — 0 (zero), 1
+   (geometric), n (random of length 2n) and in between (LFSR outputs) —
+   plus sequences whose discrepancies vanish mid-run: sparse 0/1 runs,
+   and a long LFSR prefix followed by a break *)
+let bm_sequences (type a) (module F : Kp_field.Field_intf.FIELD with type t = a)
+    ~sizes st =
+  let module LR = Kp_seqgen.Linrec.Make (F) in
+  let rand k = Array.init k (fun _ -> F.random st) in
+  let lfsr l len =
+    let rec_poly =
+      Array.init (l + 1) (fun i -> if i = l then F.one else F.random st)
+    in
+    LR.extend ~init:(rand l) ~rec_poly len
+  in
+  let sparse len =
+    Array.init len (fun _ ->
+        if Random.State.int st 5 = 0 then F.one else F.zero)
+  in
+  let broken l len =
+    let s = lfsr l len and k = len - 1 - (len / 4) in
+    s.(k) <- F.add s.(k) F.one;
+    s
+  in
+  (* first non-zero term at index n−1: linear complexity exactly n *)
+  let impulse n =
+    Array.init (2 * n) (fun k ->
+        if k = n - 1 then F.one else if k >= n then F.random st else F.zero)
+  in
+  let geometric = Array.make 12 F.one in
+  for k = 1 to 11 do
+    geometric.(k) <- F.mul geometric.(k - 1) (F.of_int 3)
+  done;
+  [ ("empty", [||]); ("zero", Array.make 12 F.zero); ("geometric", geometric) ]
+  @ List.concat_map
+      (fun n ->
+        [ (Printf.sprintf "random 2n n=%d" n, rand (2 * n));
+          (Printf.sprintf "impulse deg n=%d" n, impulse n);
+          (Printf.sprintf "lfsr deg %d of 2n" (n / 2), lfsr (n / 2) (2 * n));
+          (Printf.sprintf "sparse n=%d" n, sparse (2 * n));
+          (Printf.sprintf "broken lfsr n=%d" n, broken (max 1 (n / 3)) (2 * n)) ])
+      sizes
+
+let bounded_matches_unbounded (type a) name ~top
+    (module F : Kp_field.Field_intf.FIELD with type t = a) () =
+  let module B = Kp_seqgen.Berlekamp_massey.Make (F) in
+  let module U = Unbounded (F) in
+  let st = Random.State.make [| 84 |] in
+  let degrees = Hashtbl.create 8 in
+  List.iter
+    (fun (what, s) ->
+      let got = B.connection_polynomial s and want = U.connection_polynomial s in
+      Hashtbl.replace degrees (Array.length want - 1) ();
+      check_bool
+        (Printf.sprintf "%s %s: bounded = unbounded" name what)
+        true
+        (Array.length got = Array.length want && Array.for_all2 F.equal got want))
+    (bm_sequences (module F) ~sizes:[ 1; 2; 3; 5; 8; top ] st);
+  (* degree 0, degree 1 and degree n all occurred *)
+  List.iter
+    (fun d ->
+      check_bool (Printf.sprintf "%s: degree %d covered" name d) true
+        (Hashtbl.mem degrees d))
+    [ 0; 1; top ]
+
+(* the bound only drops operations on zero entries: never more field ops
+   than the full-width sweep, strictly fewer once the support is short *)
+let test_bm_bounded_fewer_ops () =
+  let module Cnt = Kp_field.Counting.Make (F) in
+  let module B = Kp_seqgen.Berlekamp_massey.Make (Cnt) in
+  let module U = Unbounded (Cnt) in
+  let st = Random.State.make [| 85 |] in
+  List.iter
+    (fun n ->
+      let s = Array.init (2 * n) (fun _ -> Cnt.random st) in
+      let _, bounded = Cnt.measure (fun () -> ignore (B.connection_polynomial s)) in
+      let _, full = Cnt.measure (fun () -> ignore (U.connection_polynomial s)) in
+      let bounded = Kp_field.Counting.total bounded
+      and full = Kp_field.Counting.total full in
+      check_bool
+        (Printf.sprintf "n=%d: %d bounded ops < %d full-width ops" n bounded full)
+        true (bounded < full))
+    [ 8; 64 ]
+
 (* ---------- matrix Berlekamp/Massey ---------- *)
 
 let arr_eq a b =
@@ -276,6 +399,16 @@ let () =
           Alcotest.test_case "connection polynomial" `Quick test_connection_polynomial_form;
           Alcotest.test_case "exact over Q" `Quick test_bm_over_q;
           Alcotest.test_case "generates rejects" `Quick test_generates_rejects;
+          Alcotest.test_case "bounded = unbounded GF(p)" `Quick
+            (bounded_matches_unbounded "GF(p)" ~top:64 (module F));
+          (* exact rationals grow fast: a shorter top size *)
+          Alcotest.test_case "bounded = unbounded Q" `Quick
+            (bounded_matches_unbounded "Q" ~top:12 (module Q));
+          Alcotest.test_case "bounded = unbounded GF(2)" `Quick
+            (bounded_matches_unbounded "GF(2)" ~top:64
+               (module Kp_field.Fields.Gf2));
+          Alcotest.test_case "bounded does fewer ops" `Quick
+            test_bm_bounded_fewer_ops;
         ] );
       ( "krylov",
         [

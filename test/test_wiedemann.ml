@@ -115,6 +115,20 @@ let test_singularity_certificate () =
   done;
   check_bool "detects singular most of the time" true (!hits >= 4)
 
+(* a 0×0 black box is refused at entry, like a wrong-length rhs — not
+   retried into a low-degree rejection and a dense fallback *)
+let test_empty_blackbox_rejected () =
+  let bb = Bb.of_fun 0 Fun.id in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (what ^ " accepted a 0-dimensional black box")
+  in
+  refused "solve" (fun () -> ignore (W.solve (st0 9) bb [||]));
+  refused "solve_preconditioned" (fun () ->
+      ignore (W.solve_preconditioned (st0 9) bb [||]));
+  refused "det" (fun () -> ignore (W.det (st0 9) bb))
+
 (* ---- Toeplitz solve (public §3 API) ---- *)
 
 let test_toeplitz_solve () =
@@ -280,6 +294,8 @@ let () =
           Alcotest.test_case "det singular" `Quick test_det_singular_blackbox;
           Alcotest.test_case "min poly" `Quick test_minpoly_is_dense_minpoly;
           Alcotest.test_case "singularity certificate" `Quick test_singularity_certificate;
+          Alcotest.test_case "empty black box rejected" `Quick
+            test_empty_blackbox_rejected;
         ] );
       ( "ops-accounting",
         [
