@@ -916,7 +916,7 @@ let e14 () =
   let rng = st () in
   print_endline
     "E14 (kernel layer): GF(p) dense matvec and Krylov doubling through the\n\
-     gfp_cstub kernel (delayed modular reduction, one division per block)\n\
+     gfp_cstub kernel (split 32-bit sums, one reduction per row)\n\
      vs the scalar balanced FIELD_CORE loops the kernel replaced.\n\
      Results are asserted bit-identical before timing; kernel.gfp_cstub\n\
      counter hits prove the fast path is actually taken.\n";
@@ -1460,7 +1460,7 @@ let e18 () =
   print_endline
     "E18 (C-stub kernels): the same dense matvec/matmul, butterfly apply\n\
      (diagonal + one exchange layer per stride) and 8-per-row CSR matvec\n\
-     served by the C stubs (delayed-reduction or Barrett GF(p) loops,\n\
+     served by the C stubs (split-sum or Barrett GF(p) loops, no division,\n\
      bit-packed or tagged-word GF(2)) and by the derived reference kernel\n\
      (the field's own scalar ops, reached through its Generic-hinted twin).\n\
      Outputs are asserted bit-identical before timing, and kernel.cstub.*\n\

@@ -1,8 +1,9 @@
 (* Command-line driver for the Kaltofen–Pan solver over GF(p).
 
    Matrices are given as whitespace-separated integers: first n, then the
-   n² entries row-major (and, for solve, n more for the right-hand side),
-   or generated randomly with --random.
+   n² entries row-major, then optionally the n entries of the right-hand
+   side (solve draws b at random without them), or generated randomly
+   with --random.
 
      kp solve  --random 24
      kp solve  --random 200 --stats=json   (observability report on stderr-free stdout)
@@ -13,17 +14,49 @@
      kp inverse --random 6
      kp charpoly --toeplitz 1,2,3,4,5    (diagonal vector, length 2n-1) *)
 
-let read_ints path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let content = really_input_string ic len in
-  close_in ic;
-  content
-  |> String.split_on_char ' '
-  |> List.concat_map (String.split_on_char '\n')
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
-  |> List.map int_of_string
+(* The integers of a file, in order, in one scan over its bytes.  Tokens
+   are separated by ' ', '\t', '\n' and '\r', so a CRLF file reads like
+   its LF twin.  A plain decimal token short enough not to overflow is
+   parsed inline; any other (a sign, 0x…, a long run of digits) goes
+   through [int_of_string].  Errors name [what] and fail with [Failure]. *)
+let read_ints ~what path =
+  let fail fmt = Printf.ksprintf (fun m -> failwith (what ^ ": " ^ m)) fmt in
+  let s =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error e -> fail "%s" e
+  in
+  let len = String.length s in
+  let out = ref (Array.make 1024 0) and count = ref 0 in
+  let push v =
+    if !count = Array.length !out then begin
+      let bigger = Array.make (2 * !count) 0 in
+      Array.blit !out 0 bigger 0 !count;
+      out := bigger
+    end;
+    !out.(!count) <- v;
+    incr count
+  in
+  let is_sep = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false in
+  let i = ref 0 in
+  while !i < len do
+    if is_sep s.[!i] then incr i
+    else begin
+      let start = !i and acc = ref 0 and plain = ref true in
+      while !i < len && not (is_sep s.[!i]) do
+        (match s.[!i] with
+        | '0' .. '9' as c -> acc := (!acc * 10) + Char.code c - 48
+        | _ -> plain := false);
+        incr i
+      done;
+      if !plain && !i - start <= 18 then push !acc
+      else
+        let tok = String.sub s start (!i - start) in
+        match int_of_string_opt tok with
+        | Some v -> push v
+        | None -> fail "token %d (%S) is not an integer" (!count + 1) tok
+    end
+  done;
+  Array.sub !out 0 !count
 
 type serve_opts = {
   socket : string;
@@ -89,24 +122,32 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
     | s -> s
 
   (* every engine needs n >= 1: an empty input is refused here, before
-     any of them runs *)
+     any of them runs.  A matrix file holds n, the n² entries row-major,
+     then optionally the n entries of b — any other count is refused *)
   let load_matrix setup st =
     match (setup.matrix, setup.random) with
     | Some path, _ ->
-      let ints = read_ints path in
-      (match ints with
-      | n :: _ when n < 1 -> failwith "matrix file: n must be at least 1"
-      | n :: rest when List.length rest >= n * n ->
-        let entries = Array.of_list rest in
-        ( M.init n n (fun i j -> F.of_int entries.((i * n) + j)),
-          Array.to_list
-            (Array.sub entries (n * n) (Array.length entries - (n * n))) )
-      | _ -> failwith "matrix file: expected n followed by >= n^2 entries")
+      let ints = read_ints ~what:"matrix file" path in
+      if Array.length ints = 0 then failwith "matrix file: empty, expected n"
+      else
+        let n = ints.(0) and count = Array.length ints - 1 in
+        if n < 1 then failwith "matrix file: n must be at least 1"
+        else if count mod n <> 0 || (count / n <> n && count / n <> n + 1) then
+          failwith
+            (Printf.sprintf
+               "matrix file: n = %d needs n^2 = %d or n^2 + n = %d entries \
+                after n, got %d"
+               n (n * n) ((n * n) + n) count)
+        else
+          ( M.init n n (fun i j -> F.of_int ints.(1 + (i * n) + j)),
+            if count = n * n then None
+            else Some (Array.init n (fun i -> F.of_int ints.(1 + (n * n) + i)))
+          )
     | None, Some n when n < 1 -> failwith "--random: n must be at least 1"
     | None, Some n -> (
       match setup.rank_hint with
-      | Some r -> (M.random_of_rank st n ~rank:r, [])
-      | None -> (M.random_nonsingular st n, []))
+      | Some r -> (M.random_of_rank st n ~rank:r, None)
+      | None -> (M.random_nonsingular st n, None))
     | None, None -> failwith "provide --matrix FILE or --random N"
 
   let print_solution ~engine ~attempts x =
@@ -188,30 +229,25 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
     report 0
 
   let load_batch path ~n =
-    let ints = read_ints path in
-    let len = List.length ints in
+    let ints = read_ints ~what:"batch file" path in
+    let len = Array.length ints in
     if len = 0 || len mod n <> 0 then
       failwith
         (Printf.sprintf
            "batch file: expected a positive multiple of n = %d integers, got %d"
            n len)
-    else begin
-      let arr = Array.of_list ints in
+    else
       Array.init (len / n) (fun i ->
-          Array.init n (fun j -> F.of_int arr.((i * n) + j)))
-    end
+          Array.init n (fun j -> F.of_int ints.((i * n) + j)))
 
   let solve setup =
     with_pool_opt ~domains:setup.domains @@ fun pool ->
     let st = Kp_util.Rng.make setup.seed in
     let deadline_ns = deadline_ns setup in
-    let a, extra = load_matrix setup st in
+    let a, b = load_matrix setup st in
     let n = a.M.rows in
     let b =
-      if List.length extra >= n then
-        Array.of_list (List.filteri (fun i _ -> i < n) extra)
-        |> Array.map F.of_int
-      else Array.init n (fun _ -> F.random st)
+      match b with Some b -> b | None -> Array.init n (fun _ -> F.random st)
     in
     (* with --engine block, batches route through the session's block lane
        (one block-Krylov run per batch) at the chosen or automatic factor *)
@@ -553,8 +589,9 @@ let kernels_cmd =
     | exception Invalid_argument m -> Printf.printf "kp --prime %d: %s\n" prime m
     | m ->
       let module F = (val m) in
-      Printf.printf "kp --prime %d resolves to: %s\n" prime
-        (Kp_kernel.Dispatch.backend_name F.kernel_hint));
+      Printf.printf "kp --prime %d resolves to: %s (%s)\n" prime
+        (Kp_kernel.Dispatch.backend_name F.kernel_hint)
+        (Kp_kernel.Cstub.gfp_isa ()));
     print_endline
       "(--prime 2 runs gfp_cstub at p = 2; gf2_cstub serves Fields.Gf2)\n";
     print_endline "built-in fields:";
@@ -562,9 +599,11 @@ let kernels_cmd =
       (fun (name, backend) -> Printf.printf "  %-36s %s\n" name backend)
       (rows ());
     print_endline
-      "\nbackends: gfp_cstub/gf2_cstub (C stubs, delayed reduction /\n\
-       64-bit packing, Bigarray scratch), derived (generic FIELD_CORE ops —\n\
-       op-count-faithful; circuits and counting fields always land here).\n\
+      "\nbackends: gfp_cstub/gf2_cstub (C stubs, split-sum and Barrett\n\
+       reduction / 64-bit packing, Bigarray scratch; the parenthesis names\n\
+       the instruction set of the GF(p) dot and matvec clone), derived\n\
+       (generic FIELD_CORE ops — op-count-faithful; circuits and counting\n\
+       fields always land here).\n\
        kernel.cstub.* counters in --stats prove the stub path ran."
   in
   Cmd.v

@@ -81,6 +81,11 @@ external gfp_matvec :
   = "kp_gfp_matvec_byte" "kp_gfp_matvec"
 [@@noalloc]
 
+external gfp_isa : unit -> string = "kp_gfp_isa"
+(** The instruction set the GF(p) [dot] and [matvec] loops run on, as the
+    loader resolved their clones: ["avx512f"], ["avx2"] or ["default"]
+    (also the answer on a toolchain that builds the plain body only). *)
+
 external gfp_matmul :
   int array ->
   int array ->

@@ -1,5 +1,8 @@
-(** C-stub GF(p) kernel: delayed-reduction word loops compiled as
-    autovectorizable C ([kp_kernel_stubs.c]).
+(** C-stub GF(p) kernel: division-free word loops compiled as
+    autovectorizable C ([kp_kernel_stubs.c]).  [dot] and [matvec] add each
+    product's low 32 bits and high bits into two sums and reduce once per
+    row, in a clone built for the widest instruction set the CPU has
+    ({!Cstub.gfp_isa}); every other reduction is one Barrett step.
 
     Elements are canonical residues in [0, p) in native [int]s (the
     [Gfp_word { p }] representation).  Every primitive reduces to the

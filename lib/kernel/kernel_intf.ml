@@ -15,9 +15,10 @@
     - The C-stub backends ({!Gfp_cstub}, {!Gf2_cstub}) exploit a concrete
       word-level representation (advertised by the field through
       {!Kp_field.Field_intf.kernel_hint}): autovectorizable C loops with
-      delayed modular reduction or bit packing, and Bigarray reduction
-      scratch.  Each is required to be {e bit-identical} to the derived
-      kernel on canonical inputs; {!Dispatch} picks one per hint.
+      delayed, division-free modular reduction or bit packing, and
+      Bigarray reduction scratch.  Each is required to be
+      {e bit-identical} to the derived kernel on canonical inputs;
+      {!Dispatch} picks one per hint.
 
     Conventions shared by every primitive:
     - offsets/ranges are trusted (bounds are the caller's contract);
@@ -80,7 +81,9 @@ module type KERNEL = sig
   val matvec_into : m:t array -> cols:int -> row_lo:int -> row_hi:int -> x:t array -> dst:t array -> unit
   (** [dst.(i) <- Σ_j m.(i·cols + j) · x.(j)] for [row_lo ≤ i < row_hi],
       sequential accumulation from zero per row (matches the concrete
-      [Dense.Make.matvec]).  Row-ranged so pools can chunk it. *)
+      [Dense.Make.matvec]).  Row-ranged so pools can chunk it.  [dst] must
+      alias neither [m] nor [x]: a backend may write a row after reading
+      later rows. *)
 
   val matmul_into : a:t array -> b:t array -> dst:t array -> inner:int -> bcols:int -> row_lo:int -> row_hi:int -> unit
   (** Classical i,k,j product restricted to rows [row_lo ≤ i < row_hi]:

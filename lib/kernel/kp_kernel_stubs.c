@@ -14,10 +14,14 @@
      an immediate needs no write barrier, so every stub is [@@noalloc]:
      no allocation, no GC interaction, no callbacks.
 
-   - GF(p), p < 2^30: canonical residues in [0,p).  A raw product is below
-     2^60, so an int64 accumulator absorbs [block] products between
-     reductions (regrouping reductions cannot change a canonical residue,
-     so the stubs are bit-identical to the derived kernel by construction).
+   - GF(p), p < 2^30: canonical residues in [0,p), so a raw product is
+     below 2^60.  No loop divides.  The dense inner products (dot,
+     matvec) split each product into its low 32 bits and its high bits
+     and add the halves into two uint64 sums, which cannot overflow below
+     2^32 terms, so each row is reduced once, at its end; every other
+     reduction is one Barrett step.  Regrouping reductions cannot change
+     a canonical residue, so the stubs are bit-identical to the derived
+     kernel by construction.
 
    - GF(2): 0/1 in native ints.  Tagged 0/1 values obey
        (2a+1) & (2b+1) = 2(a·b)+1      — AND preserves the tag;
@@ -32,14 +36,31 @@
      dst aliasing a source at a different offset, and C's plain-pointer
      semantics then match the derived kernel's forward-sequential loop
      exactly (vectorizing compilers version such loops behind an overlap
-     check). */
+     check).  The dense matvec is the exception: its dst must alias
+     neither m nor x (Kernel_intf), since four rows are written only after
+     all four are summed. */
 
 #include <caml/mlvalues.h>
+#include <caml/alloc.h>
 #include <caml/bigarray.h>
 #include <stdint.h>
 
 #define ELT(v, i) Long_val(Field((v), (i)))
 #define SET(v, i, x) (Field((v), (i)) = Val_long(x))
+
+/* The dense GF(p) inner products are built once per instruction set and
+   the dynamic loader picks the widest clone the CPU runs (an ifunc).
+   GCC's function multiversioning needs glibc's ifunc, so other toolchains
+   compile the plain body alone; kp_gfp_isa reports the choice. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) \
+    && defined(__GLIBC__)
+#define KP_CLONES 1
+#define KP_TARGET_CLONES \
+  __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define KP_CLONES 0
+#define KP_TARGET_CLONES
+#endif
 
 /* raw products that fit on top of a canonical residue without overflowing
    an int64 accumulator: (p-1) + block·(p-1)^2 <= INT64_MAX */
@@ -52,51 +73,80 @@ static inline int64_t gfp_block(int64_t p)
   return b < 1 ? 1 : b;
 }
 
+/* Barrett reduction of any x < 2^64 by p, with m = floor((2^64-1)/p):
+   p·m >= 2^64 - p, so the estimated quotient is short of floor(x/p) by at
+   most one, and a single conditional subtraction makes the residue exact */
+static inline uint64_t gfp_barrett(uint64_t x, uint64_t p, uint64_t m)
+{
+#ifdef __SIZEOF_INT128__
+  uint64_t q = (uint64_t)(((unsigned __int128)x * m) >> 64);
+  uint64_t r = x - q * p;
+  return r >= p ? r - p : r;
+#else
+  (void)m;
+  return x % p;
+#endif
+}
+
+/* the canonical residue of hi·2^32 + lo */
+static inline uint64_t gfp_fold(uint64_t lo, uint64_t hi, uint64_t p,
+                                uint64_t m)
+{
+  return gfp_barrett((gfp_barrett(hi, p, m) << 32) + gfp_barrett(lo, p, m),
+                     p, m);
+}
+
+/* the residue held by a tagged canonical element (Long_val, unsigned) */
+#define RES(w) ((uint64_t)((uintnat)(w) >> 1))
+
 /* ------------------------------------------------------------------ */
 /* GF(p)                                                              */
 /* ------------------------------------------------------------------ */
 
+/* Σ a[k]·b[k] mod p, each product split into its low 32 bits and its
+   high bits, one reduction at the end */
+static KP_TARGET_CLONES uint64_t gfp_dot_words(const value *a,
+                                               const value *b, intnat n,
+                                               uint64_t p, uint64_t m)
+{
+  uint64_t lo = 0, hi = 0;
+  intnat k;
+  for (k = 0; k < n; k++) {
+    uint64_t t = RES(a[k]) * RES(b[k]);
+    lo += (uint32_t)t;
+    hi += t >> 32;
+  }
+  return gfp_fold(lo, hi, p, m);
+}
+
 CAMLprim value kp_gfp_dot(value va, value vb, value vn, value vp)
 {
-  intnat n = Long_val(vn);
-  int64_t p = Long_val(vp);
-  int64_t block = gfp_block(p);
-  int64_t acc = 0;
-  intnat i = 0;
-  while (i < n) {
-    intnat stop = ((int64_t)(n - i) > block) ? i + (intnat)block : n;
-    int64_t s = acc;
-    intnat k;
-    for (k = i; k < stop; k++)
-      s += (int64_t)ELT(va, k) * (int64_t)ELT(vb, k);
-    acc = s % p;
-    i = stop;
-  }
-  return Val_long((intnat)acc);
+  uint64_t p = Long_val(vp);
+  return Val_long((intnat)gfp_dot_words(Op_val(va), Op_val(vb),
+                                        Long_val(vn), p, UINT64_MAX / p));
 }
 
 /* CSR rows [row_lo, row_hi) into dst[doff + i]: each row's gathered
-   products accumulate unreduced, one reduction per block (the same
-   delayed reduction as the dense matvec) */
+   products accumulate unreduced, one Barrett step per int64 block */
 CAMLprim value kp_gfp_csr_matvec(value vrow_ptr, value vcols, value vvals,
                                  value vrow_lo, value vrow_hi, value vx,
                                  value vdst, value vdoff, value vp)
 {
   intnat row_lo = Long_val(vrow_lo), row_hi = Long_val(vrow_hi);
   intnat doff = Long_val(vdoff);
-  int64_t p = Long_val(vp);
+  uint64_t p = Long_val(vp), m = UINT64_MAX / p;
   int64_t block = gfp_block(p);
   intnat i;
   for (i = row_lo; i < row_hi; i++) {
     intnat k = ELT(vrow_ptr, i), hi = ELT(vrow_ptr, i + 1);
-    int64_t acc = 0;
+    uint64_t acc = 0;
     while (k < hi) {
       intnat stop = ((int64_t)(hi - k) > block) ? k + (intnat)block : hi;
-      int64_t s = acc;
+      uint64_t s = acc;
       intnat kk;
       for (kk = k; kk < stop; kk++)
-        s += (int64_t)ELT(vvals, kk) * (int64_t)ELT(vx, ELT(vcols, kk));
-      acc = s % p;
+        s += (uint64_t)ELT(vvals, kk) * (uint64_t)ELT(vx, ELT(vcols, kk));
+      acc = gfp_barrett(s, p, m);
       k = stop;
     }
     SET(vdst, doff + i, (intnat)acc);
@@ -109,21 +159,6 @@ CAMLprim value kp_gfp_csr_matvec_byte(value *argv, int argn)
   (void)argn;
   return kp_gfp_csr_matvec(argv[0], argv[1], argv[2], argv[3], argv[4],
                            argv[5], argv[6], argv[7], argv[8]);
-}
-
-/* Barrett reduction of x < 2^63 by p, with m = floor((2^64-1)/p): the
-   estimated quotient is short of floor(x/p) by at most one, so a single
-   conditional subtraction makes the residue exact */
-static inline uint64_t gfp_barrett(uint64_t x, uint64_t p, uint64_t m)
-{
-#ifdef __SIZEOF_INT128__
-  uint64_t q = (uint64_t)(((unsigned __int128)x * m) >> 64);
-  uint64_t r = x - q * p;
-  return r >= p ? r - p : r;
-#else
-  (void)m;
-  return x % p;
-#endif
 }
 
 /* one butterfly exchange layer of stride s in place on w.  Pair k is
@@ -162,11 +197,11 @@ CAMLprim value kp_gfp_axpy(value va, value vx, value vxoff, value vy,
                            value vyoff, value vlen, value vp)
 {
   intnat xoff = Long_val(vxoff), yoff = Long_val(vyoff), len = Long_val(vlen);
-  int64_t a = Long_val(va), p = Long_val(vp);
+  uint64_t a = Long_val(va), p = Long_val(vp), m = UINT64_MAX / p;
   intnat i;
   for (i = 0; i < len; i++) {
-    int64_t r = ((int64_t)ELT(vy, yoff + i) + a * (int64_t)ELT(vx, xoff + i)) % p;
-    SET(vy, yoff + i, (intnat)r);
+    uint64_t r = (uint64_t)ELT(vy, yoff + i) + a * (uint64_t)ELT(vx, xoff + i);
+    SET(vy, yoff + i, (intnat)gfp_barrett(r, p, m));
   }
   return Val_unit;
 }
@@ -182,12 +217,11 @@ CAMLprim value kp_gfp_scale(value va, value vx, value vxoff, value vdst,
                             value vdoff, value vlen, value vp)
 {
   intnat xoff = Long_val(vxoff), doff = Long_val(vdoff), len = Long_val(vlen);
-  int64_t a = Long_val(va), p = Long_val(vp);
+  uint64_t a = Long_val(va), p = Long_val(vp), m = UINT64_MAX / p;
   intnat i;
-  for (i = 0; i < len; i++) {
-    int64_t r = (a * (int64_t)ELT(vx, xoff + i)) % p;
-    SET(vdst, doff + i, (intnat)r);
-  }
+  for (i = 0; i < len; i++)
+    SET(vdst, doff + i,
+        (intnat)gfp_barrett(a * (uint64_t)ELT(vx, xoff + i), p, m));
   return Val_unit;
 }
 
@@ -245,11 +279,11 @@ CAMLprim value kp_gfp_pointwise(value vx, value vxoff, value vy, value vyoff,
 {
   intnat xoff = Long_val(vxoff), yoff = Long_val(vyoff);
   intnat doff = Long_val(vdoff), len = Long_val(vlen);
-  int64_t p = Long_val(vp);
+  uint64_t p = Long_val(vp), m = UINT64_MAX / p;
   intnat i;
   for (i = 0; i < len; i++) {
-    int64_t r = ((int64_t)ELT(vx, xoff + i) * (int64_t)ELT(vy, yoff + i)) % p;
-    SET(vdst, doff + i, (intnat)r);
+    uint64_t r = (uint64_t)ELT(vx, xoff + i) * (uint64_t)ELT(vy, yoff + i);
+    SET(vdst, doff + i, (intnat)gfp_barrett(r, p, m));
   }
   return Val_unit;
 }
@@ -261,29 +295,45 @@ CAMLprim value kp_gfp_pointwise_byte(value *argv, int argn)
                           argv[5], argv[6], argv[7]);
 }
 
+/* rows [row_lo, row_hi) of the cols-wide m times x into dst.  Four rows
+   per pass share each x[k] load, each with its own pair of split sums;
+   the last (row_hi - row_lo) mod 4 rows are dot products of their own. */
+static KP_TARGET_CLONES void gfp_matvec_rows(const value *mat, intnat cols,
+                                             intnat row_lo, intnat row_hi,
+                                             const value *x, value *dst,
+                                             uint64_t p, uint64_t m)
+{
+  intnat i = row_lo, k;
+  for (; i + 4 <= row_hi; i += 4) {
+    const value *r0 = mat + i * cols, *r1 = r0 + cols, *r2 = r1 + cols,
+                *r3 = r2 + cols;
+    uint64_t lo0 = 0, hi0 = 0, lo1 = 0, hi1 = 0, lo2 = 0, hi2 = 0, lo3 = 0,
+             hi3 = 0;
+    for (k = 0; k < cols; k++) {
+      uint64_t xk = RES(x[k]);
+      uint64_t t0 = RES(r0[k]) * xk, t1 = RES(r1[k]) * xk,
+               t2 = RES(r2[k]) * xk, t3 = RES(r3[k]) * xk;
+      lo0 += (uint32_t)t0; hi0 += t0 >> 32;
+      lo1 += (uint32_t)t1; hi1 += t1 >> 32;
+      lo2 += (uint32_t)t2; hi2 += t2 >> 32;
+      lo3 += (uint32_t)t3; hi3 += t3 >> 32;
+    }
+    dst[i] = Val_long((intnat)gfp_fold(lo0, hi0, p, m));
+    dst[i + 1] = Val_long((intnat)gfp_fold(lo1, hi1, p, m));
+    dst[i + 2] = Val_long((intnat)gfp_fold(lo2, hi2, p, m));
+    dst[i + 3] = Val_long((intnat)gfp_fold(lo3, hi3, p, m));
+  }
+  for (; i < row_hi; i++)
+    dst[i] = Val_long((intnat)gfp_dot_words(mat + i * cols, x, cols, p, m));
+}
+
 CAMLprim value kp_gfp_matvec(value vm, value vcols, value vrow_lo,
                              value vrow_hi, value vx, value vdst, value vp)
 {
-  intnat cols = Long_val(vcols);
-  intnat row_lo = Long_val(vrow_lo), row_hi = Long_val(vrow_hi);
-  int64_t p = Long_val(vp);
-  int64_t block = gfp_block(p);
-  intnat i;
-  for (i = row_lo; i < row_hi; i++) {
-    intnat base = i * cols;
-    int64_t acc = 0;
-    intnat j = 0;
-    while (j < cols) {
-      intnat stop = ((int64_t)(cols - j) > block) ? j + (intnat)block : cols;
-      int64_t s = acc;
-      intnat k;
-      for (k = j; k < stop; k++)
-        s += (int64_t)ELT(vm, base + k) * (int64_t)ELT(vx, k);
-      acc = s % p;
-      j = stop;
-    }
-    SET(vdst, i, (intnat)acc);
-  }
+  uint64_t p = Long_val(vp);
+  gfp_matvec_rows(Op_val(vm), Long_val(vcols), Long_val(vrow_lo),
+                  Long_val(vrow_hi), Op_val(vx), Op_val(vdst), p,
+                  UINT64_MAX / p);
   return Val_unit;
 }
 
@@ -296,16 +346,16 @@ CAMLprim value kp_gfp_matvec_byte(value *argv, int argn)
 
 /* i,k,j product with the output row accumulated unreduced in the int64
    Bigarray scratch [vacc] (>= bcols entries): one load/store of dst per
-   row instead of per multiply-add, one reduction sweep per k-block */
+   row instead of per multiply-add, one Barrett sweep per k-block */
 CAMLprim value kp_gfp_matmul(value va, value vb, value vdst, value vinner,
                              value vbcols, value vrow_lo, value vrow_hi,
                              value vp, value vacc)
 {
   intnat inner = Long_val(vinner), bcols = Long_val(vbcols);
   intnat row_lo = Long_val(vrow_lo), row_hi = Long_val(vrow_hi);
-  int64_t p = Long_val(vp);
+  uint64_t p = Long_val(vp), m = UINT64_MAX / p;
   int64_t block = gfp_block(p);
-  int64_t *acc = (int64_t *)Caml_ba_data_val(vacc);
+  uint64_t *acc = (uint64_t *)Caml_ba_data_val(vacc);
   intnat i;
   for (i = row_lo; i < row_hi; i++) {
     intnat arow = i * inner, orow = i * bcols;
@@ -316,17 +366,17 @@ CAMLprim value kp_gfp_matmul(value va, value vb, value vdst, value vinner,
       intnat stop = ((int64_t)(inner - k) > block) ? k + (intnat)block : inner;
       intnat kk;
       for (kk = k; kk < stop; kk++) {
-        int64_t aik = ELT(va, arow + kk);
+        uint64_t aik = ELT(va, arow + kk);
         /* adding a zero row then reducing leaves the residues unchanged,
            so skipping is value-preserving */
         if (aik != 0) {
           intnat brow = kk * bcols;
           for (j = 0; j < bcols; j++)
-            acc[j] += aik * (int64_t)ELT(vb, brow + j);
+            acc[j] += aik * (uint64_t)ELT(vb, brow + j);
         }
       }
       for (j = 0; j < bcols; j++)
-        acc[j] %= p;
+        acc[j] = gfp_barrett(acc[j], p, m);
       k = stop;
     }
     for (j = 0; j < bcols; j++)
@@ -340,6 +390,19 @@ CAMLprim value kp_gfp_matmul_byte(value *argv, int argn)
   (void)argn;
   return kp_gfp_matmul(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
                        argv[6], argv[7], argv[8]);
+}
+
+/* the clone the loader resolved gfp_dot_words and gfp_matvec_rows to:
+   the same feature checks, in the resolver's order */
+CAMLprim value kp_gfp_isa(value unit)
+{
+  (void)unit;
+#if KP_CLONES
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) return caml_copy_string("avx512f");
+  if (__builtin_cpu_supports("avx2")) return caml_copy_string("avx2");
+#endif
+  return caml_copy_string("default");
 }
 
 /* ------------------------------------------------------------------ */

@@ -80,7 +80,8 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
 
   val matvec_into : t -> F.t array -> F.t array -> unit
   (** [matvec_into m v dst] writes [m·v] into [dst] (length [rows]) without
-      allocating — the kernel-backed primitive behind [matvec]. *)
+      allocating — the kernel-backed primitive behind [matvec].  [dst] must
+      not be [v] or [m]'s data. *)
 
   val mul_parallel : Kp_util.Pool.t -> t -> t -> t
   (** Classical product with row-disjoint chunks distributed over the pool,

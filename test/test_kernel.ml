@@ -366,6 +366,123 @@ let test_sparse_route_sizes () =
         [ ("uniform", false); ("all p-1", true) ])
     field_backend_pairs
 
+(* the dense GF(p) inner products at every shape their split sums and
+   four-row passes tell apart: row lengths around the vector widths and
+   the blocking, row ranges that start past 0 with row counts that are
+   not a multiple of 4 (rows outside the range must stay untouched),
+   uniform and all-(p−1) inputs, p from 2 to the largest prime below
+   2^30 — each against the field's Generic twin *)
+let test_dense_inner_products () =
+  let lengths =
+    [ 0; 1; 3; 4; 5; 8; 9; 10; 17; 18; 19; 511; 512; 513; 4099 ]
+  in
+  let rows = 11 in
+  let ranges =
+    [ (0, 11); (1, 11); (3, 10); (5, 9); (2, 3); (4, 4); (0, 8) ]
+  in
+  List.iter
+    (fun p ->
+      let module F = (val Kp_field.Gfp.make p) in
+      let module S = (val Kp_kernel.Gfp_cstub.make ~p) in
+      let module T =
+        (val Dispatch.of_field_raw
+               (Test_seeds.twin (module F : F_INT)
+                 : (module Kp_field.Field_intf.FIELD with type t = int)))
+      in
+      check_string "twin runs derived" "derived" T.backend;
+      List.iter
+        (fun max ->
+          let st = Kp_util.Rng.make p in
+          let elt () = if max then p - 1 else F.random st in
+          List.iter
+            (fun cols ->
+              let ctx what =
+                Printf.sprintf "p=%d cols=%d %s %s" p cols
+                  (if max then "all p-1" else "uniform")
+                  what
+              in
+              let a = Array.init cols (fun _ -> elt ())
+              and b = Array.init cols (fun _ -> elt ()) in
+              check_int (ctx "dot") (T.dot a b) (S.dot a b);
+              let m = Array.init (rows * cols) (fun _ -> elt ()) in
+              let dst0 = Array.init rows (fun _ -> elt ()) in
+              List.iter
+                (fun (row_lo, row_hi) ->
+                  let d1 = Array.copy dst0 and d2 = Array.copy dst0 in
+                  S.matvec_into ~m ~cols ~row_lo ~row_hi ~x:a ~dst:d1;
+                  T.matvec_into ~m ~cols ~row_lo ~row_hi ~x:a ~dst:d2;
+                  check_bool
+                    (ctx (Printf.sprintf "matvec_into %d..%d" row_lo row_hi))
+                    true (d1 = d2))
+                ranges)
+            lengths)
+        [ false; true ])
+    [ 2; 3; 97; 998244353; 1073741789 ]
+
+(* the Barrett-reduced stubs at their largest operands: all-(p−1) inputs
+   at the largest prime below 2^30, whose int64 blocks hold 8 products —
+   CSR rows and matmul inner dimensions on both sides of a block end, and
+   the elementwise primitives with a = p−1 *)
+let test_barrett_worst_case () =
+  let p = 1073741789 in
+  let module F = (val Kp_field.Gfp.make p) in
+  let module S = (val Kp_kernel.Gfp_cstub.make ~p) in
+  let module D = Kp_kernel.Derived.Make (F) in
+  let top = p - 1 in
+  let same what x y =
+    check_bool (Printf.sprintf "p-1 %s" what) true (x = y)
+  in
+  let len = 1000 in
+  let x = Array.make len top in
+  let run f =
+    let d = Array.make len top in
+    f d;
+    d
+  in
+  same "axpy_into"
+    (run (fun y -> S.axpy_into ~a:top ~x ~xoff:0 ~y ~yoff:0 ~len))
+    (run (fun y -> D.axpy_into ~a:top ~x ~xoff:0 ~y ~yoff:0 ~len));
+  same "scale_into"
+    (run (fun dst -> S.scale_into ~a:top ~x ~xoff:0 ~dst ~doff:0 ~len))
+    (run (fun dst -> D.scale_into ~a:top ~x ~xoff:0 ~dst ~doff:0 ~len));
+  List.iter
+    (fun (what, sf, df) ->
+      same what
+        (run (fun dst -> sf ~x ~xoff:0 ~y:x ~yoff:0 ~dst ~doff:0 ~len))
+        (run (fun dst -> df ~x ~xoff:0 ~y:x ~yoff:0 ~dst ~doff:0 ~len)))
+    [
+      ("add_into", S.add_into, D.add_into);
+      ("sub_into", S.sub_into, D.sub_into);
+      ("pointwise_mul_into", S.pointwise_mul_into, D.pointwise_mul_into);
+    ];
+  let row_lens = [ 0; 1; 7; 8; 9; 16; 17; 100; 1000 ] in
+  let n = List.length row_lens in
+  let row_ptr = Array.make (n + 1) 0 in
+  List.iteri (fun i l -> row_ptr.(i + 1) <- row_ptr.(i) + l) row_lens;
+  let st = Kp_util.Rng.make 7 in
+  let cols = Array.init row_ptr.(n) (fun _ -> Random.State.int st len) in
+  let vals = Array.make row_ptr.(n) top in
+  let csr (module K : Kp_kernel.Kernel_intf.KERNEL with type t = int) =
+    let dst = Array.make n 0 in
+    K.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo:0 ~row_hi:n ~x ~dst
+      ~doff:0;
+    dst
+  in
+  same "csr_matvec_into" (csr (module S)) (csr (module D));
+  List.iter
+    (fun inner ->
+      let rows = 3 and bcols = 5 in
+      let a = Array.make (rows * inner) top
+      and b = Array.make (inner * bcols) top in
+      let mm (module K : Kp_kernel.Kernel_intf.KERNEL with type t = int) =
+        let dst = Array.make (rows * bcols) 0 in
+        K.matmul_into ~a ~b ~dst ~inner ~bcols ~row_lo:0 ~row_hi:rows;
+        dst
+      in
+      same (Printf.sprintf "matmul_into inner=%d" inner) (mm (module S))
+        (mm (module D)))
+    [ 1; 7; 8; 9; 17; 300 ]
+
 (* pooled call sites return the words their sequential selves return *)
 let test_pool_identical () =
   let module F = Kp_field.Fields.Gf_ntt in
@@ -566,6 +683,10 @@ let () =
              test_differential_boundary_values
         :: Alcotest.test_case "csr and butterfly x route sizes" `Quick
              test_sparse_route_sizes
+        :: Alcotest.test_case "dot and matvec x row shapes x primes" `Quick
+             test_dense_inner_products
+        :: Alcotest.test_case "barrett stubs on all p-1" `Quick
+             test_barrett_worst_case
         :: List.map
              (QCheck_alcotest.to_alcotest ~long:false)
              qcheck_differential );
