@@ -25,11 +25,6 @@
                      (σ ≈ 2n/b products of n×n by n×b) vs the scalar
                      engine's doubling and sequential Krylov phases,
                      answers asserted identical
-     E17 shard       row-block sharded blackbox engine: dense and sparse
-                     matvec fanned over a 4-domain pool at s ∈ {1, 2, 4}
-                     shards, plus one certified block-Wiedemann solve per
-                     shard count — every answer asserted bit-identical to
-                     the unsharded reference before a row is printed
      E18 cstub       C-stub kernels: dense matvec/matmul, butterfly apply
                      and CSR matvec over GF(p) and GF(2) through the C
                      stubs vs the derived reference kernel, outputs
@@ -49,7 +44,7 @@
    --json FILE captures the per-table STATS records (one-line JSON: label,
    wall-clock seconds, observability counters, span timings) into FILE as a
    kp-bench/1 run file; bench/compare.exe diffs two such files.  Unknown
-   --table names (anything outside E1..E19) are a usage error (exit 2).  *)
+   --table names (anything not listed above) are a usage error (exit 2).  *)
 
 module F = Kp_field.Fields.Gf_ntt
 module Cnt = Kp_field.Counting.Make (F)
@@ -74,7 +69,6 @@ module TZ = Kp_structured.Toeplitz.Make (F) (CK)
 module Sess = Kp_session.Session.Make (F) (CK)
 module BW = Kp_core.Block_wiedemann.Make (F) (CK)
 module Sp = Kp_matrix.Sparse.Make (F)
-module Shd = Kp_shard.Sharded.Make (F)
 
 (* counting modules — both multipliers *)
 module CCK = Kp_poly.Conv.Karatsuba (Cnt)
@@ -485,7 +479,7 @@ let e8 () =
     let n = 3 + Random.State.int st 6 in
     let r = Random.State.int st (n + 1) in
     let a = M.random_of_rank st n ~rank:r in
-    if Rk.rank st a = G.rank a then incr rank_ok
+    if Rk.rank st a = Ok (G.rank a) then incr rank_ok
   done;
   Tables.add_row t [ "rank"; string_of_int trials; string_of_int !rank_ok ];
   (* nullspace *)
@@ -1349,107 +1343,6 @@ let e16 () =
     sizes;
   Tables.print t
 
-let e17 () =
-  let rng = st () in
-  print_endline
-    "E17 (sharded row blocks): the Kp_shard engine splits A into s\n\
-     contiguous row blocks and fans each apply over the domain pool.\n\
-     Splitting is zero-copy for dense A (shards index the matrix's own\n\
-     data array) and a rebased per-shard CSR slice for sparse A; every\n\
-     shard issues exactly the kernel call the unsharded path issues per\n\
-     row, so answers are bit-identical and asserted so (dense and sparse\n\
-     applies against matvec, the s-sharded certified block-Wiedemann\n\
-     solve against the unsharded one) before any row is printed.\n\
-     'speedup' columns are relative to the s = 1 row (the sequential\n\
-     fast path) on the same 4-domain pool.  Wall-clock speedup needs\n\
-     hardware: on >= 4 cores the dense column approaches s; on a\n\
-     single-core host every shard still runs on the caller (the helper\n\
-     loop drains the queue) and the columns show pure fan-out overhead\n\
-     (< 1x) — correctness is asserted either way.\n";
-  let t =
-    Tables.create ~title:"row-block sharded applies and solves, 4-domain pool"
-      ~columns:
-        [ "n"; "s"; "matvec dense (s)"; "dense speedup"; "matvec sparse (s)";
-          "sparse speedup"; "solve block (s)"; "identical" ]
-  in
-  let sizes = if !fast then [ 48; 96 ] else [ 128; 256 ] in
-  Kp_util.Pool.with_pool ~domains:4 (fun pool ->
-      List.iter
-        (fun n ->
-          let a = M.random_nonsingular rng n in
-          let sp = Sp.random rng n n ~density:0.05 in
-          let v = Array.init n (fun _ -> F.random rng) in
-          let rhs = Array.init n (fun _ -> F.random rng) in
-          let dense_ref = M.matvec a v in
-          let sparse_ref = Sp.matvec sp v in
-          let solve s =
-            let shards = if s = 1 then None else Some s in
-            match
-              BW.solve ~block_factor:2 ~pool ?shards (Kp_util.Rng.make 9001) a
-                rhs
-            with
-            | Ok (x, _) -> x
-            | Error e ->
-              failwith
-                (Printf.sprintf "E17 solve s=%d: %s" s
-                   (Kp_robust.Outcome.error_to_string e))
-          in
-          (* enough repetitions that a single apply's fan-out cost is
-             measured, not the timer floor *)
-          let reps = max 50 (5_000_000 / (n * n)) in
-          let t_dense1 = ref 0.0 and t_sparse1 = ref 0.0 in
-          let x_ref = ref [||] in
-          List.iter
-            (fun s ->
-              let pd = Shd.of_dense ~pool ~shards:s a in
-              let ps = Shd.of_sparse ~pool ~shards:s sp in
-              let dst = Array.make n F.zero in
-              let _, t_dense =
-                time (fun () ->
-                    for _ = 1 to reps do
-                      Shd.apply_into pd v dst
-                    done)
-              in
-              if not (Array.for_all2 F.equal dst dense_ref) then
-                failwith
-                  (Printf.sprintf "E17: sharded dense apply differs (n=%d s=%d)"
-                     n s);
-              let _, t_sparse =
-                time (fun () ->
-                    for _ = 1 to reps do
-                      Shd.apply_into ps v dst
-                    done)
-              in
-              if not (Array.for_all2 F.equal dst sparse_ref) then
-                failwith
-                  (Printf.sprintf
-                     "E17: sharded sparse apply differs (n=%d s=%d)" n s);
-              let x, t_solve = time (fun () -> solve s) in
-              if s = 1 then begin
-                t_dense1 := t_dense;
-                t_sparse1 := t_sparse;
-                x_ref := x
-              end;
-              let identical = Array.for_all2 F.equal x !x_ref in
-              if not identical then
-                failwith
-                  (Printf.sprintf
-                     "E17: sharded and unsharded solves differ (n=%d s=%d)" n s);
-              Tables.add_row t
-                [
-                  string_of_int n;
-                  string_of_int s;
-                  Tables.fmt_float (t_dense /. float_of_int reps);
-                  Printf.sprintf "%.1fx" (!t_dense1 /. t_dense);
-                  Tables.fmt_float (t_sparse /. float_of_int reps);
-                  Printf.sprintf "%.1fx" (!t_sparse1 /. t_sparse);
-                  Tables.fmt_float t_solve;
-                  string_of_bool identical;
-                ])
-            [ 1; 2; 4 ])
-        sizes);
-  Tables.print t
-
 (* ------------------------------------------------------------------ *)
 (* E18: C-stub kernels vs the derived reference                        *)
 (* ------------------------------------------------------------------ *)
@@ -1606,7 +1499,6 @@ let e18 () =
           let dst = Array.make n Fi.zero in
           let run () =
             K.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo:0 ~row_hi:n ~x ~dst
-              ~doff:0
           in
           run ();
           let out = Array.copy dst in
@@ -1736,7 +1628,7 @@ let all_tables =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
-    ("E17", e17); ("E18", e18); ("E19", e19) ]
+    ("E18", e18); ("E19", e19) ]
 
 let usage_error fmt =
   Printf.ksprintf
@@ -1764,7 +1656,8 @@ let () =
           (String.concat " " valid);
       requested := name :: !requested;
       parse rest
-    | [ "--table" ] -> usage_error "--table needs a name (E1..E%d)" (List.length valid)
+    | [ "--table" ] ->
+      usage_error "--table needs a name (%s)" (String.concat " " valid)
     | "--json" :: file :: rest ->
       json_out := Some file;
       parse rest

@@ -66,7 +66,6 @@ type serve_opts = {
   breaker_cooldown_ms : int;
   drain_grace_ms : int;
   default_deadline_ms : int option;
-  serve_shards : int option;
   serve_precond : Kp_precond.Precond.choice;
 }
 
@@ -78,7 +77,6 @@ type setup = {
   rank_hint : int option;
   engine : [ `Auto | `Blackbox | `Dense | `Block ];
   block_factor : int option;
-  shards : int option;
   deadline_ms : int option;
   stats : [ `Text | `Json ] option;
   domains : int;
@@ -113,13 +111,7 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
   module TC = Kp_structured.Toeplitz_charpoly.Make (F) (C)
   module Ch = Kp_structured.Chistov.Make (F) (C)
   module Sess = Kp_session.Session.Make (F) (C)
-  module Sh = Kp_shard.Sharded.Make (F)
   module Srv = Kp_serve.Server.Make (F) (C)
-
-  (* --shards 0 means "automatic": one shard per pool domain *)
-  let resolve_shards ?pool = function
-    | Some 0 -> Some (Sh.auto_shards ?pool ())
-    | s -> s
 
   (* every engine needs n >= 1: an empty input is refused here, before
      any of them runs.  A matrix file holds n, the n² entries row-major,
@@ -159,8 +151,8 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
      carries it in machine-readable form) *)
   let typed_error e = `Error (false, O.error_to_string e)
 
-  let solve_dense ?deadline_ns ?pool ?shards ?precond st a b =
-    match S.solve ?deadline_ns ?pool ?shards ?precond st a b with
+  let solve_dense ?deadline_ns ?pool ?precond st a b =
+    match S.solve ?deadline_ns ?pool ?precond st a b with
     | Ok (x, report) ->
       print_solution ~engine:"dense" ~attempts:report.O.attempts x;
       `Ok ()
@@ -169,8 +161,8 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
       `Ok ()
     | Error e -> typed_error e
 
-  let solve_block ?deadline_ns ?pool ?block_factor ?shards ?precond st a b =
-    match BW.solve ?deadline_ns ?pool ?block_factor ?shards ?precond st a b with
+  let solve_block ?deadline_ns ?pool ?block_factor ?precond st a b =
+    match BW.solve ?deadline_ns ?pool ?block_factor ?precond st a b with
     | Ok (x, report) ->
       print_solution ~engine:"block" ~attempts:report.O.attempts x;
       `Ok ()
@@ -199,11 +191,8 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
 
   (* --batch / --session: the per-matrix session cache — the charpoly
      pipeline runs once, every right-hand side reuses it *)
-  let solve_sessioned ?deadline_ns ?pool ?block_factor ?shards ?precond st a
-      bs =
-    let sess =
-      Sess.create ?deadline_ns ?pool ?block_factor ?shards ?precond st
-    in
+  let solve_sessioned ?deadline_ns ?pool ?block_factor ?precond st a bs =
+    let sess = Sess.create ?deadline_ns ?pool ?block_factor ?precond st in
     let results = Sess.solve_many sess a bs in
     let rec report i =
       if i = Array.length results then begin
@@ -260,21 +249,19 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
           | None -> BW.auto_block_factor ~n ~pool)
       | _ -> None
     in
-    let shards = resolve_shards ?pool setup.shards in
     let precond = setup.precond in
     match setup.batch with
     | Some path ->
-      solve_sessioned ?deadline_ns ?pool ?block_factor ?shards ~precond st a
+      solve_sessioned ?deadline_ns ?pool ?block_factor ~precond st a
         (load_batch path ~n)
     | None when setup.session ->
-      solve_sessioned ?deadline_ns ?pool ?block_factor ?shards ~precond st a
-        [| b |]
+      solve_sessioned ?deadline_ns ?pool ?block_factor ~precond st a [| b |]
     | None -> (
     match setup.engine with
     | `Block ->
-      solve_block ?deadline_ns ?pool ?block_factor:setup.block_factor ?shards
-        ~precond st a b
-    | `Dense -> solve_dense ?deadline_ns ?pool ?shards ~precond st a b
+      solve_block ?deadline_ns ?pool ?block_factor:setup.block_factor ~precond
+        st a b
+    | `Dense -> solve_dense ?deadline_ns ?pool ~precond st a b
     | `Blackbox -> (
       match solve_blackbox ?deadline_ns ~precond st a b with
       | Ok () -> `Ok ()
@@ -291,21 +278,20 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
       | Error e ->
         Printf.eprintf "blackbox engine failed (%s); falling back to dense\n%!"
           (O.error_to_string e);
-        solve_dense ?deadline_ns ?pool ?shards ~precond st a b))
+        solve_dense ?deadline_ns ?pool ~precond st a b))
 
   let det setup =
     with_pool_opt ~domains:setup.domains @@ fun pool ->
     let st = Kp_util.Rng.make setup.seed in
     let a, _ = load_matrix setup st in
-    let shards = resolve_shards ?pool setup.shards in
     let result =
       match setup.engine with
       | `Block ->
         BW.det ?deadline_ns:(deadline_ns setup) ?pool
-          ?block_factor:setup.block_factor ?shards ~precond:setup.precond st a
+          ?block_factor:setup.block_factor ~precond:setup.precond st a
       | _ ->
-        S.det ?deadline_ns:(deadline_ns setup) ?pool ?shards
-          ~precond:setup.precond st a
+        S.det ?deadline_ns:(deadline_ns setup) ?pool ~precond:setup.precond st
+          a
     in
     match result with
     | Ok (d, _) ->
@@ -316,15 +302,18 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
   let rank setup =
     let st = Kp_util.Rng.make setup.seed in
     let a, _ = load_matrix setup st in
-    let r =
+    let result =
       match setup.engine with
       | `Block ->
-        BW.rank ?block_factor:setup.block_factor
-          ?shards:(resolve_shards setup.shards) ~precond:setup.precond st a
-      | _ -> R.rank ~precond:setup.precond st a
+        BW.rank ?deadline_ns:(deadline_ns setup)
+          ?block_factor:setup.block_factor ~precond:setup.precond st a
+      | _ -> R.rank ?deadline_ns:(deadline_ns setup) ~precond:setup.precond st a
     in
-    Printf.printf "rank = %d\n" r;
-    `Ok ()
+    match result with
+    | Ok r ->
+      Printf.printf "rank = %d\n" r;
+      `Ok ()
+    | Error e -> typed_error e
 
   let inverse setup =
     with_pool_opt ~domains:setup.domains @@ fun pool ->
@@ -364,7 +353,6 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
         drain_grace_ms = o.drain_grace_ms;
         max_line_bytes = 4 * 1024 * 1024;
         default_deadline_ms = o.default_deadline_ms;
-        shards = resolve_shards ?pool o.serve_shards;
         precond = o.serve_precond;
       }
     in
@@ -465,15 +453,6 @@ let block_factor_t =
               Krylov product, and the number of right-hand sides one block \
               run can carry.  Default: automatic from n and the pool size.")
 
-let shards_t =
-  Arg.(value & opt (some int) None
-       & info [ "shards" ]
-           ~doc:
-             "Split every dense matrix product into this many contiguous \
-              row blocks, fanned over the $(b,--domains) pool (the \
-              row-block sharded engine).  Answers are bit-identical to the \
-              unsharded run; $(b,0) picks one shard per pool domain.")
-
 let precond_t =
   Arg.(value
        & opt
@@ -533,15 +512,15 @@ let session_t =
               a single right-hand side.")
 
 let setup_t =
-  let combine prime seed matrix random rank_hint engine block_factor shards
+  let combine prime seed matrix random rank_hint engine block_factor
       deadline_ms stats domains batch session precond =
-    { prime; seed; matrix; random; rank_hint; engine; block_factor; shards;
+    { prime; seed; matrix; random; rank_hint; engine; block_factor;
       deadline_ms; stats; domains; batch; session; precond }
   in
   Term.(
     const combine $ prime_t $ seed_t $ matrix_t $ random_t $ rank_hint_t
-    $ engine_t $ block_factor_t $ shards_t $ deadline_t $ stats_t $ domains_t
-    $ batch_t $ session_t $ precond_t)
+    $ engine_t $ block_factor_t $ deadline_t $ stats_t $ domains_t $ batch_t
+    $ session_t $ precond_t)
 
 let simple_cmd name doc (select : (module DRIVER) -> setup -> ret) =
   Cmd.v (Cmd.info name ~doc)
@@ -699,18 +678,18 @@ let serve_cmd =
       ret
         (const (fun prime seed domains socket queue_limit max_n
                     breaker_threshold breaker_cooldown_ms drain_grace_ms
-                    default_deadline_ms serve_shards serve_precond ->
+                    default_deadline_ms serve_precond ->
              let opts =
                { socket; queue_limit; max_n; breaker_threshold;
                  breaker_cooldown_ms; drain_grace_ms; default_deadline_ms;
-                 serve_shards; serve_precond }
+                 serve_precond }
              in
              (dispatch prime (fun (module D : DRIVER) ->
                   D.serve ~domains ~seed opts)
                :> unit Cmdliner.Term.ret))
          $ prime_t $ seed_t $ domains_t $ socket_t $ queue_limit_t $ max_n_t
          $ breaker_threshold_t $ breaker_cooldown_t $ drain_grace_t
-         $ default_deadline_t $ shards_t $ precond_t))
+         $ default_deadline_t $ precond_t))
 
 let charpoly_cmd =
   let toeplitz_t =

@@ -6,11 +6,11 @@ struct
   module M = P.M
   module K = P.K
   module MD = Kp_matrix.Dense.Make (F)
-  module Sh = Kp_shard.Sharded.Make (F)
   module MBM = Kp_seqgen.Matrix_bm.Make (F)
   module G = Kp_matrix.Gauss.Make (F)
   module Pc = Kp_precond.Precond
   module SP = Kp_precond.Precond.Make (F) (C)
+  module R = Rank.Make (F) (C)
 
   module O = Kp_robust.Outcome
   module Rt = Kp_robust.Retry
@@ -24,17 +24,6 @@ struct
   let default_card_s n =
     let bound = max (4 * 3 * n * n) 64 in
     match F.cardinality with Some q -> min bound q | None -> bound
-
-  (* sequential, pool-parallel or row-block sharded product — all
-     bit-identical; ?shards makes every blocked Krylov product Ãⁱ·V and
-     projection Uᵀ·Kᵢ fan out as row blocks over the pool *)
-  let mul_of ?shards pool =
-    match shards with
-    | Some s -> Sh.mul_fn ?pool ~shards:s ()
-    | None -> (
-      match pool with
-      | None -> MD.mul
-      | Some pool -> MD.mul_parallel pool)
 
   let policy ?deadline_ns ~kind retries =
     Rt.policy ~retries ~max_card_s:(SP.escalation_ceiling kind) ?deadline_ns ()
@@ -168,10 +157,10 @@ struct
 
   (* one batched block solve: all right-hand sides of the chunk ride the
      same Krylov sequence (k ≤ b columns of V), one generator serves all *)
-  let solve_chunk ~retries ?deadline_ns ~card_s ~pool ~shards ~b ~precond st
+  let solve_chunk ~retries ?deadline_ns ~card_s ~pool ~b ~precond st
       (a : M.t) rhs =
     let n = a.M.rows in
-    let mul = mul_of ?shards pool in
+    let mul = MD.mul_pooled pool in
     let k = Array.length rhs in
     let requested = Pc.resolve precond in
     Rt.run ~ns:"block" ~op:"solve"
@@ -205,7 +194,7 @@ struct
   let chunk_width n = max 1 (min n 32)
 
   let solve_batch ?(retries = 10) ?card_s ?deadline_ns ?pool ?block_factor
-      ?shards ?(precond = Pc.default_choice ()) st (a : M.t) rhs =
+      ?(precond = Pc.default_choice ()) st (a : M.t) rhs =
     Span.with_ "block.solve" @@ fun () ->
     let n = a.M.rows in
     check_square "Block_wiedemann.solve_batch" a;
@@ -228,8 +217,8 @@ struct
           let len = min w (k - start) in
           let chunk = Array.sub rhs start len in
           match
-            solve_chunk ~retries ?deadline_ns ~card_s ~pool ~shards ~b ~precond
-              st a chunk
+            solve_chunk ~retries ?deadline_ns ~card_s ~pool ~b ~precond st a
+              chunk
           with
           | Ok (xs, r) -> go (start + len) (xs :: acc) (O.merge_reports report r)
           | Error e -> Error (O.with_report (O.merge_reports report) e)
@@ -238,11 +227,11 @@ struct
       go 0 [] O.empty_report
     end
 
-  let solve ?retries ?card_s ?deadline_ns ?pool ?block_factor ?shards ?precond
-      st (a : M.t) b =
+  let solve ?retries ?card_s ?deadline_ns ?pool ?block_factor ?precond st
+      (a : M.t) b =
     match
-      solve_batch ?retries ?card_s ?deadline_ns ?pool ?block_factor ?shards
-        ?precond st a [| b |]
+      solve_batch ?retries ?card_s ?deadline_ns ?pool ?block_factor ?precond st
+        a [| b |]
     with
     | Ok (xs, report) -> Ok (xs.(0), report)
     | Error e -> Error e
@@ -296,13 +285,13 @@ struct
     in
     (n, card_s, b)
 
-  let det ?(retries = 10) ?card_s ?deadline_ns ?pool ?block_factor ?shards
+  let det ?(retries = 10) ?card_s ?deadline_ns ?pool ?block_factor
       ?(precond = Pc.default_choice ()) st (a : M.t) =
     Span.with_ "block.det" @@ fun () ->
     let n, card_s, b =
       det_setup ?card_s ?pool ?block_factor "Block_wiedemann.det" a
     in
-    let mul = mul_of ?shards pool in
+    let mul = MD.mul_pooled pool in
     let requested = Pc.resolve precond in
     as_det_result
       (Rt.run ~ns:"block" ~op:"det"
@@ -321,12 +310,12 @@ struct
        | other -> other)
 
   let det_once ?(retries = 10) ?card_s ?deadline_ns ?pool ?block_factor
-      ?shards ?(precond = Pc.default_choice ()) st (a : M.t) =
+      ?(precond = Pc.default_choice ()) st (a : M.t) =
     Span.with_ "block.det_once" @@ fun () ->
     let n, card_s, b =
       det_setup ?card_s ?pool ?block_factor "Block_wiedemann.det_once" a
     in
-    let mul = mul_of ?shards pool in
+    let mul = MD.mul_pooled pool in
     let requested = Pc.resolve precond in
     as_det_result
       (Rt.run ~ns:"block" ~op:"det_once"
@@ -338,38 +327,18 @@ struct
 
   (* ---- rank ----
 
-     The Kaltofen–Saunders shape with block determinants: precondition
-     Â = U·A·V with unit-triangular U, V (so rank is preserved and leading
-     minors are generic), then binary-search the largest non-singular
-     leading minor.  The blocking factor is clamped to each minor's size. *)
-  let rank ?card_s ?pool ?block_factor ?shards ?precond st (a : M.t) =
+     {!Rank.search} over Â = U·A·V with block determinants; the blocking
+     factor is clamped to each minor's size. *)
+  let rank ?card_s ?deadline_ns ?pool ?block_factor ?precond st (a : M.t) =
     Span.with_ "block.rank" @@ fun () ->
     let n = a.M.rows in
     check_square "Block_wiedemann.rank" a;
     let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let u_mat = MD.sample_nonsingular st ~card_s n in
-    let v_mat = MD.sample_nonsingular st ~card_s n in
-    let a_hat = M.mul u_mat (M.mul a v_mat) in
-    let minor_nonsingular i =
-      if i = 0 then true
-      else begin
-        let sub = M.init i i (fun r c -> M.get a_hat r c) in
-        let block_factor =
-          Option.map (fun b -> min b (max 1 i)) block_factor
-        in
-        match det ~card_s ~retries:6 ?pool ?block_factor ?shards ?precond st sub with
-        | Ok (d, _) -> not (F.is_zero d)
-        | Error _ -> false
-      end
-    in
-    let rec search lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi + 1) / 2 in
-        if minor_nonsingular mid then search mid hi else search lo (mid - 1)
-      end
-    in
-    search 0 n
+    let { R.a_hat; _ } = R.precondition st ~card_s a in
+    R.search a_hat ~det:(fun sub ->
+        let i = sub.M.rows in
+        let block_factor = Option.map (fun b -> min b (max 1 i)) block_factor in
+        det ~card_s ~retries:6 ?deadline_ns ?pool ?block_factor ?precond st sub)
 
   let verify_solution (a : M.t) x b =
     Array.for_all2 F.equal (M.matvec a x) b

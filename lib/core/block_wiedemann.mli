@@ -46,7 +46,6 @@ module Make
     ?deadline_ns:int64 ->
     ?pool:Kp_util.Pool.t ->
     ?block_factor:int ->
-    ?shards:int ->
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> M.t -> F.t array ->
     (F.t array * O.report, O.error) result
@@ -61,7 +60,6 @@ module Make
     ?deadline_ns:int64 ->
     ?pool:Kp_util.Pool.t ->
     ?block_factor:int ->
-    ?shards:int ->
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> M.t -> F.t array array ->
     (F.t array array * O.report, O.error) result
@@ -78,7 +76,6 @@ module Make
     ?deadline_ns:int64 ->
     ?pool:Kp_util.Pool.t ->
     ?block_factor:int ->
-    ?shards:int ->
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> M.t -> (F.t * O.report, O.error) result
   (** Determinant via det F(λ) = det Λ·det(λI−Ã):
@@ -94,7 +91,6 @@ module Make
     ?deadline_ns:int64 ->
     ?pool:Kp_util.Pool.t ->
     ?block_factor:int ->
-    ?shards:int ->
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> M.t -> (F.t * O.report, O.error) result
   (** A single evaluation — Monte Carlo against transient faults; callers
@@ -102,14 +98,16 @@ module Make
 
   val rank :
     ?card_s:int ->
+    ?deadline_ns:int64 ->
     ?pool:Kp_util.Pool.t ->
     ?block_factor:int ->
-    ?shards:int ->
     ?precond:Kp_precond.Precond.choice ->
-    Random.State.t -> M.t -> int
-  (** Kaltofen–Saunders rank with block determinants: precondition with
+    Random.State.t -> M.t -> (int, O.error) result
+  (** {!Rank.Make.search} with block determinants: precondition with
       random unit-triangular U, V and binary-search the largest
-      non-singular leading minor of U·A·V (Monte Carlo, as {!Rank}). *)
+      non-singular leading minor of U·A·V (Monte Carlo, as {!Rank}).  A
+      minor whose determinant fails (budget, fault, [deadline_ns]) ends
+      the search with that error. *)
 
   val verify_solution : M.t -> F.t array -> F.t array -> bool
 

@@ -23,25 +23,19 @@ struct
     in
     go [] rhss
 
-  let decompose ?card_s ?precond st (a : M.t) =
-    let n = a.M.rows in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
+  (* Â = U·A·V and its rank by {!Rank.search}.  A minor whose det ran out
+     of budget says nothing about the rank, so the attempt is redrawn; a
+     spent deadline or a detected fault ends the call *)
+  let decompose ~card_s ?deadline_ns ?precond st (a : M.t) =
     let pre = R.precondition st ~card_s a in
-    let r =
-      (* rank via the already-preconditioned matrix *)
-      let rec search lo hi =
-        if lo >= hi then lo
-        else begin
-          let mid = (lo + hi + 1) / 2 in
-          if R.leading_minor_nonsingular st ~card_s ?precond pre.R.a_hat mid
-          then
-            search mid hi
-          else search lo (mid - 1)
-        end
-      in
-      search 0 n
-    in
-    (pre, r)
+    match
+      R.search pre.R.a_hat
+        ~det:(S.det ~card_s ~retries:6 ?deadline_ns ?precond st)
+    with
+    | Ok r -> Ok (pre, r)
+    | Error ((O.Deadline_exceeded _ | O.Fault_detected _) as e) ->
+      Error (Rt.Error_now e)
+    | Error _ -> Error (Rt.Reject O.Rank_mismatch)
 
   let nullspace ?(retries = 4) ?card_s ?deadline_ns ?precond st (a : M.t) =
     let n = a.M.rows in
@@ -51,7 +45,9 @@ struct
     Result.map fst
     @@ Rt.run ~ns:"nullspace" ~op:"nullspace" ~policy ~card_s
     @@ fun ~attempt:_ ~card_s ->
-    let pre, r = decompose ~card_s ?precond st a in
+    match decompose ~card_s ?deadline_ns ?precond st a with
+    | Error stop -> stop
+    | Ok (pre, r) ->
     if r = n then Rt.Accept []
     else if r = 0 then
       if Array.for_all F.is_zero a.M.data then
@@ -108,7 +104,9 @@ struct
     Result.map fst
     @@ Rt.run ~ns:"nullspace" ~op:"solve_singular" ~policy ~card_s
     @@ fun ~attempt:_ ~card_s ->
-    let pre, r = decompose ~card_s ?precond st a in
+    match decompose ~card_s ?deadline_ns ?precond st a with
+    | Error stop -> stop
+    | Ok (pre, r) ->
     if r = n then
       match S.solve ~card_s ?deadline_ns ?precond st a b with
       | Ok (x, _) -> Rt.Accept (Some x)

@@ -34,14 +34,14 @@ struct
       Result.map fst (W.det ?card_s st bb)
     end
 
-  let gcd_degree ?card_s st f g =
-    if P.is_zero f then P.degree g
-    else if P.is_zero g then P.degree f
-    else if P.degree f = 0 || P.degree g = 0 then 0
-    else begin
-      let s = Sy.matrix f g in
-      P.degree f + P.degree g - R.rank ?card_s st s
-    end
+  let gcd_degree ?card_s ?deadline_ns st f g =
+    if P.is_zero f then Ok (P.degree g)
+    else if P.is_zero g then Ok (P.degree f)
+    else if P.degree f = 0 || P.degree g = 0 then Ok 0
+    else
+      Result.map
+        (fun r -> P.degree f + P.degree g - r)
+        (R.rank ?card_s ?deadline_ns st (Sy.matrix f g))
 
   let default_card_s dim =
     let bound = max (4 * 3 * dim * dim) 64 in
@@ -60,9 +60,14 @@ struct
       Result.map fst
       @@ Rt.run ~ns:"polygcd" ~op:"gcd" ~policy ~card_s
       @@ fun ~attempt:_ ~card_s ->
-      let d = gcd_degree ~card_s st f g in
-      if d = 0 then Rt.Accept P.one
-      else begin
+      match gcd_degree ~card_s ?deadline_ns st f g with
+      (* as in {!Nullspace}: an exhausted minor is a redraw, a spent
+         deadline or a detected fault ends the call *)
+      | Error ((O.Deadline_exceeded _ | O.Fault_detected _) as e) ->
+        Rt.Error_now e
+      | Error _ -> Rt.Reject O.Rank_mismatch
+      | Ok 0 -> Rt.Accept P.one
+      | Ok d ->
         (* nullspace of the restricted system is spanned by (-g/h, f/h) *)
         let sys = Sy.cofactor_matrix f g ~deg_gcd:d in
         match G.nullspace sys with
@@ -81,7 +86,6 @@ struct
         | _ ->
           (* wrong rank guess: nullity must be exactly 1 *)
           Rt.Reject O.Rank_mismatch
-      end
     end
 
   let bezout ?card_s ?deadline_ns st f g =

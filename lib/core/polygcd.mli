@@ -38,8 +38,11 @@ module Make
       matrix) — the §5 "Toeplitz-like" exploitation, asymptotically
       Õ((m+n)²) total instead of (m+n)^ω. *)
 
-  val gcd_degree : ?card_s:int -> Random.State.t -> P.t -> P.t -> int
-  (** m + n − rank S(f,g) by the randomized rank (0 for coprime inputs). *)
+  val gcd_degree :
+    ?card_s:int -> ?deadline_ns:int64 ->
+    Random.State.t -> P.t -> P.t -> (int, O.error) result
+  (** m + n − rank S(f,g) by the randomized rank (0 for coprime inputs);
+      the rank search's typed error when a minor's determinant fails. *)
 
   val gcd :
     ?retries:int ->

@@ -5,6 +5,7 @@ struct
   module S = Solver.Make (F) (C)
   module M = S.M
   module MD = Kp_matrix.Dense.Make (F)
+  module O = Kp_robust.Outcome
 
   type preconditioned = {
     u_mat : M.t;
@@ -25,34 +26,25 @@ struct
     let v_mat = MD.sample_nonsingular st ~card_s n in
     { u_mat; v_mat; a_hat = M.mul u_mat (M.mul a v_mat) }
 
-  let leading sub i =
-    M.init i i (fun r c -> M.get sub r c)
+  let search ~det (a_hat : M.t) =
+    (* invariant: minor lo is non-singular (or lo = 0); answer in [lo, hi].
+       Only [Ok d] decides a minor: an error says nothing about it, so it
+       ends the search *)
+    let rec go lo hi =
+      if lo >= hi then Ok lo
+      else begin
+        let mid = (lo + hi + 1) / 2 in
+        match det (M.init mid mid (fun r c -> M.get a_hat r c)) with
+        | Ok (d, _) -> if F.is_zero d then go lo (mid - 1) else go mid hi
+        | Error e -> Error e
+      end
+    in
+    go 0 a_hat.M.rows
 
-  let leading_minor_nonsingular st ?card_s ?precond ?route (a_hat : M.t) i =
-    if i = 0 then true
-    else begin
-      let sub = leading a_hat i in
-      match S.det ?card_s ~retries:6 ?precond ?route st sub with
-      | Ok (d, _) -> not (F.is_zero d)
-      | Error _ -> false
-    end
-
-  let rank ?card_s ?precond ?route st (a : M.t) =
+  let rank ?card_s ?deadline_ns ?precond ?route st (a : M.t) =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Rank.rank: non-square (embed first)";
     let card_s = match card_s with Some s -> s | None -> default_card_s n in
     let { a_hat; _ } = precondition st ~card_s a in
-    (* binary search: largest i with non-singular leading i×i minor *)
-    let rec search lo hi =
-      (* invariant: minor lo is non-singular (or lo=0), minor hi+1.. unknown;
-         answer in [lo, hi] *)
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi + 1) / 2 in
-        if leading_minor_nonsingular st ~card_s ?precond ?route a_hat mid then
-          search mid hi
-        else search lo (mid - 1)
-      end
-    in
-    search 0 n
+    search a_hat ~det:(S.det ~card_s ~retries:6 ?deadline_ns ?precond ?route st)
 end

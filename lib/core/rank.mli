@@ -7,14 +7,18 @@
 
     Â = U·A·V with random non-singular U, V has, with high probability,
     non-singular leading principal minors exactly up to rank(A); each
-    candidate minor is tested with the Theorem-4 determinant (Las Vegas),
-    so the only Monte Carlo component is the rank-profile genericity. *)
+    candidate minor is tested with a Theorem-4 determinant (Las Vegas),
+    so the only Monte Carlo component is the rank-profile genericity.
+    {!search} is the one binary search: {!rank} runs it with the scalar
+    determinant, {!Block_wiedemann.Make.rank} with the block one and
+    {!Nullspace} on its own decomposition. *)
 
 module Make
     (F : Kp_field.Field_intf.FIELD)
     (C : Kp_poly.Conv.S with type elt = F.t) : sig
   module S : module type of Solver.Make (F) (C)
   module M = S.M
+  module O = Kp_robust.Outcome
 
   type preconditioned = {
     u_mat : M.t;
@@ -24,18 +28,20 @@ module Make
 
   val precondition : Random.State.t -> ?card_s:int -> M.t -> preconditioned
 
-  val leading_minor_nonsingular :
-    Random.State.t ->
-    ?card_s:int ->
-    ?precond:Kp_precond.Precond.choice ->
-    ?route:S.route -> M.t -> int -> bool
-  (** Theorem-4 determinant of the i×i leading principal submatrix,
-      retried; [true] iff certified non-singular. *)
+  val search :
+    det:(M.t -> (F.t * O.report, O.error) result) ->
+    M.t -> (int, O.error) result
+  (** [search ~det â]: the largest i whose leading i×i minor of [â] has
+      [det] ≠ 0, by binary search.  Only [Ok d] decides a minor; the first
+      [Error e] (an exhausted budget, a detected fault, a spent deadline)
+      ends the search and is returned — never read as "singular". *)
 
   val rank :
     ?card_s:int ->
+    ?deadline_ns:int64 ->
     ?precond:Kp_precond.Precond.choice ->
-    ?route:S.route -> Random.State.t -> M.t -> int
-  (** Binary search over leading principal minors of Â.  [route] reaches
-      every minor's determinant ({!Solver.Make.route}). *)
+    ?route:S.route -> Random.State.t -> M.t -> (int, O.error) result
+  (** {!search} over Â with the certified {!Solver.Make.det} (6 attempts
+      per minor).  [deadline_ns] and [route] reach every minor's
+      determinant ({!Solver.Make.route}). *)
 end

@@ -5,7 +5,6 @@ struct
   module P = Pipeline.Make (F) (C)
   module M = P.M
   module MD = Kp_matrix.Dense.Make (F)
-  module Sh = Kp_shard.Sharded.Make (F)
   module BM = Kp_seqgen.Berlekamp_massey.Make (F)
   module LR = Kp_seqgen.Linrec.Make (F)
   module Pc = Kp_precond.Precond
@@ -52,18 +51,6 @@ struct
     let ax = M.matvec a x in
     Array.for_all2 F.equal ax b
 
-  (* the matrix-multiplication black box: fast sequential loops, the
-     pool-parallel product when a pool is supplied (the PRAM stand-in), or
-     the row-block sharded product when a shard count is requested — all
-     three are bit-identical, so the choice only moves the schedule *)
-  let mul_of ?shards pool =
-    match shards with
-    | Some s -> Sh.mul_fn ?pool ~shards:s ()
-    | None -> (
-      match pool with
-      | None -> MD.mul
-      | Some pool -> MD.mul_parallel pool)
-
   let policy ?deadline_ns ~kind retries =
     Rt.policy ~retries ~max_card_s:(SP.escalation_ceiling kind) ?deadline_ns ()
 
@@ -109,7 +96,7 @@ struct
     det_hd : SP.det_routine option;
   }
 
-  let context op ?pool ?shards ~strategy ~route (a : M.t) =
+  let context op ?pool ~strategy ~route (a : M.t) =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg (op ^ ": non-square");
     let generator, det_hd =
@@ -119,7 +106,9 @@ struct
         let charpoly = charpoly_for_field ?pool ~n in
         (P.Toeplitz charpoly, Some (SP.det_hd ~charpoly))
     in
-    { n; mul = mul_of ?shards pool; pool; strategy; generator; det_hd }
+    (* the matrix-multiplication black box, on the pool when one is
+       supplied (the PRAM stand-in): bit-identical either way *)
+    { n; mul = MD.mul_pooled pool; pool; strategy; generator; det_hd }
 
   let build ctx st ~card_s kind =
     SP.build ?det_hd:ctx.det_hd ~card_s ~n:ctx.n kind st
@@ -151,10 +140,10 @@ struct
     body ~kind:(Pc.kind_for_attempt ~retries ~attempt requested) ~card_s
 
   let solve ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns ?pool
-      ?shards ?(precond = Pc.default_choice ()) ?(route = Massey_elimination) st
+      ?(precond = Pc.default_choice ()) ?(route = Massey_elimination) st
       (a : M.t) b =
     Span.with_ "solver.solve" @@ fun () ->
-    let ctx = context "Solver.solve" ?pool ?shards ~strategy ~route a in
+    let ctx = context "Solver.solve" ?pool ~strategy ~route a in
     if Array.length b <> ctx.n then invalid_arg "Solver.solve: bad rhs";
     run ~op:"solve" ?card_s ?deadline_ns ~retries ~precond ctx
     @@ fun ~kind ~card_s ->
@@ -203,10 +192,10 @@ struct
     | (Ok _ | Error _) as r -> r
 
   let det ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns ?pool
-      ?shards ?(precond = Pc.default_choice ()) ?(route = Massey_elimination) st
+      ?(precond = Pc.default_choice ()) ?(route = Massey_elimination) st
       (a : M.t) =
     Span.with_ "solver.det" @@ fun () ->
-    let ctx = context "Solver.det" ?pool ?shards ~strategy ~route a in
+    let ctx = context "Solver.det" ?pool ~strategy ~route a in
     as_det_result
       (run ~op:"det" ?card_s ?deadline_ns ~retries ~precond ctx
        @@ fun ~kind ~card_s ->
@@ -227,19 +216,19 @@ struct
        | other -> other)
 
   let det_once ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns
-      ?pool ?shards ?(precond = Pc.default_choice ()) ?(route = Massey_elimination)
+      ?pool ?(precond = Pc.default_choice ()) ?(route = Massey_elimination)
       st (a : M.t) =
     Span.with_ "solver.det_once" @@ fun () ->
-    let ctx = context "Solver.det_once" ?pool ?shards ~strategy ~route a in
+    let ctx = context "Solver.det_once" ?pool ~strategy ~route a in
     as_det_result
       (run ~op:"det_once" ?card_s ?deadline_ns ~retries ~precond ctx
        @@ fun ~kind ~card_s -> det_eval ctx st ~card_s ~kind a)
 
   let precompute ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns
-      ?pool ?shards ?(precond = Pc.default_choice ()) ?(route = Massey_elimination)
+      ?pool ?(precond = Pc.default_choice ()) ?(route = Massey_elimination)
       st (a : M.t) =
     Span.with_ "solver.precompute" @@ fun () ->
-    let ctx = context "Solver.precompute" ?pool ?shards ~strategy ~route a in
+    let ctx = context "Solver.precompute" ?pool ~strategy ~route a in
     let n = ctx.n in
     run ~op:"precompute" ?card_s ?deadline_ns ~retries ~precond ctx
     @@ fun ~kind ~card_s ->

@@ -79,7 +79,6 @@ module Make
     ?card_s:int ->
     ?deadline_ns:int64 ->
     ?pool:Kp_util.Pool.t ->
-    ?shards:int ->
     ?precond:Pc.choice ->
     ?route:route ->
     Random.State.t -> M.t -> F.t array ->
@@ -91,16 +90,14 @@ module Make
       attempt), default retries = 10; |S| doubles after every rejection,
       clamped to the field cardinality.  [deadline_ns] is an absolute
       monotonic deadline ({!Kp_robust.Retry.deadline_after_ms}).
-      [shards] routes every matrix product of the attempt through the
-      row-block sharded engine ({!Kp_shard.Sharded}) at that shard count —
-      bit-identical answers, fanned out per product (here and on
-      [det]/[det_once]/[precompute] alike).  [precond] picks the
+      [pool] fans every matrix product of the attempt out as row blocks
+      ({!Kp_matrix.Dense.Make.mul_parallel}) — bit-identical answers (here
+      and on [det]/[det_once]/[precompute] alike).  [precond] picks the
       preconditioner kind ({!Kp_precond}): the default resolves to the
       dense Hankel·Diagonal and reproduces the legacy draw stream exactly;
       non-dense kinds demote to dense past the attempt-budget midpoint.
       [route] picks the generator and det(P) stages (default
-      {!Massey_elimination}).
-      @raise Invalid_argument if [shards] < 1. *)
+      {!Massey_elimination}). *)
 
   val det :
     ?retries:int ->
@@ -108,7 +105,6 @@ module Make
     ?card_s:int ->
     ?deadline_ns:int64 ->
     ?pool:Kp_util.Pool.t ->
-    ?shards:int ->
     ?precond:Pc.choice ->
     ?route:route ->
     Random.State.t -> M.t -> (F.t * O.report, O.error) result
@@ -123,7 +119,6 @@ module Make
     ?card_s:int ->
     ?deadline_ns:int64 ->
     ?pool:Kp_util.Pool.t ->
-    ?shards:int ->
     ?precond:Pc.choice ->
     ?route:route ->
     Random.State.t -> M.t -> (F.t * O.report, O.error) result
@@ -140,7 +135,6 @@ module Make
     ?card_s:int ->
     ?deadline_ns:int64 ->
     ?pool:Kp_util.Pool.t ->
-    ?shards:int ->
     ?precond:Pc.choice ->
     ?route:route ->
     Random.State.t -> M.t -> (P.precomp * O.report, O.error) result

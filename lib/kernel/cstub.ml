@@ -33,7 +33,6 @@ external gfp_csr_matvec :
   int array ->
   int array ->
   int ->
-  int ->
   unit
   = "kp_gfp_csr_matvec_byte" "kp_gfp_csr_matvec"
 [@@noalloc]
@@ -111,7 +110,6 @@ external gf2_csr_matvec :
   int ->
   int array ->
   int array ->
-  int ->
   unit
   = "kp_gf2_csr_matvec_byte" "kp_gf2_csr_matvec"
 [@@noalloc]

@@ -33,13 +33,13 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) :
 
   let dot a b = balanced_dot a b 0 (Array.length a)
 
-  let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst ~doff =
+  let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
     for i = row_lo to row_hi - 1 do
       let acc = ref F.zero in
       for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
         acc := F.add !acc (F.mul vals.(k) x.(cols.(k)))
       done;
-      dst.(doff + i) <- !acc
+      dst.(i) <- !acc
     done
 
   (* the transposed layer is the forward one with the off-diagonal

@@ -54,9 +54,9 @@ module Metered (M : METERS) (K : Kernel_intf.KERNEL) :
     tick (Array.length a);
     K.dot a b
 
-  let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst ~doff =
+  let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
     tick (row_ptr.(row_hi) - row_ptr.(row_lo));
-    K.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst ~doff
+    K.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst
 
   (* four multiply-adds per pair, as matvec counts one per entry *)
   let butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w =

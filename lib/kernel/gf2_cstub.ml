@@ -12,8 +12,8 @@ let backend = "gf2_cstub"
 
 let dot a b = Cstub.gf2_dot a b (Array.length a)
 
-let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst ~doff =
-  Cstub.gf2_csr_matvec row_ptr cols vals row_lo row_hi x dst doff
+let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
+  Cstub.gf2_csr_matvec row_ptr cols vals row_lo row_hi x dst
 
 let butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w =
   Cstub.gf2_butterfly a b c d stride transpose w

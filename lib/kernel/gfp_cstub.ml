@@ -24,8 +24,8 @@ let make ~p : (module Kernel_intf.KERNEL with type t = int) =
 
     let dot a b = Cstub.gfp_dot a b (Array.length a) p
 
-    let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst ~doff =
-      Cstub.gfp_csr_matvec row_ptr cols vals row_lo row_hi x dst doff p
+    let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
+      Cstub.gfp_csr_matvec row_ptr cols vals row_lo row_hi x dst p
 
     let butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w =
       Cstub.gfp_butterfly a b c d stride transpose w p

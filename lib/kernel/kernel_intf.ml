@@ -40,13 +40,13 @@ module type KERNEL = sig
 
   val csr_matvec_into :
     row_ptr:int array -> cols:int array -> vals:t array -> row_lo:int ->
-    row_hi:int -> x:t array -> dst:t array -> doff:int -> unit
+    row_hi:int -> x:t array -> dst:t array -> unit
   (** CSR sparse product over rows [row_lo ≤ i < row_hi]:
-      [dst.(doff + i) <- Σ vals.(k) · x.(cols.(k))] over
+      [dst.(i) <- Σ vals.(k) · x.(cols.(k))] over
       [row_ptr.(i) ≤ k < row_ptr.(i+1)], sequential accumulation from zero
-      per row (matches the historical [Sparse.matvec] row loop).  Row-ranged
-      so pools and shards can chunk it; [doff] places a shard's rebased
-      rows in the global output. *)
+      per row (matches the historical [Sparse.matvec] row loop).  Rows
+      outside the range are left untouched, so a caller can split the
+      product into disjoint row ranges. *)
 
   val butterfly_into :
     a:t array -> b:t array -> c:t array -> d:t array -> stride:int ->

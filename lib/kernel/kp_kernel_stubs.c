@@ -126,14 +126,13 @@ CAMLprim value kp_gfp_dot(value va, value vb, value vn, value vp)
                                         Long_val(vn), p, UINT64_MAX / p));
 }
 
-/* CSR rows [row_lo, row_hi) into dst[doff + i]: each row's gathered
-   products accumulate unreduced, one Barrett step per int64 block */
+/* CSR rows [row_lo, row_hi) into dst[i]: each row's gathered products
+   accumulate unreduced, one Barrett step per int64 block */
 CAMLprim value kp_gfp_csr_matvec(value vrow_ptr, value vcols, value vvals,
                                  value vrow_lo, value vrow_hi, value vx,
-                                 value vdst, value vdoff, value vp)
+                                 value vdst, value vp)
 {
   intnat row_lo = Long_val(vrow_lo), row_hi = Long_val(vrow_hi);
-  intnat doff = Long_val(vdoff);
   uint64_t p = Long_val(vp), m = UINT64_MAX / p;
   int64_t block = gfp_block(p);
   intnat i;
@@ -149,7 +148,7 @@ CAMLprim value kp_gfp_csr_matvec(value vrow_ptr, value vcols, value vvals,
       acc = gfp_barrett(s, p, m);
       k = stop;
     }
-    SET(vdst, doff + i, (intnat)acc);
+    SET(vdst, i, (intnat)acc);
   }
   return Val_unit;
 }
@@ -158,7 +157,7 @@ CAMLprim value kp_gfp_csr_matvec_byte(value *argv, int argn)
 {
   (void)argn;
   return kp_gfp_csr_matvec(argv[0], argv[1], argv[2], argv[3], argv[4],
-                           argv[5], argv[6], argv[7], argv[8]);
+                           argv[5], argv[6], argv[7]);
 }
 
 /* one butterfly exchange layer of stride s in place on w.  Pair k is
@@ -421,17 +420,16 @@ CAMLprim value kp_gf2_dot(value va, value vb, value vn)
 
 CAMLprim value kp_gf2_csr_matvec(value vrow_ptr, value vcols, value vvals,
                                  value vrow_lo, value vrow_hi, value vx,
-                                 value vdst, value vdoff)
+                                 value vdst)
 {
   intnat row_lo = Long_val(vrow_lo), row_hi = Long_val(vrow_hi);
-  intnat doff = Long_val(vdoff);
   intnat i;
   for (i = row_lo; i < row_hi; i++) {
     uintnat acc = 0;
     intnat k;
     for (k = ELT(vrow_ptr, i); k < ELT(vrow_ptr, i + 1); k++)
       acc ^= (uintnat)(Field(vvals, k) & Field(vx, ELT(vcols, k))) >> 1;
-    SET(vdst, doff + i, (intnat)(acc & 1));
+    SET(vdst, i, (intnat)(acc & 1));
   }
   return Val_unit;
 }
@@ -440,7 +438,7 @@ CAMLprim value kp_gf2_csr_matvec_byte(value *argv, int argn)
 {
   (void)argn;
   return kp_gf2_csr_matvec(argv[0], argv[1], argv[2], argv[3], argv[4],
-                           argv[5], argv[6], argv[7]);
+                           argv[5], argv[6]);
 }
 
 /* the butterfly layer on tagged 0/1 words: each product is an AND, each

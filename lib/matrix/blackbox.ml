@@ -29,13 +29,6 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
 
   let of_fun dim apply = { dim; apply; apply_transpose = None; ops_per_apply = 0 }
 
-  (* adapter for the row-block sharded engine (Kp_shard), which cannot be
-     named here without inverting the library dependency: the shard layer
-     passes its fanned-out maps in, Wiedemann iterates them unchanged *)
-  let of_sharded ~dim ~ops_per_apply ~apply ~apply_transpose =
-    if dim < 0 then invalid_arg "Blackbox.of_sharded: negative dimension";
-    { dim; apply; apply_transpose; ops_per_apply }
-
   let compose a b =
     if a.dim <> b.dim then invalid_arg "Blackbox.compose: dimension mismatch";
     {

@@ -19,17 +19,6 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
 
   val of_fun : int -> (F.t array -> F.t array) -> t
 
-  val of_sharded :
-    dim:int ->
-    ops_per_apply:int ->
-    apply:(F.t array -> F.t array) ->
-    apply_transpose:(F.t array -> F.t array) option ->
-    t
-  (** Wrap a sharded row-block engine ({!Kp_shard.Sharded}) as a black
-      box: [apply]/[apply_transpose] are the shard-fanned maps, so Krylov
-      iteration rides sharded applies unchanged.  The dependency points
-      from the shard layer here, hence the explicit fields. *)
-
   val compose : t -> t -> t
   (** [compose a b] applies b then a (i.e. the matrix product A·B);
       [ops_per_apply] is the sum of the components' costs. *)

@@ -86,25 +86,13 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     done;
     of_triplets ~rows:m.M.rows ~cols:m.M.cols !triplets
 
-  (* one kernel call per product (per chunk in parallel) — the same
-     sequential per-row accumulation as the historical scalar loop *)
-  let matvec_rows t v out ~row_lo ~row_hi =
-    K.csr_matvec_into ~row_ptr:t.row_ptr ~cols:t.col_idx ~vals:t.values
-      ~row_lo ~row_hi ~x:v ~dst:out ~doff:0
-
+  (* one kernel call per product — the same sequential per-row
+     accumulation as the historical scalar loop *)
   let matvec t v =
     if Array.length v <> t.cols then invalid_arg "Sparse.matvec: dimension mismatch";
     let out = Array.make t.rows F.zero in
-    matvec_rows t v out ~row_lo:0 ~row_hi:t.rows;
-    out
-
-  let matvec_parallel pool t v =
-    if Array.length v <> t.cols then
-      invalid_arg "Sparse.matvec_parallel: dimension mismatch";
-    let out = Array.make t.rows F.zero in
-    let chunk = max 1 (t.rows / (4 * Kp_util.Pool.size pool)) in
-    Kp_util.Pool.parallel_for_chunked pool ~lo:0 ~hi:t.rows ~chunk
-      (fun row_lo row_hi -> matvec_rows t v out ~row_lo ~row_hi);
+    K.csr_matvec_into ~row_ptr:t.row_ptr ~cols:t.col_idx ~vals:t.values
+      ~row_lo:0 ~row_hi:t.rows ~x:v ~dst:out;
     out
 
   let matvec_transpose t v =

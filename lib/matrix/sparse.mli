@@ -14,8 +14,7 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
   val csr : t -> int array * int array * F.t array
   (** [(row_ptr, col_idx, values)] — the CSR arrays themselves, {e not}
       copies: row [i] occupies [row_ptr.(i) ≤ k < row_ptr.(i+1)] of
-      [col_idx]/[values].  Callers (the shard planner slicing per-shard
-      CSR blocks) must treat them as read-only. *)
+      [col_idx]/[values].  Callers must treat them as read-only. *)
 
   val of_triplets : rows:int -> cols:int -> (int * int * F.t) list -> t
   (** Duplicate coordinates are summed; explicit zeros are dropped. *)
@@ -27,10 +26,6 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
 
   val matvec : t -> F.t array -> F.t array
   val matvec_transpose : t -> F.t array -> F.t array
-
-  val matvec_parallel : Kp_util.Pool.t -> t -> F.t array -> F.t array
-  (** Row-parallel product over the domain pool (rows are independent in
-      CSR, so this is embarrassingly parallel). *)
 
   val random : Random.State.t -> int -> int -> density:float -> t
   (** Each entry present independently with probability [density], value

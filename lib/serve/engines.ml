@@ -25,7 +25,6 @@ struct
   type t = {
     session : Sess.t;
     pool : Kp_util.Pool.t option;
-    shards : int option;
     precond : Pc.choice;
     st : Random.State.t;
     b_block : Breaker.t;
@@ -33,15 +32,12 @@ struct
   }
 
   let create ?breaker_threshold ?breaker_cooldown_ns ?now ~session ?pool
-      ?shards ?precond:(pc_choice = Pc.default_choice ()) st =
-    (match shards with
-    | Some s when s < 1 -> invalid_arg "Engines.create: shards < 1"
-    | _ -> ());
+      ?precond:(pc_choice = Pc.default_choice ()) st =
     let mk name =
       Breaker.create ?threshold:breaker_threshold
         ?cooldown_ns:breaker_cooldown_ns ?now name
     in
-    { session; pool; shards; precond = pc_choice; st;
+    { session; pool; precond = pc_choice; st;
       b_block = mk "block"; b_scalar = mk "scalar" }
 
   (* the dense rung is deterministic elimination: no breaker, always admits *)
@@ -264,8 +260,7 @@ struct
     @@ fun rung ~deadline_ns ~precond ->
     match rung with
     | Block ->
-      BW.solve ?deadline_ns ?pool:t.pool ?block_factor ?shards:t.shards
-        ~precond t.st a b
+      BW.solve ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a b
     | Scalar -> Sess.solve ?key ?deadline_ns t.session a b
     | Dense -> dense_solve ~deadline_ns a b
 
@@ -294,8 +289,8 @@ struct
     @@ fun rung ~deadline_ns ~precond ->
     match rung with
     | Block ->
-      BW.solve_batch ?deadline_ns ?pool:t.pool ?block_factor ?shards:t.shards
-        ~precond t.st a bs
+      BW.solve_batch ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a
+        bs
     | Scalar -> scalar_batch ?key ?deadline_ns t a bs
     | Dense -> dense_batch ~deadline_ns a bs
 
@@ -305,8 +300,7 @@ struct
     @@ fun rung ~deadline_ns ~precond ->
     match rung with
     | Block ->
-      BW.det ?deadline_ns ?pool:t.pool ?block_factor ?shards:t.shards ~precond
-        t.st a
+      BW.det ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a
     | Scalar -> Sess.det ?key ?deadline_ns t.session a
     | Dense -> dense_det ~deadline_ns a
 
@@ -331,8 +325,7 @@ struct
     | None -> (
       match rung with
       | Block ->
-        Ok
-          (BW.rank ?pool:t.pool ?block_factor ?shards:t.shards ~precond t.st a)
-      | Scalar -> Ok (R.rank ~precond t.st a)
+        BW.rank ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a
+      | Scalar -> R.rank ?deadline_ns ~precond t.st a
       | Dense -> Ok (G.rank a))
 end

@@ -49,7 +49,6 @@ module Make
     ?now:(unit -> int64) ->
     session:Sess.t ->
     ?pool:Kp_util.Pool.t ->
-    ?shards:int ->
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> t
   (** The breakers guard the block and scalar rungs ([threshold]
@@ -57,17 +56,14 @@ module Make
       {!Breaker.create}); [now] is injected into them for deterministic
       tests.  [session] serves the scalar rung (and is the matrix cache
       the serving layer shares across requests); the state seeds the
-      block and rank rungs.  [shards] routes the block rung's matrix
-      products through the row-block sharded engine
-      ({!Kp_shard.Sharded}, bit-identical answers, fanned over [pool]);
-      configure the session with the same count to shard the scalar
-      rung too.  [precond] picks the preconditioner kind for the
+      block and rank rungs.  [pool] fans the block rung's matrix products
+      out as row blocks (bit-identical answers); configure the session
+      with the same pool to cover the scalar rung too.  [precond] picks the preconditioner kind for the
       fresh-engine rungs (block solve/det, block and scalar rank);
       configure the session with the same choice to cover the scalar
       rung.  A non-dense precond that fails a rung for infrastructure
       reasons gets one dense retry on that rung before the ladder falls
-      through ([serve.precond.demote] counter + event).
-      @raise Invalid_argument if [shards] < 1. *)
+      through ([serve.precond.demote] counter + event). *)
 
   val breaker_states : t -> (string * Breaker.state) list
   (** [("block", st); ("scalar", st)] — for tests and gauges. *)
@@ -118,6 +114,8 @@ module Make
     engine:Protocol.engine ->
     t -> M.t -> (int * string, O.error) result
   (** Monte Carlo on the block/scalar rungs, exact on the dense rung.
-      A {!Kp_robust.Fault.Injected} escape from a randomized rank is a
-      breaker-recorded failure, not a crash. *)
+      A randomized rank whose minor determinant fails ({!Kp_core.Rank.Make.search})
+      falls through to the next rung like any infrastructure error, and
+      a {!Kp_robust.Fault.Injected} escape is a breaker-recorded failure,
+      not a crash. *)
 end

@@ -20,7 +20,6 @@ struct
     drain_grace_ms : int;
     max_line_bytes : int;
     default_deadline_ms : int option;
-    shards : int option;
     precond : Kp_precond.Precond.choice;
   }
 
@@ -34,7 +33,6 @@ struct
       drain_grace_ms = 5000;
       max_line_bytes = 4 * 1024 * 1024;
       default_deadline_ms = None;
-      shards = None;
       precond = Kp_precond.Precond.default_choice ();
     }
 
@@ -454,13 +452,11 @@ struct
   let start ?pool ?now cfg st =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ());
-    let session =
-      E.Sess.create ?pool ?shards:cfg.shards ~precond:cfg.precond st
-    in
+    let session = E.Sess.create ?pool ~precond:cfg.precond st in
     let eng =
       E.create ~breaker_threshold:cfg.breaker_threshold
         ~breaker_cooldown_ns:(ms_to_ns cfg.breaker_cooldown_ms)
-        ?now ~session ?pool ?shards:cfg.shards ~precond:cfg.precond st
+        ?now ~session ?pool ~precond:cfg.precond st
     in
     (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
     let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

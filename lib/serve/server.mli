@@ -54,11 +54,6 @@ module Make
             and closed (default 4 MiB) *)
     default_deadline_ms : int option;
         (** applied to requests that carry no [deadline_ms] *)
-    shards : int option;
-        (** route the block and scalar engines' matrix products through
-            the row-block sharded engine ({!Kp_shard.Sharded}) with this
-            many shards, fanned over the pool — answers are bit-identical
-            to unsharded, only the schedule moves (default [None]) *)
     precond : Kp_precond.Precond.choice;
         (** preconditioner kind for every engine and the shared session
             (default {!Kp_precond.Precond.default_choice}, i.e. [Auto]

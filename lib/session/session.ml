@@ -5,7 +5,6 @@ struct
   module S = Kp_core.Solver.Make (F) (C)
   module I = Kp_core.Inverse.Make (F) (C)
   module BW = Kp_core.Block_wiedemann.Make (F) (C)
-  module Sh = Kp_shard.Sharded.Make (F)
   module MD = Kp_matrix.Dense.Make (F)
   module Pc = Kp_precond.Precond
   module M = S.M
@@ -50,7 +49,6 @@ struct
     pool : Kp_util.Pool.t option;
     max_entries : int;
     block_factor : int option;
-    shards : int option;
     precond : Pc.choice;
   }
 
@@ -73,17 +71,14 @@ struct
   }
 
   let create ?(retries = 10) ?(strategy = S.P.Doubling) ?card_s ?deadline_ns
-      ?pool ?(max_entries = 64) ?block_factor ?shards
+      ?pool ?(max_entries = 64) ?block_factor
       ?precond:(pc_choice = Pc.default_choice ()) st =
     if max_entries < 1 then invalid_arg "Session.create: max_entries < 1";
     (match block_factor with
     | Some b when b < 1 -> invalid_arg "Session.create: block_factor < 1"
     | _ -> ());
-    (match shards with
-    | Some s when s < 1 -> invalid_arg "Session.create: shards < 1"
-    | _ -> ());
     { cfg = { retries; strategy; card_s; deadline_ns; pool; max_entries;
-              block_factor; shards; precond = pc_choice };
+              block_factor; precond = pc_choice };
       st;
       cache = Tbl.create 8;
       clock = 0;
@@ -174,7 +169,7 @@ struct
         Span.with_ "session.build" @@ fun () ->
         S.precompute ~retries:t.cfg.retries ~strategy:t.cfg.strategy
           ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-          ?pool:t.cfg.pool ?shards:t.cfg.shards ~precond:t.cfg.precond t.st a
+          ?pool:t.cfg.pool ~precond:t.cfg.precond t.st a
       in
       match built with
       | Ok (pc, _report) ->
@@ -233,19 +228,12 @@ struct
       Kp_util.Pool.parallel_init p k f
     | _ -> Array.init k f
 
-  (* every configured-shard-count matrix product in a serve rides the
-     row-block sharded engine; otherwise the sequential kernel-backed
-     product (per-RHS serves already fan out across the pool) — all
-     bit-identical *)
-  let serve_mul t =
-    match t.cfg.shards with
-    | Some s -> Sh.mul ?pool:t.cfg.pool ~shards:s
-    | None -> MD.mul
-
   (* The pure per-RHS serve: cached-record application plus the live
      certificate.  No session mutation — safe to fan out on the pool. *)
   let serve_pure t pc (a : M.t) b =
-    match S.P.apply_precomp ~mul:(serve_mul t) ?pool:t.cfg.pool pc ~b with
+    (* the sequential product: per-RHS serves already fan out across the
+       pool *)
+    match S.P.apply_precomp ~mul:MD.mul ?pool:t.cfg.pool pc ~b with
     | exception Division_by_zero ->
       Error "division by zero applying cached generator"
     | x ->
@@ -286,7 +274,7 @@ struct
       (match
          BW.solve_batch ~retries:t.cfg.retries ?card_s:t.cfg.card_s
            ?deadline_ns:(dl t deadline_ns) ?pool:t.cfg.pool ~block_factor:bf
-           ?shards:t.cfg.shards ~precond:t.cfg.precond st a bs
+           ~precond:t.cfg.precond st a bs
        with
       | Ok (xs, report) -> Array.map (fun x -> Ok (x, report)) xs
       | Error e -> Array.make k (Error e))
@@ -309,8 +297,7 @@ struct
       match
         S.solve ~retries:t.cfg.retries ~strategy:t.cfg.strategy
           ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-          ?pool:t.cfg.pool ?shards:t.cfg.shards ~precond:t.cfg.precond
-          sts.(i) a bs.(i)
+          ?pool:t.cfg.pool ~precond:t.cfg.precond sts.(i) a bs.(i)
       with
       | Ok (x, r) -> Ok (x, prepend_rejections rejs.(i) r)
       | Error e -> Error (O.with_report (prepend_rejections rejs.(i)) e)
@@ -382,8 +369,7 @@ struct
             match
               S.det ~retries:t.cfg.retries ~strategy:t.cfg.strategy
                 ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-                ?pool:t.cfg.pool ?shards:t.cfg.shards
-                ~precond:t.cfg.precond t.st a
+                ?pool:t.cfg.pool ~precond:t.cfg.precond t.st a
             with
             | Ok (d, r) -> Ok (d, prepend_rejections rejs r)
             | Error e -> Error (O.with_report (prepend_rejections rejs) e))
@@ -398,8 +384,7 @@ struct
           match
             S.det_once ~retries:t.cfg.retries ~strategy:t.cfg.strategy
               ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-              ?pool:t.cfg.pool ?shards:t.cfg.shards ~precond:t.cfg.precond
-              t.st a
+              ?pool:t.cfg.pool ~precond:t.cfg.precond t.st a
           with
           | Error e -> Error (O.with_report (prepend_rejections rejs) e)
           | Ok (d2, rep2) ->
@@ -419,8 +404,7 @@ struct
                 match
                   S.det ~retries:t.cfg.retries ~strategy:t.cfg.strategy
                     ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-                    ?pool:t.cfg.pool ?shards:t.cfg.shards
-                    ~precond:t.cfg.precond t.st a
+                    ?pool:t.cfg.pool ~precond:t.cfg.precond t.st a
                 with
                 | Ok (d, r) -> Ok (d, prepend_rejections rejs r)
                 | Error e -> Error (O.with_report (prepend_rejections rejs) e)

@@ -57,7 +57,6 @@ module Make
     ?pool:Kp_util.Pool.t ->
     ?max_entries:int ->
     ?block_factor:int ->
-    ?shards:int ->
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> t
   (** A fresh empty session.  The options are the usual solver knobs,
@@ -76,12 +75,11 @@ module Make
       against the scalar cache.  Single solves, [det] and [inverse] keep
       the cached scalar route.
 
-      [shards] routes every dense matrix product inside builds and serves
-      through the row-block sharded engine ({!Kp_shard.Sharded}) with that
-      many shards, fanned over the session pool.  Sharded products are
-      bit-identical to the unsharded ones, so cached entries, fingerprints
-      and served answers are unchanged by the shard count — only the
-      schedule moves.
+      [pool] fans every build's matrix products out as row blocks
+      ({!Kp_matrix.Dense.Make.mul_parallel}) and a batch's right-hand
+      sides out across its domains.  Pooled products are bit-identical to
+      sequential ones, so cached entries, fingerprints and served answers
+      do not depend on the pool — only the schedule moves.
 
       [precond] selects the preconditioner kind for every build and serve
       (default {!Kp_precond.Precond.Auto}, which resolves dense here).  The
@@ -89,8 +87,7 @@ module Make
       is re-validated on each serve: an entry recorded under another kind
       is a typed [Stale_cache] — evicted and rebuilt, never silently
       reused.
-      @raise Invalid_argument if [max_entries], [block_factor] or [shards]
-      < 1. *)
+      @raise Invalid_argument if [max_entries] or [block_factor] < 1. *)
 
   val fingerprint : M.t -> Fingerprint.t
   (** The untagged content fingerprint: field name, dimensions, FNV-1a over

@@ -275,18 +275,6 @@ let test_pr7_baseline_covers_serve =
         && positive "serve.engine.scalar.ok"
         && positive "serve.engine.block.ok"))
 
-let test_pr8_baseline_covers_shards =
-  (* E17: shard plans built, applies and muls fanned over the pool, every
-     certified block solve through the sharded engine succeeding *)
-  covers "E17" (fun counters positive ->
-      check_bool "E17 built shard plans" true (positive "shard.plans");
-      check_bool "E17 ran sharded applies and muls" true
-        (positive "shard.applies" && positive "shard.muls");
-      check_bool "E17 fanned shards over the pool" true
-        (positive "shard.fanouts");
-      check_bool "E17 sharded block solves all succeeded" true
-        (succeeded_all counters "block"))
-
 let test_pr9_baseline_covers_cstub =
   (* E18: the C-stub backends, their derived reference and the
      kernel.cstub.* meters advanced (E18 asserts bit-identity in-bench) *)
@@ -333,8 +321,6 @@ let () =
             test_pr6_baseline_covers_block;
           Alcotest.test_case "PR7 baseline covers serving" `Quick
             test_pr7_baseline_covers_serve;
-          Alcotest.test_case "PR8 baseline covers shards" `Quick
-            test_pr8_baseline_covers_shards;
           Alcotest.test_case "PR9 baseline covers C-stub kernels" `Quick
             test_pr9_baseline_covers_cstub;
           Alcotest.test_case "PR10 baseline covers preconditioners" `Quick

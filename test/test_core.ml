@@ -344,8 +344,31 @@ let test_rank_matches_gauss () =
     let n = 2 + Random.State.int st 7 in
     let r = Random.State.int st (n + 1) in
     let a = M.random_of_rank st n ~rank:r in
-    check_int (Printf.sprintf "rank %d/%d" r n) (G.rank a) (Rk.rank st a)
+    match Rk.rank st a with
+    | Ok rk -> check_int (Printf.sprintf "rank %d/%d" r n) (G.rank a) rk
+    | Error e -> Alcotest.fail (Kp_robust.Outcome.error_to_string e)
   done
+
+let test_rank_error_is_not_a_verdict () =
+  (* over GF(2) the sample set is {0, 1}: on this seed the first minor the
+     search tests (the 2×2 of a non-singular 4×4) exhausts its 6-attempt
+     det budget.  That says nothing about the minor, so both rank routes
+     stop with the typed error — reading it as "singular" answered 0 *)
+  let module F2 = Kp_field.Gf2 in
+  let module C2 = Kp_poly.Conv.Karatsuba (F2) in
+  let module M2 = Kp_matrix.Dense.Make (F2) in
+  let module R2 = Kp_core.Rank.Make (F2) (C2) in
+  let module B2 = Kp_core.Block_wiedemann.Make (F2) (C2) in
+  let precond = Kp_precond.Precond.(Forced Dense_hd) in
+  let a = M2.random_nonsingular (Kp_util.Rng.make 2) 4 in
+  let expect what = function
+    | Error (Kp_robust.Outcome.Retries_exhausted _) -> ()
+    | Ok r -> Alcotest.failf "%s: rank %d from a failed minor (true rank 4)" what r
+    | Error e ->
+      Alcotest.failf "%s: %s" what (Kp_robust.Outcome.error_to_string e)
+  in
+  expect "scalar" (R2.rank ~precond (Kp_util.Rng.make 1002) a);
+  expect "block" (B2.rank ~block_factor:2 ~precond (Kp_util.Rng.make 1002) a)
 
 let test_rank_precondition_threads_card_s () =
   (* regression: precondition used to accept ?card_s and silently drop it.
@@ -502,6 +525,8 @@ let () =
       ( "extensions",
         [
           Alcotest.test_case "rank" `Quick test_rank_matches_gauss;
+          Alcotest.test_case "rank: a failed minor is an error, not a verdict"
+            `Quick test_rank_error_is_not_a_verdict;
           Alcotest.test_case "rank precondition threads card_s" `Quick
             test_rank_precondition_threads_card_s;
           Alcotest.test_case "nullspace" `Quick test_nullspace;

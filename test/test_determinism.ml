@@ -17,8 +17,8 @@ module M = Kp_matrix.Dense.Make (F)
 module TC = Kp_structured.Toeplitz_charpoly.Make (F) (NK)
 module CH = Kp_structured.Chistov.Make (F) (CK)
 module I = Kp_core.Inverse.Make (F) (CK)
-module Sh = Kp_shard.Sharded.Make (F)
 module S = Kp_core.Solver.Make (F) (CK)
+module BW = Kp_core.Block_wiedemann.Make (F) (CK)
 module Pool = Kp_util.Pool
 
 let domain_counts = Test_seeds.domain_counts
@@ -89,58 +89,41 @@ let prop_chistov_charpoly =
       with_each_pool (fun ~domains:_ pool ->
           Array.for_all2 F.equal (CH.charpoly ~pool ~n d) expected))
 
-(* row-block sharded product: shards x domains sweep — every combination
-   must return the identical matrix the sequential unsharded product does *)
-let prop_sharded_mul =
-  QCheck.Test.make
-    ~name:"sharded mul = mul (shards 1/2/3/7 x domains 1/2/4)" ~count:8
-    (QCheck.pair (QCheck.int_range 1 32) QCheck.small_int)
-    (fun (n, seed) ->
-      let st = Kp_util.Rng.make (seed + (501 * n)) in
-      let a = M.random st n n and b = M.random st n n in
-      let expected = M.mul a b in
-      List.for_all
-        (fun shards ->
-          M.equal (Sh.mul ~shards a b) expected
-          && with_each_pool (fun ~domains:_ pool ->
-                 M.equal (Sh.mul ~pool ~shards a b) expected))
-        [ 1; 2; 3; 7 ])
-
-(* the full solver through the sharded product: answers and attempt counts
-   are a function of the seed alone — sharding is invisible to results *)
-let prop_sharded_solve =
-  QCheck.Test.make
-    ~name:"sharded solve = unsharded (shards 1/2/3 x domains 1/2/4)" ~count:4
+(* the full solvers on the pool: answers and attempt counts are a
+   function of the seed alone — the pool is invisible to results.  The
+   block engine gets a fixed blocking factor, since its default grows
+   with the pool size *)
+let prop_pooled_solve =
+  QCheck.Test.make ~name:"pooled solve = sequential (domains 1/2/4)" ~count:4
     (QCheck.pair (QCheck.int_range 2 10) QCheck.small_int)
     (fun (n, seed) ->
       let fresh () = Kp_util.Rng.make (seed + (211 * n)) in
       let st = fresh () in
       let a = M.random_nonsingular st n in
       let b = rand_array st n in
-      let run ?pool ?shards () =
+      let engines =
+        [ (fun ?pool st -> S.solve ?pool st a b);
+          (fun ?pool st -> BW.solve ?pool ~block_factor:2 st a b) ]
+      in
+      let run ?pool solve =
         let st = fresh () in
         ignore (M.random_nonsingular st n);
         ignore (rand_array st n);
-        S.solve ?pool ?shards st a b
+        solve ?pool st
       in
-      match run () with
-      | Error _ -> QCheck.Test.fail_report "sequential reference run failed"
-      | Ok (expected, rep) ->
-        List.for_all
-          (fun shards ->
-            (match run ~shards () with
-            | Ok (x, r) ->
-              Array.for_all2 F.equal x expected
-              && r.Kp_robust.Outcome.attempts = rep.Kp_robust.Outcome.attempts
-            | Error _ -> false)
-            && with_each_pool (fun ~domains:_ pool ->
-                   match run ~pool ~shards () with
-                   | Ok (x, r) ->
-                     Array.for_all2 F.equal x expected
-                     && r.Kp_robust.Outcome.attempts
-                        = rep.Kp_robust.Outcome.attempts
-                   | Error _ -> false))
-          [ 1; 2; 3 ])
+      List.for_all
+        (fun solve ->
+          match run solve with
+          | Error _ -> QCheck.Test.fail_report "sequential reference run failed"
+          | Ok (expected, rep) ->
+            with_each_pool (fun ~domains:_ pool ->
+                match run ~pool solve with
+                | Ok (x, r) ->
+                  Array.for_all2 F.equal x expected
+                  && r.Kp_robust.Outcome.attempts
+                     = rep.Kp_robust.Outcome.attempts
+                | Error _ -> false))
+        engines)
 
 (* inverse via n solves: the per-column RNG pre-split must make the result
    a function of the seed alone, pooled or not *)
@@ -179,8 +162,7 @@ let () =
             prop_conv_ntt;
             prop_toeplitz_charpoly;
             prop_chistov_charpoly;
-            prop_sharded_mul;
-            prop_sharded_solve;
+            prop_pooled_solve;
             prop_inverse_via_solves;
           ] );
     ]

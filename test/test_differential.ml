@@ -50,6 +50,10 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
   let fail_typed seed n what e =
     Alcotest.failf "%s" (ctx seed n (what ^ ": " ^ O.error_to_string e))
 
+  let rank_of seed n what = function
+    | Ok r -> r
+    | Error e -> fail_typed seed n what e
+
   let states = Test_seeds.states
 
   let test_nonsingular () =
@@ -119,7 +123,8 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
             Alcotest.(check bool) (ctx seed n "session: one build, no evictions") true
               (s.Sess.misses = 1 && s.Sess.hits = 2 && s.Sess.evictions = 0);
             (* rank *)
-            Alcotest.(check int) (ctx seed n "rank = oracle") (G.rank a) (Rk.rank sts.(6) a);
+            Alcotest.(check int) (ctx seed n "rank = oracle") (G.rank a)
+              (rank_of seed n "rank" (Rk.rank sts.(6) a));
             (* nullspace of a non-singular matrix is trivial *)
             (match Ns.nullspace sts.(7) a with
             | Ok [] -> ()
@@ -182,7 +187,8 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
           ((Sess.stats sess).Sess.misses = 1 && (Sess.stats sess).Sess.hits = 2);
         (* rank *)
         Alcotest.(check int) (ctx seed n "oracle rank = construction") r (G.rank a);
-        Alcotest.(check int) (ctx seed n "rank = oracle") r (Rk.rank sts.(4) a);
+        Alcotest.(check int) (ctx seed n "rank = oracle") r
+          (rank_of seed n "rank" (Rk.rank sts.(4) a));
         (* nullspace: same dimension as the oracle's, every vector a member *)
         (match Ns.nullspace sts.(5) a with
         | Ok basis ->
@@ -246,7 +252,7 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
             | Error e -> fail_typed seed n "block batch solve" e);
             (* rank of a non-singular matrix through block determinants *)
             Alcotest.(check int) (ctx seed n "block rank = n") n
-              (BW.rank ~block_factor:2 sts.(1) a);
+              (rank_of seed n "block rank" (BW.rank ~block_factor:2 sts.(1) a));
             (* b=1 degeneration: same random stream, same answer and the
                same attempt count as the scalar engine *)
             let st_scalar = Kp_util.Rng.make ((seed * 65599) + n) in
@@ -290,94 +296,12 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
           [ 1; 2 ];
         let sts = states (seed + n + 1777) 1 in
         Alcotest.(check int) (ctx seed n "block rank = oracle") r
-          (BW.rank ~block_factor:2 sts.(0) a))
-      shared_seeds
-
-  (* --- sharded rows: the row-block engine behind every entry point must
-     reproduce the oracle for every shard count, including s > n --- *)
-
-  let shard_counts = [ 2; 3; 9 ]
-
-  let test_sharded_nonsingular () =
-    List.iter
-      (fun seed ->
-        List.iter
-          (fun n ->
-            let st = Kp_util.Rng.make seed in
-            let a = M.random_nonsingular st n in
-            let x_true = Array.init n (fun _ -> F.random st) in
-            let b = M.matvec a x_true in
-            let det_oracle = G.det a in
-            List.iteri
-              (fun i s ->
-                let sts = states (seed + n + (389 * (i + 1))) 4 in
-                let what w = Printf.sprintf "%s shards=%d" w s in
-                (match S.solve ~shards:s sts.(0) a b with
-                | Ok (x, _) ->
-                  Alcotest.(check bool) (ctx seed n (what "sharded solve = oracle")) true
-                    (vec_equal x x_true)
-                | Error e -> fail_typed seed n (what "sharded solve") e);
-                (match S.det ~shards:s sts.(1) a with
-                | Ok (d, _) ->
-                  Alcotest.(check bool) (ctx seed n (what "sharded det = oracle")) true
-                    (F.equal d det_oracle)
-                | Error e -> fail_typed seed n (what "sharded det") e);
-                (match BW.solve ~block_factor:2 ~shards:s sts.(2) a b with
-                | Ok (x, _) ->
-                  Alcotest.(check bool) (ctx seed n (what "sharded block solve = oracle"))
-                    true (vec_equal x x_true)
-                | Error e -> fail_typed seed n (what "sharded block solve") e);
-                Alcotest.(check int) (ctx seed n (what "sharded block rank = n")) n
-                  (BW.rank ~block_factor:2 ~shards:s sts.(3) a))
-              shard_counts;
-            (* sharding is invisible: the same random stream with and
-               without shards yields bit-identical answers and attempts *)
-            let st1 = Kp_util.Rng.make ((seed * 73) + n) in
-            let st2 = Kp_util.Rng.make ((seed * 73) + n) in
-            match (S.solve st1 a b, S.solve ~shards:3 st2 a b) with
-            | Ok (x1, r1), Ok (x2, r2) ->
-              Alcotest.(check bool) (ctx seed n "sharded = unsharded answer") true
-                (vec_equal x1 x2);
-              Alcotest.(check int) (ctx seed n "sharded = unsharded attempts")
-                r1.O.attempts r2.O.attempts
-            | Error e, _ -> fail_typed seed n "unsharded solve (identity)" e
-            | _, Error e -> fail_typed seed n "sharded solve (identity)" e)
-          P.sizes)
-      shared_seeds
-
-  let test_sharded_singular () =
-    List.iter
-      (fun seed ->
-        let n = P.singular_n in
-        let r = n - 2 in
-        let st = Kp_util.Rng.make seed in
-        let a = M.random_of_rank st n ~rank:r in
-        let xs = Array.init n (fun _ -> F.random st) in
-        let b = M.matvec a xs in
-        List.iter
-          (fun s ->
-            let sts = states (seed + n + (97 * s)) 3 in
-            let what w = Printf.sprintf "%s shards=%d" w s in
-            (match S.solve ~shards:s sts.(0) a b with
-            | Error (O.Singular _) -> ()
-            | Ok _ ->
-              Alcotest.failf "%s"
-                (ctx seed n (what "sharded solve accepted a singular system"))
-            | Error e ->
-              fail_typed seed n (what "sharded solve (expected Singular)") e);
-            (match S.det ~shards:s sts.(1) a with
-            | Ok (d, _) ->
-              Alcotest.(check bool) (ctx seed n (what "sharded det = 0")) true
-                (F.is_zero d)
-            | Error e -> fail_typed seed n (what "sharded det") e);
-            Alcotest.(check int) (ctx seed n (what "sharded rank = oracle")) r
-              (BW.rank ~block_factor:2 ~shards:s sts.(2) a))
-          [ 2; 3 ])
+          (rank_of seed n "block rank" (BW.rank ~block_factor:2 sts.(0) a)))
       shared_seeds
 
   (* --- preconditioner-kind rows: every registered kind, through the
-     scalar, block, sharded and black-box engines, must still reproduce
-     the oracle exactly --- *)
+     scalar, block and black-box engines, must still reproduce the oracle
+     exactly --- *)
 
   let test_precond_kinds () =
     let module Pc = Kp_precond.Precond in
@@ -414,11 +338,6 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
               Alcotest.(check bool) (ctx seed n (what "block det = oracle"))
                 true (F.equal d det_oracle)
             | Error e -> fail_typed seed n (what "block det") e);
-            (match S.solve ~shards:3 ~precond sts.(4) a b with
-            | Ok (x, _) ->
-              Alcotest.(check bool) (ctx seed n (what "sharded solve = oracle"))
-                true (vec_equal x x_true)
-            | Error e -> fail_typed seed n (what "sharded solve") e);
             match W.solve_preconditioned ~precond sts.(5) (Bb.of_dense a) b with
             | Ok (x, _) ->
               Alcotest.(check bool) (ctx seed n (what "blackbox solve = oracle"))
@@ -497,8 +416,6 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
       Alcotest.test_case (P.name ^ " singular") `Quick test_singular;
       Alcotest.test_case (P.name ^ " block nonsingular") `Quick test_block_nonsingular;
       Alcotest.test_case (P.name ^ " block singular") `Quick test_block_singular;
-      Alcotest.test_case (P.name ^ " sharded nonsingular") `Quick test_sharded_nonsingular;
-      Alcotest.test_case (P.name ^ " sharded singular") `Quick test_sharded_singular;
       Alcotest.test_case (P.name ^ " precond kinds") `Quick test_precond_kinds;
       Alcotest.test_case (P.name ^ " route identity") `Quick test_route_identity;
     ]
@@ -582,7 +499,9 @@ module Twin_rows = struct
         | Ok (d, r) -> (d, r.O.attempts)
         | Error e -> fail "det" e
       in
-      let rank = Rk.rank sts.(2) a in
+      let rank =
+        match Rk.rank sts.(2) a with Ok r -> r | Error e -> fail "rank" e
+      in
       let sess = Sess.create sts.(3) in
       let sess_x =
         match Sess.solve sess a b with

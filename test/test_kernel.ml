@@ -72,11 +72,10 @@ let butterfly_strides n =
 
 (* CSR product: random row lengths up to 20 (empty rows included, and rows
    longer than the shortest delayed-reduction block) over random columns;
-   the full range and a partial one, written at [doff] into a dst whose
-   other entries must stay untouched *)
+   the full row range, an inner one and the two halves, written into a
+   dst longer than n whose entries outside the range must stay untouched *)
 let check_csr ~ctx (module F : F_INT)
-    (module S : Kp_kernel.Kernel_intf.KERNEL with type t = int) ~elt ~st
-    ~doff ~n =
+    (module S : Kp_kernel.Kernel_intf.KERNEL with type t = int) ~elt ~st ~n =
   let module D = Kp_kernel.Derived.Make (F) in
   let xn = max 1 n in
   let x = Array.init xn (fun _ -> elt ()) in
@@ -87,13 +86,16 @@ let check_csr ~ctx (module F : F_INT)
   let nnz = row_ptr.(n) in
   let vals = Array.init nnz (fun _ -> elt ()) in
   let cols = Array.init nnz (fun _ -> Random.State.int st xn) in
-  let dst0 = Array.init (n + doff + 2) (fun _ -> elt ()) in
-  let ranges = if n >= 2 then [ (0, n); (1, n - 1) ] else [ (0, n) ] in
+  let dst0 = Array.init (n + 2) (fun _ -> elt ()) in
+  let ranges =
+    List.sort_uniq compare
+      [ (0, n); (min 1 n, max (min 1 n) (n - 1)); (0, n / 2); (n / 2, n) ]
+  in
   List.iter
     (fun (row_lo, row_hi) ->
       let d1 = Array.copy dst0 and d2 = Array.copy dst0 in
-      S.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst:d1 ~doff;
-      D.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst:d2 ~doff;
+      S.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst:d1;
+      D.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst:d2;
       check_bool
         (ctx (Printf.sprintf "csr_matvec_into %d..%d" row_lo row_hi))
         true
@@ -195,7 +197,7 @@ let check_primitives ~name (module F : F_INT)
   into "scale_into(aliased)"
     (fun d -> S.scale_into ~a:alpha ~x:d ~xoff:doff ~dst:d ~doff ~len:n)
     (fun d -> D.scale_into ~a:alpha ~x:d ~xoff:doff ~dst:d ~doff ~len:n);
-  check_csr ~ctx (module F) (module S) ~elt ~st ~doff ~n;
+  check_csr ~ctx (module F) (module S) ~elt ~st ~n;
   List.iter
     (fun stride -> check_butterfly ~ctx (module F) (module S) ~elt ~n ~stride)
     (butterfly_strides n);
@@ -344,7 +346,7 @@ let qcheck_differential =
 
 (* the black-box route's two primitives at the sizes its callers use —
    ragged and power-of-two n up to 1025, every stride, uniform and
-   all-(p−1) inputs, partial row ranges written at a dst offset *)
+   all-(p−1) inputs, partial row ranges *)
 let test_sparse_route_sizes () =
   List.iter
     (fun (name, (module F : F_INT), k) ->
@@ -358,7 +360,7 @@ let test_sparse_route_sizes () =
               let ctx prim =
                 Printf.sprintf "%s %s n=%d %s" name prim n style
               in
-              check_csr ~ctx (module F) k ~elt ~st ~doff:5 ~n;
+              check_csr ~ctx (module F) k ~elt ~st ~n;
               for stride = 1 to n + 1 do
                 check_butterfly ~ctx (module F) k ~elt ~n ~stride
               done)
@@ -464,8 +466,7 @@ let test_barrett_worst_case () =
   let vals = Array.make row_ptr.(n) top in
   let csr (module K : Kp_kernel.Kernel_intf.KERNEL with type t = int) =
     let dst = Array.make n 0 in
-    K.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo:0 ~row_hi:n ~x ~dst
-      ~doff:0;
+    K.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo:0 ~row_hi:n ~x ~dst;
     dst
   in
   same "csr_matvec_into" (csr (module S)) (csr (module D));
@@ -487,7 +488,6 @@ let test_barrett_worst_case () =
 let test_pool_identical () =
   let module F = Kp_field.Fields.Gf_ntt in
   let module M = Kp_matrix.Dense.Make (F) in
-  let module Sp = Kp_matrix.Sparse.Make (F) in
   let module NK = Kp_poly.Conv.Ntt_field (F) (Kp_poly.Conv.Default_ntt_prime) in
   let module CKf = Kp_poly.Conv.Karatsuba_field (F) in
   List.iter
@@ -495,12 +495,9 @@ let test_pool_identical () =
       let st = Kp_util.Rng.make seed in
       let n = 33 + (seed mod 31) in
       let a = M.random st n n and b = M.random st n n in
-      let v = Array.init n (fun _ -> F.random st) in
-      let sp = Sp.random st n n ~density:0.2 in
       let p = Array.init (n * 9) (fun _ -> F.random st) in
       let q = Array.init ((n * 9) + 5) (fun _ -> F.random st) in
       let mul_seq = M.mul a b in
-      let spmv_seq = Sp.matvec sp v in
       let ntt_seq = NK.mul_full p q in
       let kar_seq = CKf.mul_full p q in
       List.iter
@@ -512,8 +509,6 @@ let test_pool_identical () =
               check_bool (lbl "mul_parallel") true
                 (Array.for_all2 F.equal (M.mul_parallel pool a b).M.data
                    mul_seq.M.data);
-              check_bool (lbl "sparse matvec_parallel") true
-                (Array.for_all2 F.equal (Sp.matvec_parallel pool sp v) spmv_seq);
               check_bool (lbl "ntt mul_full_pool") true
                 (Array.for_all2 F.equal (NK.mul_full_pool (Some pool) p q)
                    ntt_seq);

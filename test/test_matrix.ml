@@ -234,16 +234,6 @@ let test_sparse_nonsingular () =
     check_bool "det nonzero" true (not (F.is_zero (G.det (Sp.to_dense s))))
   done
 
-let test_sparse_matvec_parallel () =
-  let st = Random.State.make [| 19 |] in
-  Kp_util.Pool.with_pool ~domains:3 (fun pool ->
-      for _ = 1 to 5 do
-        let s = Sp.random st 60 60 ~density:0.1 in
-        let v = Array.init 60 (fun _ -> F.random st) in
-        check_bool "parallel = sequential" true
-          (Sp.matvec_parallel pool s v = Sp.matvec s v)
-      done)
-
 let test_strassen_odd_padding () =
   let st = Random.State.make [| 20 |] in
   (* odd sizes above the cutoff exercise the padding branch *)
@@ -318,7 +308,6 @@ let () =
           Alcotest.test_case "matvec" `Quick test_sparse_matvec;
           Alcotest.test_case "duplicate triplets" `Quick test_sparse_duplicates;
           Alcotest.test_case "random_nonsingular" `Quick test_sparse_nonsingular;
-          Alcotest.test_case "parallel matvec" `Quick test_sparse_matvec_parallel;
           Alcotest.test_case "strassen odd padding" `Quick test_strassen_odd_padding;
           Alcotest.test_case "get" `Quick test_sparse_get;
         ] );

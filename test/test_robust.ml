@@ -461,8 +461,9 @@ let test_chaos_block_deadline () =
 let test_chaos_block_rank () =
   (* rank is Monte Carlo with no certificate, so the chaos plan is
      corrupt-only (p_abort = 0: nothing raises) and the assertion is a
-     tolerance: every value stays in [0, n] and the majority of runs
-     still land on the true rank *)
+     tolerance: every value stays in [0, n], a minor whose det fails is a
+     typed error (never read as singular), and the majority of runs still
+     land on the true rank *)
   let hits = ref 0 and runs = 40 in
   for seed = 701 to 700 + runs do
     let plan =
@@ -476,12 +477,15 @@ let test_chaos_block_rank () =
     let a = M.random_nonsingular st n in
     let fa = FB.M.init n n (fun i j -> M.get a i j) in
     let b_factor = if seed mod 2 = 0 then 2 else 4 in
-    let r = FB.rank ~block_factor:b_factor st fa in
-    check_bool
-      (Printf.sprintf "rank in range (seed %d: %d)" seed r)
-      true
-      (r >= 0 && r <= n);
-    if r = n then incr hits
+    match FB.rank ~block_factor:b_factor st fa with
+    | Ok r ->
+      check_bool
+        (Printf.sprintf "rank in range (seed %d: %d)" seed r)
+        true
+        (r >= 0 && r <= n);
+      if r = n then incr hits
+    | Error (O.Retries_exhausted _ | O.Fault_detected _) -> ()
+    | Error e -> Alcotest.fail ("untyped block rank failure: " ^ O.error_to_string e)
   done;
   check_bool
     (Printf.sprintf "majority of ranks exact under corruption (%d/%d)" !hits
@@ -511,16 +515,17 @@ let test_block_falls_back_to_scalar () =
       (Array.for_all2 F.equal (M.matvec a x) b)
   | Error e -> Alcotest.fail ("scalar fallback failed: " ^ O.error_to_string e)
 
-(* ---- chaos: the row-block sharded engine ---- *)
+(* ---- chaos: the pool fan-out ---- *)
 
-(* corrupted shards must never escape as certified answers: the fault
-   field injects inside the sharded kernel loops (wrapping forces the
-   generic kernel, so shard arithmetic goes through the plan), and every
-   accepted solution still re-verifies under clean arithmetic.  Half the
-   runs fan the shards over a real 2-domain pool, so injected faults also
-   cross Pool.region_run. *)
-let test_chaos_sharded_solve () =
+(* corrupted products on pool domains must never escape as certified
+   answers: the fault field injects inside the row-block product
+   (wrapping forces the generic kernel, so every element goes through the
+   plan), the solver fans each product over a 2-domain pool
+   (Dense.mul_parallel), so injected faults cross Pool.region_run, and
+   every accepted answer still re-verifies under clean arithmetic. *)
+let test_chaos_pooled_solve () =
   let wrong = ref 0 and accepted = ref 0 and injected = ref 0 in
+  Kp_util.Pool.with_pool ~domains:2 @@ fun pool ->
   for seed = 901 to 940 do
     let plan =
       Fault.plan ~p_corrupt:0.002
@@ -532,28 +537,24 @@ let test_chaos_sharded_solve () =
     let module FS = Kp_core.Solver.Make (FF) (CF) in
     let st = st0 seed in
     let n = 4 + (seed mod 5) in
-    let shards = 2 + (seed mod 3) in
     let a, _, b = random_system st n in
     let fa = FS.M.init n n (fun i j -> M.get a i j) in
-    let run ?pool () =
-      match FS.solve ~retries:10 ?pool ~shards st fa b with
-      | Ok (x, _) ->
-        incr accepted;
-        if not (Array.for_all2 F.equal (M.matvec a x) b) then incr wrong
-      | Error _ -> ()
-    in
-    if seed mod 2 = 0 then Kp_util.Pool.with_pool ~domains:2 (fun p -> run ~pool:p ())
-    else run ();
+    (match FS.solve ~retries:10 ~pool st fa b with
+    | Ok (x, _) ->
+      incr accepted;
+      if not (Array.for_all2 F.equal (M.matvec a x) b) then incr wrong
+    | Error _ -> ());
     injected := !injected + Fault.injected plan
   done;
-  check_int "zero uncertified wrong sharded solutions" 0 !wrong;
+  check_int "zero uncertified wrong pooled solutions" 0 !wrong;
   check_bool "faults were actually injected" true (!injected > 0);
   check_bool
-    (Printf.sprintf "most sharded solves recover (%d/40)" !accepted)
+    (Printf.sprintf "most pooled solves recover (%d/40)" !accepted)
     true (!accepted >= 30)
 
-let test_chaos_sharded_det () =
+let test_chaos_pooled_det () =
   let wrong = ref 0 and ok = ref 0 and injected = ref 0 in
+  Kp_util.Pool.with_pool ~domains:2 @@ fun pool ->
   for seed = 1001 to 1040 do
     let plan = Fault.plan ~p_corrupt:0.002 ~max_faults:3 ~seed () in
     let module FF = (val FaultF.wrap plan) in
@@ -564,22 +565,22 @@ let test_chaos_sharded_det () =
     let a = M.random st n n in
     let d_true = G.det a in
     let fa = FS.M.init n n (fun i j -> M.get a i j) in
-    (match FS.det ~retries:10 ~shards:(2 + (seed mod 2)) st fa with
+    (match FS.det ~retries:10 ~pool st fa with
     | Ok (d, _) ->
       incr ok;
       if not (F.equal d d_true) then incr wrong
     | Error _ -> ());
     injected := !injected + Fault.injected plan
   done;
-  check_int "zero uncertified wrong sharded determinants" 0 !wrong;
+  check_int "zero uncertified wrong pooled determinants" 0 !wrong;
   check_bool "faults were actually injected" true (!injected > 0);
-  check_bool (Printf.sprintf "most sharded dets recover (%d/40)" !ok) true
+  check_bool (Printf.sprintf "most pooled dets recover (%d/40)" !ok) true
     (!ok >= 30)
 
-let test_chaos_sharded_deadline () =
-  (* an expired deadline reaching a sharded, fault-riddled, pool-fanned
-     solve is a typed Deadline_exceeded — the fan-out neither hangs nor
-     leaks an answer *)
+let test_chaos_pooled_deadline () =
+  (* an expired deadline reaching a fault-riddled, pool-fanned solve is a
+     typed Deadline_exceeded — the fan-out neither hangs nor leaks an
+     answer *)
   let plan = Fault.plan ~p_corrupt:0.01 ~max_faults:5 ~seed:55 () in
   let module FF = (val FaultF.wrap plan) in
   let module CF = Kp_poly.Conv.Karatsuba (FF) in
@@ -589,15 +590,16 @@ let test_chaos_sharded_deadline () =
   let fa = FS.M.init 6 6 (fun i j -> M.get a i j) in
   Kp_util.Pool.with_pool ~domains:2 (fun pool ->
       let past = Int64.sub (Kp_obs.Clock.now_ns ()) 1L in
-      match FS.solve ~deadline_ns:past ~pool ~shards:3 st fa b with
+      match FS.solve ~deadline_ns:past ~pool st fa b with
       | Error (O.Deadline_exceeded _) -> ()
-      | Ok _ -> Alcotest.fail "expired deadline produced a sharded answer"
+      | Ok _ -> Alcotest.fail "expired deadline produced a pooled answer"
       | Error e -> Alcotest.fail ("wrong error: " ^ O.error_to_string e))
 
-let test_sharded_abort_is_typed () =
-  (* a total-abort plan inside shard work surfaces as a typed outcome
-     (the exception crosses the pool region and the retry engine), and
-     the unsharded clean engine still answers the same system *)
+let test_pooled_abort_is_typed () =
+  (* a total-abort plan inside pooled products surfaces as a typed
+     outcome (the exception crosses the pool region and the retry
+     engine), and the sequential clean engine still answers the same
+     system *)
   let plan = Fault.plan ~p_corrupt:0. ~p_abort:1.0 ~max_faults:10 ~seed:13 () in
   let module FF = (val FaultF.wrap plan) in
   let module CF = Kp_poly.Conv.Karatsuba (FF) in
@@ -606,11 +608,11 @@ let test_sharded_abort_is_typed () =
   let a, _, b = random_system st 6 in
   let fa = FS.M.init 6 6 (fun i j -> M.get a i j) in
   Kp_util.Pool.with_pool ~domains:2 (fun pool ->
-      match FS.solve ~retries:5 ~pool ~shards:2 st fa b with
+      match FS.solve ~retries:5 ~pool st fa b with
       | Error (O.Retries_exhausted _ | O.Fault_detected _) -> ()
-      | Ok _ -> Alcotest.fail "sharded solve succeeded under a total-abort plan"
+      | Ok _ -> Alcotest.fail "pooled solve succeeded under a total-abort plan"
       | Error e ->
-        Alcotest.fail ("untyped sharded failure: " ^ O.error_to_string e));
+        Alcotest.fail ("untyped pooled failure: " ^ O.error_to_string e));
   check_bool "plan budget consumed" true (Fault.injected plan > 0);
   match S.solve st a b with
   | Ok (x, _) ->
@@ -680,16 +682,16 @@ let () =
           Alcotest.test_case "block exhaustion falls back to scalar" `Quick
             test_block_falls_back_to_scalar;
         ] );
-      ( "chaos-shard",
+      ( "chaos-pool",
         [
-          Alcotest.test_case "sharded solve sound under field faults" `Quick
-            test_chaos_sharded_solve;
-          Alcotest.test_case "sharded det sound under field faults" `Quick
-            test_chaos_sharded_det;
-          Alcotest.test_case "sharded deadline is typed under faults" `Quick
-            test_chaos_sharded_deadline;
-          Alcotest.test_case "sharded total-abort is typed" `Quick
-            test_sharded_abort_is_typed;
+          Alcotest.test_case "pooled solve sound under field faults" `Quick
+            test_chaos_pooled_solve;
+          Alcotest.test_case "pooled det sound under field faults" `Quick
+            test_chaos_pooled_det;
+          Alcotest.test_case "pooled deadline is typed under faults" `Quick
+            test_chaos_pooled_deadline;
+          Alcotest.test_case "pooled total-abort is typed" `Quick
+            test_pooled_abort_is_typed;
         ] );
       ( "retry-engine",
         [

@@ -254,6 +254,28 @@ let test_ladder_routes_and_singular () =
   check_bool "scalar breaker still closed" true
     (List.assoc "scalar" (En.breaker_states eng) = Br.Closed)
 
+let test_ladder_rank_error_falls_through () =
+  (* GF(2) has no room to draw from: on this seed the scalar rank's
+     first minor exhausts its det budget.  That is an engine failure, not
+     a rank — the walk records it on the scalar breaker and elimination
+     answers *)
+  let module F2 = Kp_field.Gf2 in
+  let module M2 = Kp_matrix.Dense.Make (F2) in
+  let module En2 = Kp_serve.Engines.Make (F2) (Kp_poly.Conv.Karatsuba (F2)) in
+  let counter name = Option.value ~default:0 (Kp_obs.Counter.find name) in
+  let fail0 = counter "serve.engine.scalar.fail" in
+  let precond = Kp_precond.Precond.(Forced Dense_hd) in
+  let a = M2.random_nonsingular (Kp_util.Rng.make 2) 4 in
+  let session = En2.Sess.create ~precond (st0 31) in
+  let eng = En2.create ~session ~precond (Kp_util.Rng.make 1002) in
+  (match En2.rank ~engine:P.E_auto eng a with
+  | Ok (r, served_by) ->
+    check_str "elimination answered" "dense" served_by;
+    check_int "true rank" 4 r
+  | Error e -> Alcotest.fail (O.error_to_string e));
+  check_int "scalar rung recorded the failure" (fail0 + 1)
+    (counter "serve.engine.scalar.fail")
+
 let test_ladder_deadline_expired () =
   let st = st0 21 in
   let a, _, b = random_system st 5 in
@@ -267,10 +289,10 @@ let test_ladder_deadline_expired () =
 
 (* ---- the daemon ---- *)
 
-let with_server ?(cfg_fn = fun c -> c) ?now ~seed k =
+let with_server ?(cfg_fn = fun c -> c) ?pool ?now ~seed k =
   let path = sock_path () in
   let cfg = cfg_fn (Srv.default_config ~socket_path:path) in
-  let srv = Srv.start ?now cfg (st0 seed) in
+  let srv = Srv.start ?pool ?now cfg (st0 seed) in
   Fun.protect
     ~finally:(fun () ->
       Srv.drain srv;
@@ -408,14 +430,14 @@ let test_server_oversized_line () =
   | exception Sys_error _ -> ()
   | _ -> Alcotest.fail "connection survived an oversized request"
 
-(* the golden round-trip again, now with the daemon configured for the
-   row-block sharded engine: same wire conversation, same answers, and
-   the shard.* counters prove the sharded products actually ran *)
-let test_server_sharded_golden () =
+(* the golden round-trip again, now with the daemon on a 2-domain pool
+   (kp serve --domains 2): same wire conversation, same answers, and the
+   pool.regions counter proves the block rung's products fanned out *)
+let test_server_pooled_golden () =
   let counter name = Option.value ~default:0 (Kp_obs.Counter.find name) in
-  let muls0 = counter "shard.muls" in
-  with_server ~cfg_fn:(fun c -> { c with Srv.shards = Some 2 }) ~seed:91
-  @@ fun path _srv ->
+  let regions0 = counter "pool.regions" in
+  Kp_util.Pool.with_pool ~domains:2 @@ fun pool ->
+  with_server ~pool ~seed:91 @@ fun path _srv ->
   let c = Cl.connect path in
   Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
   let st = st0 92 in
@@ -440,28 +462,29 @@ let test_server_sharded_golden () =
       deadline_ms = None;
     }
   in
-  (* the block rung rides sharded products *)
+  (* the block rung rides pooled products *)
   let j = Cl.request c (solve_req "s1" P.E_block) in
-  check_str "sharded block solve ok" "ok" (str_field j "status");
+  check_str "pooled block solve ok" "ok" (str_field j "status");
   check_str "served by the block engine" "block" (str_field j "engine");
   let x = Array.of_list (int_list j "x") in
-  check_bool "sharded block answer verifies" true
+  check_bool "pooled block answer verifies" true
     (Array.for_all2 F.equal (M.matvec a x) b);
-  (* the scalar session rung is sharded through the same config *)
+  check_bool "pooled products actually ran" true
+    (counter "pool.regions" > regions0);
+  (* the scalar session rung shares the same pool *)
   let j = Cl.request c (solve_req "s2" P.E_scalar) in
-  check_str "sharded scalar solve ok" "ok" (str_field j "status");
+  check_str "pooled scalar solve ok" "ok" (str_field j "status");
   let x = Array.of_list (int_list j "x") in
-  check_bool "sharded scalar answer verifies" true
+  check_bool "pooled scalar answer verifies" true
     (Array.for_all2 F.equal (M.matvec a x) b);
   (* det through the registered key agrees with the oracle *)
   let j =
     Result.get_ok
       (Wire.parse (Cl.request_line c {|{"id":"d","op":"det","key":"shm"}|}))
   in
-  check_str "sharded det ok" "ok" (str_field j "status");
+  check_str "pooled det ok" "ok" (str_field j "status");
   let module G = Kp_matrix.Gauss.Make (F) in
-  check_bool "sharded det value" true (F.equal (int_field j "det") (G.det a));
-  check_bool "sharded products actually ran" true (counter "shard.muls" > muls0)
+  check_bool "pooled det value" true (F.equal (int_field j "det") (G.det a))
 
 let test_server_chaos_demote_and_repromote () =
   (* the daemon over a fault-injecting field: one request demotes
@@ -611,14 +634,16 @@ let () =
             test_ladder_block_demotes_then_repromotes;
           Alcotest.test_case "routing and singular verdicts" `Quick
             test_ladder_routes_and_singular;
+          Alcotest.test_case "failed rank minor falls through to elimination"
+            `Quick test_ladder_rank_error_falls_through;
           Alcotest.test_case "expired deadline is typed" `Quick
             test_ladder_deadline_expired;
         ] );
       ( "server",
         [
           Alcotest.test_case "golden round-trips" `Quick test_server_golden;
-          Alcotest.test_case "golden round-trips, sharded engines" `Quick
-            test_server_sharded_golden;
+          Alcotest.test_case "golden round-trips, pooled engines" `Quick
+            test_server_pooled_golden;
           Alcotest.test_case "sheds with typed overloaded" `Quick
             test_server_sheds_when_full;
           Alcotest.test_case "oversized line closed" `Quick

@@ -454,9 +454,13 @@ module LRU = struct
     ]
 end
 
-(* ---- shards: the sharded session is answer- and cache-equivalent ---- *)
+(* ---- pool: the stale-cache discipline on a pooled session ---- *)
 
-module Shards = struct
+(* pooled answers and cache statistics are pinned by each suite's
+   equivalence case (domains 1/2/4); this pins the fault side: a poisoned
+   charpoly is detected by the live certificate, evicted and rebuilt on a
+   2-domain pool — the pooled serve never leaks the corrupted record *)
+module Pooled = struct
   module F = Kp_field.Fields.Gf_ntt
   module C = Kp_poly.Conv.Karatsuba (F)
   module M = Kp_matrix.Dense.Make (F)
@@ -465,72 +469,12 @@ module Shards = struct
 
   let n = 6
 
-  (* a sharded session must answer exactly like an unsharded one from the
-     same seed — same solutions, same determinant, same cache statistics,
-     same fingerprints (the shard count never reaches the cache key) —
-     while the shard.* counters show the sharded engine really ran *)
-  let test_shards_equivalence () =
+  let test_pooled_stale_cache () =
     Kp_util.Pool.with_pool ~domains:2 @@ fun pool ->
-    let st = Kp_util.Rng.make 71 in
-    let a = M.random_nonsingular st n in
-    let bs = Array.init 3 (fun _ -> Array.init n (fun _ -> F.random st)) in
-    let run shards =
-      let sess = Sess.create ~pool ?shards (Kp_util.Rng.make 72) in
-      let xs =
-        Array.map
-          (function
-            | Ok (x, _) -> x
-            | Error e -> Alcotest.failf "solve: %s" (O.error_to_string e))
-          (Sess.solve_many sess a bs)
-      in
-      let d =
-        match Sess.det sess a with
-        | Ok (d, _) -> d
-        | Error e -> Alcotest.failf "det: %s" (O.error_to_string e)
-      in
-      (xs, d, Sess.stats sess)
-    in
-    let muls0 = counter "shard.muls" in
-    let xs_ref, d_ref, stats_ref = run None in
-    Alcotest.(check int) "unsharded run touches no shard counters" muls0
-      (counter "shard.muls");
-    List.iter
-      (fun shards ->
-        let xs, d, stats = run (Some shards) in
-        Array.iteri
-          (fun i x ->
-            Alcotest.(check bool)
-              (Printf.sprintf "shards=%d solve[%d] = unsharded" shards i)
-              true
-              (Array.for_all2 F.equal x xs_ref.(i)))
-          xs;
-        Alcotest.(check bool)
-          (Printf.sprintf "shards=%d det = unsharded" shards)
-          true (F.equal d d_ref);
-        Alcotest.(check int)
-          (Printf.sprintf "shards=%d same misses" shards)
-          stats_ref.Sess.misses stats.Sess.misses;
-        Alcotest.(check int)
-          (Printf.sprintf "shards=%d same hits" shards)
-          stats_ref.Sess.hits stats.Sess.hits;
-        Alcotest.(check int)
-          (Printf.sprintf "shards=%d no evictions" shards)
-          0 stats.Sess.evictions)
-      [ 1; 2; 3; 7 ];
-    Alcotest.(check bool) "sharded runs moved shard.muls" true
-      (counter "shard.muls" > muls0);
-    (* the fingerprint is a function of the matrix alone *)
-    Alcotest.(check bool) "fingerprint unchanged by shard count" true
-      (Kp_session.Fingerprint.equal (Sess.fingerprint a) (Sess.fingerprint a))
-
-  (* the stale-cache discipline is intact under sharding: a poisoned
-     charpoly is detected by the live certificate, evicted and rebuilt —
-     the sharded serve never leaks the corrupted record *)
-  let test_shards_stale_cache () =
     let st = Kp_util.Rng.make 81 in
     let a = M.random_nonsingular st n in
     let b = Array.init n (fun _ -> F.random st) in
-    let sess = Sess.create ~shards:3 (Kp_util.Rng.make 82) in
+    let sess = Sess.create ~pool (Kp_util.Rng.make 82) in
     (match Sess.solve sess a b with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "build: %s" (O.error_to_string e));
@@ -539,24 +483,16 @@ module Shards = struct
          (Array.mapi (fun i c -> if i = 0 then F.add c F.one else c)));
     (match Sess.solve sess a b with
     | Ok (x, _) ->
-      Alcotest.(check bool) "sharded serve recovered the oracle answer" true
+      Alcotest.(check bool) "pooled serve recovered the oracle answer" true
         (Array.for_all2 F.equal x (Option.get (G.solve a b)))
     | Error e -> Alcotest.failf "post-poison solve: %s" (O.error_to_string e));
-    Alcotest.(check bool) "poisoned entry evicted under sharding" true
+    Alcotest.(check bool) "poisoned entry evicted on the pool" true
       ((Sess.stats sess).Sess.evictions >= 1)
-
-  let test_shards_bad_bound () =
-    Alcotest.check_raises "shards = 0 rejected"
-      (Invalid_argument "Session.create: shards < 1") (fun () ->
-        ignore (Sess.create ~shards:0 (Kp_util.Rng.make 1)))
 
   let tests =
     [
-      Alcotest.test_case "sharded session = unsharded (answers, cache)" `Quick
-        test_shards_equivalence;
-      Alcotest.test_case "stale-cache discipline intact under sharding" `Quick
-        test_shards_stale_cache;
-      Alcotest.test_case "shards bound validated" `Quick test_shards_bad_bound;
+      Alcotest.test_case "stale-cache discipline intact on a pool" `Quick
+        test_pooled_stale_cache;
     ]
 end
 
@@ -669,7 +605,7 @@ let () =
       ("rational", Q_suite.tests);
       ("fault_injection", FI.tests);
       ("cache_bound", LRU.tests);
-      ("shards", Shards.tests);
+      ("pool", Pooled.tests);
       ( "fingerprint",
         [
           Alcotest.test_case "fingerprints and keys" `Quick test_fingerprint;
