@@ -1352,8 +1352,9 @@ let e18 () =
   let rng = st () in
   print_endline
     "E18 (C-stub kernels): the same dense matvec/matmul, butterfly apply\n\
-     (diagonal + one exchange layer per stride) and 8-per-row CSR matvec\n\
-     served by the C stubs (split-sum or Barrett GF(p) loops, no division,\n\
+     (diagonal + one exchange layer per stride), 8-per-row CSR matvec and\n\
+     GF(p) Berlekamp-Massey on a 2n-term sequence served by the C stubs\n\
+     (split-sum, Shoup or Barrett GF(p) loops, no division per element,\n\
      bit-packed or tagged-word GF(2)) and by the derived reference kernel\n\
      (the field's own scalar ops, reached through its Generic-hinted twin).\n\
      Outputs are asserted bit-identical before timing, and kernel.cstub.*\n\
@@ -1379,7 +1380,9 @@ let e18 () =
   let cstub_ops0 =
     Option.value ~default:0 (Kp_obs.Counter.find "kernel.cstub.bulk_ops")
   in
-  let row field_name (fm : int Kp_field.Field_intf.field) op n reps runner =
+  (* [runner] gets the field itself, then its Generic twin *)
+  let field_row field_name (fm : int Kp_field.Field_intf.field) op n reps
+      runner =
     let module Fi =
       (val fm : Kp_field.Field_intf.FIELD with type t = int) in
     let module Twin = struct
@@ -1387,13 +1390,14 @@ let e18 () =
 
       let kernel_hint = Kp_field.Field_intf.Generic
     end in
-    let cstub_out, cstub_s = runner (D.of_field fm) reps in
+    let cstub_out, cstub_s = runner fm reps in
     let derived_out, derived_s =
-      runner
-        (D.of_field (module Twin : Kp_field.Field_intf.FIELD with type t = int))
-        reps
+      runner (module Twin : Kp_field.Field_intf.FIELD with type t = int) reps
     in
-    let identical = Array.for_all2 Fi.equal cstub_out derived_out in
+    let identical =
+      Array.length cstub_out = Array.length derived_out
+      && Array.for_all2 Fi.equal cstub_out derived_out
+    in
     if not identical then
       failwith
         (Printf.sprintf "E18: cstub and derived disagree on %s %s n=%d"
@@ -1406,6 +1410,9 @@ let e18 () =
         Printf.sprintf "%.1fx" (derived_s /. cstub_s);
         string_of_bool identical;
       ]
+  in
+  let row field_name fm op n reps runner =
+    field_row field_name fm op n reps (fun f reps -> runner (D.of_field f) reps)
   in
   let fields : (string * int Kp_field.Field_intf.field) list =
     [ ("GF(998244353)", (module Kp_field.Fields.Gf_ntt));
@@ -1504,6 +1511,22 @@ let e18 () =
           let out = Array.copy dst in
           (out, bench reps run)))
     fields;
+  (* Berlekamp–Massey on a 2n-term sequence: one dot_acc per discrepancy
+     and one axpy per update, so the whole run rides the field's kernel —
+     the Massey of a GF(p) black-box solve *)
+  List.iter
+    (fun n ->
+      let module Fi = Kp_field.Fields.Gf_ntt in
+      let s = Array.init (2 * n) (fun _ -> Fi.random rng) in
+      let reps = if !fast then 3 else 10 in
+      field_row "GF(998244353)" (module Fi) "massey 2n" n reps (fun f reps ->
+          let module BM =
+            Kp_seqgen.Berlekamp_massey.Make
+              ((val f : Kp_field.Field_intf.FIELD with type t = int))
+          in
+          let c = BM.connection_polynomial s in
+          (c, bench reps (fun () -> BM.connection_polynomial s))))
+    [ 256; 1000 ];
   let ops =
     Option.value ~default:0 (Kp_obs.Counter.find "kernel.cstub.bulk_ops")
   in

@@ -38,7 +38,7 @@ let () =
       let s2 = Sp.random_nonsingular st n ~density in
       let bb = Bb.compose (Bb.of_sparse s1) (Bb.of_sparse s2) in
       let x_true = Array.init n (fun _ -> F.random st) in
-      let b = bb.Bb.apply x_true in
+      let b = Bb.apply bb x_true in
       let xw = ref None in
       let _, tw =
         time (fun () ->

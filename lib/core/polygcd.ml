@@ -22,15 +22,7 @@ struct
     if P.is_zero f || P.is_zero g then Ok F.zero
     else if P.degree f = 0 || P.degree g = 0 then Ok (Sy.resultant_gauss f g)
     else begin
-      let dim = P.degree f + P.degree g in
-      let bb =
-        {
-          W.Bb.dim;
-          apply = Sy.apply f g;
-          apply_transpose = None;
-          ops_per_apply = 0;
-        }
-      in
+      let bb = W.Bb.of_fun (P.degree f + P.degree g) (Sy.apply f g) in
       Result.map fst (W.det ?card_s st bb)
     end
 

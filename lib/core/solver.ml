@@ -258,6 +258,7 @@ struct
     let card_s = match card_s with Some s -> s | None -> default_card_s n in
     let u = sample_vec st ~card_s n in
     let b = sample_vec st ~card_s n in
-    let seq = LR.krylov_sequence apply ~u ~b (2 * n) in
+    let apply_into v dst = Array.blit (apply v) 0 dst 0 n in
+    let seq = LR.krylov_sequence apply_into ~u ~b (2 * n) in
     BM.P.to_array (BM.minimal_polynomial seq)
 end

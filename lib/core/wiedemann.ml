@@ -27,6 +27,16 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let policy ?deadline_ns ~kind retries =
     Rt.policy ~retries ~max_card_s:(SP.escalation_ceiling kind) ?deadline_ns ()
 
+  (* the generator of the 2n-term sequence {u·Aⁱ·b}: the Krylov applies
+     and Berlekamp–Massey, each under its own span *)
+  let generator (bb : Bb.t) ~u ~b =
+    let seq =
+      Span.with_ "wiedemann.krylov" @@ fun () ->
+      LR.krylov_sequence bb.Bb.apply_into ~u ~b (2 * bb.Bb.dim)
+    in
+    Span.with_ "wiedemann.generator" @@ fun () ->
+    BM.P.to_array (BM.minimal_polynomial seq)
+
   let minimal_polynomial ?card_s st (bb : Bb.t) =
     Span.with_ "wiedemann.minpoly" @@ fun () ->
     let n = bb.Bb.dim in
@@ -34,19 +44,24 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let bb = Bb.instrument bb in
     let u = sample_vec st ~card_s n in
     let b = sample_vec st ~card_s n in
-    let seq = LR.krylov_sequence bb.Bb.apply ~u ~b (2 * n) in
-    BM.P.to_array (BM.minimal_polynomial seq)
+    generator bb ~u ~b
 
   (* x = -(1/f_0) Σ_{i=1}^{deg} f_i A^{i-1} b, by Cayley–Hamilton: one
      kernel axpy per Krylov vector into a single accumulator, one kernel
-     scale at the end *)
-  let cayley_hamilton_solution apply f ~deg b =
+     scale at the end.  A^{i-1}·b ping-pongs between two buffers. *)
+  let cayley_hamilton_solution (bb : Bb.t) f ~deg b =
+    Span.with_ "wiedemann.cayley_hamilton" @@ fun () ->
     let n = Array.length b in
     let acc = Array.make n F.zero in
+    let bufs = [| Array.make n F.zero; Array.make n F.zero |] in
     let w = ref b in
     for i = 1 to deg do
       K.axpy_into ~a:f.(i) ~x:!w ~xoff:0 ~y:acc ~yoff:0 ~len:n;
-      if i < deg then w := apply !w
+      if i < deg then begin
+        let dst = bufs.(i land 1) in
+        bb.Bb.apply_into !w dst;
+        w := dst
+      end
     done;
     let c = F.neg (F.inv f.(0)) in
     K.scale_into ~a:c ~x:acc ~xoff:0 ~dst:acc ~doff:0 ~len:n;
@@ -68,14 +83,13 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       ~policy:(policy ?deadline_ns ~kind:Pc.Dense_hd retries) ~card_s
     @@ fun ~attempt:_ ~card_s ->
     let u = sample_vec st ~card_s n in
-    let seq = LR.krylov_sequence bb.Bb.apply ~u ~b (2 * n) in
-    let f = BM.P.to_array (BM.minimal_polynomial seq) in
+    let f = generator bb ~u ~b in
     let deg = Array.length f - 1 in
     if deg = 0 then Rt.Reject O.Low_degree
     else if F.is_zero f.(0) then Rt.Reject O.Zero_constant_term
     else begin
-      let x = cayley_hamilton_solution bb.Bb.apply f ~deg b in
-      if Array.for_all2 F.equal (bb.Bb.apply x) b then Rt.Accept x
+      let x = cayley_hamilton_solution bb f ~deg b in
+      if Array.for_all2 F.equal (Bb.apply bb x) b then Rt.Accept x
       else Rt.Reject O.Residual_mismatch
     end
 
@@ -85,7 +99,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let precond_blackbox (p : F.t Pc.t) =
     {
       Bb.dim = p.Pc.n;
-      apply = (fun v -> p.Pc.apply v);
+      apply_into = p.Pc.apply_into;
       apply_transpose = Some (fun v -> p.Pc.apply_transpose v);
       ops_per_apply = Lazy.force p.Pc.ops_per_apply;
     }
@@ -115,17 +129,16 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let a_tilde =
       Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
     in
-    let seq = LR.krylov_sequence a_tilde.Bb.apply ~u ~b (2 * n) in
-    let f = BM.P.to_array (BM.minimal_polynomial seq) in
+    let f = generator a_tilde ~u ~b in
     let deg = Array.length f - 1 in
     if deg = 0 then Rt.Reject O.Low_degree
     else if F.is_zero f.(0) then Rt.Reject O.Zero_constant_term
     else begin
       (* y = Ã^{-1} b by Cayley–Hamilton on the minimum polynomial *)
-      let y = cayley_hamilton_solution a_tilde.Bb.apply f ~deg b in
+      let y = cayley_hamilton_solution a_tilde f ~deg b in
       (* x = P·y solves A·x = b *)
       let x = p.Pc.apply y in
-      if Array.for_all2 F.equal (bb_i.Bb.apply x) b then Rt.Accept x
+      if Array.for_all2 F.equal (Bb.apply bb_i x) b then Rt.Accept x
       else Rt.Reject O.Residual_mismatch
     end
 
@@ -148,8 +161,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
         let a_tilde =
           Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
         in
-        let seq = LR.krylov_sequence a_tilde.Bb.apply ~u ~b:v (2 * n) in
-        let f = BM.P.to_array (BM.minimal_polynomial seq) in
+        let f = generator a_tilde ~u ~b:v in
         let deg = Array.length f - 1 in
         let det_p () =
           match p.Pc.det () with
@@ -209,8 +221,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
         Counter.incr c_attempts;
         let u = sample_vec st ~card_s n in
         let b = sample_vec st ~card_s n in
-        let seq = LR.krylov_sequence bb.Bb.apply ~u ~b (2 * n) in
-        let f = BM.P.to_array (BM.minimal_polynomial seq) in
+        let f = generator bb ~u ~b in
         if Array.length f > 1 && F.is_zero f.(0) then begin
           Counter.incr c_singular_witness;
           true

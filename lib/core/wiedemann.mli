@@ -14,8 +14,17 @@
     through {!Kp_robust.Retry}: fresh randomness and a doubled sample set
     per attempt, typed {!Kp_robust.Outcome.error} on exhaustion.
 
+    Krylov and Cayley–Hamilton applies write into two buffers the loop
+    owns ({!Bb.t}'s [apply_into]): on a CSR or dense operator with the
+    butterfly preconditioner an iteration allocates nothing.
+
     Telemetry: every routine runs inside a {!Kp_obs.Span} (e.g.
-    [wiedemann.solve]) and the retry engine records per-attempt counters —
+    [wiedemann.solve]).  Below it, each sequence run is split into
+    [wiedemann.krylov] (the 2n applies and projections) and
+    [wiedemann.generator] (Berlekamp–Massey), and each solution into
+    [wiedemann.cayley_hamilton] — once per evaluation, so [det]'s two
+    evaluations record two of each.  The retry engine records
+    per-attempt counters —
     [wiedemann.attempts], [wiedemann.successes], [wiedemann.failures], and
     [wiedemann.rejections.*] — plus one [wiedemann.attempt] event per
     attempt with its index and outcome.  Black-box applications of the
@@ -42,8 +51,9 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
       right-hand side of the wrong length. *)
 
   val precond_blackbox : F.t Kp_precond.Precond.t -> Bb.t
-  (** A preconditioner record lifted into the black-box algebra: [apply] is
-      P·v, [apply_transpose] Pᵀ·v, and [ops_per_apply] the record's (lazy)
+  (** A preconditioner record lifted into the black-box algebra:
+      [apply_into] is the record's P·v into a destination,
+      [apply_transpose] Pᵀ·v, and [ops_per_apply] the record's (lazy)
       measured cost, forced here. *)
 
   val solve_preconditioned :

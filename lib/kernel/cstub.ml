@@ -24,6 +24,11 @@ external gfp_dot : int array -> int array -> int -> int -> int
   = "kp_gfp_dot"
 [@@noalloc]
 
+external gfp_dot_acc :
+  int -> int array -> int -> int array -> int -> int -> int -> int
+  = "kp_gfp_dot_acc_byte" "kp_gfp_dot_acc"
+[@@noalloc]
+
 external gfp_csr_matvec :
   int array ->
   int array ->
@@ -81,9 +86,10 @@ external gfp_matvec :
 [@@noalloc]
 
 external gfp_isa : unit -> string = "kp_gfp_isa"
-(** The instruction set the GF(p) [dot] and [matvec] loops run on, as the
-    loader resolved their clones: ["avx512f"], ["avx2"] or ["default"]
-    (also the answer on a toolchain that builds the plain body only). *)
+(** The instruction set the GF(p) [dot], [dot_acc], [matvec], [axpy]
+    and [scale] loops run on, as the loader resolved their clones:
+    ["avx512f"], ["avx2"] or ["default"] (also the answer on a toolchain
+    that builds the plain body only). *)
 
 external gfp_matmul :
   int array ->
@@ -100,6 +106,11 @@ external gfp_matmul :
 [@@noalloc]
 
 external gf2_dot : int array -> int array -> int -> int = "kp_gf2_dot"
+[@@noalloc]
+
+external gf2_dot_acc :
+  int -> int array -> int -> int array -> int -> int -> int
+  = "kp_gf2_dot_acc_byte" "kp_gf2_dot_acc"
 [@@noalloc]
 
 external gf2_csr_matvec :

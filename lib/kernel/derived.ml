@@ -33,6 +33,14 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) :
 
   let dot a b = balanced_dot a b 0 (Array.length a)
 
+  (* Massey's discrepancy loop: one add onto the running sum per product *)
+  let dot_acc ~init ~x ~xoff ~y ~yoff ~len =
+    let acc = ref init in
+    for j = 0 to len - 1 do
+      acc := F.add !acc (F.mul x.(xoff + j) y.(yoff + j))
+    done;
+    !acc
+
   let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
     for i = row_lo to row_hi - 1 do
       let acc = ref F.zero in

@@ -46,13 +46,25 @@ module Metered (M : METERS) (K : Kernel_intf.KERNEL) :
 
   let backend = K.backend
 
+  (* no closure over [work]: a tick allocates nothing, so a loop of
+     kernel calls into reused buffers stays allocation-free *)
+  let rec add_all work = function
+    | [] -> ()
+    | c :: rest ->
+      Kp_obs.Counter.add c work;
+      add_all work rest
+
   let[@inline] tick work =
     List.iter Kp_obs.Counter.incr M.hits;
-    List.iter (fun c -> Kp_obs.Counter.add c work) M.ops
+    add_all work M.ops
 
   let dot a b =
     tick (Array.length a);
     K.dot a b
+
+  let dot_acc ~init ~x ~xoff ~y ~yoff ~len =
+    tick len;
+    K.dot_acc ~init ~x ~xoff ~y ~yoff ~len
 
   let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
     tick (row_ptr.(row_hi) - row_ptr.(row_lo));

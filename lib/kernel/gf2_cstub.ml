@@ -12,6 +12,9 @@ let backend = "gf2_cstub"
 
 let dot a b = Cstub.gf2_dot a b (Array.length a)
 
+let dot_acc ~init ~x ~xoff ~y ~yoff ~len =
+  Cstub.gf2_dot_acc init x xoff y yoff len
+
 let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
   Cstub.gf2_csr_matvec row_ptr cols vals row_lo row_hi x dst
 

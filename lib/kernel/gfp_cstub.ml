@@ -1,8 +1,11 @@
 (** C-stub GF(p) kernel: division-free word loops compiled as
-    autovectorizable C ([kp_kernel_stubs.c]).  [dot] and [matvec] add each
-    product's low 32 bits and high bits into two sums and reduce once per
-    row, in a clone built for the widest instruction set the CPU has
-    ({!Cstub.gfp_isa}); every other reduction is one Barrett step.
+    autovectorizable C ([kp_kernel_stubs.c]).  [dot], [dot_acc] and
+    [matvec] add each product's low 32 bits and high bits into two sums
+    and reduce once per row; [axpy_into] and [scale_into] reduce each
+    product by Shoup's quotient of their scalar, computed once per call;
+    all of these run in a clone built for the widest instruction set the
+    CPU has ({!Cstub.gfp_isa}).  Every other reduction is one Barrett
+    step.
 
     Elements are canonical residues in [0, p) in native [int]s (the
     [Gfp_word { p }] representation).  Every primitive reduces to the
@@ -23,6 +26,9 @@ let make ~p : (module Kernel_intf.KERNEL with type t = int) =
     let backend = "gfp_cstub"
 
     let dot a b = Cstub.gfp_dot a b (Array.length a) p
+
+    let dot_acc ~init ~x ~xoff ~y ~yoff ~len =
+      Cstub.gfp_dot_acc init x xoff y yoff len p
 
     let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
       Cstub.gfp_csr_matvec row_ptr cols vals row_lo row_hi x dst p

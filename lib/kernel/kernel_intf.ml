@@ -38,6 +38,11 @@ module type KERNEL = sig
   (** Inner product of equal-length arrays, balanced-reduction order
       (matches [Vec.dot]).  Returns zero on empty input. *)
 
+  val dot_acc : init:t -> x:t array -> xoff:int -> y:t array -> yoff:int -> len:int -> t
+  (** [init + Σ_j x.(xoff+j)·y.(yoff+j)] over [0 ≤ j < len], accumulated
+      in order onto [init] — Berlekamp–Massey's discrepancy and the
+      generator window check.  Returns [init] when [len = 0]. *)
+
   val csr_matvec_into :
     row_ptr:int array -> cols:int array -> vals:t array -> row_lo:int ->
     row_hi:int -> x:t array -> dst:t array -> unit

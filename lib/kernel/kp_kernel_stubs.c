@@ -15,13 +15,15 @@
      no allocation, no GC interaction, no callbacks.
 
    - GF(p), p < 2^30: canonical residues in [0,p), so a raw product is
-     below 2^60.  No loop divides.  The dense inner products (dot,
+     below 2^60.  No loop divides.  The inner products (dot, dot_acc,
      matvec) split each product into its low 32 bits and its high bits
      and add the halves into two uint64 sums, which cannot overflow below
-     2^32 terms, so each row is reduced once, at its end; every other
-     reduction is one Barrett step.  Regrouping reductions cannot change
-     a canonical residue, so the stubs are bit-identical to the derived
-     kernel by construction.
+     2^32 terms, so each row is reduced once, at its end.  axpy and scale
+     multiply by one scalar a per call: one division per call precomputes
+     Shoup's quotient of a, and each product is then reduced in 32-bit
+     arithmetic.  Every other reduction is one Barrett step.  Regrouping
+     reductions cannot change a canonical residue, so the stubs are
+     bit-identical to the derived kernel by construction.
 
    - GF(2): 0/1 in native ints.  Tagged 0/1 values obey
        (2a+1) & (2b+1) = 2(a·b)+1      — AND preserves the tag;
@@ -126,6 +128,26 @@ CAMLprim value kp_gfp_dot(value va, value vb, value vn, value vp)
                                         Long_val(vn), p, UINT64_MAX / p));
 }
 
+/* init + Σ x[xoff+k]·y[yoff+k]: the split sums of dot, folded once, then
+   init added to the canonical residue */
+CAMLprim value kp_gfp_dot_acc(value vinit, value vx, value vxoff, value vy,
+                              value vyoff, value vlen, value vp)
+{
+  uint64_t p = Long_val(vp);
+  uint64_t r = gfp_dot_words(Op_val(vx) + Long_val(vxoff),
+                             Op_val(vy) + Long_val(vyoff), Long_val(vlen), p,
+                             UINT64_MAX / p)
+               + (uint64_t)Long_val(vinit);
+  return Val_long((intnat)(r >= p ? r - p : r));
+}
+
+CAMLprim value kp_gfp_dot_acc_byte(value *argv, int argn)
+{
+  (void)argn;
+  return kp_gfp_dot_acc(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
+                        argv[6]);
+}
+
 /* CSR rows [row_lo, row_hi) into dst[i]: each row's gathered products
    accumulate unreduced, one Barrett step per int64 block */
 CAMLprim value kp_gfp_csr_matvec(value vrow_ptr, value vcols, value vvals,
@@ -192,16 +214,42 @@ CAMLprim value kp_gfp_butterfly_byte(value *argv, int argn)
                           argv[5], argv[6], argv[7]);
 }
 
+/* Shoup's product by a fixed a < p < 2^30, with ap = floor(a·2^32/p):
+   for x < 2^32, q = floor(ap·x/2^32) is floor(a·x/p) or one less, so
+   a·x − q·p lies in [0, 2p) and its low 32 bits are exact — one
+   conditional subtraction makes it canonical */
+static inline uint32_t gfp_shoup(uint32_t a, uint32_t ap, uint32_t x,
+                                 uint32_t p)
+{
+  uint32_t q = (uint32_t)(((uint64_t)ap * x) >> 32);
+  uint32_t r = a * x - q * p;
+  return r >= p ? r - p : r;
+}
+
+static inline uint32_t gfp_shoup_pre(uint32_t a, uint32_t p)
+{
+  return (uint32_t)(((uint64_t)a << 32) / p);
+}
+
+/* y[i] += a·x[i], forward: with y overlapping x, plain pointers keep the
+   derived kernel's sequential semantics */
+static KP_TARGET_CLONES void gfp_axpy_words(uint32_t a, const value *x,
+                                            value *y, intnat len, uint32_t p)
+{
+  uint32_t ap = gfp_shoup_pre(a, p);
+  intnat i;
+  for (i = 0; i < len; i++) {
+    uint32_t s = (uint32_t)RES(y[i]) + gfp_shoup(a, ap, (uint32_t)RES(x[i]), p);
+    y[i] = Val_long((intnat)(s >= p ? s - p : s));
+  }
+}
+
 CAMLprim value kp_gfp_axpy(value va, value vx, value vxoff, value vy,
                            value vyoff, value vlen, value vp)
 {
-  intnat xoff = Long_val(vxoff), yoff = Long_val(vyoff), len = Long_val(vlen);
-  uint64_t a = Long_val(va), p = Long_val(vp), m = UINT64_MAX / p;
-  intnat i;
-  for (i = 0; i < len; i++) {
-    uint64_t r = (uint64_t)ELT(vy, yoff + i) + a * (uint64_t)ELT(vx, xoff + i);
-    SET(vy, yoff + i, (intnat)gfp_barrett(r, p, m));
-  }
+  gfp_axpy_words((uint32_t)Long_val(va), Op_val(vx) + Long_val(vxoff),
+                 Op_val(vy) + Long_val(vyoff), Long_val(vlen),
+                 (uint32_t)Long_val(vp));
   return Val_unit;
 }
 
@@ -212,15 +260,22 @@ CAMLprim value kp_gfp_axpy_byte(value *argv, int argn)
                      argv[6]);
 }
 
+static KP_TARGET_CLONES void gfp_scale_words(uint32_t a, const value *x,
+                                             value *dst, intnat len,
+                                             uint32_t p)
+{
+  uint32_t ap = gfp_shoup_pre(a, p);
+  intnat i;
+  for (i = 0; i < len; i++)
+    dst[i] = Val_long((intnat)gfp_shoup(a, ap, (uint32_t)RES(x[i]), p));
+}
+
 CAMLprim value kp_gfp_scale(value va, value vx, value vxoff, value vdst,
                             value vdoff, value vlen, value vp)
 {
-  intnat xoff = Long_val(vxoff), doff = Long_val(vdoff), len = Long_val(vlen);
-  uint64_t a = Long_val(va), p = Long_val(vp), m = UINT64_MAX / p;
-  intnat i;
-  for (i = 0; i < len; i++)
-    SET(vdst, doff + i,
-        (intnat)gfp_barrett(a * (uint64_t)ELT(vx, xoff + i), p, m));
+  gfp_scale_words((uint32_t)Long_val(va), Op_val(vx) + Long_val(vxoff),
+                  Op_val(vdst) + Long_val(vdoff), Long_val(vlen),
+                  (uint32_t)Long_val(vp));
   return Val_unit;
 }
 
@@ -391,8 +446,9 @@ CAMLprim value kp_gfp_matmul_byte(value *argv, int argn)
                        argv[6], argv[7], argv[8]);
 }
 
-/* the clone the loader resolved gfp_dot_words and gfp_matvec_rows to:
-   the same feature checks, in the resolver's order */
+/* the clone the loader resolved gfp_dot_words, gfp_matvec_rows,
+   gfp_axpy_words and gfp_scale_words to: the same feature checks, in the
+   resolver's order */
 CAMLprim value kp_gfp_isa(value unit)
 {
   (void)unit;
@@ -416,6 +472,26 @@ CAMLprim value kp_gf2_dot(value va, value vb, value vn)
   for (k = 0; k < n; k++)
     acc ^= (uintnat)(Field(va, k) & Field(vb, k)) >> 1;
   return Val_long((intnat)(acc & 1));
+}
+
+/* init XOR the parity of the ANDs */
+CAMLprim value kp_gf2_dot_acc(value vinit, value vx, value vxoff, value vy,
+                              value vyoff, value vlen)
+{
+  const value *x = Op_val(vx) + Long_val(vxoff);
+  const value *y = Op_val(vy) + Long_val(vyoff);
+  intnat n = Long_val(vlen), k;
+  uintnat acc = 0;
+  for (k = 0; k < n; k++)
+    acc ^= (uintnat)(x[k] & y[k]) >> 1;
+  return Val_long((intnat)((Long_val(vinit) ^ acc) & 1));
+}
+
+CAMLprim value kp_gf2_dot_acc_byte(value *argv, int argn)
+{
+  (void)argn;
+  return kp_gf2_dot_acc(argv[0], argv[1], argv[2], argv[3], argv[4],
+                        argv[5]);
 }
 
 CAMLprim value kp_gf2_csr_matvec(value vrow_ptr, value vcols, value vvals,

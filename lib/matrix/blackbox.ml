@@ -1,19 +1,25 @@
 module Make (F : Kp_field.Field_intf.FIELD) = struct
   module M = Dense.Make (F)
   module S = Sparse.Make (F)
+  module K = Kp_kernel.Dispatch.Make (F)
 
   type t = {
     dim : int;
-    apply : F.t array -> F.t array;
+    apply_into : F.t array -> F.t array -> unit;
     apply_transpose : (F.t array -> F.t array) option;
     ops_per_apply : int;
   }
+
+  let apply t v =
+    let dst = Array.make t.dim F.zero in
+    t.apply_into v dst;
+    dst
 
   let of_dense (m : M.t) =
     if m.M.rows <> m.M.cols then invalid_arg "Blackbox.of_dense: non-square";
     {
       dim = m.M.rows;
-      apply = M.matvec m;
+      apply_into = M.matvec_into m;
       apply_transpose = Some (fun v -> M.vecmat v m);
       ops_per_apply = 2 * m.M.rows * m.M.cols;
     }
@@ -22,18 +28,30 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     if S.rows s <> S.cols s then invalid_arg "Blackbox.of_sparse: non-square";
     {
       dim = S.rows s;
-      apply = S.matvec s;
+      apply_into = S.matvec_into s;
       apply_transpose = Some (S.matvec_transpose s);
       ops_per_apply = 2 * S.nnz s;
     }
 
-  let of_fun dim apply = { dim; apply; apply_transpose = None; ops_per_apply = 0 }
+  let of_fun dim f =
+    {
+      dim;
+      apply_into = (fun v dst -> Array.blit (f v) 0 dst 0 dim);
+      apply_transpose = None;
+      ops_per_apply = 0;
+    }
 
+  (* b writes the one intermediate buffer this composition owns, a reads
+     it: sequential applies reuse it, concurrent ones would race *)
   let compose a b =
     if a.dim <> b.dim then invalid_arg "Blackbox.compose: dimension mismatch";
+    let mid = Array.make a.dim F.zero in
     {
       dim = a.dim;
-      apply = (fun v -> a.apply (b.apply v));
+      apply_into =
+        (fun v dst ->
+          b.apply_into v mid;
+          a.apply_into mid dst);
       apply_transpose =
         (match (a.apply_transpose, b.apply_transpose) with
         | Some at, Some bt -> Some (fun v -> bt (at v))
@@ -43,13 +61,25 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
 
   let scale_columns a d =
     if Array.length d <> a.dim then invalid_arg "Blackbox.scale_columns";
-    let scale v = Array.init a.dim (fun i -> F.mul d.(i) v.(i)) in
+    let n = a.dim in
+    let scale_into v dst =
+      K.pointwise_mul_into ~x:d ~xoff:0 ~y:v ~yoff:0 ~dst ~doff:0 ~len:n
+    in
+    let mid = Array.make n F.zero in
     {
-      dim = a.dim;
-      apply = (fun v -> a.apply (scale v));
+      dim = n;
+      apply_into =
+        (fun v dst ->
+          scale_into v mid;
+          a.apply_into mid dst);
       apply_transpose =
-        Option.map (fun at -> fun v -> scale (at v)) a.apply_transpose;
-      ops_per_apply = a.ops_per_apply + a.dim;
+        Option.map
+          (fun at v ->
+            let w = Array.make n F.zero in
+            scale_into (at v) w;
+            w)
+          a.apply_transpose;
+      ops_per_apply = a.ops_per_apply + n;
     }
 
   let c_applies = Kp_obs.Counter.make "blackbox.applies"
@@ -68,10 +98,10 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     in
     {
       t with
-      apply =
-        (fun v ->
+      apply_into =
+        (fun v dst ->
           tick ();
-          t.apply v);
+          t.apply_into v dst);
       apply_transpose =
         Option.map
           (fun at v ->
@@ -83,7 +113,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let identity n =
     {
       dim = n;
-      apply = Array.copy;
+      apply_into = (fun v dst -> Array.blit v 0 dst 0 n);
       apply_transpose = Some Array.copy;
       ops_per_apply = 0;
     }
@@ -93,7 +123,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       Array.init t.dim (fun j ->
           let e = Array.make t.dim F.zero in
           e.(j) <- F.one;
-          t.apply e)
+          apply t e)
     in
     M.init t.dim t.dim (fun i j -> cols.(j).(i))
 end

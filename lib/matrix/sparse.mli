@@ -25,6 +25,12 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
   val get : t -> int -> int -> F.t
 
   val matvec : t -> F.t array -> F.t array
+
+  val matvec_into : t -> F.t array -> F.t array -> unit
+  (** [matvec_into a v dst] writes [a·v] into [dst] (length [rows]) with
+      one kernel [csr_matvec_into] and no allocation.  [dst] must not be
+      [v]. *)
+
   val matvec_transpose : t -> F.t array -> F.t array
 
   val random : Random.State.t -> int -> int -> density:float -> t

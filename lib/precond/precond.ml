@@ -80,6 +80,8 @@ type 'a t = {
   n : int;
   apply : ?pool:Kp_util.Pool.t -> 'a array -> 'a array;
       (* v ↦ P·v; composing a black box A with this gives Ã = A·P *)
+  apply_into : 'a array -> 'a array -> unit;
+      (* P·src written into dst, which must not be src *)
   apply_transpose : ?pool:Kp_util.Pool.t -> 'a array -> 'a array;
       (* v ↦ Pᵀ·v *)
   dense : unit -> 'a array;  (* row-major n×n materialisation of P *)
@@ -90,6 +92,11 @@ type 'a t = {
          never instruments applies (the dense pipeline) must not pay for —
          and must not perform at all when it is itself a counting field *)
 }
+
+(* [apply_into] for a kind whose apply allocates anyway: P·src copied out *)
+let copy_into apply src dst =
+  let w = apply ?pool:None src in
+  Array.blit w 0 dst 0 (Array.length w)
 
 (* ---- straight-line layer (FIELD_CORE): the dense Hankel·Diagonal ---- *)
 
@@ -140,6 +147,7 @@ struct
       kind = Dense_hd;
       n;
       apply;
+      apply_into = copy_into apply;
       apply_transpose;
       dense =
         (fun () ->
@@ -275,11 +283,16 @@ struct
     let scale_by_d ~src w =
       K.pointwise_mul_into ~x:d ~xoff:0 ~y:src ~yoff:0 ~dst:w ~doff:0 ~len:n
     in
-    (* P = L_m·…·L_1·D *)
+    (* P = L_m·…·L_1·D: d·v into dst, then the layers in place *)
+    let apply_into v dst =
+      scale_by_d ~src:v dst;
+      for l = 0 to Array.length layers - 1 do
+        exchange ~transpose:false dst layers.(l)
+      done
+    in
     let apply ?pool:_ v =
       let w = Array.make n F.zero in
-      scale_by_d ~src:v w;
-      Array.iter (exchange ~transpose:false w) layers;
+      apply_into v w;
       w
     in
     let apply_transpose ?pool:_ v =
@@ -321,6 +334,7 @@ struct
       kind;
       n;
       apply;
+      apply_into;
       apply_transpose;
       dense;
       det;
@@ -581,6 +595,7 @@ struct
         kind = Ext_field;
         n;
         apply;
+        apply_into = copy_into apply;
         apply_transpose;
         dense;
         det;

@@ -25,12 +25,20 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       ~rec_poly:[| F.neg F.one; F.neg F.one; F.one |]
       n
 
-  let krylov_sequence apply ~u ~b n =
+  (* A^i·b ping-pongs between two buffers, so the loop allocates nothing
+     past them and the output; b itself is only ever read *)
+  let krylov_sequence apply_into ~u ~b n =
     let out = Array.make n F.zero in
-    let v = ref b in
+    let dim = Array.length b in
+    let bufs = [| Array.make dim F.zero; Array.make dim F.zero |] in
+    let cur = ref b in
     for i = 0 to n - 1 do
-      out.(i) <- K.dot u !v;
-      if i < n - 1 then v := apply !v
+      out.(i) <- K.dot u !cur;
+      if i < n - 1 then begin
+        let dst = bufs.(i land 1) in
+        apply_into !cur dst;
+        cur := dst
+      end
     done;
     out
 end

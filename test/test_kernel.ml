@@ -181,6 +181,35 @@ let check_primitives ~name (module F : F_INT)
   into "scale_into"
     (fun d -> S.scale_into ~a:alpha ~x ~xoff ~dst:d ~doff ~len:n)
     (fun d -> D.scale_into ~a:alpha ~x ~xoff ~dst:d ~doff ~len:n);
+  (* the scalars at the ends of the GF(p) stubs' Shoup quotient *)
+  List.iter
+    (fun (what, a) ->
+      into
+        (Printf.sprintf "axpy_into(a=%s)" what)
+        (fun d -> S.axpy_into ~a ~x ~xoff ~y:d ~yoff ~len:n)
+        (fun d -> D.axpy_into ~a ~x ~xoff ~y:d ~yoff ~len:n);
+      into
+        (Printf.sprintf "scale_into(a=%s)" what)
+        (fun d -> S.scale_into ~a ~x ~xoff ~dst:d ~doff ~len:n)
+        (fun d -> D.scale_into ~a ~x ~xoff ~dst:d ~doff ~len:n))
+    [ ("0", F.zero); ("1", F.one); ("p-1", max_elt) ];
+  (* source and destination in one array at different offsets: the stubs
+     must replay the derived kernel's forward sequential loop *)
+  into "axpy_into(overlapping)"
+    (fun d -> S.axpy_into ~a:alpha ~x:d ~xoff ~y:d ~yoff ~len:n)
+    (fun d -> D.axpy_into ~a:alpha ~x:d ~xoff ~y:d ~yoff ~len:n);
+  into "scale_into(overlapping)"
+    (fun d -> S.scale_into ~a:alpha ~x:d ~xoff ~dst:d ~doff ~len:n)
+    (fun d -> D.scale_into ~a:alpha ~x:d ~xoff ~dst:d ~doff ~len:n);
+  List.iter
+    (fun init ->
+      check_bool
+        (ctx (Printf.sprintf "dot_acc init=%s" (F.to_string init)))
+        true
+        (F.equal
+           (S.dot_acc ~init ~x ~xoff ~y ~yoff ~len:n)
+           (D.dot_acc ~init ~x ~xoff ~y ~yoff ~len:n)))
+    [ F.zero; F.one; max_elt; elt () ];
   into "add_into"
     (fun d -> S.add_into ~x ~xoff ~y:d ~yoff ~dst:d ~doff ~len:n)
     (fun d -> D.add_into ~x ~xoff ~y:d ~yoff ~dst:d ~doff ~len:n);
@@ -558,6 +587,14 @@ let test_counting_op_counts () =
   let _, c = Cnt.measure (fun () -> ignore (V.dot a b)) in
   check_int "dot muls = n" n c.Kp_field.Counting.multiplications;
   check_int "dot adds = n-1 (balanced)" (n - 1) c.Kp_field.Counting.additions;
+  let module DK = Kp_kernel.Derived.Make (Cnt) in
+  let _, c =
+    Cnt.measure (fun () ->
+        ignore (DK.dot_acc ~init:a.(0) ~x:a ~xoff:1 ~y:b ~yoff:0 ~len:(n - 1)))
+  in
+  check_int "dot_acc muls = len" (n - 1) c.Kp_field.Counting.multiplications;
+  check_int "dot_acc adds = len (one onto init per product)" (n - 1)
+    c.Kp_field.Counting.additions;
   let am = CM.init n n (fun _ _ -> Cnt.random st) in
   let bm = CM.init n n (fun _ _ -> Cnt.random st) in
   let v = Array.init n (fun _ -> Cnt.random st) in

@@ -275,6 +275,51 @@ let test_blackbox_scale_columns () =
   let scaled = Bb.scale_columns (Bb.of_dense a) d in
   check_mat "A Diag(d)" (M.mul a (M.diag d)) (Bb.to_dense scaled)
 
+(* apply_into into a dirty destination = the allocating apply = a
+   reference built from the components, for every constructor, twice in a
+   row (composed boxes reuse their buffer), with the source untouched *)
+let blackbox_apply_into (type a) name
+    (module Fx : Kp_field.Field_intf.FIELD with type t = a) () =
+  let module Mx = Kp_matrix.Dense.Make (Fx) in
+  let module Spx = Kp_matrix.Sparse.Make (Fx) in
+  let module Bbx = Kp_matrix.Blackbox.Make (Fx) in
+  let st = Kp_util.Rng.make 19 in
+  let n = 11 in
+  let rand () = Array.init n (fun _ -> Fx.random st) in
+  let a = Mx.random st n n and b = Mx.random st n n in
+  let s = Spx.random st n n ~density:0.3 in
+  let d = rand () in
+  let boxes =
+    [
+      ("of_dense", Bbx.of_dense a, Mx.matvec a);
+      ("of_sparse", Bbx.of_sparse s, Spx.matvec s);
+      ("of_fun", Bbx.of_fun n (Mx.matvec b), Mx.matvec b);
+      ( "compose",
+        Bbx.compose (Bbx.of_dense a) (Bbx.of_sparse s),
+        fun v -> Mx.matvec a (Spx.matvec s v) );
+      ( "scale_columns",
+        Bbx.scale_columns (Bbx.of_dense a) d,
+        fun v -> Mx.matvec a (Array.map2 Fx.mul d v) );
+      ("identity", Bbx.identity n, Array.copy);
+      ( "instrument",
+        Bbx.instrument (Bbx.compose (Bbx.of_sparse s) (Bbx.of_dense b)),
+        fun v -> Spx.matvec s (Mx.matvec b v) );
+    ]
+  in
+  let same = Array.for_all2 Fx.equal in
+  List.iter
+    (fun (what, bb, reference) ->
+      for round = 1 to 2 do
+        let v = rand () in
+        let v0 = Array.copy v and dst = rand () in
+        bb.Bbx.apply_into v dst;
+        let ctx = Printf.sprintf "%s %s round %d" name what round in
+        check_bool (ctx ^ ": apply_into = apply") true (same dst (Bbx.apply bb v));
+        check_bool (ctx ^ ": = reference") true (same dst (reference v));
+        check_bool (ctx ^ ": source untouched") true (same v v0)
+      done)
+    boxes
+
 let () =
   Alcotest.run "kp_matrix"
     [
@@ -316,5 +361,11 @@ let () =
           Alcotest.test_case "of_dense/to_dense" `Quick test_blackbox_dense;
           Alcotest.test_case "compose" `Quick test_blackbox_compose;
           Alcotest.test_case "scale_columns" `Quick test_blackbox_scale_columns;
+          Alcotest.test_case "apply_into GF(p)" `Quick
+            (blackbox_apply_into "GF(p)" (module F));
+          Alcotest.test_case "apply_into GF(2)" `Quick
+            (blackbox_apply_into "GF(2)" (module Kp_field.Fields.Gf2));
+          Alcotest.test_case "apply_into GF(p) twin" `Quick
+            (blackbox_apply_into "GF(p) twin" (Test_seeds.twin (module F)));
         ] );
     ]

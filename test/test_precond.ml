@@ -313,6 +313,40 @@ let test_ext_field_gf2 () =
        genuine GF(2^4)/GF(2^8) chunk scalars, with and without a tail *)
     [ (6, 2); (8, 16); (12, 256); (16, 16) ]
 
+(* apply_into into a dirty destination = apply = the dense
+   materialisation's matvec, for every kind, twice from one record, with
+   the source untouched.  GF(2) at card_s = 256 builds genuine GF(2^8)
+   chunk scalars for the extension kind. *)
+let apply_into_all_kinds (type a) name ~card_s
+    (module Fx : Kp_field.Field_intf.FIELD with type t = a) () =
+  let module Cx = Kp_poly.Conv.Karatsuba (Fx) in
+  let module SPx = Kp_precond.Precond.Make (Fx) (Cx) in
+  let module Mx = Kp_matrix.Dense.Make (Fx) in
+  let same = Array.for_all2 Fx.equal in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun n ->
+          let st = st0 (70 + n) in
+          let p = SPx.build ~card_s ~n kind st in
+          let dense = p.Pc.dense () in
+          let pm = Mx.init n n (fun i j -> dense.((i * n) + j)) in
+          for round = 1 to 2 do
+            let v = Array.init n (fun _ -> Fx.random st) in
+            let v0 = Array.copy v in
+            let dst = Array.init n (fun _ -> Fx.random st) in
+            p.Pc.apply_into v dst;
+            let ctx =
+              Printf.sprintf "%s %s n=%d round %d" name (Pc.kind_name kind) n
+                round
+            in
+            check_bool (ctx ^ ": apply_into = apply") true (same dst (p.Pc.apply v));
+            check_bool (ctx ^ ": = dense matvec") true (same dst (Mx.matvec pm v));
+            check_bool (ctx ^ ": source untouched") true (same v v0)
+          done)
+        [ 1; 7; 16; 19 ])
+    Pc.all_kinds
+
 (* ---- end-to-end: every kind solves ---- *)
 
 let test_solver_all_kinds () =
@@ -393,6 +427,15 @@ let () =
             test_butterfly_matches_reference;
           Alcotest.test_case "ext-field GF(2) record consistent" `Quick
             test_ext_field_gf2;
+          Alcotest.test_case "apply_into GF(p): all kinds" `Quick
+            (apply_into_all_kinds "GF(p)" ~card_s:4096
+               (module Kp_field.Fields.Gf_ntt));
+          Alcotest.test_case "apply_into GF(2): all kinds" `Quick
+            (apply_into_all_kinds "GF(2)" ~card_s:256
+               (module Kp_field.Fields.Gf2));
+          Alcotest.test_case "apply_into GF(p) twin: all kinds" `Quick
+            (apply_into_all_kinds "GF(p) twin" ~card_s:4096
+               (Test_seeds.twin (module Kp_field.Fields.Gf_ntt)));
         ] );
       ( "end-to-end",
         [

@@ -174,7 +174,7 @@ let test_chaos_wiedemann_blackbox () =
       if Array.length v > 0 then v.(0) <- F.add v.(0) F.one;
       v
     in
-    let bb = { base with Bb.apply = Fault.wrap_apply plan ~corrupt base.Bb.apply } in
+    let bb = Bb.of_fun n (Fault.wrap_apply plan ~corrupt (Bb.apply base)) in
     (match W.solve ~retries:10 st bb b with
     | Ok (x, _) ->
       incr ok;

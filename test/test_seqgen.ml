@@ -73,13 +73,13 @@ let test_krylov_minpoly_divides_charpoly () =
     let a = M.random st n n in
     let u = Array.init n (fun _ -> F.random st) in
     let b = Array.init n (fun _ -> F.random st) in
-    let s = LR.krylov_sequence (M.matvec a) ~u ~b (2 * n) in
+    let s = LR.krylov_sequence (M.matvec_into a) ~u ~b (2 * n) in
     let f = BM.minimal_polynomial s in
     check_bool "deg <= n" true (P.degree f <= n);
     (* f_u^{A,b} divides the characteristic polynomial: check f(A) maps b
        into the kernel of the Krylov form, i.e. u A^j f(A) b = 0 — already
        implied by generates, so check generates on a longer sequence *)
-    let s_long = LR.krylov_sequence (M.matvec a) ~u ~b (3 * n) in
+    let s_long = LR.krylov_sequence (M.matvec_into a) ~u ~b (3 * n) in
     check_bool "generates extended Krylov sequence" true
       (BM.generates (P.to_array f) s_long)
   done
@@ -95,7 +95,7 @@ let test_krylov_nonsingular_full_degree () =
     let a = M.random_nonsingular st n in
     let u = Array.init n (fun _ -> F.random st) in
     let b = Array.init n (fun _ -> F.random st) in
-    let s = LR.krylov_sequence (M.matvec a) ~u ~b (2 * n) in
+    let s = LR.krylov_sequence (M.matvec_into a) ~u ~b (2 * n) in
     let f = BM.minimal_polynomial s in
     if P.degree f = n then begin
       incr confirmed;
@@ -251,6 +251,114 @@ let test_bm_bounded_fewer_ops () =
         true (bounded < full))
     [ 8; 64 ]
 
+(* ---------- generates = the scalar window check ---------- *)
+
+(* the window loop [generates] ran before it became kernel calls *)
+let generates_ref (type a) (module F : Kp_field.Field_intf.FIELD with type t = a)
+    f s =
+  let module P = Kp_poly.Dense.Make (F) in
+  let fp = P.of_coeffs f in
+  if P.is_zero fp then Array.for_all F.is_zero s
+  else begin
+    let l = P.degree fp and n = Array.length s in
+    let ok = ref true in
+    for j = 0 to n - 1 - l do
+      let acc = ref F.zero in
+      for i = 0 to l do
+        acc := F.add !acc (F.mul (P.coeff fp i) s.(j + i))
+      done;
+      if not (F.is_zero !acc) then ok := false
+    done;
+    !ok
+  end
+
+(* every generator BM finds is accepted, and so is it times λ; the same
+   generator with one coefficient bumped, or on the sequence with one term
+   bumped, is rejected exactly when the scalar check rejects it *)
+let generates_matches_reference (type a) name ~top
+    (module F : Kp_field.Field_intf.FIELD with type t = a) () =
+  let module B = Kp_seqgen.Berlekamp_massey.Make (F) in
+  let st = Random.State.make [| 86 |] in
+  let bump a k =
+    let a = Array.copy a in
+    a.(k) <- F.add a.(k) F.one;
+    a
+  in
+  let agree what f s =
+    let want = generates_ref (module F) f s in
+    check_bool
+      (Printf.sprintf "%s %s: generates = scalar reference" name what)
+      want (B.generates f s);
+    want
+  in
+  let accepted = ref 0 and rejected = ref 0 in
+  List.iter
+    (fun (what, s) ->
+      let f = B.P.to_array (B.minimal_polynomial s) in
+      check_bool (Printf.sprintf "%s %s: min poly accepted" name what) true
+        (agree what f s);
+      incr accepted;
+      ignore (agree (what ^ " ·λ") (Array.append [| F.zero |] f) s);
+      List.iter
+        (fun (tamper, f', s') ->
+          if not (agree (what ^ " " ^ tamper) f' s') then incr rejected)
+        ((if Array.length s > 0 then
+            [ ("bumped term", f, bump s (Random.State.int st (Array.length s))) ]
+          else [])
+        @ List.init (Array.length f) (fun k ->
+              (Printf.sprintf "bumped f%d" k, bump f k, s))))
+    (bm_sequences (module F) ~sizes:[ 1; 2; 3; 5; top ] st);
+  check_bool (name ^ ": accepted and rejected cases both ran") true
+    (!accepted > 0 && !rejected > 0)
+
+(* ---------- Krylov sequences into reused buffers ---------- *)
+
+(* words allocated by [f], minor and major heap alike *)
+let allocated_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* the 2n-term sequence of the black-box solve's operator Ã = A·P (sparse
+   A, butterfly P, instrumented) ping-pongs Ãⁱ·b between two buffers: its
+   output, the two buffers and nothing per step (allocating applies cost
+   2n² words at n = 512) — and it equals the sequence of allocating
+   products *)
+let test_krylov_allocation () =
+  let module Sp = Kp_matrix.Sparse.Make (F) in
+  let module V = Kp_matrix.Vec.Make (F) in
+  let module W = Kp_core.Wiedemann.Make (F) in
+  let module SP = Kp_precond.Precond.Make (F) (Kp_poly.Conv.Karatsuba_field (F)) in
+  let n = 512 in
+  let st = Kp_util.Rng.make 87 in
+  let a = Sp.random_nonsingular st n ~density:(16. /. float_of_int n) in
+  let p = SP.build ~card_s:(12 * n * n) ~n Kp_precond.Precond.Sparse_butterfly st in
+  let a_tilde =
+    W.Bb.instrument ~name:"preconditioned"
+      (W.Bb.compose (W.Bb.of_sparse a) (W.precond_blackbox p))
+  in
+  let u = Array.init n (fun _ -> F.random st) in
+  let b = Array.init n (fun _ -> F.random st) in
+  let b0 = Array.copy b and u0 = Array.copy u in
+  ignore (LR.krylov_sequence a_tilde.W.Bb.apply_into ~u ~b 4);
+  let seq, words =
+    allocated_words (fun () ->
+        LR.krylov_sequence a_tilde.W.Bb.apply_into ~u ~b (2 * n))
+  in
+  check_bool
+    (Printf.sprintf "n=%d: %.0f words allocated < 8n = %d" n words (8 * n))
+    true
+    (words < float_of_int (8 * n));
+  check_bool "b and u untouched" true (b = b0 && u = u0);
+  let v = ref b in
+  let want =
+    Array.init (2 * n) (fun i ->
+        if i > 0 then v := Sp.matvec a (p.Kp_precond.Precond.apply !v);
+        V.dot u !v)
+  in
+  check_bool "equals the allocating sequence" true (seq = want)
+
 (* ---------- matrix Berlekamp/Massey ---------- *)
 
 let arr_eq a b =
@@ -296,7 +404,7 @@ let test_mbm_b1_krylov () =
     let a = M.random st n n in
     let u = Array.init n (fun _ -> F.random st) in
     let b = Array.init n (fun _ -> F.random st) in
-    let s = LR.krylov_sequence (M.matvec a) ~u ~b ((2 * n) + 3) in
+    let s = LR.krylov_sequence (M.matvec_into a) ~u ~b ((2 * n) + 3) in
     let f_scalar = P.to_array (BM.minimal_polynomial s) in
     let gen = MB.minimal_generator ~b:1 (Array.map (fun x -> [| x |]) s) in
     check_bool "b=1 Krylov generator generates" true
@@ -407,8 +515,25 @@ let () =
           Alcotest.test_case "bounded = unbounded GF(2)" `Quick
             (bounded_matches_unbounded "GF(2)" ~top:64
                (module Kp_field.Fields.Gf2));
+          Alcotest.test_case "bounded = unbounded GF(2^30-35)" `Quick
+            (bounded_matches_unbounded "GF(2^30-35)" ~top:64
+               (module Kp_field.Fields.Gf_big));
+          Alcotest.test_case "bounded = unbounded GF(p=2)" `Quick
+            (bounded_matches_unbounded "GF(p=2)" ~top:64
+               (Kp_field.Gfp.make 2));
+          Alcotest.test_case "bounded = unbounded GF(p) twin" `Quick
+            (bounded_matches_unbounded "GF(p) twin" ~top:64
+               (Test_seeds.twin (module F)));
           Alcotest.test_case "bounded does fewer ops" `Quick
             test_bm_bounded_fewer_ops;
+          Alcotest.test_case "generates = reference GF(p)" `Quick
+            (generates_matches_reference "GF(p)" ~top:24 (module F));
+          Alcotest.test_case "generates = reference GF(2)" `Quick
+            (generates_matches_reference "GF(2)" ~top:24
+               (module Kp_field.Fields.Gf2));
+          (* exact rationals grow fast: a shorter top size *)
+          Alcotest.test_case "generates = reference Q" `Quick
+            (generates_matches_reference "Q" ~top:8 (module Q));
         ] );
       ( "krylov",
         [
@@ -416,6 +541,8 @@ let () =
             test_krylov_minpoly_divides_charpoly;
           Alcotest.test_case "full degree det relation" `Quick
             test_krylov_nonsingular_full_degree;
+          Alcotest.test_case "two reused buffers" `Quick
+            test_krylov_allocation;
         ] );
       ( "matrix-bm",
         [

@@ -62,7 +62,7 @@ let test_solve_composed_blackbox () =
   let a1 = M.random_nonsingular st n and a2 = M.random_nonsingular st n in
   let bb = Bb.compose (Bb.of_dense a1) (Bb.of_dense a2) in
   let x_true = Array.init n (fun _ -> F.random st) in
-  let b = bb.Bb.apply x_true in
+  let b = Bb.apply bb x_true in
   match W.solve st bb b with
   | Ok (x, _) -> check_bool "product blackbox" true (farr_eq x x_true)
   | Error e -> Alcotest.fail (W.O.error_to_string e)
@@ -201,7 +201,7 @@ let test_hankel_blackbox_matches_dense () =
   let bb = hankel_blackbox ~n h in
   let dense = M.init n n (fun i j -> h.(i + j)) in
   let x = Array.init n (fun _ -> F.random st) in
-  check_bool "matvec agrees" true (farr_eq (bb.Bb.apply x) (M.matvec dense x));
+  check_bool "matvec agrees" true (farr_eq (Bb.apply bb x) (M.matvec dense x));
   match bb.Bb.apply_transpose with
   | None -> ()
   | Some at ->
