@@ -1352,8 +1352,10 @@ let e18 () =
   let rng = st () in
   print_endline
     "E18 (C-stub kernels): the same dense matvec/matmul, butterfly apply\n\
-     (diagonal + one exchange layer per stride), 8-per-row CSR matvec and\n\
-     GF(p) Berlekamp-Massey on a 2n-term sequence served by the C stubs\n\
+     (diagonal + one exchange layer per stride, prepared once as a network\n\
+     and applied in one kernel call; the prepare row times building it),\n\
+     8-per-row CSR matvec and GF(p) Berlekamp-Massey on a 2n-term sequence\n\
+     served by the C stubs\n\
      (split-sum, Shoup or Barrett GF(p) loops, no division per element,\n\
      bit-packed or tagged-word GF(2)) and by the derived reference kernel\n\
      (the field's own scalar ops, reached through its Generic-hinted twin).\n\
@@ -1460,8 +1462,10 @@ let e18 () =
               in
               (out, secs)))
         [ 128; 256 ];
-      (* butterfly apply: the sparse preconditioner's diagonal, then one
-         exchange layer per stride 1, 2, 4, … < n *)
+      (* butterfly apply: the sparse preconditioner's network (diagonal,
+         then one exchange layer per stride 1, 2, 4, … < n) prepared once
+         and applied in one kernel call; n = 1000 is the sparse workload's
+         ragged shape.  The prepare row times building the network. *)
       List.iter
         (fun n ->
           let d = Array.init n (fun _ -> Fi.random rng) in
@@ -1475,25 +1479,32 @@ let e18 () =
                 let a = coef () in
                 let b = coef () in
                 let c = coef () in
-                (stride, a, b, c, coef ()))
+                { Kp_kernel.Kernel_intf.stride; a; b; c; dd = coef () })
           in
           let reps = if !fast then 200 else 800 in
           row field_name fm "butterfly" n reps (fun k reps ->
               let module K = (val k) in
+              let net = K.butterfly_prepare ~d ~layers in
               let w = Array.make n Fi.zero in
               let apply () =
-                K.pointwise_mul_into ~x:d ~xoff:0 ~y:v ~yoff:0 ~dst:w ~doff:0
-                  ~len:n;
-                Array.iter
-                  (fun (stride, a, b, c, dd) ->
-                    K.butterfly_into ~a ~b ~c ~d:dd ~stride ~transpose:false
-                      ~w)
-                  layers
+                K.butterfly_apply_into net ~transpose:false ~src:v ~dst:w
               in
               apply ();
               let out = Array.copy w in
-              (out, bench reps apply)))
-        [ 256; 1024 ];
+              (out, bench reps apply));
+          (* the prepare row's output is a fresh network's transposed
+             apply, so the transpose is asserted bit-identical too *)
+          let reps = if !fast then 20 else 80 in
+          row field_name fm "butterfly prepare" n reps (fun k reps ->
+              let module K = (val k) in
+              let secs =
+                bench reps (fun () -> K.butterfly_prepare ~d ~layers)
+              in
+              let w = Array.make n Fi.zero in
+              K.butterfly_apply_into (K.butterfly_prepare ~d ~layers)
+                ~transpose:true ~src:v ~dst:w;
+              (w, secs)))
+        [ 256; 1000; 1024 ];
       (* CSR product: the sparse workload's operator, 8 entries per row *)
       let n = 1000 and per_row = 8 in
       let row_ptr = Array.init (n + 1) (fun i -> i * per_row) in

@@ -42,18 +42,21 @@ external gfp_csr_matvec :
   = "kp_gfp_csr_matvec_byte" "kp_gfp_csr_matvec"
 [@@noalloc]
 
-external gfp_butterfly :
-  int array ->
-  int array ->
-  int array ->
-  int array ->
-  int ->
-  bool ->
-  int array ->
-  int ->
-  unit
-  = "kp_gfp_butterfly_byte" "kp_gfp_butterfly"
+external gfp_butterfly_prepare :
+  int array -> int Kernel_intf.butterfly_layer array -> int -> Bytes.t
+  = "kp_gfp_butterfly_prepare"
+(** The network's words: each coefficient as a [uint32] beside its Shoup
+    quotient (layout in [kp_kernel_stubs.c]). *)
+
+external gfp_butterfly_apply : Bytes.t -> bool -> int array -> int array -> unit
+  = "kp_gfp_butterfly_apply"
 [@@noalloc]
+
+external gfp_shoup_quotient : int -> int -> int = "kp_gfp_shoup_quotient"
+[@@noalloc]
+(** [gfp_shoup_quotient a p] = ⌊a·2³²/p⌋ for [0 ≤ a < p < 2³⁰], by the
+    Barrett estimate and correction a network's prepare stores beside
+    each coefficient. *)
 
 external gfp_axpy :
   int -> int array -> int -> int array -> int -> int -> int -> unit
@@ -86,8 +89,9 @@ external gfp_matvec :
 [@@noalloc]
 
 external gfp_isa : unit -> string = "kp_gfp_isa"
-(** The instruction set the GF(p) [dot], [dot_acc], [matvec], [axpy]
-    and [scale] loops run on, as the loader resolved their clones:
+(** The instruction set the GF(p) [dot], [dot_acc], [matvec], [axpy],
+    [scale] and butterfly-network loops run on, as the loader resolved
+    their clones:
     ["avx512f"], ["avx2"] or ["default"] (also the answer on a toolchain
     that builds the plain body only). *)
 
@@ -125,16 +129,13 @@ external gf2_csr_matvec :
   = "kp_gf2_csr_matvec_byte" "kp_gf2_csr_matvec"
 [@@noalloc]
 
-external gf2_butterfly :
+external gf2_butterfly_apply :
   int array ->
-  int array ->
-  int array ->
-  int array ->
-  int ->
+  int Kernel_intf.butterfly_layer array ->
   bool ->
   int array ->
-  unit
-  = "kp_gf2_butterfly_byte" "kp_gf2_butterfly"
+  int array ->
+  unit = "kp_gf2_butterfly_apply"
 [@@noalloc]
 
 external gf2_axpy : int array -> int -> int array -> int -> int -> unit

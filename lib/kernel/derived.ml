@@ -50,24 +50,6 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) :
       dst.(i) <- !acc
     done
 
-  (* the transposed layer is the forward one with the off-diagonal
-     coefficients exchanged — the same expressions the preconditioner's
-     per-pair loops evaluated *)
-  let butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w =
-    let b, c = if transpose then (c, b) else (b, c) in
-    let n = Array.length w in
-    let k = ref 0 and blk = ref 0 in
-    while !blk < n do
-      for i = !blk to min (!blk + stride) (n - stride) - 1 do
-        let j = i + stride and p = !k in
-        let u = w.(i) and v = w.(j) in
-        w.(i) <- F.add (F.mul a.(p) u) (F.mul b.(p) v);
-        w.(j) <- F.add (F.mul c.(p) u) (F.mul d.(p) v);
-        incr k
-      done;
-      blk := !blk + (2 * stride)
-    done
-
   let axpy_into ~a ~x ~xoff ~y ~yoff ~len =
     for i = 0 to len - 1 do
       y.(yoff + i) <- F.add y.(yoff + i) (F.mul a x.(xoff + i))
@@ -92,6 +74,44 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) :
     for i = 0 to len - 1 do
       dst.(doff + i) <- F.mul x.(xoff + i) y.(yoff + i)
     done
+
+  (* the transposed layer is the forward one with the off-diagonal
+     coefficients exchanged — the same expressions the preconditioner's
+     per-pair loops evaluated *)
+  let butterfly_layer ~transpose ~n w { Kernel_intf.stride; a; b; c; dd } =
+    let b, c = if transpose then (c, b) else (b, c) in
+    let k = ref 0 and blk = ref 0 in
+    while !blk < n do
+      for i = !blk to min (!blk + stride) (n - stride) - 1 do
+        let j = i + stride and p = !k in
+        let u = w.(i) and v = w.(j) in
+        w.(i) <- F.add (F.mul a.(p) u) (F.mul b.(p) v);
+        w.(j) <- F.add (F.mul c.(p) u) (F.mul dd.(p) v);
+        incr k
+      done;
+      blk := !blk + (2 * stride)
+    done
+
+  (* references, not copies: the network is the arrays it was built from *)
+  type butterfly = { d : t array; layers : t Kernel_intf.butterfly_layer array }
+
+  let butterfly_prepare ~d ~layers = { d; layers }
+
+  let butterfly_apply_into { d; layers } ~transpose ~src ~dst =
+    let n = Array.length d in
+    if transpose then begin
+      Array.blit src 0 dst 0 n;
+      for l = Array.length layers - 1 downto 0 do
+        butterfly_layer ~transpose ~n dst layers.(l)
+      done;
+      pointwise_mul_into ~x:d ~xoff:0 ~y:dst ~yoff:0 ~dst ~doff:0 ~len:n
+    end
+    else begin
+      pointwise_mul_into ~x:d ~xoff:0 ~y:src ~yoff:0 ~dst ~doff:0 ~len:n;
+      for l = 0 to Array.length layers - 1 do
+        butterfly_layer ~transpose ~n dst layers.(l)
+      done
+    end
 
   let matvec_into ~m ~cols ~row_lo ~row_hi ~x ~dst =
     for i = row_lo to row_hi - 1 do

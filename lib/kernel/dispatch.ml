@@ -40,8 +40,26 @@ module type METERS = sig
   (** Advanced by the element-operation count of each call. *)
 end
 
+(* A prepared network together with the backend that prepared it.  Every
+   instrumented kernel has this one butterfly type, whichever backend the
+   hint selected, so unpacking [of_field]'s result creates no fresh type
+   and [Make] stays an applicative functor. *)
+type 'a network =
+  | Network : {
+      kernel :
+        (module Kernel_intf.KERNEL with type t = 'a and type butterfly = 'n);
+      net : 'n;
+      ops : int;
+    }
+      -> 'a network
+
+(* the kernels [of_field] returns *)
+type 'a metered =
+  (module Kernel_intf.KERNEL with type t = 'a and type butterfly = 'a network)
+
 module Metered (M : METERS) (K : Kernel_intf.KERNEL) :
-  Kernel_intf.KERNEL with type t = K.t = struct
+  Kernel_intf.KERNEL with type t = K.t and type butterfly = K.t network =
+struct
   type t = K.t
 
   let backend = K.backend
@@ -70,10 +88,30 @@ module Metered (M : METERS) (K : Kernel_intf.KERNEL) :
     tick (row_ptr.(row_hi) - row_ptr.(row_lo));
     K.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst
 
-  (* four multiply-adds per pair, as matvec counts one per entry *)
-  let butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w =
-    tick (4 * Kernel_intf.butterfly_pairs ~n:(Array.length w) ~stride);
-    K.butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w
+  (* one tick per apply: the diagonal's n products plus four
+     multiply-adds per pair, as matvec counts one per entry *)
+  type butterfly = t network
+
+  let butterfly_prepare ~d ~layers =
+    let n = Array.length d in
+    let pairs =
+      Array.fold_left
+        (fun acc { Kernel_intf.stride; _ } ->
+          acc + Kernel_intf.butterfly_pairs ~n ~stride)
+        0 layers
+    in
+    Network
+      {
+        kernel = (module K);
+        net = K.butterfly_prepare ~d ~layers;
+        ops = n + (4 * pairs);
+      }
+
+  let butterfly_apply_into (Network { kernel; net; ops } : butterfly)
+      ~transpose ~src ~dst =
+    let module B = (val kernel) in
+    tick ops;
+    B.butterfly_apply_into net ~transpose ~src ~dst
 
   let axpy_into ~a ~x ~xoff ~y ~yoff ~len =
     tick len;
@@ -126,8 +164,7 @@ let of_field_raw (type a) (module F : FIELD with type t = a) :
   | Gf2_bits -> (module Gf2_cstub)
   | Generic -> (module Derived.Make (F))
 
-let of_field (type a) (module F : FIELD with type t = a) : a Kernel_intf.kernel
-    =
+let of_field (type a) (module F : FIELD with type t = a) : a metered =
   let base = of_field_raw (module F : FIELD with type t = a) in
   let module K = (val base) in
   let meters : (module METERS) =
@@ -145,5 +182,6 @@ let of_field (type a) (module F : FIELD with type t = a) : a Kernel_intf.kernel
   let module M = (val meters) in
   (module Metered (M) (K))
 
-module Make (F : FIELD) : Kernel_intf.KERNEL with type t = F.t =
+module Make (F : FIELD) :
+  Kernel_intf.KERNEL with type t = F.t and type butterfly = F.t network =
   (val of_field (module F : FIELD with type t = F.t))

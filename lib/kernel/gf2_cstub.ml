@@ -18,8 +18,13 @@ let dot_acc ~init ~x ~xoff ~y ~yoff ~len =
 let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
   Cstub.gf2_csr_matvec row_ptr cols vals row_lo row_hi x dst
 
-let butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w =
-  Cstub.gf2_butterfly a b c d stride transpose w
+(* the AND/XOR loop reads the diagonal and the layer records in place *)
+type butterfly = { d : int array; layers : int Kernel_intf.butterfly_layer array }
+
+let butterfly_prepare ~d ~layers = { d; layers }
+
+let butterfly_apply_into { d; layers } ~transpose ~src ~dst =
+  Cstub.gf2_butterfly_apply d layers transpose src dst
 
 let axpy_into ~a ~x ~xoff ~y ~yoff ~len =
   if a <> 0 then Cstub.gf2_axpy x xoff y yoff len

@@ -3,9 +3,12 @@
     [matvec] add each product's low 32 bits and high bits into two sums
     and reduce once per row; [axpy_into] and [scale_into] reduce each
     product by Shoup's quotient of their scalar, computed once per call;
-    all of these run in a clone built for the widest instruction set the
-    CPU has ({!Cstub.gfp_isa}).  Every other reduction is one Barrett
-    step.
+    a butterfly network is prepared once as [uint32] words, each
+    coefficient beside its Shoup quotient, and applied in 32-bit
+    arithmetic with no Barrett step; all of these run in a clone built
+    for the widest instruction set the CPU has ({!Cstub.gfp_isa}).  CSR
+    and matmul block ends and pointwise products are one Barrett step
+    each.
 
     Elements are canonical residues in [0, p) in native [int]s (the
     [Gfp_word { p }] representation).  Every primitive reduces to the
@@ -33,8 +36,12 @@ let make ~p : (module Kernel_intf.KERNEL with type t = int) =
     let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
       Cstub.gfp_csr_matvec row_ptr cols vals row_lo row_hi x dst p
 
-    let butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w =
-      Cstub.gfp_butterfly a b c d stride transpose w p
+    type butterfly = Bytes.t
+
+    let butterfly_prepare ~d ~layers = Cstub.gfp_butterfly_prepare d layers p
+
+    let butterfly_apply_into net ~transpose ~src ~dst =
+      Cstub.gfp_butterfly_apply net transpose src dst
 
     let axpy_into ~a ~x ~xoff ~y ~yoff ~len =
       if a <> 0 then Cstub.gfp_axpy a x xoff y yoff len p

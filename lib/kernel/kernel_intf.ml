@@ -2,8 +2,8 @@
 
     A [KERNEL] packages the allocation-free hot loops of the Theorem-4
     pipeline and of the black-box route — inner products, AXPY updates,
-    pointwise maps, dense and CSR matrix-vector products, butterfly
-    exchange layers and matrix-matrix products — over arrays of one
+    pointwise maps, dense and CSR matrix-vector products, prepared
+    butterfly networks and matrix-matrix products — over arrays of one
     field's elements.  Two families of implementations exist:
 
     - {!Derived.Make} builds a kernel from any {!Kp_field.Field_intf.FIELD_CORE}
@@ -27,8 +27,26 @@
     - accumulating primitives ([matmul_into]) require the destination range
       to hold canonical field elements on entry (e.g. freshly zero-filled). *)
 
+(** One butterfly exchange layer of stride [stride] = s ≥ 1 over n
+    coordinates.  Its pairs are (i, i+s) for [blk ≤ i < min (blk+s) (n−s)]
+    over the block starts [blk = 0, 2s, 4s, …]; pair number k, counted in
+    that order, has the 2×2 block [[a.(k) b.(k)]; [c.(k) dd.(k)]].  The
+    coefficient arrays hold at least {!butterfly_pairs} entries. *)
+type 'a butterfly_layer = {
+  stride : int;
+  a : 'a array;
+  b : 'a array;
+  c : 'a array;
+  dd : 'a array;
+}
+
 module type KERNEL = sig
   type t
+
+  type butterfly
+  (** A butterfly network P = L_m·…·L_1·D prepared for repeated applies:
+      a diagonal d over n = [Array.length d] coordinates, then the layers
+      L_1, …, L_m in array order. *)
 
   val backend : string
   (** One of ["derived"], ["gfp_cstub"], ["gf2_cstub"] — also the suffix of
@@ -53,18 +71,20 @@ module type KERNEL = sig
       outside the range are left untouched, so a caller can split the
       product into disjoint row ranges. *)
 
-  val butterfly_into :
-    a:t array -> b:t array -> c:t array -> d:t array -> stride:int ->
-    transpose:bool -> w:t array -> unit
-  (** One butterfly exchange layer of stride [stride] = s ≥ 1, in place
-      on [w] (n = [Array.length w]).  Its pairs are (i, i+s) for
-      [blk ≤ i < min (blk+s) (n−s)] over the block starts
-      [blk = 0, 2s, 4s, …]; pair number k, counted in that order, has the
-      2×2 block [[a.(k) b.(k)]; [c.(k) d.(k)]].  With u = w.(i) and
-      v = w.(i+s) read before either write:
-      - forward:    [w.(i) <- a·u + b·v], [w.(i+s) <- c·u + d·v];
-      - transposed: [w.(i) <- a·u + c·v], [w.(i+s) <- b·u + d·v].
-      The coefficient arrays hold at least {!butterfly_pairs} entries. *)
+  val butterfly_prepare : d:t array -> layers:t butterfly_layer array -> butterfly
+  (** The network of [d] and [layers], built once per preconditioner.  A
+      backend may keep references to the arrays or copy them into its own
+      layout, so they must not change afterwards. *)
+
+  val butterfly_apply_into :
+    butterfly -> transpose:bool -> src:t array -> dst:t array -> unit
+  (** P·src (or Pᵀ·src) into [dst], which must not alias [src]; both hold
+      n entries.  With u = w.(i) and v = w.(i+s) read before either write,
+      a layer applied in place on w sets
+      - forward:    [w.(i) <- a·u + b·v], [w.(i+s) <- c·u + dd·v];
+      - transposed: [w.(i) <- a·u + c·v], [w.(i+s) <- b·u + dd·v].
+      Forward: [dst <- d∘src], then layers 1…m in place.  Transposed:
+      [dst <- src], then layers m…1 transposed, then [dst <- d∘dst]. *)
 
   val axpy_into : a:t -> x:t array -> xoff:int -> y:t array -> yoff:int -> len:int -> unit
   (** [y.(yoff+i) <- y.(yoff+i) + a·x.(xoff+i)] for [0 ≤ i < len] — the

@@ -21,9 +21,12 @@
      2^32 terms, so each row is reduced once, at its end.  axpy and scale
      multiply by one scalar a per call: one division per call precomputes
      Shoup's quotient of a, and each product is then reduced in 32-bit
-     arithmetic.  Every other reduction is one Barrett step.  Regrouping
-     reductions cannot change a canonical residue, so the stubs are
-     bit-identical to the derived kernel by construction.
+     arithmetic.  A prepared butterfly network stores every coefficient
+     beside its Shoup quotient, so its apply is 32-bit arithmetic with no
+     Barrett step.  CSR and matmul block ends and pointwise products are
+     one Barrett step each.  Regrouping reductions cannot change a
+     canonical residue, so the stubs are bit-identical to the derived
+     kernel by construction.
 
    - GF(2): 0/1 in native ints.  Tagged 0/1 values obey
        (2a+1) & (2b+1) = 2(a·b)+1      — AND preserves the tag;
@@ -34,18 +37,24 @@
      accumulator, the packed-x words of the GF(2) matvec) lives in an
      int64 Bigarray passed in by the caller: no malloc on the hot path.
 
-   - No `restrict` anywhere: the elementwise primitives may be called with
-     dst aliasing a source at a different offset, and C's plain-pointer
-     semantics then match the derived kernel's forward-sequential loop
-     exactly (vectorizing compilers version such loops behind an overlap
-     check).  The dense matvec is the exception: its dst must alias
+   - `restrict` only on memory that is disjoint by construction: the
+     words of a prepared butterfly network, and the two halves of a
+     butterfly block, which are the two ends of every pair.  Without it
+     GCC does not vectorize those loops under OCaml's -fno-strict-aliasing.
+     Everywhere else pointers are plain: the elementwise primitives may be
+     called with dst aliasing a source at a different offset, and C's
+     plain-pointer semantics then match the derived kernel's
+     forward-sequential loop exactly (vectorizing compilers version such
+     loops behind an overlap check).  The dense matvec's dst must alias
      neither m nor x (Kernel_intf), since four rows are written only after
      all four are summed. */
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
 #include <caml/bigarray.h>
+#include <caml/memory.h>
 #include <stdint.h>
+#include <string.h>
 
 #define ELT(v, i) Long_val(Field((v), (i)))
 #define SET(v, i, x) (Field((v), (i)) = Val_long(x))
@@ -180,38 +189,6 @@ CAMLprim value kp_gfp_csr_matvec_byte(value *argv, int argn)
   (void)argn;
   return kp_gfp_csr_matvec(argv[0], argv[1], argv[2], argv[3], argv[4],
                            argv[5], argv[6], argv[7]);
-}
-
-/* one butterfly exchange layer of stride s in place on w.  Pair k is
-   (i, i+s) for i in [blk, min(blk+s, n-s)), blk = 0, 2s, 4s, ...; the
-   transposed layer swaps the off-diagonal coefficients.  Each output is a
-   two-term sum below 2(p-1)^2 < 2^61: one Barrett reduction apiece. */
-CAMLprim value kp_gfp_butterfly(value va, value vb, value vc, value vd,
-                                value vstride, value vtrans, value vw,
-                                value vp)
-{
-  intnat s = Long_val(vstride), n = Wosize_val(vw);
-  uint64_t p = Long_val(vp), m = UINT64_MAX / p;
-  value vlo = Bool_val(vtrans) ? vc : vb, vup = Bool_val(vtrans) ? vb : vc;
-  intnat k = 0, blk;
-  for (blk = 0; blk < n; blk += 2 * s) {
-    intnat stop = blk + s < n - s ? blk + s : n - s, i;
-    for (i = blk; i < stop; i++, k++) {
-      uint64_t u = ELT(vw, i), v = ELT(vw, i + s);
-      uint64_t x = (uint64_t)ELT(va, k) * u + (uint64_t)ELT(vlo, k) * v;
-      uint64_t y = (uint64_t)ELT(vup, k) * u + (uint64_t)ELT(vd, k) * v;
-      SET(vw, i, (intnat)gfp_barrett(x, p, m));
-      SET(vw, i + s, (intnat)gfp_barrett(y, p, m));
-    }
-  }
-  return Val_unit;
-}
-
-CAMLprim value kp_gfp_butterfly_byte(value *argv, int argn)
-{
-  (void)argn;
-  return kp_gfp_butterfly(argv[0], argv[1], argv[2], argv[3], argv[4],
-                          argv[5], argv[6], argv[7]);
 }
 
 /* Shoup's product by a fixed a < p < 2^30, with ap = floor(a·2^32/p):
@@ -446,8 +423,220 @@ CAMLprim value kp_gfp_matmul_byte(value *argv, int argn)
                        argv[6], argv[7], argv[8]);
 }
 
+/* ------------------------------------------------------------------ */
+/* GF(p) butterfly networks                                           */
+/* ------------------------------------------------------------------ */
+
+/* A prepared network is one OCaml bytes of uint32 words:
+     n, m, p, the m layer strides,
+     d[n], d'[n],
+     then per layer, with P = its pair count (Kernel_intf.butterfly_pairs):
+     a[P], a'[P], b[P], b'[P], c[P], c'[P], dd[P], dd'[P],
+   where x' = floor(x·2^32/p) is x's Shoup quotient.  The layers arrive
+   as Kernel_intf.butterfly_layer records: fields stride, a, b, c, dd. */
+
+#define BF_HEAD 3
+
+/* Shoup's quotient floor(a·2^32/p) of a < p by the Barrett estimate of
+   gfp_barrett (m = floor((2^64-1)/p)) and its one correction: a prepare
+   computes m once and divides no further (axpy and scale, with one
+   quotient per call, divide once instead) */
+static inline uint32_t gfp_shoup_quot(uint32_t a, uint64_t p, uint64_t m)
+{
+  uint64_t x = (uint64_t)a << 32;
+#ifdef __SIZEOF_INT128__
+  uint64_t q = (uint64_t)(((unsigned __int128)x * m) >> 64);
+  return (uint32_t)(x - q * p >= p ? q + 1 : q);
+#else
+  (void)m;
+  return (uint32_t)(x / p);
+#endif
+}
+
+CAMLprim value kp_gfp_shoup_quotient(value va, value vp)
+{
+  uint64_t p = Long_val(vp);
+  return Val_long((intnat)gfp_shoup_quot((uint32_t)Long_val(va), p,
+                                         UINT64_MAX / p));
+}
+
+static intnat bf_pairs(intnat n, intnat s)
+{
+  intnat full = n / (2 * s), rest = n % (2 * s);
+  return full * s + (rest > s ? rest - s : 0);
+}
+
+/* the first len entries of the int array v, then their quotients */
+static uint32_t *bf_put(uint32_t *out, value v, intnat len, uint64_t p,
+                        uint64_t m)
+{
+  intnat i;
+  for (i = 0; i < len; i++) {
+    out[i] = (uint32_t)ELT(v, i);
+    out[len + i] = gfp_shoup_quot(out[i], p, m);
+  }
+  return out + 2 * len;
+}
+
+CAMLprim value kp_gfp_butterfly_prepare(value vd, value vlayers, value vp)
+{
+  CAMLparam3(vd, vlayers, vp);
+  CAMLlocal1(vnet);
+  intnat n = Wosize_val(vd), nl = Wosize_val(vlayers);
+  intnat words = BF_HEAD + nl + 2 * n, l, f;
+  uint64_t p = Long_val(vp), m = UINT64_MAX / p;
+  uint32_t *w;
+  for (l = 0; l < nl; l++)
+    words += 8 * bf_pairs(n, ELT(Field(vlayers, l), 0));
+  vnet = caml_alloc_string(words * sizeof(uint32_t));
+  w = (uint32_t *)Bytes_val(vnet);
+  w[0] = (uint32_t)n;
+  w[1] = (uint32_t)nl;
+  w[2] = (uint32_t)p;
+  for (l = 0; l < nl; l++)
+    w[BF_HEAD + l] = (uint32_t)ELT(Field(vlayers, l), 0);
+  w = bf_put(w + BF_HEAD + nl, vd, n, p, m);
+  for (l = 0; l < nl; l++) {
+    value layer = Field(vlayers, l);
+    intnat pairs = bf_pairs(n, ELT(layer, 0));
+    for (f = 1; f <= 4; f++)
+      w = bf_put(w, Field(layer, f), pairs, p, m);
+  }
+  CAMLreturn(vnet);
+}
+
+/* x·u + y·v mod p for prepared x, y < p (quotients xq, yq) and canonical
+   u, v: each Shoup term x·u − floor(xq·u/2^32)·p lies in [0, 2p), so the
+   sum lies in [0, 4p) ⊂ [0, 2^32) (p < 2^30) and is exact mod 2^32; two
+   conditional subtractions leave the canonical residue */
+static inline uint32_t gfp_shoup2(uint32_t x, uint32_t xq, uint32_t u,
+                                  uint32_t y, uint32_t yq, uint32_t v,
+                                  uint32_t p)
+{
+  uint32_t q = (uint32_t)(((uint64_t)xq * u) >> 32)
+               + (uint32_t)(((uint64_t)yq * v) >> 32);
+  uint32_t r = x * u + y * v - q * p;
+  r = r >= 2 * p ? r - 2 * p : r;
+  return r >= p ? r - p : r;
+}
+
+/* the eight coefficient streams of a layer, from a pair index on */
+#define BF_PARAMS                                                     \
+  const uint32_t *restrict a, const uint32_t *restrict aq,            \
+      const uint32_t *restrict b, const uint32_t *restrict bq,        \
+      const uint32_t *restrict c, const uint32_t *restrict cq,        \
+      const uint32_t *restrict dd, const uint32_t *restrict ddq, uint32_t p
+#define BF_ARGS(k)                                                    \
+  a + (k), aq + (k), b + (k), bq + (k), c + (k), cq + (k), dd + (k),  \
+      ddq + (k), p
+
+/* pairs (lo[j], hi[j]), j < len: one block's two halves */
+static inline void bf_run(value *restrict lo, value *restrict hi, intnat len,
+                          BF_PARAMS)
+{
+  intnat j;
+  for (j = 0; j < len; j++) {
+    uint32_t u = (uint32_t)RES(lo[j]), v = (uint32_t)RES(hi[j]);
+    lo[j] = Val_long((intnat)gfp_shoup2(a[j], aq[j], u, b[j], bq[j], v, p));
+    hi[j] = Val_long((intnat)gfp_shoup2(c[j], cq[j], u, dd[j], ddq[j], v, p));
+  }
+}
+
+/* the blocks from number blk on at any stride s, the ragged last block
+   with only the pairs that have a partner below n */
+static KP_TARGET_CLONES void bf_layer_any(value *w, intnat n, intnat s,
+                                          intnat blk, BF_PARAMS)
+{
+  intnat base;
+  for (base = 2 * s * blk; base < n - s; base += 2 * s)
+    bf_run(w + base, w + base + s, n - s - base < s ? n - s - base : s,
+           BF_ARGS(base / 2));
+}
+
+/* the first nblk whole blocks at a stride fixed at compile time: the
+   block loop vectorizes across blocks where a run of S pairs is too
+   short to fill a vector */
+#define BF_FIXED(S)                                                   \
+  static KP_TARGET_CLONES void bf_layer_##S(value *w, intnat nblk,    \
+                                            BF_PARAMS)                \
+  {                                                                   \
+    intnat blk;                                                       \
+    for (blk = 0; blk < nblk; blk++)                                  \
+      bf_run(w + 2 * S * blk, w + 2 * S * blk + S, S,                 \
+             BF_ARGS(S * blk));                                       \
+  }
+BF_FIXED(1)
+BF_FIXED(2)
+BF_FIXED(4)
+BF_FIXED(8)
+
+/* w <- d∘w */
+static KP_TARGET_CLONES void bf_scale(value *w, intnat n,
+                                      const uint32_t *restrict d,
+                                      const uint32_t *restrict dq,
+                                      uint32_t p)
+{
+  intnat i;
+  for (i = 0; i < n; i++)
+    w[i] = Val_long((intnat)gfp_shoup(d[i], dq[i], (uint32_t)RES(w[i]), p));
+}
+
+/* one layer in place on w from its prepared words co; the transposed
+   layer swaps the off-diagonal streams */
+static void bf_layer(value *w, intnat n, intnat s, const uint32_t *co,
+                     int trans, uint32_t p)
+{
+  intnat pairs = bf_pairs(n, s), whole = n / (2 * s), done = whole;
+  const uint32_t *a = co, *aq = co + pairs, *b = co + 2 * pairs,
+                 *bq = co + 3 * pairs, *c = co + 4 * pairs,
+                 *cq = co + 5 * pairs, *dd = co + 6 * pairs,
+                 *ddq = co + 7 * pairs;
+  if (trans) {
+    const uint32_t *t = b, *tq = bq;
+    b = c, bq = cq, c = t, cq = tq;
+  }
+  switch (s) {
+  case 1: bf_layer_1(w, whole, BF_ARGS(0)); break;
+  case 2: bf_layer_2(w, whole, BF_ARGS(0)); break;
+  case 4: bf_layer_4(w, whole, BF_ARGS(0)); break;
+  case 8: bf_layer_8(w, whole, BF_ARGS(0)); break;
+  default: done = 0;
+  }
+  bf_layer_any(w, n, s, done, BF_ARGS(0));
+}
+
+/* forward: dst <- d∘src, then layers 1..m; transposed: dst <- src, then
+   layers m..1 transposed, then dst <- d∘dst */
+CAMLprim value kp_gfp_butterfly_apply(value vnet, value vtrans, value vsrc,
+                                      value vdst)
+{
+  const uint32_t *net = (const uint32_t *)Bytes_val(vnet);
+  const uint32_t *end = net + caml_string_length(vnet) / sizeof(uint32_t);
+  intnat n = net[0], nl = net[1], l;
+  uint32_t p = net[2];
+  const uint32_t *strides = net + BF_HEAD, *d = strides + nl, *co = d + 2 * n;
+  value *w = Op_val(vdst);
+  memcpy(w, Op_val(vsrc), n * sizeof(value));
+  if (Bool_val(vtrans)) {
+    for (l = nl - 1; l >= 0; l--) {
+      end -= 8 * bf_pairs(n, strides[l]);
+      bf_layer(w, n, strides[l], end, 1, p);
+    }
+    bf_scale(w, n, d, d + n, p);
+  }
+  else {
+    bf_scale(w, n, d, d + n, p);
+    for (l = 0; l < nl; l++) {
+      bf_layer(w, n, strides[l], co, 0, p);
+      co += 8 * bf_pairs(n, strides[l]);
+    }
+  }
+  return Val_unit;
+}
+
 /* the clone the loader resolved gfp_dot_words, gfp_matvec_rows,
-   gfp_axpy_words and gfp_scale_words to: the same feature checks, in the
+   gfp_axpy_words, gfp_scale_words and the butterfly loops bf_layer_any,
+   bf_layer_1/2/4/8 and bf_scale to: the same feature checks, in the
    resolver's order */
 CAMLprim value kp_gfp_isa(value unit)
 {
@@ -517,30 +706,42 @@ CAMLprim value kp_gf2_csr_matvec_byte(value *argv, int argn)
                            argv[5], argv[6]);
 }
 
-/* the butterfly layer on tagged 0/1 words: each product is an AND, each
-   two-term sum an XOR re-tagged with "| 1" */
-CAMLprim value kp_gf2_butterfly(value va, value vb, value vc, value vd,
-                                value vstride, value vtrans, value vw)
+/* one butterfly layer on tagged 0/1 words, from a
+   Kernel_intf.butterfly_layer record (stride, a, b, c, dd): each product
+   is an AND, each two-term sum an XOR re-tagged with "| 1" */
+static void gf2_bf_layer(value *w, intnat n, value layer, int trans)
 {
-  intnat s = Long_val(vstride), n = Wosize_val(vw);
-  value vlo = Bool_val(vtrans) ? vc : vb, vup = Bool_val(vtrans) ? vb : vc;
-  intnat k = 0, blk;
+  intnat s = ELT(layer, 0), k = 0, blk;
+  value va = Field(layer, 1), vd = Field(layer, 4);
+  value vlo = Field(layer, trans ? 3 : 2), vup = Field(layer, trans ? 2 : 3);
   for (blk = 0; blk < n; blk += 2 * s) {
     intnat stop = blk + s < n - s ? blk + s : n - s, i;
     for (i = blk; i < stop; i++, k++) {
-      value u = Field(vw, i), v = Field(vw, i + s);
-      Field(vw, i) = ((Field(va, k) & u) ^ (Field(vlo, k) & v)) | 1;
-      Field(vw, i + s) = ((Field(vup, k) & u) ^ (Field(vd, k) & v)) | 1;
+      value u = w[i], v = w[i + s];
+      w[i] = ((Field(va, k) & u) ^ (Field(vlo, k) & v)) | 1;
+      w[i + s] = ((Field(vup, k) & u) ^ (Field(vd, k) & v)) | 1;
     }
   }
-  return Val_unit;
 }
 
-CAMLprim value kp_gf2_butterfly_byte(value *argv, int argn)
+/* the network of diagonal vd and layers vlayers: forward dst <- d∘src,
+   then layers 1..m; transposed dst <- src, layers m..1, then d∘dst */
+CAMLprim value kp_gf2_butterfly_apply(value vd, value vlayers, value vtrans,
+                                      value vsrc, value vdst)
 {
-  (void)argn;
-  return kp_gf2_butterfly(argv[0], argv[1], argv[2], argv[3], argv[4],
-                          argv[5], argv[6]);
+  intnat n = Wosize_val(vd), nl = Wosize_val(vlayers), i, l;
+  int trans = Bool_val(vtrans);
+  value *w = Op_val(vdst);
+  memcpy(w, Op_val(vsrc), n * sizeof(value));
+  if (trans)
+    for (l = nl - 1; l >= 0; l--)
+      gf2_bf_layer(w, n, Field(vlayers, l), 1);
+  for (i = 0; i < n; i++)
+    w[i] &= Field(vd, i);
+  if (!trans)
+    for (l = 0; l < nl; l++)
+      gf2_bf_layer(w, n, Field(vlayers, l), 0);
+  return Val_unit;
 }
 
 /* caller has already skipped a = 0, so this is y ^= x */

@@ -242,21 +242,12 @@ struct
   (* -- sparse butterfly: ⌈log₂ n⌉ exchange layers of determinant-1 2×2
         blocks over a non-zero diagonal -- *)
 
-  (* One exchange layer: pairs (i, i+s) within blocks of width 2s, in the
-     kernel's pair order.  Pair k's block is [[a b];[c dd]] with
-     dd = (1 + b·c)/a, so the block determinant is 1 and det(P) reduces to
-     the diagonal.  The coefficients live here once, as flat arrays the
-     butterfly kernel reads directly. *)
-  type layer = {
-    stride : int;
-    a : F.t array;
-    b : F.t array;
-    c : F.t array;
-    dd : F.t array;
-  }
-
-  (* per pair, in pair order: a (non-zero), b, c, then dd *)
-  let butterfly_layer ~card_s ~n st stride =
+  (* One exchange layer ({!Kp_kernel.Kernel_intf.butterfly_layer}): pair
+     k's block is [[a b];[c dd]] with dd = (1 + b·c)/a, so the block
+     determinant is 1 and det(P) reduces to the diagonal.  Drawn per pair,
+     in pair order: a (non-zero), b, c, then dd. *)
+  let butterfly_layer ~card_s ~n st stride :
+      F.t Kp_kernel.Kernel_intf.butterfly_layer =
     let pairs = Kp_kernel.Kernel_intf.butterfly_pairs ~n ~stride in
     let a = Array.make pairs F.zero and b = Array.make pairs F.zero in
     let c = Array.make pairs F.zero and dd = Array.make pairs F.zero in
@@ -276,19 +267,10 @@ struct
   let build_butterfly ~kind ~card_s ~n st =
     let d = Array.init n (fun _ -> sample_nonzero st ~card_s) in
     let layers = butterfly_layers ~card_s ~n st in
-    let exchange ~transpose w l =
-      K.butterfly_into ~a:l.a ~b:l.b ~c:l.c ~d:l.dd ~stride:l.stride
-        ~transpose ~w
-    in
-    let scale_by_d ~src w =
-      K.pointwise_mul_into ~x:d ~xoff:0 ~y:src ~yoff:0 ~dst:w ~doff:0 ~len:n
-    in
-    (* P = L_m·…·L_1·D: d·v into dst, then the layers in place *)
+    (* P = L_m·…·L_1·D, prepared once: one kernel call per apply *)
+    let net = K.butterfly_prepare ~d ~layers in
     let apply_into v dst =
-      scale_by_d ~src:v dst;
-      for l = 0 to Array.length layers - 1 do
-        exchange ~transpose:false dst layers.(l)
-      done
+      K.butterfly_apply_into net ~transpose:false ~src:v ~dst
     in
     let apply ?pool:_ v =
       let w = Array.make n F.zero in
@@ -296,11 +278,8 @@ struct
       w
     in
     let apply_transpose ?pool:_ v =
-      let w = Array.copy v in
-      for l = Array.length layers - 1 downto 0 do
-        exchange ~transpose:true w layers.(l)
-      done;
-      scale_by_d ~src:w w;
+      let w = Array.make n F.zero in
+      K.butterfly_apply_into net ~transpose:true ~src:v ~dst:w;
       w
     in
     let dense () =
@@ -320,7 +299,7 @@ struct
          relies on recomputation, not a cached value *)
       let pd = ref F.one in
       Array.iter
-        (fun { a; b; c; dd; _ } ->
+        (fun { Kp_kernel.Kernel_intf.a; b; c; dd; _ } ->
           for k = 0 to Array.length a - 1 do
             pd := F.mul !pd (F.sub (F.mul a.(k) dd.(k)) (F.mul b.(k) c.(k)))
           done)
@@ -328,7 +307,9 @@ struct
       F.mul !pd (balanced_product d 0 n)
     in
     let pairs =
-      Array.fold_left (fun acc l -> acc + Array.length l.a) 0 layers
+      Array.fold_left
+        (fun acc l -> acc + Array.length l.Kp_kernel.Kernel_intf.a)
+        0 layers
     in
     {
       kind;

@@ -67,9 +67,9 @@ type 'a t = {
   apply_into : 'a array -> 'a array -> unit;
       (** [apply_into src dst] writes P·src into [dst], which must not be
           [src] — the map the black-box iteration composes.  The butterfly
-          kinds write d·src into [dst] and run their layers there in
-          place; the dense H·D and the chunked extension kind copy
-          [apply]'s result out. *)
+          kinds apply the kernel network they prepared at build time, one
+          kernel call per apply; the dense H·D and the chunked extension
+          kind copy [apply]'s result out. *)
   apply_transpose : ?pool:Kp_util.Pool.t -> 'a array -> 'a array;
       (** v ↦ Pᵀ·v (for transposed black-box composition). *)
   dense : unit -> 'a array;

@@ -102,13 +102,43 @@ let check_csr ~ctx (module F : F_INT)
         (Array.for_all2 F.equal d1 d2))
     ranges
 
-(* one butterfly layer of the given stride, forward and transposed; the
-   pair count is checked against the preconditioner's original per-block
-   loop, which paired i with i + stride whenever both are below n *)
-let check_butterfly ~ctx (module F : F_INT)
+(* a network of a random diagonal and [layers], forward and transposed,
+   against the derived network over the same arrays; the destination
+   starts as garbage and the source must stay untouched *)
+let check_network ~ctx (module F : F_INT)
     (module S : Kp_kernel.Kernel_intf.KERNEL with type t = int) ~elt ~n
-    ~stride =
+    ~layers what =
   let module D = Kp_kernel.Derived.Make (F) in
+  let d = Array.init n (fun _ -> elt ()) in
+  let src = Array.init n (fun _ -> elt ()) in
+  let src0 = Array.copy src in
+  let ns = S.butterfly_prepare ~d ~layers
+  and nd = D.butterfly_prepare ~d ~layers in
+  List.iter
+    (fun transpose ->
+      let d1 = Array.init n (fun _ -> elt ()) in
+      let d2 = Array.copy d1 in
+      S.butterfly_apply_into ns ~transpose ~src ~dst:d1;
+      D.butterfly_apply_into nd ~transpose ~src ~dst:d2;
+      check_bool
+        (ctx (Printf.sprintf "%s transpose=%b" what transpose))
+        true
+        (Array.for_all2 F.equal d1 d2))
+    [ false; true ];
+  check_bool (ctx (what ^ ": source untouched")) true (src = src0)
+
+let random_layer ~elt ~n stride =
+  let pairs = Kp_kernel.Kernel_intf.butterfly_pairs ~n ~stride in
+  let coef () = Array.init pairs (fun _ -> elt ()) in
+  let a = coef () in
+  let b = coef () in
+  let c = coef () in
+  { Kp_kernel.Kernel_intf.stride; a; b; c; dd = coef () }
+
+(* a one-layer network of the given stride; the pair count is checked
+   against the preconditioner's original per-block loop, which paired i
+   with i + stride whenever both are below n *)
+let check_butterfly ~ctx f s ~elt ~n ~stride =
   let pairs = Kp_kernel.Kernel_intf.butterfly_pairs ~n ~stride in
   let counted = ref 0 and blk = ref 0 in
   while !blk < n do
@@ -118,19 +148,16 @@ let check_butterfly ~ctx (module F : F_INT)
     blk := !blk + (2 * stride)
   done;
   check_int (ctx (Printf.sprintf "butterfly_pairs s=%d" stride)) !counted pairs;
-  let coef () = Array.init pairs (fun _ -> elt ()) in
-  let a = coef () and b = coef () and c = coef () and d = coef () in
-  let w0 = Array.init n (fun _ -> elt ()) in
-  List.iter
-    (fun transpose ->
-      let w1 = Array.copy w0 and w2 = Array.copy w0 in
-      S.butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w:w1;
-      D.butterfly_into ~a ~b ~c ~d ~stride ~transpose ~w:w2;
-      check_bool
-        (ctx (Printf.sprintf "butterfly_into s=%d transpose=%b" stride transpose))
-        true
-        (Array.for_all2 F.equal w1 w2))
-    [ false; true ]
+  check_network ~ctx f s ~elt ~n
+    ~layers:[| random_layer ~elt ~n stride |]
+    (Printf.sprintf "butterfly s=%d" stride)
+
+(* the preconditioner's network: one layer per stride 1, 2, 4, … below n *)
+let check_full_network ~ctx f s ~elt ~n =
+  let rec strides s = if s < n then s :: strides (2 * s) else [] in
+  check_network ~ctx f s ~elt ~n
+    ~layers:(Array.of_list (List.map (random_layer ~elt ~n) (strides 1)))
+    "butterfly network"
 
 (* every KERNEL primitive, one explicit backend vs the derived reference,
    on identical seed-determined inputs; raises on the first mismatch *)
@@ -230,6 +257,7 @@ let check_primitives ~name (module F : F_INT)
   List.iter
     (fun stride -> check_butterfly ~ctx (module F) (module S) ~elt ~n ~stride)
     (butterfly_strides n);
+  check_full_network ~ctx (module F) (module S) ~elt ~n;
   (* matvec: n rows, irregular column count; full and partial row ranges
      (rows outside the range must be left untouched, which the shared
      initial dst contents verify) *)
@@ -373,10 +401,10 @@ let qcheck_differential =
           true))
     field_backend_pairs
 
-(* the black-box route's two primitives at the sizes its callers use —
-   ragged and power-of-two n up to 1025, every stride, uniform and
-   all-(p−1) inputs, partial row ranges *)
-let test_sparse_route_sizes () =
+(* the CSR product at the sizes the black-box route uses — ragged and
+   power-of-two n up to 1025, uniform and all-(p−1) inputs, partial row
+   ranges *)
+let test_csr_route_sizes () =
   List.iter
     (fun (name, (module F : F_INT), k) ->
       let max_elt = F.sub F.zero F.one in
@@ -389,13 +417,67 @@ let test_sparse_route_sizes () =
               let ctx prim =
                 Printf.sprintf "%s %s n=%d %s" name prim n style
               in
-              check_csr ~ctx (module F) k ~elt ~st ~n;
-              for stride = 1 to n + 1 do
-                check_butterfly ~ctx (module F) k ~elt ~n ~stride
-              done)
+              check_csr ~ctx (module F) k ~elt ~st ~n)
             [ 0; 1; 2; 3; 5; 63; 64; 65; 1000; 1023; 1025 ])
         [ ("uniform", false); ("all p-1", true) ])
     field_backend_pairs
+
+(* prepared butterfly networks at the sizes the black-box route uses,
+   around the fixed-stride loops (1, 2, 4, 8), their vector widths and
+   ragged last blocks: a one-layer network at every stride 1 … n+1 and
+   the full network, forward and transposed, uniform and all-(p−1)
+   values.  p = 1073741789 with all p−1 is the tight case of the GF(p)
+   stub's [0, 4p) bound. *)
+let network_primes = [ 2; 3; 97; 998244353; 1073741789 ]
+
+let test_butterfly_network_sizes () =
+  let fields =
+    ("gf2", (module Kp_field.Gf2 : F_INT))
+    :: List.map
+         (fun p -> (Printf.sprintf "gfp.%d" p, Kp_field.Gfp.make p))
+         network_primes
+  in
+  List.iter
+    (fun (fname, (module F : F_INT)) ->
+      let max_elt = F.sub F.zero F.one in
+      List.iter
+        (fun (bname, k) ->
+          List.iter
+            (fun (style, max) ->
+              List.iter
+                (fun n ->
+                  let st = Kp_util.Rng.make (n + if max then 1 else 0) in
+                  let elt () = if max then max_elt else F.random st in
+                  let ctx what =
+                    Printf.sprintf "%s/%s n=%d %s %s" fname bname n style what
+                  in
+                  check_full_network ~ctx (module F) k ~elt ~n;
+                  for stride = 1 to n + 1 do
+                    check_butterfly ~ctx (module F) k ~elt ~n ~stride
+                  done)
+                [ 0; 1; 2; 3; 5; 15; 16; 17; 31; 33; 63; 64; 65; 1000; 1023;
+                  1025 ])
+            [ ("uniform", false); ("all p-1", true) ])
+        (backends_for (module F)))
+    fields
+
+(* the GF(p) stubs' Shoup quotient, a Barrett estimate with one
+   correction, is ⌊a·2³²/p⌋ exactly *)
+let test_shoup_quotient () =
+  List.iter
+    (fun p ->
+      let st = Kp_util.Rng.make p in
+      let check a =
+        check_int
+          (Printf.sprintf "p=%d a=%d" p a)
+          ((a lsl 32) / p)
+          (Kp_kernel.Cstub.gfp_shoup_quotient a p)
+      in
+      List.iter check [ 0; 1; p - 1 ];
+      for _ = 1 to 2000 do
+        check (Random.State.int st p)
+      done)
+    network_primes
 
 (* the dense GF(p) inner products at every shape their split sums and
    four-row passes tell apart: row lengths around the vector widths and
@@ -609,10 +691,10 @@ let test_counting_op_counts () =
     c.Kp_field.Counting.additions;
   check_int "no divisions anywhere" 0 c.Kp_field.Counting.divisions
 
-(* the derived butterfly replays the preconditioner's per-pair exchange:
-   4 multiplications and 2 additions per pair, so a counted apply of the
-   butterfly preconditioner — the diagonal, then one kernel layer per
-   stride — costs exactly n + 6·pairs, its advertised ops_per_apply *)
+(* the derived network replays the preconditioner's diagonal scale and
+   per-pair exchange: n multiplications, then 4 multiplications and 2
+   additions per pair, so a counted apply of the butterfly preconditioner
+   costs exactly n + 6·pairs, its advertised ops_per_apply *)
 let test_counting_butterfly_ops () =
   let module Cnt = Kp_field.Counting.Make (Kp_field.Fields.Gf_ntt) in
   let module K = Kp_kernel.Derived.Make (Cnt) in
@@ -630,22 +712,27 @@ let test_counting_butterfly_ops () =
             acc + Kp_kernel.Kernel_intf.butterfly_pairs ~n ~stride)
           0 (strides 1)
       in
+      let d = Array.init n (fun _ -> Cnt.random st) in
       List.iter
         (fun stride ->
           let k = Kp_kernel.Kernel_intf.butterfly_pairs ~n ~stride in
-          let coef () = Array.init k (fun _ -> Cnt.random st) in
-          let a = coef () and b = coef () and c = coef () and d = coef () in
-          let w = Array.init n (fun _ -> Cnt.random st) in
-          let _, ops =
-            Cnt.measure (fun () ->
-                K.butterfly_into ~a ~b ~c ~d ~stride ~transpose:false ~w)
-          in
-          check_int
-            (Printf.sprintf "n=%d s=%d: 4 muls per pair" n stride)
-            (4 * k) ops.Kp_field.Counting.multiplications;
-          check_int
-            (Printf.sprintf "n=%d s=%d: 2 adds per pair" n stride)
-            (2 * k) ops.Kp_field.Counting.additions)
+          let layer = random_layer ~elt:(fun () -> Cnt.random st) ~n stride in
+          let net = K.butterfly_prepare ~d ~layers:[| layer |] in
+          let src = Array.init n (fun _ -> Cnt.random st) in
+          let dst = Array.make n Cnt.zero in
+          List.iter
+            (fun transpose ->
+              let _, ops =
+                Cnt.measure (fun () ->
+                    K.butterfly_apply_into net ~transpose ~src ~dst)
+              in
+              check_int
+                (Printf.sprintf "n=%d s=%d: n + 4 muls per pair" n stride)
+                (n + (4 * k)) ops.Kp_field.Counting.multiplications;
+              check_int
+                (Printf.sprintf "n=%d s=%d: 2 adds per pair" n stride)
+                (2 * k) ops.Kp_field.Counting.additions)
+            [ false; true ])
         (strides 1);
       let p = SP.build ~card_s:4096 ~n Pc.Sparse_butterfly st in
       let v = Array.init n (fun _ -> Cnt.random st) in
@@ -698,6 +785,50 @@ let test_counters_tick () =
   tick "GF(97)" gf97 ~backend:"gfp_cstub";
   tick "GF(97) twin" (Test_seeds.twin gf97) ~backend:"derived"
 
+(* a prepared network is metered once per apply, by n + 4·Σpairs: one
+   kernel.cstub.calls however many layers it has, and prepare ticks
+   nothing *)
+let test_network_meters () =
+  let find c = Option.value ~default:0 (Kp_obs.Counter.find c) in
+  let module F = Kp_field.Fields.Gf_97 in
+  let module K =
+    (val Dispatch.of_field
+           (module F : Kp_field.Field_intf.FIELD with type t = int))
+  in
+  let st = Kp_util.Rng.make 3 in
+  let elt () = F.random st in
+  List.iter
+    (fun n ->
+      let rec strides s = if s < n then s :: strides (2 * s) else [] in
+      let layers = Array.of_list (List.map (random_layer ~elt ~n) (strides 1)) in
+      let pairs =
+        Array.fold_left
+          (fun acc { Kp_kernel.Kernel_intf.a; _ } -> acc + Array.length a)
+          0 layers
+      in
+      let d = Array.init n (fun _ -> elt ()) in
+      let src = Array.init n (fun _ -> elt ()) and dst = Array.make n 0 in
+      let snap () =
+        List.map find
+          [ "kernel.cstub.calls"; "kernel.bulk_ops"; "kernel.cstub.bulk_ops" ]
+      in
+      let s0 = snap () in
+      let net = K.butterfly_prepare ~d ~layers in
+      check_bool (Printf.sprintf "n=%d: prepare ticks nothing" n) true
+        (snap () = s0);
+      List.iteri
+        (fun i transpose ->
+          K.butterfly_apply_into net ~transpose ~src ~dst;
+          let per = n + (4 * pairs) in
+          check_bool
+            (Printf.sprintf "n=%d transpose=%b: one call, n + 4·pairs ops" n
+               transpose)
+            true
+            (snap ()
+            = List.map2 ( + ) s0 [ i + 1; (i + 1) * per; (i + 1) * per ]))
+        [ false; true ])
+    [ 1; 2; 37; 100 ]
+
 let () =
   Alcotest.run "kp_kernel"
     [
@@ -707,14 +838,19 @@ let () =
           Alcotest.test_case "hint-free fields stay derived" `Quick
             test_hint_free_fields;
           Alcotest.test_case "counters tick" `Quick test_counters_tick;
+          Alcotest.test_case "network metered once per apply" `Quick
+            test_network_meters;
         ] );
       ( "differential",
         Alcotest.test_case "edge sizes x all backends" `Quick
           test_differential_edges
         :: Alcotest.test_case "boundary values x straddle sizes" `Quick
              test_differential_boundary_values
-        :: Alcotest.test_case "csr and butterfly x route sizes" `Quick
-             test_sparse_route_sizes
+        :: Alcotest.test_case "csr x route sizes" `Quick test_csr_route_sizes
+        :: Alcotest.test_case "butterfly network x route sizes" `Quick
+             test_butterfly_network_sizes
+        :: Alcotest.test_case "shoup quotient exact" `Quick
+             test_shoup_quotient
         :: Alcotest.test_case "dot and matvec x row shapes x primes" `Quick
              test_dense_inner_products
         :: Alcotest.test_case "barrett stubs on all p-1" `Quick

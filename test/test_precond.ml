@@ -347,6 +347,34 @@ let apply_into_all_kinds (type a) name ~card_s
         [ 1; 7; 16; 19 ])
     Pc.all_kinds
 
+(* the black-box iteration's apply: the butterfly's prepared network into
+   a reused buffer allocates no heap word, on either C-stub backend and on
+   the derived twin *)
+let apply_into_allocates_nothing (type a) ~card_s
+    (module Fx : Kp_field.Field_intf.FIELD with type t = a) () =
+  let module SPx =
+    Kp_precond.Precond.Make (Fx) (Kp_poly.Conv.Karatsuba (Fx)) in
+  let words f =
+    let minor0, promoted0, major0 = Gc.counters () in
+    f ();
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  let n = 1000 in
+  let st = st0 91 in
+  let p = SPx.build ~card_s ~n Pc.Sparse_butterfly st in
+  let v = Array.init n (fun _ -> Fx.random st) in
+  let dst = Array.make n Fx.zero in
+  p.Pc.apply_into v dst;
+  let idle = words (fun () -> ()) in
+  let used =
+    words (fun () ->
+        for _ = 1 to 1000 do
+          p.Pc.apply_into v dst
+        done)
+  in
+  Alcotest.(check (float 0.)) "1000 applies at n = 1000: no heap words" idle used
+
 (* ---- end-to-end: every kind solves ---- *)
 
 let test_solver_all_kinds () =
@@ -436,6 +464,14 @@ let () =
           Alcotest.test_case "apply_into GF(p) twin: all kinds" `Quick
             (apply_into_all_kinds "GF(p) twin" ~card_s:4096
                (Test_seeds.twin (module Kp_field.Fields.Gf_ntt)));
+          Alcotest.test_case "butterfly apply_into allocates nothing" `Quick
+            (fun () ->
+              apply_into_allocates_nothing ~card_s:(1 lsl 24)
+                (module Kp_field.Fields.Gf_ntt) ();
+              apply_into_allocates_nothing ~card_s:2
+                (module Kp_field.Fields.Gf2) ();
+              apply_into_allocates_nothing ~card_s:(1 lsl 24)
+                (Test_seeds.twin (module Kp_field.Fields.Gf_ntt)) ());
         ] );
       ( "end-to-end",
         [
