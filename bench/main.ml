@@ -1351,7 +1351,9 @@ let e18 () =
   let module D = Kp_kernel.Dispatch in
   let rng = st () in
   print_endline
-    "E18 (C-stub kernels): the same dense matvec/matmul, butterfly apply\n\
+    "E18 (C-stub kernels): the same one-off dense matvec, prepared dense\n\
+     apply (the matrix prepared once as a black box's operator; the dense\n\
+     prepare row times preparing it), matmul, butterfly apply\n\
      (diagonal + one exchange layer per stride, prepared once as a network\n\
      and applied in one kernel call; the prepare row times building it),\n\
      8-per-row CSR matvec and GF(p) Berlekamp-Massey on a 2n-term sequence\n\
@@ -1424,7 +1426,9 @@ let e18 () =
     (fun (field_name, (fm : int Kp_field.Field_intf.field)) ->
       let module Fi =
         (val fm : Kp_field.Field_intf.FIELD with type t = int) in
-      (* matvec: the acceptance-criterion op, n up to 512 even in --fast *)
+      (* matvec: the acceptance-criterion op, n up to 512 even in --fast;
+         the one-off product, then the same matrix prepared once and
+         applied as a dense black box applies it *)
       List.iter
         (fun n ->
           let m = Array.init (n * n) (fun _ -> Fi.random rng) in
@@ -1441,7 +1445,25 @@ let e18 () =
                 bench reps (fun () ->
                     K.matvec_into ~m ~cols:n ~row_lo:0 ~row_hi:n ~x ~dst)
               in
-              (dst, secs)))
+              (dst, secs));
+          row field_name fm "dense apply" n reps (fun k reps ->
+              let module K = (val k) in
+              let op = K.dense_prepare ~rows:n ~cols:n m in
+              let dst = Array.make n Fi.zero in
+              let apply () = K.dense_apply_into op ~src:x ~dst in
+              apply ();
+              let out = Array.copy dst in
+              (out, bench reps apply));
+          if n = 512 then
+            row field_name fm "dense prepare" n 20 (fun k reps ->
+                let module K = (val k) in
+                let secs =
+                  bench reps (fun () -> K.dense_prepare ~rows:n ~cols:n m)
+                in
+                let dst = Array.make n Fi.zero in
+                K.dense_apply_into (K.dense_prepare ~rows:n ~cols:n m) ~src:x
+                  ~dst;
+                (dst, secs)))
         [ 128; 256; 512 ];
       (* matmul: the Krylov-squaring shape (row-accumulator scratch path) *)
       List.iter

@@ -18,8 +18,10 @@
    are separated by ' ', '\t', '\n' and '\r', so a CRLF file reads like
    its LF twin.  A plain decimal token short enough not to overflow is
    parsed inline; any other (a sign, 0x…, a long run of digits) goes
-   through [int_of_string].  Errors name [what] and fail with [Failure]. *)
+   through [int_of_string].  Errors name [what] and fail with [Failure].
+   The read is the [cli.read] span, so [--stats] attributes it. *)
 let read_ints ~what path =
+  Kp_obs.Span.with_ "cli.read" @@ fun () ->
   let fail fmt = Printf.ksprintf (fun m -> failwith (what ^ ": " ^ m)) fmt in
   let s =
     try In_channel.with_open_bin path In_channel.input_all
@@ -580,7 +582,9 @@ let kernels_cmd =
     print_endline
       "\nbackends: gfp_cstub/gf2_cstub (C stubs, split-sum and Barrett\n\
        reduction / 64-bit packing, Bigarray scratch; the parenthesis names\n\
-       the instruction set of the GF(p) dot and matvec clone), derived\n\
+       the instruction set of the GF(p) loops: on avx512f a dense black\n\
+       box's prepared apply runs its AVX-512 intrinsics loop, on avx2 or\n\
+       default that clone of its plain body), derived\n\
        (generic FIELD_CORE ops — op-count-faithful; circuits and counting\n\
        fields always land here).\n\
        kernel.cstub.* counters in --stats prove the stub path ran."

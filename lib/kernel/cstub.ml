@@ -88,10 +88,29 @@ external gfp_matvec :
   = "kp_gfp_matvec_byte" "kp_gfp_matvec"
 [@@noalloc]
 
+external gfp_dense_prepare : int -> int -> int array -> Bytes.t
+  = "kp_gfp_dense_prepare"
+(** [gfp_dense_prepare rows cols m]: rows, cols, then m's rows·cols
+    residues as [uint32] words, row-major. *)
+
+external gfp_dense_apply : Bytes.t -> int array -> int array -> int -> unit
+  = "kp_gfp_dense_apply"
+[@@noalloc]
+(** [gfp_dense_apply op src dst p]: dst ← A·src for the prepared A, by
+    the AVX-512 loop where {!gfp_isa} is ["avx512f"], else by the plain
+    body's clone. *)
+
+external gfp_dense_apply_plain :
+  Bytes.t -> int array -> int array -> int -> unit
+  = "kp_gfp_dense_apply_plain"
+[@@noalloc]
+(** {!gfp_dense_apply} by the plain body whatever the CPU — for tests,
+    which check on an AVX-512 host the body other hosts run. *)
+
 external gfp_isa : unit -> string = "kp_gfp_isa"
 (** The instruction set the GF(p) [dot], [dot_acc], [matvec], [axpy],
-    [scale] and butterfly-network loops run on, as the loader resolved
-    their clones:
+    [scale], butterfly-network and prepared dense loops run on, as the
+    loader resolved their clones:
     ["avx512f"], ["avx2"] or ["default"] (also the answer on a toolchain
     that builds the plain body only). *)
 

@@ -123,6 +123,14 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) :
       dst.(i) <- !acc
     done
 
+  (* a reference, not a copy: each apply is the matvec loop above *)
+  type dense = { m : t array; rows : int; cols : int }
+
+  let dense_prepare ~rows ~cols m = { m; rows; cols }
+
+  let dense_apply_into { m; rows; cols } ~src ~dst =
+    matvec_into ~m ~cols ~row_lo:0 ~row_hi:rows ~x:src ~dst
+
   let matmul_into ~a ~b ~dst ~inner ~bcols ~row_lo ~row_hi =
     for i = row_lo to row_hi - 1 do
       let arow = i * inner and orow = i * bcols in

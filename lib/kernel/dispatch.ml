@@ -53,13 +53,28 @@ type 'a network =
     }
       -> 'a network
 
+(* A prepared dense operator with its backend, for the same reason *)
+type 'a dense =
+  | Dense : {
+      kernel :
+        (module Kernel_intf.KERNEL with type t = 'a and type dense = 'd);
+      op : 'd;
+      ops : int;
+    }
+      -> 'a dense
+
 (* the kernels [of_field] returns *)
 type 'a metered =
-  (module Kernel_intf.KERNEL with type t = 'a and type butterfly = 'a network)
+  (module Kernel_intf.KERNEL
+     with type t = 'a
+      and type butterfly = 'a network
+      and type dense = 'a dense)
 
 module Metered (M : METERS) (K : Kernel_intf.KERNEL) :
-  Kernel_intf.KERNEL with type t = K.t and type butterfly = K.t network =
-struct
+  Kernel_intf.KERNEL
+    with type t = K.t
+     and type butterfly = K.t network
+     and type dense = K.t dense = struct
   type t = K.t
 
   let backend = K.backend
@@ -137,6 +152,22 @@ struct
     tick ((row_hi - row_lo) * cols);
     K.matvec_into ~m ~cols ~row_lo ~row_hi ~x ~dst
 
+  (* prepare ticks nothing; an apply ticks as a whole-matrix matvec *)
+  type nonrec dense = t dense
+
+  let dense_prepare ~rows ~cols m =
+    Dense
+      {
+        kernel = (module K);
+        op = K.dense_prepare ~rows ~cols m;
+        ops = rows * cols;
+      }
+
+  let dense_apply_into (Dense { kernel; op; ops } : dense) ~src ~dst =
+    let module D = (val kernel) in
+    tick ops;
+    D.dense_apply_into op ~src ~dst
+
   let matmul_into ~a ~b ~dst ~inner ~bcols ~row_lo ~row_hi =
     tick ((row_hi - row_lo) * inner * bcols);
     K.matmul_into ~a ~b ~dst ~inner ~bcols ~row_lo ~row_hi
@@ -183,5 +214,8 @@ let of_field (type a) (module F : FIELD with type t = a) : a metered =
   (module Metered (M) (K))
 
 module Make (F : FIELD) :
-  Kernel_intf.KERNEL with type t = F.t and type butterfly = F.t network =
+  Kernel_intf.KERNEL
+    with type t = F.t
+     and type butterfly = F.t network
+     and type dense = F.t dense =
   (val of_field (module F : FIELD with type t = F.t))

@@ -46,5 +46,13 @@ let matvec_into ~m ~cols ~row_lo ~row_hi ~x ~dst =
     Cstub.gf2_matvec m cols row_lo row_hi x dst
       (Cstub.make_scratch ((cols + 63) / 64))
 
+(* the matrix in place: each apply is one [gf2_matvec] call *)
+type dense = { m : int array; rows : int; cols : int }
+
+let dense_prepare ~rows ~cols m = { m; rows; cols }
+
+let dense_apply_into { m; rows; cols } ~src ~dst =
+  matvec_into ~m ~cols ~row_lo:0 ~row_hi:rows ~x:src ~dst
+
 let matmul_into ~a ~b ~dst ~inner ~bcols ~row_lo ~row_hi =
   Cstub.gf2_matmul a b dst inner bcols row_lo row_hi

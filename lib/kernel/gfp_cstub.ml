@@ -1,8 +1,12 @@
 (** C-stub GF(p) kernel: division-free word loops compiled as
-    autovectorizable C ([kp_kernel_stubs.c]).  [dot], [dot_acc] and
-    [matvec] add each product's low 32 bits and high bits into two sums
-    and reduce once per row; [axpy_into] and [scale_into] reduce each
-    product by Shoup's quotient of their scalar, computed once per call;
+    autovectorizable C ([kp_kernel_stubs.c]).  [dot], [dot_acc],
+    [matvec] and the prepared dense apply add each product's low 32 bits
+    and high bits into two sums and reduce once per row; a dense operator
+    is prepared once as its residues in [uint32] words, which the apply
+    multiplies 8 per [vpmuludq] on AVX-512 (an intrinsics loop) and in a
+    plain body cloned for avx2 and default elsewhere; [axpy_into] and
+    [scale_into] reduce each product by Shoup's quotient of their scalar,
+    computed once per call;
     a butterfly network is prepared once as [uint32] words, each
     coefficient beside its Shoup quotient, and applied in 32-bit
     arithmetic with no Barrett step; all of these run in a clone built
@@ -35,6 +39,12 @@ let make ~p : (module Kernel_intf.KERNEL with type t = int) =
 
     let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
       Cstub.gfp_csr_matvec row_ptr cols vals row_lo row_hi x dst p
+
+    type dense = Bytes.t
+
+    let dense_prepare ~rows ~cols m = Cstub.gfp_dense_prepare rows cols m
+
+    let dense_apply_into op ~src ~dst = Cstub.gfp_dense_apply op src dst p
 
     type butterfly = Bytes.t
 

@@ -2,9 +2,10 @@
 
     A [KERNEL] packages the allocation-free hot loops of the Theorem-4
     pipeline and of the black-box route — inner products, AXPY updates,
-    pointwise maps, dense and CSR matrix-vector products, prepared
-    butterfly networks and matrix-matrix products — over arrays of one
-    field's elements.  Two families of implementations exist:
+    pointwise maps, dense and CSR matrix-vector products, prepared dense
+    operators and butterfly networks, and matrix-matrix products — over
+    arrays of one field's elements.  Two families of implementations
+    exist:
 
     - {!Derived.Make} builds a kernel from any {!Kp_field.Field_intf.FIELD_CORE}
       by replaying exactly the scalar operation patterns the call sites used
@@ -43,6 +44,9 @@ type 'a butterfly_layer = {
 module type KERNEL = sig
   type t
 
+  type dense
+  (** A rows×cols matrix prepared for repeated products. *)
+
   type butterfly
   (** A butterfly network P = L_m·…·L_1·D prepared for repeated applies:
       a diagonal d over n = [Array.length d] coordinates, then the layers
@@ -70,6 +74,18 @@ module type KERNEL = sig
       per row (matches the historical [Sparse.matvec] row loop).  Rows
       outside the range are left untouched, so a caller can split the
       product into disjoint row ranges. *)
+
+  val dense_prepare : rows:int -> cols:int -> t array -> dense
+  (** [dense_prepare ~rows ~cols m], [m] row-major with [rows·cols]
+      entries, built once per black box.  A backend may keep a reference
+      to [m] or copy it into its own layout, so [m] must not change
+      afterwards. *)
+
+  val dense_apply_into : dense -> src:t array -> dst:t array -> unit
+  (** [dst.(i) <- Σ_j m.(i·cols + j) · src.(j)] for [0 ≤ i < rows], with
+      the row semantics of {!matvec_into}; [src] holds [cols] entries,
+      [dst] at least [rows], and [dst] must not alias [src].  A one-off
+      product is cheaper through {!matvec_into}, which copies nothing. *)
 
   val butterfly_prepare : d:t array -> layers:t butterfly_layer array -> butterfly
   (** The network of [d] and [layers], built once per preconditioner.  A

@@ -17,11 +17,17 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
 
   let of_dense (m : M.t) =
     if m.M.rows <> m.M.cols then invalid_arg "Blackbox.of_dense: non-square";
+    let n = m.M.rows in
+    let op = K.dense_prepare ~rows:n ~cols:n m.M.data in
     {
-      dim = m.M.rows;
-      apply_into = M.matvec_into m;
+      dim = n;
+      apply_into =
+        (fun v dst ->
+          if Array.length v <> n || Array.length dst <> n then
+            invalid_arg "Blackbox.of_dense: dimension mismatch";
+          K.dense_apply_into op ~src:v ~dst);
       apply_transpose = Some (fun v -> M.vecmat v m);
-      ops_per_apply = 2 * m.M.rows * m.M.cols;
+      ops_per_apply = 2 * n * n;
     }
 
   let of_sparse s =

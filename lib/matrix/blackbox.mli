@@ -27,7 +27,10 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
       destination. *)
 
   val of_dense : Dense.Make(F).t -> t
-  (** Applies with {!Dense.Make.matvec_into}.
+  (** Prepares A once ({!Kp_kernel.Kernel_intf.KERNEL.dense_prepare}) and
+      applies the prepared operator, one kernel call per apply.  The box
+      takes a snapshot of A: A must not change afterwards, since a backend
+      may read it in place or have copied it.
       @raise Invalid_argument on non-square input. *)
 
   val of_sparse : Sparse.Make(F).t -> t

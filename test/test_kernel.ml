@@ -159,6 +159,45 @@ let check_full_network ~ctx f s ~elt ~n =
     ~layers:(Array.of_list (List.map (random_layer ~elt ~n) (strides 1)))
     "butterfly network"
 
+(* the prepared dense apply of backend [S] over [F], as a one-shot
+   prepare-and-apply; for gfp_cstub also the plain C body through its
+   test-only entry, which is the loop hosts without AVX-512 run *)
+let dense_bodies (module F : F_INT)
+    (module S : Kp_kernel.Kernel_intf.KERNEL with type t = int) =
+  let prepared ~rows ~cols m ~src ~dst =
+    S.dense_apply_into (S.dense_prepare ~rows ~cols m) ~src ~dst
+  in
+  (S.backend, prepared)
+  ::
+  (match F.kernel_hint with
+  | Kp_field.Field_intf.Gfp_word { p } when S.backend = "gfp_cstub" ->
+    [
+      ( "gfp_cstub plain body",
+        fun ~rows ~cols m ~src ~dst ->
+          Kp_kernel.Cstub.gfp_dense_apply_plain
+            (Kp_kernel.Cstub.gfp_dense_prepare rows cols m)
+            src dst p );
+    ]
+  | _ -> [])
+
+(* each body's product of a rows×cols matrix against the derived
+   kernel's [matvec_into], into a garbage destination, source untouched *)
+let check_dense ~ctx (module F : F_INT) bodies ~elt ~rows ~cols =
+  let module D = Kp_kernel.Derived.Make (F) in
+  let m = Array.init (rows * cols) (fun _ -> elt ()) in
+  let src = Array.init cols (fun _ -> elt ()) in
+  let src0 = Array.copy src in
+  let want = Array.init rows (fun _ -> elt ()) in
+  D.matvec_into ~m ~cols ~row_lo:0 ~row_hi:rows ~x:src ~dst:want;
+  List.iter
+    (fun (body, apply) ->
+      let dst = Array.init rows (fun _ -> elt ()) in
+      apply ~rows ~cols m ~src ~dst;
+      let what = Printf.sprintf "dense %dx%d %s" rows cols body in
+      check_bool (ctx what) true (Array.for_all2 F.equal dst want);
+      check_bool (ctx (what ^ ": source untouched")) true (src = src0))
+    bodies
+
 (* every KERNEL primitive, one explicit backend vs the derived reference,
    on identical seed-determined inputs; raises on the first mismatch *)
 let check_primitives ~name (module F : F_INT)
@@ -273,7 +312,9 @@ let check_primitives ~name (module F : F_INT)
           D.matvec_into ~m ~cols ~row_lo ~row_hi ~x:mx ~dst:d2;
           same (Printf.sprintf "matvec_into c=%d %d..%d" cols row_lo row_hi)
             d1 d2)
-        ranges)
+        ranges;
+      check_dense ~ctx (module F) (dense_bodies (module F) (module S)) ~elt
+        ~rows:n ~cols)
     [ n + 3; 5 ];
   (* matmul: dst canonical-zero on entry (the documented convention) *)
   let rows = min n 9 and inner = min n 70 and bcols = (n mod 13) + 1 in
@@ -459,6 +500,51 @@ let test_butterfly_network_sizes () =
                   1025 ])
             [ ("uniform", false); ("all p-1", true) ])
         (backends_for (module F)))
+    fields
+
+(* prepared dense applies at the shapes the AVX-512 loop and the plain
+   body tell apart — row counts around its four-row passes, column counts
+   around its 16-column blocks — and at the black-box route's n = 512 and
+   1000, uniform and all-(p−1) (the tight case of the split sums' bounds),
+   against the derived [matvec_into]: on every backend, and on the plain
+   C body whatever the host runs *)
+let test_dense_shapes () =
+  let fields =
+    ("gf2", (module Kp_field.Gf2 : F_INT))
+    :: List.map
+         (fun p -> (Printf.sprintf "gfp.%d" p, Kp_field.Gfp.make p))
+         network_primes
+  in
+  let shapes =
+    List.concat_map
+      (fun rows ->
+        List.map
+          (fun cols -> (rows, cols))
+          [ 0; 1; 7; 15; 16; 17; 31; 32; 33; 63; 64; 65 ])
+      [ 0; 1; 3; 4; 5; 7; 8; 9 ]
+    @ [ (512, 512); (1000, 1000) ]
+  in
+  List.iter
+    (fun (fname, (module F : F_INT)) ->
+      let module D = Kp_kernel.Derived.Make (F) in
+      let bodies =
+        ("derived", fun ~rows ~cols m ~src ~dst ->
+            D.dense_apply_into (D.dense_prepare ~rows ~cols m) ~src ~dst)
+        :: List.concat_map
+             (fun (_, k) -> dense_bodies (module F) k)
+             (backends_for (module F))
+      in
+      let max_elt = F.sub F.zero F.one in
+      List.iter
+        (fun (style, max) ->
+          List.iter
+            (fun (rows, cols) ->
+              let st = Kp_util.Rng.make ((rows * 100) + cols) in
+              let elt () = if max then max_elt else F.random st in
+              let ctx what = Printf.sprintf "%s %s %s" fname style what in
+              check_dense ~ctx (module F) bodies ~elt ~rows ~cols)
+            shapes)
+        [ ("uniform", false); ("all p-1", true) ])
     fields
 
 (* the GF(p) stubs' Shoup quotient, a Barrett estimate with one
@@ -684,6 +770,13 @@ let test_counting_op_counts () =
   check_int "matvec muls = n^2" (n * n) c.Kp_field.Counting.multiplications;
   check_int "matvec adds = n^2 (sequential rows)" (n * n)
     c.Kp_field.Counting.additions;
+  let module CB = Kp_matrix.Blackbox.Make (Cnt) in
+  let box = CB.of_dense am in
+  let _, c = Cnt.measure (fun () -> ignore (CB.apply box v)) in
+  check_int "prepared dense apply muls = n^2" (n * n)
+    c.Kp_field.Counting.multiplications;
+  check_int "prepared dense apply adds = n^2" (n * n)
+    c.Kp_field.Counting.additions;
   let _, c = Cnt.measure (fun () -> ignore (CM.mul am bm)) in
   check_int "matmul muls = n^3" (n * n * n)
     c.Kp_field.Counting.multiplications;
@@ -829,6 +922,54 @@ let test_network_meters () =
         [ false; true ])
     [ 1; 2; 37; 100 ]
 
+(* a prepared dense operator is metered once per apply, by rows·cols —
+   exactly a whole-matrix matvec_into — and prepare ticks nothing *)
+let test_dense_meters () =
+  let find c = Option.value ~default:0 (Kp_obs.Counter.find c) in
+  let module F = Kp_field.Fields.Gf_97 in
+  let module K =
+    (val Dispatch.of_field
+           (module F : Kp_field.Field_intf.FIELD with type t = int))
+  in
+  let st = Kp_util.Rng.make 5 in
+  let snap () =
+    List.map find
+      [ "kernel.cstub.calls"; "kernel.bulk_ops"; "kernel.cstub.bulk_ops" ]
+  in
+  List.iter
+    (fun (rows, cols) ->
+      let m = Array.init (rows * cols) (fun _ -> F.random st) in
+      let src = Array.init cols (fun _ -> F.random st)
+      and dst = Array.make rows 0 in
+      let s0 = snap () in
+      let op = K.dense_prepare ~rows ~cols m in
+      check_bool
+        (Printf.sprintf "%dx%d: prepare ticks nothing" rows cols)
+        true
+        (snap () = s0);
+      for i = 1 to 2 do
+        K.dense_apply_into op ~src ~dst;
+        check_bool
+          (Printf.sprintf "%dx%d apply %d: one call, rows·cols ops" rows cols
+             i)
+          true
+          (snap ()
+          = List.map2 ( + ) s0 [ i; i * rows * cols; i * rows * cols ])
+      done)
+    [ (1, 1); (5, 37); (64, 64) ]
+
+(* the GF(p) prepared dense apply runs the AVX-512 loop only where the
+   CPU has it; the plain body runs on every host through its test entry *)
+let () =
+  match Kp_kernel.Cstub.gfp_isa () with
+  | "avx512f" ->
+    print_endline "kp_kernel: prepared dense apply: AVX-512 loop and plain body"
+  | isa ->
+    Printf.printf
+      "kp_kernel: prepared dense apply: SKIP the AVX-512 loop (gfp_isa = %s), \
+       plain body only\n"
+      isa
+
 let () =
   Alcotest.run "kp_kernel"
     [
@@ -840,6 +981,8 @@ let () =
           Alcotest.test_case "counters tick" `Quick test_counters_tick;
           Alcotest.test_case "network metered once per apply" `Quick
             test_network_meters;
+          Alcotest.test_case "dense metered once per apply" `Quick
+            test_dense_meters;
         ] );
       ( "differential",
         Alcotest.test_case "edge sizes x all backends" `Quick
@@ -849,6 +992,7 @@ let () =
         :: Alcotest.test_case "csr x route sizes" `Quick test_csr_route_sizes
         :: Alcotest.test_case "butterfly network x route sizes" `Quick
              test_butterfly_network_sizes
+        :: Alcotest.test_case "dense x shapes" `Quick test_dense_shapes
         :: Alcotest.test_case "shoup quotient exact" `Quick
              test_shoup_quotient
         :: Alcotest.test_case "dot and matvec x row shapes x primes" `Quick

@@ -277,48 +277,72 @@ let test_blackbox_scale_columns () =
 
 (* apply_into into a dirty destination = the allocating apply = a
    reference built from the components, for every constructor, twice in a
-   row (composed boxes reuse their buffer), with the source untouched *)
+   row (composed boxes reuse their buffer), with the source untouched.
+   n = 37 takes of_dense's prepared apply through whole 16-column blocks
+   and a ragged row pass as well. *)
 let blackbox_apply_into (type a) name
     (module Fx : Kp_field.Field_intf.FIELD with type t = a) () =
   let module Mx = Kp_matrix.Dense.Make (Fx) in
   let module Spx = Kp_matrix.Sparse.Make (Fx) in
   let module Bbx = Kp_matrix.Blackbox.Make (Fx) in
   let st = Kp_util.Rng.make 19 in
-  let n = 11 in
-  let rand () = Array.init n (fun _ -> Fx.random st) in
-  let a = Mx.random st n n and b = Mx.random st n n in
-  let s = Spx.random st n n ~density:0.3 in
-  let d = rand () in
-  let boxes =
-    [
-      ("of_dense", Bbx.of_dense a, Mx.matvec a);
-      ("of_sparse", Bbx.of_sparse s, Spx.matvec s);
-      ("of_fun", Bbx.of_fun n (Mx.matvec b), Mx.matvec b);
-      ( "compose",
-        Bbx.compose (Bbx.of_dense a) (Bbx.of_sparse s),
-        fun v -> Mx.matvec a (Spx.matvec s v) );
-      ( "scale_columns",
-        Bbx.scale_columns (Bbx.of_dense a) d,
-        fun v -> Mx.matvec a (Array.map2 Fx.mul d v) );
-      ("identity", Bbx.identity n, Array.copy);
-      ( "instrument",
-        Bbx.instrument (Bbx.compose (Bbx.of_sparse s) (Bbx.of_dense b)),
-        fun v -> Spx.matvec s (Mx.matvec b v) );
-    ]
-  in
   let same = Array.for_all2 Fx.equal in
-  List.iter
-    (fun (what, bb, reference) ->
-      for round = 1 to 2 do
-        let v = rand () in
-        let v0 = Array.copy v and dst = rand () in
-        bb.Bbx.apply_into v dst;
-        let ctx = Printf.sprintf "%s %s round %d" name what round in
-        check_bool (ctx ^ ": apply_into = apply") true (same dst (Bbx.apply bb v));
-        check_bool (ctx ^ ": = reference") true (same dst (reference v));
-        check_bool (ctx ^ ": source untouched") true (same v v0)
-      done)
-    boxes
+  let check_at n =
+    let rand () = Array.init n (fun _ -> Fx.random st) in
+    let a = Mx.random st n n and b = Mx.random st n n in
+    let s = Spx.random st n n ~density:0.3 in
+    let d = rand () in
+    let boxes =
+      [
+        ("of_dense", Bbx.of_dense a, Mx.matvec a);
+        ("of_sparse", Bbx.of_sparse s, Spx.matvec s);
+        ("of_fun", Bbx.of_fun n (Mx.matvec b), Mx.matvec b);
+        ( "compose",
+          Bbx.compose (Bbx.of_dense a) (Bbx.of_sparse s),
+          fun v -> Mx.matvec a (Spx.matvec s v) );
+        ( "scale_columns",
+          Bbx.scale_columns (Bbx.of_dense a) d,
+          fun v -> Mx.matvec a (Array.map2 Fx.mul d v) );
+        ("identity", Bbx.identity n, Array.copy);
+        ( "instrument",
+          Bbx.instrument (Bbx.compose (Bbx.of_sparse s) (Bbx.of_dense b)),
+          fun v -> Spx.matvec s (Mx.matvec b v) );
+      ]
+    in
+    List.iter
+      (fun (what, bb, reference) ->
+        for round = 1 to 2 do
+          let v = rand () in
+          let v0 = Array.copy v and dst = rand () in
+          bb.Bbx.apply_into v dst;
+          let ctx = Printf.sprintf "%s %s n=%d round %d" name what n round in
+          check_bool (ctx ^ ": apply_into = apply") true
+            (same dst (Bbx.apply bb v));
+          check_bool (ctx ^ ": = reference") true (same dst (reference v));
+          check_bool (ctx ^ ": source untouched") true (same v v0)
+        done)
+      boxes
+  in
+  List.iter check_at [ 11; 37 ]
+
+(* the dense black box of a GF(p) solve applies its prepared operator into
+   a reused buffer without allocating a heap word *)
+let test_blackbox_dense_allocates_nothing () =
+  let words f = snd (Test_seeds.allocated_words f) in
+  let n = 512 in
+  let st = Kp_util.Rng.make 23 in
+  let bb = Bb.of_dense (M.random st n n) in
+  let v = Array.init n (fun _ -> F.random st) in
+  let dst = Array.make n F.zero in
+  bb.Bb.apply_into v dst;
+  let idle = words (fun () -> ()) in
+  let used =
+    words (fun () ->
+        for _ = 1 to 1000 do
+          bb.Bb.apply_into v dst
+        done)
+  in
+  Alcotest.(check (float 0.)) "1000 applies at n = 512: no heap words" idle used
 
 let () =
   Alcotest.run "kp_matrix"
@@ -367,5 +391,7 @@ let () =
             (blackbox_apply_into "GF(2)" (module Kp_field.Fields.Gf2));
           Alcotest.test_case "apply_into GF(p) twin" `Quick
             (blackbox_apply_into "GF(p) twin" (Test_seeds.twin (module F)));
+          Alcotest.test_case "of_dense apply_into allocates nothing" `Quick
+            test_blackbox_dense_allocates_nothing;
         ] );
     ]

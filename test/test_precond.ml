@@ -354,12 +354,7 @@ let apply_into_allocates_nothing (type a) ~card_s
     (module Fx : Kp_field.Field_intf.FIELD with type t = a) () =
   let module SPx =
     Kp_precond.Precond.Make (Fx) (Kp_poly.Conv.Karatsuba (Fx)) in
-  let words f =
-    let minor0, promoted0, major0 = Gc.counters () in
-    f ();
-    let minor1, promoted1, major1 = Gc.counters () in
-    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
-  in
+  let words f = snd (Test_seeds.allocated_words f) in
   let n = 1000 in
   let st = st0 91 in
   let p = SPx.build ~card_s ~n Pc.Sparse_butterfly st in

@@ -38,3 +38,11 @@ end
 
 let twin (type a) (module F : Kp_field.Field_intf.FIELD with type t = a) =
   (module Generic_twin (F) : Kp_field.Field_intf.FIELD with type t = a)
+
+(* [f ()] and the heap words it allocated, minor and major heap alike —
+   how the reused-buffer suites show an apply loop allocates nothing *)
+let allocated_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))

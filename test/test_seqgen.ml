@@ -313,13 +313,6 @@ let generates_matches_reference (type a) name ~top
 
 (* ---------- Krylov sequences into reused buffers ---------- *)
 
-(* words allocated by [f], minor and major heap alike *)
-let allocated_words f =
-  let minor0, promoted0, major0 = Gc.counters () in
-  let r = f () in
-  let minor1, promoted1, major1 = Gc.counters () in
-  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
-
 (* the 2n-term sequence of the black-box solve's operator Ã = A·P (sparse
    A, butterfly P, instrumented) ping-pongs Ãⁱ·b between two buffers: its
    output, the two buffers and nothing per step (allocating applies cost
@@ -343,7 +336,7 @@ let test_krylov_allocation () =
   let b0 = Array.copy b and u0 = Array.copy u in
   ignore (LR.krylov_sequence a_tilde.W.Bb.apply_into ~u ~b 4);
   let seq, words =
-    allocated_words (fun () ->
+    Test_seeds.allocated_words (fun () ->
         LR.krylov_sequence a_tilde.W.Bb.apply_into ~u ~b (2 * n))
   in
   check_bool
