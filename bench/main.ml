@@ -12,8 +12,9 @@
      E8  §5          rank / nullspace / singular solve / least squares
      E9  intro       wall-clock: practicality of the classical-multiplier
                      instantiation; sparse black-box crossover; multicore
-     E13 §2/§3       solve sessions: k solves of one matrix, fresh vs the
-                     cached RHS-independent prefix (generator computed once)
+     E13 §2          solve sessions: k solves of one matrix, fresh black-box
+                     solves vs the cached b-independent prefix (generator
+                     computed once); build, keyed and fresh solve at scale
      E14 kernel      bulk vector-kernel layer: the GF(p) C-stub kernel vs the
                      scalar abstract-field path, bit-identical by assertion
      E15 serve       kp serve under load: concurrent clients, typed overload
@@ -67,6 +68,7 @@ module Rk = Kp_core.Rank.Make (F) (CK)
 module Ns = Kp_core.Nullspace.Make (F) (CK)
 module TZ = Kp_structured.Toeplitz.Make (F) (CK)
 module Sess = Kp_session.Session.Make (F) (CK)
+module W = Kp_core.Wiedemann.Make (F)
 module BW = Kp_core.Block_wiedemann.Make (F) (CK)
 module Sp = Kp_matrix.Sparse.Make (F)
 
@@ -835,13 +837,25 @@ let e12 () =
 let e13 () =
   let rng = st () in
   print_endline
-    "E13 (sessions): k solves against ONE matrix.  Fresh pays the full \
-     Theorem-4 pipeline per RHS (~(2+log n)n^3 Krylov doubling plus a \
-     Berlekamp-Massey generator and an elimination det(P)); a session \
-     computes the RHS-independent prefix once and serves each RHS with \
-     the O(n^3) rectangular-Krylov remainder.  'identical' checks the \
-     sessioned answers equal the fresh ones; misses = 1 certifies exactly \
-     one prefix computation.\n";
+    "E13 (sessions): k solves against ONE matrix.  Fresh is kp's default \
+     engine, a black-box solve per RHS (a butterfly P, 2n - 1 applies of \
+     A*P for the Krylov sequence, Berlekamp-Massey, n - 1 applies for \
+     Cayley-Hamilton); a session computes the b-independent prefix (the \
+     prepared A, P, the generator f and det P) once and serves each RHS \
+     with the n - 1 applies.  'identical' checks the sessioned answers \
+     equal the fresh ones; misses = 1 certifies exactly one prefix \
+     computation.\n";
+  let fresh_solve st a b =
+    match W.solve_preconditioned st (W.Bb.of_dense a) b with
+    | Ok (x, _) -> x
+    | Error e -> failwith ("E13 fresh: " ^ Kp_robust.Outcome.error_to_string e)
+  in
+  let session_solve ?key sess a b =
+    match Sess.solve ?key sess a b with
+    | Ok (x, _) -> x
+    | Error e ->
+      failwith ("E13 session: " ^ Kp_robust.Outcome.error_to_string e)
+  in
   let t =
     Tables.create ~title:"k certified solves of the same matrix, single runs"
       ~columns:
@@ -860,34 +874,16 @@ let e13 () =
          caller would *)
       let st_fresh = Kp_util.Rng.make 7001 in
       let sts = Array.init k (fun _ -> Kp_util.Rng.split st_fresh) in
-      let fresh = ref [||] in
-      let (), t_fresh =
-        time (fun () ->
-            fresh :=
-              Array.init k (fun i ->
-                  match Slv.solve sts.(i) a bs.(i) with
-                  | Ok (x, _) -> x
-                  | Error e ->
-                    failwith ("E13 fresh: " ^ Kp_robust.Outcome.error_to_string e)))
+      let fresh, t_fresh =
+        time (fun () -> Array.init k (fun i -> fresh_solve sts.(i) a bs.(i)))
       in
       (* sessioned: k separate solve calls through one session — the first
          misses and builds, the rest hit the cached record *)
       let sess = Sess.create (Kp_util.Rng.make 7001) in
-      let sessioned = ref [||] in
-      let (), t_sess =
-        time (fun () ->
-            sessioned :=
-              Array.init k (fun i ->
-                  match Sess.solve sess a bs.(i) with
-                  | Ok (x, _) -> x
-                  | Error e ->
-                    failwith
-                      ("E13 session: " ^ Kp_robust.Outcome.error_to_string e)))
+      let sessioned, t_sess =
+        time (fun () -> Array.init k (fun i -> session_solve sess a bs.(i)))
       in
       let s = Sess.stats sess in
-      let identical =
-        Array.for_all2 (Array.for_all2 F.equal) !fresh !sessioned
-      in
       Tables.add_row t
         [
           string_of_int n;
@@ -895,12 +891,42 @@ let e13 () =
           Tables.fmt_float t_fresh;
           Tables.fmt_float t_sess;
           Printf.sprintf "%.2fx" (t_sess /. t_fresh);
-          string_of_bool identical;
+          string_of_bool (Array.for_all2 (Array.for_all2 F.equal) fresh sessioned);
           string_of_int s.Sess.hits;
           string_of_int s.Sess.misses;
         ])
     ks;
-  Tables.print t
+  Tables.print t;
+  if not !fast then begin
+    (* at scale: the build is the first keyed solve less one keyed serve *)
+    let t =
+      Tables.create
+        ~title:"one session at scale: build, keyed solve, fresh black-box solve"
+        ~columns:
+          [ "n"; "build (s)"; "keyed solve (s)"; "fresh solve (s)"; "identical" ]
+    in
+    List.iter
+      (fun n ->
+        let a = M.random_nonsingular rng n in
+        let b1 = Array.init n (fun _ -> F.random rng) in
+        let b2 = Array.init n (fun _ -> F.random rng) in
+        let sess = Sess.create (Kp_util.Rng.make 7002) in
+        let _, t_first = time (fun () -> session_solve ~key:"a" sess a b1) in
+        let x, t_keyed = time (fun () -> session_solve ~key:"a" sess a b2) in
+        let x_fresh, t_fresh =
+          time (fun () -> fresh_solve (Kp_util.Rng.make 7003) a b2)
+        in
+        Tables.add_row t
+          [
+            string_of_int n;
+            Tables.fmt_float (t_first -. t_keyed);
+            Tables.fmt_float t_keyed;
+            Tables.fmt_float t_fresh;
+            string_of_bool (Array.for_all2 F.equal x x_fresh);
+          ])
+      [ 256; 512 ];
+    Tables.print t
+  end
 
 (* ------------------------------------------------------------------ *)
 (* E14: kernel layer — C-stub bulk loops vs scalar FIELD_CORE ops       *)

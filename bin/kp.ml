@@ -191,8 +191,8 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
       Ok ()
     | Error e -> Error e
 
-  (* --batch / --session: the per-matrix session cache — the charpoly
-     pipeline runs once, every right-hand side reuses it *)
+  (* --batch / --session: the per-matrix session cache — the black-box
+     generator is computed once, every right-hand side reuses it *)
   let solve_sessioned ?deadline_ns ?pool ?block_factor ?precond st a bs =
     let sess = Sess.create ?deadline_ns ?pool ?block_factor ?precond st in
     let results = Sess.solve_many sess a bs in
@@ -286,14 +286,25 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
     with_pool_opt ~domains:setup.domains @@ fun pool ->
     let st = Kp_util.Rng.make setup.seed in
     let a, _ = load_matrix setup st in
+    let deadline_ns = deadline_ns setup and precond = setup.precond in
+    let blackbox () = W.det ?deadline_ns ~precond st (Bb.of_dense a) in
+    let dense () = S.det ?deadline_ns ?pool ~precond st a in
     let result =
       match setup.engine with
       | `Block ->
-        BW.det ?deadline_ns:(deadline_ns setup) ?pool
-          ?block_factor:setup.block_factor ~precond:setup.precond st a
-      | _ ->
-        S.det ?deadline_ns:(deadline_ns setup) ?pool ~precond:setup.precond st
+        BW.det ?deadline_ns ?pool ?block_factor:setup.block_factor ~precond st
           a
+      | `Dense -> dense ()
+      | `Blackbox -> blackbox ()
+      | `Auto -> (
+        (* the same ladder as solve: black box first, the dense Theorem-4
+           route on a typed failure with time left *)
+        match blackbox () with
+        | (Ok _ | Error (O.Deadline_exceeded _)) as r -> r
+        | Error e ->
+          Printf.eprintf "blackbox engine failed (%s); falling back to dense\n%!"
+            (O.error_to_string e);
+          dense ())
     in
     match result with
     | Ok (d, _) ->
@@ -440,8 +451,8 @@ let engine_t =
            `Auto
        & info [ "engine" ]
            ~doc:
-             "Solve engine: $(b,auto) (black-box first, dense fallback on \
-              typed failure), $(b,blackbox) (preconditioned black-box \
+             "Solve and det engine: $(b,auto) (black-box first, dense \
+              fallback on typed failure), $(b,blackbox) (preconditioned black-box \
               Wiedemann, fully instrumented), $(b,dense) (the dense \
               Theorem-4 pipeline) or $(b,block) (block Wiedemann: the \
               Krylov phase runs b columns per matrix product, see \
@@ -503,8 +514,8 @@ let batch_t =
        & info [ "batch" ]
            ~doc:
              "File of k·n whitespace-separated integers: k right-hand sides, \
-              all solved through one per-matrix solve session (the charpoly \
-              pipeline runs once, each RHS reuses it).")
+              all solved through one per-matrix solve session (the \
+              black-box generator is computed once, each RHS reuses it).")
 
 let session_t =
   Arg.(value & flag
@@ -537,7 +548,9 @@ let simple_cmd name doc (select : (module DRIVER) -> setup -> ret) =
 let solve_cmd =
   simple_cmd "solve" "Solve A·x = b (Theorem 4)." (fun (module D) -> D.solve)
 
-let det_cmd = simple_cmd "det" "Determinant (Theorem 4)." (fun (module D) -> D.det)
+let det_cmd =
+  simple_cmd "det" "Determinant (black box, Theorem-4 fallback)."
+    (fun (module D) -> D.det)
 let rank_cmd = simple_cmd "rank" "Randomized rank (§5)." (fun (module D) -> D.rank)
 
 let inverse_cmd =

@@ -309,22 +309,6 @@ struct
          end
        | other -> other)
 
-  let det_once ?(retries = 10) ?card_s ?deadline_ns ?pool ?block_factor
-      ?(precond = Pc.default_choice ()) st (a : M.t) =
-    Span.with_ "block.det_once" @@ fun () ->
-    let n, card_s, b =
-      det_setup ?card_s ?pool ?block_factor "Block_wiedemann.det_once" a
-    in
-    let mul = MD.mul_pooled pool in
-    let requested = Pc.resolve precond in
-    as_det_result
-      (Rt.run ~ns:"block" ~op:"det_once"
-         ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-       @@ fun ~attempt ~card_s ->
-       let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-       let b_eff = attempt_block ~n ~b ~attempt in
-       det_eval ~mul ~kind st ~card_s ~b:b_eff a)
-
   (* ---- rank ----
 
      {!Rank.search} over Â = U·A·V with block determinants; the blocking

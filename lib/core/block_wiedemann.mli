@@ -85,17 +85,6 @@ module Make
       blocks onto a fresh Uᵀ′ and requires the generator to generate that
       sequence too.  Confirmed singularity reports [Ok (F.zero, _)]. *)
 
-  val det_once :
-    ?retries:int ->
-    ?card_s:int ->
-    ?deadline_ns:int64 ->
-    ?pool:Kp_util.Pool.t ->
-    ?block_factor:int ->
-    ?precond:Kp_precond.Precond.choice ->
-    Random.State.t -> M.t -> (F.t * O.report, O.error) result
-  (** A single evaluation — Monte Carlo against transient faults; callers
-      supply their own cross-check, as with {!Solver.Make.det_once}. *)
-
   val rank :
     ?card_s:int ->
     ?deadline_ns:int64 ->

@@ -36,26 +36,6 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) = struct
     in
     Array.of_list (go [] a 1)
 
-  let columns_of_powers ~mul ~powers v m =
-    let n = Array.length v in
-    if m < 1 then invalid_arg "Krylov.columns_of_powers: m < 1";
-    let v0 = M.init n 1 (fun i _ -> v.(i)) in
-    let rec grow vmat i cols =
-      if cols >= m then vmat
-      else if i >= Array.length powers then
-        invalid_arg "Krylov.columns_of_powers: not enough powers"
-      else begin
-        let extension = mul powers.(i) vmat in
-        let new_cols = min m (2 * cols) in
-        let combined =
-          M.init n new_cols (fun r j ->
-              if j < cols then M.get vmat r j else M.get extension r (j - cols))
-        in
-        grow combined (i + 1) new_cols
-      end
-    in
-    grow v0 0 1
-
   let columns_sequential (a : M.t) v m =
     let n = a.M.rows in
     let out = M.make n m in

@@ -18,17 +18,8 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) : sig
 
   val doubling_powers : mul:mul -> M.t -> int -> M.t array
   (** [doubling_powers ~mul a m] = [|A; A²; A⁴; …|], the repeated squarings
-      {!columns} performs on its way to [m] columns.  These are independent
-      of the start vector, so a solve session computes them once per matrix
-      and replays them against every right-hand side. *)
-
-  val columns_of_powers : mul:mul -> powers:M.t array -> F.t array -> int -> M.t
-  (** [columns_of_powers ~mul ~powers v m]: the same matrix as
-      [columns ~mul a v m], with the squarings read from [powers] (from
-      {!doubling_powers} with a column target ≥ [m]) instead of recomputed —
-      only the rectangular block extensions remain, O(n²·m) work per
-      right-hand side.
-      @raise Invalid_argument if [powers] covers fewer than [m] columns. *)
+      {!columns} performs on its way to [m] columns (the kernel table E14
+      times them). *)
 
   val columns_sequential : M.t -> F.t array -> int -> M.t
   (** Same result by m-1 matrix–vector products (O(n²m) work but O(m·log n)

@@ -122,59 +122,6 @@ struct
     let x = recover ?pool ~n ~f ~p cols in
     { x; f; seq }
 
-  (* ---- the RHS-independent prefix of Theorem 4, as a reusable record ----
-
-     Everything below is a function of (A, h, d) alone: the preconditioner
-     Ã = A·H·D, its repeated squarings, the degree-n generator (= the
-     characteristic polynomial of Ã whp, by Lemma 1), and det(H)·det(D).
-     A solve session computes this once per matrix and serves every
-     subsequent right-hand side from it. *)
-
-  type precomp = {
-    p_pre : precond;         (* the preconditioner P *)
-    a_tilde : M.t;           (* Ã = A·P *)
-    powers : M.t array;      (* Ã^{2^i} covering 2n columns ([||] when the
-                                strategy is Sequential) *)
-    charpoly_f : F.t array;  (* degree-n monic generator of {u·Ãⁱ·v} *)
-    dhd : F.t;               (* det(P) *)
-  }
-
-  let precompute ?mul ?pool ~generator ~strategy (a : M.t) ~p ~u ~v =
-    Span.with_ "pipeline.precompute" @@ fun () ->
-    let mul = Option.value mul ~default:M.mul in
-    let n = a.M.rows in
-    if a.M.cols <> n then invalid_arg "Pipeline.precompute: non-square";
-    let a_tilde = preconditioned ~mul a p in
-    let powers, cols =
-      match strategy with
-      | Doubling ->
-        let powers = K.doubling_powers ~mul a_tilde (2 * n) in
-        (powers, Span.with_ "pipeline.krylov" @@ fun () ->
-                 K.columns_of_powers ~mul ~powers v (2 * n))
-      | Sequential ->
-        ([||], Span.with_ "pipeline.krylov" @@ fun () ->
-               K.columns_sequential a_tilde v (2 * n))
-    in
-    let seq = K.sequence ~u cols in
-    let f = minimal_generator ~mul ?pool ~generator ~strategy ~n seq in
-    let dhd = p.Pc.det () in
-    ({ p_pre = p; a_tilde; powers; charpoly_f = f; dhd }, cols, seq)
-
-  let apply_precomp ?mul ?pool pc ~b =
-    Span.with_ "pipeline.session_apply" @@ fun () ->
-    let mul = Option.value mul ~default:M.mul in
-    let n = pc.a_tilde.M.rows in
-    if Array.length b <> n then invalid_arg "Pipeline.apply_precomp: bad rhs";
-    let cols =
-      if Array.length pc.powers > 0 then
-        K.columns_of_powers ~mul ~powers:pc.powers b n
-      else K.columns_sequential pc.a_tilde b n
-    in
-    recover ?pool ~n ~f:pc.charpoly_f ~p:pc.p_pre cols
-
-  let det_of_precomp ~n pc =
-    F.div (det_from_generator ~n pc.charpoly_f) pc.dhd
-
   let det ?mul ?pool ~generator ~strategy (a : M.t) ~p ~u ~v =
     let mul = Option.value mul ~default:M.mul in
     let n = a.M.rows in

@@ -128,43 +128,4 @@ module Make
     M.t -> p:precond -> u:F.t array -> v:F.t array ->
     F.t
   (** Determinant only (v random rather than a right-hand side). *)
-
-  type precomp = {
-    p_pre : precond;         (** the preconditioner P *)
-    a_tilde : M.t;           (** Ã = A·P *)
-    powers : M.t array;      (** Ã{^2{^i}} covering 2n Krylov columns
-                                 ([[||]] under [Sequential]) *)
-    charpoly_f : F.t array;  (** the degree-n monic generator — the
-                                 characteristic polynomial of Ã whp *)
-    dhd : F.t;               (** det(P) *)
-  }
-  (** The RHS-independent prefix of the Theorem-4 pipeline: the §2
-      preconditioning and the §3 Toeplitz/charpoly stage are functions of
-      (A, h, d) alone, so one record serves every later right-hand side. *)
-
-  val precompute :
-    ?mul:(M.t -> M.t -> M.t) ->
-    ?pool:Kp_util.Pool.t ->
-    generator:generator ->
-    strategy:strategy ->
-    M.t -> p:precond -> u:F.t array -> v:F.t array ->
-    precomp * M.t * F.t array
-  (** Build the record plus the 2n Krylov columns of [v] and the projected
-      scalar sequence {u·Ãⁱ·v} (returned so the Las Vegas wrapper can run
-      its generator certificates without recomputing them).  Raises
-      whatever the generator stage raises when no degree-n generator
-      exists, exactly like {!solve}. *)
-
-  val apply_precomp :
-    ?mul:(M.t -> M.t -> M.t) ->
-    ?pool:Kp_util.Pool.t ->
-    precomp -> b:F.t array -> F.t array
-  (** The per-RHS remainder of a solve: Krylov columns of [b] against the
-      cached squarings (O(n²·n) work — no new matrix products), then the
-      Cayley–Hamilton recovery.  Deterministic: given a fixed record the
-      result is a function of [b] alone, for any pool size.  Raises
-      [Division_by_zero] if the cached generator has constant term 0. *)
-
-  val det_of_precomp : n:int -> precomp -> F.t
-  (** det(A) = (−1)ⁿ·f(0) / (det H · det D), read off the record. *)
 end

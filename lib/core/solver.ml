@@ -156,9 +156,7 @@ struct
       if verify_solution a x b then Rt.Accept x
       else Rt.Reject O.Residual_mismatch
 
-  (* one randomized det evaluation — the body both [det] (two agreeing
-     evaluations) and the session layer's cache-validation discipline
-     ([det_once]) drive through the retry engine *)
+  (* one randomized det evaluation; [det] accepts two that agree *)
   let det_eval ctx st ~card_s ~kind (a : M.t) =
     let n = ctx.n in
     let p = build ctx st ~card_s kind in
@@ -214,45 +212,6 @@ struct
            | other -> other
          end
        | other -> other)
-
-  let det_once ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns
-      ?pool ?(precond = Pc.default_choice ()) ?(route = Massey_elimination)
-      st (a : M.t) =
-    Span.with_ "solver.det_once" @@ fun () ->
-    let ctx = context "Solver.det_once" ?pool ~strategy ~route a in
-    as_det_result
-      (run ~op:"det_once" ?card_s ?deadline_ns ~retries ~precond ctx
-       @@ fun ~kind ~card_s -> det_eval ctx st ~card_s ~kind a)
-
-  let precompute ?(retries = 10) ?(strategy = P.Doubling) ?card_s ?deadline_ns
-      ?pool ?(precond = Pc.default_choice ()) ?(route = Massey_elimination)
-      st (a : M.t) =
-    Span.with_ "solver.precompute" @@ fun () ->
-    let ctx = context "Solver.precompute" ?pool ~strategy ~route a in
-    let n = ctx.n in
-    run ~op:"precompute" ?card_s ?deadline_ns ~retries ~precond ctx
-    @@ fun ~kind ~card_s ->
-    let p = build ctx st ~card_s kind in
-    let u = sample_vec st ~card_s n in
-    let v = sample_vec st ~card_s n in
-    let stage () =
-      let pc, cols, seq =
-        P.precompute ~mul:ctx.mul ?pool:ctx.pool ~generator:ctx.generator
-          ~strategy:ctx.strategy a ~p ~u ~v
-      in
-      ((pc, cols), pc.P.charpoly_f, seq)
-    in
-    (* a zero constant term is rejected before caching: every solve
-       through such a record would divide by zero *)
-    match
-      classify
-        ~fresh:(fun (_, cols) f -> fresh_projection st ~card_s ~n cols f)
-        ~p ~n stage
-    with
-    | Error reject -> reject
-    | Ok ((pc, _), _) ->
-      if F.is_zero pc.P.dhd then Rt.Reject O.Singular_preconditioner
-      else Rt.Accept pc
 
   let minimal_polynomial_wiedemann ?card_s st apply ~n =
     let card_s = match card_s with Some s -> s | None -> default_card_s n in

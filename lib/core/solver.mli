@@ -92,7 +92,7 @@ module Make
       monotonic deadline ({!Kp_robust.Retry.deadline_after_ms}).
       [pool] fans every matrix product of the attempt out as row blocks
       ({!Kp_matrix.Dense.Make.mul_parallel}) — bit-identical answers (here
-      and on [det]/[det_once]/[precompute] alike).  [precond] picks the
+      and on [det] alike).  [precond] picks the
       preconditioner kind ({!Kp_precond}): the default resolves to the
       dense Hankel·Diagonal and reproduces the legacy draw stream exactly;
       non-dense kinds demote to dense past the attempt-budget midpoint.
@@ -112,38 +112,6 @@ module Make
       singularity witness is confirmed across attempts).  Internally two
       fully independent evaluations must agree — the anti-fault discipline
       for a quantity with no residual certificate. *)
-
-  val det_once :
-    ?retries:int ->
-    ?strategy:P.strategy ->
-    ?card_s:int ->
-    ?deadline_ns:int64 ->
-    ?pool:Kp_util.Pool.t ->
-    ?precond:Pc.choice ->
-    ?route:route ->
-    Random.State.t -> M.t -> (F.t * O.report, O.error) result
-  (** A {e single} certified-given-generator evaluation of det(A) — the
-      same attempt body as {!det} but without the second agreeing
-      evaluation, so it is Monte Carlo against transient faults.  Callers
-      must supply the cross-check themselves: {!det} runs two of these and
-      compares; the session layer compares one against its cached
-      charpoly-derived determinant (and evicts the cache on mismatch). *)
-
-  val precompute :
-    ?retries:int ->
-    ?strategy:P.strategy ->
-    ?card_s:int ->
-    ?deadline_ns:int64 ->
-    ?pool:Kp_util.Pool.t ->
-    ?precond:Pc.choice ->
-    ?route:route ->
-    Random.State.t -> M.t -> (P.precomp * O.report, O.error) result
-  (** Certified construction of the RHS-independent {!P.precomp} record:
-      random (h, d, u, v) drawn through the usual escalating retry loop,
-      the degree-n generator checked against the full 2n-sequence AND a
-      fresh projection u′ (the [det] recurrence certificate), constant
-      term and det(H·D) checked non-zero.  [Error (Singular _)] carries
-      the usual witness discipline — a singular A never yields a record. *)
 
   val minimal_polynomial_wiedemann :
     ?card_s:int ->

@@ -27,15 +27,19 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let policy ?deadline_ns ~kind retries =
     Rt.policy ~retries ~max_card_s:(SP.escalation_ceiling kind) ?deadline_ns ()
 
-  (* the generator of the 2n-term sequence {u·Aⁱ·b}: the Krylov applies
-     and Berlekamp–Massey, each under its own span *)
-  let generator (bb : Bb.t) ~u ~b =
-    let seq =
+  (* the 2n-term sequences {u·Aⁱ·b}, one per u of [us], from one Krylov
+     pass, and the generator of the first: the applies and
+     Berlekamp–Massey, each under its own span *)
+  let sequences_and_generator (bb : Bb.t) ~us ~b =
+    let seqs =
       Span.with_ "wiedemann.krylov" @@ fun () ->
-      LR.krylov_sequence bb.Bb.apply_into ~u ~b (2 * bb.Bb.dim)
+      LR.krylov_sequences bb.Bb.apply_into ~us ~b (2 * bb.Bb.dim)
     in
-    Span.with_ "wiedemann.generator" @@ fun () ->
-    BM.P.to_array (BM.minimal_polynomial seq)
+    ( seqs,
+      Span.with_ "wiedemann.generator" @@ fun () ->
+      BM.P.to_array (BM.minimal_polynomial seqs.(0)) )
+
+  let generator bb ~u ~b = snd (sequences_and_generator bb ~us:[| u |] ~b)
 
   let minimal_polynomial ?card_s st (bb : Bb.t) =
     Span.with_ "wiedemann.minpoly" @@ fun () ->
@@ -110,6 +114,20 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let preconditioned_blackbox (bb : Bb.t) p =
     Bb.compose bb (precond_blackbox p)
 
+  (* the retry loop of every preconditioned routine: [Auto] resolves to
+     the sparse butterfly (the operand is a black box), and the body gets
+     each attempt's |S| and kind *)
+  let run_preconditioned ~op ~retries ?card_s ?deadline_ns ~precond
+      (bb : Bb.t) body =
+    let card_s =
+      match card_s with Some s -> s | None -> default_card_s bb.Bb.dim
+    in
+    let requested = Pc.resolve ~sparse:true precond in
+    Rt.run ~ns:"wiedemann" ~op
+      ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
+    @@ fun ~attempt ~card_s ->
+    body ~card_s ~kind:(Pc.kind_for_attempt ~retries ~attempt requested)
+
   let solve_preconditioned ?(retries = 10) ?card_s ?deadline_ns
       ?(precond = Pc.default_choice ()) st (bb : Bb.t) b =
     Span.with_ "wiedemann.solve_preconditioned" @@ fun () ->
@@ -117,13 +135,10 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let n = bb.Bb.dim in
     if Array.length b <> n then
       invalid_arg "Wiedemann.solve_preconditioned: bad rhs";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
     let bb_i = Bb.instrument bb in
-    let requested = Pc.resolve ~sparse:true precond in
-    Rt.run ~ns:"wiedemann" ~op:"solve_preconditioned"
-      ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-    @@ fun ~attempt ~card_s ->
-    let kind = Pc.kind_for_attempt ~retries ~attempt requested in
+    run_preconditioned ~op:"solve_preconditioned" ~retries ?card_s
+      ?deadline_ns ~precond bb
+    @@ fun ~card_s ~kind ->
     let p = SP.build ~card_s ~n kind st in
     let u = sample_vec st ~card_s n in
     let a_tilde =
@@ -142,70 +157,108 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       else Rt.Reject O.Residual_mismatch
     end
 
+  type precomp = { op : Bb.t; p : F.t Pc.t; f : F.t array; det_p : F.t }
+
+  let det_of_precomp pc =
+    let det_tilde =
+      if pc.op.Bb.dim land 1 = 0 then pc.f.(0) else F.neg pc.f.(0)
+    in
+    F.div det_tilde pc.det_p
+
+  (* One randomized evaluation of the b-independent prefix: draw P, u, v
+     (and, with [~certify], a second projection u′), run one Krylov pass
+     of Ã = A·P and Berlekamp–Massey, and classify.  λ | f with det P ≠ 0
+     is the only singularity witness; a degree below n is a plain retry.
+     [~certify] adds the certificates of a cached prefix: f monic and
+     generating the u′ projection of the same pass, det P equal on two
+     evaluations. *)
+  let evaluate ~certify ~accept st (bb : Bb.t) ~card_s ~kind =
+    let n = bb.Bb.dim in
+    let p = SP.build ~card_s ~n kind st in
+    let u = sample_vec st ~card_s n in
+    let v = sample_vec st ~card_s n in
+    let us = if certify then [| u; sample_vec st ~card_s n |] else [| u |] in
+    let a_tilde =
+      Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
+    in
+    let seqs, f = sequences_and_generator a_tilde ~us ~b:v in
+    let deg = Array.length f - 1 in
+    let det_p () =
+      match p.Pc.det () with
+      | exception Division_by_zero -> Error O.Singular_preconditioner
+      | dp when F.is_zero dp -> Error O.Singular_preconditioner
+      | dp when certify && not (F.equal dp (p.Pc.det ())) ->
+        (* det P is a function of the drawn entries: two evaluations that
+           disagree prove a transient fault *)
+        Error (O.Fault "det P recomputation mismatch")
+      | dp -> Ok dp
+    in
+    if deg >= 1 && F.is_zero f.(0) then begin
+      (* λ divides the sequence's minimum polynomial: Ã is singular,
+         hence (P non-singular) so is A — any degree suffices *)
+      match det_p () with
+      | Ok _ ->
+        Counter.incr c_singular_witness;
+        Rt.Reject_with_witness O.Zero_constant_term
+      | Error _ -> Rt.Reject O.Zero_constant_term
+    end
+    else if deg < n then
+      (* full degree not reached without a zero root: inconclusive *)
+      Rt.Reject O.Low_degree
+    else if certify && not (F.equal f.(n) F.one && BM.generates f seqs.(1))
+    then Rt.Reject (O.Fault "krylov recurrence check failed")
+    else
+      match det_p () with
+      | Error reason -> Rt.Reject reason
+      | Ok det_p -> Rt.Accept (accept { op = bb; p; f; det_p })
+
   let det ?(retries = 10) ?card_s ?deadline_ns
       ?(precond = Pc.default_choice ()) st (bb : Bb.t) =
     Span.with_ "wiedemann.det" @@ fun () ->
     check_dim "Wiedemann.det" bb;
-    let n = bb.Bb.dim in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let requested = Pc.resolve ~sparse:true precond in
     let result =
-      Rt.run ~ns:"wiedemann" ~op:"det"
-        ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-      @@ fun ~attempt ~card_s ->
-      let kind = Pc.kind_for_attempt ~retries ~attempt requested in
+      run_preconditioned ~op:"det" ~retries ?card_s ?deadline_ns ~precond bb
+      @@ fun ~card_s ~kind ->
       let eval_once () =
-        let p = SP.build ~card_s ~n kind st in
-        let u = sample_vec st ~card_s n in
-        let v = sample_vec st ~card_s n in
-        let a_tilde =
-          Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
-        in
-        let f = generator a_tilde ~u ~b:v in
-        let deg = Array.length f - 1 in
-        let det_p () =
-          match p.Pc.det () with
-          | exception Division_by_zero -> None
-          | dp -> Some dp
-        in
-        if deg >= 1 && F.is_zero f.(0) then begin
-          (* λ divides the sequence's minimum polynomial: Ã is singular,
-             hence (P non-singular) so is A — any degree suffices *)
-          match det_p () with
-          | Some dp when not (F.is_zero dp) ->
-            Counter.incr c_singular_witness;
-            Rt.Reject_with_witness O.Zero_constant_term
-          | _ -> Rt.Reject O.Zero_constant_term
-        end
-        else if deg < n then
-          (* full degree not reached without a zero root: inconclusive *)
-          Rt.Reject O.Low_degree
-        else begin
-          match det_p () with
-          | None -> Rt.Reject O.Singular_preconditioner
-          | Some dp when F.is_zero dp -> Rt.Reject O.Singular_preconditioner
-          | Some dp ->
-            let det_tilde = if n land 1 = 0 then f.(0) else F.neg f.(0) in
-            Rt.Accept (F.div det_tilde dp)
-        end
+        evaluate ~certify:false ~accept:det_of_precomp st bb ~card_s ~kind
       in
       (* transient-fault certificate: a corrupted black-box apply can yield a
          self-consistent Krylov sequence of a perturbed operator, so a single
          evaluation can pass every recurrence check and still be wrong.
          det(A) is deterministic — accept only when two fully independent
          randomized evaluations agree. *)
-      (match eval_once () with
+      match eval_once () with
       | Rt.Accept d1 -> begin
           match eval_once () with
           | Rt.Accept d2 when F.equal d1 d2 -> Rt.Accept d1
           | Rt.Accept _ -> Rt.Reject (O.Fault "det recomputation mismatch")
           | other -> other
         end
-      | other -> other)
+      | other -> other
     in
     match result with
     | Error (O.Singular { report; _ }) -> Ok (F.zero, report)
     | (Ok _ | Error _) as r -> r
+
+  let precompute ?(retries = 10) ?card_s ?deadline_ns
+      ?(precond = Pc.default_choice ()) st (bb : Bb.t) =
+    Span.with_ "wiedemann.precompute" @@ fun () ->
+    check_dim "Wiedemann.precompute" bb;
+    run_preconditioned ~op:"precompute" ~retries ?card_s ?deadline_ns ~precond
+      bb
+    @@ evaluate ~certify:true ~accept:Fun.id st bb
+
+  (* each right-hand side composes its own Ã around the cached operator
+     and network — a composition owns one buffer, so serves running on
+     several domains must not share one — then Cayley–Hamilton's n − 1
+     applies and x = P·y *)
+  let apply_precomp pc b =
+    let n = pc.op.Bb.dim in
+    if Array.length b <> n then invalid_arg "Wiedemann.apply_precomp: bad rhs";
+    let a_tilde =
+      Bb.instrument ~name:"preconditioned" (preconditioned_blackbox pc.op pc.p)
+    in
+    pc.p.Pc.apply (cayley_hamilton_solution a_tilde pc.f ~deg:n b)
 
   let is_probably_singular ?(trials = 4) ?card_s st (bb : Bb.t) =
     Span.with_ "wiedemann.is_probably_singular" @@ fun () ->

@@ -81,6 +81,44 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
       Reports [Ok (F.zero, _)] only with a consistent singularity witness.
       Raises [Invalid_argument] on a 0-dimensional black box. *)
 
+  type precomp = {
+    op : Bb.t;  (** A, as given (for a dense A, its prepared operator) *)
+    p : F.t Kp_precond.Precond.t;
+        (** P, its network prepared when it was drawn *)
+    f : F.t array;
+        (** the monic degree-n generator of {u·Ãⁱ·v}, Ã = A·P (the
+            characteristic polynomial of Ã), with f(0) ≠ 0 *)
+    det_p : F.t;  (** det P, non-zero *)
+  }
+  (** The b-independent prefix of {!solve_preconditioned} and {!det}: one
+      record answers every later right-hand side and the determinant. *)
+
+  val precompute :
+    ?retries:int -> ?card_s:int -> ?deadline_ns:int64 ->
+    ?precond:Kp_precond.Precond.choice ->
+    Random.State.t -> Bb.t -> (precomp * O.report, O.error) result
+  (** Certified construction of a {!precomp}, through the same
+      per-attempt evaluation as {!det} (same draws, then one more: a
+      second projection u′).  An attempt is accepted only when f is monic
+      of degree n, f also generates the u′ projection of the same Krylov
+      pass (one extra dot per step, no extra apply), f(0) ≠ 0, and two
+      evaluations of det P agree and are non-zero.  λ | f with det P ≠ 0
+      is the only singularity witness, so [Error (Singular _)] is a proof
+      that A is singular (up to transient faults).  A first attempt costs
+      2n − 1 applies of Ã.  [Auto] resolves sparse.  Raises
+      [Invalid_argument] on a 0-dimensional black box. *)
+
+  val apply_precomp : precomp -> F.t array -> F.t array
+  (** x = P·y with y = Ã⁻¹·b by Cayley–Hamilton on the cached f: n − 1
+      applies of an Ã composed afresh around the cached operator and
+      network (each call owns its buffers, so calls may run on several
+      domains at once).  Unverified: the caller checks A·x = b.  Raises
+      [Division_by_zero] if f(0) = 0 (a corrupted record) and
+      [Invalid_argument] on a right-hand side of the wrong length. *)
+
+  val det_of_precomp : precomp -> F.t
+  (** det A = (−1)ⁿ·f(0)/det P, read off the record. *)
+
   val is_probably_singular :
     ?trials:int -> ?card_s:int -> Random.State.t -> Bb.t -> bool
   (** The §2 Monte Carlo singularity certificate: λ | f_u^{A,b}(λ) for a

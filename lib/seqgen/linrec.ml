@@ -26,14 +26,16 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       n
 
   (* A^i·b ping-pongs between two buffers, so the loop allocates nothing
-     past them and the output; b itself is only ever read *)
-  let krylov_sequence apply_into ~u ~b n =
-    let out = Array.make n F.zero in
+     past them and the outputs; b itself is only ever read *)
+  let krylov_sequences apply_into ~us ~b n =
+    let out = Array.map (fun _ -> Array.make n F.zero) us in
     let dim = Array.length b in
     let bufs = [| Array.make dim F.zero; Array.make dim F.zero |] in
     let cur = ref b in
     for i = 0 to n - 1 do
-      out.(i) <- K.dot u !cur;
+      for j = 0 to Array.length us - 1 do
+        out.(j).(i) <- K.dot us.(j) !cur
+      done;
       if i < n - 1 then begin
         let dst = bufs.(i land 1) in
         apply_into !cur dst;
@@ -41,4 +43,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       end
     done;
     out
+
+  let krylov_sequence apply_into ~u ~b n =
+    (krylov_sequences apply_into ~us:[| u |] ~b n).(0)
 end

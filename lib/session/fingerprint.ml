@@ -29,6 +29,15 @@ let of_entries ?(tag = "") ~field ~rows ~cols ~to_string entries =
   Array.iter (fun e -> h := fold_string !h (to_string e)) entries;
   { field; rows; cols; tag; content = Hashed !h }
 
+(* residues of a word-sized field fold whole, one FNV-1a step each, in a
+   native int (63 bits): no rendering and no allocation per entry *)
+let of_ints ?(tag = "") ~field ~rows ~cols (entries : int array) =
+  let h = ref (Int64.to_int fnv_offset) and prime = Int64.to_int fnv_prime in
+  for k = 0 to Array.length entries - 1 do
+    h := (!h lxor entries.(k)) * prime
+  done;
+  { field; rows; cols; tag; content = Hashed (Int64.of_int !h) }
+
 let of_key ?(tag = "") ~field ~rows ~cols key =
   { field; rows; cols; tag; content = Keyed key }
 

@@ -25,6 +25,13 @@ val of_entries :
     [""]) joins the identity verbatim: two fingerprints with different
     tags never compare equal. *)
 
+val of_ints :
+  ?tag:string -> field:string -> rows:int -> cols:int -> int array -> t
+(** {!of_entries} for a field whose elements are their own canonical
+    [int] residues (the word-sized GF(p) and GF(2) fields): each residue
+    folds into the hash as it is, with no rendering.  Use one of the two
+    per field, so equal matrices always hash alike. *)
+
 val of_key : ?tag:string -> field:string -> rows:int -> cols:int -> string -> t
 (** Caller-supplied identity: no content hash, the key string is the
     identity.  Distinct from every [of_entries] fingerprint. *)

@@ -2,12 +2,12 @@ module Make
     (F : Kp_field.Field_intf.FIELD)
     (C : Kp_poly.Conv.S with type elt = F.t) =
 struct
-  module S = Kp_core.Solver.Make (F) (C)
   module I = Kp_core.Inverse.Make (F) (C)
   module BW = Kp_core.Block_wiedemann.Make (F) (C)
-  module MD = Kp_matrix.Dense.Make (F)
+  module W = Kp_core.Wiedemann.Make (F)
+  module Bb = W.Bb
   module Pc = Kp_precond.Precond
-  module M = S.M
+  module M = Kp_matrix.Dense.Make (F)
   module O = Kp_robust.Outcome
   module Cnt = Kp_obs.Counter
   module Span = Kp_obs.Span
@@ -27,7 +27,7 @@ struct
   end)
 
   type ready = {
-    pc : S.P.precomp;
+    pc : W.precomp;
     mutable kind : Pc.kind;
         (* requested kind recorded at build time; serves re-validate it
            against the live request (mutable only for the fault hook) *)
@@ -43,7 +43,6 @@ struct
 
   type cfg = {
     retries : int;
-    strategy : S.P.strategy;
     card_s : int option;
     deadline_ns : int64 option;
     pool : Kp_util.Pool.t option;
@@ -70,15 +69,15 @@ struct
     mutable capacity_evictions : int;
   }
 
-  let create ?(retries = 10) ?(strategy = S.P.Doubling) ?card_s ?deadline_ns
-      ?pool ?(max_entries = 64) ?block_factor
+  let create ?(retries = 10) ?card_s ?deadline_ns ?pool ?(max_entries = 64)
+      ?block_factor
       ?precond:(pc_choice = Pc.default_choice ()) st =
     if max_entries < 1 then invalid_arg "Session.create: max_entries < 1";
     (match block_factor with
     | Some b when b < 1 -> invalid_arg "Session.create: block_factor < 1"
     | _ -> ());
-    { cfg = { retries; strategy; card_s; deadline_ns; pool; max_entries;
-              block_factor; precond = pc_choice };
+    { cfg = { retries; card_s; deadline_ns; pool; max_entries; block_factor;
+              precond = pc_choice };
       st;
       cache = Tbl.create 8;
       clock = 0;
@@ -126,14 +125,22 @@ struct
 
   (* the session's resolved preconditioner kind — part of every cache key
      (schema v2), so verdicts cached under one kind can never answer a
-     lookup under another *)
-  let kind_of t = Pc.resolve t.cfg.precond
+     lookup under another.  The entries are black-box prefixes, so [Auto]
+     resolves as a black box does: the sparse butterfly *)
+  let kind_of t = Pc.resolve ~sparse:true t.cfg.precond
 
+  (* a word-sized field hashes its residues as they lie in the matrix;
+     any other renders each entry *)
   let fingerprint_tagged ~tag (a : M.t) =
     let rows = a.M.rows and cols = a.M.cols in
-    Fingerprint.of_entries ~tag ~field:F.name ~rows ~cols
-      ~to_string:F.to_string
-      (Array.init (rows * cols) (fun k -> M.get a (k / cols) (k mod cols)))
+    match F.kernel_hint with
+    | Kp_field.Field_intf.Gfp_word _ ->
+      Fingerprint.of_ints ~tag ~field:F.name ~rows ~cols a.M.data
+    | Kp_field.Field_intf.Gf2_bits ->
+      Fingerprint.of_ints ~tag ~field:F.name ~rows ~cols a.M.data
+    | Kp_field.Field_intf.Generic ->
+      Fingerprint.of_entries ~tag ~field:F.name ~rows ~cols
+        ~to_string:F.to_string a.M.data
 
   let fingerprint (a : M.t) = fingerprint_tagged ~tag:"" a
 
@@ -150,6 +157,14 @@ struct
   let dl t override =
     match override with Some _ -> override | None -> t.cfg.deadline_ns
 
+  (* a certified black-box prefix of [a], drawn from the session state;
+     the entry outlives the call, so its operator is prepared from a copy
+     the caller cannot change *)
+  let build ?deadline_ns t (a : M.t) =
+    W.precompute ~retries:t.cfg.retries ?card_s:t.cfg.card_s
+      ?deadline_ns:(dl t deadline_ns) ~precond:t.cfg.precond t.st
+      (Bb.of_dense (M.copy a))
+
   (* First use builds the entry through the certified precompute loop; a
      Singular verdict is itself cached (the witness discipline already ran),
      while transient failures (exhaustion, deadline) are NOT cached — the
@@ -165,13 +180,7 @@ struct
     | None -> (
       t.misses <- t.misses + 1;
       Cnt.incr c_miss;
-      let built =
-        Span.with_ "session.build" @@ fun () ->
-        S.precompute ~retries:t.cfg.retries ~strategy:t.cfg.strategy
-          ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-          ?pool:t.cfg.pool ~precond:t.cfg.precond t.st a
-      in
-      match built with
+      match Span.with_ "session.build" @@ fun () -> build ?deadline_ns t a with
       | Ok (pc, _report) ->
         let e = Ready { pc; kind = kind_of t; det_certified = None } in
         insert t fp e;
@@ -193,7 +202,7 @@ struct
     let fp = fingerprint_of ?key t a in
     match Tbl.find_opt t.cache fp with
     | Some ({ e = Ready r; _ } as slot) ->
-      let pc = { r.pc with S.P.charpoly_f = f r.pc.S.P.charpoly_f } in
+      let pc = { r.pc with W.f = f r.pc.W.f } in
       slot.e <- Ready { pc; kind = r.kind; det_certified = None };
       true
     | Some { e = Sing _; _ } | None -> false
@@ -229,15 +238,14 @@ struct
     | _ -> Array.init k f
 
   (* The pure per-RHS serve: cached-record application plus the live
-     certificate.  No session mutation — safe to fan out on the pool. *)
-  let serve_pure t pc (a : M.t) b =
-    (* the sequential product: per-RHS serves already fan out across the
-       pool *)
-    match S.P.apply_precomp ~mul:MD.mul ?pool:t.cfg.pool pc ~b with
+     certificate A·x = b on the input itself, never on the cached
+     operator.  No session mutation — safe to fan out on the pool. *)
+  let serve_pure pc (a : M.t) b =
+    match W.apply_precomp pc b with
     | exception Division_by_zero ->
       Error "division by zero applying cached generator"
     | x ->
-      if S.verify_solution a x b then Ok x
+      if Array.for_all2 F.equal (M.matvec a x) b then Ok x
       else Error "cached-record solution failed A.x = b"
 
   let serve_report rejs =
@@ -295,9 +303,9 @@ struct
       (* last resort: a certified fresh solve with this RHS's pre-split
          state, its report carrying the stale-cache history *)
       match
-        S.solve ~retries:t.cfg.retries ~strategy:t.cfg.strategy
-          ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-          ?pool:t.cfg.pool ~precond:t.cfg.precond sts.(i) a bs.(i)
+        W.solve_preconditioned ~retries:t.cfg.retries ?card_s:t.cfg.card_s
+          ?deadline_ns:(dl t deadline_ns) ~precond:t.cfg.precond sts.(i)
+          (Bb.of_dense a) bs.(i)
       with
       | Ok (x, r) -> Ok (x, prepend_rejections rejs.(i) r)
       | Error e -> Error (O.with_report (prepend_rejections rejs.(i)) e)
@@ -321,7 +329,7 @@ struct
               Array.make (Array.length todo_arr) (Error detail)
             | None ->
               pooled_init t (Array.length todo_arr) (fun j ->
-                  serve_pure t r.pc a bs.(todo_arr.(j)))
+                  serve_pure r.pc a bs.(todo_arr.(j)))
           in
           let any_stale = ref false in
           Array.iteri
@@ -348,67 +356,51 @@ struct
   let solve ?key ?deadline_ns t a b =
     (solve_many ?key ?deadline_ns t a [| b |]).(0)
 
+  (* the fresh engine a det falls back to, its report carrying the
+     stale-cache history *)
+  let fresh_det ?deadline_ns t (a : M.t) rejs =
+    match
+      W.det ~retries:t.cfg.retries ?card_s:t.cfg.card_s
+        ?deadline_ns:(dl t deadline_ns) ~precond:t.cfg.precond t.st
+        (Bb.of_dense a)
+    with
+    | Ok (d, r) -> Ok (d, prepend_rejections rejs r)
+    | Error e -> Error (O.with_report (prepend_rejections rejs) e)
+
   let det ?key ?deadline_ns t (a : M.t) =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Session.det: non-square";
     Span.with_ "session.det" @@ fun () ->
     let rec go rebuilds rejs =
+      (* a failed certificate: evict, then rebuild while the budget lasts
+         and serve fresh after it *)
+      let stale fp detail =
+        let rejs = stale_rejection rejs detail :: rejs in
+        evict t fp;
+        if rebuilds > 0 then go (rebuilds - 1) rejs
+        else fresh_det ?deadline_ns t a rejs
+      in
       match obtain ?key ?deadline_ns t a with
       | _, Error e -> Error (O.with_report (prepend_rejections rejs) e)
       | _, Ok (Sing { witnesses = _; report }) ->
         Ok (F.zero, prepend_rejections rejs report)
       | fp, Ok (Ready r) -> (
-        match kind_mismatch t r with
-        | Some detail -> (
-          let rejs = stale_rejection rejs detail :: rejs in
-          evict t fp;
-          if rebuilds > 0 then go (rebuilds - 1) rejs
-          else
-            (* rebuild budget exhausted on a poisoned cache: serve fresh,
-               the report carrying the stale-cache history *)
-            match
-              S.det ~retries:t.cfg.retries ~strategy:t.cfg.strategy
-                ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-                ?pool:t.cfg.pool ~precond:t.cfg.precond t.st a
-            with
-            | Ok (d, r) -> Ok (d, prepend_rejections rejs r)
-            | Error e -> Error (O.with_report (prepend_rejections rejs) e))
-        | None -> (
-        match r.det_certified with
-        | Some d -> Ok (d, serve_report rejs)
-        | None -> (
-          let cached = S.P.det_of_precomp ~n r.pc in
-          (* the PR-2 two-evaluation discipline with the cache as one side:
-             one fresh independent evaluation must agree before the cached
-             value is served (and is then certified for later serves) *)
-          match
-            S.det_once ~retries:t.cfg.retries ~strategy:t.cfg.strategy
-              ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-              ?pool:t.cfg.pool ~precond:t.cfg.precond t.st a
-          with
-          | Error e -> Error (O.with_report (prepend_rejections rejs) e)
-          | Ok (d2, rep2) ->
-            if F.equal cached d2 then begin
-              r.det_certified <- Some cached;
-              Ok (cached, prepend_rejections rejs rep2)
-            end
-            else begin
-              let rejs =
-                stale_rejection rejs
-                  "cached charpoly determinant disagrees with fresh evaluation"
-                :: rejs
-              in
-              evict t fp;
-              if rebuilds > 0 then go (rebuilds - 1) rejs
-              else
-                match
-                  S.det ~retries:t.cfg.retries ~strategy:t.cfg.strategy
-                    ?card_s:t.cfg.card_s ?deadline_ns:(dl t deadline_ns)
-                    ?pool:t.cfg.pool ~precond:t.cfg.precond t.st a
-                with
-                | Ok (d, r) -> Ok (d, prepend_rejections rejs r)
-                | Error e -> Error (O.with_report (prepend_rejections rejs) e)
-            end)))
+        match (kind_mismatch t r, r.det_certified) with
+        | Some detail, _ -> stale fp detail
+        | None, Some d -> Ok (d, serve_report rejs)
+        | None, None -> (
+          let cached = W.det_of_precomp r.pc in
+          (* the two-evaluation discipline with the cache as one side: one
+             fresh independent evaluation must agree before the cached
+             value is served (and is then certified for later serves); a
+             fresh singularity witness disagrees with any cached entry *)
+          match build ?deadline_ns t a with
+          | Ok (fresh, rep2) when F.equal cached (W.det_of_precomp fresh) ->
+            r.det_certified <- Some cached;
+            Ok (cached, prepend_rejections rejs rep2)
+          | Ok _ | Error (O.Singular _) ->
+            stale fp "cached determinant disagrees with fresh evaluation"
+          | Error e -> Error (O.with_report (prepend_rejections rejs) e)))
     in
     go (max 1 t.cfg.retries) []
 
@@ -416,8 +408,8 @@ struct
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Session.inverse: non-square";
     Span.with_ "session.inverse" @@ fun () ->
-    (* n cached-precomputation column solves — the charpoly is computed once
-       per matrix, not n times — assembled exactly like the fresh engine *)
+    (* n cached-prefix column solves — the generator is computed once per
+       matrix, not n times — assembled exactly like the fresh engine *)
     let bs =
       Array.init n (fun j ->
           Array.init n (fun i -> if i = j then F.one else F.zero))

@@ -1,30 +1,36 @@
-(** Per-matrix solve sessions: cache the RHS-independent prefix of the
-    Kaltofen–Pan pipeline, serve many solves/dets/inverses from it.
+(** Per-matrix solve sessions: cache the b-independent prefix of the
+    black-box route, serve many solves/dets/inverses from it.
 
-    The Theorem-4 straight-line program splits at the right-hand side: the
-    §2 preconditioning Ã = A·H·D, the Krylov squarings Ã{^2{^i}}, the
-    degree-n generator (the characteristic polynomial of Ã whp) and
-    det(H·D) are functions of (A, h, d) alone.  A session computes that prefix {e once} per matrix —
-    through the certified {!Kp_core.Solver.Make.precompute} retry loop —
-    keys it by a {!Fingerprint.t}, and answers every subsequent
-    [solve]/[det]/[inverse] on the same matrix with only the per-RHS
-    remainder (rectangular Krylov products + Cayley–Hamilton recovery,
-    O(n³) instead of the fresh ~(2 + log n)·n³ Krylov doubling).
+    Wiedemann's reduction (§2) splits at the right-hand side: the prepared
+    operator A ({!Kp_matrix.Blackbox.Make.of_dense}), the preconditioner P
+    of Ã = A·P with its network prepared, the degree-n generator f of
+    {u·Ãⁱ·v} (the characteristic polynomial of Ã whp, from one projection
+    pair) and det P are functions of A and the draws alone.  A session
+    computes that prefix {e once} per matrix — through the certified
+    {!Kp_core.Wiedemann.Make.precompute} retry loop, 2n − 1 applies of Ã
+    on a first attempt — keys it by a {!Fingerprint.t}, and answers every
+    later [solve] with n − 1 applies (Cayley–Hamilton on the cached f),
+    x = P·y and the live check, and [det] as (−1)ⁿ·f(0)/det P.  An entry
+    holds O(n²) field elements: the prepared A, plus O(n log n) for the
+    network and O(n) for f.
 
     {b Cache validity is never assumed.}  Every served answer re-runs its
-    certificate against the live input: solves check A·x = b, determinants
-    compare the cached charpoly-derived value against one fresh
-    independent evaluation (the PR-2 two-evaluation discipline, with the
-    cache as one of the evaluations).  A failed certificate is a
-    {!Kp_robust.Outcome.Stale_cache} rejection: the entry is evicted
-    ([session.cache.evict]) and rebuilt from scratch — a poisoned record
-    costs retries, never a wrong or silently-reused answer.
+    certificate against the live input: solves check A·x = b on the matrix
+    passed in (never on the cached operator), determinants compare the
+    cached value against one fresh independent evaluation (the
+    two-evaluation discipline, with the cache as one of the evaluations).
+    A failed certificate is a {!Kp_robust.Outcome.Stale_cache} rejection:
+    the entry is evicted ([session.cache.evict]) and rebuilt from scratch
+    — a poisoned record costs retries, never a wrong or silently-reused
+    answer.  Once the rebuild budget is spent, a solve falls back to a
+    fresh {!Kp_core.Wiedemann.Make.solve_preconditioned} and a det to a
+    fresh {!Kp_core.Wiedemann.Make.det}.
 
     Determinism: per-RHS random states are pre-split off the session state
     in argument order, so results are a function of the session's history
     alone — identical for any pool size.  On success paths the answers
     are moreover equal to fresh solver answers by uniqueness (x = A⁻¹b is
-    one point); on singular inputs the same typed outcomes are produced.
+    one point); a [Singular] verdict needs λ | f with det P ≠ 0, a proof.
 
     Sessions are single-owner: call them from one domain (the pool is used
     {e inside} a call, the session itself is not thread-safe). *)
@@ -32,9 +38,7 @@
 module Make
     (F : Kp_field.Field_intf.FIELD)
     (C : Kp_poly.Conv.S with type elt = F.t) : sig
-  module S : module type of Kp_core.Solver.Make (F) (C)
-  module I : module type of Kp_core.Inverse.Make (F) (C)
-  module M = S.M
+  module M : module type of Kp_matrix.Dense.Make (F)
   module O = Kp_robust.Outcome
 
   type t
@@ -51,7 +55,6 @@ module Make
 
   val create :
     ?retries:int ->
-    ?strategy:S.P.strategy ->
     ?card_s:int ->
     ?deadline_ns:int64 ->
     ?pool:Kp_util.Pool.t ->
@@ -65,9 +68,9 @@ module Make
       off it).
 
       [max_entries] (default 64) bounds the per-session cache: inserting
-      past the bound evicts the least-recently-used entry (a precomp
-      record holds the Ã squarings — O(n²·log n) field elements — so an
-      unbounded cache across distinct matrices is a leak, the PR-6 bugfix).
+      past the bound evicts the least-recently-used entry (an entry holds
+      the prepared A — O(n²) field elements — so an unbounded cache across
+      distinct matrices is a leak).
 
       [block_factor] opts [solve_many] batches of ≥ 2 right-hand sides
       into the {!Kp_core.Block_wiedemann} engine: the batch rides the
@@ -75,14 +78,14 @@ module Make
       against the scalar cache.  Single solves, [det] and [inverse] keep
       the cached scalar route.
 
-      [pool] fans every build's matrix products out as row blocks
-      ({!Kp_matrix.Dense.Make.mul_parallel}) and a batch's right-hand
-      sides out across its domains.  Pooled products are bit-identical to
-      sequential ones, so cached entries, fingerprints and served answers
-      do not depend on the pool — only the schedule moves.
+      [pool] fans a batch's right-hand sides out across its domains, each
+      serve on its own composition of Ã (the block route's products too).
+      A serve draws nothing, so cached entries, fingerprints and served
+      answers do not depend on the pool — only the schedule moves.
 
       [precond] selects the preconditioner kind for every build and serve
-      (default {!Kp_precond.Precond.Auto}, which resolves dense here).  The
+      (default {!Kp_precond.Precond.Auto}, which resolves to the sparse
+      butterfly here, as for any black box).  The
       resolved kind is part of every cache key (fingerprint schema v2) and
       is re-validated on each serve: an entry recorded under another kind
       is a typed [Stale_cache] — evicted and rebuilt, never silently
@@ -91,7 +94,8 @@ module Make
 
   val fingerprint : M.t -> Fingerprint.t
   (** The untagged content fingerprint: field name, dimensions, FNV-1a over
-      the rendered entries.  Session lookups additionally tag it with the
+      the entries (the residues themselves on a word-sized GF(p) or GF(2)
+      field, {!Fingerprint.of_ints}; the rendered entries otherwise).  Session lookups additionally tag it with the
       resolved preconditioner kind (schema v2), so entries built under
       different kinds occupy different cache slots. *)
 
@@ -115,11 +119,11 @@ module Make
     t -> M.t -> F.t array array ->
     (F.t array * O.report, O.error) result array
   (** Solve A·xᵢ = bᵢ for a batch of right-hand sides against one cached
-      precomputation (built on first use).  The per-RHS serves fan out on
+      prefix (built on first use): n − 1 applies of Ã each.  The per-RHS serves fan out on
       the session pool; each is certified (A·x = b) before being returned.
       Stale entries are evicted and rebuilt mid-batch (bounded by
       [retries]); as a last resort a right-hand side falls back to a
-      certified fresh solve with its pre-split state.  Reports carry any
+      certified fresh black-box solve with its pre-split state.  Reports carry any
       [Stale_cache] rejections.  [?key] names the matrix instead of
       hashing it — the caller asserts identity, the certificates still
       check it.  [?deadline_ns] overrides the session's configured deadline
@@ -131,25 +135,27 @@ module Make
   val det :
     ?key:string -> ?deadline_ns:int64 ->
     t -> M.t -> (F.t * O.report, O.error) result
-  (** det(A) from the cached characteristic polynomial.  First serve per
-      entry cross-checks against one fresh independent evaluation
-      ({!S.det_once}) — agreement certifies the cache (later serves are
-      free), disagreement evicts and rebuilds.  Singular inputs report
-      [Ok (F.zero, _)] exactly as {!S.det} does. *)
+  (** det(A) = (−1)ⁿ·f(0)/det P from the cached prefix.  First serve per
+      entry cross-checks against one fresh independent evaluation (a
+      second {!Kp_core.Wiedemann.Make.precompute}) — agreement certifies
+      the cache (later serves are free), disagreement evicts and rebuilds.
+      Singular inputs report [Ok (F.zero, _)] exactly as
+      {!Kp_core.Wiedemann.Make.det} does. *)
 
   val inverse :
     ?key:string -> ?deadline_ns:int64 ->
     t -> M.t -> (M.t * O.report, O.error) result
-  (** A⁻¹ as n cached-precomputation column solves (so the charpoly is
-      still computed once per matrix, not n times), assembled with
-      {!I.merge_columns}.  [Error (Singular _)] on singular inputs. *)
+  (** A⁻¹ as n cached-prefix column solves (so the generator is still
+      computed once per matrix, not n times), assembled with
+      {!Kp_core.Inverse.Make.merge_columns}.  [Error (Singular _)] on
+      singular inputs. *)
 
   val poison_charpoly :
     ?key:string -> t -> M.t -> (F.t array -> F.t array) -> bool
   (** {b Fault-injection hook for tests}: destructively replace the cached
       generator of the entry for this matrix (and drop its determinant
       certification), returning [false] if nothing is cached.  Lets the
-      chaos suite plant a corrupted charpoly and assert it is detected,
+      chaos suite plant a corrupted generator and assert it is detected,
       evicted and never served. *)
 
   val poison_kind :

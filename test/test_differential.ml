@@ -370,11 +370,6 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
     Alcotest.(check bool) (what ^ ": same RNG state afterwards") true
       (same_rng st_default st_reference)
 
-  let precomp_equal (p1 : S.P.precomp) (p2 : S.P.precomp) =
-    vec_equal p1.S.P.charpoly_f p2.S.P.charpoly_f
-    && F.equal p1.S.P.dhd p2.S.P.dhd
-    && vec_equal p1.S.P.a_tilde.M.data p2.S.P.a_tilde.M.data
-
   let test_route_identity () =
     List.iter
       (fun seed ->
@@ -401,10 +396,6 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
               (fun route st -> S.det ?route st a);
             route_identical ~key (what "det card_s=4") (same_outcome F.equal)
               (fun route st -> S.det ~card_s:4 ?route st a);
-            route_identical ~key (what "det_once") (same_outcome F.equal)
-              (fun route st -> S.det_once ?route st a);
-            route_identical ~key (what "precompute") (same_outcome precomp_equal)
-              (fun route st -> S.precompute ?route st a);
             route_identical ~key (what "rank") ( = )
               (fun route st -> Rk.rank ?route st a))
           inputs)

@@ -272,8 +272,9 @@ module FI = struct
      typed Stale_cache eviction and rebuild, for both serve paths *)
   let test_poisoned_kind () =
     let module Pc = Kp_precond.Precond in
-    (* two kinds other than the session's live one (KP_PRECOND may move it) *)
-    let live = Pc.resolve (Pc.default_choice ()) in
+    (* two kinds other than the session's live one (KP_PRECOND may move it),
+       resolved as the session resolves it: for a black box *)
+    let live = Pc.resolve ~sparse:true (Pc.default_choice ()) in
     let other1, other2 =
       match List.filter (fun k -> k <> live) Pc.all_kinds with
       | k1 :: k2 :: _ -> (k1, k2)
@@ -496,6 +497,158 @@ module Pooled = struct
     ]
 end
 
+(* ---- the cost shape of a black-box session, and its safety ---- *)
+
+(* an entry is the black-box prefix: a first-attempt build runs one Krylov
+   pass of 2n terms (2n − 1 applies of Ã), a keyed serve Cayley–Hamilton's
+   n − 1 and no matrix product, so it allocates O(n) words *)
+module Cost = struct
+  module F = Kp_field.Fields.Gf_ntt
+  module C = Kp_poly.Conv.Karatsuba (F)
+  module M = Kp_matrix.Dense.Make (F)
+  module G = Kp_matrix.Gauss.Make (F)
+  module Sess = Kp_session.Session.Make (F) (C)
+
+  let solve_ok what sess ?key a b =
+    match Sess.solve ?key sess a b with
+    | Ok (x, _) ->
+      Alcotest.(check bool) (what ^ " = oracle") true
+        (Array.for_all2 F.equal x (Option.get (G.solve a b)))
+    | Error e -> Alcotest.failf "%s: %s" what (O.error_to_string e)
+
+  let test_applies () =
+    let n = 64 in
+    let st = Kp_util.Rng.make 61 in
+    let a = M.random_nonsingular st n in
+    let rhs () = Array.init n (fun _ -> F.random st) in
+    let sess = Sess.create (Kp_util.Rng.make 62) in
+    let applies () = counter "blackbox.applies" in
+    let attempts0 = counter "wiedemann.attempts" and a0 = applies () in
+    solve_ok "first keyed solve" sess ~key:"a" a (rhs ());
+    let a1 = applies () in
+    Alcotest.(check int) "the build took one attempt" (attempts0 + 1)
+      (counter "wiedemann.attempts");
+    solve_ok "second keyed solve" sess ~key:"a" a (rhs ());
+    let serve = applies () - a1 in
+    Alcotest.(check int) "a keyed serve ticks n - 1 applies" (n - 1) serve;
+    Alcotest.(check int) "a first-attempt build ticks 2n - 1 applies"
+      ((2 * n) - 1)
+      (a1 - a0 - serve);
+    Alcotest.(check int) "one build behind both" 1 (Sess.stats sess).Sess.misses
+
+  let test_allocation () =
+    List.iter
+      (fun n ->
+        let st = Kp_util.Rng.make (70 + n) in
+        let a = M.random_nonsingular st n in
+        let b = Array.init n (fun _ -> F.random st) in
+        let sess = Sess.create (Kp_util.Rng.make (71 + n)) in
+        solve_ok "build" sess ~key:"a" a b;
+        solve_ok "warm serve" sess ~key:"a" a b;
+        let r, words =
+          Test_seeds.allocated_words (fun () -> Sess.solve ~key:"a" sess a b)
+        in
+        Alcotest.(check bool) "measured serve = oracle" true
+          (match r with
+          | Ok (x, _) -> Array.for_all2 F.equal x (Option.get (G.solve a b))
+          | Error _ -> false);
+        Alcotest.(check bool)
+          (Printf.sprintf "n=%d: a keyed serve allocated %.0f words < 16n + 1024 = %d"
+             n words ((16 * n) + 1024))
+          true
+          (words < float_of_int ((16 * n) + 1024)))
+      [ 64; 256 ]
+
+  (* the per-RHS serves fan out over the pool, each on its own Ã: no
+     shared buffer may leak one column into another *)
+  let test_pooled_batch () =
+    Kp_util.Pool.with_pool ~domains:4 @@ fun pool ->
+    let n = 48 in
+    let st = Kp_util.Rng.make 91 in
+    let a = M.random_nonsingular st n in
+    let bs = Array.init 16 (fun _ -> Array.init n (fun _ -> F.random st)) in
+    let batch0 = counter "pool.session.batch" in
+    let sess = Sess.create ~pool (Kp_util.Rng.make 92) in
+    Array.iteri
+      (fun i r ->
+        match r with
+        | Ok (x, _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "pooled batch[%d] = oracle" i)
+            true
+            (Array.for_all2 F.equal x (Option.get (G.solve a bs.(i))))
+        | Error e -> Alcotest.failf "pooled batch[%d]: %s" i (O.error_to_string e))
+      (Sess.solve_many sess a bs);
+    Alcotest.(check int) "the batch fanned out on the pool" (batch0 + 1)
+      (counter "pool.session.batch");
+    (* a race would fail a residual check and be repaired by a rebuild,
+       so the answers alone cannot show one: no serve may have failed *)
+    Alcotest.(check int) "no serve failed its certificate" 0
+      (Sess.stats sess).Sess.evictions
+
+  let tests =
+    [
+      Alcotest.test_case "build 2n - 1 applies, keyed serve n - 1" `Quick
+        test_applies;
+      Alcotest.test_case "a keyed serve allocates O(n) words" `Quick
+        test_allocation;
+      Alcotest.test_case "16-RHS batch on 4 domains = oracle" `Quick
+        test_pooled_batch;
+    ]
+end
+
+(* Small fields: card(K) far below 3n², so most draws fail.  Every
+   session answer must still be the oracle's or a typed error — never a
+   wrong value, and never [Singular] (or det = 0) for a nonsingular
+   matrix: λ | f with det P ≠ 0 is the only witness. *)
+module Small_field (F : Kp_field.Field_intf.FIELD) = struct
+  module C = Kp_poly.Conv.Karatsuba (F)
+  module M = Kp_matrix.Dense.Make (F)
+  module G = Kp_matrix.Gauss.Make (F)
+  module Sess = Kp_session.Session.Make (F) (C)
+
+  let check_input what a =
+    let n = a.M.rows in
+    let st = Kp_util.Rng.make (Hashtbl.hash what) in
+    let b = Array.init n (fun _ -> F.random st) in
+    let sess = Sess.create (Kp_util.Rng.make (Hashtbl.hash (what, "s"))) in
+    let wrong fmt = Printf.ksprintf (fun m -> Alcotest.failf "%s: %s" what m) fmt in
+    (match (Sess.solve sess a b, G.solve a b) with
+    | Ok (x, _), Some x_ref ->
+      if not (Array.for_all2 F.equal x x_ref) then wrong "solve differs from Gauss"
+    | Ok _, None -> wrong "solve accepted a singular system"
+    | Error (O.Singular _), Some _ -> wrong "Singular for a nonsingular matrix"
+    | Error _, _ -> ());
+    match Sess.det sess a with
+    | Ok (d, _) ->
+      if not (F.equal d (G.det a)) then
+        wrong "det %s, Gauss says %s" (F.to_string d) (F.to_string (G.det a))
+    | Error (O.Singular _) -> wrong "det returned Singular, not det = 0"
+    | Error _ -> ()
+
+  let test () =
+    List.iter
+      (fun n ->
+        List.iter
+          (fun seed ->
+            let st = Kp_util.Rng.make (seed + n) in
+            let what kind = Printf.sprintf "%s n=%d seed=%d %s" F.name n seed kind in
+            check_input (what "nonsingular") (M.random_nonsingular st n);
+            check_input (what "rank n-2") (M.random_of_rank st n ~rank:(n - 2)))
+          Test_seeds.shared_seeds)
+      [ 8; 24 ]
+end
+
+module Small_gf2 = Small_field (Kp_field.Fields.Gf2)
+
+module Small_gf3 = Small_field (Kp_field.Gfp.Make (struct
+  let p = 3
+end))
+
+module Small_gf7 = Small_field (Kp_field.Gfp.Make (struct
+  let p = 7
+end))
+
 (* ---- fingerprinting ---- *)
 
 let test_fingerprint () =
@@ -606,6 +759,13 @@ let () =
       ("fault_injection", FI.tests);
       ("cache_bound", LRU.tests);
       ("pool", Pooled.tests);
+      ("cost", Cost.tests);
+      ( "small_fields",
+        [
+          Alcotest.test_case "GF(2): oracle or typed error" `Quick Small_gf2.test;
+          Alcotest.test_case "GF(3): oracle or typed error" `Quick Small_gf3.test;
+          Alcotest.test_case "GF(7): oracle or typed error" `Quick Small_gf7.test;
+        ] );
       ( "fingerprint",
         [
           Alcotest.test_case "fingerprints and keys" `Quick test_fingerprint;
