@@ -8,7 +8,7 @@
      kp solve  --random 24
      kp solve  --random 200 --stats=json   (observability report on stderr-free stdout)
      kp solve  --random 200 --engine auto --deadline-ms 500
-                                           (blackbox with dense fallback, bounded wall time)
+                                (black box, elimination fallback, bounded wall time)
      kp det    --matrix m.txt
      kp rank   --random 16 --rank-hint 9
      kp inverse --random 6
@@ -77,7 +77,7 @@ type setup = {
   matrix : string option;
   random : int option;
   rank_hint : int option;
-  engine : [ `Auto | `Blackbox | `Dense | `Block ];
+  engine : Kp_serve.Protocol.engine;
   block_factor : int option;
   deadline_ms : int option;
   stats : [ `Text | `Json ] option;
@@ -100,19 +100,39 @@ let with_pool_opt ~domains f =
   if domains > 1 then Kp_util.Pool.with_pool ~domains (fun p -> f (Some p))
   else f None
 
+(* the ladder's one stderr line per fall-through, read back from the
+   serve.engine.fallback events it emitted *)
+let report_fallbacks () =
+  List.iter
+    (fun { Kp_obs.Events.name; attrs; _ } ->
+      if name = "serve.engine.fallback" then
+        let attr k = Option.value (List.assoc_opt k attrs) ~default:"" in
+        Printf.eprintf "%s engine failed (%s); falling back to %s\n%!"
+          (attr "from") (attr "error") (attr "to"))
+    (Kp_obs.Events.snapshot ())
+
+(* a command's verdict, after its fall-through lines: [print] shows the
+   answer; a certified Singular is an answer too; any other error is the
+   typed failure (its taxonomy on one line, and as a robust.failure event
+   in --stats=json) *)
+let answer print result =
+  report_fallbacks ();
+  match result with
+  | Ok v ->
+    print v;
+    `Ok ()
+  | Error (O.Singular _) ->
+    print_endline "matrix is singular (certified witness)";
+    `Ok ()
+  | Error e -> `Error (false, O.error_to_string e)
+
 (* all subcommand bodies, generic in the runtime field *)
 module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
   module M = Kp_matrix.Dense.Make (F)
-  module Bb = Kp_matrix.Blackbox.Make (F)
-  module W = Kp_core.Wiedemann.Make (F)
   module C = Kp_poly.Conv.Karatsuba_field (F)
-  module S = Kp_core.Solver.Make (F) (C)
-  module BW = Kp_core.Block_wiedemann.Make (F) (C)
-  module R = Kp_core.Rank.Make (F) (C)
-  module I = Kp_core.Inverse.Make (F) (C)
+  module E = Kp_serve.Engines.Make (F) (C)
   module TC = Kp_structured.Toeplitz_charpoly.Make (F) (C)
   module Ch = Kp_structured.Chistov.Make (F) (C)
-  module Sess = Kp_session.Session.Make (F) (C)
   module Srv = Kp_serve.Server.Make (F) (C)
 
   (* every engine needs n >= 1: an empty input is refused here, before
@@ -144,81 +164,6 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
       | None -> (M.random_nonsingular st n, None))
     | None, None -> failwith "provide --matrix FILE or --random N"
 
-  let print_solution ~engine ~attempts x =
-    Printf.printf "solution (engine: %s, attempts: %d):\n" engine attempts;
-    Array.iteri (fun i v -> Printf.printf "  x_%d = %s\n" i (F.to_string v)) x
-
-  (* terminal typed failure: taxonomy on one line (the same taxonomy also
-     lands in the events ring as a robust.failure event, so --stats=json
-     carries it in machine-readable form) *)
-  let typed_error e = `Error (false, O.error_to_string e)
-
-  let solve_dense ?deadline_ns ?pool ?precond st a b =
-    match S.solve ?deadline_ns ?pool ?precond st a b with
-    | Ok (x, report) ->
-      print_solution ~engine:"dense" ~attempts:report.O.attempts x;
-      `Ok ()
-    | Error (O.Singular _) ->
-      print_endline "matrix is singular (certified witness)";
-      `Ok ()
-    | Error e -> typed_error e
-
-  let solve_block ?deadline_ns ?pool ?block_factor ?precond st a b =
-    match BW.solve ?deadline_ns ?pool ?block_factor ?precond st a b with
-    | Ok (x, report) ->
-      print_solution ~engine:"block" ~attempts:report.O.attempts x;
-      `Ok ()
-    | Error (O.Singular _) ->
-      print_endline "matrix is singular (certified witness)";
-      `Ok ()
-    | Error (O.Deadline_exceeded _ as e) ->
-      (* no time left for a second engine *)
-      typed_error e
-    | Error e ->
-      (* same degradation ladder as the serve daemon: a block-engine fault
-         or exhausted budget demotes to the scalar Theorem-4 pipeline
-         instead of failing the command *)
-      Printf.eprintf "block engine failed (%s); falling back to scalar\n%!"
-        (O.error_to_string e);
-      solve_dense ?deadline_ns ?pool ?precond st a b
-
-  let solve_blackbox ?deadline_ns ?precond st a b =
-    (* the paper's black-box route: Ã = A·P, fully instrumented; Auto
-       resolves to the sparse butterfly here (black-box operand) *)
-    match W.solve_preconditioned ?deadline_ns ?precond st (Bb.of_dense a) b with
-    | Ok (x, report) ->
-      print_solution ~engine:"blackbox" ~attempts:report.O.attempts x;
-      Ok ()
-    | Error e -> Error e
-
-  (* --batch / --session: the per-matrix session cache — the black-box
-     generator is computed once, every right-hand side reuses it *)
-  let solve_sessioned ?deadline_ns ?pool ?block_factor ?precond st a bs =
-    let sess = Sess.create ?deadline_ns ?pool ?block_factor ?precond st in
-    let results = Sess.solve_many sess a bs in
-    let rec report i =
-      if i = Array.length results then begin
-        let s = Sess.stats sess in
-        Printf.printf
-          "session: %d hit(s), %d miss(es), %d eviction(s), %d capacity \
-           eviction(s)\n"
-          s.Sess.hits s.Sess.misses s.Sess.evictions s.Sess.capacity_evictions;
-        `Ok ()
-      end
-      else
-        match results.(i) with
-        | Ok (x, rep) ->
-          print_solution
-            ~engine:(Printf.sprintf "session b[%d]" i)
-            ~attempts:rep.O.attempts x;
-          report (i + 1)
-        | Error (O.Singular _) ->
-          print_endline "matrix is singular (certified witness)";
-          `Ok ()
-        | Error e -> typed_error e
-    in
-    report 0
-
   let load_batch path ~n =
     let ints = read_ints ~what:"batch file" path in
     let len = Array.length ints in
@@ -231,127 +176,69 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
       Array.init (len / n) (fun i ->
           Array.init n (fun j -> F.of_int ints.((i * n) + j)))
 
-  let solve setup =
+  (* every command asks the one engine ladder, Kp_serve.Engines, with the
+     state that drew its input; the deadline starts once the input is in *)
+  let ask setup k =
     with_pool_opt ~domains:setup.domains @@ fun pool ->
     let st = Kp_util.Rng.make setup.seed in
-    let deadline_ns = deadline_ns setup in
     let a, b = load_matrix setup st in
+    k (E.create ?pool ~precond:setup.precond st) st a b
+
+  let print_x x =
+    Array.iteri (fun i v -> Printf.printf "  x_%d = %s\n" i (F.to_string v)) x
+
+  let print_solution (x, engine, rep) =
+    Printf.printf "solution (engine: %s, attempts: %d):\n" engine
+      rep.O.attempts;
+    print_x x
+
+  let print_batch (xs, engine, rep) =
+    Printf.printf "batch of %d (engine: %s, attempts: %d):\n" (Array.length xs)
+      engine rep.O.attempts;
+    Array.iteri
+      (fun k x ->
+        Printf.printf " b[%d]:\n" k;
+        print_x x)
+      xs
+
+  let solve setup =
+    let engine = setup.engine and block_factor = setup.block_factor in
+    ask setup @@ fun eng st a b ->
     let n = a.M.rows in
     let b =
       match b with Some b -> b | None -> Array.init n (fun _ -> F.random st)
     in
-    (* with --engine block, batches route through the session's block lane
-       (one block-Krylov run per batch) at the chosen or automatic factor *)
-    let block_factor =
-      match setup.engine with
-      | `Block ->
-        Some
-          (match setup.block_factor with
-          | Some bf -> bf
-          | None -> BW.auto_block_factor ~n ~pool)
-      | _ -> None
-    in
-    let precond = setup.precond in
-    match setup.batch with
-    | Some path ->
-      solve_sessioned ?deadline_ns ?pool ?block_factor ~precond st a
-        (load_batch path ~n)
-    | None when setup.session ->
-      solve_sessioned ?deadline_ns ?pool ?block_factor ~precond st a [| b |]
-    | None -> (
-    match setup.engine with
-    | `Block ->
-      solve_block ?deadline_ns ?pool ?block_factor:setup.block_factor ~precond
-        st a b
-    | `Dense -> solve_dense ?deadline_ns ?pool ~precond st a b
-    | `Blackbox -> (
-      match solve_blackbox ?deadline_ns ~precond st a b with
-      | Ok () -> `Ok ()
-      | Error e -> typed_error e)
-    | `Auto -> (
-      (* graceful degradation: black-box first, dense on typed failure —
-         the dense route carries the singularity certificate, and a fault
-         or exhausted budget in one engine does not doom the command *)
-      match solve_blackbox ?deadline_ns ~precond st a b with
-      | Ok () -> `Ok ()
-      | Error (O.Deadline_exceeded _ as e) ->
-        (* no time left for a second engine *)
-        typed_error e
-      | Error e ->
-        Printf.eprintf "blackbox engine failed (%s); falling back to dense\n%!"
-          (O.error_to_string e);
-        solve_dense ?deadline_ns ?pool ~precond st a b))
+    match (setup.batch, setup.session) with
+    | None, false ->
+      answer print_solution
+        (E.solve ?deadline_ns:(deadline_ns setup) ?block_factor ~engine eng a b)
+    | batch, _ ->
+      (* --batch and --session ask for a batch, which the scalar rung
+         serves from one session: the generator computed once *)
+      let bs =
+        match batch with Some path -> load_batch path ~n | None -> [| b |]
+      in
+      answer print_batch
+        (E.solve_batch ?deadline_ns:(deadline_ns setup) ?block_factor ~engine
+           eng a bs)
 
   let det setup =
-    with_pool_opt ~domains:setup.domains @@ fun pool ->
-    let st = Kp_util.Rng.make setup.seed in
-    let a, _ = load_matrix setup st in
-    let deadline_ns = deadline_ns setup and precond = setup.precond in
-    let blackbox () = W.det ?deadline_ns ~precond st (Bb.of_dense a) in
-    let dense () = S.det ?deadline_ns ?pool ~precond st a in
-    let result =
-      match setup.engine with
-      | `Block ->
-        BW.det ?deadline_ns ?pool ?block_factor:setup.block_factor ~precond st
-          a
-      | `Dense -> dense ()
-      | `Blackbox -> blackbox ()
-      | `Auto -> (
-        (* the same ladder as solve: black box first, the dense Theorem-4
-           route on a typed failure with time left *)
-        match blackbox () with
-        | (Ok _ | Error (O.Deadline_exceeded _)) as r -> r
-        | Error e ->
-          Printf.eprintf "blackbox engine failed (%s); falling back to dense\n%!"
-            (O.error_to_string e);
-          dense ())
-    in
-    match result with
-    | Ok (d, _) ->
-      Printf.printf "det = %s  (mod %d)\n" (F.to_string d) setup.prime;
-      `Ok ()
-    | Error e -> typed_error e
+    ask setup @@ fun eng _ a _ ->
+    answer (fun (d, _, _) ->
+        Printf.printf "det = %s  (mod %d)\n" (F.to_string d) setup.prime)
+    @@ E.det ?deadline_ns:(deadline_ns setup) ?block_factor:setup.block_factor
+         ~engine:setup.engine eng a
 
   let rank setup =
-    let st = Kp_util.Rng.make setup.seed in
-    let a, _ = load_matrix setup st in
-    let result =
-      match setup.engine with
-      | `Block ->
-        BW.rank ?deadline_ns:(deadline_ns setup)
-          ?block_factor:setup.block_factor ~precond:setup.precond st a
-      | _ -> R.rank ?deadline_ns:(deadline_ns setup) ~precond:setup.precond st a
-    in
-    match result with
-    | Ok r ->
-      Printf.printf "rank = %d\n" r;
-      `Ok ()
-    | Error e -> typed_error e
+    ask setup @@ fun eng _ a _ ->
+    answer (fun (r, _) -> Printf.printf "rank = %d\n" r)
+    @@ E.rank ?deadline_ns:(deadline_ns setup) ?block_factor:setup.block_factor
+         ~engine:setup.engine eng a
 
   let inverse setup =
-    with_pool_opt ~domains:setup.domains @@ fun pool ->
-    let st = Kp_util.Rng.make setup.seed in
-    let a, _ = load_matrix setup st in
-    let result =
-      match pool with
-      (* the Baur–Strassen circuit is traced with the dense H·D wires, so a
-         non-dense --precond routes through the n-solves engine instead *)
-      | None when setup.precond = Pc.Auto || setup.precond = Pc.Forced Pc.Dense_hd
-        -> I.inverse ?deadline_ns:(deadline_ns setup) st a
-      (* the circuit evaluates sequentially; with a pool the n-solves route
-         is the one whose columns fan out *)
-      | _ ->
-        I.inverse_via_solves ?deadline_ns:(deadline_ns setup) ?pool
-          ~precond:setup.precond st a
-    in
-    match result with
-    | Ok (inv, _) ->
-      print_string (M.to_string inv);
-      `Ok ()
-    | Error (O.Singular _) ->
-      print_endline "matrix is singular (certified witness)";
-      `Ok ()
-    | Error e -> typed_error e
+    ask setup @@ fun eng _ a _ ->
+    answer (fun (inv, _, _) -> print_string (M.to_string inv))
+    @@ E.inverse ?deadline_ns:(deadline_ns setup) ~engine:setup.engine eng a
 
   let serve ~domains ~seed (o : serve_opts) =
     with_pool_opt ~domains @@ fun pool ->
@@ -444,19 +331,17 @@ let rank_hint_t =
 
 let engine_t =
   Arg.(value
-       & opt
-           (enum
-              [ ("auto", `Auto); ("blackbox", `Blackbox); ("dense", `Dense);
-                ("block", `Block) ])
-           `Auto
+       & opt (enum Kp_serve.Protocol.engines) Kp_serve.Protocol.E_auto
        & info [ "engine" ]
            ~doc:
-             "Solve and det engine: $(b,auto) (black-box first, dense \
-              fallback on typed failure), $(b,blackbox) (preconditioned black-box \
-              Wiedemann, fully instrumented), $(b,dense) (the dense \
-              Theorem-4 pipeline) or $(b,block) (block Wiedemann: the \
-              Krylov phase runs b columns per matrix product, see \
-              $(b,--block-factor)).")
+             "The top rung of the engine ladder, as in $(b,kp serve)'s \
+              requests: $(b,auto) or $(b,scalar) (the preconditioned \
+              black-box engine, then verified Gaussian elimination), \
+              $(b,block) (block Wiedemann — b columns per Krylov product, \
+              see $(b,--block-factor) — then scalar, then elimination) or \
+              $(b,dense) (the paper's Theorem-4 pipeline alone: the \
+              reference engine, no fallback).  Each fall-through to the \
+              next rung prints one line on stderr.")
 
 let block_factor_t =
   Arg.(value & opt (some int) None
@@ -484,7 +369,10 @@ let deadline_t =
            ~doc:
              "Abort with a typed Deadline_exceeded error if the command's \
               randomized core is still retrying after this many \
-              milliseconds (monotonic clock).")
+              milliseconds (monotonic clock).  The engine ladder gives each \
+              rung still to run an equal share of what remains, checked \
+              between attempts and before the rung starts; an attempt, or \
+              elimination once started, runs to completion.")
 
 let domains_t =
   Arg.(value & opt int 1
@@ -546,16 +434,22 @@ let simple_cmd name doc (select : (module DRIVER) -> setup -> ret) =
          $ setup_t))
 
 let solve_cmd =
-  simple_cmd "solve" "Solve A·x = b (Theorem 4)." (fun (module D) -> D.solve)
+  simple_cmd "solve" "Solve A·x = b through the engine ladder."
+    (fun (module D) -> D.solve)
 
 let det_cmd =
-  simple_cmd "det" "Determinant (black box, Theorem-4 fallback)."
-    (fun (module D) -> D.det)
-let rank_cmd = simple_cmd "rank" "Randomized rank (§5)." (fun (module D) -> D.rank)
+  simple_cmd "det" "Determinant through the engine ladder." (fun (module D) ->
+      D.det)
+
+let rank_cmd =
+  simple_cmd "rank" "Randomized rank (§5) through the engine ladder."
+    (fun (module D) -> D.rank)
 
 let inverse_cmd =
-  simple_cmd "inverse" "Inverse via Baur–Strassen (Theorem 6)." (fun (module D) ->
-      D.inverse)
+  simple_cmd "inverse"
+    "Inverse through the engine ladder ($(b,--engine dense): Baur–Strassen, \
+     Theorem 6, up to n = 8; n Theorem-4 solves above)."
+    (fun (module D) -> D.inverse)
 
 (* kp kernels — which bulk-arithmetic backend each built-in field resolves
    to (the same dispatch Dense/Sparse/Conv/Toeplitz perform at functor
@@ -653,15 +547,20 @@ let serve_cmd =
     Arg.(value & opt int 512
          & info [ "max-n" ]
              ~doc:
-               "Largest accepted matrix dimension; larger requests are a \
-                typed $(b,too_large) rejection.")
+               (Printf.sprintf
+                  "Largest accepted matrix dimension; larger requests are \
+                   a typed $(b,too_large) rejection.  An \
+                   $(b,\"engine\":\"dense\") request is held to at most %d \
+                   as well."
+                  Kp_serve.Protocol.dense_max_n))
   in
   let breaker_threshold_t =
     Arg.(value & opt int 3
          & info [ "breaker-threshold" ]
              ~doc:
                "Consecutive engine failures that open its circuit breaker \
-                (demoting block → scalar → dense).")
+                (demoting block → scalar → elimination; the dense and \
+                elimination rungs have none).")
   in
   let breaker_cooldown_t =
     Arg.(value & opt int 2000

@@ -5,11 +5,14 @@
     failures (detected faults, exhausted retry budgets, blown deadlines —
     {e not} certified [Singular] verdicts, which are answers about the
     input) {e open} it: requests route past the engine to the next rung of
-    the degradation ladder (block → scalar → dense elimination) without
-    paying for an engine that is currently failing.  After [cooldown_ns]
-    the breaker {e half-opens}: the next request probes the engine once —
-    success re-closes it (re-promotion), failure re-opens it for another
-    cooldown.
+    the {!Engines} ladder (block → scalar → elimination) without paying
+    for an engine that is currently failing.  The block and scalar rungs
+    have one each; the dense rung, which stands alone, and elimination,
+    the deterministic last resort, have none.  A [kp] command builds a
+    fresh ladder, so its breakers start closed and see one call.  After
+    [cooldown_ns] the breaker {e half-opens}: the next request probes the
+    engine once — success re-closes it (re-promotion), failure re-opens
+    it for another cooldown.
 
     The clock is injected so tests can drive the cooldown deterministically;
     it defaults to {!Kp_obs.Clock.now_ns}.  State transitions are counted

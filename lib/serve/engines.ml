@@ -5,8 +5,11 @@ struct
   module Sess = Kp_session.Session.Make (F) (C)
   module M = Sess.M
   module O = Kp_robust.Outcome
+  module W = Kp_core.Wiedemann.Make (F)
+  module S = Kp_core.Solver.Make (F) (C)
   module BW = Kp_core.Block_wiedemann.Make (F) (C)
   module R = Kp_core.Rank.Make (F) (C)
+  module I = Kp_core.Inverse.Make (F) (C)
   module G = Kp_matrix.Gauss.Make (F)
   module Retry = Kp_robust.Retry
   module Cnt = Kp_obs.Counter
@@ -15,15 +18,16 @@ struct
 
   let c_precond_demote = Cnt.make "serve.precond.demote"
 
-  type rung = Block | Scalar | Dense
+  type rung = Block | Scalar | Dense | Elimination
 
   let rung_name = function
     | Block -> "block"
     | Scalar -> "scalar"
     | Dense -> "dense"
+    | Elimination -> "elimination"
 
   type t = {
-    session : Sess.t;
+    session : Sess.t option;
     pool : Kp_util.Pool.t option;
     precond : Pc.choice;
     st : Random.State.t;
@@ -31,7 +35,7 @@ struct
     b_scalar : Breaker.t;
   }
 
-  let create ?breaker_threshold ?breaker_cooldown_ns ?now ~session ?pool
+  let create ?breaker_threshold ?breaker_cooldown_ns ?now ?session ?pool
       ?precond:(pc_choice = Pc.default_choice ()) st =
     let mk name =
       Breaker.create ?threshold:breaker_threshold
@@ -40,11 +44,12 @@ struct
     { session; pool; precond = pc_choice; st;
       b_block = mk "block"; b_scalar = mk "scalar" }
 
-  (* the dense rung is deterministic elimination: no breaker, always admits *)
+  (* the dense rung stands alone and elimination is deterministic: neither
+     has a breaker, both always admit *)
   let breaker t = function
     | Block -> Some t.b_block
     | Scalar -> Some t.b_scalar
-    | Dense -> None
+    | Dense | Elimination -> None
 
   let breaker_states t =
     [ ("block", Breaker.state t.b_block); ("scalar", Breaker.state t.b_scalar) ]
@@ -57,8 +62,8 @@ struct
 
   let ladder (engine : Protocol.engine) =
     match engine with
-    | Protocol.E_block -> [ Block; Scalar; Dense ]
-    | Protocol.E_auto | Protocol.E_scalar -> [ Scalar; Dense ]
+    | Protocol.E_block -> [ Block; Scalar; Elimination ]
+    | Protocol.E_auto | Protocol.E_scalar -> [ Scalar; Elimination ]
     | Protocol.E_dense -> [ Dense ]
 
   (* infrastructure failures fall through the ladder and count against the
@@ -83,13 +88,12 @@ struct
   let bump rung what =
     Cnt.incr (Cnt.make ("serve.engine." ^ rung_name rung ^ "." ^ what))
 
-  (* preconditioner demotion joins the ladder: a non-dense precond that
-     fails a rung for infrastructure reasons gets one dense retry on the
-     same rung before the walk falls through — counted in
+  (* preconditioner demotion joins the ladder on the block rung: a
+     non-dense precond that fails it for infrastructure reasons gets one
+     dense retry there before the walk falls through — counted in
      [serve.precond.demote] and visible as a [serve.precond.demote]
-     event.  Rungs driven by the shared session carry the session's own
-     configured precond (with its internal per-attempt demotion), so the
-     dense retry there re-runs the rung unchanged and is skipped. *)
+     event.  The scalar and dense rungs rely on their engines' own
+     per-attempt demotion ([Precond.kind_for_attempt]) alone. *)
   let cascade t ~op ~deadline_ns rungs run =
     let admits r =
       match breaker t r with None -> true | Some b -> Breaker.admits b
@@ -99,28 +103,36 @@ struct
       | Some d -> Int64.equal (Retry.remaining_ns ~deadline_ns:d) 0L
       | None -> false
     in
-    let demotable r =
-      (match r with Block -> true | Scalar | Dense -> false)
-      && Pc.resolve t.precond <> Pc.Dense_hd
-    in
-    let rec walk last_err = function
+    let demotable r = r = Block && Pc.resolve t.precond <> Pc.Dense_hd in
+    (* [last] is the rung that failed before [r] and its error *)
+    let rec walk last = function
       | [] ->
         Error
-          (match last_err with
-          | Some e -> e
+          (match last with
+          | Some (_, e) -> e
           | None ->
             O.Fault_detected
               { op; detail = "every engine's breaker is open" })
       | r :: rest ->
         if not (admits r) then begin
           bump r "skip";
-          walk last_err rest
+          walk last rest
         end
-        else if spent () && last_err <> None then
+        else if spent () && last <> None then
           (* budget gone: report the failure already in hand rather than
              paying for another engine that must immediately time out *)
-          Error (Option.get last_err)
+          Error (snd (Option.get last))
         else begin
+          Option.iter
+            (fun (from, e) ->
+              Events.emit "serve.engine.fallback"
+                [
+                  ("op", op);
+                  ("from", rung_name from);
+                  ("to", rung_name r);
+                  ("error", O.error_to_string e);
+                ])
+            last;
           let ways = 1 + List.length (List.filter admits rest) in
           let dl =
             Option.map
@@ -134,14 +146,7 @@ struct
           let fall e =
             bump r "fail";
             Option.iter Breaker.record_failure (breaker t r);
-            if rest <> [] then
-              Events.emit "serve.engine.fallback"
-                [
-                  ("op", op);
-                  ("from", rung_name r);
-                  ("error", O.error_to_string e);
-                ];
-            walk (Some e) rest
+            walk (Some (r, e)) rest
           in
           match attempt t.precond with
           | Ok v ->
@@ -178,74 +183,72 @@ struct
     in
     walk None rungs
 
-  (* ---- the dense rung: Gaussian elimination, verified ---- *)
+  (* ---- the scalar rung: the shared session, or fresh black boxes ---- *)
 
-  let dense_expired deadline_ns =
+  (* without a shared session a solve or det runs a fresh black-box
+     engine, cheaper for one question than a session build plus a keyed
+     serve; a batch or an inverse amortises a session made for the call *)
+  let session_for t ~precond =
+    match t.session with
+    | Some s -> s
+    | None -> Sess.create ?pool:t.pool ~precond t.st
+
+  (* ---- the dense rung: the paper's Theorem-4 reference ---- *)
+
+  (* the Theorem-6 circuit is traced with the dense H·D wires, and its
+     trace outgrows memory fast ([kp inverse --engine dense]: 0.3 GB at
+     n = 8, 1.4 GB at n = 16, killed past 7.8 GB at n = 64), so it
+     answers small inverses only; a larger one, or one under a non-dense
+     precond, is n Theorem-4 solves, whose columns fan out over the pool *)
+  let circuit_max_n = 8
+
+  let dense_inverse ?deadline_ns ~precond t a =
+    if a.M.rows <= circuit_max_n && Pc.resolve precond = Pc.Dense_hd then
+      I.inverse ?deadline_ns t.st a
+    else I.inverse_via_solves ?deadline_ns ?pool:t.pool ~precond t.st a
+
+  (* ---- the elimination rung: Gaussian elimination, verified ---- *)
+
+  (* a spent deadline is a typed error before any elimination work *)
+  let unless_expired deadline_ns f =
     match deadline_ns with
     | Some d when Int64.equal (Retry.remaining_ns ~deadline_ns:d) 0L ->
-      Some
-        (O.Deadline_exceeded { elapsed_ns = 0L; report = O.empty_report })
-    | _ -> None
+      Error (O.Deadline_exceeded { elapsed_ns = 0L; report = O.empty_report })
+    | _ -> f ()
 
   let singular = O.Singular { witnesses = 1; report = O.empty_report }
 
-  let dense_solve ~deadline_ns a b =
-    match dense_expired deadline_ns with
-    | Some e -> Error e
-    | None -> (
-      match G.solve a b with
-      | None -> Error singular
-      | Some x ->
-        if BW.verify_solution a x b then Ok (x, O.empty_report)
-        else
-          Error
-            (O.Fault_detected
-               { op = "dense.solve"; detail = "residual check failed" }))
-
-  let dense_batch ~deadline_ns a bs =
-    match dense_expired deadline_ns with
-    | Some e -> Error e
-    | None ->
-      let n = Array.length bs in
-      let out = Array.make n [||] in
-      let rec go i =
-        if i = n then Ok (out, O.empty_report)
-        else
-          match dense_solve ~deadline_ns:None a bs.(i) with
-          | Ok (x, _) ->
-            out.(i) <- x;
-            go (i + 1)
-          | Error e -> Error e
-      in
-      go 0
-
-  let dense_det ~deadline_ns a =
-    match dense_expired deadline_ns with
-    | Some e -> Error e
-    | None ->
-      (* elimination is deterministic, so under clean arithmetic two runs
-         agree for free; under injected faults they corrupt independently
-         — the PR-2 two-evaluation discipline at the bottom of the ladder *)
-      let d1 = G.det a and d2 = G.det a in
-      if F.equal d1 d2 then Ok (d1, O.empty_report)
+  let elim_solve a b =
+    match G.solve a b with
+    | None -> Error singular
+    | Some x ->
+      if BW.verify_solution a x b then Ok (x, O.empty_report)
       else
         Error
           (O.Fault_detected
-             { op = "dense.det"; detail = "two eliminations disagree" })
+             { op = "elimination.solve"; detail = "residual check failed" })
 
-  let dense_inverse ~deadline_ns a =
-    match dense_expired deadline_ns with
-    | Some e -> Error e
-    | None -> (
-      match G.inverse a with
-      | None -> Error singular
-      | Some inv ->
-        if G.M.equal (M.mul a inv) (M.identity a.M.rows) then
-          Ok (inv, O.empty_report)
-        else
-          Error
-            (O.Fault_detected
-               { op = "dense.inverse"; detail = "A * A^-1 <> I" }))
+  let elim_det a =
+    (* elimination is deterministic, so under clean arithmetic two runs
+       agree for free; under injected faults they corrupt independently
+       — the two-evaluation discipline at the bottom of the ladder *)
+    let d1 = G.det a and d2 = G.det a in
+    if F.equal d1 d2 then Ok (d1, O.empty_report)
+    else
+      Error
+        (O.Fault_detected
+           { op = "elimination.det"; detail = "two eliminations disagree" })
+
+  let elim_inverse a =
+    match G.inverse a with
+    | None -> Error singular
+    | Some inv ->
+      if G.M.equal (M.mul a inv) (M.identity a.M.rows) then
+        Ok (inv, O.empty_report)
+      else
+        Error
+          (O.Fault_detected
+             { op = "elimination.inverse"; detail = "A * A^-1 <> I" })
 
   (* ---- operations ---- *)
 
@@ -254,6 +257,21 @@ struct
     | Ok ((v, rep), name) -> Ok (v, name, rep)
     | Error e -> Error e
 
+  (* a batch is all-or-nothing: the first failed right-hand side fails it *)
+  let each_rhs bs solve =
+    let k = Array.length bs in
+    let out = Array.make k [||] in
+    let rec go i rep =
+      if i = k then Ok (out, rep)
+      else
+        match solve i bs.(i) with
+        | Ok (x, r) ->
+          out.(i) <- x;
+          go (i + 1) (O.merge_reports rep r)
+        | Error e -> Error e
+    in
+    go 0 O.empty_report
+
   let solve ?key ?deadline_ns ?block_factor ~engine t a b =
     with_name
     @@ cascade t ~op:"solve" ~deadline_ns (ladder engine)
@@ -261,27 +279,13 @@ struct
     match rung with
     | Block ->
       BW.solve ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a b
-    | Scalar -> Sess.solve ?key ?deadline_ns t.session a b
-    | Dense -> dense_solve ~deadline_ns a b
-
-  let merge_all =
-    Array.fold_left (fun acc r -> O.merge_reports acc r) O.empty_report
-
-  let scalar_batch ?key ?deadline_ns t a bs =
-    let results = Sess.solve_many ?key ?deadline_ns t.session a bs in
-    let n = Array.length results in
-    let out = Array.make n [||] and reps = Array.make n O.empty_report in
-    let rec go i =
-      if i = n then Ok (out, merge_all reps)
-      else
-        match results.(i) with
-        | Ok (x, rep) ->
-          out.(i) <- x;
-          reps.(i) <- rep;
-          go (i + 1)
-        | Error e -> Error e
-    in
-    go 0
+    | Scalar -> (
+      match t.session with
+      | Some s -> Sess.solve ?key ?deadline_ns s a b
+      | None ->
+        W.solve_preconditioned ?deadline_ns ~precond t.st (W.Bb.of_dense a) b)
+    | Dense -> S.solve ?deadline_ns ?pool:t.pool ~precond t.st a b
+    | Elimination -> unless_expired deadline_ns (fun () -> elim_solve a b)
 
   let solve_batch ?key ?deadline_ns ?block_factor ~engine t a bs =
     with_name
@@ -291,8 +295,17 @@ struct
     | Block ->
       BW.solve_batch ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a
         bs
-    | Scalar -> scalar_batch ?key ?deadline_ns t a bs
-    | Dense -> dense_batch ~deadline_ns a bs
+    | Scalar ->
+      let results =
+        Sess.solve_many ?key ?deadline_ns (session_for t ~precond) a bs
+      in
+      each_rhs bs (fun i _ -> results.(i))
+    | Dense ->
+      each_rhs bs (fun _ b ->
+          S.solve ?deadline_ns ?pool:t.pool ~precond t.st a b)
+    | Elimination ->
+      unless_expired deadline_ns (fun () ->
+          each_rhs bs (fun _ b -> elim_solve a b))
 
   let det ?key ?deadline_ns ?block_factor ~engine t a =
     with_name
@@ -301,31 +314,33 @@ struct
     match rung with
     | Block ->
       BW.det ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a
-    | Scalar -> Sess.det ?key ?deadline_ns t.session a
-    | Dense -> dense_det ~deadline_ns a
+    | Scalar -> (
+      match t.session with
+      | Some s -> Sess.det ?key ?deadline_ns s a
+      | None -> W.det ?deadline_ns ~precond t.st (W.Bb.of_dense a))
+    | Dense -> S.det ?deadline_ns ?pool:t.pool ~precond t.st a
+    | Elimination -> unless_expired deadline_ns (fun () -> elim_det a)
 
   let inverse ?key ?deadline_ns ~engine t a =
     let rungs =
       (* no block inverse route: start that ladder at the scalar rung *)
-      match ladder engine with Block :: rest -> rest | l -> l
+      List.filter (fun r -> r <> Block) (ladder engine)
     in
     with_name
     @@ cascade t ~op:"inverse" ~deadline_ns rungs
-    @@ fun rung ~deadline_ns ~precond:_ ->
+    @@ fun rung ~deadline_ns ~precond ->
     match rung with
-    | Block -> assert false
-    | Scalar -> Sess.inverse ?key ?deadline_ns t.session a
-    | Dense -> dense_inverse ~deadline_ns a
+    | Block (* filtered out above *) | Scalar ->
+      Sess.inverse ?key ?deadline_ns (session_for t ~precond) a
+    | Dense -> dense_inverse ?deadline_ns ~precond t a
+    | Elimination -> unless_expired deadline_ns (fun () -> elim_inverse a)
 
   let rank ?deadline_ns ?block_factor ~engine t a =
     cascade t ~op:"rank" ~deadline_ns (ladder engine)
     @@ fun rung ~deadline_ns ~precond ->
-    match dense_expired deadline_ns with
-    | Some e -> Error e
-    | None -> (
-      match rung with
-      | Block ->
-        BW.rank ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a
-      | Scalar -> R.rank ?deadline_ns ~precond t.st a
-      | Dense -> Ok (G.rank a))
+    unless_expired deadline_ns @@ fun () ->
+    match rung with
+    | Block -> BW.rank ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a
+    | Scalar | Dense -> R.rank ?deadline_ns ~precond t.st a
+    | Elimination -> Ok (G.rank a)
 end

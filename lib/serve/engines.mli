@@ -1,32 +1,54 @@
 (** The degradation ladder: one entry point per operation, routed across
-    the block / scalar / dense engines through per-engine circuit
-    breakers.
+    the engines through per-engine circuit breakers.  [kp] and [kp serve]
+    both answer through it, so an engine name means the same thing on
+    both surfaces.
 
-    Each requested engine names the top rung of a fixed ladder
+    Each requested engine ({!Protocol.engines}) names the top rung of a
+    fixed ladder
 
     {v
-      block  : block Wiedemann → scalar session → dense elimination
-      auto   : scalar session → dense elimination
-      scalar : scalar session → dense elimination
-      dense  : dense elimination
+      block  : block → scalar → elimination
+      auto   : scalar → elimination
+      scalar : scalar → elimination
+      dense  : dense alone
     v}
 
-    and a call walks down it: rungs whose {!Breaker} is open are skipped
-    outright; a rung that fails with an infrastructure error
+    and the rungs, named as replies and [kp] report them, are
+
+    - [block]: {!Kp_core.Block_wiedemann} (no inverse route: an inverse
+      ladder starts at the scalar rung);
+    - [scalar]: the black-box engine.  With a shared [session] (serve) it
+      is that {!Kp_session.Session}; without one (the CLI) a solve or det
+      is a fresh {!Kp_core.Wiedemann.Make.solve_preconditioned} or
+      {!Kp_core.Wiedemann.Make.det}, and a batch or inverse runs on a
+      session made for the call.  Rank is {!Kp_core.Rank.Make.rank};
+    - [dense]: the paper's Theorem-4 reference — {!Kp_core.Solver},
+      {!Kp_core.Rank} and {!Kp_core.Inverse} — with no fallback, so its
+      answers (small-field errors included) are the reference's own.
+      An inverse is the Theorem-6 circuit up to [circuit_max_n] under
+      the dense precond, n Theorem-4 solves otherwise;
+    - [elimination]: Gaussian elimination, verified.
+
+    A call walks down its ladder: rungs whose {!Breaker} is open are
+    skipped outright; a rung that fails with an infrastructure error
     ([Fault_detected], [Retries_exhausted], [Deadline_exceeded]) records
     the failure on its breaker and the call falls through to the next
-    rung.  [Singular] is an {e answer} about the input, not an engine
-    failure: it closes the breaker and terminates the walk.  The last
-    rung, Gaussian elimination, is deterministic and breaker-less — the
-    ladder always has an admitting rung.
+    admitting rung, announced by a [serve.engine.fallback] event ([op],
+    [from], [to], [error]).  [Singular] is an {e answer} about the input, not an engine
+    failure: it closes the breaker and terminates the walk.  The dense and
+    elimination rungs have no breaker; elimination is deterministic and
+    ends every multi-rung ladder, so that ladder always has an admitting
+    rung.
 
     When the call carries a deadline, {!Kp_robust.Retry.split_deadline}
     gives each remaining admitting rung an equal share of the remaining
-    budget, so one stuck engine cannot eat the whole request; the walk
-    stops early once the overall deadline is spent.
+    budget, so one retrying engine cannot eat the whole request; the
+    walk stops early once the overall deadline is spent.  A share is
+    checked between attempts and before a rung starts: an attempt, and
+    the elimination rung once started, runs to completion.
 
-    Dense answers are verified (residual check for solves, A·A⁻¹ = I
-    spot rows for inverses, two independent eliminations for
+    Elimination answers are verified (residual check for solves,
+    A·A⁻¹ = I for inverses, two independent eliminations for
     determinants) and {!Kp_robust.Fault.Injected} escapes are mapped to
     typed [Fault_detected] — under fault injection the last resort still
     never returns an unverified answer.
@@ -43,27 +65,33 @@ module Make
 
   type t
 
+  val circuit_max_n : int
+  (** 8: the largest n whose [dense] inverse is the Theorem-6 circuit,
+      whose trace grows too fast to go further (0.3 GB at n = 8). *)
+
   val create :
     ?breaker_threshold:int ->
     ?breaker_cooldown_ns:int64 ->
     ?now:(unit -> int64) ->
-    session:Sess.t ->
+    ?session:Sess.t ->
     ?pool:Kp_util.Pool.t ->
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> t
   (** The breakers guard the block and scalar rungs ([threshold]
       consecutive failures open one for [cooldown_ns], defaults as
       {!Breaker.create}); [now] is injected into them for deterministic
-      tests.  [session] serves the scalar rung (and is the matrix cache
-      the serving layer shares across requests); the state seeds the
-      block and rank rungs.  [pool] fans the block rung's matrix products
-      out as row blocks (bit-identical answers); configure the session
-      with the same pool to cover the scalar rung too.  [precond] picks the preconditioner kind for the
-      fresh-engine rungs (block solve/det, block and scalar rank);
-      configure the session with the same choice to cover the scalar
-      rung.  A non-dense precond that fails a rung for infrastructure
-      reasons gets one dense retry on that rung before the ladder falls
-      through ([serve.precond.demote] counter + event). *)
+      tests.  [session], when given, serves the scalar rung (it is the
+      matrix cache the serving layer shares across requests); without
+      it the scalar rung runs fresh engines and call-scoped sessions.
+      The state seeds every rung that draws outside the shared session.
+      [pool] fans the block and dense rungs' matrix products out as row
+      blocks (bit-identical answers) and reaches call-scoped sessions;
+      configure a shared session with the same pool to cover it too.
+      [precond] picks the preconditioner kind for every rung that is not
+      the shared session; configure the session with the same choice to
+      cover it.  A non-dense precond that fails the block rung for
+      infrastructure reasons gets one dense retry there before the ladder
+      falls through ([serve.precond.demote] counter + event). *)
 
   val breaker_states : t -> (string * Breaker.state) list
   (** [("block", st); ("scalar", st)] — for tests and gauges. *)
@@ -71,9 +99,9 @@ module Make
   val breaker_codes : t -> (string * int) list
   (** Same, as the 0/1/2 gauge encoding (thread-safe reads). *)
 
-  (** Every operation returns the engine that actually served the
-      answer (["block"], ["scalar"] or ["dense"]) so callers — and the
-      E15 load bench — can observe demotion and re-promotion. *)
+  (** Every operation returns the rung that actually served the answer
+      (["block"], ["scalar"], ["dense"] or ["elimination"]) so callers —
+      and the E15 load bench — can observe demotion and re-promotion. *)
 
   val solve :
     ?key:string ->
@@ -113,7 +141,8 @@ module Make
     ?block_factor:int ->
     engine:Protocol.engine ->
     t -> M.t -> (int * string, O.error) result
-  (** Monte Carlo on the block/scalar rungs, exact on the dense rung.
+  (** Monte Carlo on the block, scalar and dense rungs, exact on the
+      elimination rung.
       A randomized rank whose minor determinant fails ({!Kp_core.Rank.Make.search})
       falls through to the next rung like any infrastructure error, and
       a {!Kp_robust.Fault.Injected} escape is a breaker-recorded failure,

@@ -1,10 +1,30 @@
 type engine = E_auto | E_block | E_scalar | E_dense
 
-let engine_name = function
-  | E_auto -> "auto"
-  | E_block -> "block"
-  | E_scalar -> "scalar"
-  | E_dense -> "dense"
+let engines =
+  [ ("auto", E_auto); ("block", E_block); ("scalar", E_scalar);
+    ("dense", E_dense) ]
+
+let engine_name e = fst (List.find (fun (_, e') -> e' = e) engines)
+
+(* the dense engine is the Theorem-4 reference, dearer per n than every
+   other rung (its det took 7.8 s at n = 512, its inverse is n Theorem-4
+   solves), and a deadline cannot cut an attempt short, so the wire
+   admits it on small matrices only *)
+let dense_max_n = 64
+
+type reject = { code : string; detail : string }
+
+let check_n ~max_n engine n =
+  let limit = if engine = E_dense then min max_n dense_max_n else max_n in
+  if n <= limit then Ok ()
+  else
+    Error
+      {
+        code = "too_large";
+        detail =
+          Printf.sprintf "n = %d exceeds this server's limit %d for engine %S"
+            n limit (engine_name engine);
+      }
 
 type matrix_ref =
   | Inline of { n : int; entries : int array; key : string option }
@@ -27,8 +47,6 @@ type request = {
   deadline_ms : int option;
 }
 
-type reject = { code : string; detail : string }
-
 exception Rejected of reject
 
 let reject code fmt =
@@ -47,7 +65,7 @@ let int_array name v =
   | Some items ->
     Array.of_list (List.map (fun x -> int_field name x) items)
 
-let parse_matrix_ref ~max_n j =
+let parse_matrix_ref ~max_n ~engine j =
   let key = Option.bind (Wire.member "key" j) Wire.to_str in
   match Wire.member "a" j with
   | None -> (
@@ -61,8 +79,7 @@ let parse_matrix_ref ~max_n j =
       | None -> reject "missing_field" "inline matrix needs \"n\""
     in
     if n < 1 then reject "bad_dimensions" "n must be >= 1, got %d" n;
-    if n > max_n then
-      reject "too_large" "n = %d exceeds this server's limit %d" n max_n;
+    Result.iter_error (fun r -> raise (Rejected r)) (check_n ~max_n engine n);
     let entries = int_array "a" a_json in
     if Array.length entries <> n * n then
       reject "bad_dimensions" "\"a\" has %d entries, expected n^2 = %d"
@@ -80,6 +97,15 @@ let parse_request ~max_n line =
           | Some s -> s
           | None -> reject "missing_field" "request needs an \"op\""
       in
+      let engine =
+        match Option.bind (Wire.member "engine" j) Wire.to_str with
+        | None -> E_auto
+        | Some s -> (
+          match List.assoc_opt s engines with
+          | Some e -> e
+          | None -> reject "bad_field" "unknown engine %S" s)
+      in
+      let matrix () = parse_matrix_ref ~max_n ~engine j in
       let rhs name =
         match Wire.member name j with
         | Some v -> int_array name v
@@ -89,9 +115,9 @@ let parse_request ~max_n line =
         match opname with
         | "ping" -> Ping
         | "metrics" -> Metrics
-        | "solve" -> Solve { m = parse_matrix_ref ~max_n j; b = rhs "b" }
+        | "solve" -> Solve { m = matrix (); b = rhs "b" }
         | "batch" ->
-          let m = parse_matrix_ref ~max_n j in
+          let m = matrix () in
           let bs =
             match Option.bind (Wire.member "bs" j) Wire.to_list with
             | Some rows ->
@@ -101,18 +127,10 @@ let parse_request ~max_n line =
           if Array.length bs = 0 then
             reject "bad_dimensions" "\"bs\" must carry at least one RHS";
           Batch { m; bs }
-        | "det" -> Det (parse_matrix_ref ~max_n j)
-        | "rank" -> Rank (parse_matrix_ref ~max_n j)
-        | "inverse" -> Inverse (parse_matrix_ref ~max_n j)
+        | "det" -> Det (matrix ())
+        | "rank" -> Rank (matrix ())
+        | "inverse" -> Inverse (matrix ())
         | other -> reject "unknown_op" "unknown op %S" other
-      in
-      let engine =
-        match Option.bind (Wire.member "engine" j) Wire.to_str with
-        | None | Some "auto" -> E_auto
-        | Some "block" -> E_block
-        | Some "scalar" -> E_scalar
-        | Some "dense" -> E_dense
-        | Some other -> reject "bad_field" "unknown engine %S" other
       in
       let pos_opt name =
         match Wire.member name j with

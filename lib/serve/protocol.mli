@@ -25,9 +25,19 @@
     rendered by [error_to_json] under ["error"], including
     ["overloaded"] admission rejections), or ["bad_request"] (a protocol
     fault: malformed JSON, oversized request, dimension mismatch…, with
-    machine-readable ["code"] and human ["detail"]). *)
+    machine-readable ["code"] and human ["detail"]).
+
+    ["engine"] is one of ["auto"] (the default), ["block"], ["scalar"]
+    or ["dense"]; each names the top rung of its {!Engines} ladder.  The
+    same four names are [kp]'s [--engine] values, read from {!engines}.
+    A ["dense"] request is admitted only up to n = {!dense_max_n},
+    inline or by key; a larger one is [too_large]. *)
 
 type engine = E_auto | E_block | E_scalar | E_dense
+
+val engines : (string * engine) list
+(** The engine vocabulary, in one table: the wire's ["engine"] values and
+    [kp --engine]'s. *)
 
 val engine_name : engine -> string
 
@@ -58,11 +68,22 @@ type reject = { code : string; detail : string }
     [unknown_op], [missing_field], [bad_field], [bad_dimensions],
     [oversized], [too_large]. *)
 
+val dense_max_n : int
+(** 64: the largest n the wire admits for ["engine":"dense"].  The
+    Theorem-4 reference costs far more per n than the other rungs (a
+    dense inverse is n Theorem-4 solves), so one dense request must not
+    hold the worker for long. *)
+
+val check_n : max_n:int -> engine -> int -> (unit, reject) result
+(** [too_large] unless n ≤ [max_n], and n ≤ {!dense_max_n} for
+    {!E_dense}.  [parse_request] applies it to inline matrices; the
+    server applies it to keyed ones once it has looked them up. *)
+
 val parse_request : max_n:int -> string -> (request, reject) result
 (** Parse and validate one request line.  [max_n] bounds the accepted
-    matrix dimension (and with it right-hand-side lengths): anything
-    larger is a typed [too_large] rejection, applied before any O(n²)
-    work. *)
+    matrix dimension (and with it right-hand-side lengths) as
+    {!check_n} does: anything larger is a typed [too_large] rejection,
+    applied before any O(n²) work. *)
 
 val render_request : request -> string
 (** The client side: one line (no trailing newline). *)

@@ -107,11 +107,16 @@ struct
 
   let conv_vec b = Array.map F.of_int b
 
-  let resolve_matrix t (m : P.matrix_ref) =
+  let resolve_matrix t ~engine (m : P.matrix_ref) =
     match m with
     | P.Keyed k -> (
       match Hashtbl.find_opt t.registry k with
-      | Some a -> Ok (a, Some k)
+      | Some a ->
+        (* an inline matrix met [check_n] at parse time; a keyed one
+           meets it here, for this request's engine *)
+        Result.map
+          (fun () -> (a, Some k))
+          (P.check_n ~max_n:t.cfg.max_n engine a.M.rows)
       | None ->
         Error
           {
@@ -162,7 +167,7 @@ struct
     match mref with
     | None -> ()
     | Some m -> (
-      match resolve_matrix t m with
+      match resolve_matrix t ~engine m with
       | Error rej -> send_bad t job.conn ~id rej
       | Ok (a, key) -> (
         let n = a.M.rows in

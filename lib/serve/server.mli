@@ -19,14 +19,17 @@
     {b Deadlines.}  A request's [deadline_ms] becomes an absolute
     monotonic deadline at admission and rides the whole path: queueing
     delay spends it, and the engine ladder splits what remains across
-    its rungs ({!Kp_robust.Retry.split_deadline}), so the reply is a
-    typed [deadline_exceeded] rather than a late answer.
+    its rungs ({!Kp_robust.Retry.split_deadline}).  It is checked
+    between attempts and before each rung starts, so a spent budget is
+    a typed [deadline_exceeded]; an attempt already running, or the
+    elimination rung once started, runs to completion.
 
-    {b Graceful degradation.}  Per-engine circuit breakers demote
-    block → scalar → dense and re-promote after a cooldown
-    ({!Breaker}); [drain] (or SIGTERM via [install_sigterm]) closes the
-    listener, finishes the queue and every in-flight request, then
-    stops — bounded by [drain_grace_ms].
+    {b Graceful degradation.}  Requests walk the {!Engines} ladder that
+    [kp] shares; per-engine circuit breakers demote block → scalar →
+    elimination and re-promote after a cooldown ({!Breaker}); [drain]
+    (or SIGTERM via [install_sigterm]) closes the listener, finishes the
+    queue and every in-flight request, then stops — bounded by
+    [drain_grace_ms].
 
     {b Observability.}  Counters [serve.*] (accepted, shed, replies,
     bad requests, per-rung ok/fail/skip) plus gauges [serve.queue.depth],

@@ -3,7 +3,6 @@ module Make
     (C : Kp_poly.Conv.S with type elt = F.t) =
 struct
   module I = Kp_core.Inverse.Make (F) (C)
-  module BW = Kp_core.Block_wiedemann.Make (F) (C)
   module W = Kp_core.Wiedemann.Make (F)
   module Bb = W.Bb
   module Pc = Kp_precond.Precond
@@ -17,7 +16,6 @@ struct
   let c_evict = Cnt.make "session.cache.evict"
   let c_evict_capacity = Cnt.make "session.cache.evict_capacity"
   let c_pool_batch = Cnt.make "pool.session.batch"
-  let c_block_batch = Cnt.make "session.block.batch"
 
   module Tbl = Hashtbl.Make (struct
     type t = Fingerprint.t
@@ -47,7 +45,6 @@ struct
     deadline_ns : int64 option;
     pool : Kp_util.Pool.t option;
     max_entries : int;
-    block_factor : int option;
     precond : Pc.choice;
   }
 
@@ -70,13 +67,9 @@ struct
   }
 
   let create ?(retries = 10) ?card_s ?deadline_ns ?pool ?(max_entries = 64)
-      ?block_factor
       ?precond:(pc_choice = Pc.default_choice ()) st =
     if max_entries < 1 then invalid_arg "Session.create: max_entries < 1";
-    (match block_factor with
-    | Some b when b < 1 -> invalid_arg "Session.create: block_factor < 1"
-    | _ -> ());
-    { cfg = { retries; card_s; deadline_ns; pool; max_entries; block_factor;
+    { cfg = { retries; card_s; deadline_ns; pool; max_entries;
               precond = pc_choice };
       st;
       cache = Tbl.create 8;
@@ -272,21 +265,6 @@ struct
       bs;
     let k = Array.length bs in
     Span.with_ "session.solve_many" @@ fun () ->
-    match t.cfg.block_factor with
-    | Some bf when k >= 2 ->
-      (* opted-in block route: the whole batch rides the columns of one
-         block-Krylov start matrix — one sequence, one matrix generator,
-         every solution residual-certified by the engine *)
-      Cnt.incr c_block_batch;
-      let st = Kp_util.Rng.split t.st in
-      (match
-         BW.solve_batch ~retries:t.cfg.retries ?card_s:t.cfg.card_s
-           ?deadline_ns:(dl t deadline_ns) ?pool:t.cfg.pool ~block_factor:bf
-           ~precond:t.cfg.precond st a bs
-       with
-      | Ok (xs, report) -> Array.map (fun x -> Ok (x, report)) xs
-      | Error e -> Array.make k (Error e))
-    | _ ->
     (* one pre-split state per RHS, in argument order: repair randomness is a
        function of the session history alone, for any pool size *)
     let sts = Array.init k (fun _ -> Kp_util.Rng.split t.st) in

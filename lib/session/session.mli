@@ -59,7 +59,6 @@ module Make
     ?deadline_ns:int64 ->
     ?pool:Kp_util.Pool.t ->
     ?max_entries:int ->
-    ?block_factor:int ->
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> t
   (** A fresh empty session.  The options are the usual solver knobs,
@@ -72,14 +71,8 @@ module Make
       the prepared A — O(n²) field elements — so an unbounded cache across
       distinct matrices is a leak).
 
-      [block_factor] opts [solve_many] batches of ≥ 2 right-hand sides
-      into the {!Kp_core.Block_wiedemann} engine: the batch rides the
-      columns of one block-Krylov sequence instead of per-RHS serves
-      against the scalar cache.  Single solves, [det] and [inverse] keep
-      the cached scalar route.
-
       [pool] fans a batch's right-hand sides out across its domains, each
-      serve on its own composition of Ã (the block route's products too).
+      serve on its own composition of Ã.
       A serve draws nothing, so cached entries, fingerprints and served
       answers do not depend on the pool — only the schedule moves.
 
@@ -90,7 +83,7 @@ module Make
       is re-validated on each serve: an entry recorded under another kind
       is a typed [Stale_cache] — evicted and rebuilt, never silently
       reused.
-      @raise Invalid_argument if [max_entries] or [block_factor] < 1. *)
+      @raise Invalid_argument if [max_entries] < 1. *)
 
   val fingerprint : M.t -> Fingerprint.t
   (** The untagged content fingerprint: field name, dimensions, FNV-1a over

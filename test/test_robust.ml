@@ -494,9 +494,11 @@ let test_chaos_block_rank () =
     (!hits > runs / 2)
 
 let test_block_falls_back_to_scalar () =
-  (* the `kp --engine block` cascade in miniature: exhaust the block
-     engine under a hostile plan, then show the scalar engine answers
-     the same system cleanly — the fallback the CLI rides *)
+  (* a block failure is typed, so a ladder can fall through it: exhaust
+     the block engine under a hostile plan, then show a scalar engine
+     answers the same system cleanly (test_serve's ladder suite walks
+     the full block → scalar → elimination ladder that kp and kp serve
+     share) *)
   let plan = Fault.plan ~p_corrupt:0. ~p_abort:1.0 ~max_faults:10 ~seed:9 () in
   let module FF = (val FaultF.wrap plan) in
   let module CF = Kp_poly.Conv.Karatsuba (FF) in

@@ -16,6 +16,7 @@ module Wire = Kp_serve.Wire
 module P = Kp_serve.Protocol
 module Br = Kp_serve.Breaker
 module En = Kp_serve.Engines.Make (F) (CK)
+module G = Kp_matrix.Gauss.Make (F)
 module Srv = Kp_serve.Server.Make (F) (CK)
 module Cl = Kp_serve.Client
 
@@ -106,7 +107,20 @@ let test_protocol_rejects () =
   expect_reject {|{"op":"solve","key":"m","b":"x"}|} "bad_field";
   expect_reject {|{"op":"solve","key":"m","b":[1],"engine":"warp"}|} "bad_field";
   expect_reject {|{"op":"batch","key":"m","bs":[]}|} "bad_dimensions";
-  expect_reject {|{"op":"det","key":"m","deadline_ms":0}|} "bad_field"
+  expect_reject {|{"op":"det","key":"m","deadline_ms":0}|} "bad_field";
+  (* the dense reference has its own, smaller bound, checked before the
+     entries are read *)
+  let n = P.dense_max_n + 1 in
+  let dense_det engine =
+    P.parse_request ~max_n:512
+      (Printf.sprintf {|{"op":"det","n":%d,"a":[],"engine":%S}|} n engine)
+  in
+  (match dense_det "dense" with
+  | Error r -> check_str "dense above its bound" "too_large" r.P.code
+  | Ok _ -> Alcotest.fail "dense accepted above its bound");
+  match dense_det "auto" with
+  | Error r -> check_str "auto reads the entries" "bad_dimensions" r.P.code
+  | Ok _ -> Alcotest.fail "empty matrix accepted"
 
 let test_protocol_render_roundtrip () =
   let req =
@@ -270,11 +284,131 @@ let test_ladder_rank_error_falls_through () =
   let eng = En2.create ~session ~precond (Kp_util.Rng.make 1002) in
   (match En2.rank ~engine:P.E_auto eng a with
   | Ok (r, served_by) ->
-    check_str "elimination answered" "dense" served_by;
+    check_str "elimination answered" "elimination" served_by;
     check_int "true rank" 4 r
   | Error e -> Alcotest.fail (O.error_to_string e));
   check_int "scalar rung recorded the failure" (fail0 + 1)
     (counter "serve.engine.scalar.fail")
+
+let gauss_solve a b = Option.get (G.solve a b)
+
+let test_ladder_block_batch () =
+  (* the block rung serves a batch itself, every right-hand side riding
+     one block-Krylov sequence *)
+  let st = st0 41 in
+  let a = M.random_nonsingular st 6 in
+  let bs = Array.init 3 (fun _ -> Array.init 6 (fun _ -> F.random st)) in
+  let eng = En.create (st0 42) in
+  match En.solve_batch ~block_factor:2 ~engine:P.E_block eng a bs with
+  | Ok (xs, served_by, _) ->
+    check_str "block rung served the batch" "block" served_by;
+    Array.iteri
+      (fun i x ->
+        check_bool
+          (Printf.sprintf "batch[%d] = Gauss" i)
+          true
+          (Array.for_all2 F.equal x (gauss_solve a bs.(i))))
+      xs
+  | Error e -> Alcotest.fail (O.error_to_string e)
+
+let test_ladder_dense_reference () =
+  (* E_dense is the Theorem-4 reference rung alone, on every operation *)
+  let st = st0 51 in
+  let a, _, b = random_system st 5 in
+  let eng = En.create (st0 52) in
+  (match En.solve ~engine:P.E_dense eng a b with
+  | Ok (x, served_by, _) ->
+    check_str "solve served by dense" "dense" served_by;
+    check_bool "solve = Gauss" true (Array.for_all2 F.equal x (gauss_solve a b))
+  | Error e -> Alcotest.fail (O.error_to_string e));
+  (match En.det ~engine:P.E_dense eng a with
+  | Ok (d, served_by, _) ->
+    check_str "det served by dense" "dense" served_by;
+    check_bool "det = Gauss" true (F.equal d (G.det a))
+  | Error e -> Alcotest.fail (O.error_to_string e));
+  (match En.rank ~engine:P.E_dense eng a with
+  | Ok (r, served_by) ->
+    check_str "rank served by dense" "dense" served_by;
+    check_int "rank = Gauss" (G.rank a) r
+  | Error e -> Alcotest.fail (O.error_to_string e));
+  match En.inverse ~engine:P.E_dense eng a with
+  | Ok (inv, served_by, _) ->
+    check_str "inverse served by dense" "dense" served_by;
+    check_bool "inverse = Gauss" true (M.equal inv (Option.get (G.inverse a)))
+  | Error e -> Alcotest.fail (O.error_to_string e)
+
+let test_ladder_dense_inverse_route () =
+  (* the dense inverse is the Theorem-6 circuit only up to circuit_max_n
+     and under the dense precond — pool or not; otherwise it is n
+     Theorem-4 solves and no circuit is traced *)
+  let module Pc = Kp_precond.Precond in
+  let counter name = Option.value ~default:0 (Kp_obs.Counter.find name) in
+  let circuit_ran ?pool ~precond n =
+    let a = M.random_nonsingular (st0 (80 + n)) n in
+    let eng = En.create ?pool ~precond (st0 81) in
+    let before = counter "inverse.attempts" in
+    match En.inverse ~engine:P.E_dense eng a with
+    | Ok (inv, served_by, _) ->
+      check_str "served by dense" "dense" served_by;
+      check_bool "A * A^-1 = I" true (M.equal (M.mul a inv) (M.identity n));
+      counter "inverse.attempts" > before
+    | Error e -> Alcotest.fail (O.error_to_string e)
+  in
+  check_bool "circuit at small n" true (circuit_ran ~precond:Pc.Auto 4);
+  Kp_util.Pool.with_pool ~domains:2 (fun pool ->
+      check_bool "circuit on a pool too" true
+        (circuit_ran ~pool ~precond:Pc.Auto 4));
+  check_bool "no circuit under the butterfly" false
+    (circuit_ran ~precond:(Pc.Forced Pc.Sparse_butterfly) 4);
+  check_bool "no circuit above circuit_max_n" false
+    (circuit_ran ~precond:Pc.Auto (En.circuit_max_n + 1))
+
+let test_ladder_gf2_inverse () =
+  (* over GF(2) the scalar rung may end in a typed error; the walk then
+     reaches elimination, so the answer is an inverse either way *)
+  let module F2 = Kp_field.Gf2 in
+  let module M2 = Kp_matrix.Dense.Make (F2) in
+  let module En2 = Kp_serve.Engines.Make (F2) (Kp_poly.Conv.Karatsuba (F2)) in
+  for seed = 1 to 5 do
+    let a = M2.random_nonsingular (Kp_util.Rng.make seed) 6 in
+    let eng = En2.create (st0 (60 + seed)) in
+    match En2.inverse ~engine:P.E_auto eng a with
+    | Ok (inv, _, _) ->
+      check_bool
+        (Printf.sprintf "seed %d: A * A^-1 = I" seed)
+        true
+        (M2.equal (M2.mul a inv) (M2.identity 6))
+    | Error e -> Alcotest.fail (O.error_to_string e)
+  done
+
+let test_ladder_scalar_without_session () =
+  (* without a shared session the scalar rung is the fresh black-box
+     engine itself: no session is built, and the answer and attempts are
+     those of a direct call on the same state *)
+  let module W = Kp_core.Wiedemann.Make (F) in
+  let counter name = Option.value ~default:0 (Kp_obs.Counter.find name) in
+  let precond = Kp_precond.Precond.default_choice () in
+  let st = st0 71 in
+  let a, _, b = random_system st 24 in
+  let misses0 = counter "session.cache.miss" in
+  let eng = En.create ~precond (st0 72) and direct = st0 72 in
+  (match
+     ( En.solve ~engine:P.E_auto eng a b,
+       W.solve_preconditioned ~precond direct (W.Bb.of_dense a) b )
+   with
+  | Ok (x, served_by, rep), Ok (x', rep') ->
+    check_str "solve served by scalar" "scalar" served_by;
+    check_bool "solve = direct" true (Array.for_all2 F.equal x x');
+    check_int "solve attempts = direct" rep'.O.attempts rep.O.attempts
+  | Error e, _ | _, Error e -> Alcotest.fail (O.error_to_string e));
+  (match (En.det ~engine:P.E_auto eng a, W.det ~precond direct (W.Bb.of_dense a))
+   with
+  | Ok (d, served_by, rep), Ok (d', rep') ->
+    check_str "det served by scalar" "scalar" served_by;
+    check_bool "det = direct" true (F.equal d d');
+    check_int "det attempts = direct" rep'.O.attempts rep.O.attempts
+  | Error e, _ | _, Error e -> Alcotest.fail (O.error_to_string e));
+  check_int "no session built" misses0 (counter "session.cache.miss")
 
 let test_ladder_deadline_expired () =
   let st = st0 21 in
@@ -390,6 +524,43 @@ let test_server_golden () =
     check_bool "breaker gauge exported" true
       (Wire.member "serve.breaker.block.state" g <> None)
   | None -> Alcotest.fail "no gauges"
+
+(* the dense reference over the wire: an inverse above the circuit's
+   bound is answered by n Theorem-4 solves with no circuit traced, and a
+   dense request above the wire's bound is a typed too_large, inline or
+   by key, while the daemon keeps serving *)
+let test_server_dense_bounds () =
+  let counter name = Option.value ~default:0 (Kp_obs.Counter.find name) in
+  with_server ~seed:75 @@ fun path _srv ->
+  let c = Cl.connect path in
+  Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
+  let inline ?key (a : M.t) =
+    P.Inline { n = a.M.rows; entries = Array.copy a.M.data; key }
+  in
+  let req engine op =
+    Cl.request c
+      { P.id = Some "d"; op; engine; block_factor = None; deadline_ms = None }
+  in
+  let n = En.circuit_max_n + 1 in
+  let a = M.random_nonsingular (st0 76) n in
+  let before = counter "inverse.attempts" in
+  let j = req P.E_dense (P.Inverse (inline a)) in
+  check_str "dense inverse ok" "ok" (str_field j "status");
+  check_str "served by dense" "dense" (str_field j "engine");
+  let inv = M.init n n (fun i k -> List.nth (int_list j "a") ((i * n) + k)) in
+  check_bool "A * A^-1 = I" true (M.equal (M.mul a inv) (M.identity n));
+  check_int "no circuit traced" before (counter "inverse.attempts");
+  let big = M.random_nonsingular (st0 77) (P.dense_max_n + 1) in
+  let j = req P.E_dense (P.Det (inline big)) in
+  check_str "inline dense above bound" "bad_request" (str_field j "status");
+  check_str "inline code" "too_large" (str_field j "code");
+  let j = req P.E_auto (P.Det (inline ~key:"big" big)) in
+  check_str "auto det registers the key" "ok" (str_field j "status");
+  let j = req P.E_dense (P.Inverse (P.Keyed "big")) in
+  check_str "keyed dense above bound" "bad_request" (str_field j "status");
+  check_str "keyed code" "too_large" (str_field j "code");
+  let j = req P.E_auto (P.Rank (P.Keyed "big")) in
+  check_str "the key still serves other engines" "ok" (str_field j "status")
 
 let test_server_sheds_when_full () =
   with_server ~cfg_fn:(fun c -> { c with Srv.queue_limit = 0 }) ~seed:41
@@ -638,12 +809,24 @@ let () =
             `Quick test_ladder_rank_error_falls_through;
           Alcotest.test_case "expired deadline is typed" `Quick
             test_ladder_deadline_expired;
+          Alcotest.test_case "block rung serves a batch" `Quick
+            test_ladder_block_batch;
+          Alcotest.test_case "dense is the Theorem-4 reference" `Quick
+            test_ladder_dense_reference;
+          Alcotest.test_case "dense inverse: circuit at small n only" `Quick
+            test_ladder_dense_inverse_route;
+          Alcotest.test_case "GF(2) inverse reaches A * A^-1 = I" `Quick
+            test_ladder_gf2_inverse;
+          Alcotest.test_case "scalar rung without a session runs fresh" `Quick
+            test_ladder_scalar_without_session;
         ] );
       ( "server",
         [
           Alcotest.test_case "golden round-trips" `Quick test_server_golden;
           Alcotest.test_case "golden round-trips, pooled engines" `Quick
             test_server_pooled_golden;
+          Alcotest.test_case "dense requests bounded" `Quick
+            test_server_dense_bounds;
           Alcotest.test_case "sheds with typed overloaded" `Quick
             test_server_sheds_when_full;
           Alcotest.test_case "oversized line closed" `Quick

@@ -420,38 +420,12 @@ module LRU = struct
   let test_bad_bound () =
     Alcotest.check_raises "max_entries = 0 rejected"
       (Invalid_argument "Session.create: max_entries < 1") (fun () ->
-        ignore (Sess.create ~max_entries:0 (Kp_util.Rng.make 1)));
-    Alcotest.check_raises "block_factor = 0 rejected"
-      (Invalid_argument "Session.create: block_factor < 1") (fun () ->
-        ignore (Sess.create ~block_factor:0 (Kp_util.Rng.make 1)))
-
-  (* block_factor routes multi-RHS batches through the block engine; the
-     answers are still certified and equal to the Gauss oracle *)
-  let test_block_batch () =
-    let st = Kp_util.Rng.make 43 in
-    let a = M.random_nonsingular st 6 in
-    let bs = Array.init 3 (fun _ -> Array.init 6 (fun _ -> F.random st)) in
-    let batch0 = counter "session.block.batch" in
-    let sess = Sess.create ~block_factor:2 (Kp_util.Rng.make 44) in
-    let results = Sess.solve_many sess a bs in
-    Array.iteri
-      (fun i r ->
-        match r with
-        | Ok (x, _) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "block batch[%d] = oracle" i)
-            true
-            (Array.for_all2 F.equal x (Option.get (G.solve a bs.(i))))
-        | Error e -> Alcotest.failf "block batch[%d]: %s" i (O.error_to_string e))
-      results;
-    Alcotest.(check int) "batch took the block route" (batch0 + 1)
-      (counter "session.block.batch")
+        ignore (Sess.create ~max_entries:0 (Kp_util.Rng.make 1)))
 
   let tests =
     [
       Alcotest.test_case "LRU capacity eviction" `Quick test_lru_eviction;
       Alcotest.test_case "bounds validated" `Quick test_bad_bound;
-      Alcotest.test_case "block_factor batch route" `Quick test_block_batch;
     ]
 end
 
