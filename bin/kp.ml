@@ -361,7 +361,7 @@ let precond_t =
            (Pc.default_choice ())
        & info [ "precond" ]
            ~doc:
-             "Preconditioner P in \xc3\x83 = A\xc2\xb7P: $(b,auto) (dense               Hankel\xc2\xb7Diagonal for dense engines, sparse butterfly for               black-box ones), $(b,dense) (the paper's H\xc2\xb7D), $(b,sparse)               (butterfly network, O(n log n) ops per apply) or $(b,ext)               (extension-field lift for tiny fields such as GF(2)).                Forced non-dense kinds demote to dense on the late retry               attempts; see $(b,kp precond).  Overrides KP_PRECOND.")
+             "Preconditioner P in \xc3\x83 = A\xc2\xb7P: $(b,auto) (dense               Hankel\xc2\xb7Diagonal for dense engines, sparse butterfly for               black-box ones), $(b,dense) (the paper's H\xc2\xb7D), $(b,sparse)               (butterfly network, O(n log n) ops per apply) or $(b,ext)               (extension-field lift for tiny fields such as GF(2)).                Forced non-dense kinds demote to dense on the late retry               attempts of each randomized engine; elimination draws no               P.  See $(b,kp precond).  Overrides KP_PRECOND.")
 
 let deadline_t =
   Arg.(value & opt (some int) None
@@ -442,7 +442,11 @@ let det_cmd =
       D.det)
 
 let rank_cmd =
-  simple_cmd "rank" "Randomized rank (§5) through the engine ladder."
+  simple_cmd "rank"
+    "Rank through the engine ladder: verified elimination under \
+     $(b,auto) and $(b,scalar); $(b,--engine block) tries the randomized \
+     §5 minor search first and $(b,--engine dense) runs it alone (Monte \
+     Carlo)."
     (fun (module D) -> D.rank)
 
 let inverse_cmd =

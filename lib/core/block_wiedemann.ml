@@ -11,6 +11,7 @@ struct
   module Pc = Kp_precond.Precond
   module SP = Kp_precond.Precond.Make (F) (C)
   module R = Rank.Make (F) (C)
+  module Lv = Las_vegas.Make (F)
 
   module O = Kp_robust.Outcome
   module Rt = Kp_robust.Retry
@@ -20,13 +21,6 @@ struct
   let c_blocks = Cnt.make "block.krylov.blocks"
   let c_escalate = Cnt.make "block.factor.escalate"
   let c_batched = Cnt.make "block.solve.batched"
-
-  let default_card_s n =
-    let bound = max (4 * 3 * n * n) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
-  let policy ?deadline_ns ~kind retries =
-    Rt.policy ~retries ~max_card_s:(SP.escalation_ceiling kind) ?deadline_ns ()
 
   (* wide enough to use every worker of the pool and to amortize the kernel
      call overhead on large systems, but never wider than n/2 (a block the
@@ -75,20 +69,15 @@ struct
     let seq = K.block_sequence ~mul ~ut ks in
     (p, ks, seq)
 
-  let p_nonsingular (p : P.precond) () =
-    match p.Pc.det () with
-    | exception Division_by_zero -> false
-    | dp -> not (F.is_zero dp)
-
   (* ---- generator recovery and validation ----
 
      The candidate matrix generator must (a) generate the sequence it was
      computed from, (b) be column-reduced (det Λ ≠ 0, certifying
      deg det F = Σδ), (c) have Σδ = n (else the projections missed part of
-     the space — or Ã is singular, witnessed when P is invertible), and
-     (d) have non-singular F(0) (the block analogue of f(0) ≠ 0; singular
-     F(0) with invertible P witnesses λ | χ_Ã, i.e. singularity of A). *)
-  let generator_phase ~b ~n ~sigma ~h_ok seq =
+     the space), and (d) have non-singular F(0) (the block analogue of
+     f(0) ≠ 0).  A singular F(0) is the witness (the block analogue of
+     λ | f: Ã is singular), whatever Σδ; Σδ < n alone proves nothing. *)
+  let generator_phase ~b ~n ~sigma ~p seq =
     Span.with_ "block.generator" @@ fun () ->
     let gen = MBM.minimal_generator ~b seq in
     if not (MBM.generates ~b seq gen) then
@@ -96,20 +85,18 @@ struct
     else begin
       let det_lam = G.det (square_of_flat b (MBM.leading_term gen)) in
       let dsum = MBM.degree_sum gen in
+      let f0 = square_of_flat b (MBM.constant_term gen) in
+      let det_f0 = lazy (G.det f0) in
+      let singular_f0 () = F.is_zero (Lazy.force det_f0) in
       if F.is_zero det_lam then Error (Rt.Reject O.Low_degree)
       else if dsum < n then
-        if h_ok () then Error (Rt.Reject_with_witness O.Low_degree)
-        else Error (Rt.Reject O.Low_degree)
+        Error
+          (if singular_f0 () then Lv.witness p O.Low_degree
+           else Rt.Reject O.Low_degree)
       else if dsum > n || Array.exists (fun dj -> dj > sigma) gen.MBM.degrees
       then Error (Rt.Reject O.Low_degree)
-      else begin
-        let f0 = square_of_flat b (MBM.constant_term gen) in
-        let det_f0 = G.det f0 in
-        if F.is_zero det_f0 then
-          if h_ok () then Error (Rt.Reject_with_witness O.Zero_constant_term)
-          else Error (Rt.Reject O.Zero_constant_term)
-        else Ok (gen, f0, det_lam, det_f0)
-      end
+      else if singular_f0 () then Error (Lv.witness p O.Zero_constant_term)
+      else Ok (gen, f0, det_lam, Lazy.force det_f0)
     end
 
   (* undo the preconditioner, exactly as the scalar pipeline does:
@@ -148,7 +135,7 @@ struct
               F.neg !acc)
         in
         let x = recover ?pool ~p x_tilde in
-        if Array.for_all2 F.equal (M.matvec a x) bvec then Some x else None
+        if Lv.solves (M.matvec a) x bvec then Some x else None
       in
       let xs = Array.mapi solve_one rhs in
       if Array.for_all Option.is_some xs then
@@ -157,22 +144,17 @@ struct
 
   (* one batched block solve: all right-hand sides of the chunk ride the
      same Krylov sequence (k ≤ b columns of V), one generator serves all *)
-  let solve_chunk ~retries ?deadline_ns ~card_s ~pool ~b ~precond st
+  let solve_chunk ?retries ?card_s ?deadline_ns ~pool ~b ~precond st
       (a : M.t) rhs =
     let n = a.M.rows in
     let mul = MD.mul_pooled pool in
     let k = Array.length rhs in
-    let requested = Pc.resolve precond in
-    Rt.run ~ns:"block" ~op:"solve"
-      ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-    @@ fun ~attempt ~card_s ->
-    let kind = Pc.kind_for_attempt ~retries ~attempt requested in
+    Lv.run ~ns:"block" ~op:"solve" ?retries ?card_s ?deadline_ns
+      ~kind:(Pc.resolve precond) ~n
+    @@ fun ~attempt ~kind ~card_s ->
     let b_eff = max k (attempt_block ~n ~b ~attempt) in
     let p, ks, seq = krylov_phase ~mul ~kind st ~card_s ~b:b_eff a ~rhs in
-    let h_ok = p_nonsingular p in
-    match
-      generator_phase ~b:b_eff ~n ~sigma:(sigma ~n ~b:b_eff) ~h_ok seq
-    with
+    match generator_phase ~b:b_eff ~n ~sigma:(sigma ~n ~b:b_eff) ~p seq with
     | Error reject -> reject
     | Ok (gen, f0, _det_lam, _det_f0) -> begin
         match extract_solutions ?pool ~n ~p ~ks ~gen ~f0 a rhs with
@@ -193,19 +175,19 @@ struct
      start block narrow enough that σ ≥ 5 terms still cost ~2n³ total *)
   let chunk_width n = max 1 (min n 32)
 
-  let solve_batch ?(retries = 10) ?card_s ?deadline_ns ?pool ?block_factor
+  (* the blocking factor asked for, clamped to n; auto by default *)
+  let block_of ~op ~n ~pool = function
+    | Some b when b >= 1 -> min b (max 1 n)
+    | Some _ -> invalid_arg (op ^ ": block_factor < 1")
+    | None -> auto_block_factor ~n ~pool
+
+  let solve_batch ?retries ?card_s ?deadline_ns ?pool ?block_factor
       ?(precond = Pc.default_choice ()) st (a : M.t) rhs =
     Span.with_ "block.solve" @@ fun () ->
     let n = a.M.rows in
     check_square "Block_wiedemann.solve_batch" a;
     check_rhs "Block_wiedemann.solve_batch" n rhs;
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let b =
-      match block_factor with
-      | Some b when b >= 1 -> min b (max 1 n)
-      | Some _ -> invalid_arg "Block_wiedemann.solve_batch: block_factor < 1"
-      | None -> auto_block_factor ~n ~pool
-    in
+    let b = block_of ~op:"Block_wiedemann.solve_batch" ~n ~pool block_factor in
     let k = Array.length rhs in
     if k = 0 then Ok ([||], O.empty_report)
     else begin
@@ -217,7 +199,7 @@ struct
           let len = min w (k - start) in
           let chunk = Array.sub rhs start len in
           match
-            solve_chunk ~retries ?deadline_ns ~card_s ~pool ~b ~precond st a
+            solve_chunk ?retries ?card_s ?deadline_ns ~pool ~b ~precond st a
               chunk
           with
           | Ok (xs, r) -> go (start + len) (xs :: acc) (O.merge_reports report r)
@@ -247,8 +229,7 @@ struct
   let det_eval ~mul ~kind st ~card_s ~b (a : M.t) =
     let n = a.M.rows in
     let p, ks, seq = krylov_phase ~mul ~kind st ~card_s ~b a ~rhs:[||] in
-    let h_ok = p_nonsingular p in
-    match generator_phase ~b ~n ~sigma:(sigma ~n ~b) ~h_ok seq with
+    match generator_phase ~b ~n ~sigma:(sigma ~n ~b) ~p seq with
     | Error reject -> reject
     | Ok (gen, _f0, det_lam, det_f0) ->
       let ut' = MD.sample st ~card_s b n in
@@ -256,58 +237,26 @@ struct
       if not (MBM.generates ~b seq' gen) then
         Rt.Reject (O.Fault "block recurrence check failed")
       else begin
-        match (p.Pc.det (), p.Pc.det ()) with
-        | exception Division_by_zero -> Rt.Reject O.Singular_preconditioner
-        | dhd, dhd' ->
-          if not (F.equal dhd dhd') then
-            Rt.Reject (O.Fault "det_hd recomputation mismatch")
-          else if F.is_zero dhd then Rt.Reject O.Singular_preconditioner
-          else begin
-            let chi0 = F.div det_f0 det_lam in
-            let det_tilde = if n land 1 = 0 then chi0 else F.neg chi0 in
-            Rt.Accept (F.div det_tilde dhd)
-          end
+        match Lv.det_p ~twice:true p with
+        | Error reason -> Rt.Reject reason
+        | Ok dp ->
+          let chi0 = F.div det_f0 det_lam in
+          let det_tilde = if n land 1 = 0 then chi0 else F.neg chi0 in
+          Rt.Accept (F.div det_tilde dp)
       end
 
-  let as_det_result = function
-    | Error (O.Singular { report; _ }) -> Ok (F.zero, report)
-    | (Ok _ | Error _) as r -> r
-
-  let det_setup ?card_s ?pool ?block_factor op (a : M.t) =
-    let n = a.M.rows in
-    check_square op a;
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let b =
-      match block_factor with
-      | Some b when b >= 1 -> min b (max 1 n)
-      | Some _ -> invalid_arg (op ^ ": block_factor < 1")
-      | None -> auto_block_factor ~n ~pool
-    in
-    (n, card_s, b)
-
-  let det ?(retries = 10) ?card_s ?deadline_ns ?pool ?block_factor
+  let det ?retries ?card_s ?deadline_ns ?pool ?block_factor
       ?(precond = Pc.default_choice ()) st (a : M.t) =
     Span.with_ "block.det" @@ fun () ->
-    let n, card_s, b =
-      det_setup ?card_s ?pool ?block_factor "Block_wiedemann.det" a
-    in
+    let n = a.M.rows in
+    check_square "Block_wiedemann.det" a;
+    let b = block_of ~op:"Block_wiedemann.det" ~n ~pool block_factor in
     let mul = MD.mul_pooled pool in
-    let requested = Pc.resolve precond in
-    as_det_result
-      (Rt.run ~ns:"block" ~op:"det"
-         ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-       @@ fun ~attempt ~card_s ->
-       let kind = Pc.kind_for_attempt ~retries ~attempt requested in
-       let b_eff = attempt_block ~n ~b ~attempt in
-       let eval_once () = det_eval ~mul ~kind st ~card_s ~b:b_eff a in
-       match eval_once () with
-       | Rt.Accept d1 -> begin
-           match eval_once () with
-           | Rt.Accept d2 when F.equal d1 d2 -> Rt.Accept d1
-           | Rt.Accept _ -> Rt.Reject (O.Fault "det recomputation mismatch")
-           | other -> other
-         end
-       | other -> other)
+    Lv.det ~ns:"block" ?retries ?card_s ?deadline_ns ~kind:(Pc.resolve precond)
+      ~n
+    @@ fun ~attempt ~kind ~card_s ->
+    let b_eff = attempt_block ~n ~b ~attempt in
+    fun () -> det_eval ~mul ~kind st ~card_s ~b:b_eff a
 
   (* ---- rank ----
 
@@ -317,13 +266,10 @@ struct
     Span.with_ "block.rank" @@ fun () ->
     let n = a.M.rows in
     check_square "Block_wiedemann.rank" a;
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
+    let card_s = Option.value card_s ~default:(Lv.card_s n) in
     let { R.a_hat; _ } = R.precondition st ~card_s a in
     R.search a_hat ~det:(fun sub ->
         let i = sub.M.rows in
         let block_factor = Option.map (fun b -> min b (max 1 i)) block_factor in
         det ~card_s ~retries:6 ?deadline_ns ?pool ?block_factor ?precond st sub)
-
-  let verify_solution (a : M.t) x b =
-    Array.for_all2 F.equal (M.matvec a x) b
 end

@@ -12,19 +12,18 @@
     {!Kp_seqgen.Matrix_bm}; right-hand sides ride as columns of V, so a
     batch of k ≤ b systems costs one sequence.
 
-    Answer discipline mirrors {!Solver} exactly: typed
-    {!Kp_robust.Outcome} rejections through {!Kp_robust.Retry} (with the
-    blocking factor escalating alongside |S| across attempts), singularity
-    witnesses only when H·D is certified invertible, a Las Vegas residual
-    check per solution, and two independent agreeing evaluations per
-    determinant.
+    Attempts, certificates and witnesses follow the {!Las_vegas}
+    contract, with the blocking factor escalating alongside |S| across
+    attempts.  The witness is a singular F(0), the block analogue of
+    λ | f; a degree sum Σδ < n alone is a plain retry.
 
     At b = 1 the engine degenerates to the scalar pipeline: V = [b],
     F(λ) is 1×1, and the extraction reduces to the Cayley–Hamilton sum
     −(1/f₀)Σ f_{i+1}Ãⁱb.  Small fields carry the usual caveat: the
     success probability of a block projection degrades over GF(q) with
     small q (Harrison–Johnson–Saunders, arXiv 1412.5071) — the retry
-    escalation of |S| and b is what restores convergence. *)
+    escalation of |S| and b is what restores convergence, and the witness
+    rule keeps a short generator from reading as "singular". *)
 
 module Make
     (F : Kp_field.Field_intf.FIELD)
@@ -51,7 +50,7 @@ module Make
     (F.t array * O.report, O.error) result
   (** Solve A·x = b through the block pipeline.  [Ok (x, _)] comes with
       the certificate A·x = b checked; the error taxonomy (typed
-      singularity witnesses, retries, deadline) is {!Solver.Make.solve}'s.
+      singularity witnesses, retries, deadline) is {!Las_vegas}'s.
       [block_factor] defaults to {!auto_block_factor}. *)
 
   val solve_batch :
@@ -79,11 +78,11 @@ module Make
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> M.t -> (F.t * O.report, O.error) result
   (** Determinant via det F(λ) = det Λ·det(λI−Ã):
-      det A = (−1)ⁿ·det F(0)/(det Λ·det(H·D)).  Two fully independent
-      evaluations must agree (the {!Solver.Make.det} anti-fault
-      discipline); each evaluation additionally re-projects the Krylov
+      det A = (−1)ⁿ·det F(0)/(det Λ·det P), through
+      {!Las_vegas.Make.det} (two agreeing evaluations; [Singular] is
+      [Ok (F.zero, _)]).  Each evaluation also re-projects the Krylov
       blocks onto a fresh Uᵀ′ and requires the generator to generate that
-      sequence too.  Confirmed singularity reports [Ok (F.zero, _)]. *)
+      sequence too. *)
 
   val rank :
     ?card_s:int ->
@@ -97,8 +96,4 @@ module Make
       non-singular leading minor of U·A·V (Monte Carlo, as {!Rank}).  A
       minor whose determinant fails (budget, fault, [deadline_ns]) ends
       the search with that error. *)
-
-  val verify_solution : M.t -> F.t array -> F.t array -> bool
-
-  val default_card_s : int -> int
 end

@@ -11,6 +11,7 @@ struct
   module MD = Kp_matrix.Dense.Make (F)
   module O = Kp_robust.Outcome
   module Rt = Kp_robust.Retry
+  module Lv = Las_vegas.Make (F)
 
   (* The traced convolution: Karatsuba is field-generic; when F is
      (semantically) the NTT prime field, the O(m log m) transform circuit is
@@ -50,22 +51,14 @@ struct
   let charpoly_kind n =
     if F.characteristic = 0 || F.characteristic > n then `Leverrier else `Chistov
 
-  let default_card_s n =
-    let bound = max (4 * 3 * n * n) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
-  let inverse ?(retries = 10) ?card_s ?deadline_ns st (a : M.t) =
+  let inverse ?retries ?card_s ?deadline_ns st (a : M.t) =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Inverse.inverse: non-square";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
     let circuit = det_circuit ~n ~charpoly:(charpoly_kind n) in
     let { Ad.circuit = q; _ } = Ad.differentiate circuit in
     let inputs = Array.init (n * n) (fun k -> M.get a (k / n) (k mod n)) in
-    let policy =
-      Rt.policy ~retries ~max_card_s:F.cardinality ?deadline_ns ()
-    in
-    Rt.run ~ns:"inverse" ~op:"inverse" ~policy ~card_s
-    @@ fun ~attempt:_ ~card_s ->
+    Lv.run ~ns:"inverse" ~op:"inverse" ?retries ?card_s ?deadline_ns ~n
+    @@ fun ~attempt:_ ~kind:_ ~card_s ->
     let randoms = Array.init (Cc.num_random q) (fun _ -> F.sample st ~card_s) in
     (* random-node indices are stable through differentiation, so the first
        2n-1 are the Hankel entries and the next n the diagonal (creation

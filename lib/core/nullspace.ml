@@ -7,10 +7,7 @@ struct
   module R = Rank.Make (F) (C)
   module O = Kp_robust.Outcome
   module Rt = Kp_robust.Retry
-
-  let default_card_s n =
-    let bound = max (4 * 3 * n * n) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
+  module Lv = Las_vegas.Make (F)
 
   (* solve Âr · z = w for several right-hand sides *)
   let block_solves ?card_s ?deadline_ns ?precond st (ar : M.t) rhss =
@@ -40,11 +37,9 @@ struct
   let nullspace ?(retries = 4) ?card_s ?deadline_ns ?precond st (a : M.t) =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Nullspace.nullspace: non-square";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let policy = Rt.policy ~retries ~max_card_s:F.cardinality ?deadline_ns () in
     Result.map fst
-    @@ Rt.run ~ns:"nullspace" ~op:"nullspace" ~policy ~card_s
-    @@ fun ~attempt:_ ~card_s ->
+    @@ Lv.run ~ns:"nullspace" ~op:"nullspace" ~retries ?card_s ?deadline_ns ~n
+    @@ fun ~attempt:_ ~kind:_ ~card_s ->
     match decompose ~card_s ?deadline_ns ?precond st a with
     | Error stop -> stop
     | Ok (pre, r) ->
@@ -99,11 +94,10 @@ struct
       b =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Nullspace.solve_singular: non-square";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
-    let policy = Rt.policy ~retries ~max_card_s:F.cardinality ?deadline_ns () in
     Result.map fst
-    @@ Rt.run ~ns:"nullspace" ~op:"solve_singular" ~policy ~card_s
-    @@ fun ~attempt:_ ~card_s ->
+    @@ Lv.run ~ns:"nullspace" ~op:"solve_singular" ~retries ?card_s
+         ?deadline_ns ~n
+    @@ fun ~attempt:_ ~kind:_ ~card_s ->
     match decompose ~card_s ?deadline_ns ?precond st a with
     | Error stop -> stop
     | Ok (pre, r) ->
@@ -133,7 +127,7 @@ struct
         | Ok (z, _) ->
           let y = Array.init n (fun i -> if i < r then z.(i) else F.zero) in
           let x = M.matvec pre.R.v_mat y in
-          if Array.for_all2 F.equal (M.matvec a x) b then Rt.Accept (Some x)
+          if Lv.solves (M.matvec a) x b then Rt.Accept (Some x)
           else
             (* the top block solved but the full residual is non-zero: the
                bottom equations are inconsistent (if the rank estimate was

@@ -10,6 +10,7 @@ struct
   module M = S.M
   module O = Kp_robust.Outcome
   module Rt = Kp_robust.Retry
+  module Lv = Las_vegas.Make (F)
 
   let resultant ?card_s st f g =
     if P.is_zero f || P.is_zero g then Ok F.zero
@@ -35,23 +36,16 @@ struct
         (fun r -> P.degree f + P.degree g - r)
         (R.rank ?card_s ?deadline_ns st (Sy.matrix f g))
 
-  let default_card_s dim =
-    let bound = max (4 * 3 * dim * dim) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
   let gcd ?(retries = 6) ?card_s ?deadline_ns st f g =
     if P.is_zero f then Ok (P.monic g)
     else if P.is_zero g then Ok (P.monic f)
     else if P.degree f = 0 || P.degree g = 0 then Ok P.one
     else begin
       let m = P.degree f and n = P.degree g in
-      let card_s =
-        match card_s with Some s -> s | None -> default_card_s (m + n)
-      in
-      let policy = Rt.policy ~retries ~max_card_s:F.cardinality ?deadline_ns () in
       Result.map fst
-      @@ Rt.run ~ns:"polygcd" ~op:"gcd" ~policy ~card_s
-      @@ fun ~attempt:_ ~card_s ->
+      @@ Lv.run ~ns:"polygcd" ~op:"gcd" ~retries ?card_s ?deadline_ns
+           ~n:(m + n)
+      @@ fun ~attempt:_ ~kind:_ ~card_s ->
       match gcd_degree ~card_s ?deadline_ns st f g with
       (* as in {!Nullspace}: an exhausted minor is a redraw, a spent
          deadline or a detected fault ends the call *)

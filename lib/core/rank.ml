@@ -6,6 +6,7 @@ struct
   module M = S.M
   module MD = Kp_matrix.Dense.Make (F)
   module O = Kp_robust.Outcome
+  module Lv = Las_vegas.Make (F)
 
   type preconditioned = {
     u_mat : M.t;
@@ -13,13 +14,9 @@ struct
     a_hat : M.t;
   }
 
-  let default_card_s n =
-    let bound = max (4 * 3 * n * n) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
   let precondition st ?card_s (a : M.t) =
     let n = a.M.rows in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
+    let card_s = Option.value card_s ~default:(Lv.card_s n) in
     (* unit-triangular products are always non-singular; their random
        entries come from the caller's sample set *)
     let u_mat = MD.sample_nonsingular st ~card_s n in
@@ -44,7 +41,7 @@ struct
   let rank ?card_s ?deadline_ns ?precond ?route st (a : M.t) =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Rank.rank: non-square (embed first)";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
+    let card_s = Option.value card_s ~default:(Lv.card_s n) in
     let { a_hat; _ } = precondition st ~card_s a in
     search a_hat ~det:(S.det ~card_s ~retries:6 ?deadline_ns ?precond ?route st)
 end

@@ -1,20 +1,14 @@
-(** The randomized Las Vegas solver — Theorem 4 with the paper's failure
-    discipline.
+(** The randomized Las Vegas solver: Theorem 4 under the attempt contract
+    of {!Las_vegas} (sample set, retries, certificates, witness rule).
 
     Random elements (the 2n-1 Hankel entries, n diagonal entries, and the
-    projection vectors) are drawn uniformly from a sample set S of size
-    [card_s]; on a non-singular input the attempt fails with probability at
-    most 3n²/card S (estimate (2)).  Failures are *detected* — the degree-n
-    generator is checked against the sequence (and, for determinants,
-    against a fresh projection of the same Krylov columns), the final
-    solution against A·x = b, determinants against a division-by-zero
-    guard — and retried through {!Kp_robust.Retry} with fresh randomness
-    and a doubled sample set, so answers are certified (solve) or
-    certified-given-generator (det: exact whenever the generator check
-    passes, which Lemma 1 guarantees implies minpoly = charpoly).
-
-    All failures are typed ({!Kp_robust.Outcome.error}); successes carry
-    the attempt {!Kp_robust.Outcome.report}.
+    projection vectors) are drawn from the contract's sample set.  A
+    solution is checked against A·x = b; a determinant is the agreement of
+    two evaluations, each of whose degree-n generators must also generate
+    a fresh projection of the same Krylov columns (Lemma 1 then makes it
+    the characteristic polynomial of Ã).  All failures are typed
+    ({!Kp_robust.Outcome.error}); successes carry the attempt
+    {!Kp_robust.Outcome.report}.
 
     The generator and det(P) stages follow a {!route}.  The default takes
     the generator from Berlekamp–Massey and det(P) from Gaussian
@@ -51,27 +45,37 @@ module Make
   (** Raised by {!massey_generator} when the sequence's linear complexity
       exceeds n. *)
 
+  exception Short_sequence of { zero_root : bool }
+  (** Raised by {!massey_generator} when the sequence's linear complexity
+      L is below n; [zero_root] when its minimal generator has λ | f. *)
+
   val massey_generator : n:int -> F.t array -> F.t array
   (** The degree-n monic generator (length n+1, low-to-high) of a 2n-term
       sequence by Berlekamp–Massey.  Linear complexity L < n (a singular
-      n×n Hankel) raises [Division_by_zero], as the Toeplitz route does;
-      L > n, which no Krylov sequence of an n×n matrix has, raises
-      {!Linear_complexity_exceeds}. *)
+      n×n Hankel, where the Toeplitz route divides by zero) raises
+      {!Short_sequence}; L > n, which no Krylov sequence of an n×n matrix
+      has, raises {!Linear_complexity_exceeds}. *)
 
   val classify :
     ?fresh:('r -> F.t array -> bool) ->
     p:P.precond ->
     n:int ->
-    (unit -> 'r * F.t array * F.t array) ->
+    generate:(F.t array -> F.t array) ->
+    (unit -> 'r * F.t array) ->
     ('r * F.t array, 'a Kp_robust.Retry.attempt) result
   (** The rejection ladder every dense attempt runs on its generator
-      stage.  [stage ()] returns (payload, f, sequence).  In order:
-      no degree-n generator ([Division_by_zero]) rejects [Low_degree], a
-      singularity witness only when det P ≠ 0; L > n rejects as a typed
-      [Fault], never a witness; f must generate the whole sequence
-      ([Low_degree]); f(0) = 0 rejects [Zero_constant_term], a witness when
-      det P ≠ 0; [fresh payload f] must hold (a [Fault] otherwise).
-      [Ok (payload, f)] when every check passes. *)
+      stage.  [stage ()] returns (payload, the 2n-term sequence) and
+      [generate] its degree-n generator f.  In order: no degree-n
+      generator ({!Short_sequence}, or [Division_by_zero] from the
+      Toeplitz route) rejects [Low_degree], a witness
+      ({!Las_vegas.Make.witness}) only when the minimal generator of the
+      sequence itself has λ | f (read off the Massey route's connection
+      polynomial; the Toeplitz route runs Berlekamp–Massey on the
+      sequence, which draws nothing); L > n rejects as a typed [Fault], never a
+      witness; f must generate the whole sequence ([Low_degree]); f(0) = 0
+      rejects [Zero_constant_term], a witness; [fresh payload f] must hold
+      (a [Fault] otherwise).  [Ok (payload, f)] when every check
+      passes. *)
 
   val solve :
     ?retries:int ->
@@ -84,20 +88,15 @@ module Make
     Random.State.t -> M.t -> F.t array ->
     (F.t array * O.report, O.error) result
   (** Solve A·x = b.  [Ok (x, _)] comes with the certificate A·x = b
-      checked; [Error (Singular _)] when repeated attempts produce the
-      singularity witness (f(0) = 0 or singular Toeplitz on every try).
-      Default [card_s] = max(4·3n², 64) (failure probability ≤ 1/4 per
-      attempt), default retries = 10; |S| doubles after every rejection,
-      clamped to the field cardinality.  [deadline_ns] is an absolute
-      monotonic deadline ({!Kp_robust.Retry.deadline_after_ms}).
-      [pool] fans every matrix product of the attempt out as row blocks
-      ({!Kp_matrix.Dense.Make.mul_parallel}) — bit-identical answers (here
-      and on [det] alike).  [precond] picks the
-      preconditioner kind ({!Kp_precond}): the default resolves to the
-      dense Hankel·Diagonal and reproduces the legacy draw stream exactly;
-      non-dense kinds demote to dense past the attempt-budget midpoint.
-      [route] picks the generator and det(P) stages (default
-      {!Massey_elimination}). *)
+      checked; [Error (Singular _)] when enough attempts produce the
+      singularity witness.  [retries], [card_s] and [deadline_ns] are
+      {!Las_vegas.Make.run}'s.  [pool] fans every matrix product of the
+      attempt out as row blocks ({!Kp_matrix.Dense.Make.mul_parallel}) —
+      bit-identical answers (here and on [det] alike).  [precond] picks
+      the preconditioner kind ({!Kp_precond}): the default resolves to
+      the dense Hankel·Diagonal; non-dense kinds demote to dense past the
+      attempt-budget midpoint.  [route] picks the generator and det(P)
+      stages (default {!Massey_elimination}). *)
 
   val det :
     ?retries:int ->
@@ -108,10 +107,9 @@ module Make
     ?precond:Pc.choice ->
     ?route:route ->
     Random.State.t -> M.t -> (F.t * O.report, O.error) result
-  (** Determinant of A (zero is reported as [Ok (F.zero, _)] when the
-      singularity witness is confirmed across attempts).  Internally two
-      fully independent evaluations must agree — the anti-fault discipline
-      for a quantity with no residual certificate. *)
+  (** Determinant of A through {!Las_vegas.Make.det}: two fully
+      independent evaluations must agree, and a [Singular] verdict is
+      reported as [Ok (F.zero, _)]. *)
 
   val minimal_polynomial_wiedemann :
     ?card_s:int ->
@@ -120,6 +118,4 @@ module Make
       applications, Berlekamp/Massey for the generator.  Monte Carlo: the
       result is a divisor of the true minimum polynomial with the usual
       probability bound. *)
-
-  val verify_solution : M.t -> F.t array -> F.t array -> bool
 end

@@ -9,6 +9,7 @@ struct
   module M = S.M
   module O = Kp_robust.Outcome
   module Rt = Kp_robust.Retry
+  module Lv = Las_vegas.Make (F)
 
   let use_ntt =
     F.characteristic = Kp_poly.Conv.Default_ntt_prime.p
@@ -49,21 +50,16 @@ struct
   let charpoly_kind n =
     if F.characteristic = 0 || F.characteristic > n then `Leverrier else `Chistov
 
-  let default_card_s n =
-    let bound = max (4 * 3 * n * n) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
-  let solve_transposed ?(retries = 10) ?card_s ?deadline_ns st (a : M.t) b =
+  let solve_transposed ?retries ?card_s ?deadline_ns st (a : M.t) b =
     let n = a.M.rows in
     if a.M.cols <> n then invalid_arg "Transpose.solve_transposed: non-square";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
     let p = solve_circuit ~n ~charpoly:(charpoly_kind n) in
     let { Ad.circuit = q; gradient; _ } = Ad.differentiate p in
     ignore gradient;
     let at = M.transpose a in
-    let policy = Rt.policy ~retries ~max_card_s:F.cardinality ?deadline_ns () in
-    Rt.run ~ns:"transpose" ~op:"solve_transposed" ~policy ~card_s
-    @@ fun ~attempt:_ ~card_s ->
+    Lv.run ~ns:"transpose" ~op:"solve_transposed" ?retries ?card_s ?deadline_ns
+      ~n
+    @@ fun ~attempt:_ ~kind:_ ~card_s ->
     let c = Array.init n (fun _ -> F.sample st ~card_s) in
     let inputs =
       Array.concat
@@ -75,9 +71,7 @@ struct
     | out ->
       (* outputs: [f; gradient over all inputs; random gradient];
          the c-block gradient is outputs 1..n *)
-      let x = Array.init n (fun i -> out.(1 + i)) in
-      if Array.for_all2 F.equal (M.matvec at x) b then Rt.Accept x
-      else Rt.Reject O.Residual_mismatch
+      Lv.verified (M.matvec at) (Array.init n (fun i -> out.(1 + i))) b
 
   let length_ratio ~n =
     let p = solve_circuit ~n ~charpoly:`Leverrier in

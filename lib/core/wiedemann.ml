@@ -15,17 +15,9 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   module Rt = Kp_robust.Retry
   module Span = Kp_obs.Span
   module Counter = Kp_obs.Counter
+  module Lv = Las_vegas.Make (F)
 
   let c_singular_witness = Counter.make "wiedemann.singular_witnesses"
-
-  let default_card_s n =
-    let bound = max (12 * n * n) 64 in
-    match F.cardinality with Some q -> min bound q | None -> bound
-
-  let sample_vec st ~card_s n = Array.init n (fun _ -> F.sample st ~card_s)
-
-  let policy ?deadline_ns ~kind retries =
-    Rt.policy ~retries ~max_card_s:(SP.escalation_ceiling kind) ?deadline_ns ()
 
   (* the 2n-term sequences {u·Aⁱ·b}, one per u of [us], from one Krylov
      pass, and the generator of the first: the applies and
@@ -44,10 +36,10 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let minimal_polynomial ?card_s st (bb : Bb.t) =
     Span.with_ "wiedemann.minpoly" @@ fun () ->
     let n = bb.Bb.dim in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
+    let card_s = Option.value card_s ~default:(Lv.card_s n) in
     let bb = Bb.instrument bb in
-    let u = sample_vec st ~card_s n in
-    let b = sample_vec st ~card_s n in
+    let u = Lv.sample_vec st ~card_s n in
+    let b = Lv.sample_vec st ~card_s n in
     generator bb ~u ~b
 
   (* x = -(1/f_0) Σ_{i=1}^{deg} f_i A^{i-1} b, by Cayley–Hamilton: one
@@ -76,26 +68,20 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let check_dim op (bb : Bb.t) =
     if bb.Bb.dim < 1 then invalid_arg (op ^ ": empty black box")
 
-  let solve ?(retries = 10) ?card_s ?deadline_ns st (bb : Bb.t) b =
+  let solve ?retries ?card_s ?deadline_ns st (bb : Bb.t) b =
     Span.with_ "wiedemann.solve" @@ fun () ->
     check_dim "Wiedemann.solve" bb;
     let n = bb.Bb.dim in
     if Array.length b <> n then invalid_arg "Wiedemann.solve: bad rhs";
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
     let bb = Bb.instrument bb in
-    Rt.run ~ns:"wiedemann" ~op:"solve"
-      ~policy:(policy ?deadline_ns ~kind:Pc.Dense_hd retries) ~card_s
-    @@ fun ~attempt:_ ~card_s ->
-    let u = sample_vec st ~card_s n in
+    Lv.run ~ns:"wiedemann" ~op:"solve" ?retries ?card_s ?deadline_ns ~n
+    @@ fun ~attempt:_ ~kind:_ ~card_s ->
+    let u = Lv.sample_vec st ~card_s n in
     let f = generator bb ~u ~b in
     let deg = Array.length f - 1 in
     if deg = 0 then Rt.Reject O.Low_degree
     else if F.is_zero f.(0) then Rt.Reject O.Zero_constant_term
-    else begin
-      let x = cayley_hamilton_solution bb f ~deg b in
-      if Array.for_all2 F.equal (Bb.apply bb x) b then Rt.Accept x
-      else Rt.Reject O.Residual_mismatch
-    end
+    else Lv.verified (Bb.apply bb) (cayley_hamilton_solution bb f ~deg b) b
 
   (* P as a black box: the record's apply/transpose/ops lifted into the
      {!Kp_matrix.Blackbox} algebra (forcing the lazy op count exactly where
@@ -114,21 +100,11 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let preconditioned_blackbox (bb : Bb.t) p =
     Bb.compose bb (precond_blackbox p)
 
-  (* the retry loop of every preconditioned routine: [Auto] resolves to
-     the sparse butterfly (the operand is a black box), and the body gets
-     each attempt's |S| and kind *)
-  let run_preconditioned ~op ~retries ?card_s ?deadline_ns ~precond
-      (bb : Bb.t) body =
-    let card_s =
-      match card_s with Some s -> s | None -> default_card_s bb.Bb.dim
-    in
-    let requested = Pc.resolve ~sparse:true precond in
-    Rt.run ~ns:"wiedemann" ~op
-      ~policy:(policy ?deadline_ns ~kind:requested retries) ~card_s
-    @@ fun ~attempt ~card_s ->
-    body ~card_s ~kind:(Pc.kind_for_attempt ~retries ~attempt requested)
+  (* every preconditioned routine runs the contract with [Auto] resolved
+     to the sparse butterfly: the operand is a black box *)
+  let kind_of precond = Pc.resolve ~sparse:true precond
 
-  let solve_preconditioned ?(retries = 10) ?card_s ?deadline_ns
+  let solve_preconditioned ?retries ?card_s ?deadline_ns
       ?(precond = Pc.default_choice ()) st (bb : Bb.t) b =
     Span.with_ "wiedemann.solve_preconditioned" @@ fun () ->
     check_dim "Wiedemann.solve_preconditioned" bb;
@@ -136,11 +112,11 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     if Array.length b <> n then
       invalid_arg "Wiedemann.solve_preconditioned: bad rhs";
     let bb_i = Bb.instrument bb in
-    run_preconditioned ~op:"solve_preconditioned" ~retries ?card_s
-      ?deadline_ns ~precond bb
-    @@ fun ~card_s ~kind ->
+    Lv.run ~ns:"wiedemann" ~op:"solve_preconditioned" ?retries ?card_s
+      ?deadline_ns ~kind:(kind_of precond) ~n
+    @@ fun ~attempt:_ ~kind ~card_s ->
     let p = SP.build ~card_s ~n kind st in
-    let u = sample_vec st ~card_s n in
+    let u = Lv.sample_vec st ~card_s n in
     let a_tilde =
       Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
     in
@@ -152,9 +128,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       (* y = Ã^{-1} b by Cayley–Hamilton on the minimum polynomial *)
       let y = cayley_hamilton_solution a_tilde f ~deg b in
       (* x = P·y solves A·x = b *)
-      let x = p.Pc.apply y in
-      if Array.for_all2 F.equal (Bb.apply bb_i x) b then Rt.Accept x
-      else Rt.Reject O.Residual_mismatch
+      Lv.verified (Bb.apply bb_i) (p.Pc.apply y) b
     end
 
   type precomp = { op : Bb.t; p : F.t Pc.t; f : F.t array; det_p : F.t }
@@ -167,86 +141,54 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
 
   (* One randomized evaluation of the b-independent prefix: draw P, u, v
      (and, with [~certify], a second projection u′), run one Krylov pass
-     of Ã = A·P and Berlekamp–Massey, and classify.  λ | f with det P ≠ 0
-     is the only singularity witness; a degree below n is a plain retry.
-     [~certify] adds the certificates of a cached prefix: f monic and
-     generating the u′ projection of the same pass, det P equal on two
-     evaluations. *)
-  let evaluate ~certify ~accept st (bb : Bb.t) ~card_s ~kind =
+     of Ã = A·P and Berlekamp–Massey, and classify.  λ | f is the
+     singularity witness; a degree below n is a plain retry.  [~certify]
+     adds the certificates of a cached prefix: f monic and generating the
+     u′ projection of the same pass, det P equal on two evaluations. *)
+  let evaluate ~certify ~accept st (bb : Bb.t) ~kind ~card_s =
     let n = bb.Bb.dim in
     let p = SP.build ~card_s ~n kind st in
-    let u = sample_vec st ~card_s n in
-    let v = sample_vec st ~card_s n in
-    let us = if certify then [| u; sample_vec st ~card_s n |] else [| u |] in
+    let u = Lv.sample_vec st ~card_s n in
+    let v = Lv.sample_vec st ~card_s n in
+    let us = if certify then [| u; Lv.sample_vec st ~card_s n |] else [| u |] in
     let a_tilde =
       Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
     in
     let seqs, f = sequences_and_generator a_tilde ~us ~b:v in
     let deg = Array.length f - 1 in
-    let det_p () =
-      match p.Pc.det () with
-      | exception Division_by_zero -> Error O.Singular_preconditioner
-      | dp when F.is_zero dp -> Error O.Singular_preconditioner
-      | dp when certify && not (F.equal dp (p.Pc.det ())) ->
-        (* det P is a function of the drawn entries: two evaluations that
-           disagree prove a transient fault *)
-        Error (O.Fault "det P recomputation mismatch")
-      | dp -> Ok dp
-    in
-    if deg >= 1 && F.is_zero f.(0) then begin
-      (* λ divides the sequence's minimum polynomial: Ã is singular,
-         hence (P non-singular) so is A — any degree suffices *)
-      match det_p () with
-      | Ok _ ->
-        Counter.incr c_singular_witness;
-        Rt.Reject_with_witness O.Zero_constant_term
-      | Error _ -> Rt.Reject O.Zero_constant_term
-    end
+    if deg >= 1 && F.is_zero f.(0) then
+      (* λ divides the sequence's minimum polynomial: Ã is singular —
+         any degree suffices *)
+      Lv.witness ~twice:certify p O.Zero_constant_term
     else if deg < n then
       (* full degree not reached without a zero root: inconclusive *)
       Rt.Reject O.Low_degree
     else if certify && not (F.equal f.(n) F.one && BM.generates f seqs.(1))
     then Rt.Reject (O.Fault "krylov recurrence check failed")
     else
-      match det_p () with
+      match Lv.det_p ~twice:certify p with
       | Error reason -> Rt.Reject reason
       | Ok det_p -> Rt.Accept (accept { op = bb; p; f; det_p })
 
-  let det ?(retries = 10) ?card_s ?deadline_ns
-      ?(precond = Pc.default_choice ()) st (bb : Bb.t) =
+  (* a corrupted black-box apply can yield a self-consistent Krylov
+     sequence of a perturbed operator, so det takes the contract's two
+     agreeing evaluations *)
+  let det ?retries ?card_s ?deadline_ns ?(precond = Pc.default_choice ()) st
+      (bb : Bb.t) =
     Span.with_ "wiedemann.det" @@ fun () ->
     check_dim "Wiedemann.det" bb;
-    let result =
-      run_preconditioned ~op:"det" ~retries ?card_s ?deadline_ns ~precond bb
-      @@ fun ~card_s ~kind ->
-      let eval_once () =
-        evaluate ~certify:false ~accept:det_of_precomp st bb ~card_s ~kind
-      in
-      (* transient-fault certificate: a corrupted black-box apply can yield a
-         self-consistent Krylov sequence of a perturbed operator, so a single
-         evaluation can pass every recurrence check and still be wrong.
-         det(A) is deterministic — accept only when two fully independent
-         randomized evaluations agree. *)
-      match eval_once () with
-      | Rt.Accept d1 -> begin
-          match eval_once () with
-          | Rt.Accept d2 when F.equal d1 d2 -> Rt.Accept d1
-          | Rt.Accept _ -> Rt.Reject (O.Fault "det recomputation mismatch")
-          | other -> other
-        end
-      | other -> other
-    in
-    match result with
-    | Error (O.Singular { report; _ }) -> Ok (F.zero, report)
-    | (Ok _ | Error _) as r -> r
+    Lv.det ~ns:"wiedemann" ?retries ?card_s ?deadline_ns ~kind:(kind_of precond)
+      ~n:bb.Bb.dim
+    @@ fun ~attempt:_ ~kind ~card_s () ->
+    evaluate ~certify:false ~accept:det_of_precomp st bb ~kind ~card_s
 
-  let precompute ?(retries = 10) ?card_s ?deadline_ns
+  let precompute ?retries ?card_s ?deadline_ns
       ?(precond = Pc.default_choice ()) st (bb : Bb.t) =
     Span.with_ "wiedemann.precompute" @@ fun () ->
     check_dim "Wiedemann.precompute" bb;
-    run_preconditioned ~op:"precompute" ~retries ?card_s ?deadline_ns ~precond
-      bb
-    @@ evaluate ~certify:true ~accept:Fun.id st bb
+    Lv.run ~ns:"wiedemann" ~op:"precompute" ?retries ?card_s ?deadline_ns
+      ~kind:(kind_of precond) ~n:bb.Bb.dim
+    @@ fun ~attempt:_ -> evaluate ~certify:true ~accept:Fun.id st bb
 
   (* each right-hand side composes its own Ã around the cached operator
      and network — a composition owns one buffer, so serves running on
@@ -263,7 +205,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let is_probably_singular ?(trials = 4) ?card_s st (bb : Bb.t) =
     Span.with_ "wiedemann.is_probably_singular" @@ fun () ->
     let n = bb.Bb.dim in
-    let card_s = match card_s with Some s -> s | None -> default_card_s n in
+    let card_s = Option.value card_s ~default:(Lv.card_s n) in
     let bb = Bb.instrument bb in
     let c_attempts = Counter.make "wiedemann.attempts" in
     (* one-sided: λ | f_u^{A,b} certifies singularity; for a singular A the
@@ -272,8 +214,8 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       if k = 0 then false
       else begin
         Counter.incr c_attempts;
-        let u = sample_vec st ~card_s n in
-        let b = sample_vec st ~card_s n in
+        let u = Lv.sample_vec st ~card_s n in
+        let b = Lv.sample_vec st ~card_s n in
         let f = generator bb ~u ~b in
         if Array.length f > 1 && F.is_zero f.(0) then begin
           Counter.incr c_singular_witness;

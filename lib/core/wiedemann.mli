@@ -10,9 +10,9 @@
     All routines are Las Vegas where a certificate is available (solutions
     are verified against the black box) and Monte Carlo otherwise
     (minimum polynomial: always a divisor of the truth; the failure
-    probability follows estimate (2) once preconditioned).  Retries run
-    through {!Kp_robust.Retry}: fresh randomness and a doubled sample set
-    per attempt, typed {!Kp_robust.Outcome.error} on exhaustion.
+    probability follows estimate (2) once preconditioned).  Attempts,
+    certificates and witnesses follow the {!Las_vegas} contract; λ | f
+    is the only witness, and {!solve_preconditioned} counts none.
 
     Krylov and Cayley–Hamilton applies write into two buffers the loop
     owns ({!Bb.t}'s [apply_into]): on a CSR or dense operator with the

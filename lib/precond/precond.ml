@@ -47,6 +47,28 @@ let resolve ?(sparse = false) = function
   | Forced k -> k
   | Auto -> if sparse then Sparse_butterfly else Dense_hd
 
+(* q^k as an int, None on overflow *)
+let pow_opt q k =
+  if q <= 1 then Some q
+  else begin
+    let rec go acc i =
+      if i = 0 then Some acc
+      else if acc > max_int / q then None
+      else go (acc * q) (i - 1)
+    in
+    go 1 k
+  end
+
+(* Sample-set ceiling for the retry engine's |S| doubling: the extension
+   kind keeps escalating up to q^8 (Eberly's small-field projections);
+   everything else clamps at the field cardinality as before. *)
+let max_ext_degree = 8
+
+let escalation_ceiling ~cardinality ~characteristic kind =
+  match (kind, cardinality) with
+  | Ext_field, Some q when q = characteristic -> pow_opt q max_ext_degree
+  | _, c -> c
+
 (* ---- telemetry ---- *)
 
 let c_demote = Counter.make "precond.demote"
@@ -198,29 +220,6 @@ struct
       else x
     in
     go 0
-
-  (* q^k as an int, None on overflow *)
-  let pow_opt q k =
-    if q <= 1 then Some q
-    else begin
-      let rec go acc i =
-        if i = 0 then Some acc
-        else if acc > max_int / q then None
-        else go (acc * q) (i - 1)
-      in
-      go 1 k
-    end
-
-  (* Sample-set ceiling for the retry engine's |S| doubling: the extension
-     kind keeps escalating up to q^8 (Eberly's small-field projections);
-     everything else clamps at the field cardinality as before. *)
-  let max_ext_degree = 8
-
-  let escalation_ceiling kind =
-    match (kind, F.cardinality) with
-    | Ext_field, Some q when q = F.characteristic ->
-      pow_opt q max_ext_degree
-    | _, c -> c
 
   (* -- dense Hankel·Diagonal: the exact legacy draw stream (h then d) -- *)
 

@@ -24,7 +24,7 @@
     answers (residual check, generator certificates, two-evaluation det),
     so a structurally weaker preconditioner costs retries, not wrong
     answers.  The retry contract is {!kind_for_attempt} (late attempts
-    demote to dense) plus {!Make.escalation_ceiling} (the |S| clamp handed
+    demote to dense) plus {!escalation_ceiling} (the |S| clamp handed
     to the retry engine's policy). *)
 
 type kind = Dense_hd | Sparse_butterfly | Ext_field
@@ -51,6 +51,13 @@ val default_choice : unit -> choice
 val resolve : ?sparse:bool -> choice -> kind
 (** Resolve [Auto] for an input: [~sparse:true] marks a sparse/black-box
     operand (default dense). *)
+
+val escalation_ceiling :
+  cardinality:int option -> characteristic:int -> kind -> int option
+(** The |S| clamp for the retry policy over a field of the given
+    cardinality and characteristic: the cardinality, except [Ext_field]
+    over a prime field, which escalates to q^8 ([None] means
+    unclamped). *)
 
 val kind_for_attempt : retries:int -> attempt:int -> kind -> kind
 (** The retry-escalation contract: a non-dense kind keeps its identity for
@@ -123,11 +130,6 @@ module Make
 
   val sample_nonzero : Random.State.t -> card_s:int -> F.t
   (** The legacy non-zero draw: at most 100 samples, then [F.one]. *)
-
-  val escalation_ceiling : kind -> int option
-  (** The |S| clamp for the retry policy: the field cardinality, except
-      [Ext_field] over a word-sized prime field, which escalates to q^8
-      ([None] means unclamped). *)
 
   val det_hd_elimination : det_routine
   (** det(H)·det(D) with det(H) by Gaussian elimination on the

@@ -5,15 +5,16 @@ module O = Outcome
 
 type policy = {
   retries : int;
-  escalate : bool;
   max_card_s : int option;
   deadline_ns : int64 option;
-  witness_threshold : int;
 }
 
-let policy ?(retries = 10) ?(escalate = true) ?(max_card_s = None) ?deadline_ns
-    ?(witness_threshold = 3) () =
-  { retries; escalate; max_card_s; deadline_ns; witness_threshold }
+let policy ?(retries = 10) ?(max_card_s = None) ?deadline_ns () =
+  { retries; max_card_s; deadline_ns }
+
+(* witnesses that turn exhaustion into Singular (fewer on a smaller
+   budget) *)
+let witness_threshold = 3
 
 let deadline_after_ms ms =
   Int64.add (Clock.now_ns ()) (Int64.mul (Int64.of_int ms) 1_000_000L)
@@ -66,7 +67,7 @@ let run ~ns ~op ~policy ~card_s f =
   let exhausted ~attempts ~card_s =
     let r = report ~attempts ~card_s in
     let err =
-      if !witnesses >= min policy.retries policy.witness_threshold then begin
+      if !witnesses >= min policy.retries witness_threshold then begin
         Counter.incr c_singular;
         O.Singular { witnesses = !witnesses; report = r }
       end
@@ -126,18 +127,12 @@ let run ~ns ~op ~policy ~card_s f =
           Counter.incr (Counter.make (ns ^ ".rejections." ^ O.reason_slug reason));
           rejections := { O.attempt = k; card_s; reason } :: !rejections;
           attempt_event ~attempt:k (O.reason_slug reason);
-          let card_s' =
-            if policy.escalate then begin
-              let c = clamp (2 * card_s) in
-              if c <> card_s then begin
-                Counter.incr c_escalations;
-                Events.emit "robust.escalate"
-                  [ ("op", ns ^ "." ^ op); ("card_s", string_of_int c) ]
-              end;
-              c
-            end
-            else card_s
-          in
+          let card_s' = clamp (2 * card_s) in
+          if card_s' <> card_s then begin
+            Counter.incr c_escalations;
+            Events.emit "robust.escalate"
+              [ ("op", ns ^ "." ^ op); ("card_s", string_of_int card_s') ]
+          end;
           go (k + 1) card_s')
     end
   in

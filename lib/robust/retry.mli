@@ -1,7 +1,6 @@
-(** The one retry engine behind every randomized routine.
-
-    Each module used to hand-roll its own loop with a fixed sample set;
-    this engine centralises the discipline:
+(** The one retry engine behind every randomized routine ([kp_core]
+    reaches it through [Kp_core.Las_vegas], which supplies the sample
+    set, the |S| ceiling and the witness rule):
 
     - {b attempt budget}: at most [retries] attempts, each with fresh
       randomness;
@@ -14,8 +13,8 @@
     - {b deadline}: an optional absolute monotonic deadline
       ({!Kp_obs.Clock}) checked before each attempt;
     - {b singularity accounting}: attempts may reject {e with witness};
-      enough consistent witnesses turn exhaustion into a typed
-      [Singular] verdict;
+      three witnesses (every attempt, on a budget under three) turn
+      exhaustion into a typed [Singular] verdict;
     - {b fault containment}: [Division_by_zero] and {!Fault.Injected}
       escaping the attempt body are converted into typed rejections and
       retried — a transient fault costs one attempt, never the process;
@@ -28,25 +27,17 @@
 
 type policy = {
   retries : int;  (** maximum number of attempts *)
-  escalate : bool;  (** double |S| after each rejection *)
-  max_card_s : int option;  (** clamp for |S| (field cardinality) *)
+  max_card_s : int option;
+      (** ceiling for |S|, which doubles after every rejection ([None]:
+          unclamped) *)
   deadline_ns : int64 option;  (** absolute monotonic deadline *)
-  witness_threshold : int;
-      (** [min retries witness_threshold] consistent witnesses promote
-          exhaustion to [Singular] *)
 }
 
 val policy :
-  ?retries:int ->
-  ?escalate:bool ->
-  ?max_card_s:int option ->
-  ?deadline_ns:int64 ->
-  ?witness_threshold:int ->
-  unit ->
-  policy
-(** Defaults: [retries = 10], [escalate = true], no clamp, no deadline,
-    [witness_threshold = 3].  [max_card_s] takes the [int option] directly
-    so call sites can pass [F.cardinality] through. *)
+  ?retries:int -> ?max_card_s:int option -> ?deadline_ns:int64 -> unit -> policy
+(** Defaults: [retries = 10], no clamp, no deadline.  [max_card_s] takes
+    the [int option] directly so call sites can pass [F.cardinality]
+    through. *)
 
 val deadline_after_ms : int -> int64
 (** Monotonic deadline [ms] milliseconds from now. *)

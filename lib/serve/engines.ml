@@ -11,12 +11,11 @@ struct
   module R = Kp_core.Rank.Make (F) (C)
   module I = Kp_core.Inverse.Make (F) (C)
   module G = Kp_matrix.Gauss.Make (F)
+  module Lv = Kp_core.Las_vegas.Make (F)
   module Retry = Kp_robust.Retry
   module Cnt = Kp_obs.Counter
   module Events = Kp_obs.Events
   module Pc = Kp_precond.Precond
-
-  let c_precond_demote = Cnt.make "serve.precond.demote"
 
   type rung = Block | Scalar | Dense | Elimination
 
@@ -88,12 +87,8 @@ struct
   let bump rung what =
     Cnt.incr (Cnt.make ("serve.engine." ^ rung_name rung ^ "." ^ what))
 
-  (* preconditioner demotion joins the ladder on the block rung: a
-     non-dense precond that fails it for infrastructure reasons gets one
-     dense retry there before the walk falls through — counted in
-     [serve.precond.demote] and visible as a [serve.precond.demote]
-     event.  The scalar and dense rungs rely on their engines' own
-     per-attempt demotion ([Precond.kind_for_attempt]) alone. *)
+  (* a non-dense precond demotes per attempt inside each engine
+     ([Precond.kind_for_attempt]); the ladder adds no demotion of its own *)
   let cascade t ~op ~deadline_ns rungs run =
     let admits r =
       match breaker t r with None -> true | Some b -> Breaker.admits b
@@ -103,7 +98,6 @@ struct
       | Some d -> Int64.equal (Retry.remaining_ns ~deadline_ns:d) 0L
       | None -> false
     in
-    let demotable r = r = Block && Pc.resolve t.precond <> Pc.Dense_hd in
     (* [last] is the rung that failed before [r] and its error *)
     let rec walk last = function
       | [] ->
@@ -139,41 +133,17 @@ struct
               (fun d -> Retry.split_deadline ~deadline_ns:d ~ways)
               deadline_ns
           in
-          let attempt precond =
-            guard ~op:(rung_name r ^ "." ^ op) (fun () ->
-                run r ~deadline_ns:dl ~precond)
-          in
-          let fall e =
-            bump r "fail";
-            Option.iter Breaker.record_failure (breaker t r);
-            walk (Some (r, e)) rest
-          in
-          match attempt t.precond with
+          match
+            guard ~op:(rung_name r ^ "." ^ op) (fun () -> run r ~deadline_ns:dl)
+          with
           | Ok v ->
             bump r "ok";
             Option.iter Breaker.record_success (breaker t r);
             Ok (v, rung_name r)
-          | Error e when infra e && demotable r -> begin
-            Cnt.incr c_precond_demote;
-            Events.emit "serve.precond.demote"
-              [
-                ("op", op);
-                ("rung", rung_name r);
-                ("from", Pc.kind_name (Pc.resolve t.precond));
-                ("error", O.error_to_string e);
-              ];
-            match attempt (Pc.Forced Pc.Dense_hd) with
-            | Ok v ->
-              bump r "ok";
-              Option.iter Breaker.record_success (breaker t r);
-              Ok (v, rung_name r)
-            | Error e' when infra e' -> fall e'
-            | Error e' ->
-              bump r "ok";
-              Option.iter Breaker.record_success (breaker t r);
-              Error e'
-          end
-          | Error e when infra e -> fall e
+          | Error e when infra e ->
+            bump r "fail";
+            Option.iter Breaker.record_failure (breaker t r);
+            walk (Some (r, e)) rest
           | Error e ->
             (* a certified Singular verdict: the engine worked *)
             bump r "ok";
@@ -188,10 +158,10 @@ struct
   (* without a shared session a solve or det runs a fresh black-box
      engine, cheaper for one question than a session build plus a keyed
      serve; a batch or an inverse amortises a session made for the call *)
-  let session_for t ~precond =
+  let session_for t =
     match t.session with
     | Some s -> s
-    | None -> Sess.create ?pool:t.pool ~precond t.st
+    | None -> Sess.create ?pool:t.pool ~precond:t.precond t.st
 
   (* ---- the dense rung: the paper's Theorem-4 reference ---- *)
 
@@ -202,10 +172,11 @@ struct
      precond, is n Theorem-4 solves, whose columns fan out over the pool *)
   let circuit_max_n = 8
 
-  let dense_inverse ?deadline_ns ~precond t a =
-    if a.M.rows <= circuit_max_n && Pc.resolve precond = Pc.Dense_hd then
+  let dense_inverse ?deadline_ns t a =
+    if a.M.rows <= circuit_max_n && Pc.resolve t.precond = Pc.Dense_hd then
       I.inverse ?deadline_ns t.st a
-    else I.inverse_via_solves ?deadline_ns ?pool:t.pool ~precond t.st a
+    else
+      I.inverse_via_solves ?deadline_ns ?pool:t.pool ~precond:t.precond t.st a
 
   (* ---- the elimination rung: Gaussian elimination, verified ---- *)
 
@@ -222,7 +193,7 @@ struct
     match G.solve a b with
     | None -> Error singular
     | Some x ->
-      if BW.verify_solution a x b then Ok (x, O.empty_report)
+      if Lv.solves (M.matvec a) x b then Ok (x, O.empty_report)
       else
         Error
           (O.Fault_detected
@@ -275,7 +246,8 @@ struct
   let solve ?key ?deadline_ns ?block_factor ~engine t a b =
     with_name
     @@ cascade t ~op:"solve" ~deadline_ns (ladder engine)
-    @@ fun rung ~deadline_ns ~precond ->
+    @@ fun rung ~deadline_ns ->
+    let precond = t.precond in
     match rung with
     | Block ->
       BW.solve ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a b
@@ -290,15 +262,14 @@ struct
   let solve_batch ?key ?deadline_ns ?block_factor ~engine t a bs =
     with_name
     @@ cascade t ~op:"batch" ~deadline_ns (ladder engine)
-    @@ fun rung ~deadline_ns ~precond ->
+    @@ fun rung ~deadline_ns ->
+    let precond = t.precond in
     match rung with
     | Block ->
       BW.solve_batch ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a
         bs
     | Scalar ->
-      let results =
-        Sess.solve_many ?key ?deadline_ns (session_for t ~precond) a bs
-      in
+      let results = Sess.solve_many ?key ?deadline_ns (session_for t) a bs in
       each_rhs bs (fun i _ -> results.(i))
     | Dense ->
       each_rhs bs (fun _ b ->
@@ -310,7 +281,8 @@ struct
   let det ?key ?deadline_ns ?block_factor ~engine t a =
     with_name
     @@ cascade t ~op:"det" ~deadline_ns (ladder engine)
-    @@ fun rung ~deadline_ns ~precond ->
+    @@ fun rung ~deadline_ns ->
+    let precond = t.precond in
     match rung with
     | Block ->
       BW.det ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a
@@ -328,19 +300,25 @@ struct
     in
     with_name
     @@ cascade t ~op:"inverse" ~deadline_ns rungs
-    @@ fun rung ~deadline_ns ~precond ->
+    @@ fun rung ~deadline_ns ->
     match rung with
     | Block (* filtered out above *) | Scalar ->
-      Sess.inverse ?key ?deadline_ns (session_for t ~precond) a
-    | Dense -> dense_inverse ?deadline_ns ~precond t a
+      Sess.inverse ?key ?deadline_ns (session_for t) a
+    | Dense -> dense_inverse ?deadline_ns t a
     | Elimination -> unless_expired deadline_ns (fun () -> elim_inverse a)
 
   let rank ?deadline_ns ?block_factor ~engine t a =
-    cascade t ~op:"rank" ~deadline_ns (ladder engine)
-    @@ fun rung ~deadline_ns ~precond ->
+    let rungs =
+      (* no black-box rank route yet: the scalar rung's would be the dense
+         rung's Monte Carlo minor search, so auto and scalar eliminate *)
+      List.filter (fun r -> r <> Scalar) (ladder engine)
+    in
+    cascade t ~op:"rank" ~deadline_ns rungs
+    @@ fun rung ~deadline_ns ->
     unless_expired deadline_ns @@ fun () ->
     match rung with
-    | Block -> BW.rank ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a
-    | Scalar | Dense -> R.rank ?deadline_ns ~precond t.st a
-    | Elimination -> Ok (G.rank a)
+    | Block ->
+      BW.rank ?deadline_ns ?pool:t.pool ?block_factor ~precond:t.precond t.st a
+    | Dense -> R.rank ?deadline_ns ~precond:t.precond t.st a
+    | Scalar (* filtered out above *) | Elimination -> Ok (G.rank a)
 end

@@ -21,7 +21,8 @@
       is that {!Kp_session.Session}; without one (the CLI) a solve or det
       is a fresh {!Kp_core.Wiedemann.Make.solve_preconditioned} or
       {!Kp_core.Wiedemann.Make.det}, and a batch or inverse runs on a
-      session made for the call.  Rank is {!Kp_core.Rank.Make.rank};
+      session made for the call.  It has no rank route: a rank ladder
+      skips it;
     - [dense]: the paper's Theorem-4 reference — {!Kp_core.Solver},
       {!Kp_core.Rank} and {!Kp_core.Inverse} — with no fallback, so its
       answers (small-field errors included) are the reference's own.
@@ -89,9 +90,10 @@ module Make
       configure a shared session with the same pool to cover it too.
       [precond] picks the preconditioner kind for every rung that is not
       the shared session; configure the session with the same choice to
-      cover it.  A non-dense precond that fails the block rung for
-      infrastructure reasons gets one dense retry there before the ladder
-      falls through ([serve.precond.demote] counter + event). *)
+      cover it.  A non-dense kind demotes to dense inside each engine, per
+      attempt past the budget midpoint
+      ({!Kp_precond.Precond.kind_for_attempt}); the ladder adds no
+      demotion of its own. *)
 
   val breaker_states : t -> (string * Breaker.state) list
   (** [("block", st); ("scalar", st)] — for tests and gauges. *)
@@ -141,10 +143,12 @@ module Make
     ?block_factor:int ->
     engine:Protocol.engine ->
     t -> M.t -> (int * string, O.error) result
-  (** Monte Carlo on the block, scalar and dense rungs, exact on the
-      elimination rung.
-      A randomized rank whose minor determinant fails ({!Kp_core.Rank.Make.search})
-      falls through to the next rung like any infrastructure error, and
-      a {!Kp_robust.Fault.Injected} escape is a breaker-recorded failure,
-      not a crash. *)
+  (** The scalar rung has no rank route, so the ladders are
+      [block → elimination], [elimination] alone for [auto] and
+      [scalar], and [dense] alone.  Monte Carlo on the block and dense
+      rungs ({!Kp_core.Rank.Make.search} over leading minors), exact on
+      the elimination rung.  A randomized rank whose minor determinant
+      fails falls through to the next rung like any infrastructure error,
+      and a {!Kp_robust.Fault.Injected} escape is a breaker-recorded
+      failure, not a crash. *)
 end

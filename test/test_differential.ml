@@ -145,14 +145,26 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
         let a = M.random_of_rank st n ~rank:r in
         let xs = Array.init n (fun _ -> F.random st) in
         let b = M.matvec a xs in
-        let sts = states (seed + n) 8 in
+        (* a right-hand side outside the range, drawn as [kp solve --random
+           n --rank-hint r] draws it *)
+        let b_out = Array.init n (fun _ -> F.random st) in
+        let sts = states (seed + n) 9 in
         Alcotest.(check bool) (ctx seed n "oracle sees singular") true (G.is_singular a);
-        (* solve: the dense engine must reject with the typed singularity
-           witness the oracle's verdict corresponds to *)
-        (match S.solve sts.(0) a b with
+        Alcotest.(check bool) (ctx seed n "oracle sees b_out outside the range") true
+          (G.solve a b_out = None);
+        (* solve: the dense engine must reject an inconsistent system with
+           the typed singularity witness the oracle's verdict corresponds
+           to — its Krylov sequence reaches the kernel, so f has λ | f *)
+        (match S.solve sts.(0) a b_out with
         | Error (O.Singular _) -> ()
-        | Ok _ -> Alcotest.failf "%s" (ctx seed n "dense solve accepted a singular system")
+        | Ok _ -> Alcotest.failf "%s" (ctx seed n "dense solve accepted an inconsistent system")
         | Error e -> fail_typed seed n "dense solve (expected Singular)" e);
+        (* a consistent system's Krylov sequence misses the kernel, so no
+           generator proves singularity: a typed error, never an answer *)
+        (match S.solve sts.(8) a b with
+        | Error (O.Singular _ | O.Retries_exhausted _) -> ()
+        | Ok _ -> Alcotest.failf "%s" (ctx seed n "dense solve answered a singular system")
+        | Error e -> fail_typed seed n "dense solve (expected a typed error)" e);
         (* det: zero everywhere, as an answer (with witness), not an error *)
         Alcotest.(check bool) (ctx seed n "oracle det = 0") true (F.is_zero (G.det a));
         (match S.det sts.(1) a with
@@ -715,6 +727,87 @@ module Gf2_track = struct
     ]
 end
 
+(* --- small-field track: GF(2), GF(3), GF(7) -------------------------- *)
+(* Built by [Gfp.make], as [kp --prime p] builds them.  card(K) is far
+   below 3n², so nonsingular inputs routinely give generators of degree
+   below n; only a proof (λ | f, or a singular F(0) for a block generator)
+   may count toward Singular.  Every dense and block solve and det of a
+   nonsingular input must therefore return Gauss's answer or a typed error
+   other than Singular — never Singular, never det = 0.  Each runs at the
+   default budget and at a one-attempt budget, where a single witness is
+   the verdict: the block engine's widening blocks rescue most bad first
+   attempts at the default budget, so only the short budget exposes a
+   block witness rule that counts a low degree. *)
+module Small_field_track = struct
+  module O = Kp_robust.Outcome
+
+  module Track (F : Kp_field.Field_intf.FIELD) = struct
+    module C = Kp_poly.Conv.Karatsuba (F)
+    module M = Kp_matrix.Dense.Make (F)
+    module G = Kp_matrix.Gauss.Make (F)
+    module S = Kp_core.Solver.Make (F) (C)
+    module BW = Kp_core.Block_wiedemann.Make (F) (C)
+
+    let test () =
+      List.iter
+        (fun n ->
+          List.iter
+            (fun seed ->
+              let st = Kp_util.Rng.make ((1000 * n) + seed) in
+              let a = M.random_nonsingular st n in
+              let b = Array.init n (fun _ -> F.random st) in
+              let x_ref = Option.get (G.solve a b) and det_ref = G.det a in
+              let sts = Test_seeds.states ((1000 * n) + seed) 8 in
+              let wrong what fmt =
+                Printf.ksprintf
+                  (fun m ->
+                    Alcotest.failf "%s n=%d seed=%d %s: %s" F.name n seed what m)
+                  fmt
+              in
+              let solve what = function
+                | Ok (x, _) ->
+                  if not (Array.for_all2 F.equal x x_ref) then
+                    wrong what "differs from Gauss"
+                | Error (O.Singular _) -> wrong what "Singular for a nonsingular matrix"
+                | Error _ -> ()
+              in
+              let det what = function
+                | Ok (d, _) ->
+                  if not (F.equal d det_ref) then
+                    wrong what "det = %s, Gauss says %s" (F.to_string d)
+                      (F.to_string det_ref)
+                | Error (O.Singular _) -> wrong what "Singular, not a det"
+                | Error _ -> ()
+              in
+              List.iteri
+                (fun i retries ->
+                  let sts = Array.sub sts (4 * i) 4 in
+                  let what w =
+                    match retries with
+                    | Some r -> Printf.sprintf "%s (retries %d)" w r
+                    | None -> w
+                  in
+                  solve (what "dense solve") (S.solve ?retries sts.(0) a b);
+                  det (what "dense det") (S.det ?retries sts.(1) a);
+                  solve (what "block solve") (BW.solve ?retries sts.(2) a b);
+                  det (what "block det") (BW.det ?retries sts.(3) a))
+                [ None; Some 1 ])
+            [ 1; 2; 3; 4; 5; 6 ])
+        [ 8; 24 ]
+  end
+
+  module Gf2 = Track ((val Kp_field.Gfp.make 2))
+  module Gf3 = Track ((val Kp_field.Gfp.make 3))
+  module Gf7 = Track ((val Kp_field.Gfp.make 7))
+
+  let tests =
+    [
+      Alcotest.test_case "GF(2): Gauss or a typed error" `Quick Gf2.test;
+      Alcotest.test_case "GF(3): Gauss or a typed error" `Quick Gf3.test;
+      Alcotest.test_case "GF(7): Gauss or a typed error" `Quick Gf7.test;
+    ]
+end
+
 (* --- fuzz: "same matrix, many RHS" session plans --------------------- *)
 (* A plan is a mixed sequence of solve/det/inverse questions against ONE
    matrix.  Executed through a session — whatever the order, whatever the
@@ -778,5 +871,6 @@ let () =
       ("rational", Q_suite.tests);
       ("kernel_twins", Twin_rows.tests);
       ("gf2_track", Gf2_track.tests);
+      ("small_fields", Small_field_track.tests);
       ("session_fuzz", [ QCheck_alcotest.to_alcotest ~long:false Fuzz.test ]);
     ]

@@ -288,10 +288,12 @@ let test_ext_field_gf2 () =
   let module SP2 = Kp_precond.Precond.Make (F2) (C2) in
   let module M2 = Kp_matrix.Dense.Make (F2) in
   let module G2 = Kp_matrix.Gauss.Make (F2) in
-  check_bool "ceiling lifts to 2^8" true
-    (SP2.escalation_ceiling Pc.Ext_field = Some 256);
-  check_bool "dense ceiling stays at q" true
-    (SP2.escalation_ceiling Pc.Dense_hd = Some 2);
+  let ceiling =
+    Pc.escalation_ceiling ~cardinality:F2.cardinality
+      ~characteristic:F2.characteristic
+  in
+  check_bool "ceiling lifts to 2^8" true (ceiling Pc.Ext_field = Some 256);
+  check_bool "dense ceiling stays at q" true (ceiling Pc.Dense_hd = Some 2);
   List.iter
     (fun (n, card_s) ->
       let st = st0 (50 + n + card_s) in

@@ -262,8 +262,9 @@ let test_overlong_sequence_is_a_fault () =
   | exception S.Linear_complexity_exceeds l ->
     check_bool (Printf.sprintf "linear complexity %d > n" l) true (l > n)
   | _ -> Alcotest.fail "expected Linear_complexity_exceeds");
-  let stage seq () = ((), S.massey_generator ~n seq, seq) in
-  (match S.classify ~p ~n (stage corrupted) with
+  let stage seq () = ((), seq) in
+  let generate = S.massey_generator ~n in
+  (match S.classify ~p ~n ~generate (stage corrupted) with
   | Error (Rt.Reject (O.Fault _)) -> ()
   | Error (Rt.Reject_with_witness _) ->
     Alcotest.fail "a corrupted sequence was counted as a singularity witness"
@@ -274,7 +275,7 @@ let test_overlong_sequence_is_a_fault () =
     Rt.run ~ns:"testns" ~op:"overlong" ~policy:(Rt.policy ~retries:5 ())
       ~card_s:64
       (fun ~attempt:_ ~card_s:_ ->
-        match S.classify ~p ~n stage with
+        match S.classify ~p ~n ~generate stage with
         | Error reject -> reject
         | Ok _ -> Rt.Accept ())
   in
@@ -287,13 +288,24 @@ let test_overlong_sequence_is_a_fault () =
          rep.O.rejections)
   | Error (O.Singular _) -> Alcotest.fail "faults were promoted to Singular"
   | Ok _ | Error _ -> Alcotest.fail "expected Retries_exhausted");
-  (* control: a genuinely short sequence (linear complexity < n, as from a
-     singular Ã) with the same non-singular P does witness singularity *)
+  (* control: a short sequence whose minimal generator is λ (linear
+     complexity < n with λ | f, as from a singular Ã) with the same
+     non-singular P does witness singularity *)
   let short = Array.mapi (fun i _ -> if i = 0 then F.one else F.zero) seq in
-  match retry (stage short) with
+  (match retry (stage short) with
   | Error (O.Singular { witnesses; _ }) ->
-    check_bool "short sequences are witnesses" true (witnesses > 0)
-  | _ -> Alcotest.fail "expected Singular from a low-degree sequence"
+    check_bool "short sequences with λ | f are witnesses" true (witnesses > 0)
+  | _ -> Alcotest.fail "expected Singular from a sequence with λ | f");
+  (* converse: a short sequence whose minimal generator is λ − 1 proves
+     nothing — a plain low-degree retry, never a witness *)
+  let constant = Array.map (fun _ -> F.one) seq in
+  match retry (stage constant) with
+  | Error (O.Retries_exhausted rep) ->
+    check_bool "every rejection is a plain low degree" true
+      (List.for_all (fun r -> r.O.reason = O.Low_degree) rep.O.rejections)
+  | Error (O.Singular _) ->
+    Alcotest.fail "a short sequence without λ | f was counted as a witness"
+  | _ -> Alcotest.fail "expected Retries_exhausted"
 
 (* ---- retry engine unit tests ---- *)
 
@@ -332,7 +344,7 @@ let test_retry_deadline_in_past () =
 let test_retry_witness_threshold () =
   match
     Rt.run ~ns:"testns" ~op:"witness"
-      ~policy:(Rt.policy ~retries:4 ~witness_threshold:3 ())
+      ~policy:(Rt.policy ~retries:4 ())
       ~card_s:16
       (fun ~attempt:_ ~card_s:_ -> Rt.Reject_with_witness O.Zero_constant_term)
   with

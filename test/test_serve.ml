@@ -199,9 +199,8 @@ let test_ladder_block_demotes_then_repromotes () =
   let a, _, b = random_system st 6 in
   let fa = E.M.init 6 6 (fun i j -> M.get a i j) in
   let now = ref 0L in
-  (* dense preconditioner pinned: a non-dense default adds a precond
-     demotion step to the ladder, which would spend the fault budget on a
-     different rung than the one this test follows *)
+  (* dense preconditioner pinned, so the rungs this test follows spend
+     the fault budget on the same draws whatever KP_PRECOND selects *)
   let precond = Kp_precond.Precond.Forced Kp_precond.Precond.Dense_hd in
   let session = E.Sess.create ~precond (st0 2) in
   let eng =
@@ -269,26 +268,25 @@ let test_ladder_routes_and_singular () =
     (List.assoc "scalar" (En.breaker_states eng) = Br.Closed)
 
 let test_ladder_rank_error_falls_through () =
-  (* GF(2) has no room to draw from: on this seed the scalar rank's
-     first minor exhausts its det budget.  That is an engine failure, not
-     a rank — the walk records it on the scalar breaker and elimination
+  (* GF(2) has no room to draw from: on this seed the block rank's first
+     minor exhausts its det budget.  That is an engine failure, not a
+     rank — the walk records it on the block breaker and elimination
      answers *)
   let module F2 = Kp_field.Gf2 in
   let module M2 = Kp_matrix.Dense.Make (F2) in
   let module En2 = Kp_serve.Engines.Make (F2) (Kp_poly.Conv.Karatsuba (F2)) in
   let counter name = Option.value ~default:0 (Kp_obs.Counter.find name) in
-  let fail0 = counter "serve.engine.scalar.fail" in
+  let fail0 = counter "serve.engine.block.fail" in
   let precond = Kp_precond.Precond.(Forced Dense_hd) in
   let a = M2.random_nonsingular (Kp_util.Rng.make 2) 4 in
-  let session = En2.Sess.create ~precond (st0 31) in
-  let eng = En2.create ~session ~precond (Kp_util.Rng.make 1002) in
-  (match En2.rank ~engine:P.E_auto eng a with
+  let eng = En2.create ~precond (Kp_util.Rng.make 1002) in
+  (match En2.rank ~engine:P.E_block eng a with
   | Ok (r, served_by) ->
     check_str "elimination answered" "elimination" served_by;
     check_int "true rank" 4 r
   | Error e -> Alcotest.fail (O.error_to_string e));
-  check_int "scalar rung recorded the failure" (fail0 + 1)
-    (counter "serve.engine.scalar.fail")
+  check_int "block rung recorded the failure" (fail0 + 1)
+    (counter "serve.engine.block.fail")
 
 let gauss_solve a b = Option.get (G.solve a b)
 
