@@ -111,21 +111,6 @@ let report_fallbacks () =
           (attr "from") (attr "error") (attr "to"))
     (Kp_obs.Events.snapshot ())
 
-(* a command's verdict, after its fall-through lines: [print] shows the
-   answer; a certified Singular is an answer too; any other error is the
-   typed failure (its taxonomy on one line, and as a robust.failure event
-   in --stats=json) *)
-let answer print result =
-  report_fallbacks ();
-  match result with
-  | Ok v ->
-    print v;
-    `Ok ()
-  | Error (O.Singular _) ->
-    print_endline "matrix is singular (certified witness)";
-    `Ok ()
-  | Error e -> `Error (false, O.error_to_string e)
-
 (* all subcommand bodies, generic in the runtime field *)
 module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
   module M = Kp_matrix.Dense.Make (F)
@@ -184,13 +169,31 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
     let a, b = load_matrix setup st in
     k (E.create ?pool ~precond:setup.precond st) st a b
 
-  let print_x x =
-    Array.iteri (fun i v -> Printf.printf "  x_%d = %s\n" i (F.to_string v)) x
+  let print_vec name x =
+    Array.iteri
+      (fun i v -> Printf.printf "  %s_%d = %s\n" name i (F.to_string v))
+      x
+
+  (* a command's verdict, after its fall-through lines: [print] shows the
+     answer; Singular is an answer too, with its checked kernel vector w;
+     any other error is the typed failure (its taxonomy on one line, and
+     as a robust.failure event in --stats=json) *)
+  let answer print result =
+    report_fallbacks ();
+    match result with
+    | Ok v ->
+      print v;
+      `Ok ()
+    | Error (O.Singular { kernel; _ }) ->
+      print_endline "matrix is singular (checked kernel vector: A·w = 0):";
+      print_vec "w" kernel;
+      `Ok ()
+    | Error e -> `Error (false, O.error_to_string e)
 
   let print_solution (x, engine, rep) =
     Printf.printf "solution (engine: %s, attempts: %d):\n" engine
       rep.O.attempts;
-    print_x x
+    print_vec "x" x
 
   let print_batch (xs, engine, rep) =
     Printf.printf "batch of %d (engine: %s, attempts: %d):\n" (Array.length xs)
@@ -198,7 +201,7 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
     Array.iteri
       (fun k x ->
         Printf.printf " b[%d]:\n" k;
-        print_x x)
+        print_vec "x" x)
       xs
 
   let solve setup =
@@ -232,8 +235,7 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
   let rank setup =
     ask setup @@ fun eng _ a _ ->
     answer (fun (r, _) -> Printf.printf "rank = %d\n" r)
-    @@ E.rank ?deadline_ns:(deadline_ns setup) ?block_factor:setup.block_factor
-         ~engine:setup.engine eng a
+    @@ E.rank ?deadline_ns:(deadline_ns setup) ~engine:setup.engine eng a
 
   let inverse setup =
     ask setup @@ fun eng _ a _ ->
@@ -340,8 +342,11 @@ let engine_t =
               $(b,block) (block Wiedemann — b columns per Krylov product, \
               see $(b,--block-factor) — then scalar, then elimination) or \
               $(b,dense) (the paper's Theorem-4 pipeline alone: the \
-              reference engine, no fallback).  Each fall-through to the \
-              next rung prints one line on stderr.")
+              reference engine, no fallback).  $(b,rank) has no scalar or \
+              block route: it is elimination unless $(b,dense).  A \
+              singular answer prints a kernel vector w with A·w = 0, \
+              checked by the rung.  Each fall-through to the next rung \
+              prints one line on stderr.")
 
 let block_factor_t =
   Arg.(value & opt (some int) None
@@ -444,9 +449,9 @@ let det_cmd =
 let rank_cmd =
   simple_cmd "rank"
     "Rank through the engine ladder: verified elimination under \
-     $(b,auto) and $(b,scalar); $(b,--engine block) tries the randomized \
-     §5 minor search first and $(b,--engine dense) runs it alone (Monte \
-     Carlo)."
+     $(b,auto), $(b,scalar) and $(b,block) (neither black-box engine has \
+     a rank route); $(b,--engine dense) runs the §5 nullspace alone and \
+     answers n minus the size of its checked kernel basis."
     (fun (module D) -> D.rank)
 
 let inverse_cmd =

@@ -35,20 +35,19 @@ let () =
       (F.equal d (G.det a))
   | Error _ -> print_endline "det:     FAILED (unexpected)");
 
-  (* 3. singularity is certified, not guessed: a zero determinant comes
-     back as Ok (0, report) whose report shows the accumulated f(0) = 0
-     witnesses (Zero_constant_term rejections on every attempt) *)
+  (* 3. singularity is proved, not guessed: a solve of a singular system
+     comes back as Error (Singular { kernel = w; _ }) with w ≠ 0 and
+     A·w = 0 checked, and a det reports that proof as Ok (0, report) *)
   let singular = M.random_of_rank st n ~rank:(n - 1) in
+  (match S.solve st singular (Array.init n (fun _ -> F.random st)) with
+  | Error (S.O.Singular { kernel; report }) ->
+    Printf.printf
+      "singular matrix: kernel vector w checked (A·w = 0: %b) on attempt %d\n"
+      (Array.for_all F.is_zero (M.matvec singular kernel))
+      report.S.O.attempts
+  | Ok _ | Error _ -> print_endline "singular: FAILED");
   (match S.det st singular with
-  | Ok (d, report) ->
-    let witnesses =
-      List.length
-        (List.filter
-           (fun r -> r.S.O.reason = S.O.Zero_constant_term)
-           report.S.O.rejections)
-    in
-    Printf.printf "det(singular matrix) = %s (%d singularity witnesses)\n"
-      (F.to_string d) witnesses
+  | Ok (d, _) -> Printf.printf "det(singular matrix) = %s\n" (F.to_string d)
   | Error _ -> print_endline "det:     FAILED");
 
   (* 4. inverse via the Theorem-6 circuit (Baur–Strassen on the determinant

@@ -10,7 +10,6 @@ struct
   module G = Kp_matrix.Gauss.Make (F)
   module Pc = Kp_precond.Precond
   module SP = Kp_precond.Precond.Make (F) (C)
-  module R = Rank.Make (F) (C)
   module Lv = Las_vegas.Make (F)
 
   module O = Kp_robust.Outcome
@@ -69,15 +68,29 @@ struct
     let seq = K.block_sequence ~mul ~ut ks in
     (p, ks, seq)
 
+  (* Y, the n×b matrix whose column j is Σ_{i≥1} K_{i−1}·fᵢ{^(j)} over
+     generator column j.  Each column lifts to Σᵢ Ãⁱ·V·fᵢ = 0 (whp), so
+     Ã·Y = −V·F(0): solutions and kernel vectors both come from Y *)
+  let y_matrix ~n ~ks gen =
+    let cols =
+      Array.mapi
+        (fun j col ->
+          K.block_combination ks
+            (Array.init gen.MBM.degrees.(j) (fun i -> col.(i + 1))))
+        gen.MBM.cols
+    in
+    M.init n gen.MBM.b (fun r j -> cols.(j).(r))
+
   (* ---- generator recovery and validation ----
 
      The candidate matrix generator must (a) generate the sequence it was
      computed from, (b) be column-reduced (det Λ ≠ 0, certifying
      deg det F = Σδ), (c) have Σδ = n (else the projections missed part of
      the space), and (d) have non-singular F(0) (the block analogue of
-     f(0) ≠ 0).  A singular F(0) is the witness (the block analogue of
-     λ | f: Ã is singular), whatever Σδ; Σδ < n alone proves nothing. *)
-  let generator_phase ~b ~n ~sigma ~p seq =
+     f(0) ≠ 0).  A singular F(0), whatever Σδ, is the block analogue of
+     λ | f: with F(0)·c = 0, Ã·(Y·c) = −V·F(0)·c = 0, so w = P·(Y·c) is
+     checked against A ([apply]); Σδ < n alone proves nothing. *)
+  let generator_phase ~apply ~b ~n ~sigma ~p ~ks seq =
     Span.with_ "block.generator" @@ fun () ->
     let gen = MBM.minimal_generator ~b seq in
     if not (MBM.generates ~b seq gen) then
@@ -88,14 +101,18 @@ struct
       let f0 = square_of_flat b (MBM.constant_term gen) in
       let det_f0 = lazy (G.det f0) in
       let singular_f0 () = F.is_zero (Lazy.force det_f0) in
+      let kernel () =
+        match G.nullspace f0 with
+        | [] -> Rt.Reject (O.Fault "singular F(0) has no kernel")
+        | c :: _ ->
+          Lv.singular ~apply (p.Pc.apply (M.matvec (y_matrix ~n ~ks gen) c))
+      in
       if F.is_zero det_lam then Error (Rt.Reject O.Low_degree)
       else if dsum < n then
-        Error
-          (if singular_f0 () then Lv.witness p O.Low_degree
-           else Rt.Reject O.Low_degree)
+        Error (if singular_f0 () then kernel () else Rt.Reject O.Low_degree)
       else if dsum > n || Array.exists (fun dj -> dj > sigma) gen.MBM.degrees
       then Error (Rt.Reject O.Low_degree)
-      else if singular_f0 () then Error (Lv.witness p O.Zero_constant_term)
+      else if singular_f0 () then Error (kernel ())
       else Ok (gen, f0, det_lam, Lazy.force det_f0)
     end
 
@@ -105,35 +122,20 @@ struct
 
   (* ---- solve extraction ----
 
-     Each generator column lifts to Σᵢ Ãⁱ·V·fᵢ = 0 (whp), i.e.
-     V·f₀ = −Ã·(Σ_{i≥1} Ã^{i−1}·V·fᵢ).  Writing Y for the n×b matrix whose
-     column j is Σ_{i≥1} K_{i−1}·fᵢ{^(j)}, any c ∈ K{^b} gives
-     Ã·(−Y·c) = V·(F(0)·c); choosing c = F(0)⁻¹·e_t makes the right side
-     exactly the t-th column of V — the t-th right-hand side.  The random
-     padding columns of V drop out exactly, so one Y serves every target.
-     Las Vegas: every solution is checked against A·x = b. *)
+     Any c ∈ K{^b} gives Ã·(−Y·c) = V·(F(0)·c); choosing c = F(0)⁻¹·e_t
+     makes the right side exactly the t-th column of V — the t-th
+     right-hand side.  The random padding columns of V drop out exactly,
+     so one Y serves every target.  Las Vegas: every solution is checked
+     against A·x = b. *)
   let extract_solutions ?pool ~n ~p ~ks ~gen ~f0 (a : M.t) rhs =
     Span.with_ "block.recover" @@ fun () ->
-    let b = gen.MBM.b in
-    let y_cols =
-      Array.init b (fun j ->
-          let col = gen.MBM.cols.(j) in
-          let dj = gen.MBM.degrees.(j) in
-          K.block_combination ks (Array.init dj (fun i -> col.(i + 1))))
-    in
     match G.inverse f0 with
     | None -> Error (Rt.Reject (O.Fault "singular F(0) after det check"))
     | Some f0_inv ->
+      (* column t of Y·F(0)⁻¹ is −x̃ for the t-th right-hand side *)
+      let z = M.mul (y_matrix ~n ~ks gen) f0_inv in
       let solve_one t bvec =
-        let x_tilde =
-          Array.init n (fun r ->
-              let acc = ref F.zero in
-              for j = 0 to b - 1 do
-                acc :=
-                  F.add !acc (F.mul y_cols.(j).(r) (M.get f0_inv j t))
-              done;
-              F.neg !acc)
-        in
+        let x_tilde = Array.init n (fun r -> F.neg (M.get z r t)) in
         let x = recover ?pool ~p x_tilde in
         if Lv.solves (M.matvec a) x bvec then Some x else None
       in
@@ -154,7 +156,10 @@ struct
     @@ fun ~attempt ~kind ~card_s ->
     let b_eff = max k (attempt_block ~n ~b ~attempt) in
     let p, ks, seq = krylov_phase ~mul ~kind st ~card_s ~b:b_eff a ~rhs in
-    match generator_phase ~b:b_eff ~n ~sigma:(sigma ~n ~b:b_eff) ~p seq with
+    match
+      generator_phase ~apply:(M.matvec a) ~b:b_eff ~n
+        ~sigma:(sigma ~n ~b:b_eff) ~p ~ks seq
+    with
     | Error reject -> reject
     | Ok (gen, f0, _det_lam, _det_f0) -> begin
         match extract_solutions ?pool ~n ~p ~ks ~gen ~f0 a rhs with
@@ -229,7 +234,9 @@ struct
   let det_eval ~mul ~kind st ~card_s ~b (a : M.t) =
     let n = a.M.rows in
     let p, ks, seq = krylov_phase ~mul ~kind st ~card_s ~b a ~rhs:[||] in
-    match generator_phase ~b ~n ~sigma:(sigma ~n ~b) ~p seq with
+    match
+      generator_phase ~apply:(M.matvec a) ~b ~n ~sigma:(sigma ~n ~b) ~p ~ks seq
+    with
     | Error reject -> reject
     | Ok (gen, _f0, det_lam, det_f0) ->
       let ut' = MD.sample st ~card_s b n in
@@ -257,19 +264,4 @@ struct
     @@ fun ~attempt ~kind ~card_s ->
     let b_eff = attempt_block ~n ~b ~attempt in
     fun () -> det_eval ~mul ~kind st ~card_s ~b:b_eff a
-
-  (* ---- rank ----
-
-     {!Rank.search} over Â = U·A·V with block determinants; the blocking
-     factor is clamped to each minor's size. *)
-  let rank ?card_s ?deadline_ns ?pool ?block_factor ?precond st (a : M.t) =
-    Span.with_ "block.rank" @@ fun () ->
-    let n = a.M.rows in
-    check_square "Block_wiedemann.rank" a;
-    let card_s = Option.value card_s ~default:(Lv.card_s n) in
-    let { R.a_hat; _ } = R.precondition st ~card_s a in
-    R.search a_hat ~det:(fun sub ->
-        let i = sub.M.rows in
-        let block_factor = Option.map (fun b -> min b (max 1 i)) block_factor in
-        det ~card_s ~retries:6 ?deadline_ns ?pool ?block_factor ?precond st sub)
 end

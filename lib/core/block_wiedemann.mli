@@ -12,18 +12,22 @@
     {!Kp_seqgen.Matrix_bm}; right-hand sides ride as columns of V, so a
     batch of k ≤ b systems costs one sequence.
 
-    Attempts, certificates and witnesses follow the {!Las_vegas}
+    Attempts, certificates and singular verdicts follow the {!Las_vegas}
     contract, with the blocking factor escalating alongside |S| across
-    attempts.  The witness is a singular F(0), the block analogue of
-    λ | f; a degree sum Σδ < n alone is a plain retry.
+    attempts.  A singular F(0) is the block analogue of λ | f: with
+    F(0)·c = 0 and Y the n×b matrix the solve extraction builds
+    (Ã·Y = −V·F(0)), w = P·(Y·c) has A·w = 0, and the run ends with
+    [Singular] once that check passes.  A degree sum Σδ < n alone is a
+    plain retry.  The engine has no rank route: a rank is answered by
+    {!Nullspace} or by elimination.
 
     At b = 1 the engine degenerates to the scalar pipeline: V = [b],
     F(λ) is 1×1, and the extraction reduces to the Cayley–Hamilton sum
     −(1/f₀)Σ f_{i+1}Ãⁱb.  Small fields carry the usual caveat: the
     success probability of a block projection degrades over GF(q) with
     small q (Harrison–Johnson–Saunders, arXiv 1412.5071) — the retry
-    escalation of |S| and b is what restores convergence, and the witness
-    rule keeps a short generator from reading as "singular". *)
+    escalation of |S| and b is what restores convergence, and the kernel
+    check keeps a short generator from reading as "singular". *)
 
 module Make
     (F : Kp_field.Field_intf.FIELD)
@@ -47,10 +51,10 @@ module Make
     ?block_factor:int ->
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> M.t -> F.t array ->
-    (F.t array * O.report, O.error) result
+    (F.t array * O.report, F.t array O.error) result
   (** Solve A·x = b through the block pipeline.  [Ok (x, _)] comes with
-      the certificate A·x = b checked; the error taxonomy (typed
-      singularity witnesses, retries, deadline) is {!Las_vegas}'s.
+      the certificate A·x = b checked; the error taxonomy (a checked
+      [Singular], retries, deadline) is {!Las_vegas}'s.
       [block_factor] defaults to {!auto_block_factor}. *)
 
   val solve_batch :
@@ -61,7 +65,7 @@ module Make
     ?block_factor:int ->
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> M.t -> F.t array array ->
-    (F.t array array * O.report, O.error) result
+    (F.t array array * O.report, F.t array O.error) result
   (** Solve A·xⱼ = bⱼ for a batch: the right-hand sides become columns of
       the start block V (chunked to at most min(n, 32) per block run, the
       blocking factor growing to cover each chunk), so one Krylov sequence
@@ -76,24 +80,11 @@ module Make
     ?pool:Kp_util.Pool.t ->
     ?block_factor:int ->
     ?precond:Kp_precond.Precond.choice ->
-    Random.State.t -> M.t -> (F.t * O.report, O.error) result
+    Random.State.t -> M.t -> (F.t * O.report, F.t array O.error) result
   (** Determinant via det F(λ) = det Λ·det(λI−Ã):
       det A = (−1)ⁿ·det F(0)/(det Λ·det P), through
       {!Las_vegas.Make.det} (two agreeing evaluations; [Singular] is
       [Ok (F.zero, _)]).  Each evaluation also re-projects the Krylov
       blocks onto a fresh Uᵀ′ and requires the generator to generate that
       sequence too. *)
-
-  val rank :
-    ?card_s:int ->
-    ?deadline_ns:int64 ->
-    ?pool:Kp_util.Pool.t ->
-    ?block_factor:int ->
-    ?precond:Kp_precond.Precond.choice ->
-    Random.State.t -> M.t -> (int, O.error) result
-  (** {!Rank.Make.search} with block determinants: precondition with
-      random unit-triangular U, V and binary-search the largest
-      non-singular leading minor of U·A·V (Monte Carlo, as {!Rank}).  A
-      minor whose determinant fails (budget, fault, [deadline_ns]) ends
-      the search with that error. *)
 end

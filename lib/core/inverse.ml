@@ -6,7 +6,6 @@ module Make
     (C : Kp_poly.Conv.S with type elt = F.t) =
 struct
   module S = Solver.Make (F) (C)
-  module SP = Kp_precond.Precond.Make (F) (C)
   module M = S.M
   module MD = Kp_matrix.Dense.Make (F)
   module O = Kp_robust.Outcome
@@ -60,30 +59,22 @@ struct
     Lv.run ~ns:"inverse" ~op:"inverse" ?retries ?card_s ?deadline_ns ~n
     @@ fun ~attempt:_ ~kind:_ ~card_s ->
     let randoms = Array.init (Cc.num_random q) (fun _ -> F.sample st ~card_s) in
-    (* random-node indices are stable through differentiation, so the first
-       2n-1 are the Hankel entries and the next n the diagonal (creation
-       order in det_circuit) — recover them to classify failures below *)
-    let hd_nonsingular () =
-      let h = Array.sub randoms 0 ((2 * n) - 1) in
-      let d = Array.sub randoms ((2 * n) - 1) n in
-      match SP.det_hd_elimination ~n ~h ~d with
-      | exception Division_by_zero -> false
-      | dhd -> not (F.is_zero dhd)
+    (* the circuit never exposes its sequence: an attempt that meets
+       det = 0 runs one dense solve on a random right-hand side, whose
+       checked kernel vector ends the run; anything else is bad luck *)
+    let singular_or reason =
+      match S.solve ~retries:1 ~card_s st a (Lv.sample_vec st ~card_s n) with
+      | Error (O.Singular { kernel; _ }) ->
+        Rt.Error_now (O.Singular { kernel; report = O.empty_report })
+      | Ok _ | Error _ -> Rt.Reject reason
     in
     match Cc.eval (module F) q ~inputs ~randoms with
     | exception Division_by_zero ->
-      (* the generator stage divided by zero: the minimal generator has
-         degree < n — either an unlucky draw or a singular Ã.  As in
-         {!Solver.solve}, it witnesses singularity of A only when H·D is
-         invertible. *)
-      if hd_nonsingular () then Rt.Reject_with_witness O.Low_degree
-      else Rt.Reject O.Division_error
+      (* the generator stage divided by zero: degree < n *)
+      singular_or O.Low_degree
     | out ->
       let det = out.(0) in
-      if F.is_zero det then
-        (* det(A·H·D) = 0: either a singular preconditioner draw or a
-           singular A — evidence for the latter accumulates as witnesses *)
-        Rt.Reject_with_witness O.Zero_constant_term
+      if F.is_zero det then singular_or O.Zero_constant_term
       else begin
         (* gradient entry for input (i,j) sits at out.(1 + i*n + j);
            A^{-1}_{ij} = (∂det/∂x_{ji}) / det *)

@@ -28,9 +28,11 @@ module Make
     ?retries:int ->
     ?card_s:int ->
     ?deadline_ns:int64 ->
-    Random.State.t -> M.t -> (M.t * O.report, O.error) result
-  (** Theorem-6 inversion with Las Vegas verification (A·A⁻¹ = I).
-      [Error (Singular _)] after consistent zero-determinant witnesses. *)
+    Random.State.t -> M.t -> (M.t * O.report, F.t array O.error) result
+  (** Theorem-6 inversion with Las Vegas verification (A·A⁻¹ = I).  An
+      attempt whose circuit meets det = 0 runs one dense one-attempt
+      {!Solver.Make.solve} on a random b, whose [Singular] ends the run;
+      anything else is a plain retry. *)
 
   val inverse_via_solves :
     ?retries:int ->
@@ -38,7 +40,7 @@ module Make
     ?deadline_ns:int64 ->
     ?pool:Kp_util.Pool.t ->
     ?precond:Kp_precond.Precond.choice ->
-    Random.State.t -> M.t -> (M.t * O.report, O.error) result
+    Random.State.t -> M.t -> (M.t * O.report, F.t array O.error) result
   (** n independent Theorem-4 solves against the basis vectors.  Per-column
       random states are split off [st] up front (in column order), so the
       result is a deterministic function of [st] whether or not a pool is
@@ -49,8 +51,8 @@ module Make
 
   val merge_columns :
     n:int ->
-    (F.t array * O.report, O.error) result array ->
-    (M.t * O.report, O.error) result
+    (F.t array * O.report, F.t array O.error) result array ->
+    (M.t * O.report, F.t array O.error) result
   (** Assemble n per-column solve results into the inverse matrix, merging
       reports in column order (the error of the first failed column carries
       the attempts of the columns before it).  Exposed so the session layer
@@ -59,9 +61,9 @@ module Make
   val solve_columns :
     ?pool:Kp_util.Pool.t ->
     n:int ->
-    (int -> Random.State.t -> F.t array -> (F.t array * O.report, O.error) result) ->
+    (int -> Random.State.t -> F.t array -> (F.t array * O.report, F.t array O.error) result) ->
     Random.State.t ->
-    (M.t * O.report, O.error) result
+    (M.t * O.report, F.t array O.error) result
   (** The column fan-out skeleton of {!inverse_via_solves}: pre-splits one
       state per column (so the answer is a function of [st] alone, for any
       pool size), runs [solve_col j st_j e_j] for each basis vector —

@@ -45,10 +45,13 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       Error (O.Fault "det P recomputation mismatch")
     | d -> Ok d
 
-  let witness ?(twice = false) p reason =
-    match det_p ~twice p with
-    | Ok _ -> Rt.Reject_with_witness reason
-    | Error _ -> Rt.Reject reason
+  let is_kernel ~apply w =
+    (not (Array.for_all F.is_zero w)) && Array.for_all F.is_zero (apply w)
+
+  let singular ~apply w =
+    if is_kernel ~apply w then
+      Rt.Error_now (O.Singular { kernel = w; report = O.empty_report })
+    else Rt.Reject O.Zero_constant_term
 
   let solves apply x b = Array.for_all2 F.equal (apply x) b
 

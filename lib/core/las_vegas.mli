@@ -16,15 +16,13 @@
       solution by A·x = b ({!verified}), a determinant by two fully
       independent evaluations that agree ({!det}), det P by two
       evaluations where the caller asks ({!det_p}).
-    - {b Witnesses.}  An attempt counts toward [Singular] only when its
-      generator {e proves} the preconditioned Ã = A·P singular — λ | f,
-      a zero constant term of the minimal generator of the attempt's own
-      sequence (for a block generator: a singular F(0)) — and det P ≠ 0
-      ({!witness}).  A generator of degree below n proves nothing: over
-      small fields non-singular matrices produce them routinely (Eberly,
-      arXiv:1607.04514), so it is a plain retry.  Enough witnesses turn
-      exhaustion into [Singular] ({!Kp_robust.Retry}); {!det} reports
-      that as det = 0. *)
+    - {b Singular.}  A proof, never a count: an engine whose generator
+      shows Ã = A·P singular (λ | f, a singular block F(0)) builds a
+      kernel vector w from data it holds, and {!singular} checks w ≠ 0
+      and A·w = 0 against the input A.  A pass ends the run with
+      [Singular] carrying w, a failure is a plain retry.  A degree below
+      n without λ | f proves nothing: over small fields non-singular
+      matrices produce them routinely (Eberly, arXiv:1607.04514). *)
 
 module Make (F : Kp_field.Field_intf.FIELD) : sig
   module O = Kp_robust.Outcome
@@ -46,8 +44,8 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
     ?deadline_ns:int64 ->
     ?kind:Pc.kind ->
     n:int ->
-    (attempt:int -> kind:Pc.kind -> card_s:int -> 'a Rt.attempt) ->
-    ('a * O.report, O.error) result
+    (attempt:int -> kind:Pc.kind -> card_s:int -> ('a, F.t array) Rt.attempt) ->
+    ('a * O.report, F.t array O.error) result
   (** [run ~ns ~op ~n body] drives [body] through {!Kp_robust.Retry.run}
       ([ns] and [op] name its counters and events).  Defaults: 10
       attempts, |S| = {!card_s}[ n], [kind = Dense_hd] (the resolved kind
@@ -61,8 +59,9 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
     ?deadline_ns:int64 ->
     ?kind:Pc.kind ->
     n:int ->
-    (attempt:int -> kind:Pc.kind -> card_s:int -> unit -> F.t Rt.attempt) ->
-    (F.t * O.report, O.error) result
+    (attempt:int -> kind:Pc.kind -> card_s:int -> unit ->
+     (F.t, F.t array) Rt.attempt) ->
+    (F.t * O.report, F.t array O.error) result
   (** {!run} with [op = "det"] for a quantity with no residual
       certificate: [body ~attempt ~kind ~card_s] is one randomized
       evaluation, run twice per attempt, and the attempt is accepted
@@ -75,17 +74,20 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
       agree ([Fault] otherwise — det P is a function of the drawn entries,
       so a disagreement proves a transient fault). *)
 
-  val witness : ?twice:bool -> F.t Pc.t -> O.reason -> 'a Rt.attempt
-  (** The gate for an attempt whose generator proves Ã singular:
-      [Reject_with_witness reason] when {!det_p} accepts P (so A itself
-      is singular), a plain [Reject reason] otherwise.  [twice] defaults
-      to [false]. *)
+  val is_kernel : apply:(F.t array -> F.t array) -> F.t array -> bool
+  (** [is_kernel ~apply w]: w ≠ 0 and A·w = 0, A given by its apply. *)
+
+  val singular :
+    apply:(F.t array -> F.t array) -> F.t array -> ('a, F.t array) Rt.attempt
+  (** [Error_now (Singular _)] carrying w when {!is_kernel}, else
+      [Reject Zero_constant_term]. *)
 
   val solves : (F.t array -> F.t array) -> F.t array -> F.t array -> bool
   (** [solves apply x b]: A·x = b, A given by its apply. *)
 
   val verified :
-    (F.t array -> F.t array) -> F.t array -> F.t array -> F.t array Rt.attempt
+    (F.t array -> F.t array) -> F.t array -> F.t array ->
+    (F.t array, F.t array) Rt.attempt
   (** [verified apply x b]: [Accept x] when {!solves}, else
       [Reject Residual_mismatch]. *)
 end

@@ -18,7 +18,7 @@ module Make
 
   val solve :
     ?card_s:int ->
-    Random.State.t -> M.t -> F.t array -> (F.t array, O.error) result
+    Random.State.t -> M.t -> F.t array -> (F.t array, F.t array O.error) result
   (** Minimizer of ‖A·x − b‖² for full-column-rank A; verified against the
       normal equations.  [Error (Singular _)] when A{^tr}A is singular,
       i.e. A is column-rank-deficient.

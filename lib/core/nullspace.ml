@@ -2,9 +2,9 @@ module Make
     (F : Kp_field.Field_intf.FIELD)
     (C : Kp_poly.Conv.S with type elt = F.t) =
 struct
-  module S = Solver.Make (F) (C)
-  module M = S.M
   module R = Rank.Make (F) (C)
+  module S = R.S
+  module M = S.M
   module O = Kp_robust.Outcome
   module Rt = Kp_robust.Retry
   module Lv = Las_vegas.Make (F)

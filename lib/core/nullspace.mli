@@ -25,9 +25,11 @@ module Make
     ?card_s:int ->
     ?deadline_ns:int64 ->
     ?precond:Kp_precond.Precond.choice ->
-    Random.State.t -> M.t -> (F.t array list, O.error) result
-  (** Basis of the right nullspace (empty list for non-singular input).
-      Every basis vector is verified against A·v = 0 before acceptance. *)
+    Random.State.t -> M.t -> (F.t array list, F.t array O.error) result
+  (** Basis W of the right nullspace (empty list for non-singular input).
+      Every basis vector is verified against A·v = 0 before acceptance,
+      so n − |W| is a proved rank: a certified non-singular r×r minor
+      below, n − r independent kernel vectors above. *)
 
   val solve_singular :
     ?retries:int ->
@@ -35,7 +37,7 @@ module Make
     ?deadline_ns:int64 ->
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> M.t -> F.t array ->
-    (F.t array option, O.error) result
+    (F.t array option, F.t array O.error) result
   (** [Ok (Some x)] with A·x = b verified; [Ok None] when the system is
       (against the computed decomposition) inconsistent. *)
 end

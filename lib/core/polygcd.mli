@@ -28,11 +28,11 @@ module Make
   module O = Kp_robust.Outcome
 
   val resultant :
-    ?card_s:int -> Random.State.t -> P.t -> P.t -> (F.t, O.error) result
+    ?card_s:int -> Random.State.t -> P.t -> P.t -> (F.t, F.t array O.error) result
   (** Resultant via the Theorem-4 determinant of the Sylvester matrix. *)
 
   val resultant_blackbox :
-    ?card_s:int -> Random.State.t -> P.t -> P.t -> (F.t, O.error) result
+    ?card_s:int -> Random.State.t -> P.t -> P.t -> (F.t, F.t array O.error) result
   (** Resultant via black-box Wiedemann on the structured Sylvester
       operator (two convolutions per application, never materialising the
       matrix) — the §5 "Toeplitz-like" exploitation, asymptotically
@@ -40,7 +40,7 @@ module Make
 
   val gcd_degree :
     ?card_s:int -> ?deadline_ns:int64 ->
-    Random.State.t -> P.t -> P.t -> (int, O.error) result
+    Random.State.t -> P.t -> P.t -> (int, F.t array O.error) result
   (** m + n − rank S(f,g) by the randomized rank (0 for coprime inputs);
       the rank search's typed error when a minor's determinant fails. *)
 
@@ -48,14 +48,14 @@ module Make
     ?retries:int ->
     ?card_s:int ->
     ?deadline_ns:int64 ->
-    Random.State.t -> P.t -> P.t -> (P.t, O.error) result
+    Random.State.t -> P.t -> P.t -> (P.t, F.t array O.error) result
   (** Monic gcd, cross-checked against division; retried on bad luck with
       sample-set escalation. *)
 
   val bezout :
     ?card_s:int ->
     ?deadline_ns:int64 ->
-    Random.State.t -> P.t -> P.t -> (P.t * P.t * P.t, O.error) result
+    Random.State.t -> P.t -> P.t -> (P.t * P.t * P.t, F.t array O.error) result
   (** [(h, u, v)] with [u·f + v·g = h = gcd(f,g)], deg u < deg g − deg h and
       deg v < deg f − deg h — "the coefficients of the polynomials in the
       Euclidean scheme" (§5), by solving the corresponding Sylvester-type

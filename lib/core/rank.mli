@@ -9,9 +9,10 @@
     non-singular leading principal minors exactly up to rank(A); each
     candidate minor is tested with a Theorem-4 determinant (Las Vegas),
     so the only Monte Carlo component is the rank-profile genericity.
-    {!search} is the one binary search: {!rank} runs it with the scalar
-    determinant, {!Block_wiedemann.Make.rank} with the block one and
-    {!Nullspace} on its own decomposition. *)
+    Over a small field that genericity fails and the search stops low,
+    so {!rank}, with no upper-bound check, serves only {!Polygcd} (whose
+    gcd is checked by division); {!Nullspace} runs {!search} and checks
+    the upper bound (A·W = 0 for n − r kernel vectors). *)
 
 module Make
     (F : Kp_field.Field_intf.FIELD)
@@ -29,8 +30,8 @@ module Make
   val precondition : Random.State.t -> ?card_s:int -> M.t -> preconditioned
 
   val search :
-    det:(M.t -> (F.t * O.report, O.error) result) ->
-    M.t -> (int, O.error) result
+    det:(M.t -> (F.t * O.report, F.t array O.error) result) ->
+    M.t -> (int, F.t array O.error) result
   (** [search ~det â]: the largest i whose leading i×i minor of [â] has
       [det] ≠ 0, by binary search.  Only [Ok d] decides a minor; the first
       [Error e] (an exhausted budget, a detected fault, a spent deadline)
@@ -40,7 +41,7 @@ module Make
     ?card_s:int ->
     ?deadline_ns:int64 ->
     ?precond:Kp_precond.Precond.choice ->
-    ?route:S.route -> Random.State.t -> M.t -> (int, O.error) result
+    ?route:S.route -> Random.State.t -> M.t -> (int, F.t array O.error) result
   (** {!search} over Â with the certified {!Solver.Make.det} (6 attempts
       per minor).  [deadline_ns] and [route] reach every minor's
       determinant ({!Solver.Make.route}). *)

@@ -22,13 +22,7 @@ struct
   type route = Massey_elimination | Toeplitz_charpoly
 
   exception Linear_complexity_exceeds of int
-  exception Short_sequence of { zero_root : bool }
-
-  (* a connection polynomial c, of length L + 1, has c(L) = f(0) for the
-     minimal generator f: λ | f when it is zero *)
-  let zero_root c =
-    let l = Array.length c - 1 in
-    l >= 1 && F.is_zero c.(l)
+  exception Short_sequence of F.t array
 
   (* Berlekamp–Massey on the 2n-term sequence, in the Toeplitz route's
      output shape: the monic degree-n generator, low-to-high.  Linear
@@ -38,7 +32,8 @@ struct
   let massey_generator ~n seq =
     let c = BM.connection_polynomial seq in
     let l = Array.length c - 1 in
-    if l < n then raise (Short_sequence { zero_root = zero_root c })
+    if l < n then
+      raise (Short_sequence (Array.init (l + 1) (fun i -> c.(l - i))))
     else if l > n then raise (Linear_complexity_exceeds l)
     else Array.init (n + 1) (fun i -> c.(n - i))
 
@@ -49,23 +44,32 @@ struct
     F.equal f.(n) F.one && BM.generates f seq
 
   (* The one rejection ladder of every dense attempt.  [stage] runs the
-     Krylov stage and returns (payload, the 2n-sequence); [generate] maps
-     the sequence to its degree-n generator.  The checks run in order and
-     draw randomness only in [fresh], after every earlier check passed. *)
-  let classify ?fresh ~p ~n ~generate stage =
-    let r, seq = stage () in
+     Krylov stage and returns (the columns Ãⁱ·v, the 2n-sequence);
+     [generate] maps the sequence to its degree-n generator.  The checks
+     run in order and draw randomness only in [fresh], after every earlier
+     check passed. *)
+  let classify ?fresh ~apply ~p ~n ~generate stage =
+    let cols, seq = stage () in
+    (* a generator g with g(0) = 0: w = P·Σᵢ gᵢ·Ãⁱ⁻¹·v, checked against A *)
+    let kernel g =
+      let d = Array.length g - 1 in
+      let head = M.init n d (fun i j -> M.get cols i j) in
+      let w = p.Pc.apply (P.K.combination head (Array.sub g 1 d)) in
+      Lv.singular ~apply w
+    in
     (* no degree-n generator: bad luck, unless the sequence's own minimal
-       generator has λ | f *)
-    let short ~zero_root =
+       generator has λ | g *)
+    let short g =
       Error
-        (if zero_root then Lv.witness p O.Low_degree else Rt.Reject O.Low_degree)
+        (if Array.length g > 1 && F.is_zero g.(0) then kernel g
+         else Rt.Reject O.Low_degree)
     in
     match generate seq with
-    | exception Short_sequence { zero_root } -> short ~zero_root
+    | exception Short_sequence g -> short g
     | exception Division_by_zero ->
       (* the Toeplitz route's singular Hankel: Berlekamp–Massey on the
          sequence in hand draws nothing *)
-      short ~zero_root:(zero_root (BM.connection_polynomial seq))
+      short (BM.P.to_array (BM.minimal_polynomial seq))
     | exception Linear_complexity_exceeds l ->
       Error
         (Rt.Reject
@@ -73,12 +77,10 @@ struct
               (Printf.sprintf "sequence linear complexity %d exceeds n = %d" l n)))
     | f ->
       if not (generator_ok ~n f seq) then Error (Rt.Reject O.Low_degree)
-      else if F.is_zero f.(0) then
-        (* true minpoly with zero constant term: Ã singular *)
-        Error (Lv.witness p O.Zero_constant_term)
-      else if match fresh with Some ok -> not (ok r f) | None -> false then
+      else if F.is_zero f.(0) then Error (kernel f)
+      else if match fresh with Some ok -> not (ok cols f) | None -> false then
         Error (Rt.Reject (O.Fault "krylov recurrence check failed"))
-      else Ok (r, f)
+      else Ok (cols, f)
 
   (* everything an attempt needs besides its random draws *)
   type ctx = {
@@ -136,7 +138,10 @@ struct
     @@ fun ~attempt:_ ~kind ~card_s ->
     let p = build ctx st ~card_s kind in
     let u = Lv.sample_vec st ~card_s n in
-    match classify ~p ~n ~generate:(generate ctx) (krylov_stage ctx a p ~u ~v:b) with
+    match
+      classify ~apply:(M.matvec a) ~p ~n ~generate:(generate ctx)
+        (krylov_stage ctx a p ~u ~v:b)
+    with
     | Error reject -> reject
     | Ok (cols, f) ->
       Lv.verified (M.matvec a) (P.recover ?pool:ctx.pool ~n ~f ~p cols) b
@@ -151,8 +156,8 @@ struct
     let u = Lv.sample_vec st ~card_s n in
     let v = Lv.sample_vec st ~card_s n in
     match
-      classify ~fresh:(fresh_projection st ~card_s ~n) ~p ~n
-        ~generate:(generate ctx) (krylov_stage ctx a p ~u ~v)
+      classify ~fresh:(fresh_projection st ~card_s ~n) ~apply:(M.matvec a) ~p
+        ~n ~generate:(generate ctx) (krylov_stage ctx a p ~u ~v)
     with
     | Error reject -> reject
     | Ok (_, f) -> (

@@ -1,5 +1,5 @@
 (** The randomized Las Vegas solver: Theorem 4 under the attempt contract
-    of {!Las_vegas} (sample set, retries, certificates, witness rule).
+    of {!Las_vegas} (sample set, retries, certificates, singular proofs).
 
     Random elements (the 2n-1 Hankel entries, n diagonal entries, and the
     projection vectors) are drawn from the contract's sample set.  A
@@ -45,9 +45,10 @@ module Make
   (** Raised by {!massey_generator} when the sequence's linear complexity
       exceeds n. *)
 
-  exception Short_sequence of { zero_root : bool }
+  exception Short_sequence of F.t array
   (** Raised by {!massey_generator} when the sequence's linear complexity
-      L is below n; [zero_root] when its minimal generator has λ | f. *)
+      L is below n, with the sequence's minimal generator g (monic, degree
+      L, low-to-high). *)
 
   val massey_generator : n:int -> F.t array -> F.t array
   (** The degree-n monic generator (length n+1, low-to-high) of a 2n-term
@@ -57,25 +58,24 @@ module Make
       has, raises {!Linear_complexity_exceeds}. *)
 
   val classify :
-    ?fresh:('r -> F.t array -> bool) ->
+    ?fresh:(M.t -> F.t array -> bool) ->
+    apply:(F.t array -> F.t array) ->
     p:P.precond ->
     n:int ->
     generate:(F.t array -> F.t array) ->
-    (unit -> 'r * F.t array) ->
-    ('r * F.t array, 'a Kp_robust.Retry.attempt) result
+    (unit -> M.t * F.t array) ->
+    (M.t * F.t array, ('a, F.t array) Kp_robust.Retry.attempt) result
   (** The rejection ladder every dense attempt runs on its generator
-      stage.  [stage ()] returns (payload, the 2n-term sequence) and
-      [generate] its degree-n generator f.  In order: no degree-n
-      generator ({!Short_sequence}, or [Division_by_zero] from the
-      Toeplitz route) rejects [Low_degree], a witness
-      ({!Las_vegas.Make.witness}) only when the minimal generator of the
-      sequence itself has λ | f (read off the Massey route's connection
-      polynomial; the Toeplitz route runs Berlekamp–Massey on the
-      sequence, which draws nothing); L > n rejects as a typed [Fault], never a
-      witness; f must generate the whole sequence ([Low_degree]); f(0) = 0
-      rejects [Zero_constant_term], a witness; [fresh payload f] must hold
-      (a [Fault] otherwise).  [Ok (payload, f)] when every check
-      passes. *)
+      stage.  [stage ()] returns (the Krylov columns Ãⁱ·v, the 2n-term
+      sequence) and [generate] its degree-n generator f.  In order: no
+      degree-n generator ({!Short_sequence}, or [Division_by_zero] from
+      the Toeplitz route, which then runs Berlekamp–Massey on the
+      sequence, drawing nothing) rejects [Low_degree]; L > n is a typed
+      [Fault]; f must generate the whole sequence ([Low_degree]);
+      [fresh cols f] must hold (a [Fault] otherwise).  A generator g with
+      g(0) = 0, short or full, instead yields w = P·Σᵢ gᵢ·Ãⁱ⁻¹·v from the
+      columns, checked by {!Las_vegas.Make.singular} against [apply],
+      the input A's.  [Ok (cols, f)] when every check passes. *)
 
   val solve :
     ?retries:int ->
@@ -86,10 +86,10 @@ module Make
     ?precond:Pc.choice ->
     ?route:route ->
     Random.State.t -> M.t -> F.t array ->
-    (F.t array * O.report, O.error) result
+    (F.t array * O.report, F.t array O.error) result
   (** Solve A·x = b.  [Ok (x, _)] comes with the certificate A·x = b
-      checked; [Error (Singular _)] when enough attempts produce the
-      singularity witness.  [retries], [card_s] and [deadline_ns] are
+      checked; [Error (Singular _)] once an attempt's kernel vector checks
+      against A.  [retries], [card_s] and [deadline_ns] are
       {!Las_vegas.Make.run}'s.  [pool] fans every matrix product of the
       attempt out as row blocks ({!Kp_matrix.Dense.Make.mul_parallel}) —
       bit-identical answers (here and on [det] alike).  [precond] picks
@@ -106,9 +106,9 @@ module Make
     ?pool:Kp_util.Pool.t ->
     ?precond:Pc.choice ->
     ?route:route ->
-    Random.State.t -> M.t -> (F.t * O.report, O.error) result
+    Random.State.t -> M.t -> (F.t * O.report, F.t array O.error) result
   (** Determinant of A through {!Las_vegas.Make.det}: two fully
-      independent evaluations must agree, and a [Singular] verdict is
+      independent evaluations must agree, and a [Singular] proof is
       reported as [Ok (F.zero, _)]. *)
 
   val minimal_polynomial_wiedemann :

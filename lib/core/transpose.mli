@@ -23,7 +23,7 @@ module Make
     ?card_s:int ->
     ?deadline_ns:int64 ->
     Random.State.t -> M.t -> F.t array ->
-    (F.t array * O.report, O.error) result
+    (F.t array * O.report, F.t array O.error) result
   (** Solve A^tr·x = b through the gradient construction, verified against
       A^tr·x = b; retried via {!Kp_robust.Retry} with sample-set
       escalation. *)

@@ -14,10 +14,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   module O = Kp_robust.Outcome
   module Rt = Kp_robust.Retry
   module Span = Kp_obs.Span
-  module Counter = Kp_obs.Counter
   module Lv = Las_vegas.Make (F)
-
-  let c_singular_witness = Counter.make "wiedemann.singular_witnesses"
 
   (* the 2n-term sequences {u·Aⁱ·b}, one per u of [us], from one Krylov
      pass, and the generator of the first: the applies and
@@ -42,15 +39,17 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let b = Lv.sample_vec st ~card_s n in
     generator bb ~u ~b
 
-  (* x = -(1/f_0) Σ_{i=1}^{deg} f_i A^{i-1} b, by Cayley–Hamilton: one
-     kernel axpy per Krylov vector into a single accumulator, one kernel
-     scale at the end.  A^{i-1}·b ping-pongs between two buffers. *)
-  let cayley_hamilton_solution (bb : Bb.t) f ~deg b =
+  (* Σ_{i=1}^{deg} f_i A^{i-1} v, the Cayley–Hamilton accumulator: one
+     kernel axpy per Krylov vector into a single accumulator, deg − 1
+     applies.  A^{i-1}·v ping-pongs between two buffers.  For f = λᵏ·h
+     with f generating v it is A^{k-1}·h(A)·v, non-zero with
+     A·acc = f(A)·v = 0: the kernel vector of a singular verdict *)
+  let cayley_hamilton_sum (bb : Bb.t) f ~deg v =
     Span.with_ "wiedemann.cayley_hamilton" @@ fun () ->
-    let n = Array.length b in
+    let n = Array.length v in
     let acc = Array.make n F.zero in
     let bufs = [| Array.make n F.zero; Array.make n F.zero |] in
-    let w = ref b in
+    let w = ref v in
     for i = 1 to deg do
       K.axpy_into ~a:f.(i) ~x:!w ~xoff:0 ~y:acc ~yoff:0 ~len:n;
       if i < deg then begin
@@ -59,8 +58,13 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
         w := dst
       end
     done;
+    acc
+
+  (* x = -(1/f_0)·Σ_{i=1}^{deg} f_i A^{i-1} b: the sum, one kernel scale *)
+  let cayley_hamilton_solution bb f ~deg b =
+    let acc = cayley_hamilton_sum bb f ~deg b in
     let c = F.neg (F.inv f.(0)) in
-    K.scale_into ~a:c ~x:acc ~xoff:0 ~dst:acc ~doff:0 ~len:n;
+    K.scale_into ~a:c ~x:acc ~xoff:0 ~dst:acc ~doff:0 ~len:(Array.length b);
     acc
 
   (* a 0×0 black box has no Krylov sequence to generate: every attempt
@@ -80,7 +84,8 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let f = generator bb ~u ~b in
     let deg = Array.length f - 1 in
     if deg = 0 then Rt.Reject O.Low_degree
-    else if F.is_zero f.(0) then Rt.Reject O.Zero_constant_term
+    else if F.is_zero f.(0) then
+      Lv.singular ~apply:(Bb.apply bb) (cayley_hamilton_sum bb f ~deg b)
     else Lv.verified (Bb.apply bb) (cayley_hamilton_solution bb f ~deg b) b
 
   (* P as a black box: the record's apply/transpose/ops lifted into the
@@ -123,7 +128,10 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let f = generator a_tilde ~u ~b in
     let deg = Array.length f - 1 in
     if deg = 0 then Rt.Reject O.Low_degree
-    else if F.is_zero f.(0) then Rt.Reject O.Zero_constant_term
+    else if F.is_zero f.(0) then
+      (* w = P·Ãᵏ⁻¹·h(Ã)·b, checked against A itself *)
+      Lv.singular ~apply:(Bb.apply bb_i)
+        (p.Pc.apply (cayley_hamilton_sum a_tilde f ~deg b))
     else begin
       (* y = Ã^{-1} b by Cayley–Hamilton on the minimum polynomial *)
       let y = cayley_hamilton_solution a_tilde f ~deg b in
@@ -141,10 +149,11 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
 
   (* One randomized evaluation of the b-independent prefix: draw P, u, v
      (and, with [~certify], a second projection u′), run one Krylov pass
-     of Ã = A·P and Berlekamp–Massey, and classify.  λ | f is the
-     singularity witness; a degree below n is a plain retry.  [~certify]
-     adds the certificates of a cached prefix: f monic and generating the
-     u′ projection of the same pass, det P equal on two evaluations. *)
+     of Ã = A·P and Berlekamp–Massey, and classify.  λ | f yields the
+     kernel vector P·Ãᵏ⁻¹·h(Ã)·v, checked against A; a degree below n is
+     a plain retry.  [~certify] adds the certificates of a cached prefix:
+     f monic and generating the u′ projection of the same pass, det P
+     equal on two evaluations. *)
   let evaluate ~certify ~accept st (bb : Bb.t) ~kind ~card_s =
     let n = bb.Bb.dim in
     let p = SP.build ~card_s ~n kind st in
@@ -157,9 +166,10 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let seqs, f = sequences_and_generator a_tilde ~us ~b:v in
     let deg = Array.length f - 1 in
     if deg >= 1 && F.is_zero f.(0) then
-      (* λ divides the sequence's minimum polynomial: Ã is singular —
-         any degree suffices *)
-      Lv.witness ~twice:certify p O.Zero_constant_term
+      (* λ divides the sequence's minimum polynomial: any degree yields
+         the kernel vector *)
+      Lv.singular ~apply:(Bb.apply bb)
+        (p.Pc.apply (cayley_hamilton_sum a_tilde f ~deg v))
     else if deg < n then
       (* full degree not reached without a zero root: inconclusive *)
       Rt.Reject O.Low_degree
@@ -201,28 +211,4 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       Bb.instrument ~name:"preconditioned" (preconditioned_blackbox pc.op pc.p)
     in
     pc.p.Pc.apply (cayley_hamilton_solution a_tilde pc.f ~deg:n b)
-
-  let is_probably_singular ?(trials = 4) ?card_s st (bb : Bb.t) =
-    Span.with_ "wiedemann.is_probably_singular" @@ fun () ->
-    let n = bb.Bb.dim in
-    let card_s = Option.value card_s ~default:(Lv.card_s n) in
-    let bb = Bb.instrument bb in
-    let c_attempts = Counter.make "wiedemann.attempts" in
-    (* one-sided: λ | f_u^{A,b} certifies singularity; for a singular A the
-       witness appears with probability >= 1 - 2n/card(S) per trial *)
-    let rec go k =
-      if k = 0 then false
-      else begin
-        Counter.incr c_attempts;
-        let u = Lv.sample_vec st ~card_s n in
-        let b = Lv.sample_vec st ~card_s n in
-        let f = generator bb ~u ~b in
-        if Array.length f > 1 && F.is_zero f.(0) then begin
-          Counter.incr c_singular_witness;
-          true
-        end
-        else go (k - 1)
-      end
-    in
-    go trials
 end

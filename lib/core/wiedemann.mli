@@ -11,8 +11,11 @@
     are verified against the black box) and Monte Carlo otherwise
     (minimum polynomial: always a divisor of the truth; the failure
     probability follows estimate (2) once preconditioned).  Attempts,
-    certificates and witnesses follow the {!Las_vegas} contract; λ | f
-    is the only witness, and {!solve_preconditioned} counts none.
+    certificates and singular verdicts follow the {!Las_vegas} contract.
+    For f = λᵏ·h, k ≥ 1, the Cayley–Hamilton accumulator
+    Σᵢ fᵢ·Ãⁱ⁻¹·v = Ãᵏ⁻¹·h(Ã)·v (deg f − 1 applies) is non-zero with
+    Ã·acc = f(Ã)·v = 0 whenever f generates v, so w = P·acc is the
+    kernel vector a singular verdict checks (A·w = 0; no det P).
 
     Krylov and Cayley–Hamilton applies write into two buffers the loop
     owns ({!Bb.t}'s [apply_into]): on a CSR or dense operator with the
@@ -44,9 +47,10 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
   val solve :
     ?retries:int -> ?card_s:int -> ?deadline_ns:int64 ->
     Random.State.t -> Bb.t -> F.t array ->
-    (F.t array * O.report, O.error) result
+    (F.t array * O.report, F.t array O.error) result
   (** Solve A·x = b for a non-singular black box via the minimum polynomial
-      of the sequence {A^i b}: x = −(1/f₀)·Σ f₍ᵢ₊₁₎·Aⁱ·b.  Verified.
+      of the sequence {A^i b}: x = −(1/f₀)·Σ f₍ᵢ₊₁₎·Aⁱ·b.  Verified; λ | f
+      is [Error (Singular _)] once its kernel vector checks.
       Raises [Invalid_argument] on a 0-dimensional black box or a
       right-hand side of the wrong length. *)
 
@@ -60,7 +64,7 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
     ?retries:int -> ?card_s:int -> ?deadline_ns:int64 ->
     ?precond:Kp_precond.Precond.choice ->
     Random.State.t -> Bb.t -> F.t array ->
-    (F.t array * O.report, O.error) result
+    (F.t array * O.report, F.t array O.error) result
   (** The paper's preconditioned route, black-box form: solve Ã·y = b for
       Ã = A·P (black-box composition), then recover x = P·y.  [Auto]
       resolves to the {e sparse} butterfly here — the operand is a black
@@ -74,11 +78,11 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
   val det :
     ?retries:int -> ?card_s:int -> ?deadline_ns:int64 ->
     ?precond:Kp_precond.Precond.choice ->
-    Random.State.t -> Bb.t -> (F.t * O.report, O.error) result
+    Random.State.t -> Bb.t -> (F.t * O.report, F.t array O.error) result
   (** Determinant via the paper's preconditioning, retried until the
       minimum polynomial reaches full degree: det A = (−1)ⁿ·f(0)/det P.
       [Auto] resolves sparse, as in {!solve_preconditioned}.
-      Reports [Ok (F.zero, _)] only with a consistent singularity witness.
+      Reports [Ok (F.zero, _)] only once a kernel vector has checked.
       Raises [Invalid_argument] on a 0-dimensional black box. *)
 
   type precomp = {
@@ -96,15 +100,15 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
   val precompute :
     ?retries:int -> ?card_s:int -> ?deadline_ns:int64 ->
     ?precond:Kp_precond.Precond.choice ->
-    Random.State.t -> Bb.t -> (precomp * O.report, O.error) result
+    Random.State.t -> Bb.t -> (precomp * O.report, F.t array O.error) result
   (** Certified construction of a {!precomp}, through the same
       per-attempt evaluation as {!det} (same draws, then one more: a
       second projection u′).  An attempt is accepted only when f is monic
       of degree n, f also generates the u′ projection of the same Krylov
       pass (one extra dot per step, no extra apply), f(0) ≠ 0, and two
-      evaluations of det P agree and are non-zero.  λ | f with det P ≠ 0
-      is the only singularity witness, so [Error (Singular _)] is a proof
-      that A is singular (up to transient faults).  A first attempt costs
+      evaluations of det P agree and are non-zero.  λ | f ends the run
+      with [Error (Singular _)] once its kernel vector checks.  A first
+      attempt costs
       2n − 1 applies of Ã.  [Auto] resolves sparse.  Raises
       [Invalid_argument] on a 0-dimensional black box. *)
 
@@ -118,10 +122,4 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
 
   val det_of_precomp : precomp -> F.t
   (** det A = (−1)ⁿ·f(0)/det P, read off the record. *)
-
-  val is_probably_singular :
-    ?trials:int -> ?card_s:int -> Random.State.t -> Bb.t -> bool
-  (** The §2 Monte Carlo singularity certificate: λ | f_u^{A,b}(λ) for a
-      random u, b witnesses det A = 0 with error ≤ 2n/card(S) on the other
-      side. *)
 end

@@ -20,8 +20,8 @@ type report = {
   rejections : rejection list;
 }
 
-type error =
-  | Singular of { witnesses : int; report : report }
+type 'k error =
+  | Singular of { kernel : 'k; report : report }
   | Retries_exhausted of report
   | Deadline_exceeded of { elapsed_ns : int64; report : report }
   | Fault_detected of { op : string; detail : string }
@@ -37,7 +37,7 @@ let merge_reports a b =
   }
 
 let with_report f = function
-  | Singular { witnesses; report } -> Singular { witnesses; report = f report }
+  | Singular { kernel; report } -> Singular { kernel; report = f report }
   | Retries_exhausted report -> Retries_exhausted (f report)
   | Deadline_exceeded { elapsed_ns; report } ->
     Deadline_exceeded { elapsed_ns; report = f report }
@@ -80,9 +80,8 @@ let report_to_string r =
              rs))
 
 let error_to_string = function
-  | Singular { witnesses; report } ->
-    Printf.sprintf "singular (%d witness%s; %s)" witnesses
-      (if witnesses = 1 then "" else "es")
+  | Singular { report; _ } ->
+    Printf.sprintf "singular (checked kernel vector; %s)"
       (report_to_string report)
   | Retries_exhausted report ->
     Printf.sprintf "retries exhausted (%s)" (report_to_string report)
@@ -123,10 +122,10 @@ let report_json r =
               (jstr (reason_to_string reason)))
           r.rejections))
 
-let error_to_json = function
-  | Singular { witnesses; report } ->
-    Printf.sprintf "{\"error\":\"singular\",\"witnesses\":%d,\"report\":%s}"
-      witnesses (report_json report)
+let error_to_json ~kernel = function
+  | Singular { kernel = w; report } ->
+    Printf.sprintf "{\"error\":\"singular\",\"kernel\":%s,\"report\":%s}"
+      (kernel w) (report_json report)
   | Retries_exhausted report ->
     Printf.sprintf "{\"error\":\"retries_exhausted\",\"report\":%s}"
       (report_json report)

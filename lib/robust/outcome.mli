@@ -7,9 +7,9 @@
 
     The taxonomy mirrors the paper's failure discipline: an attempt is
     {e rejected} (bad randomness, estimate (2)) and retried with a larger
-    sample set, a {e singularity witness} accumulates evidence that the
-    input itself is singular, and anything that contradicts a certificate
-    that should have held deterministically is a detected {e fault}. *)
+    sample set, a {e singular} verdict is a checked kernel vector, and
+    anything that contradicts a certificate that should have held
+    deterministically is a detected {e fault}. *)
 
 type reason =
   | Low_degree
@@ -17,8 +17,8 @@ type reason =
           Toeplitz system / division by zero inside the straight-line
           pipeline). *)
   | Zero_constant_term
-      (** The generator has f(0) = 0: the preconditioned operator is
-          singular (witnesses singularity of A when H, D are not). *)
+      (** f(0) = 0, but the kernel vector built from f failed its check
+          (w = 0 or A·w ≠ 0). *)
   | Residual_mismatch
       (** The candidate answer failed its certificate (A·x ≠ b,
           A·A⁻¹ ≠ I, inexact division, …). *)
@@ -47,10 +47,10 @@ type report = {
   rejections : rejection list;  (** chronological *)
 }
 
-type error =
-  | Singular of { witnesses : int; report : report }
-      (** Consistent singularity witnesses across attempts: the input is
-          (Monte Carlo on this side, exact on the other) singular. *)
+type 'k error =
+  | Singular of { kernel : 'k; report : report }
+      (** A proof: [kernel] is a w ≠ 0 with A·w = 0, checked against the
+          input A by the engine (the core's ['k] is [F.t array]). *)
   | Retries_exhausted of report
       (** The attempt budget ran out without a certified answer. *)
   | Deadline_exceeded of { elapsed_ns : int64; report : report }
@@ -70,11 +70,11 @@ val merge_reports : report -> report -> report
 (** Accumulate two reports from consecutive sub-computations: attempts
     add, rejections concatenate, [card_s_final] is the later one's. *)
 
-val with_report : (report -> report) -> error -> error
+val with_report : (report -> report) -> 'k error -> 'k error
 (** Map over the report carried by an error ([Fault_detected] and
     [Overloaded] untouched). *)
 
-val attempts_of_error : error -> int
+val attempts_of_error : 'k error -> int
 
 val reason_slug : reason -> string
 (** Snake-case label used in counter names and events
@@ -82,8 +82,8 @@ val reason_slug : reason -> string
 
 val reason_to_string : reason -> string
 val report_to_string : report -> string
-val error_to_string : error -> string
+val error_to_string : 'k error -> string
 
-val error_to_json : error -> string
-(** One-line JSON rendering of the taxonomy, for [--stats=json] style
-    output: [{"error":"retries_exhausted","attempts":10,...}]. *)
+val error_to_json : kernel:('k -> string) -> 'k error -> string
+(** One-line JSON rendering of the taxonomy, [kernel] rendering a
+    [Singular]'s w: [{"error":"singular","kernel":[...],"report":{...}}]. *)

@@ -12,10 +12,6 @@ type policy = {
 let policy ?(retries = 10) ?(max_card_s = None) ?deadline_ns () =
   { retries; max_card_s; deadline_ns }
 
-(* witnesses that turn exhaustion into Singular (fewer on a smaller
-   budget) *)
-let witness_threshold = 3
-
 let deadline_after_ms ms =
   Int64.add (Clock.now_ns ()) (Int64.mul (Int64.of_int ms) 1_000_000L)
 
@@ -32,11 +28,10 @@ let split_deadline ~deadline_ns ~ways =
     Int64.add (Clock.now_ns ())
       (Int64.div (remaining_ns ~deadline_ns) (Int64.of_int ways))
 
-type 'a attempt =
+type ('a, 'k) attempt =
   | Accept of 'a
   | Reject of O.reason
-  | Reject_with_witness of O.reason
-  | Error_now of O.error
+  | Error_now of 'k O.error
 
 let c_escalations = Counter.make "robust.escalations"
 let c_deadline = Counter.make "robust.deadline_exceeded"
@@ -46,9 +41,7 @@ let run ~ns ~op ~policy ~card_s f =
   let c_successes = Counter.make (ns ^ ".successes") in
   let c_failures = Counter.make (ns ^ ".failures") in
   let c_singular = Counter.make (ns ^ ".singular") in
-  let c_witness = Counter.make (ns ^ ".singular_witnesses") in
   let start_ns = Clock.now_ns () in
-  let witnesses = ref 0 in
   let rejections = ref [] in
   let attempt_event ~attempt outcome =
     Events.emit (ns ^ ".attempt")
@@ -65,17 +58,8 @@ let run ~ns ~op ~policy ~card_s f =
     { O.attempts; card_s_final = card_s; rejections = List.rev !rejections }
   in
   let exhausted ~attempts ~card_s =
-    let r = report ~attempts ~card_s in
-    let err =
-      if !witnesses >= min policy.retries witness_threshold then begin
-        Counter.incr c_singular;
-        O.Singular { witnesses = !witnesses; report = r }
-      end
-      else begin
-        Counter.incr c_failures;
-        O.Retries_exhausted r
-      end
-    in
+    Counter.incr c_failures;
+    let err = O.Retries_exhausted (report ~attempts ~card_s) in
     failure_event err;
     Error err
   in
@@ -109,8 +93,9 @@ let run ~ns ~op ~policy ~card_s f =
           attempt_event ~attempt:k "success";
           Ok (v, report ~attempts:k ~card_s)
         | Error_now err ->
-          Counter.incr c_failures;
-          attempt_event ~attempt:k "error";
+          let singular = match err with O.Singular _ -> true | _ -> false in
+          Counter.incr (if singular then c_singular else c_failures);
+          attempt_event ~attempt:k (if singular then "singular" else "error");
           let err =
             O.with_report
               (fun inner -> O.merge_reports (report ~attempts:k ~card_s) inner)
@@ -118,12 +103,7 @@ let run ~ns ~op ~policy ~card_s f =
           in
           failure_event err;
           Error err
-        | (Reject reason | Reject_with_witness reason) as r ->
-          (match r with
-          | Reject_with_witness _ ->
-            incr witnesses;
-            Counter.incr c_witness
-          | _ -> ());
+        | Reject reason ->
           Counter.incr (Counter.make (ns ^ ".rejections." ^ O.reason_slug reason));
           rejections := { O.attempt = k; card_s; reason } :: !rejections;
           attempt_event ~attempt:k (O.reason_slug reason);

@@ -1,6 +1,6 @@
 (** The one retry engine behind every randomized routine ([kp_core]
     reaches it through [Kp_core.Las_vegas], which supplies the sample
-    set, the |S| ceiling and the witness rule):
+    set, the |S| ceiling and the singularity check):
 
     - {b attempt budget}: at most [retries] attempts, each with fresh
       randomness;
@@ -12,15 +12,16 @@
       fail forever at constant rate;
     - {b deadline}: an optional absolute monotonic deadline
       ({!Kp_obs.Clock}) checked before each attempt;
-    - {b singularity accounting}: attempts may reject {e with witness};
-      three witnesses (every attempt, on a budget under three) turn
-      exhaustion into a typed [Singular] verdict;
+    - {b terminal verdicts}: an attempt ends the run with [Error_now] —
+      a checked [Singular], an inner deadline, a detected fault; the
+      engine knows nothing about singularity, and exhaustion is always
+      [Retries_exhausted];
     - {b fault containment}: [Division_by_zero] and {!Fault.Injected}
       escaping the attempt body are converted into typed rejections and
       retried — a transient fault costs one attempt, never the process;
     - {b telemetry}: per-attempt counters ([<ns>.attempts],
       [<ns>.successes], [<ns>.failures], [<ns>.singular],
-      [<ns>.singular_witnesses], [<ns>.rejections.<reason>]), one
+      [<ns>.rejections.<reason>]), one
       [<ns>.attempt] event per attempt, [robust.escalate] events on each
       |S| doubling, and a [robust.failure] event carrying the error
       taxonomy — all through {!Kp_obs}, so [--stats=json] reports them. *)
@@ -59,22 +60,21 @@ val split_deadline : deadline_ns:int64 -> ways:int -> int64
     sub-deadline, which the retry engine turns into a typed
     [Deadline_exceeded] before any attempt starts. *)
 
-type 'a attempt =
+type ('a, 'k) attempt =
   | Accept of 'a  (** certified answer: stop *)
   | Reject of Outcome.reason  (** bad randomness: retry, escalated *)
-  | Reject_with_witness of Outcome.reason
-      (** retry, and count one singularity witness *)
-  | Error_now of Outcome.error
-      (** unrecoverable (inner deadline, detected fault): stop immediately,
-          merging this loop's report into the error *)
+  | Error_now of 'k Outcome.error
+      (** a terminal verdict (a checked [Singular], an inner deadline, a
+          detected fault): stop immediately, merging this loop's report
+          into the error *)
 
 val run :
   ns:string ->
   op:string ->
   policy:policy ->
   card_s:int ->
-  (attempt:int -> card_s:int -> 'a attempt) ->
-  ('a * Outcome.report, Outcome.error) result
+  (attempt:int -> card_s:int -> ('a, 'k) attempt) ->
+  ('a * Outcome.report, 'k Outcome.error) result
 (** [run ~ns ~op ~policy ~card_s f] drives [f] until acceptance,
     exhaustion, or deadline.  [ns] prefixes counters/events (e.g.
     ["solver"]), [op] labels the operation within the namespace (e.g.

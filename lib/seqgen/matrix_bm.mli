@@ -52,8 +52,9 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
 
   val constant_term : generator -> F.t array
   (** F(0) as b×b row-major (column j holds f₀ of generator column j).
-      Singular F(0) with a non-singular preconditioner witnesses λ | det F,
-      i.e. singularity of Ã — the block analogue of f(0) = 0. *)
+      A singular F(0) shows λ | det F, i.e. singularity of Ã — the block
+      analogue of f(0) = 0, which the caller turns into a kernel vector
+      and checks. *)
 
   val leading_term : generator -> F.t array
   (** The column-leading-coefficient matrix Λ (entry (r,j) = (f_{δ_j})_r of

@@ -6,9 +6,9 @@ struct
   module M = Sess.M
   module O = Kp_robust.Outcome
   module W = Kp_core.Wiedemann.Make (F)
-  module S = Kp_core.Solver.Make (F) (C)
+  module NS = Kp_core.Nullspace.Make (F) (C)
+  module S = NS.S
   module BW = Kp_core.Block_wiedemann.Make (F) (C)
-  module R = Kp_core.Rank.Make (F) (C)
   module I = Kp_core.Inverse.Make (F) (C)
   module G = Kp_matrix.Gauss.Make (F)
   module Lv = Kp_core.Las_vegas.Make (F)
@@ -187,11 +187,17 @@ struct
       Error (O.Deadline_exceeded { elapsed_ns = 0L; report = O.empty_report })
     | _ -> f ()
 
-  let singular = O.Singular { witnesses = 1; report = O.empty_report }
+  (* elimination's singular verdict carries a vector of its nullspace,
+     checked like every engine's *)
+  let singular ~op a =
+    match G.nullspace a with
+    | w :: _ when Lv.is_kernel ~apply:(M.matvec a) w ->
+      O.Singular { kernel = w; report = O.empty_report }
+    | _ -> O.Fault_detected { op; detail = "no checked kernel vector" }
 
   let elim_solve a b =
     match G.solve a b with
-    | None -> Error singular
+    | None -> Error (singular ~op:"elimination.solve" a)
     | Some x ->
       if Lv.solves (M.matvec a) x b then Ok (x, O.empty_report)
       else
@@ -212,7 +218,7 @@ struct
 
   let elim_inverse a =
     match G.inverse a with
-    | None -> Error singular
+    | None -> Error (singular ~op:"elimination.inverse" a)
     | Some inv ->
       if G.M.equal (M.mul a inv) (M.identity a.M.rows) then
         Ok (inv, O.empty_report)
@@ -307,18 +313,20 @@ struct
     | Dense -> dense_inverse ?deadline_ns t a
     | Elimination -> unless_expired deadline_ns (fun () -> elim_inverse a)
 
-  let rank ?deadline_ns ?block_factor ~engine t a =
+  let rank ?deadline_ns ~engine t a =
     let rungs =
-      (* no black-box rank route yet: the scalar rung's would be the dense
-         rung's Monte Carlo minor search, so auto and scalar eliminate *)
-      List.filter (fun r -> r <> Scalar) (ladder engine)
+      (* no black-box rank route yet, and the block engine has none: a
+         rank ladder is dense alone or elimination *)
+      List.filter (fun r -> r <> Scalar && r <> Block) (ladder engine)
     in
     cascade t ~op:"rank" ~deadline_ns rungs
     @@ fun rung ~deadline_ns ->
     unless_expired deadline_ns @@ fun () ->
     match rung with
-    | Block ->
-      BW.rank ?deadline_ns ?pool:t.pool ?block_factor ~precond:t.precond t.st a
-    | Dense -> R.rank ?deadline_ns ~precond:t.precond t.st a
-    | Scalar (* filtered out above *) | Elimination -> Ok (G.rank a)
+    | Dense ->
+      (* n − |W| for a checked kernel basis W: both bounds proved *)
+      Result.map
+        (fun w -> a.M.rows - List.length w)
+        (NS.nullspace ?deadline_ns ~precond:t.precond t.st a)
+    | Block | Scalar (* filtered out above *) | Elimination -> Ok (G.rank a)
 end

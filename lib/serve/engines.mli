@@ -24,8 +24,8 @@
       session made for the call.  It has no rank route: a rank ladder
       skips it;
     - [dense]: the paper's Theorem-4 reference — {!Kp_core.Solver},
-      {!Kp_core.Rank} and {!Kp_core.Inverse} — with no fallback, so its
-      answers (small-field errors included) are the reference's own.
+      {!Kp_core.Nullspace} and {!Kp_core.Inverse} — with no fallback, so
+      its answers (small-field errors included) are the reference's own.
       An inverse is the Theorem-6 circuit up to [circuit_max_n] under
       the dense precond, n Theorem-4 solves otherwise;
     - [elimination]: Gaussian elimination, verified.
@@ -35,8 +35,10 @@
     ([Fault_detected], [Retries_exhausted], [Deadline_exceeded]) records
     the failure on its breaker and the call falls through to the next
     admitting rung, announced by a [serve.engine.fallback] event ([op],
-    [from], [to], [error]).  [Singular] is an {e answer} about the input, not an engine
-    failure: it closes the breaker and terminates the walk.  The dense and
+    [from], [to], [error]).  [Singular] is an {e answer} about the input
+    (every rung's carries a kernel vector it checked, elimination's from
+    its nullspace), not an engine failure: it closes the breaker and
+    terminates the walk.  The dense and
     elimination rungs have no breaker; elimination is deterministic and
     ends every multi-rung ladder, so that ladder always has an admitting
     rung.
@@ -111,7 +113,7 @@ module Make
     ?block_factor:int ->
     engine:Protocol.engine ->
     t -> M.t -> F.t array ->
-    (F.t array * string * O.report, O.error) result
+    (F.t array * string * O.report, F.t array O.error) result
 
   val solve_batch :
     ?key:string ->
@@ -119,7 +121,7 @@ module Make
     ?block_factor:int ->
     engine:Protocol.engine ->
     t -> M.t -> F.t array array ->
-    (F.t array array * string * O.report, O.error) result
+    (F.t array array * string * O.report, F.t array O.error) result
   (** All-or-nothing on each rung: a right-hand side failing for
       infrastructure reasons sends the whole batch down the ladder. *)
 
@@ -128,27 +130,24 @@ module Make
     ?deadline_ns:int64 ->
     ?block_factor:int ->
     engine:Protocol.engine ->
-    t -> M.t -> (F.t * string * O.report, O.error) result
+    t -> M.t -> (F.t * string * O.report, F.t array O.error) result
 
   val inverse :
     ?key:string ->
     ?deadline_ns:int64 ->
     engine:Protocol.engine ->
-    t -> M.t -> (M.t * string * O.report, O.error) result
+    t -> M.t -> (M.t * string * O.report, F.t array O.error) result
   (** The block engine has no inverse route: its ladder starts at the
       scalar rung. *)
 
   val rank :
     ?deadline_ns:int64 ->
-    ?block_factor:int ->
     engine:Protocol.engine ->
-    t -> M.t -> (int * string, O.error) result
-  (** The scalar rung has no rank route, so the ladders are
-      [block → elimination], [elimination] alone for [auto] and
-      [scalar], and [dense] alone.  Monte Carlo on the block and dense
-      rungs ({!Kp_core.Rank.Make.search} over leading minors), exact on
-      the elimination rung.  A randomized rank whose minor determinant
-      fails falls through to the next rung like any infrastructure error,
-      and a {!Kp_robust.Fault.Injected} escape is a breaker-recorded
-      failure, not a crash. *)
+    t -> M.t -> (int * string, F.t array O.error) result
+  (** Neither the scalar nor the block rung has a rank route, so the
+      ladders are [elimination] alone for [auto], [scalar] and [block],
+      and [dense] alone.  Both answers are proved: elimination is exact,
+      and the dense rung answers n − |W| for the checked basis W of
+      {!Kp_core.Nullspace.Make.nullspace}, or its typed error.  A
+      {!Kp_robust.Fault.Injected} escape is a typed failure. *)
 end

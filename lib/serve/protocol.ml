@@ -205,11 +205,12 @@ let id_field = function
 let ok ~id fields =
   Wire.render (Wire.Obj (id_field id @ (("status", Wire.Str "ok") :: fields)))
 
-let error ~id e =
+let error ~id ~kernel e =
   (* error_to_json is already a JSON object; keep the one taxonomy by
      parsing it back into the reply rather than re-encoding by hand *)
+  let kernel w = Wire.render (kernel w) in
   let payload =
-    match Wire.parse (Kp_robust.Outcome.error_to_json e) with
+    match Wire.parse (Kp_robust.Outcome.error_to_json ~kernel e) with
     | Ok v -> v
     | Error _ -> Wire.Str (Kp_robust.Outcome.error_to_string e)
   in

@@ -95,7 +95,12 @@ val salvage_id : string -> string option
 (** Response builders — each returns one line (no trailing newline): *)
 
 val ok : id:string option -> (string * Wire.t) list -> string
-val error : id:string option -> Kp_robust.Outcome.error -> string
+val error :
+  id:string option -> kernel:('k -> Wire.t) -> 'k Kp_robust.Outcome.error ->
+  string
+(** [kernel] renders a [Singular]'s w, so a client checks A·w = 0 from
+    the reply alone. *)
+
 val bad_request : id:string option -> reject -> string
 
 val response_id : Wire.t -> string option

@@ -155,7 +155,7 @@ struct
                  ("engine", Wire.Str engine_used);
                  ("attempts", Wire.Int report_attempts);
                ]))
-      | Error e -> send_err t job.conn (P.error ~id e)
+      | Error e -> send_err t job.conn (P.error ~id ~kernel:ints e)
     in
     let mref =
       match job.req.op with
@@ -185,7 +185,7 @@ struct
             reply_result
               ~fields:(fun x -> [ ("x", ints x) ])
               (Ok (eng_name, rep.O.attempts, x))
-          | Ok (Error e) -> send_err t job.conn (P.error ~id e))
+          | Ok (Error e) -> send_err t job.conn (P.error ~id ~kernel:ints e))
         | P.Batch { bs; _ } -> (
           let bad =
             Array.fold_left
@@ -210,21 +210,21 @@ struct
                 ~fields:(fun xs ->
                   [ ("xs", Wire.Arr (Array.to_list (Array.map ints xs))) ])
                 (Ok (eng_name, rep.O.attempts, xs))
-            | Error e -> send_err t job.conn (P.error ~id e)))
+            | Error e -> send_err t job.conn (P.error ~id ~kernel:ints e)))
         | P.Det _ -> (
           match E.det ?key ?deadline_ns ?block_factor ~engine t.eng a with
           | Ok (d, eng_name, rep) ->
             reply_result
               ~fields:(fun d -> [ ("det", Wire.Int d) ])
               (Ok (eng_name, rep.O.attempts, d))
-          | Error e -> send_err t job.conn (P.error ~id e))
+          | Error e -> send_err t job.conn (P.error ~id ~kernel:ints e))
         | P.Rank _ -> (
-          match E.rank ?deadline_ns ?block_factor ~engine t.eng a with
+          match E.rank ?deadline_ns ~engine t.eng a with
           | Ok (r, eng_name) ->
             reply_result
               ~fields:(fun r -> [ ("rank", Wire.Int r) ])
               (Ok (eng_name, 1, r))
-          | Error e -> send_err t job.conn (P.error ~id e))
+          | Error e -> send_err t job.conn (P.error ~id ~kernel:ints e))
         | P.Inverse _ -> (
           match E.inverse ?key ?deadline_ns ~engine t.eng a with
           | Ok (inv, eng_name, rep) ->
@@ -232,7 +232,7 @@ struct
               ~fields:(fun (inv : M.t) ->
                 [ ("n", Wire.Int inv.M.rows); ("a", ints inv.M.data) ])
               (Ok (eng_name, rep.O.attempts, inv))
-          | Error e -> send_err t job.conn (P.error ~id e))))
+          | Error e -> send_err t job.conn (P.error ~id ~kernel:ints e))))
 
   let worker_loop t =
     let rec loop () =
@@ -250,7 +250,7 @@ struct
         (try handle_job t job
          with e ->
            send_err t job.conn
-             (P.error ~id:job.req.id
+             (P.error ~id:job.req.id ~kernel:ints
                 (O.Fault_detected
                    { op = "serve.worker"; detail = Printexc.to_string e })));
         Atomic.decr job.conn.pending;
@@ -297,7 +297,8 @@ struct
           ("retry_after_ms", string_of_int retry_after_ms);
         ];
       send_err t conn
-        (P.error ~id:req.id (O.Overloaded { queue_depth = depth; retry_after_ms }))
+        (P.error ~id:req.id ~kernel:ints
+           (O.Overloaded { queue_depth = depth; retry_after_ms }))
     end
     else begin
       Queue.push { conn; req; deadline_ns } t.queue;

@@ -4,6 +4,7 @@ module Make
 struct
   module I = Kp_core.Inverse.Make (F) (C)
   module W = Kp_core.Wiedemann.Make (F)
+  module Lv = Kp_core.Las_vegas.Make (F)
   module Bb = W.Bb
   module Pc = Kp_precond.Precond
   module M = Kp_matrix.Dense.Make (F)
@@ -32,9 +33,11 @@ struct
     mutable det_certified : F.t option;
   }
 
+  (* a singular verdict is cached with its kernel vector, which a serve
+     re-checks against the live input (else [stale_kernel]) *)
   type entry =
     | Ready of ready
-    | Sing of { witnesses : int; report : O.report }
+    | Sing of { kernel : F.t array; report : O.report }
 
   (* cache slots carry a logical-clock stamp for the LRU capacity bound *)
   type slot = { mutable e : entry; mutable last_used : int }
@@ -159,9 +162,9 @@ struct
       (Bb.of_dense (M.copy a))
 
   (* First use builds the entry through the certified precompute loop; a
-     Singular verdict is itself cached (the witness discipline already ran),
-     while transient failures (exhaustion, deadline) are NOT cached — the
-     next call retries the build. *)
+     Singular verdict is itself cached with its kernel vector, while
+     transient failures (exhaustion, deadline) are NOT cached — the next
+     call retries the build. *)
   let obtain ?key ?deadline_ns t (a : M.t) =
     let fp = fingerprint_of ?key t a in
     match Tbl.find_opt t.cache fp with
@@ -178,8 +181,8 @@ struct
         let e = Ready { pc; kind = kind_of t; det_certified = None } in
         insert t fp e;
         (fp, Ok e)
-      | Error (O.Singular { witnesses; report }) ->
-        let e = Sing { witnesses; report } in
+      | Error (O.Singular { kernel; report }) ->
+        let e = Sing { kernel; report } in
         insert t fp e;
         (fp, Ok e)
       | Error e -> (fp, Error e))
@@ -251,6 +254,8 @@ struct
       O.attempts = r.O.attempts + List.length rejs;
       rejections = List.rev_append rejs r.O.rejections }
 
+  let stale_kernel = "cached kernel vector fails A.w = 0"
+
   let stale_rejection rejs detail =
     { O.attempt = 1 + List.length rejs; card_s = 0;
       reason = O.Stale_cache detail }
@@ -295,10 +300,13 @@ struct
         match obtain ?key ?deadline_ns t a with
         | _, Error e ->
           List.iter (fun i -> out.(i) <- Some (Error e)) todo
-        | _, Ok (Sing { witnesses; report }) ->
-          List.iter
-            (fun i -> out.(i) <- Some (Error (O.Singular { witnesses; report })))
-            todo
+        | fp, Ok (Sing { kernel; report }) ->
+          if Lv.is_kernel ~apply:(M.matvec a) kernel then
+            List.iter
+              (fun i -> out.(i) <- Some (Error (O.Singular { kernel; report })))
+              todo
+          else
+            record rebuilds fp todo (List.map (fun _ -> Error stale_kernel) todo)
         | fp, Ok (Ready r) ->
           let todo_arr = Array.of_list todo in
           let served =
@@ -309,24 +317,25 @@ struct
               pooled_init t (Array.length todo_arr) (fun j ->
                   serve_pure r.pc a bs.(todo_arr.(j)))
           in
-          let any_stale = ref false in
-          Array.iteri
-            (fun j res ->
-              let i = todo_arr.(j) in
-              match res with
-              | Ok x -> out.(i) <- Some (Ok (x, serve_report rejs.(i)))
-              | Error detail ->
-                any_stale := true;
-                rejs.(i) <- stale_rejection rejs.(i) detail :: rejs.(i))
-            served;
-          if !any_stale then begin
-            evict t fp;
-            if rebuilds > 0 then round (rebuilds - 1)
-            else
-              List.iter
-                (fun i -> out.(i) <- Some (fresh_fallback i))
-                (unresolved ())
-          end)
+          record rebuilds fp todo (Array.to_list served))
+    (* record each serve; any failed certificate evicts the entry, then
+       rebuilds while the budget lasts and falls back fresh after it *)
+    and record rebuilds fp todo served =
+      let any_stale = ref false in
+      List.iter2
+        (fun i res ->
+          match res with
+          | Ok x -> out.(i) <- Some (Ok (x, serve_report rejs.(i)))
+          | Error detail ->
+            any_stale := true;
+            rejs.(i) <- stale_rejection rejs.(i) detail :: rejs.(i))
+        todo served;
+      if !any_stale then begin
+        evict t fp;
+        if rebuilds > 0 then round (rebuilds - 1)
+        else
+          List.iter (fun i -> out.(i) <- Some (fresh_fallback i)) (unresolved ())
+      end
     in
     round (max 1 t.cfg.retries);
     Array.map (function Some r -> r | None -> assert false) out
@@ -360,8 +369,10 @@ struct
       in
       match obtain ?key ?deadline_ns t a with
       | _, Error e -> Error (O.with_report (prepend_rejections rejs) e)
-      | _, Ok (Sing { witnesses = _; report }) ->
-        Ok (F.zero, prepend_rejections rejs report)
+      | fp, Ok (Sing { kernel; report }) ->
+        if Lv.is_kernel ~apply:(M.matvec a) kernel then
+          Ok (F.zero, prepend_rejections rejs report)
+        else stale fp stale_kernel
       | fp, Ok (Ready r) -> (
         match (kind_mismatch t r, r.det_certified) with
         | Some detail, _ -> stale fp detail
@@ -371,7 +382,7 @@ struct
           (* the two-evaluation discipline with the cache as one side: one
              fresh independent evaluation must agree before the cached
              value is served (and is then certified for later serves); a
-             fresh singularity witness disagrees with any cached entry *)
+             fresh singular proof disagrees with any cached entry *)
           match build ?deadline_ns t a with
           | Ok (fresh, rep2) when F.equal cached (W.det_of_precomp fresh) ->
             r.det_certified <- Some cached;

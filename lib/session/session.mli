@@ -18,7 +18,8 @@
     certificate against the live input: solves check A·x = b on the matrix
     passed in (never on the cached operator), determinants compare the
     cached value against one fresh independent evaluation (the
-    two-evaluation discipline, with the cache as one of the evaluations).
+    two-evaluation discipline, with the cache as one of the evaluations),
+    and a cached singular verdict re-checks its kernel vector (A·w = 0).
     A failed certificate is a {!Kp_robust.Outcome.Stale_cache} rejection:
     the entry is evicted ([session.cache.evict]) and rebuilt from scratch
     — a poisoned record costs retries, never a wrong or silently-reused
@@ -30,7 +31,7 @@
     in argument order, so results are a function of the session's history
     alone — identical for any pool size.  On success paths the answers
     are moreover equal to fresh solver answers by uniqueness (x = A⁻¹b is
-    one point); a [Singular] verdict needs λ | f with det P ≠ 0, a proof.
+    one point); a [Singular] verdict carries its checked kernel vector.
 
     Sessions are single-owner: call them from one domain (the pool is used
     {e inside} a call, the session itself is not thread-safe). *)
@@ -103,14 +104,14 @@ module Make
   val solve :
     ?key:string ->
     ?deadline_ns:int64 ->
-    t -> M.t -> F.t array -> (F.t array * O.report, O.error) result
+    t -> M.t -> F.t array -> (F.t array * O.report, F.t array O.error) result
   (** [solve_many] on a single right-hand side. *)
 
   val solve_many :
     ?key:string ->
     ?deadline_ns:int64 ->
     t -> M.t -> F.t array array ->
-    (F.t array * O.report, O.error) result array
+    (F.t array * O.report, F.t array O.error) result array
   (** Solve A·xᵢ = bᵢ for a batch of right-hand sides against one cached
       prefix (built on first use): n − 1 applies of Ã each.  The per-RHS serves fan out on
       the session pool; each is certified (A·x = b) before being returned.
@@ -119,7 +120,8 @@ module Make
       certified fresh black-box solve with its pre-split state.  Reports carry any
       [Stale_cache] rejections.  [?key] names the matrix instead of
       hashing it — the caller asserts identity, the certificates still
-      check it.  [?deadline_ns] overrides the session's configured deadline
+      check it (a re-bound [Singular] entry fails A·w = 0 and is rebuilt).
+      [?deadline_ns] overrides the session's configured deadline
       for this call alone (absolute, monotonic): a serving layer admits
       each request with its own budget and the builds/serves/fallbacks made
       on its behalf all ride the per-request deadline through the PR-2
@@ -127,7 +129,7 @@ module Make
 
   val det :
     ?key:string -> ?deadline_ns:int64 ->
-    t -> M.t -> (F.t * O.report, O.error) result
+    t -> M.t -> (F.t * O.report, F.t array O.error) result
   (** det(A) = (−1)ⁿ·f(0)/det P from the cached prefix.  First serve per
       entry cross-checks against one fresh independent evaluation (a
       second {!Kp_core.Wiedemann.Make.precompute}) — agreement certifies
@@ -137,7 +139,7 @@ module Make
 
   val inverse :
     ?key:string -> ?deadline_ns:int64 ->
-    t -> M.t -> (M.t * O.report, O.error) result
+    t -> M.t -> (M.t * O.report, F.t array O.error) result
   (** A⁻¹ as n cached-prefix column solves (so the generator is still
       computed once per matrix, not n times), assembled with
       {!Kp_core.Inverse.Make.merge_columns}.  [Error (Singular _)] on

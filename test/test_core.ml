@@ -352,13 +352,12 @@ let test_rank_matches_gauss () =
 let test_rank_error_is_not_a_verdict () =
   (* over GF(2) the sample set is {0, 1}: on this seed the first minor the
      search tests (the 2×2 of a non-singular 4×4) exhausts its 6-attempt
-     det budget.  That says nothing about the minor, so both rank routes
-     stop with the typed error — reading it as "singular" answered 0 *)
+     det budget.  That says nothing about the minor, so the rank stops
+     with the typed error — reading it as "singular" answered 0 *)
   let module F2 = Kp_field.Gf2 in
   let module C2 = Kp_poly.Conv.Karatsuba (F2) in
   let module M2 = Kp_matrix.Dense.Make (F2) in
   let module R2 = Kp_core.Rank.Make (F2) (C2) in
-  let module B2 = Kp_core.Block_wiedemann.Make (F2) (C2) in
   let precond = Kp_precond.Precond.(Forced Dense_hd) in
   let a = M2.random_nonsingular (Kp_util.Rng.make 2) 4 in
   let expect what = function
@@ -367,8 +366,7 @@ let test_rank_error_is_not_a_verdict () =
     | Error e ->
       Alcotest.failf "%s: %s" what (Kp_robust.Outcome.error_to_string e)
   in
-  expect "scalar" (R2.rank ~precond (Kp_util.Rng.make 1002) a);
-  expect "block" (B2.rank ~block_factor:2 ~precond (Kp_util.Rng.make 1002) a)
+  expect "scalar" (R2.rank ~precond (Kp_util.Rng.make 1002) a)
 
 let test_rank_precondition_threads_card_s () =
   (* regression: precondition used to accept ?card_s and silently drop it.

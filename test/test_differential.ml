@@ -29,6 +29,24 @@ module type PROFILE = sig
   val singular_n : int
 end
 
+(* the engine ladder down to its last rung: one spent deadline opens the
+   scalar breaker for good (its clock never moves), so every later
+   question is elimination's *)
+module Elimination
+    (F : Kp_field.Field_intf.FIELD)
+    (C : Kp_poly.Conv.S with type elt = F.t) =
+struct
+  module En = Kp_serve.Engines.Make (F) (C)
+
+  let create ?precond st =
+    let eng = En.create ~breaker_threshold:1 ~now:(fun () -> 0L) ?precond st in
+    let id = En.M.identity 1 in
+    ignore (En.det ~deadline_ns:0L ~engine:Kp_serve.Protocol.E_auto eng id);
+    if List.assoc "scalar" (En.breaker_states eng) <> Kp_serve.Breaker.Open
+    then Alcotest.fail "scalar breaker did not open";
+    eng
+end
+
 module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
   module C = Kp_poly.Conv.Karatsuba (F)
   module M = Kp_matrix.Dense.Make (F)
@@ -41,6 +59,7 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
   module W = Kp_core.Wiedemann.Make (F)
   module BW = Kp_core.Block_wiedemann.Make (F) (C)
   module Sess = Kp_session.Session.Make (F) (C)
+  module El = Elimination (F) (C)
   module O = Kp_robust.Outcome
 
   let vec_equal = Array.for_all2 F.equal
@@ -53,6 +72,16 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
   let rank_of seed n what = function
     | Ok r -> r
     | Error e -> fail_typed seed n what e
+
+  (* a singular verdict carries its proof: w ≠ 0 with A·w = 0 *)
+  let singular_checked seed n what a = function
+    | Error (O.Singular { kernel; _ }) ->
+      Alcotest.(check bool) (ctx seed n (what ^ ": w <> 0")) true
+        (Array.exists (fun x -> not (F.is_zero x)) kernel);
+      Alcotest.(check bool) (ctx seed n (what ^ ": A·w = 0")) true
+        (Array.for_all F.is_zero (M.matvec a kernel))
+    | Ok _ -> Alcotest.failf "%s" (ctx seed n (what ^ " accepted a singular input"))
+    | Error e -> fail_typed seed n (what ^ " (expected Singular)") e
 
   let states = Test_seeds.states
 
@@ -148,24 +177,26 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
         (* a right-hand side outside the range, drawn as [kp solve --random
            n --rank-hint r] draws it *)
         let b_out = Array.init n (fun _ -> F.random st) in
-        let sts = states (seed + n) 9 in
+        let sts = states (seed + n) 10 in
         Alcotest.(check bool) (ctx seed n "oracle sees singular") true (G.is_singular a);
         Alcotest.(check bool) (ctx seed n "oracle sees b_out outside the range") true
           (G.solve a b_out = None);
-        (* solve: the dense engine must reject an inconsistent system with
-           the typed singularity witness the oracle's verdict corresponds
-           to — its Krylov sequence reaches the kernel, so f has λ | f *)
-        (match S.solve sts.(0) a b_out with
-        | Error (O.Singular _) -> ()
-        | Ok _ -> Alcotest.failf "%s" (ctx seed n "dense solve accepted an inconsistent system")
-        | Error e -> fail_typed seed n "dense solve (expected Singular)" e);
+        (* solve: an inconsistent system's Krylov sequence reaches the
+           kernel, so f has λ | f, and the dense and black-box engines
+           answer Singular with a checked kernel vector *)
+        singular_checked seed n "dense solve" a (S.solve sts.(0) a b_out);
+        singular_checked seed n "blackbox solve" a
+          (W.solve_preconditioned sts.(9) (Bb.of_dense a) b_out);
+        singular_checked seed n "elimination solve" a
+          (El.En.solve ~engine:Kp_serve.Protocol.E_auto
+             (El.create (Kp_util.Rng.make seed)) a b_out);
         (* a consistent system's Krylov sequence misses the kernel, so no
            generator proves singularity: a typed error, never an answer *)
         (match S.solve sts.(8) a b with
         | Error (O.Singular _ | O.Retries_exhausted _) -> ()
         | Ok _ -> Alcotest.failf "%s" (ctx seed n "dense solve answered a singular system")
         | Error e -> fail_typed seed n "dense solve (expected a typed error)" e);
-        (* det: zero everywhere, as an answer (with witness), not an error *)
+        (* det: zero everywhere, as an answer (a proof), not an error *)
         Alcotest.(check bool) (ctx seed n "oracle det = 0") true (F.is_zero (G.det a));
         (match S.det sts.(1) a with
         | Ok (d, _) -> Alcotest.(check bool) (ctx seed n "dense det = 0") true (F.is_zero d)
@@ -177,24 +208,15 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
         (match G.inverse a with
         | Some _ -> Alcotest.failf "%s" (ctx seed n "gauss oracle inverted a singular matrix")
         | None -> ());
-        (match I.inverse sts.(3) a with
-        | Error (O.Singular _) -> ()
-        | Ok _ -> Alcotest.failf "%s" (ctx seed n "inverse accepted a singular matrix")
-        | Error e -> fail_typed seed n "inverse (expected Singular)" e);
+        singular_checked seed n "circuit inverse" a (I.inverse sts.(3) a);
         (* session: same typed outcomes as the fresh engines, from one
-           cached singularity verdict *)
+           cached singular verdict *)
         let sess = Sess.create sts.(7) in
-        (match Sess.solve sess a b with
-        | Error (O.Singular _) -> ()
-        | Ok _ -> Alcotest.failf "%s" (ctx seed n "session solve accepted a singular system")
-        | Error e -> fail_typed seed n "session solve (expected Singular)" e);
+        singular_checked seed n "session solve" a (Sess.solve sess a b);
         (match Sess.det sess a with
         | Ok (d, _) -> Alcotest.(check bool) (ctx seed n "session det = 0") true (F.is_zero d)
         | Error e -> fail_typed seed n "session det" e);
-        (match Sess.inverse sess a with
-        | Error (O.Singular _) -> ()
-        | Ok _ -> Alcotest.failf "%s" (ctx seed n "session inverse accepted a singular matrix")
-        | Error e -> fail_typed seed n "session inverse (expected Singular)" e);
+        singular_checked seed n "session inverse" a (Sess.inverse sess a);
         Alcotest.(check bool) (ctx seed n "session: singular verdict cached") true
           ((Sess.stats sess).Sess.misses = 1 && (Sess.stats sess).Sess.hits = 2);
         (* rank *)
@@ -262,9 +284,6 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
               Alcotest.(check bool) (ctx seed n "block batch solve = oracle") true
                 (vec_equal xs.(0) x_true && vec_equal xs.(1) x2)
             | Error e -> fail_typed seed n "block batch solve" e);
-            (* rank of a non-singular matrix through block determinants *)
-            Alcotest.(check int) (ctx seed n "block rank = n") n
-              (rank_of seed n "block rank" (BW.rank ~block_factor:2 sts.(1) a));
             (* b=1 degeneration: same random stream, same answer and the
                same attempt count as the scalar engine *)
             let st_scalar = Kp_util.Rng.make ((seed * 65599) + n) in
@@ -293,22 +312,14 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
           (fun bf ->
             let sts = states (seed + n + (211 * bf)) 2 in
             let what s = Printf.sprintf "%s b=%d" s bf in
-            (match BW.solve ~block_factor:bf sts.(0) a b with
-            | Error (O.Singular _) -> ()
-            | Ok _ ->
-              Alcotest.failf "%s"
-                (ctx seed n (what "block solve accepted a singular system"))
-            | Error e ->
-              fail_typed seed n (what "block solve (expected Singular)") e);
+            singular_checked seed n (what "block solve") a
+              (BW.solve ~block_factor:bf sts.(0) a b);
             match BW.det ~block_factor:bf sts.(1) a with
             | Ok (d, _) ->
               Alcotest.(check bool) (ctx seed n (what "block det = 0")) true
                 (F.is_zero d)
             | Error e -> fail_typed seed n (what "block det") e)
-          [ 1; 2 ];
-        let sts = states (seed + n + 1777) 1 in
-        Alcotest.(check int) (ctx seed n "block rank = oracle") r
-          (rank_of seed n "block rank" (BW.rank ~block_factor:2 sts.(0) a)))
+          [ 1; 2 ])
       shared_seeds
 
   (* --- preconditioner-kind rows: every registered kind, through the
@@ -730,14 +741,14 @@ end
 (* --- small-field track: GF(2), GF(3), GF(7) -------------------------- *)
 (* Built by [Gfp.make], as [kp --prime p] builds them.  card(K) is far
    below 3n², so nonsingular inputs routinely give generators of degree
-   below n; only a proof (λ | f, or a singular F(0) for a block generator)
-   may count toward Singular.  Every dense and block solve and det of a
-   nonsingular input must therefore return Gauss's answer or a typed error
-   other than Singular — never Singular, never det = 0.  Each runs at the
-   default budget and at a one-attempt budget, where a single witness is
-   the verdict: the block engine's widening blocks rescue most bad first
+   below n; only a checked kernel vector may end a run as Singular.
+   Every dense and block solve and det of a nonsingular input must
+   therefore return Gauss's answer or a typed error other than Singular
+   — never Singular, never det = 0.  Each runs at the default budget and
+   at a one-attempt budget, where the first attempt's verdict is the
+   answer: the block engine's widening blocks rescue most bad first
    attempts at the default budget, so only the short budget exposes a
-   block witness rule that counts a low degree. *)
+   block rule that reads a low degree as singular. *)
 module Small_field_track = struct
   module O = Kp_robust.Outcome
 
@@ -808,6 +819,139 @@ module Small_field_track = struct
     ]
 end
 
+(* --- exhaustive small cases: every 2×2 and 3×3 over GF(2), every 2×2
+   over GF(3) --------------------------------------------------------- *)
+(* Each input asks solve (b = all ones), det and rank of every engine —
+   dense (Theorem 4, and §5 Nullspace's proved rank), scalar (the black
+   box), block at b ∈ {1, 2}, and the ladder, whose last rung is
+   elimination — under every preconditioner kind.  Every [Ok] equals
+   Gauss (a solve of a singular input satisfies A·x = b of a consistent
+   system), every [Singular] carries w ≠ 0 with A·w = 0, and a
+   nonsingular input never gets [Singular]. *)
+module Exhaustive = struct
+  module O = Kp_robust.Outcome
+  module Pc = Kp_precond.Precond
+
+  module Run (F : Kp_field.Field_intf.FIELD) = struct
+    module C = Kp_poly.Conv.Karatsuba (F)
+    module M = Kp_matrix.Dense.Make (F)
+    module G = Kp_matrix.Gauss.Make (F)
+    module S = Kp_core.Solver.Make (F) (C)
+    module W = Kp_core.Wiedemann.Make (F)
+    module BW = Kp_core.Block_wiedemann.Make (F) (C)
+    module Ns = Kp_core.Nullspace.Make (F) (C)
+    module El = Elimination (F) (C)
+    module En = El.En
+
+    (* matrix [idx] of the q^(n²): entry k (row-major) is base-q digit k *)
+    let matrix ~q n idx =
+      let digits = Array.make (n * n) 0 and r = ref idx in
+      for k = 0 to (n * n) - 1 do
+        digits.(k) <- !r mod q;
+        r := !r / q
+      done;
+      M.init n n (fun i j -> F.of_int digits.((i * n) + j))
+
+    let test n () =
+      let q = Option.get F.cardinality in
+      let count = int_of_float (float_of_int q ** float_of_int (n * n)) in
+      let proofs = ref 0 in
+      for idx = 0 to count - 1 do
+        let a = matrix ~q n idx in
+        let b = Array.make n F.one in
+        let rank = G.rank a and det_ref = G.det a in
+        let x_ref = G.solve_general a b in
+        let fail what fmt =
+          Printf.ksprintf
+            (fun m -> Alcotest.failf "%s %dx%d #%d %s: %s" F.name n n idx what m)
+            fmt
+        in
+        let error what = function
+          | O.Singular { kernel; _ } ->
+            incr proofs;
+            if rank = n then fail what "Singular for a nonsingular matrix";
+            if
+              Array.for_all F.is_zero kernel
+              || not (Array.for_all F.is_zero (M.matvec a kernel))
+            then fail what "kernel vector fails w <> 0, A.w = 0"
+          | _ -> ()
+        in
+        let solve what = function
+          | Ok x -> (
+            match x_ref with
+            | Some x_ref when rank = n ->
+              if not (Array.for_all2 F.equal x x_ref) then
+                fail what "differs from Gauss"
+            | Some _ ->
+              if not (Array.for_all2 F.equal (M.matvec a x) b) then
+                fail what "A.x <> b"
+            | None -> fail what "solved an inconsistent system")
+          | Error e -> error what e
+        in
+        let det what = function
+          | Ok d ->
+            if not (F.equal d det_ref) then
+              fail what "det = %s, Gauss says %s" (F.to_string d)
+                (F.to_string det_ref)
+          | Error e -> error what e
+        in
+        let rank_is what = function
+          | Ok r -> if r <> rank then fail what "rank %d, Gauss says %d" r rank
+          | Error e -> error what e
+        in
+        let st = Kp_util.Rng.make (idx + 1) in
+        List.iter
+          (fun kind ->
+            let precond = Pc.Forced kind in
+            let fst2 r = Result.map fst r in
+            solve "dense solve" (fst2 (S.solve ~precond st a b));
+            det "dense det" (fst2 (S.det ~precond st a));
+            rank_is "dense rank"
+              (Result.map (fun w -> n - List.length w)
+                 (Ns.nullspace ~precond st a));
+            solve "scalar solve"
+              (fst2 (W.solve_preconditioned ~precond st (W.Bb.of_dense a) b));
+            det "scalar det" (fst2 (W.det ~precond st (W.Bb.of_dense a)));
+            List.iter
+              (fun block_factor ->
+                solve "block solve"
+                  (fst2 (BW.solve ~block_factor ~precond st a b));
+                det "block det" (fst2 (BW.det ~block_factor ~precond st a)))
+              [ 1; 2 ];
+            List.iter
+              (fun (what, eng) ->
+                let engine = Kp_serve.Protocol.E_auto in
+                let drop (v, _, _) = v in
+                solve (what ^ " solve")
+                  (Result.map drop (En.solve ~engine eng a b));
+                det (what ^ " det") (Result.map drop (En.det ~engine eng a));
+                rank_is (what ^ " rank") (Result.map fst (En.rank ~engine eng a));
+                match En.inverse ~engine eng a with
+                | Ok (inv, _, _) ->
+                  if not (M.equal (M.mul a inv) (M.identity n)) then
+                    fail (what ^ " inverse") "A * inv <> I"
+                | Error e -> error (what ^ " inverse") e)
+              [ ("ladder", En.create ~precond st);
+                ("elimination", El.create ~precond st) ])
+          Pc.all_kinds
+      done;
+      Alcotest.(check bool) "some Singular verdicts were checked" true
+        (!proofs > 0)
+  end
+
+  module F2 = (val Kp_field.Gfp.make 2)
+  module F3 = (val Kp_field.Gfp.make 3)
+  module Gf2 = Run (F2)
+  module Gf3 = Run (F3)
+
+  let tests =
+    [
+      Alcotest.test_case "every 2x2 over GF(2)" `Quick (Gf2.test 2);
+      Alcotest.test_case "every 3x3 over GF(2)" `Quick (Gf2.test 3);
+      Alcotest.test_case "every 2x2 over GF(3)" `Quick (Gf3.test 2);
+    ]
+end
+
 (* --- fuzz: "same matrix, many RHS" session plans --------------------- *)
 (* A plan is a mixed sequence of solve/det/inverse questions against ONE
    matrix.  Executed through a session — whatever the order, whatever the
@@ -872,5 +1016,6 @@ let () =
       ("kernel_twins", Twin_rows.tests);
       ("gf2_track", Gf2_track.tests);
       ("small_fields", Small_field_track.tests);
+      ("exhaustive", Exhaustive.tests);
       ("session_fuzz", [ QCheck_alcotest.to_alcotest ~long:false Fuzz.test ]);
     ]

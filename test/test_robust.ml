@@ -242,8 +242,9 @@ let test_control_uncertified_pipeline () =
    most n.  A transient fault that clears the first n terms of the buffer
    leaves a sequence whose first non-zero term sits at index n, so its
    linear complexity is at least n + 1.  The classifier must reject that
-   as a typed fault — counting it as a singularity witness would let a
-   fault schedule turn a non-singular matrix into a "singular" verdict. *)
+   as a typed fault, never a singular verdict.  A singular verdict needs a
+   kernel vector that checks against A, so a fault schedule cannot turn
+   a non-singular matrix into "singular". *)
 let test_overlong_sequence_is_a_fault () =
   let module SP = Kp_precond.Precond.Make (F) (CK) in
   let st = st0 800 in
@@ -254,7 +255,9 @@ let test_overlong_sequence_is_a_fault () =
   let a_tilde = S.P.preconditioned a p in
   let u = Array.init n (fun _ -> F.random st) in
   let v = Array.init n (fun _ -> F.random st) in
-  let _, seq = S.P.krylov ~strategy:S.P.Sequential ~mul:S.M.mul a_tilde ~u ~v n in
+  let cols, seq =
+    S.P.krylov ~strategy:S.P.Sequential ~mul:S.M.mul a_tilde ~u ~v n
+  in
   let corrupted = Array.mapi (fun i s -> if i < n then F.zero else s) seq in
   check_bool "the fault left a non-zero term at index n" true
     (not (F.is_zero corrupted.(n)));
@@ -262,12 +265,13 @@ let test_overlong_sequence_is_a_fault () =
   | exception S.Linear_complexity_exceeds l ->
     check_bool (Printf.sprintf "linear complexity %d > n" l) true (l > n)
   | _ -> Alcotest.fail "expected Linear_complexity_exceeds");
-  let stage seq () = ((), seq) in
+  let stage seq () = (cols, seq) in
   let generate = S.massey_generator ~n in
-  (match S.classify ~p ~n ~generate (stage corrupted) with
+  let apply = M.matvec a in
+  (match S.classify ~apply ~p ~n ~generate (stage corrupted) with
   | Error (Rt.Reject (O.Fault _)) -> ()
-  | Error (Rt.Reject_with_witness _) ->
-    Alcotest.fail "a corrupted sequence was counted as a singularity witness"
+  | Error (Rt.Error_now (O.Singular _)) ->
+    Alcotest.fail "a corrupted sequence was read as a singular verdict"
   | _ -> Alcotest.fail "expected a typed fault rejection");
   (* the same stage repeated through the retry engine: exhaustion with a
      fault history, never a Singular verdict *)
@@ -275,7 +279,7 @@ let test_overlong_sequence_is_a_fault () =
     Rt.run ~ns:"testns" ~op:"overlong" ~policy:(Rt.policy ~retries:5 ())
       ~card_s:64
       (fun ~attempt:_ ~card_s:_ ->
-        match S.classify ~p ~n ~generate stage with
+        match S.classify ~apply ~p ~n ~generate stage with
         | Error reject -> reject
         | Ok _ -> Rt.Accept ())
   in
@@ -288,23 +292,49 @@ let test_overlong_sequence_is_a_fault () =
          rep.O.rejections)
   | Error (O.Singular _) -> Alcotest.fail "faults were promoted to Singular"
   | Ok _ | Error _ -> Alcotest.fail "expected Retries_exhausted");
-  (* control: a short sequence whose minimal generator is λ (linear
-     complexity < n with λ | f, as from a singular Ã) with the same
-     non-singular P does witness singularity *)
+  (* a short sequence whose minimal generator is λ (linear complexity
+     < n with λ | f, as a singular Ã gives) yields w = P·v, which A does
+     not annihilate: a plain Zero_constant_term retry, never Singular *)
   let short = Array.mapi (fun i _ -> if i = 0 then F.one else F.zero) seq in
   (match retry (stage short) with
-  | Error (O.Singular { witnesses; _ }) ->
-    check_bool "short sequences with λ | f are witnesses" true (witnesses > 0)
-  | _ -> Alcotest.fail "expected Singular from a sequence with λ | f");
-  (* converse: a short sequence whose minimal generator is λ − 1 proves
-     nothing — a plain low-degree retry, never a witness *)
+  | Error (O.Retries_exhausted rep) ->
+    check_bool "every rejection is a failed kernel check" true
+      (List.for_all (fun r -> r.O.reason = O.Zero_constant_term)
+         rep.O.rejections)
+  | Error (O.Singular _) ->
+    Alcotest.fail "a λ | f without a kernel vector read as singular"
+  | _ -> Alcotest.fail "expected Retries_exhausted");
+  (* control: the same λ | f on a singular A whose kernel holds P·v is a
+     proof on the first attempt, carrying that vector *)
+  let w = p.Kp_precond.Precond.apply v in
+  let sing_apply x =
+    (* A' = A − (A·w)·eᵀ/w_k for a k with w_k ≠ 0: A'·w = 0 *)
+    let k = ref 0 in
+    while F.is_zero w.(!k) do incr k done;
+    let aw = M.matvec a w and s = F.div x.(!k) w.(!k) in
+    Array.mapi (fun i y -> F.sub y (F.mul aw.(i) s)) (M.matvec a x)
+  in
+  (match
+     Rt.run ~ns:"testns" ~op:"kernel" ~policy:(Rt.policy ~retries:5 ())
+       ~card_s:64
+       (fun ~attempt:_ ~card_s:_ ->
+         match S.classify ~apply:sing_apply ~p ~n ~generate (stage short) with
+         | Error reject -> reject
+         | Ok _ -> Rt.Accept ())
+   with
+  | Error (O.Singular { kernel; report }) ->
+    check_int "proved on the first attempt" 1 report.O.attempts;
+    check_bool "the kernel vector is P·v" true (Array.for_all2 F.equal kernel w)
+  | _ -> Alcotest.fail "expected Singular from a checked kernel vector");
+  (* a short sequence whose minimal generator is λ − 1 proves nothing: a
+     plain low-degree retry *)
   let constant = Array.map (fun _ -> F.one) seq in
   match retry (stage constant) with
   | Error (O.Retries_exhausted rep) ->
     check_bool "every rejection is a plain low degree" true
       (List.for_all (fun r -> r.O.reason = O.Low_degree) rep.O.rejections)
   | Error (O.Singular _) ->
-    Alcotest.fail "a short sequence without λ | f was counted as a witness"
+    Alcotest.fail "a short sequence without λ | f read as singular"
   | _ -> Alcotest.fail "expected Retries_exhausted"
 
 (* ---- retry engine unit tests ---- *)
@@ -341,17 +371,34 @@ let test_retry_deadline_in_past () =
     check_int "no attempt ran" 0 report.O.attempts
   | Ok _ | Error _ -> Alcotest.fail "expected Deadline_exceeded"
 
-let test_retry_witness_threshold () =
+let test_retry_singular_is_terminal () =
+  (* a Singular proof ends the run on its attempt and is counted under
+     <ns>.singular; rejections alone only ever exhaust *)
+  let counter name = Option.value ~default:0 (Kp_obs.Counter.find name) in
+  let singular0 = counter "testns.singular" in
+  (match
+     Rt.run ~ns:"testns" ~op:"singular" ~policy:(Rt.policy ~retries:4 ())
+       ~card_s:16
+       (fun ~attempt ~card_s:_ ->
+         if attempt < 2 then Rt.Reject O.Zero_constant_term
+         else
+           Rt.Error_now
+             (O.Singular { kernel = [| 1 |]; report = O.empty_report }))
+   with
+  | Error (O.Singular { kernel; report }) ->
+    check_bool "kernel carried" true (kernel = [| 1 |]);
+    check_int "attempts" 2 report.O.attempts;
+    check_int "the earlier rejection is reported" 1
+      (List.length report.O.rejections)
+  | Ok _ | Error _ -> Alcotest.fail "expected Singular");
+  check_int "counted singular" (singular0 + 1) (counter "testns.singular");
   match
-    Rt.run ~ns:"testns" ~op:"witness"
-      ~policy:(Rt.policy ~retries:4 ())
+    Rt.run ~ns:"testns" ~op:"singular" ~policy:(Rt.policy ~retries:4 ())
       ~card_s:16
-      (fun ~attempt:_ ~card_s:_ -> Rt.Reject_with_witness O.Zero_constant_term)
+      (fun ~attempt:_ ~card_s:_ -> Rt.Reject O.Zero_constant_term)
   with
-  | Error (O.Singular { witnesses; report }) ->
-    check_int "all four witnessed" 4 witnesses;
-    check_int "attempts" 4 report.O.attempts
-  | Ok _ | Error _ -> Alcotest.fail "expected Singular"
+  | Error (O.Retries_exhausted report) -> check_int "attempts" 4 report.O.attempts
+  | Ok _ | Error _ -> Alcotest.fail "expected Retries_exhausted"
 
 let test_retry_converts_exceptions () =
   (* an Injected fault and a Division_by_zero each cost one attempt *)
@@ -469,41 +516,6 @@ let test_chaos_block_deadline () =
   | Error (O.Deadline_exceeded _) -> ()
   | Ok _ -> Alcotest.fail "expired deadline produced a block answer"
   | Error e -> Alcotest.fail ("wrong error: " ^ O.error_to_string e)
-
-let test_chaos_block_rank () =
-  (* rank is Monte Carlo with no certificate, so the chaos plan is
-     corrupt-only (p_abort = 0: nothing raises) and the assertion is a
-     tolerance: every value stays in [0, n], a minor whose det fails is a
-     typed error (never read as singular), and the majority of runs still
-     land on the true rank *)
-  let hits = ref 0 and runs = 40 in
-  for seed = 701 to 700 + runs do
-    let plan =
-      Fault.plan ~p_corrupt:0.001 ~p_abort:0. ~max_faults:2 ~seed ()
-    in
-    let module FF = (val FaultF.wrap plan) in
-    let module CF = Kp_poly.Conv.Karatsuba (FF) in
-    let module FB = Kp_core.Block_wiedemann.Make (FF) (CF) in
-    let st = st0 seed in
-    let n = 4 + (seed mod 4) in
-    let a = M.random_nonsingular st n in
-    let fa = FB.M.init n n (fun i j -> M.get a i j) in
-    let b_factor = if seed mod 2 = 0 then 2 else 4 in
-    match FB.rank ~block_factor:b_factor st fa with
-    | Ok r ->
-      check_bool
-        (Printf.sprintf "rank in range (seed %d: %d)" seed r)
-        true
-        (r >= 0 && r <= n);
-      if r = n then incr hits
-    | Error (O.Retries_exhausted _ | O.Fault_detected _) -> ()
-    | Error e -> Alcotest.fail ("untyped block rank failure: " ^ O.error_to_string e)
-  done;
-  check_bool
-    (Printf.sprintf "majority of ranks exact under corruption (%d/%d)" !hits
-       runs)
-    true
-    (!hits > runs / 2)
 
 let test_block_falls_back_to_scalar () =
   (* a block failure is typed, so a ladder can fall through it: exhaust
@@ -648,7 +660,7 @@ let test_outcome_rendering () =
   check_bool "to_string mentions attempts" true
     (contains (O.error_to_string e) "3");
   check_bool "json tagged" true
-    (contains (O.error_to_json e) "retries_exhausted");
+    (contains (O.error_to_json ~kernel:(fun _ -> "[]") e) "retries_exhausted");
   check_int "attempts_of_error" 3 (O.attempts_of_error e);
   let m = O.merge_reports rep rep in
   check_int "merged attempts add" 6 m.O.attempts;
@@ -657,11 +669,16 @@ let test_outcome_rendering () =
   check_int "with_report maps" 9 (O.attempts_of_error e');
   let f = O.Fault_detected { op = "x"; detail = "y" } in
   check_bool "fault json tagged" true
-    (contains (O.error_to_json f) "fault_detected");
+    (contains (O.error_to_json ~kernel:(fun _ -> "[]") f) "fault_detected");
   check_bool "singular string" true
     (contains
-       (O.error_to_string (O.Singular { witnesses = 2; report = rep }))
-       "singular")
+       (O.error_to_string (O.Singular { kernel = [| 3 |]; report = rep }))
+       "singular");
+  check_bool "singular json carries the kernel" true
+    (contains
+       (O.error_to_json ~kernel:(fun w -> Printf.sprintf "[%d]" w.(0))
+          (O.Singular { kernel = [| 3 |]; report = rep }))
+       "\"kernel\":[3]")
 
 let () =
   Alcotest.run "kp_robust"
@@ -691,8 +708,6 @@ let () =
             test_chaos_block_det;
           Alcotest.test_case "block deadline is typed under faults" `Quick
             test_chaos_block_deadline;
-          Alcotest.test_case "block rank tolerant under corruption" `Quick
-            test_chaos_block_rank;
           Alcotest.test_case "block exhaustion falls back to scalar" `Quick
             test_block_falls_back_to_scalar;
         ] );
@@ -713,8 +728,8 @@ let () =
             test_retry_escalation_doubles_and_clamps;
           Alcotest.test_case "deadline in the past" `Quick
             test_retry_deadline_in_past;
-          Alcotest.test_case "witness threshold -> Singular" `Quick
-            test_retry_witness_threshold;
+          Alcotest.test_case "Singular ends the run" `Quick
+            test_retry_singular_is_terminal;
           Alcotest.test_case "exceptions become rejections" `Quick
             test_retry_converts_exceptions;
           Alcotest.test_case "Error_now short-circuits" `Quick

@@ -144,7 +144,8 @@ let test_protocol_responses () =
     check_bool "status ok" true (P.response_status j = Some "ok")
   | Error m -> Alcotest.fail m);
   let e_line =
-    P.error ~id:None (O.Overloaded { queue_depth = 7; retry_after_ms = 350 })
+    P.error ~id:None ~kernel:(fun _ -> Wire.Arr [])
+      (O.Overloaded { queue_depth = 7; retry_after_ms = 350 })
   in
   match Wire.parse e_line with
   | Ok j -> (
@@ -261,17 +262,19 @@ let test_ladder_routes_and_singular () =
   (* singular input: an answer, not an engine failure — breakers stay shut *)
   let s = M.init 4 4 (fun i _ -> if i = 0 then F.zero else F.one) in
   (match En.solve ~engine:P.E_auto eng s (Array.make 4 F.one) with
-  | Error (O.Singular _) -> ()
+  | Error (O.Singular { kernel; _ }) ->
+    check_bool "checked kernel vector" true
+      (Array.exists (fun x -> not (F.is_zero x)) kernel
+      && Array.for_all F.is_zero (M.matvec s kernel))
   | Ok _ -> Alcotest.fail "singular system accepted"
   | Error e -> Alcotest.fail (O.error_to_string e));
   check_bool "scalar breaker still closed" true
     (List.assoc "scalar" (En.breaker_states eng) = Br.Closed)
 
-let test_ladder_rank_error_falls_through () =
-  (* GF(2) has no room to draw from: on this seed the block rank's first
-     minor exhausts its det budget.  That is an engine failure, not a
-     rank — the walk records it on the block breaker and elimination
-     answers *)
+let test_ladder_rank_block_is_elimination () =
+  (* the block engine has no rank route: a block rank ladder is
+     elimination alone, so a GF(2) input gets its exact rank and the
+     block breaker sees nothing *)
   let module F2 = Kp_field.Gf2 in
   let module M2 = Kp_matrix.Dense.Make (F2) in
   let module En2 = Kp_serve.Engines.Make (F2) (Kp_poly.Conv.Karatsuba (F2)) in
@@ -285,8 +288,7 @@ let test_ladder_rank_error_falls_through () =
     check_str "elimination answered" "elimination" served_by;
     check_int "true rank" 4 r
   | Error e -> Alcotest.fail (O.error_to_string e));
-  check_int "block rung recorded the failure" (fail0 + 1)
-    (counter "serve.engine.block.fail")
+  check_int "block rung never ran" fail0 (counter "serve.engine.block.fail")
 
 let gauss_solve a b = Option.get (G.solve a b)
 
@@ -503,6 +505,31 @@ let test_server_golden () =
             {|{"id":"b","op":"batch","key":"m1","bs":[[1,0,0,0],[0,1,0,0]]}|}))
   in
   check_str "batch ok" "ok" (str_field j "status");
+  (* an inline singular solve: the reply carries the kernel vector, and
+     A·w = 0 checks from the reply alone *)
+  let s = M.random_of_rank st 4 ~rank:2 in
+  let req =
+    {
+      P.id = Some "z";
+      op =
+        P.Solve
+          { m = P.Inline { n = 4; entries = s.M.data; key = None };
+            b = Array.init 4 (fun _ -> F.random st) };
+      engine = P.E_auto;
+      block_factor = None;
+      deadline_ms = None;
+    }
+  in
+  let j = Cl.request c req in
+  check_str "singular is an error reply" "error" (str_field j "status");
+  (match Wire.member "error" j with
+  | Some err ->
+    check_str "singular tag" "singular" (str_field err "error");
+    check_bool "no witness count" true (Wire.member "witnesses" err = None);
+    let w = Array.of_list (int_list err "kernel") in
+    check_bool "w <> 0" true (Array.exists (fun x -> not (F.is_zero x)) w);
+    check_bool "A.w = 0" true (Array.for_all F.is_zero (M.matvec s w))
+  | None -> Alcotest.fail "no error payload");
   (* typed rejections *)
   let j = Result.get_ok (Wire.parse (Cl.request_line c {|{"id":"u","op":"det","key":"ghost"}|})) in
   check_str "unknown key" "bad_request" (str_field j "status");
@@ -803,8 +830,8 @@ let () =
             test_ladder_block_demotes_then_repromotes;
           Alcotest.test_case "routing and singular verdicts" `Quick
             test_ladder_routes_and_singular;
-          Alcotest.test_case "failed rank minor falls through to elimination"
-            `Quick test_ladder_rank_error_falls_through;
+          Alcotest.test_case "block rank is elimination" `Quick
+            test_ladder_rank_block_is_elimination;
           Alcotest.test_case "expired deadline is typed" `Quick
             test_ladder_deadline_expired;
           Alcotest.test_case "block rung serves a batch" `Quick

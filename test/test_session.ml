@@ -687,6 +687,52 @@ let test_stale_key () =
       ((Sess.stats sess).Sess.evictions >= 1)
   | Error e -> Alcotest.failf "stale-key solve: %s" (Kp_robust.Outcome.error_to_string e)
 
+(* a cached singular verdict is a kernel vector, and a keyed serve
+   re-checks it against the live input: a key re-bound from a singular
+   matrix to a nonsingular one (as kp serve re-registers an inline
+   request's key) is a stale entry, evicted and rebuilt, never a
+   "singular" answer or det = 0 for the new matrix *)
+let test_stale_singular_key () =
+  let module F = Kp_field.Fields.Gf_ntt in
+  let module C = Kp_poly.Conv.Karatsuba (F) in
+  let module M = Kp_matrix.Dense.Make (F) in
+  let module G = Kp_matrix.Gauss.Make (F) in
+  let module Sess = Kp_session.Session.Make (F) (C) in
+  let module En = Kp_serve.Engines.Make (F) (C) in
+  let st = Kp_util.Rng.make 7 in
+  let sing = M.random_of_rank st 16 ~rank:14 in
+  let a = M.random_nonsingular st 16 in
+  let b = Array.init 16 (fun _ -> F.random st) in
+  let fail what e =
+    Alcotest.failf "%s: %s" what (Kp_robust.Outcome.error_to_string e)
+  in
+  let sess = Sess.create (Kp_util.Rng.make 8) in
+  (match Sess.solve ~key:"k" sess sing b with
+  | Error (O.Singular _) -> ()
+  | Ok _ -> Alcotest.fail "solved a singular system"
+  | Error e -> fail "singular build" e);
+  (match Sess.solve ~key:"k" sess a b with
+  | Ok (x, _) ->
+    Alcotest.(check bool) "re-bound key: x for the live matrix" true
+      (Array.for_all2 F.equal x (Option.get (G.solve a b)));
+    Alcotest.(check bool) "re-bound key: entry evicted" true
+      ((Sess.stats sess).Sess.evictions >= 1)
+  | Error e -> fail "re-bound solve" e);
+  (* the same through the engine ladder with a shared session, kp serve's
+     configuration: the scalar rung answers the live det *)
+  let sess = Sess.create (Kp_util.Rng.make 9) in
+  let eng = En.create ~session:sess (Kp_util.Rng.make 10) in
+  (match En.solve ~key:"k" ~engine:Kp_serve.Protocol.E_auto eng sing b with
+  | Error (O.Singular _) -> ()
+  | Ok _ -> Alcotest.fail "ladder solved a singular system"
+  | Error e -> fail "ladder singular build" e);
+  match En.det ~key:"k" ~engine:Kp_serve.Protocol.E_auto eng a with
+  | Ok (d, rung, _) ->
+    Alcotest.(check string) "scalar rung answered" "scalar" rung;
+    Alcotest.(check bool) "re-bound key: det of the live matrix" true
+      (F.equal d (G.det a))
+  | Error e -> fail "re-bound det" e
+
 module Gf97_suite =
   Suite
     (Kp_field.Fields.Gf_97)
@@ -744,5 +790,7 @@ let () =
         [
           Alcotest.test_case "fingerprints and keys" `Quick test_fingerprint;
           Alcotest.test_case "stale caller key detected" `Quick test_stale_key;
+          Alcotest.test_case "stale singular key re-checks A.w = 0" `Quick
+            test_stale_singular_key;
         ] );
     ]

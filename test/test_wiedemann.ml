@@ -101,19 +101,36 @@ let test_minpoly_is_dense_minpoly () =
     end
   done
 
+(* the §2 certificate: a singular verdict carries w with w ≠ 0 and
+   A·w = 0, from the Krylov pass that found λ | f.  The plain solve,
+   the preconditioned solve and the cached prefix each prove a rank-(n−1)
+   input singular on the first attempt; a non-singular input never gets
+   a verdict *)
 let test_singularity_certificate () =
   let st = st0 7 in
-  let hits = ref 0 in
+  let checked a what = function
+    | Error (W.O.Singular { kernel; report }) ->
+      check_bool (what ^ ": w <> 0") true
+        (Array.exists (fun x -> not (F.is_zero x)) kernel);
+      check_bool (what ^ ": A.w = 0") true
+        (Array.for_all F.is_zero (M.matvec a kernel));
+      check_bool (what ^ ": first attempt") true (report.W.O.attempts = 1)
+    | Ok _ -> Alcotest.fail (what ^ ": answered a singular input")
+    | Error e -> Alcotest.fail (what ^ ": " ^ W.O.error_to_string e)
+  in
   for _ = 1 to 5 do
     let n = 5 + Random.State.int st 5 in
     let sing = M.random_of_rank st n ~rank:(n - 1) in
-    if W.is_probably_singular st (Bb.of_dense sing) then incr hits;
+    let b = Array.init n (fun _ -> F.random st) in
+    checked sing "solve" (W.solve st (Bb.of_dense sing) b);
+    checked sing "solve_preconditioned"
+      (W.solve_preconditioned st (Bb.of_dense sing) b);
+    checked sing "precompute" (W.precompute st (Bb.of_dense sing));
     let nonsing = M.random_nonsingular st n in
-    (* one-sided: must never claim a non-singular matrix singular *)
-    check_bool "no false positives" false
-      (W.is_probably_singular st (Bb.of_dense nonsing))
-  done;
-  check_bool "detects singular most of the time" true (!hits >= 4)
+    match W.precompute st (Bb.of_dense nonsing) with
+    | Error (W.O.Singular _) -> Alcotest.fail "non-singular input read as singular"
+    | Ok _ | Error _ -> ()
+  done
 
 (* a 0×0 black box is refused at entry, like a wrong-length rhs — not
    retried into a low-degree rejection and a dense fallback *)
