@@ -839,10 +839,11 @@ let e13 () =
   print_endline
     "E13 (sessions): k solves against ONE matrix.  Fresh is kp's default \
      engine, a black-box solve per RHS (a butterfly P, 2n - 1 applies of \
-     A*P for the Krylov sequence, Berlekamp-Massey, n - 1 applies for \
-     Cayley-Hamilton); a session computes the b-independent prefix (the \
-     prepared A, P, the generator f and det P) once and serves each RHS \
-     with the n - 1 applies.  'identical' checks the sessioned answers \
+     A*P for the Krylov sequence of b, Berlekamp-Massey, then \
+     Cayley-Hamilton read off the n Krylov vectors the pass kept, no \
+     apply); a session computes the b-independent prefix (the prepared \
+     A, P, the generator f and det P) once and serves each RHS with \
+     n - 1 applies for Cayley-Hamilton.  'identical' checks the sessioned answers \
      equal the fresh ones; misses = 1 certifies exactly one prefix \
      computation.\n";
   let fresh_solve st a b =

@@ -14,50 +14,99 @@
      kp inverse --random 6
      kp charpoly --toeplitz 1,2,3,4,5    (diagonal vector, length 2n-1) *)
 
-(* The integers of a file, in order, in one scan over its bytes.  Tokens
-   are separated by ' ', '\t', '\n' and '\r', so a CRLF file reads like
-   its LF twin.  A plain decimal token short enough not to overflow is
+(* The integers of a file, in order, one chunk of its bytes at a time.
+   Tokens are separated by ' ', '\t', '\n' and '\r', so a CRLF file reads
+   like its LF twin.  A plain decimal token short enough not to overflow is
    parsed inline; any other (a sign, 0x…, a long run of digits) goes
-   through [int_of_string].  Errors name [what] and fail with [Failure].
+   through [int_of_string].  A token cut at a chunk's end is carried over
+   to the front of the buffer and read again with the next chunk (a token
+   longer than the buffer doubles it).  [iter_ints ~what path ~size push]
+   calls [size] once with the most tokens the file's byte length can hold
+   ([None] when it has no length, as for a pipe), then [push i v] on the
+   i-th integer v (1-based).  Errors name [what] and fail with [Failure].
    The read is the [cli.read] span, so [--stats] attributes it. *)
-let read_ints ~what path =
+let iter_ints ~what path ~size push =
   Kp_obs.Span.with_ "cli.read" @@ fun () ->
   let fail fmt = Printf.ksprintf (fun m -> failwith (what ^ ": " ^ m)) fmt in
-  let s =
-    try In_channel.with_open_bin path In_channel.input_all
-    with Sys_error e -> fail "%s" e
-  in
-  let len = String.length s in
-  let out = ref (Array.make 1024 0) and count = ref 0 in
-  let push v =
-    if !count = Array.length !out then begin
-      let bigger = Array.make (2 * !count) 0 in
-      Array.blit !out 0 bigger 0 !count;
-      out := bigger
-    end;
-    !out.(!count) <- v;
-    incr count
-  in
   let is_sep = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false in
-  let i = ref 0 in
-  while !i < len do
-    if is_sep s.[!i] then incr i
-    else begin
-      let start = !i and acc = ref 0 and plain = ref true in
-      while !i < len && not (is_sep s.[!i]) do
-        (match s.[!i] with
-        | '0' .. '9' as c -> acc := (!acc * 10) + Char.code c - 48
-        | _ -> plain := false);
-        incr i
-      done;
-      if !plain && !i - start <= 18 then push !acc
-      else
-        let tok = String.sub s start (!i - start) in
-        match int_of_string_opt tok with
-        | Some v -> push v
-        | None -> fail "token %d (%S) is not an integer" (!count + 1) tok
-    end
-  done;
+  try
+    In_channel.with_open_bin path @@ fun ic ->
+    (* t tokens take at least 2t − 1 bytes *)
+    size
+      (match Unix.fstat (Unix.descr_of_in_channel ic) with
+      | { Unix.st_kind = Unix.S_REG; st_size; _ } -> Some ((st_size + 1) / 2)
+      | _ -> None);
+    (* the unread bytes are [lo, hi), and a ' ' after them ends every
+       token's scan without a bounds test *)
+    let buf = ref (Bytes.make 65537 ' ') and lo = ref 0 and hi = ref 0 in
+    let eof = ref false and count = ref 0 in
+    (* keep [lo, hi), the start of a cut token, and read after it *)
+    let refill () =
+      let keep = !hi - !lo in
+      let dst =
+        if keep = Bytes.length !buf - 1 then Bytes.create ((2 * keep) + 1)
+        else !buf
+      in
+      Bytes.blit !buf !lo dst 0 keep;
+      buf := dst;
+      lo := 0;
+      (hi :=
+         match In_channel.input ic dst keep (Bytes.length dst - 1 - keep) with
+         | 0 ->
+           eof := true;
+           keep
+         | r -> keep + r);
+      Bytes.set dst !hi ' '
+    in
+    let finished = ref false in
+    while not !finished do
+      let b = !buf and stop = !hi in
+      let i = ref !lo in
+      while !i < stop && is_sep (Bytes.unsafe_get b !i) do incr i done;
+      if !i < stop then begin
+        let start = !i and acc = ref 0 in
+        (* d ∈ [0, 9] exactly when d lor (9 − d) ≥ 0 *)
+        let d = ref (Char.code (Bytes.unsafe_get b start) - 48) in
+        while !d lor (9 - !d) >= 0 do
+          acc := (!acc * 10) + !d;
+          incr i;
+          d := Char.code (Bytes.unsafe_get b !i) - 48
+        done;
+        let plain = is_sep (Bytes.unsafe_get b !i) in
+        while not (is_sep (Bytes.unsafe_get b !i)) do incr i done;
+        if !i = stop && not !eof then begin
+          lo := start;
+          refill ()
+        end
+        else begin
+          incr count;
+          (if plain && !i - start <= 18 then push !count !acc
+           else
+             let tok = Bytes.sub_string b start (!i - start) in
+             match int_of_string_opt tok with
+             | Some v -> push !count v
+             | None -> fail "token %d (%S) is not an integer" !count tok);
+          lo := !i
+        end
+      end
+      else begin
+        lo := !i;
+        if !eof then finished := true else refill ()
+      end
+    done
+  with Sys_error e -> fail "%s" e
+
+(* every integer of a file, in an array of its own *)
+let read_ints ~what path =
+  let out = ref (Array.make 1024 0) and count = ref 0 in
+  iter_ints ~what path ~size:ignore (fun i v ->
+      if i > Array.length !out then begin
+        let bigger = Array.make (2 * !count) 0 in
+        Array.blit !out 0 bigger 0 !count;
+        out := bigger
+      end;
+      !out.(i - 1) <- v;
+      count := i);
   Array.sub !out 0 !count
 
 type serve_opts = {
@@ -120,28 +169,64 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
   module Ch = Kp_structured.Chistov.Make (F) (C)
   module Srv = Kp_serve.Server.Make (F) (C)
 
+  (* A matrix file holds n, the n² entries row-major, then optionally the
+     n entries of b, read straight into A's row-major data and into b:
+     F.of_int of each entry, no copy of the file or of its integers.  A
+     is sized from n, capped by the tokens the file's length can hold, so
+     a file that claims a huge n is refused without allocating n²; with
+     no length (a pipe) it grows by doubling up to n².  Any count other
+     than n² or n² + n is refused once the whole file is read *)
+  let read_matrix path =
+    let tokens = ref 0 and n = ref 0 and nn = ref 0 and room = ref None in
+    let data = ref [||] and rhs = ref [||] in
+    iter_ints ~what:"matrix file" path
+      ~size:(fun t -> room := Option.map (fun t -> t - 1) t)
+      (fun i v ->
+        tokens := i;
+        let e = i - 2 in
+        if i = 1 then begin
+          n := v;
+          (* n², or max_int where it overflows; 0 stores nothing *)
+          nn := if v < 1 then 0 else if v <= max_int / v then v * v else max_int;
+          data :=
+            Array.make
+              (match !room with
+              | None -> min !nn 4096
+              | Some r -> if !nn <= r then !nn else 0)
+              F.zero
+        end
+        else if e < !nn then begin
+          if e = Array.length !data then begin
+            let bigger = Array.make (min !nn (max 4096 (2 * e))) F.zero in
+            Array.blit !data 0 bigger 0 e;
+            data := bigger
+          end;
+          Array.unsafe_set !data e (F.of_int v)
+        end
+        else if !n >= 1 && e - !nn < !n then begin
+          if e = !nn then rhs := Array.make !n F.zero;
+          !rhs.(e - !nn) <- F.of_int v
+        end);
+    (!tokens, !n, !data, !rhs)
+
   (* every engine needs n >= 1: an empty input is refused here, before
-     any of them runs.  A matrix file holds n, the n² entries row-major,
-     then optionally the n entries of b — any other count is refused *)
+     any of them runs *)
   let load_matrix setup st =
     match (setup.matrix, setup.random) with
     | Some path, _ ->
-      let ints = read_ints ~what:"matrix file" path in
-      if Array.length ints = 0 then failwith "matrix file: empty, expected n"
+      let tokens, n, data, rhs = read_matrix path in
+      let count = tokens - 1 in
+      if tokens = 0 then failwith "matrix file: empty, expected n"
+      else if n < 1 then failwith "matrix file: n must be at least 1"
+      else if count mod n <> 0 || (count / n <> n && count / n <> n + 1) then
+        failwith
+          (Printf.sprintf
+             "matrix file: n = %d needs n^2 = %d or n^2 + n = %d entries \
+              after n, got %d"
+             n (n * n) ((n * n) + n) count)
       else
-        let n = ints.(0) and count = Array.length ints - 1 in
-        if n < 1 then failwith "matrix file: n must be at least 1"
-        else if count mod n <> 0 || (count / n <> n && count / n <> n + 1) then
-          failwith
-            (Printf.sprintf
-               "matrix file: n = %d needs n^2 = %d or n^2 + n = %d entries \
-                after n, got %d"
-               n (n * n) ((n * n) + n) count)
-        else
-          ( M.init n n (fun i j -> F.of_int ints.(1 + (i * n) + j)),
-            if count = n * n then None
-            else Some (Array.init n (fun i -> F.of_int ints.(1 + (n * n) + i)))
-          )
+        ( { M.rows = n; cols = n; data },
+          if count = n * n then None else Some rhs )
     | None, Some n when n < 1 -> failwith "--random: n must be at least 1"
     | None, Some n -> (
       match setup.rank_hint with

@@ -17,18 +17,28 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   module Lv = Las_vegas.Make (F)
 
   (* the 2n-term sequences {u·Aⁱ·b}, one per u of [us], from one Krylov
-     pass, and the generator of the first: the applies and
-     Berlekamp–Massey, each under its own span *)
-  let sequences_and_generator (bb : Bb.t) ~us ~b =
-    let seqs =
+     pass, the first [keep] vectors Aⁱ·b it passed through, and the
+     generator of the first sequence: the applies and Berlekamp–Massey,
+     each under its own span *)
+  let sequences_and_generator ?(keep = 0) (bb : Bb.t) ~us ~b =
+    let seqs, basis =
       Span.with_ "wiedemann.krylov" @@ fun () ->
-      LR.krylov_sequences bb.Bb.apply_into ~us ~b (2 * bb.Bb.dim)
+      LR.krylov_pass bb.Bb.apply_into ~us ~b ~keep (2 * bb.Bb.dim)
     in
     ( seqs,
+      basis,
       Span.with_ "wiedemann.generator" @@ fun () ->
       BM.P.to_array (BM.minimal_polynomial seqs.(0)) )
 
-  let generator bb ~u ~b = snd (sequences_and_generator bb ~us:[| u |] ~b)
+  let generator ?keep bb ~u ~b =
+    let _, basis, f = sequences_and_generator ?keep bb ~us:[| u |] ~b in
+    (basis, f)
+
+  (* how many Krylov vectors a solve keeps for Cayley–Hamilton:
+     k = min(n, ⌊ops/n⌋) for A's cost per apply, so the basis never holds
+     more words than one apply of A costs operations — all n for a dense
+     A, a few dozen for a sparse one, none for a box of unknown cost *)
+  let kept (bb : Bb.t) = min bb.Bb.dim (bb.Bb.ops_per_apply / bb.Bb.dim)
 
   let minimal_polynomial ?card_s st (bb : Bb.t) =
     Span.with_ "wiedemann.minpoly" @@ fun () ->
@@ -37,32 +47,36 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let bb = Bb.instrument bb in
     let u = Lv.sample_vec st ~card_s n in
     let b = Lv.sample_vec st ~card_s n in
-    generator bb ~u ~b
+    snd (generator bb ~u ~b)
 
   (* Σ_{i=1}^{deg} f_i A^{i-1} v, the Cayley–Hamilton accumulator: one
-     kernel axpy per Krylov vector into a single accumulator, deg − 1
-     applies.  A^{i-1}·v ping-pongs between two buffers.  For f = λᵏ·h
-     with f generating v it is A^{k-1}·h(A)·v, non-zero with
+     kernel axpy per Krylov vector into a single accumulator.  A^{i-1}·v
+     is read from [basis] (the Krylov pass's kept prefix, basis.(0) = v)
+     while it lasts; past it the loop applies A, ping-ponging between two
+     buffers, max(0, deg − max(k, 1)) applies for a k-vector basis.  For
+     f = λᵏ·h with f generating v it is A^{k-1}·h(A)·v, non-zero with
      A·acc = f(A)·v = 0: the kernel vector of a singular verdict *)
-  let cayley_hamilton_sum (bb : Bb.t) f ~deg v =
+  let cayley_hamilton_sum ?(basis = [||]) (bb : Bb.t) f ~deg v =
     Span.with_ "wiedemann.cayley_hamilton" @@ fun () ->
     let n = Array.length v in
+    let k = Array.length basis in
     let acc = Array.make n F.zero in
     let bufs = [| Array.make n F.zero; Array.make n F.zero |] in
     let w = ref v in
     for i = 1 to deg do
-      K.axpy_into ~a:f.(i) ~x:!w ~xoff:0 ~y:acc ~yoff:0 ~len:n;
-      if i < deg then begin
+      if i <= k then w := basis.(i - 1)
+      else if i > 1 then begin
         let dst = bufs.(i land 1) in
         bb.Bb.apply_into !w dst;
         w := dst
-      end
+      end;
+      K.axpy_into ~a:f.(i) ~x:!w ~xoff:0 ~y:acc ~yoff:0 ~len:n
     done;
     acc
 
   (* x = -(1/f_0)·Σ_{i=1}^{deg} f_i A^{i-1} b: the sum, one kernel scale *)
-  let cayley_hamilton_solution bb f ~deg b =
-    let acc = cayley_hamilton_sum bb f ~deg b in
+  let cayley_hamilton_solution ?basis bb f ~deg b =
+    let acc = cayley_hamilton_sum ?basis bb f ~deg b in
     let c = F.neg (F.inv f.(0)) in
     K.scale_into ~a:c ~x:acc ~xoff:0 ~dst:acc ~doff:0 ~len:(Array.length b);
     acc
@@ -78,15 +92,17 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let n = bb.Bb.dim in
     if Array.length b <> n then invalid_arg "Wiedemann.solve: bad rhs";
     let bb = Bb.instrument bb in
+    let keep = kept bb in
     Lv.run ~ns:"wiedemann" ~op:"solve" ?retries ?card_s ?deadline_ns ~n
     @@ fun ~attempt:_ ~kind:_ ~card_s ->
     let u = Lv.sample_vec st ~card_s n in
-    let f = generator bb ~u ~b in
+    let basis, f = generator ~keep bb ~u ~b in
     let deg = Array.length f - 1 in
     if deg = 0 then Rt.Reject O.Low_degree
     else if F.is_zero f.(0) then
-      Lv.singular ~apply:(Bb.apply bb) (cayley_hamilton_sum bb f ~deg b)
-    else Lv.verified (Bb.apply bb) (cayley_hamilton_solution bb f ~deg b) b
+      Lv.singular ~apply:(Bb.apply bb) (cayley_hamilton_sum ~basis bb f ~deg b)
+    else
+      Lv.verified (Bb.apply bb) (cayley_hamilton_solution ~basis bb f ~deg b) b
 
   (* P as a black box: the record's apply/transpose/ops lifted into the
      {!Kp_matrix.Blackbox} algebra (forcing the lazy op count exactly where
@@ -117,6 +133,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     if Array.length b <> n then
       invalid_arg "Wiedemann.solve_preconditioned: bad rhs";
     let bb_i = Bb.instrument bb in
+    let keep = kept bb in
     Lv.run ~ns:"wiedemann" ~op:"solve_preconditioned" ?retries ?card_s
       ?deadline_ns ~kind:(kind_of precond) ~n
     @@ fun ~attempt:_ ~kind ~card_s ->
@@ -125,16 +142,17 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let a_tilde =
       Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
     in
-    let f = generator a_tilde ~u ~b in
+    let basis, f = generator ~keep a_tilde ~u ~b in
     let deg = Array.length f - 1 in
     if deg = 0 then Rt.Reject O.Low_degree
     else if F.is_zero f.(0) then
       (* w = P·Ãᵏ⁻¹·h(Ã)·b, checked against A itself *)
       Lv.singular ~apply:(Bb.apply bb_i)
-        (p.Pc.apply (cayley_hamilton_sum a_tilde f ~deg b))
+        (p.Pc.apply (cayley_hamilton_sum ~basis a_tilde f ~deg b))
     else begin
-      (* y = Ã^{-1} b by Cayley–Hamilton on the minimum polynomial *)
-      let y = cayley_hamilton_solution a_tilde f ~deg b in
+      (* y = Ã^{-1} b by Cayley–Hamilton on the minimum polynomial, read
+         off the kept Krylov basis *)
+      let y = cayley_hamilton_solution ~basis a_tilde f ~deg b in
       (* x = P·y solves A·x = b *)
       Lv.verified (Bb.apply bb_i) (p.Pc.apply y) b
     end
@@ -163,7 +181,7 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     let a_tilde =
       Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
     in
-    let seqs, f = sequences_and_generator a_tilde ~us ~b:v in
+    let seqs, _, f = sequences_and_generator a_tilde ~us ~b:v in
     let deg = Array.length f - 1 in
     if deg >= 1 && F.is_zero f.(0) then
       (* λ divides the sequence's minimum polynomial: any degree yields

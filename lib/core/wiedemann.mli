@@ -17,13 +17,25 @@
     Ã·acc = f(Ã)·v = 0 whenever f generates v, so w = P·acc is the
     kernel vector a singular verdict checks (A·w = 0; no det P).
 
-    Krylov and Cayley–Hamilton applies write into two buffers the loop
-    owns ({!Bb.t}'s [apply_into]): on a CSR or dense operator with the
-    butterfly preconditioner an iteration allocates nothing.
+    A solve ({!solve}, {!solve_preconditioned}) keeps the first
+    k = min(n, ⌊ops/n⌋) vectors Ãⁱ·b of its Krylov pass, ops being one
+    apply of the given box's cost ([ops_per_apply]), so the basis never
+    holds more words than one apply costs operations: all n for a dense
+    A, a few dozen for a sparse one, none for a box of unknown cost
+    ([ops_per_apply = 0]).  Cayley–Hamilton reads Ãⁱ⁻¹·b off that prefix
+    and applies Ã only past it, for x and for a singular verdict's w
+    alike: a dense solve's first attempt is 2n − 1 applies of Ã plus the
+    residual apply of A (3n − 2 plus one with k = 0), with the same x,
+    w, attempts and draws for every k.  {!det} and {!precompute} (which
+    need Cayley–Hamilton only when λ | f) and {!apply_precomp} (a new b
+    on every call) keep none.  Past the prefix, Krylov and
+    Cayley–Hamilton applies write into two buffers the loop owns
+    ({!Bb.t}'s [apply_into]): on a CSR or dense operator with the
+    butterfly preconditioner such an iteration allocates nothing.
 
     Telemetry: every routine runs inside a {!Kp_obs.Span} (e.g.
     [wiedemann.solve]).  Below it, each sequence run is split into
-    [wiedemann.krylov] (the 2n applies and projections) and
+    [wiedemann.krylov] (the 2n − 1 applies and 2n projections) and
     [wiedemann.generator] (Berlekamp–Massey), and each solution into
     [wiedemann.cayley_hamilton] — once per evaluation, so [det]'s two
     evaluations record two of each.  The retry engine records
@@ -49,8 +61,9 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
     Random.State.t -> Bb.t -> F.t array ->
     (F.t array * O.report, F.t array O.error) result
   (** Solve A·x = b for a non-singular black box via the minimum polynomial
-      of the sequence {A^i b}: x = −(1/f₀)·Σ f₍ᵢ₊₁₎·Aⁱ·b.  Verified; λ | f
-      is [Error (Singular _)] once its kernel vector checks.
+      of the sequence {A^i b}: x = −(1/f₀)·Σ f₍ᵢ₊₁₎·Aⁱ·b, read off the
+      kept Krylov basis.  Verified; λ | f is [Error (Singular _)] once
+      its kernel vector checks.
       Raises [Invalid_argument] on a 0-dimensional black box or a
       right-hand side of the wrong length. *)
 
@@ -69,7 +82,9 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
       Ã = A·P (black-box composition), then recover x = P·y.  [Auto]
       resolves to the {e sparse} butterfly here — the operand is a black
       box, so an O(n log n)-per-apply P keeps the whole iteration sparse;
-      pass [Forced Dense_hd] for the legacy Hankel·Diagonal.  The residual
+      pass [Forced Dense_hd] for the legacy Hankel·Diagonal.  y is read
+      off the kept Krylov basis: on a dense A a first attempt is 2n − 1
+      applies of Ã and one of A.  The residual
       A·x = b is verified against the original black box, so the kind never
       affects correctness.  [Ok (x, report)] carries the number of
       preconditioner draws consumed in [report.attempts].  Raises

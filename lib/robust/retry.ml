@@ -101,7 +101,9 @@ let run ~ns ~op ~policy ~card_s f =
               (fun inner -> O.merge_reports (report ~attempts:k ~card_s) inner)
               err
           in
-          failure_event err;
+          (* a singular verdict is an answer, recorded by the attempt
+             event and the counter above: only failures are failures *)
+          if not singular then failure_event err;
           Error err
         | Reject reason ->
           Counter.incr (Counter.make (ns ^ ".rejections." ^ O.reason_slug reason));

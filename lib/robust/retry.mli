@@ -24,7 +24,10 @@
       [<ns>.rejections.<reason>]), one
       [<ns>.attempt] event per attempt, [robust.escalate] events on each
       |S| doubling, and a [robust.failure] event carrying the error
-      taxonomy — all through {!Kp_obs}, so [--stats=json] reports them. *)
+      taxonomy for every error but [Singular] (a checked verdict about
+      the input, which the [singular] attempt outcome and the
+      [<ns>.singular] counter record) — all through {!Kp_obs}, so
+      [--stats=json] reports them. *)
 
 type policy = {
   retries : int;  (** maximum number of attempts *)

@@ -25,11 +25,13 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
       ~rec_poly:[| F.neg F.one; F.neg F.one; F.one |]
       n
 
-  (* A^i·b ping-pongs between two buffers, so the loop allocates nothing
-     past them and the outputs; b itself is only ever read *)
-  let krylov_sequences apply_into ~us ~b n =
+  (* A^i·b for i < keep goes into a fresh array the caller gets back (the
+     0th is b itself); past that prefix the powers ping-pong between two
+     buffers, so the loop allocates nothing more; b is only ever read *)
+  let krylov_pass apply_into ~us ~b ~keep n =
     let out = Array.map (fun _ -> Array.make n F.zero) us in
     let dim = Array.length b in
+    let basis = Array.make (max 0 (min keep n)) b in
     let bufs = [| Array.make dim F.zero; Array.make dim F.zero |] in
     let cur = ref b in
     for i = 0 to n - 1 do
@@ -37,12 +39,17 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
         out.(j).(i) <- K.dot us.(j) !cur
       done;
       if i < n - 1 then begin
-        let dst = bufs.(i land 1) in
+        let kept = i + 1 < Array.length basis in
+        let dst = if kept then Array.make dim F.zero else bufs.(i land 1) in
         apply_into !cur dst;
+        if kept then basis.(i + 1) <- dst;
         cur := dst
       end
     done;
-    out
+    (out, basis)
+
+  let krylov_sequences apply_into ~us ~b n =
+    fst (krylov_pass apply_into ~us ~b ~keep:0 n)
 
   let krylov_sequence apply_into ~u ~b n =
     (krylov_sequences apply_into ~us:[| u |] ~b n).(0)

@@ -195,7 +195,12 @@ struct
       O.Singular { kernel = w; report = O.empty_report }
     | _ -> O.Fault_detected { op; detail = "no checked kernel vector" }
 
+  (* each elimination runs in its own [elimination.<op>] span, so --stats
+     attributes the bottom rung's time like every other rung's *)
+  let span op f = Kp_obs.Span.with_ ("elimination." ^ op) f
+
   let elim_solve a b =
+    span "solve" @@ fun () ->
     match G.solve a b with
     | None -> Error (singular ~op:"elimination.solve" a)
     | Some x ->
@@ -206,6 +211,7 @@ struct
              { op = "elimination.solve"; detail = "residual check failed" })
 
   let elim_det a =
+    span "det" @@ fun () ->
     (* elimination is deterministic, so under clean arithmetic two runs
        agree for free; under injected faults they corrupt independently
        — the two-evaluation discipline at the bottom of the ladder *)
@@ -217,6 +223,7 @@ struct
            { op = "elimination.det"; detail = "two eliminations disagree" })
 
   let elim_inverse a =
+    span "inverse" @@ fun () ->
     match G.inverse a with
     | None -> Error (singular ~op:"elimination.inverse" a)
     | Some inv ->
@@ -328,5 +335,6 @@ struct
       Result.map
         (fun w -> a.M.rows - List.length w)
         (NS.nullspace ?deadline_ns ~precond:t.precond t.st a)
-    | Block | Scalar (* filtered out above *) | Elimination -> Ok (G.rank a)
+    | Block | Scalar (* filtered out above *) | Elimination ->
+      Ok (span "rank" (fun () -> G.rank a))
 end

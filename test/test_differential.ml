@@ -424,6 +424,81 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
           inputs)
       shared_seeds
 
+  (* --- kept-basis rows: a black-box solve reads Cayley–Hamilton's
+     Ãⁱ·b off the Krylov vectors it kept (k = n for a dense A) or applies
+     Ã again (k = 0, the same box with an unknown cost).  The vectors are
+     the same either way, so x, a singular verdict's w, the report and
+     the RNG state afterwards must coincide --- *)
+
+  let same_verdict r1 r2 =
+    match (r1, r2) with
+    | Ok (x, rep1), Ok (y, rep2) -> vec_equal x y && rep1 = rep2
+    | ( Error (O.Singular { kernel = w1; report = rep1 }),
+        Error (O.Singular { kernel = w2; report = rep2 }) ) ->
+      vec_equal w1 w2 && rep1 = rep2
+    | Error e1, Error e2 -> e1 = e2
+    | _ -> false
+
+  let kept_identical ~key what solve a b =
+    let dense = Bb.of_dense a in
+    let st_kept = Kp_util.Rng.make key and st_none = Kp_util.Rng.make key in
+    let kept = solve st_kept dense b in
+    let none = solve st_none { dense with Bb.ops_per_apply = 0 } b in
+    Alcotest.(check bool) (what ^ ": same answer and report") true
+      (same_verdict kept none);
+    Alcotest.(check bool) (what ^ ": same RNG state afterwards") true
+      (same_rng st_kept st_none);
+    kept
+
+  let test_kept_basis () =
+    let solvers =
+      [
+        ("solve_preconditioned", fun st bb b -> W.solve_preconditioned st bb b);
+        ("solve (P = I)", fun st bb b -> W.solve st bb b);
+      ]
+    in
+    List.iter
+      (fun seed ->
+        let st = Kp_util.Rng.make seed in
+        let nonsingular =
+          List.map (fun n -> M.random_nonsingular st n) P.sizes
+        in
+        let singular =
+          List.map
+            (fun r -> M.random_of_rank st P.singular_n ~rank:r)
+            [ P.singular_n - 1; P.singular_n - 2 ]
+        in
+        List.iteri
+          (fun i a ->
+            let n = a.M.rows in
+            let is_singular = i >= List.length nonsingular in
+            let in_range = M.matvec a (Array.init n (fun _ -> F.random st)) in
+            let drawn = Array.init n (fun _ -> F.random st) in
+            List.iter
+              (fun (name, solve) ->
+                List.iteri
+                  (fun j (rhs, b) ->
+                    let what =
+                      ctx seed n (Printf.sprintf "%s, %s (input %d)" name rhs i)
+                    in
+                    let key = (1000 * seed) + (10 * i) + j in
+                    (* an answer solves; a b outside a singular A's range
+                       gets Singular with a checked w read off the kept
+                       basis, and a b inside it an answer or a typed error *)
+                    let outside = is_singular && G.solve_general a b = None in
+                    match kept_identical ~key what solve a b with
+                    | Ok (x, _) ->
+                      Alcotest.(check bool) (what ^ ": A·x = b") true
+                        (vec_equal (M.matvec a x) b)
+                    | Error (O.Singular _) as r when is_singular ->
+                      singular_checked seed n what a r
+                    | Error _ when is_singular && not outside -> ()
+                    | Error e -> fail_typed seed n what e)
+                  [ ("b = A·x", in_range); ("drawn b", drawn) ])
+              solvers)
+          (nonsingular @ singular))
+      shared_seeds
+
   let tests =
     [
       Alcotest.test_case (P.name ^ " nonsingular") `Quick test_nonsingular;
@@ -432,6 +507,7 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
       Alcotest.test_case (P.name ^ " block singular") `Quick test_block_singular;
       Alcotest.test_case (P.name ^ " precond kinds") `Quick test_precond_kinds;
       Alcotest.test_case (P.name ^ " route identity") `Quick test_route_identity;
+      Alcotest.test_case (P.name ^ " kept Krylov basis") `Quick test_kept_basis;
     ]
 end
 

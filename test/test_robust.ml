@@ -158,33 +158,45 @@ let test_chaos_inverse () =
 
 let test_chaos_wiedemann_blackbox () =
   (* clean field, faulty OPERATOR: the black-box apply is wrapped so whole
-     result vectors get corrupted or the apply aborts mid-flight *)
-  let wrong = ref 0 and ok = ref 0 and injected = ref 0 in
-  for seed = 301 to 320 do
-    let plan =
-      Fault.plan ~p_corrupt:0.15
-        ~p_abort:(if seed mod 4 = 0 then 0.05 else 0.)
-        ~max_faults:2 ~seed ()
-    in
-    let st = st0 seed in
-    let n = 5 + (seed mod 6) in
-    let a, _, b = random_system st n in
-    let base = Bb.of_dense a in
-    let corrupt v =
-      if Array.length v > 0 then v.(0) <- F.add v.(0) F.one;
-      v
-    in
-    let bb = Bb.of_fun n (Fault.wrap_apply plan ~corrupt (Bb.apply base)) in
-    (match W.solve ~retries:10 st bb b with
-    | Ok (x, _) ->
-      incr ok;
-      if not (Array.for_all2 F.equal (M.matvec a x) b) then incr wrong
-    | Error _ -> ());
-    injected := !injected + Fault.injected plan
-  done;
-  check_int "zero uncertified wrong blackbox solutions" 0 !wrong;
-  check_bool "faults were actually injected" true (!injected > 0);
-  check_bool (Printf.sprintf "most recover (%d/20)" !ok) true (!ok >= 15)
+     result vectors get corrupted or the apply aborts mid-flight.  Costed
+     as dense (2n² per apply) the solve keeps its Krylov basis, so a
+     corrupted apply lands in the vectors Cayley–Hamilton reads; of unknown
+     cost it keeps none and Cayley–Hamilton applies the box again *)
+  List.iter
+    (fun dense ->
+      let label what =
+        Printf.sprintf "%s (%s)" what (if dense then "kept basis" else "no basis")
+      in
+      let wrong = ref 0 and ok = ref 0 and injected = ref 0 in
+      for seed = 301 to 320 do
+        let plan =
+          Fault.plan ~p_corrupt:0.15
+            ~p_abort:(if seed mod 4 = 0 then 0.05 else 0.)
+            ~max_faults:2 ~seed ()
+        in
+        let st = st0 seed in
+        let n = 5 + (seed mod 6) in
+        let a, _, b = random_system st n in
+        let base = Bb.of_dense a in
+        let corrupt v =
+          if Array.length v > 0 then v.(0) <- F.add v.(0) F.one;
+          v
+        in
+        let bb = Bb.of_fun n (Fault.wrap_apply plan ~corrupt (Bb.apply base)) in
+        let bb = if dense then { bb with Bb.ops_per_apply = 2 * n * n } else bb in
+        (match W.solve ~retries:10 st bb b with
+        | Ok (x, _) ->
+          incr ok;
+          if not (Array.for_all2 F.equal (M.matvec a x) b) then incr wrong
+        | Error _ -> ());
+        injected := !injected + Fault.injected plan
+      done;
+      check_int (label "zero uncertified wrong blackbox solutions") 0 !wrong;
+      check_bool (label "faults were actually injected") true (!injected > 0);
+      check_bool
+        (label (Printf.sprintf "most recover (%d/20)" !ok))
+        true (!ok >= 15))
+    [ false; true ]
 
 (* ---- control: skipping the certificates IS caught ---- *)
 
@@ -399,6 +411,47 @@ let test_retry_singular_is_terminal () =
   with
   | Error (O.Retries_exhausted report) -> check_int "attempts" 4 report.O.attempts
   | Ok _ | Error _ -> Alcotest.fail "expected Retries_exhausted"
+
+let test_retry_singular_is_not_a_failure () =
+  (* a Singular verdict is an answer: its attempt event and the
+     <ns>.singular counter record it, and no robust.failure event does;
+     an exhausted budget still emits one *)
+  let failures op =
+    List.length
+      (List.filter
+         (fun { Kp_obs.Events.name; attrs; _ } ->
+           name = "robust.failure" && List.assoc_opt "op" attrs = Some op)
+         (Kp_obs.Events.snapshot ()))
+  in
+  let outcomes op =
+    List.filter_map
+      (fun { Kp_obs.Events.name; attrs; _ } ->
+        if name = "testns.attempt" && List.assoc_opt "op" attrs = Some op then
+          List.assoc_opt "outcome" attrs
+        else None)
+      (Kp_obs.Events.snapshot ())
+  in
+  let singular_run () =
+    Rt.run ~ns:"testns" ~op:"verdict" ~policy:(Rt.policy ~retries:4 ())
+      ~card_s:16
+      (fun ~attempt:_ ~card_s:_ ->
+        Rt.Error_now (O.Singular { kernel = [| 1 |]; report = O.empty_report }))
+  in
+  (match singular_run () with
+  | Error (O.Singular _) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected Singular");
+  check_int "no robust.failure for Singular" 0 (failures "testns.verdict");
+  check_bool "the attempt event records it" true
+    (outcomes "verdict" = [ "singular" ]);
+  (match
+     Rt.run ~ns:"testns" ~op:"exhaust" ~policy:(Rt.policy ~retries:2 ())
+       ~card_s:16
+       (fun ~attempt:_ ~card_s:_ -> Rt.Reject O.Low_degree)
+   with
+  | Error (O.Retries_exhausted _) -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected Retries_exhausted");
+  check_int "Retries_exhausted emits robust.failure" 1
+    (failures "testns.exhaust")
 
 let test_retry_converts_exceptions () =
   (* an Injected fault and a Division_by_zero each cost one attempt *)
@@ -730,6 +783,8 @@ let () =
             test_retry_deadline_in_past;
           Alcotest.test_case "Singular ends the run" `Quick
             test_retry_singular_is_terminal;
+          Alcotest.test_case "Singular is not a robust.failure" `Quick
+            test_retry_singular_is_not_a_failure;
           Alcotest.test_case "exceptions become rejections" `Quick
             test_retry_converts_exceptions;
           Alcotest.test_case "Error_now short-circuits" `Quick

@@ -446,6 +446,127 @@ let int_list j name =
   | Some l -> List.map (fun v -> Option.get (Wire.to_int v)) l
   | None -> Alcotest.fail ("reply missing " ^ name)
 
+(* ---- fuzz: random bytes and mutated golden requests ---- *)
+
+let golden_lines =
+  [
+    {|{"id":"r1","op":"ping"}|};
+    {|{"id":"r2","op":"solve","n":2,"a":[1,2,3,4],"b":[5,6],"key":"m1","engine":"block","block_factor":2,"deadline_ms":250}|};
+    {|{"id":"r3","op":"solve","key":"m1","b":[1,2]}|};
+    {|{"id":"r4","op":"batch","key":"m1","bs":[[1,0],[0,1]]}|};
+    {|{"id":"r5","op":"det","n":2,"a":[1,2,3,4],"engine":"dense"}|};
+    {|{"id":"r6","op":"rank","key":"m1"}|};
+    {|{"id":"r7","op":"inverse","key":"m1","engine":"scalar"}|};
+    {|{"id":"r8","op":"metrics"}|};
+  ]
+
+(* JSON punctuation, literals, numbers at the edges of int, and the
+   protocol's own names, spliced in anywhere *)
+let fragments =
+  [ "{"; "}"; "["; "]"; "\""; ":"; ","; "-"; "0"; "-1"; "1e3"; "2.5";
+    "4611686018427387904"; "99999999999999999999"; "null"; "true";
+    "\\u00e9"; "\\"; "\"op\""; "\"n\""; "\"a\""; "\"b\""; "\"bs\"";
+    "\"key\""; "\"solve\""; "\"inverse\""; "\"engine\":\"dense\"";
+    "\"deadline_ms\":0"; "\"block_factor\":-3"; "[[[[[[[[[[[[" ]
+
+(* a golden request after one to four edits: a byte replaced, a fragment
+   inserted, a run deleted, or the tail cut *)
+let mutated =
+  let open QCheck.Gen in
+  let edit s =
+    let len = String.length s in
+    int_bound len >>= fun i ->
+    let before = String.sub s 0 i and after = String.sub s i (len - i) in
+    oneof
+      [
+        map (fun c -> before ^ String.make 1 c ^ after) char;
+        map
+          (fun c ->
+            if after = "" then before
+            else before ^ String.make 1 c ^ String.sub after 1 (String.length after - 1))
+          char;
+        map (fun f -> before ^ f ^ after) (oneofl fragments);
+        map
+          (fun k ->
+            let k = min k (String.length after) in
+            before ^ String.sub after k (String.length after - k))
+          (int_bound 8);
+        return before;
+      ]
+  in
+  let rec edits s k = if k = 0 then return s else edit s >>= fun s -> edits s (k - 1) in
+  oneofl golden_lines >>= fun g -> int_range 1 4 >>= edits g
+
+let reject_codes =
+  [ "malformed_json"; "not_an_object"; "unknown_op"; "missing_field";
+    "bad_field"; "bad_dimensions"; "oversized"; "too_large" ]
+
+(* the parsers are total, and every line ends in a typed verdict: a
+   request that renders and parses back to itself, or a [bad_request]
+   with a documented code whose reply is well-formed JSON echoing the
+   salvaged id *)
+let typed_verdict line =
+  (match Wire.parse line with
+  | Ok v when Result.is_error (Wire.parse (Wire.render v)) ->
+    QCheck.Test.fail_reportf "a parsed value renders to unparsable %S"
+      (Wire.render v)
+  | Ok _ | Error _ -> ());
+  match P.parse_request ~max_n:64 line with
+  | Ok req -> (
+    match P.parse_request ~max_n:64 (P.render_request req) with
+    | Ok req' -> req = req' || QCheck.Test.fail_report "render/parse changed it"
+    | Error r -> QCheck.Test.fail_reportf "rendered request rejected: %s" r.P.detail)
+  | Error r -> (
+    if not (List.mem r.P.code reject_codes) then
+      QCheck.Test.fail_reportf "undocumented code %s" r.P.code;
+    match Wire.parse (P.bad_request ~id:(P.salvage_id line) r) with
+    | Ok j ->
+      P.response_status j = Some "bad_request"
+      && Option.bind (Wire.member "code" j) Wire.to_str = Some r.P.code
+      && P.response_id j = P.salvage_id line
+    | Error m -> QCheck.Test.fail_reportf "bad_request reply unparsable: %s" m)
+
+let prop_random_bytes =
+  QCheck.Test.make ~name:"random bytes: a typed verdict" ~count:2000
+    QCheck.(string_gen_of_size Gen.(0 -- 120) Gen.char)
+    typed_verdict
+
+let prop_mutated_golden =
+  QCheck.Test.make ~name:"mutated golden requests: a typed verdict"
+    ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") mutated)
+    typed_verdict
+
+(* the daemon answers every mutated line with one well-formed reply (ok,
+   a typed error, or bad_request) and keeps serving *)
+let test_fuzz_server () =
+  with_server ~seed:91 @@ fun path _srv ->
+  let c = Cl.connect path in
+  Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
+  ignore
+    (Cl.request_line c
+       {|{"id":"k","op":"solve","n":2,"a":[2,1,1,3],"b":[1,2],"key":"m1"}|});
+  let rand = Random.State.make [| 4242 |] in
+  for _ = 1 to 200 do
+    let line =
+      String.map
+        (function '\n' | '\r' -> ' ' | c -> c)
+        (QCheck.Gen.generate1 ~rand mutated)
+    in
+    (* the daemon skips an empty line without a reply *)
+    if line <> "" then
+      match Wire.parse (Cl.request_line c line) with
+      | Ok j ->
+        check_bool
+          (Printf.sprintf "status of the reply to %S" line)
+          true
+          (List.mem (P.response_status j)
+             [ Some "ok"; Some "error"; Some "bad_request" ])
+      | Error m -> Alcotest.failf "reply to %S is not JSON: %s" line m
+  done;
+  let j = Result.get_ok (Wire.parse (Cl.request_line c {|{"id":"p","op":"ping"}|})) in
+  check_str "still serving" "ok" (str_field j "status")
+
 let test_server_golden () =
   with_server ~seed:31 @@ fun path _srv ->
   let c = Cl.connect path in
@@ -821,6 +942,13 @@ let () =
             test_protocol_render_roundtrip;
           Alcotest.test_case "response envelopes" `Quick test_protocol_responses;
         ] );
+      ( "fuzz",
+        List.map
+          (QCheck_alcotest.to_alcotest ~long:false ~speed_level:`Quick
+             ~rand:(Random.State.make [| 2718 |]))
+          [ prop_random_bytes; prop_mutated_golden ]
+        @ [ Alcotest.test_case "daemon: mutated lines, typed replies" `Quick
+              test_fuzz_server ] );
       ( "breaker",
         [ Alcotest.test_case "open/half-open/close lifecycle" `Quick
             test_breaker_lifecycle ] );

@@ -249,6 +249,37 @@ let test_solve_preconditioned_with_counters () =
     check_int "wiedemann attempts counted" (attempts0 + attempts)
       (before "wiedemann.attempts")
 
+(* a solve keeps its Krylov basis when one apply of A costs at least n²
+   operations, so Cayley–Hamilton reads Ãⁱ·b instead of applying Ã again:
+   2n − 1 applies of Ã plus the residual apply of A.  The same box with
+   an unknown cost keeps nothing and pays n − 1 more *)
+let test_kept_basis_applies () =
+  let module Counter = Kp_obs.Counter in
+  let n = 64 in
+  let st = st0 15 in
+  let a = M.random_nonsingular st n in
+  let x_true = Array.init n (fun _ -> F.random st) in
+  let b = M.matvec a x_true in
+  let count name = Option.value ~default:0 (Counter.find name) in
+  let applies bb =
+    let all0 = count "blackbox.applies" in
+    let pre0 = count "blackbox.preconditioned.applies" in
+    match W.solve_preconditioned (st0 16) bb b with
+    | Error e -> Alcotest.fail (W.O.error_to_string e)
+    | Ok (x, report) ->
+      check_bool "solution" true (farr_eq x x_true);
+      check_int "one attempt" 1 report.W.O.attempts;
+      ( count "blackbox.preconditioned.applies" - pre0,
+        count "blackbox.applies" - all0 )
+  in
+  let dense = Bb.of_dense a in
+  let pre, all = applies dense in
+  check_int "dense: 2n - 1 applies of A~" ((2 * n) - 1) pre;
+  check_int "dense: plus one residual apply of A" (2 * n) all;
+  let pre, all = applies { dense with Bb.ops_per_apply = 0 } in
+  check_int "unknown cost: 3n - 2 applies of A~" ((3 * n) - 2) pre;
+  check_int "unknown cost: plus one residual apply of A" ((3 * n) - 1) all
+
 (* ---- cross-validation: counting field vs circuit size ---- *)
 
 let test_counting_equals_circuit_size () =
@@ -321,6 +352,8 @@ let () =
           Alcotest.test_case "hankel bb = dense Hankel" `Quick test_hankel_blackbox_matches_dense;
           Alcotest.test_case "preconditioned solve + counters" `Quick
             test_solve_preconditioned_with_counters;
+          Alcotest.test_case "kept Krylov basis: 2n - 1 applies" `Quick
+            test_kept_basis_applies;
         ] );
       ( "toeplitz-solve",
         [
