@@ -424,8 +424,9 @@ let engine_t =
              "The top rung of the engine ladder, as in $(b,kp serve)'s \
               requests: $(b,auto) or $(b,scalar) (the preconditioned \
               black-box engine, then verified Gaussian elimination), \
-              $(b,block) (block Wiedemann — b columns per Krylov product, \
-              see $(b,--block-factor) — then scalar, then elimination) or \
+              $(b,block) (block Wiedemann on the same black box — b Krylov \
+              passes of about 2n/b terms, see $(b,--block-factor) — then \
+              scalar, then elimination) or \
               $(b,dense) (the paper's Theorem-4 pipeline alone: the \
               reference engine, no fallback).  $(b,rank) has no scalar or \
               block route: it is elimination unless $(b,dense).  A \
@@ -437,9 +438,10 @@ let block_factor_t =
   Arg.(value & opt (some int) None
        & info [ "block-factor" ]
            ~doc:
-             "With $(b,--engine block): the blocking factor b — columns per \
-              Krylov product, and the number of right-hand sides one block \
-              run can carry.  Default: automatic from n and the pool size.")
+             "With $(b,--engine block): the blocking factor b — the number \
+              of Krylov passes of about 2n/b terms, and of right-hand sides \
+              one block run can carry.  Default: automatic from n (4 once \
+              n >= 64, else 1).")
 
 let precond_t =
   Arg.(value
@@ -451,7 +453,13 @@ let precond_t =
            (Pc.default_choice ())
        & info [ "precond" ]
            ~doc:
-             "Preconditioner P in \xc3\x83 = A\xc2\xb7P: $(b,auto) (dense               Hankel\xc2\xb7Diagonal for dense engines, sparse butterfly for               black-box ones), $(b,dense) (the paper's H\xc2\xb7D), $(b,sparse)               (butterfly network, O(n log n) ops per apply) or $(b,ext)               (extension-field lift for tiny fields such as GF(2)).                Forced non-dense kinds demote to dense on the late retry               attempts of each randomized engine; elimination draws no               P.  See $(b,kp precond).  Overrides KP_PRECOND.")
+             "Preconditioner P in \xc3\x83 = A\xc2\xb7P: $(b,auto) (H\xc2\xb7D on the dense \
+              engine, the butterfly on the scalar and block ones), $(b,dense) \
+              (the paper's H\xc2\xb7D), $(b,sparse) (butterfly network, O(n log n) \
+              per apply) or $(b,ext) (extension-field lift for GF(2)-like \
+              fields).  Forced non-dense kinds demote to dense on late \
+              retries; elimination draws no P.  See $(b,kp precond).  \
+              Overrides KP_PRECOND.")
 
 let deadline_t =
   Arg.(value & opt (some int) None
@@ -610,8 +618,9 @@ let precond_cmd =
       (fun k -> Printf.printf "  %-10s %s\n" (Pc.kind_name k) (Pc.describe k))
       Pc.all_kinds;
     print_endline
-      "\nresolution: --precond auto picks dense for the dense engines and\n\
-       sparse for black-box ones; --precond dense|sparse|ext forces a kind.\n\
+      "\nresolution: --precond auto picks dense for the dense engine and\n\
+       sparse for the black-box ones (scalar and block); --precond\n\
+       dense|sparse|ext forces a kind.\n\
        Retry contract: a forced non-dense kind demotes to dense for the\n\
        second half of the retry budget (precond.demote counts this), and\n\
        the escalation ceiling of the random-sample domain S is the kind's\n\

@@ -50,41 +50,6 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) = struct
 
   let sequence ~u k = M.vecmat u k
 
-  (* ---- block Krylov (block Wiedemann) ----
-
-     With an n×b start block V the powers K_i = Aⁱ·V are produced by m-1
-     full n×n by n×b products: each step is one bulk-kernel matmul over b
-     columns at once, which is the whole point of blocking — the scalar
-     engine's m matvecs become m/b-th as many calls at b-fold width. *)
-
-  let blocks ~mul (a : M.t) (v : M.t) m =
-    if m < 1 then invalid_arg "Krylov.blocks: m < 1";
-    if v.M.rows <> a.M.rows then invalid_arg "Krylov.blocks: bad start block";
-    let out = Array.make m v in
-    let cur = ref v in
-    for i = 1 to m - 1 do
-      cur := mul a !cur;
-      out.(i) <- !cur
-    done;
-    out
-
-  let block_sequence ~mul ~ut ks =
-    Array.map (fun k -> (mul ut k).M.data) ks
-
-  let block_combination (ks : M.t array) (cs : F.t array array) =
-    let m = Array.length cs in
-    if m > Array.length ks then
-      invalid_arg "Krylov.block_combination: more coefficients than blocks";
-    let n = if Array.length ks = 0 then 0 else ks.(0).M.rows in
-    let acc = Array.make n F.zero in
-    for i = 0 to m - 1 do
-      let kv = M.matvec ks.(i) cs.(i) in
-      for r = 0 to n - 1 do
-        acc.(r) <- F.add acc.(r) kv.(r)
-      done
-    done;
-    acc
-
   let combination (k : M.t) c =
     if Array.length c <> k.M.cols then invalid_arg "Krylov.combination";
     (* Σ_j c_j·K(·,j) is exactly K·c — reuse the balanced-depth matvec *)

@@ -28,22 +28,6 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) : sig
   val sequence : u:F.t array -> M.t -> F.t array
   (** [sequence ~u k] = u·K: the scalar sequence {u·Aⁱ·v}. *)
 
-  val blocks : mul:mul -> M.t -> M.t -> int -> M.t array
-  (** [blocks ~mul a v m]: the block Krylov powers [|V; A·V; …; A{^m-1}·V|]
-      for an n×b start block [v], by m-1 products through [mul] — each one
-      a bulk n×n by n×b kernel call, the block-Wiedemann replacement for m
-      scalar matvecs. *)
-
-  val block_sequence : mul:mul -> ut:M.t -> M.t array -> F.t array array
-  (** [block_sequence ~mul ~ut ks]: the projected b×b terms
-      S_i = Uᵀ·Aⁱ·V in row-major form ([ut] is b×n), ready for
-      {!Kp_seqgen.Matrix_bm}. *)
-
-  val block_combination : M.t array -> F.t array array -> F.t array
-  (** [block_combination ks cs] = Σᵢ Kᵢ·cᵢ — the block Cayley–Hamilton
-      accumulation (each cᵢ ∈ K{^b}).  Uses the first
-      [Array.length cs] blocks. *)
-
   val combination : M.t -> F.t array -> F.t array
   (** [combination k c] = Σᵢ cᵢ·(column i of K) — the Cayley–Hamilton
       linear combination. *)

@@ -6,7 +6,6 @@ struct
   module M = P.M
   module MD = Kp_matrix.Dense.Make (F)
   module BM = Kp_seqgen.Berlekamp_massey.Make (F)
-  module LR = Kp_seqgen.Linrec.Make (F)
   module Pc = Kp_precond.Precond
   module SP = Kp_precond.Precond.Make (F) (C)
 
@@ -104,7 +103,8 @@ struct
     in
     (* the matrix-multiplication black box, on the pool when one is
        supplied (the PRAM stand-in): bit-identical either way *)
-    { n; mul = MD.mul_pooled pool; pool; strategy; generator; det_hd }
+    let mul = match pool with None -> MD.mul | Some p -> MD.mul_parallel p in
+    { n; mul; pool; strategy; generator; det_hd }
 
   let build ctx st ~card_s kind =
     SP.build ?det_hd:ctx.det_hd ~card_s ~n:ctx.n kind st
@@ -175,12 +175,4 @@ struct
     Lv.det ~ns:"solver" ?retries ?card_s ?deadline_ns ~kind:(Pc.resolve precond)
       ~n:ctx.n
     @@ fun ~attempt:_ ~kind ~card_s () -> det_eval ctx st ~card_s ~kind a
-
-  let minimal_polynomial_wiedemann ?card_s st apply ~n =
-    let card_s = Option.value card_s ~default:(Lv.card_s n) in
-    let u = Lv.sample_vec st ~card_s n in
-    let b = Lv.sample_vec st ~card_s n in
-    let apply_into v dst = Array.blit (apply v) 0 dst 0 n in
-    let seq = LR.krylov_sequence apply_into ~u ~b (2 * n) in
-    BM.P.to_array (BM.minimal_polynomial seq)
 end

@@ -110,12 +110,4 @@ module Make
   (** Determinant of A through {!Las_vegas.Make.det}: two fully
       independent evaluations must agree, and a [Singular] proof is
       reported as [Ok (F.zero, _)]. *)
-
-  val minimal_polynomial_wiedemann :
-    ?card_s:int ->
-    Random.State.t -> (F.t array -> F.t array) -> n:int -> F.t array
-  (** The sequential Wiedemann baseline: {u·Aⁱ·b} by 2n black-box
-      applications, Berlekamp/Massey for the generator.  Monte Carlo: the
-      result is a divisor of the true minimum polynomial with the usual
-      probability bound. *)
 end

@@ -117,9 +117,14 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
 
   (* Ã = A·P as a black-box composition (Theorem 2's preconditioning) —
      for the dense kind this is the legacy scale-then-Hankel pipeline,
-     for the sparse kinds the composition stays O(n log n) per apply. *)
+     for the sparse kinds the composition stays O(n log n) per apply —
+     instrumented as the one operator a routine iterates *)
   let preconditioned_blackbox (bb : Bb.t) p =
-    Bb.compose bb (precond_blackbox p)
+    Bb.instrument ~name:"preconditioned" (Bb.compose bb (precond_blackbox p))
+
+  let precondition ~card_s kind st (bb : Bb.t) =
+    let p = SP.build ~card_s ~n:bb.Bb.dim kind st in
+    (p, preconditioned_blackbox bb p)
 
   (* every preconditioned routine runs the contract with [Auto] resolved
      to the sparse butterfly: the operand is a black box *)
@@ -137,11 +142,8 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
     Lv.run ~ns:"wiedemann" ~op:"solve_preconditioned" ?retries ?card_s
       ?deadline_ns ~kind:(kind_of precond) ~n
     @@ fun ~attempt:_ ~kind ~card_s ->
-    let p = SP.build ~card_s ~n kind st in
+    let p, a_tilde = precondition ~card_s kind st bb in
     let u = Lv.sample_vec st ~card_s n in
-    let a_tilde =
-      Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
-    in
     let basis, f = generator ~keep a_tilde ~u ~b in
     let deg = Array.length f - 1 in
     if deg = 0 then Rt.Reject O.Low_degree
@@ -174,13 +176,10 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
      equal on two evaluations. *)
   let evaluate ~certify ~accept st (bb : Bb.t) ~kind ~card_s =
     let n = bb.Bb.dim in
-    let p = SP.build ~card_s ~n kind st in
+    let p, a_tilde = precondition ~card_s kind st bb in
     let u = Lv.sample_vec st ~card_s n in
     let v = Lv.sample_vec st ~card_s n in
     let us = if certify then [| u; Lv.sample_vec st ~card_s n |] else [| u |] in
-    let a_tilde =
-      Bb.instrument ~name:"preconditioned" (preconditioned_blackbox bb p)
-    in
     let seqs, _, f = sequences_and_generator a_tilde ~us ~b:v in
     let deg = Array.length f - 1 in
     if deg >= 1 && F.is_zero f.(0) then
@@ -225,8 +224,6 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
   let apply_precomp pc b =
     let n = pc.op.Bb.dim in
     if Array.length b <> n then invalid_arg "Wiedemann.apply_precomp: bad rhs";
-    let a_tilde =
-      Bb.instrument ~name:"preconditioned" (preconditioned_blackbox pc.op pc.p)
-    in
+    let a_tilde = preconditioned_blackbox pc.op pc.p in
     pc.p.Pc.apply (cayley_hamilton_solution a_tilde pc.f ~deg:n b)
 end

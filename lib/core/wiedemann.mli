@@ -73,6 +73,26 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
       [apply_transpose] Pᵀ·v, and [ops_per_apply] the record's (lazy)
       measured cost, forced here. *)
 
+  val kind_of : Kp_precond.Precond.choice -> Kp_precond.Precond.kind
+  (** [Auto] resolves to the sparse butterfly on every black box. *)
+
+  val precondition :
+    card_s:int -> Kp_precond.Precond.kind -> Random.State.t -> Bb.t ->
+    F.t Kp_precond.Precond.t * Bb.t
+  (** Draw P from S and compose Ã = A·P, instrumented as
+      [blackbox.preconditioned]: the operator every preconditioned
+      routine here and in {!Block_wiedemann} iterates. *)
+
+  val kept : Bb.t -> int
+  (** k = min(n, ⌊ops/n⌋) Krylov vectors a solve keeps for a box of this
+      cost: n for a dense A, none for an unknown cost. *)
+
+  val cayley_hamilton_sum :
+    ?basis:F.t array array -> Bb.t -> F.t array -> deg:int -> F.t array ->
+    F.t array
+  (** Σ_{i=1}^{deg} fᵢ·Aⁱ⁻¹·v, reading Aⁱ⁻¹·v off [basis] (a Krylov
+      pass's kept prefix) while it lasts and applying A past it. *)
+
   val solve_preconditioned :
     ?retries:int -> ?card_s:int -> ?deadline_ns:int64 ->
     ?precond:Kp_precond.Precond.choice ->

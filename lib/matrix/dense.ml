@@ -235,8 +235,6 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
           ~bcols:b.cols ~row_lo:cl ~row_hi:ch);
     out
 
-  let mul_pooled = function None -> mul | Some pool -> mul_parallel pool
-
   let to_string m =
     let buf = Buffer.create 128 in
     for i = 0 to m.rows - 1 do

@@ -87,10 +87,6 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
   (** Classical product with row-disjoint chunks distributed over the pool,
       each chunk one bulk kernel call; bit-identical to [mul]. *)
 
-  val mul_pooled : Kp_util.Pool.t option -> t -> t -> t
-  (** The solvers' matrix-multiplication black box: {!mul_parallel} on
-      the pool when one is given, {!mul} otherwise. *)
-
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 end

@@ -8,7 +8,16 @@ let connect path =
      raise e);
   { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
+(* the daemon answers each non-blank line once: refuse a line it would
+   not answer (the read below would block forever) or answer twice *)
+let check_line line =
+  let len = String.length line in
+  let blank = len = 0 || (len = 1 && line.[0] = '\r') in
+  if blank || String.contains line '\n' then
+    invalid_arg "Client.request_line: not exactly one non-blank line"
+
 let request_line t line =
+  check_line line;
   match
     output_string t.oc line;
     output_char t.oc '\n';

@@ -13,7 +13,11 @@ val connect : string -> t
     @raise Unix.Unix_error if nobody is listening. *)
 
 val request_line : t -> string -> string
-(** Send one raw line (newline appended), read one reply line.
+(** Send one raw line (newline appended), read one reply line.  The
+    daemon skips a blank line without a reply, so a line that is empty
+    once one trailing ['\r'] is dropped is refused, and so is a line
+    containing ['\n'] (it would draw two replies).
+    @raise Invalid_argument on such a line, before anything is sent.
     @raise End_of_file if the server closed the connection. *)
 
 val request : t -> Protocol.request -> Wire.t

@@ -8,7 +8,7 @@ struct
   module W = Kp_core.Wiedemann.Make (F)
   module NS = Kp_core.Nullspace.Make (F) (C)
   module S = NS.S
-  module BW = Kp_core.Block_wiedemann.Make (F) (C)
+  module BW = Kp_core.Block_wiedemann.Make (F)
   module I = Kp_core.Inverse.Make (F) (C)
   module G = Kp_matrix.Gauss.Make (F)
   module Lv = Kp_core.Las_vegas.Make (F)
@@ -263,7 +263,7 @@ struct
     let precond = t.precond in
     match rung with
     | Block ->
-      BW.solve ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a b
+      BW.solve ?deadline_ns ?block_factor ~precond t.st (W.Bb.of_dense a) b
     | Scalar -> (
       match t.session with
       | Some s -> Sess.solve ?key ?deadline_ns s a b
@@ -279,8 +279,8 @@ struct
     let precond = t.precond in
     match rung with
     | Block ->
-      BW.solve_batch ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a
-        bs
+      BW.solve_batch ?deadline_ns ?block_factor ~precond t.st
+        (W.Bb.of_dense a) bs
     | Scalar ->
       let results = Sess.solve_many ?key ?deadline_ns (session_for t) a bs in
       each_rhs bs (fun i _ -> results.(i))
@@ -298,7 +298,7 @@ struct
     let precond = t.precond in
     match rung with
     | Block ->
-      BW.det ?deadline_ns ?pool:t.pool ?block_factor ~precond t.st a
+      BW.det ?deadline_ns ?block_factor ~precond t.st (W.Bb.of_dense a)
     | Scalar -> (
       match t.session with
       | Some s -> Sess.det ?key ?deadline_ns s a

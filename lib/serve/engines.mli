@@ -15,8 +15,10 @@
 
     and the rungs, named as replies and [kp] report them, are
 
-    - [block]: {!Kp_core.Block_wiedemann} (no inverse route: an inverse
-      ladder starts at the scalar rung);
+    - [block]: {!Kp_core.Block_wiedemann} on the black box of A, the
+      scalar engine's parts widened to b Krylov passes (at b = 1 it
+      draws what the scalar engine draws); no inverse route: an inverse
+      ladder starts at the scalar rung;
     - [scalar]: the black-box engine.  With a shared [session] (serve) it
       is that {!Kp_session.Session}; without one (the CLI) a solve or det
       is a fresh {!Kp_core.Wiedemann.Make.solve_preconditioned} or
@@ -87,9 +89,11 @@ module Make
       matrix cache the serving layer shares across requests); without
       it the scalar rung runs fresh engines and call-scoped sessions.
       The state seeds every rung that draws outside the shared session.
-      [pool] fans the block and dense rungs' matrix products out as row
-      blocks (bit-identical answers) and reaches call-scoped sessions;
-      configure a shared session with the same pool to cover it too.
+      [pool] reaches only the dense rung, whose matrix products fan out
+      as row blocks (bit-identical answers), and call-scoped sessions,
+      which spread a batch's right-hand sides over it; configure a shared
+      session with the same pool to cover it too.  The block and scalar
+      rungs iterate one black box and stay sequential.
       [precond] picks the preconditioner kind for every rung that is not
       the shared session; configure the session with the same choice to
       cover it.  A non-dense kind demotes to dense inside each engine, per

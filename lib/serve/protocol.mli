@@ -1,6 +1,8 @@
 (** The `kp serve` request/response protocol.
 
-    One JSON object per line in each direction.  Requests:
+    One JSON object per line in each direction; one trailing ['\r'] is
+    dropped from a request line, and a line that is then empty is a
+    blank line, skipped without a reply.  Requests:
 
     {v
     {"id":"r1","op":"ping"}

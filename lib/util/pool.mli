@@ -2,8 +2,9 @@
 
     This is the PRAM stand-in used by the repository: the paper's algorithms
     are analysed on an algebraic PRAM; here the data-parallel loops of the
-    concrete implementations (matrix products, Krylov blocks, polynomial
-    convolutions) execute on a fixed pool of worker domains.
+    concrete implementations (matrix products, a session batch's
+    right-hand sides, polynomial convolutions) execute on a fixed pool of
+    worker domains.
 
     A pool owns [domains - 1] worker domains; the calling domain participates
     in every parallel region, so [create ~domains:1] degenerates to purely

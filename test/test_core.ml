@@ -21,6 +21,7 @@ module Rk = Kp_core.Rank.Make (F) (CK)
 module Ns = Kp_core.Nullspace.Make (F) (CK)
 module Lsq = Kp_core.Least_squares.Make (Q) (CKQ)
 module BM = Kp_seqgen.Berlekamp_massey.Make (F)
+module W = Kp_core.Wiedemann.Make (F)
 module Lev = Kp_structured.Leverrier.Make (F)
 
 let check_bool = Alcotest.(check bool)
@@ -264,7 +265,7 @@ let test_wiedemann_minpoly () =
   for _ = 1 to 8 do
     let n = 2 + Random.State.int st 8 in
     let a = M.random_nonsingular st n in
-    let f = S.minimal_polynomial_wiedemann st (M.matvec a) ~n in
+    let f = W.minimal_polynomial st (W.Bb.of_dense a) in
     (* f divides charpoly: check f(A)·b = 0 on fresh random b *)
     let deg = Array.length f - 1 in
     let b = Array.init n (fun _ -> F.random st) in

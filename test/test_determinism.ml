@@ -18,7 +18,6 @@ module TC = Kp_structured.Toeplitz_charpoly.Make (F) (NK)
 module CH = Kp_structured.Chistov.Make (F) (CK)
 module I = Kp_core.Inverse.Make (F) (CK)
 module S = Kp_core.Solver.Make (F) (CK)
-module BW = Kp_core.Block_wiedemann.Make (F) (CK)
 module Pool = Kp_util.Pool
 
 let domain_counts = Test_seeds.domain_counts
@@ -89,10 +88,8 @@ let prop_chistov_charpoly =
       with_each_pool (fun ~domains:_ pool ->
           Array.for_all2 F.equal (CH.charpoly ~pool ~n d) expected))
 
-(* the full solvers on the pool: answers and attempt counts are a
-   function of the seed alone — the pool is invisible to results.  The
-   block engine gets a fixed blocking factor, since its default grows
-   with the pool size *)
+(* the full solver on the pool: answers and attempt counts are a
+   function of the seed alone — the pool is invisible to results *)
 let prop_pooled_solve =
   QCheck.Test.make ~name:"pooled solve = sequential (domains 1/2/4)" ~count:4
     (QCheck.pair (QCheck.int_range 2 10) QCheck.small_int)
@@ -101,10 +98,7 @@ let prop_pooled_solve =
       let st = fresh () in
       let a = M.random_nonsingular st n in
       let b = rand_array st n in
-      let engines =
-        [ (fun ?pool st -> S.solve ?pool st a b);
-          (fun ?pool st -> BW.solve ?pool ~block_factor:2 st a b) ]
-      in
+      let engines = [ (fun ?pool st -> S.solve ?pool st a b) ] in
       let run ?pool solve =
         let st = fresh () in
         ignore (M.random_nonsingular st n);

@@ -57,7 +57,8 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
   module Rk = Kp_core.Rank.Make (F) (C)
   module Ns = Kp_core.Nullspace.Make (F) (C)
   module W = Kp_core.Wiedemann.Make (F)
-  module BW = Kp_core.Block_wiedemann.Make (F) (C)
+  module BW = Kp_core.Block_wiedemann.Make (F)
+  module Sp = Kp_matrix.Sparse.Make (F)
   module Sess = Kp_session.Session.Make (F) (C)
   module El = Elimination (F) (C)
   module O = Kp_robust.Outcome
@@ -180,7 +181,7 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
         let sts = states (seed + n) 10 in
         Alcotest.(check bool) (ctx seed n "oracle sees singular") true (G.is_singular a);
         Alcotest.(check bool) (ctx seed n "oracle sees b_out outside the range") true
-          (G.solve a b_out = None);
+          (G.solve_general a b_out = None);
         (* solve: an inconsistent system's Krylov sequence reaches the
            kernel, so f has λ | f, and the dense and black-box engines
            answer Singular with a checked kernel vector *)
@@ -250,6 +251,9 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
 
   let block_factors = [ 1; 2; 4 ]
 
+  let same_rng st1 st2 =
+    List.for_all (fun _ -> Random.State.bits st1 = Random.State.bits st2) [ 1; 2; 3 ]
+
   let test_block_nonsingular () =
     List.iter
       (fun seed ->
@@ -264,12 +268,12 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
               (fun i bf ->
                 let sts = states (seed + n + (137 * (i + 1))) 2 in
                 let what s = Printf.sprintf "%s b=%d" s bf in
-                (match BW.solve ~block_factor:bf sts.(0) a b with
+                (match BW.solve ~block_factor:bf sts.(0) (Bb.of_dense a) b with
                 | Ok (x, _) ->
                   Alcotest.(check bool) (ctx seed n (what "block solve = oracle")) true
                     (vec_equal x x_true)
                 | Error e -> fail_typed seed n (what "block solve") e);
-                match BW.det ~block_factor:bf sts.(1) a with
+                match BW.det ~block_factor:bf sts.(1) (Bb.of_dense a) with
                 | Ok (d, _) ->
                   Alcotest.(check bool) (ctx seed n (what "block det = oracle")) true
                     (F.equal d det_oracle)
@@ -279,21 +283,27 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
             let sts = states (seed + n + 997) 3 in
             let x2 = Array.init n (fun _ -> F.random sts.(2)) in
             let b2 = M.matvec a x2 in
-            (match BW.solve_batch sts.(0) a [| b; b2 |] with
+            (match BW.solve_batch sts.(0) (Bb.of_dense a) [| b; b2 |] with
             | Ok (xs, _) ->
               Alcotest.(check bool) (ctx seed n "block batch solve = oracle") true
                 (vec_equal xs.(0) x_true && vec_equal xs.(1) x2)
             | Error e -> fail_typed seed n "block batch solve" e);
-            (* b=1 degeneration: same random stream, same answer and the
-               same attempt count as the scalar engine *)
+            (* b=1 degeneration: on the same random stream the block engine
+               draws P and u exactly as the black-box scalar engine does, so
+               the answer, the attempt count and the stream afterwards agree *)
             let st_scalar = Kp_util.Rng.make ((seed * 65599) + n) in
             let st_block = Kp_util.Rng.make ((seed * 65599) + n) in
-            match (S.solve st_scalar a b, BW.solve ~block_factor:1 st_block a b) with
+            match
+              ( W.solve_preconditioned st_scalar (Bb.of_dense a) b,
+                BW.solve ~block_factor:1 st_block (Bb.of_dense a) b )
+            with
             | Ok (xs_, ra), Ok (xb_, rb) ->
               Alcotest.(check bool) (ctx seed n "b=1 block = scalar answer") true
                 (vec_equal xs_ xb_);
               Alcotest.(check int) (ctx seed n "b=1 block = scalar attempts")
-                ra.O.attempts rb.O.attempts
+                ra.O.attempts rb.O.attempts;
+              Alcotest.(check bool) (ctx seed n "b=1 block = scalar draws") true
+                (same_rng st_scalar st_block)
             | Error e, _ -> fail_typed seed n "scalar solve (b=1 identity)" e
             | _, Error e -> fail_typed seed n "block solve (b=1 identity)" e)
           P.sizes)
@@ -313,13 +323,47 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
             let sts = states (seed + n + (211 * bf)) 2 in
             let what s = Printf.sprintf "%s b=%d" s bf in
             singular_checked seed n (what "block solve") a
-              (BW.solve ~block_factor:bf sts.(0) a b);
-            match BW.det ~block_factor:bf sts.(1) a with
+              (BW.solve ~block_factor:bf sts.(0) (Bb.of_dense a) b);
+            match BW.det ~block_factor:bf sts.(1) (Bb.of_dense a) with
             | Ok (d, _) ->
               Alcotest.(check bool) (ctx seed n (what "block det = 0")) true
                 (F.is_zero d)
             | Error e -> fail_typed seed n (what "block det") e)
           [ 1; 2 ])
+      shared_seeds
+
+  (* --- sparse block rows: the block engine on a CSR black box, never
+     materialised, against the planted solutions and Gauss's det --- *)
+
+  let test_block_sparse () =
+    List.iter
+      (fun seed ->
+        List.iter
+          (fun n ->
+            let st = Kp_util.Rng.make (seed + 7919) in
+            let s = Sp.random_nonsingular st n ~density:0.3 in
+            let bb = Bb.of_sparse s in
+            let x1 = Array.init n (fun _ -> F.random st) in
+            let x2 = Array.init n (fun _ -> F.random st) in
+            let b1 = Sp.matvec s x1 and b2 = Sp.matvec s x2 in
+            let sts = states (seed + n + 4099) 3 in
+            (match BW.solve ~block_factor:2 sts.(0) bb b1 with
+            | Ok (x, _) ->
+              Alcotest.(check bool) (ctx seed n "sparse block solve = planted")
+                true (vec_equal x x1)
+            | Error e -> fail_typed seed n "sparse block solve" e);
+            (match BW.solve_batch sts.(1) bb [| b1; b2 |] with
+            | Ok (xs, _) ->
+              Alcotest.(check bool) (ctx seed n "sparse block batch = planted")
+                true
+                (vec_equal xs.(0) x1 && vec_equal xs.(1) x2)
+            | Error e -> fail_typed seed n "sparse block batch" e);
+            match BW.det sts.(2) bb with
+            | Ok (d, _) ->
+              Alcotest.(check bool) (ctx seed n "sparse block det = oracle") true
+                (F.equal d (G.det (Sp.to_dense s)))
+            | Error e -> fail_typed seed n "sparse block det" e)
+          P.sizes)
       shared_seeds
 
   (* --- preconditioner-kind rows: every registered kind, through the
@@ -351,12 +395,12 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
               Alcotest.(check bool) (ctx seed n (what "det = oracle")) true
                 (F.equal d det_oracle)
             | Error e -> fail_typed seed n (what "det") e);
-            (match BW.solve ~block_factor:2 ~precond sts.(2) a b with
+            (match BW.solve ~block_factor:2 ~precond sts.(2) (Bb.of_dense a) b with
             | Ok (x, _) ->
               Alcotest.(check bool) (ctx seed n (what "block solve = oracle"))
                 true (vec_equal x x_true)
             | Error e -> fail_typed seed n (what "block solve") e);
-            (match BW.det ~block_factor:2 ~precond sts.(3) a with
+            (match BW.det ~block_factor:2 ~precond sts.(3) (Bb.of_dense a) with
             | Ok (d, _) ->
               Alcotest.(check bool) (ctx seed n (what "block det = oracle"))
                 true (F.equal d det_oracle)
@@ -374,9 +418,6 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
      det(H) through the Toeplitz mirror).  Both draw from the same seed and
      neither replaced stage draws, so the answers, the whole attempt
      history and the RNG state afterwards must coincide --- *)
-
-  let same_rng st1 st2 =
-    List.for_all (fun _ -> Random.State.bits st1 = Random.State.bits st2) [ 1; 2; 3 ]
 
   let same_outcome eq r1 r2 =
     match (r1, r2) with
@@ -505,6 +546,7 @@ module Diff (F : Kp_field.Field_intf.FIELD) (P : PROFILE) = struct
       Alcotest.test_case (P.name ^ " singular") `Quick test_singular;
       Alcotest.test_case (P.name ^ " block nonsingular") `Quick test_block_nonsingular;
       Alcotest.test_case (P.name ^ " block singular") `Quick test_block_singular;
+      Alcotest.test_case (P.name ^ " block sparse") `Quick test_block_sparse;
       Alcotest.test_case (P.name ^ " precond kinds") `Quick test_precond_kinds;
       Alcotest.test_case (P.name ^ " route identity") `Quick test_route_identity;
       Alcotest.test_case (P.name ^ " kept Krylov basis") `Quick test_kept_basis;
@@ -833,7 +875,7 @@ module Small_field_track = struct
     module M = Kp_matrix.Dense.Make (F)
     module G = Kp_matrix.Gauss.Make (F)
     module S = Kp_core.Solver.Make (F) (C)
-    module BW = Kp_core.Block_wiedemann.Make (F) (C)
+    module BW = Kp_core.Block_wiedemann.Make (F)
 
     let test () =
       List.iter
@@ -876,16 +918,21 @@ module Small_field_track = struct
                   in
                   solve (what "dense solve") (S.solve ?retries sts.(0) a b);
                   det (what "dense det") (S.det ?retries sts.(1) a);
-                  solve (what "block solve") (BW.solve ?retries sts.(2) a b);
-                  det (what "block det") (BW.det ?retries sts.(3) a))
+                  solve (what "block solve")
+                    (BW.solve ?retries sts.(2) (BW.Bb.of_dense a) b);
+                  det (what "block det")
+                    (BW.det ?retries sts.(3) (BW.Bb.of_dense a)))
                 [ None; Some 1 ])
             [ 1; 2; 3; 4; 5; 6 ])
         [ 8; 24 ]
   end
 
-  module Gf2 = Track ((val Kp_field.Gfp.make 2))
-  module Gf3 = Track ((val Kp_field.Gfp.make 3))
-  module Gf7 = Track ((val Kp_field.Gfp.make 7))
+  module F2 = (val Kp_field.Gfp.make 2)
+  module F3 = (val Kp_field.Gfp.make 3)
+  module F7 = (val Kp_field.Gfp.make 7)
+  module Gf2 = Track (F2)
+  module Gf3 = Track (F3)
+  module Gf7 = Track (F7)
 
   let tests =
     [
@@ -914,7 +961,7 @@ module Exhaustive = struct
     module G = Kp_matrix.Gauss.Make (F)
     module S = Kp_core.Solver.Make (F) (C)
     module W = Kp_core.Wiedemann.Make (F)
-    module BW = Kp_core.Block_wiedemann.Make (F) (C)
+    module BW = Kp_core.Block_wiedemann.Make (F)
     module Ns = Kp_core.Nullspace.Make (F) (C)
     module El = Elimination (F) (C)
     module En = El.En
@@ -991,8 +1038,10 @@ module Exhaustive = struct
             List.iter
               (fun block_factor ->
                 solve "block solve"
-                  (fst2 (BW.solve ~block_factor ~precond st a b));
-                det "block det" (fst2 (BW.det ~block_factor ~precond st a)))
+                  (fst2
+                     (BW.solve ~block_factor ~precond st (W.Bb.of_dense a) b));
+                det "block det"
+                  (fst2 (BW.det ~block_factor ~precond st (W.Bb.of_dense a))))
               [ 1; 2 ];
             List.iter
               (fun (what, eng) ->

@@ -509,13 +509,13 @@ let test_chaos_block_solve () =
         ~max_faults:3 ~seed ()
     in
     let module FF = (val FaultF.wrap plan) in
-    let module CF = Kp_poly.Conv.Karatsuba (FF) in
-    let module FB = Kp_core.Block_wiedemann.Make (FF) (CF) in
+    let module FM = Kp_matrix.Dense.Make (FF) in
+    let module FB = Kp_core.Block_wiedemann.Make (FF) in
     let st = st0 seed in
     let n = 4 + (seed mod 5) in
     let b_factor = if seed mod 2 = 0 then 2 else 4 in
     let a, _, b = random_system st n in
-    let fa = FB.M.init n n (fun i j -> M.get a i j) in
+    let fa = FB.Bb.of_dense (FM.init n n (fun i j -> M.get a i j)) in
     (match FB.solve ~retries:10 ~block_factor:b_factor st fa b with
     | Ok (x, _) ->
       incr accepted;
@@ -534,14 +534,14 @@ let test_chaos_block_det () =
   for seed = 501 to 540 do
     let plan = Fault.plan ~p_corrupt:0.002 ~max_faults:3 ~seed () in
     let module FF = (val FaultF.wrap plan) in
-    let module CF = Kp_poly.Conv.Karatsuba (FF) in
-    let module FB = Kp_core.Block_wiedemann.Make (FF) (CF) in
+    let module FM = Kp_matrix.Dense.Make (FF) in
+    let module FB = Kp_core.Block_wiedemann.Make (FF) in
     let st = st0 seed in
     let n = 4 + (seed mod 4) in
     let b_factor = if seed mod 2 = 0 then 2 else 4 in
     let a = M.random st n n in
     let d_true = G.det a in
-    let fa = FB.M.init n n (fun i j -> M.get a i j) in
+    let fa = FB.Bb.of_dense (FM.init n n (fun i j -> M.get a i j)) in
     (match FB.det ~retries:10 ~block_factor:b_factor st fa with
     | Ok (d, _) ->
       incr ok;
@@ -559,11 +559,11 @@ let test_chaos_block_deadline () =
      typed Deadline_exceeded, not a hang and not an answer *)
   let plan = Fault.plan ~p_corrupt:0.01 ~max_faults:5 ~seed:77 () in
   let module FF = (val FaultF.wrap plan) in
-  let module CF = Kp_poly.Conv.Karatsuba (FF) in
-  let module FB = Kp_core.Block_wiedemann.Make (FF) (CF) in
+  let module FM = Kp_matrix.Dense.Make (FF) in
+  let module FB = Kp_core.Block_wiedemann.Make (FF) in
   let st = st0 601 in
   let a, _, b = random_system st 6 in
-  let fa = FB.M.init 6 6 (fun i j -> M.get a i j) in
+  let fa = FB.Bb.of_dense (FM.init 6 6 (fun i j -> M.get a i j)) in
   let past = Int64.sub (Kp_obs.Clock.now_ns ()) 1L in
   match FB.solve ~deadline_ns:past ~block_factor:2 st fa b with
   | Error (O.Deadline_exceeded _) -> ()
@@ -578,11 +578,11 @@ let test_block_falls_back_to_scalar () =
      share) *)
   let plan = Fault.plan ~p_corrupt:0. ~p_abort:1.0 ~max_faults:10 ~seed:9 () in
   let module FF = (val FaultF.wrap plan) in
-  let module CF = Kp_poly.Conv.Karatsuba (FF) in
-  let module FB = Kp_core.Block_wiedemann.Make (FF) (CF) in
+  let module FM = Kp_matrix.Dense.Make (FF) in
+  let module FB = Kp_core.Block_wiedemann.Make (FF) in
   let st = st0 801 in
   let a, _, b = random_system st 6 in
-  let fa = FB.M.init 6 6 (fun i j -> M.get a i j) in
+  let fa = FB.Bb.of_dense (FM.init 6 6 (fun i j -> M.get a i j)) in
   (match FB.solve ~retries:5 ~block_factor:2 st fa b with
   | Error (O.Retries_exhausted _ | O.Fault_detected _) -> ()
   | Ok _ -> Alcotest.fail "block engine succeeded under a total-abort plan"

@@ -433,6 +433,18 @@ let with_server ?(cfg_fn = fun c -> c) ?pool ?now ~seed k =
       Srv.stop srv)
     (fun () -> k path srv)
 
+(* a raw connection for the writes {!Cl.request_line} refuses — several
+   lines in one write, blank lines — with its own channels *)
+let with_raw path k =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let oc = Unix.out_channel_of_descr fd in
+  k (Unix.in_channel_of_descr fd) (fun s ->
+      output_string oc s;
+      flush oc)
+
 let field s j name =
   match Option.bind (Wire.member name j) s with
   | Some v -> v
@@ -749,7 +761,9 @@ let test_server_oversized_line () =
 
 (* the golden round-trip again, now with the daemon on a 2-domain pool
    (kp serve --domains 2): same wire conversation, same answers, and the
-   pool.regions counter proves the block rung's products fanned out *)
+   pool.regions counter proves the dense rung's products fanned out (the
+   block and scalar rungs iterate one black box, which the pool does not
+   reach) *)
 let test_server_pooled_golden () =
   let counter name = Option.value ~default:0 (Kp_obs.Counter.find name) in
   let regions0 = counter "pool.regions" in
@@ -779,12 +793,17 @@ let test_server_pooled_golden () =
       deadline_ms = None;
     }
   in
-  (* the block rung rides pooled products *)
   let j = Cl.request c (solve_req "s1" P.E_block) in
   check_str "pooled block solve ok" "ok" (str_field j "status");
   check_str "served by the block engine" "block" (str_field j "engine");
   let x = Array.of_list (int_list j "x") in
   check_bool "pooled block answer verifies" true
+    (Array.for_all2 F.equal (M.matvec a x) b);
+  (* the dense rung rides pooled products *)
+  let j = Cl.request c (solve_req "s0" P.E_dense) in
+  check_str "pooled dense solve ok" "ok" (str_field j "status");
+  let x = Array.of_list (int_list j "x") in
+  check_bool "pooled dense answer verifies" true
     (Array.for_all2 F.equal (M.matvec a x) b);
   check_bool "pooled products actually ran" true
     (counter "pool.regions" > regions0);
@@ -869,13 +888,37 @@ let test_server_chaos_demote_and_repromote () =
   check_str "request 3 re-promotes" "block"
     (served (Cl.request c (solve_req "c3")))
 
+(* the daemon skips a blank line without a reply, so the client refuses
+   to send one (its read would block forever), and a line holding a
+   newline (two replies); a raw blank-line write draws nothing *)
+let test_server_blank_lines () =
+  with_server ~seed:73 @@ fun path _srv ->
+  let c = Cl.connect path in
+  Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
+  List.iter
+    (fun line ->
+      match Cl.request_line c line with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "request_line sent %S" line)
+    [ ""; "\r"; {|{"op":"ping"}|} ^ "\n" ^ {|{"op":"ping"}|}; "\n" ];
+  let j = Result.get_ok (Wire.parse (Cl.request_line c {|{"id":"p","op":"ping"}|})) in
+  check_str "the refusals sent nothing" "p" (str_field j "id");
+  with_raw path @@ fun ic write ->
+  write ("\n\r\n" ^ {|{"id":"q","op":"ping"}|} ^ "\n");
+  let j = Result.get_ok (Wire.parse (input_line ic)) in
+  check_str "blank lines draw no reply: the first is the pong" "q"
+    (str_field j "id");
+  check_bool "pong" true (Wire.member "pong" j = Some (Wire.Bool true));
+  write ({|{"id":"r","op":"ping"}|} ^ "\n");
+  check_str "and nothing queued behind it" "r"
+    (str_field (Result.get_ok (Wire.parse (input_line ic))) "id")
+
 let test_server_drain_no_request_dropped () =
   with_server ~cfg_fn:(fun c -> { c with Srv.drain_grace_ms = 10_000 }) ~seed:71
   @@ fun path srv ->
   let st = st0 72 in
   let a, _, b = random_system st 8 in
-  let c = Cl.connect path in
-  Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
+  with_raw path @@ fun ic write ->
   (* pipeline several requests in one write, then SIGTERM mid-flight *)
   let entries = Array.init 64 (fun k -> M.get a (k / 8) (k mod 8)) in
   let req id m =
@@ -892,16 +935,13 @@ let test_server_drain_no_request_dropped () =
     req "q0" (P.Inline { n = 8; entries; key = Some "dm" })
     :: List.init 4 (fun i -> req (Printf.sprintf "q%d" (i + 1)) (P.Keyed "dm"))
   in
-  let payload = String.concat "\n" lines ^ "\n" in
-  let j0 = Result.get_ok (Wire.parse (Cl.request_line c payload)) in
+  write (String.concat "\n" lines ^ "\n");
+  let reply () = Result.get_ok (Wire.parse (input_line ic)) in
+  let j0 = reply () in
   Srv.install_sigterm srv;
   Unix.kill (Unix.getpid ()) Sys.sigterm;
   (* every queued request is still answered, in order *)
-  let replies =
-    j0
-    :: List.init 4 (fun _ ->
-           Result.get_ok (Wire.parse (Cl.request_line c "")))
-  in
+  let replies = j0 :: List.init 4 (fun _ -> reply ()) in
   let rec await_drain n =
     if Srv.draining srv then ()
     else if n = 0 then Alcotest.fail "SIGTERM did not initiate drain"
@@ -986,6 +1026,8 @@ let () =
             test_server_oversized_line;
           Alcotest.test_case "chaos: demotion and re-promotion" `Quick
             test_server_chaos_demote_and_repromote;
+          Alcotest.test_case "blank lines get no reply" `Quick
+            test_server_blank_lines;
           Alcotest.test_case "SIGTERM drain drops nothing" `Quick
             test_server_drain_no_request_dropped;
         ] );

@@ -280,6 +280,31 @@ let test_kept_basis_applies () =
   check_int "unknown cost: 3n - 2 applies of A~" ((3 * n) - 2) pre;
   check_int "unknown cost: plus one residual apply of A" ((3 * n) - 1) all
 
+(* the block engine iterates the same instrumented Ã: a first-attempt
+   solve at n = 64, b = 4 runs b Krylov passes of σ = 2⌈n/b⌉ + 3 = 35
+   terms, b·(σ − 1) = 136 applies of Ã, and each column keeps all σ of
+   its vectors on a dense A, so Cayley–Hamilton applies nothing more;
+   the residual is one apply of A *)
+let test_block_applies () =
+  let module Counter = Kp_obs.Counter in
+  let module BW = Kp_core.Block_wiedemann.Make (F) in
+  let n = 64 in
+  let st = st0 17 in
+  let a = M.random_nonsingular st n in
+  let x_true = Array.init n (fun _ -> F.random st) in
+  let b = M.matvec a x_true in
+  let count name = Option.value ~default:0 (Counter.find name) in
+  let all0 = count "blackbox.applies" in
+  let pre0 = count "blackbox.preconditioned.applies" in
+  match BW.solve ~block_factor:4 (st0 18) (Bb.of_dense a) b with
+  | Error e -> Alcotest.fail (W.O.error_to_string e)
+  | Ok (x, report) ->
+    check_bool "solution" true (farr_eq x x_true);
+    check_int "one attempt" 1 report.W.O.attempts;
+    check_int "b (sigma - 1) applies of A~" 136
+      (count "blackbox.preconditioned.applies" - pre0);
+    check_int "plus one residual apply of A" 137 (count "blackbox.applies" - all0)
+
 (* ---- cross-validation: counting field vs circuit size ---- *)
 
 let test_counting_equals_circuit_size () =
@@ -354,6 +379,8 @@ let () =
             test_solve_preconditioned_with_counters;
           Alcotest.test_case "kept Krylov basis: 2n - 1 applies" `Quick
             test_kept_basis_applies;
+          Alcotest.test_case "block solve: b (sigma - 1) applies" `Quick
+            test_block_applies;
         ] );
       ( "toeplitz-solve",
         [
