@@ -582,6 +582,18 @@ let kernels_cmd =
       Printf.printf "kp --prime %d resolves to: %s (%s)\n" prime
         (Kp_kernel.Dispatch.backend_name F.kernel_hint)
         (Kp_kernel.Cstub.gfp_isa ()));
+    (match Kp_kernel.Cstub.gfp_isa () with
+    | "avx512f" ->
+      print_endline
+        "GF(p) black-box loops: dense apply and butterfly network on \
+         AVX-512 intrinsics loops, sparse apply on the SELL-8 AVX-512 \
+         gather loop"
+    | isa ->
+      Printf.printf
+        "GF(p) black-box loops: dense apply and butterfly network on the \
+         plain bodies' %s clones, sparse apply on the CSR loop (no \
+         AVX-512)\n"
+        isa);
     print_endline
       "(--prime 2 runs gfp_cstub at p = 2; gf2_cstub serves Fields.Gf2)\n";
     print_endline "built-in fields:";
@@ -589,13 +601,16 @@ let kernels_cmd =
       (fun (name, backend) -> Printf.printf "  %-36s %s\n" name backend)
       (rows ());
     print_endline
-      "\nbackends: gfp_cstub/gf2_cstub (C stubs, split-sum and Barrett\n\
-       reduction / 64-bit packing, Bigarray scratch; the parenthesis names\n\
-       the instruction set of the GF(p) loops: on avx512f a dense black\n\
-       box's prepared apply runs its AVX-512 intrinsics loop, on avx2 or\n\
-       default that clone of its plain body), derived\n\
-       (generic FIELD_CORE ops — op-count-faithful; circuits and counting\n\
-       fields always land here).\n\
+      "\nbackends: gfp_cstub/gf2_cstub (C stubs, split-sum, Shoup and\n\
+       Barrett reduction / 64-bit packing, Bigarray scratch; the\n\
+       parenthesis names the instruction set of the GF(p) loops: on\n\
+       avx512f a dense black box's prepared apply and the butterfly\n\
+       network run AVX-512 intrinsics loops and a sparse black box is\n\
+       prepared as SELL-8 for an AVX-512 gather loop, on avx2 or default\n\
+       the first two run that clone of their plain bodies and the sparse\n\
+       apply the CSR loop), derived (generic FIELD_CORE ops —\n\
+       op-count-faithful; circuits and counting fields always land\n\
+       here).\n\
        kernel.cstub.* counters in --stats prove the stub path ran."
   in
   Cmd.v

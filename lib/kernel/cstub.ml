@@ -51,6 +51,28 @@ external gfp_butterfly_prepare :
 external gfp_butterfly_apply : Bytes.t -> bool -> int array -> int array -> unit
   = "kp_gfp_butterfly_apply"
 [@@noalloc]
+(** [gfp_butterfly_apply net transpose src dst]: dst ← P·src (or Pᵀ·src)
+    by the AVX-512 loops where {!gfp_isa} is ["avx512f"], else by the
+    plain body's clone. *)
+
+external gfp_butterfly_apply_plain :
+  Bytes.t -> bool -> int array -> int array -> unit
+  = "kp_gfp_butterfly_apply_plain"
+[@@noalloc]
+(** {!gfp_butterfly_apply} by the plain body whatever the CPU — for
+    tests, which check on an AVX-512 host the body other hosts run. *)
+
+external gfp_sell_prepare : int array -> int array -> int array -> Bytes.t
+  = "kp_gfp_sell_prepare"
+(** [gfp_sell_prepare row_ptr cols vals]: the CSR matrix as SELL-8 words
+    (layout in [kp_kernel_stubs.c]), for an AVX-512 host only. *)
+
+external gfp_sell_apply : Bytes.t -> int array -> int array -> int -> unit
+  = "kp_gfp_sell_apply"
+[@@noalloc]
+(** [gfp_sell_apply op src dst p]: dst ← A·src for a SELL-8 operator, by
+    the AVX-512 gather loop; a no-op where {!gfp_isa} is not
+    ["avx512f"], since no such host prepares one. *)
 
 external gfp_shoup_quotient : int -> int -> int = "kp_gfp_shoup_quotient"
 [@@noalloc]
@@ -109,10 +131,13 @@ external gfp_dense_apply_plain :
 
 external gfp_isa : unit -> string = "kp_gfp_isa"
 (** The instruction set the GF(p) [dot], [dot_acc], [matvec], [axpy],
-    [scale], butterfly-network and prepared dense loops run on, as the
-    loader resolved their clones:
-    ["avx512f"], ["avx2"] or ["default"] (also the answer on a toolchain
-    that builds the plain body only). *)
+    [scale], butterfly-network, prepared dense and prepared sparse loops
+    run on: ["avx512f"], ["avx2"] or ["default"] (also the answer on a
+    toolchain that builds the plain body only).  The loader resolves the
+    clones of the first five to it; on ["avx512f"] the prepared dense
+    apply, the butterfly network and the SELL-8 sparse operator run
+    their intrinsics loops, elsewhere the first two run their plain
+    bodies' clones and the sparse operator the CSR loop. *)
 
 external gfp_matmul :
   int array ->

@@ -50,6 +50,15 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) :
       dst.(i) <- !acc
     done
 
+  (* references, not copies: each apply is the row loop above *)
+  type csr = { row_ptr : int array; cols : int array; vals : t array }
+
+  let csr_prepare ~row_ptr ~cols ~vals = { row_ptr; cols; vals }
+
+  let csr_apply_into { row_ptr; cols; vals } ~src ~dst =
+    csr_matvec_into ~row_ptr ~cols ~vals ~row_lo:0
+      ~row_hi:(Array.length row_ptr - 1) ~x:src ~dst
+
   let axpy_into ~a ~x ~xoff ~y ~yoff ~len =
     for i = 0 to len - 1 do
       y.(yoff + i) <- F.add y.(yoff + i) (F.mul a x.(xoff + i))

@@ -63,18 +63,29 @@ type 'a dense =
     }
       -> 'a dense
 
+(* A prepared sparse operator with its backend, for the same reason *)
+type 'a csr =
+  | Csr : {
+      kernel : (module Kernel_intf.KERNEL with type t = 'a and type csr = 'c);
+      op : 'c;
+      ops : int;
+    }
+      -> 'a csr
+
 (* the kernels [of_field] returns *)
 type 'a metered =
   (module Kernel_intf.KERNEL
      with type t = 'a
       and type butterfly = 'a network
-      and type dense = 'a dense)
+      and type dense = 'a dense
+      and type csr = 'a csr)
 
 module Metered (M : METERS) (K : Kernel_intf.KERNEL) :
   Kernel_intf.KERNEL
     with type t = K.t
      and type butterfly = K.t network
-     and type dense = K.t dense = struct
+     and type dense = K.t dense
+     and type csr = K.t csr = struct
   type t = K.t
 
   let backend = K.backend
@@ -102,6 +113,23 @@ module Metered (M : METERS) (K : Kernel_intf.KERNEL) :
   let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
     tick (row_ptr.(row_hi) - row_ptr.(row_lo));
     K.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst
+
+  (* prepare ticks nothing; an apply ticks as a csr_matvec_into over
+     all rows, by the matrix's own entry count *)
+  type nonrec csr = t csr
+
+  let csr_prepare ~row_ptr ~cols ~vals =
+    Csr
+      {
+        kernel = (module K);
+        op = K.csr_prepare ~row_ptr ~cols ~vals;
+        ops = row_ptr.(Array.length row_ptr - 1) - row_ptr.(0);
+      }
+
+  let csr_apply_into (Csr { kernel; op; ops } : csr) ~src ~dst =
+    let module S = (val kernel) in
+    tick ops;
+    S.csr_apply_into op ~src ~dst
 
   (* one tick per apply: the diagonal's n products plus four
      multiply-adds per pair, as matvec counts one per entry *)
@@ -217,5 +245,6 @@ module Make (F : FIELD) :
   Kernel_intf.KERNEL
     with type t = F.t
      and type butterfly = F.t network
-     and type dense = F.t dense =
+     and type dense = F.t dense
+     and type csr = F.t csr =
   (val of_field (module F : FIELD with type t = F.t))

@@ -18,6 +18,14 @@ let dot_acc ~init ~x ~xoff ~y ~yoff ~len =
 let csr_matvec_into ~row_ptr ~cols ~vals ~row_lo ~row_hi ~x ~dst =
   Cstub.gf2_csr_matvec row_ptr cols vals row_lo row_hi x dst
 
+(* the CSR arrays in place: each apply is one [gf2_csr_matvec] call *)
+type csr = { row_ptr : int array; cols : int array; vals : int array }
+
+let csr_prepare ~row_ptr ~cols ~vals = { row_ptr; cols; vals }
+
+let csr_apply_into { row_ptr; cols; vals } ~src ~dst =
+  Cstub.gf2_csr_matvec row_ptr cols vals 0 (Array.length row_ptr - 1) src dst
+
 (* the AND/XOR loop reads the diagonal and the layer records in place *)
 type butterfly = { d : int array; layers : int Kernel_intf.butterfly_layer array }
 

@@ -3,8 +3,8 @@
     A [KERNEL] packages the allocation-free hot loops of the Theorem-4
     pipeline and of the black-box route — inner products, AXPY updates,
     pointwise maps, dense and CSR matrix-vector products, prepared dense
-    operators and butterfly networks, and matrix-matrix products — over
-    arrays of one field's elements.  Two families of implementations
+    and sparse operators and butterfly networks, and matrix-matrix
+    products — over arrays of one field's elements.  Two families of implementations
     exist:
 
     - {!Derived.Make} builds a kernel from any {!Kp_field.Field_intf.FIELD_CORE}
@@ -47,6 +47,9 @@ module type KERNEL = sig
   type dense
   (** A rows×cols matrix prepared for repeated products. *)
 
+  type csr
+  (** A sparse matrix prepared for repeated products. *)
+
   type butterfly
   (** A butterfly network P = L_m·…·L_1·D prepared for repeated applies:
       a diagonal d over n = [Array.length d] coordinates, then the layers
@@ -74,6 +77,18 @@ module type KERNEL = sig
       per row (matches the historical [Sparse.matvec] row loop).  Rows
       outside the range are left untouched, so a caller can split the
       product into disjoint row ranges. *)
+
+  val csr_prepare : row_ptr:int array -> cols:int array -> vals:t array -> csr
+  (** The CSR matrix of [Array.length row_ptr − 1] rows, in the layout of
+      {!csr_matvec_into}, built once per black box.  A backend may keep
+      references to the arrays or copy them into its own layout, so they
+      must not change afterwards. *)
+
+  val csr_apply_into : csr -> src:t array -> dst:t array -> unit
+  (** {!csr_matvec_into} over all rows: [dst.(i) <- Σ vals.(k) ·
+      src.(cols.(k))] for every row i.  [dst] holds at least the row
+      count and must not alias [src].  A one-off product is cheaper
+      through {!csr_matvec_into}, which copies nothing. *)
 
   val dense_prepare : rows:int -> cols:int -> t array -> dense
   (** [dense_prepare ~rows ~cols m], [m] row-major with [rows·cols]

@@ -25,8 +25,11 @@
      Shoup's quotient of a, and each product is then reduced in 32-bit
      arithmetic.  A prepared butterfly network stores every coefficient
      beside its Shoup quotient, so its apply is 32-bit arithmetic with no
-     Barrett step.  CSR and matmul block ends and pointwise products are
-     one Barrett step each.  Regrouping reductions cannot change a
+     Barrett step.  A prepared sparse operator is SELL-8 on AVX-512 (the
+     rows sorted by length in slices of 8, column-major), whose products
+     sum exactly in 64-bit lanes or in split sums, one reduction per row;
+     elsewhere it is the CSR loop.  CSR and matmul block ends and
+     pointwise products are one Barrett step each.  Regrouping reductions cannot change a
      canonical residue, so the stubs are bit-identical to the derived
      kernel by construction.
 
@@ -70,12 +73,20 @@
    only where GCC 12 cannot emit the instruction from C: it vectorizes a
    32×32→64 widening multiply as one vpmuludq per 4 products in an avx2
    clone, but emulates the 512-bit one with three vpmuludq per 8 in an
-   avx512f clone, so the prepared dense apply has an intrinsics loop for
-   AVX-512 and a plain body cloned for avx2 and default only.  At
-   n = 512 over GF(998244353) on a 2-core AVX-512 x86-64 host (median of
-   21 rounds, EXPERIMENTS) an avx512f clone of a packed-row body ran
-   96–104 µs, the plain body's avx2 clone 76–81 µs and the intrinsics
-   loop 40–42 µs. */
+   avx512f clone.  So the prepared dense apply and the butterfly network
+   have intrinsics loops for AVX-512 and plain bodies cloned for avx2
+   and default only.  The prepared sparse operator has an intrinsics
+   loop for AVX-512 too, whose column-major SELL-8 layout turns the
+   indexed x loads of 8 rows into one vpgatherdq, and the CSR loop
+   elsewhere.  Each apply picks its loop once, by gfp_avx512.
+
+   On a 2-core AVX-512 x86-64 host over GF(998244353) (EXPERIMENTS): at
+   n = 512 (median of 21 rounds) an avx512f clone of a packed-row dense
+   body ran 96–104 µs, the plain body's avx2 clone 76–81 µs and the
+   intrinsics loop 40–42 µs; at n = 1000 the butterfly's avx512f clone
+   took about 13.5 µs and its intrinsics loop about 7.5 µs, and a sparse
+   apply at 8 entries per row about 12.7 µs by the CSR loop and 5–6.5 µs
+   by SELL-8. */
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) \
     && defined(__GLIBC__)
 #define KP_CLONES 1
@@ -734,8 +745,8 @@ static inline void bf_run(value *restrict lo, value *restrict hi, intnat len,
 
 /* the blocks from number blk on at any stride s, the ragged last block
    with only the pairs that have a partner below n */
-static KP_TARGET_CLONES void bf_layer_any(value *w, intnat n, intnat s,
-                                          intnat blk, BF_PARAMS)
+static KP_TARGET_CLONES_256 void bf_layer_any(value *w, intnat n, intnat s,
+                                              intnat blk, BF_PARAMS)
 {
   intnat base;
   for (base = 2 * s * blk; base < n - s; base += 2 * s)
@@ -747,8 +758,8 @@ static KP_TARGET_CLONES void bf_layer_any(value *w, intnat n, intnat s,
    block loop vectorizes across blocks where a run of S pairs is too
    short to fill a vector */
 #define BF_FIXED(S)                                                   \
-  static KP_TARGET_CLONES void bf_layer_##S(value *w, intnat nblk,    \
-                                            BF_PARAMS)                \
+  static KP_TARGET_CLONES_256 void bf_layer_##S(value *w, intnat nblk, \
+                                                BF_PARAMS)            \
   {                                                                   \
     intnat blk;                                                       \
     for (blk = 0; blk < nblk; blk++)                                  \
@@ -761,20 +772,135 @@ BF_FIXED(4)
 BF_FIXED(8)
 
 /* w <- d∘w */
-static KP_TARGET_CLONES void bf_scale(value *w, intnat n,
-                                      const uint32_t *restrict d,
-                                      const uint32_t *restrict dq,
-                                      uint32_t p)
+static KP_TARGET_CLONES_256 void bf_scale(value *w, intnat n,
+                                          const uint32_t *restrict d,
+                                          const uint32_t *restrict dq,
+                                          uint32_t p)
 {
   intnat i;
   for (i = 0; i < n; i++)
     w[i] = Val_long((intnat)gfp_shoup(d[i], dq[i], (uint32_t)RES(w[i]), p));
 }
 
-/* one layer in place on w from its prepared words co; the transposed
-   layer swaps the off-diagonal streams */
+#if KP_CLONES
+/* The butterfly with one vpmuludq per 8 Shoup products.  Each 64-bit
+   lane holds one pair: its tagged words shifted once are u, v < 2^30,
+   and its coefficients are zero-extended from their uint32 streams.  A
+   Shoup term x·u − ⌊xq·u/2^32⌋·p lies in [0, 2p) as an integer, so the
+   lane sum of two lies in [0, 4p) without wrapping, and two unsigned
+   minima against r − 2p and r − p leave the canonical residue, the
+   value gfp_shoup2 computes.  (Deferring those minima to one pass at
+   the end of the apply measured no faster.) */
+#define BF_LD(ptr) \
+  _mm512_cvtepu32_epi64(_mm256_loadu_si256((const __m256i *)(ptr)))
+
+/* x·u + y·v mod p, tagged */
+__attribute__((target("avx512f"))) static inline __m512i
+bf_shoup2_avx512(const uint32_t *x, const uint32_t *xq, __m512i u,
+                 const uint32_t *y, const uint32_t *yq, __m512i v, __m512i p)
+{
+  __m512i q = _mm512_add_epi64(
+      _mm512_srli_epi64(_mm512_mul_epu32(BF_LD(xq), u), 32),
+      _mm512_srli_epi64(_mm512_mul_epu32(BF_LD(yq), v), 32));
+  __m512i r = _mm512_sub_epi64(
+      _mm512_add_epi64(_mm512_mul_epu32(BF_LD(x), u),
+                       _mm512_mul_epu32(BF_LD(y), v)),
+      _mm512_mul_epu32(q, p));
+  r = _mm512_min_epu64(r, _mm512_sub_epi64(r, _mm512_add_epi64(p, p)));
+  r = _mm512_min_epu64(r, _mm512_sub_epi64(r, p));
+  return _mm512_or_si512(_mm512_add_epi64(r, r), _mm512_set1_epi64(1));
+}
+
+/* 8 pairs at once: lo and hi hold their tagged ends, coefficients from
+   pair index k on */
+__attribute__((target("avx512f"))) static inline void
+bf_pairs_avx512(__m512i *lo, __m512i *hi, intnat k, BF_PARAMS)
+{
+  __m512i vp = _mm512_set1_epi64(p);
+  __m512i u = _mm512_srli_epi64(*lo, 1), v = _mm512_srli_epi64(*hi, 1);
+  *lo = bf_shoup2_avx512(a + k, aq + k, u, b + k, bq + k, v, vp);
+  *hi = bf_shoup2_avx512(c + k, cq + k, u, dd + k, ddq + k, v, vp);
+}
+
+/* the pairs (lo[j], hi[j]), j < len, 8 at a time; the last len mod 8
+   by bf_run */
+__attribute__((target("avx512f"))) static void
+bf_run_avx512(value *restrict lo, value *restrict hi, intnat len, BF_PARAMS)
+{
+  intnat j;
+  for (j = 0; j + 8 <= len; j += 8) {
+    __m512i l = _mm512_loadu_si512(lo + j), h = _mm512_loadu_si512(hi + j);
+    bf_pairs_avx512(&l, &h, j, a, aq, b, bq, c, cq, dd, ddq, p);
+    _mm512_storeu_si512(lo + j, l);
+    _mm512_storeu_si512(hi + j, h);
+  }
+  bf_run(lo + j, hi + j, len - j, BF_ARGS(j));
+}
+
+/* one layer of stride s.  At s = 1, 2 and 4 the 16 words from a
+   multiple of 16 on are whole blocks holding 8 pairs, in pair order:
+   two vpermt2q gather their lo and hi ends, two more put the results
+   back.  Every other stride, and the blocks past the last 16-word chunk
+   at s ≤ 4, run over each block's two contiguous halves. */
+__attribute__((target("avx512f"))) static void
+bf_layer_avx512(value *w, intnat n, intnat s, BF_PARAMS)
+{
+  intnat base = 0;
+  if (s == 1 || s == 2 || s == 4) {
+    int64_t ilo[8], ihi[8], out[16];
+    intnat j, e;
+    for (j = 0; j < 8; j++) {
+      ilo[j] = (j / s) * 2 * s + j % s;
+      ihi[j] = ilo[j] + s;
+    }
+    /* word e of the chunk is lo (index j) or hi (index 8 + j) of pair j */
+    for (e = 0; e < 16; e++)
+      out[e] = e % (2 * s) < s ? (e / (2 * s)) * s + e % (2 * s)
+                               : 8 + (e / (2 * s)) * s + e % (2 * s) - s;
+    {
+      __m512i gl = _mm512_loadu_si512(ilo), gh = _mm512_loadu_si512(ihi),
+              p0 = _mm512_loadu_si512(out), p1 = _mm512_loadu_si512(out + 8);
+      for (; base + 16 <= n; base += 16) {
+        __m512i x0 = _mm512_loadu_si512(w + base),
+                x1 = _mm512_loadu_si512(w + base + 8);
+        __m512i l = _mm512_permutex2var_epi64(x0, gl, x1),
+                h = _mm512_permutex2var_epi64(x0, gh, x1);
+        bf_pairs_avx512(&l, &h, base / 2, a, aq, b, bq, c, cq, dd, ddq, p);
+        _mm512_storeu_si512(w + base, _mm512_permutex2var_epi64(l, p0, h));
+        _mm512_storeu_si512(w + base + 8, _mm512_permutex2var_epi64(l, p1, h));
+      }
+    }
+  }
+  for (; base < n - s; base += 2 * s)
+    bf_run_avx512(w + base, w + base + s,
+                  n - s - base < s ? n - s - base : s, BF_ARGS(base / 2));
+}
+
+/* w <- d∘w, 8 Shoup products per vpmuludq; the last n mod 8 by bf_scale */
+__attribute__((target("avx512f"))) static void
+bf_scale_avx512(value *w, intnat n, const uint32_t *restrict d,
+                const uint32_t *restrict dq, uint32_t p)
+{
+  __m512i vp = _mm512_set1_epi64(p);
+  intnat i;
+  for (i = 0; i + 8 <= n; i += 8) {
+    __m512i u = _mm512_srli_epi64(_mm512_loadu_si512(w + i), 1);
+    __m512i q = _mm512_srli_epi64(_mm512_mul_epu32(BF_LD(dq + i), u), 32);
+    __m512i r = _mm512_sub_epi64(_mm512_mul_epu32(BF_LD(d + i), u),
+                                 _mm512_mul_epu32(q, vp));
+    r = _mm512_min_epu64(r, _mm512_sub_epi64(r, vp));
+    _mm512_storeu_si512(w + i, _mm512_or_si512(_mm512_add_epi64(r, r),
+                                               _mm512_set1_epi64(1)));
+  }
+  bf_scale(w + i, n - i, d + i, dq + i, p);
+}
+#endif
+
+/* one layer in place on w from its prepared words co, by the AVX-512
+   loop when wide, else the plain body's clones; the transposed layer
+   swaps the off-diagonal streams */
 static void bf_layer(value *w, intnat n, intnat s, const uint32_t *co,
-                     int trans, uint32_t p)
+                     int trans, int wide, uint32_t p)
 {
   intnat pairs = bf_pairs(n, s), whole = n / (2 * s), done = whole;
   const uint32_t *a = co, *aq = co + pairs, *b = co + 2 * pairs,
@@ -785,6 +911,14 @@ static void bf_layer(value *w, intnat n, intnat s, const uint32_t *co,
     const uint32_t *t = b, *tq = bq;
     b = c, bq = cq, c = t, cq = tq;
   }
+#if KP_CLONES
+  if (wide) {
+    bf_layer_avx512(w, n, s, BF_ARGS(0));
+    return;
+  }
+#else
+  (void)wide;
+#endif
   switch (s) {
   case 1: bf_layer_1(w, whole, BF_ARGS(0)); break;
   case 2: bf_layer_2(w, whole, BF_ARGS(0)); break;
@@ -795,10 +929,24 @@ static void bf_layer(value *w, intnat n, intnat s, const uint32_t *co,
   bf_layer_any(w, n, s, done, BF_ARGS(0));
 }
 
+static void bf_diag(value *w, intnat n, const uint32_t *d, int wide,
+                    uint32_t p)
+{
+#if KP_CLONES
+  if (wide) {
+    bf_scale_avx512(w, n, d, d + n, p);
+    return;
+  }
+#else
+  (void)wide;
+#endif
+  bf_scale(w, n, d, d + n, p);
+}
+
 /* forward: dst <- d∘src, then layers 1..m; transposed: dst <- src, then
-   layers m..1 transposed, then dst <- d∘dst */
-CAMLprim value kp_gfp_butterfly_apply(value vnet, value vtrans, value vsrc,
-                                      value vdst)
+   layers m..1 transposed, then dst <- d∘dst.  wide picks the AVX-512
+   loops for the whole apply. */
+static void bf_apply(value vnet, int trans, value vsrc, value vdst, int wide)
 {
   const uint32_t *net = (const uint32_t *)Bytes_val(vnet);
   const uint32_t *end = net + caml_string_length(vnet) / sizeof(uint32_t);
@@ -807,29 +955,179 @@ CAMLprim value kp_gfp_butterfly_apply(value vnet, value vtrans, value vsrc,
   const uint32_t *strides = net + BF_HEAD, *d = strides + nl, *co = d + 2 * n;
   value *w = Op_val(vdst);
   memcpy(w, Op_val(vsrc), n * sizeof(value));
-  if (Bool_val(vtrans)) {
+  if (trans) {
     for (l = nl - 1; l >= 0; l--) {
       end -= 8 * bf_pairs(n, strides[l]);
-      bf_layer(w, n, strides[l], end, 1, p);
+      bf_layer(w, n, strides[l], end, 1, wide, p);
     }
-    bf_scale(w, n, d, d + n, p);
+    bf_diag(w, n, d, wide, p);
   }
   else {
-    bf_scale(w, n, d, d + n, p);
+    bf_diag(w, n, d, wide, p);
     for (l = 0; l < nl; l++) {
-      bf_layer(w, n, strides[l], co, 0, p);
+      bf_layer(w, n, strides[l], co, 0, wide, p);
       co += 8 * bf_pairs(n, strides[l]);
     }
   }
+}
+
+/* P·src or Pᵀ·src: the AVX-512 loops where the CPU has them, the plain
+   body's clones elsewhere */
+CAMLprim value kp_gfp_butterfly_apply(value vnet, value vtrans, value vsrc,
+                                      value vdst)
+{
+  bf_apply(vnet, Bool_val(vtrans), vsrc, vdst, gfp_avx512());
   return Val_unit;
 }
 
-/* the clone the loader resolved gfp_dot_words, gfp_matvec_rows,
-   gfp_axpy_words, gfp_scale_words and the butterfly loops bf_layer_any,
-   bf_layer_1/2/4/8 and bf_scale to, and the loop the prepared dense
-   apply runs: "avx512f" is gfp_dense_rows_avx512, "avx2" and "default"
-   gfp_dense_rows's clones.  The same feature checks, in the resolver's
-   order. */
+/* the same by the plain body whatever the CPU: tests run it on AVX-512
+   hosts too */
+CAMLprim value kp_gfp_butterfly_apply_plain(value vnet, value vtrans,
+                                            value vsrc, value vdst)
+{
+  bf_apply(vnet, Bool_val(vtrans), vsrc, vdst, 0);
+  return Val_unit;
+}
+
+/* ------------------------------------------------------------------ */
+/* GF(p) prepared sparse operators                                    */
+/* ------------------------------------------------------------------ */
+
+/* On an AVX-512 host a CSR matrix is prepared once as SELL-8, one OCaml
+   bytes of uint32 words:
+     rows, slices, perm[rows], width[slices],
+     then per slice, per column c < its width: 8 column indices, then
+     8 values,
+   where perm lists the rows by length, longest first (a stable counting
+   sort), slice k holds the rows perm[8k … 8k+7], and its width is the
+   length of its first row.  A lane past its row's length, or past the
+   last row, holds column 0 and value 0, which adds a zero product.  Other
+   hosts keep the CSR arrays and run kp_gfp_csr_matvec: a scalar SELL
+   body measured slower than that loop. */
+
+#define SL_HEAD 2
+
+/* the length of CSR row i */
+#define SL_LEN(vrow_ptr, i) (ELT(vrow_ptr, (i) + 1) - ELT(vrow_ptr, (i)))
+
+CAMLprim value kp_gfp_sell_prepare(value vrow_ptr, value vcols, value vvals)
+{
+  CAMLparam3(vrow_ptr, vcols, vvals);
+  CAMLlocal1(vop);
+  intnat rows = Wosize_val(vrow_ptr) - 1, ns = (rows + 7) / 8;
+  intnat maxlen = 0, cells = 0, i, k, l, c, j;
+  intnat *slot;
+  uint32_t *w, *perm, *width, *e;
+  for (i = 0; i < rows; i++)
+    if (SL_LEN(vrow_ptr, i) > maxlen) maxlen = SL_LEN(vrow_ptr, i);
+  /* slot[len]: the next position of a row of that length, longest first;
+     a slice starts at each position 8k and is as wide as its row there */
+  slot = caml_stat_alloc((maxlen + 1) * sizeof(intnat));
+  memset(slot, 0, (maxlen + 1) * sizeof(intnat));
+  for (i = 0; i < rows; i++)
+    slot[SL_LEN(vrow_ptr, i)]++;
+  for (l = maxlen, k = 0; l >= 0; l--) {
+    intnat count = slot[l];
+    slot[l] = k;
+    cells += l * ((k + count + 7) / 8 - (k + 7) / 8);
+    k += count;
+  }
+  vop = caml_alloc_string((SL_HEAD + rows + ns + 16 * cells)
+                          * sizeof(uint32_t));
+  w = (uint32_t *)Bytes_val(vop);
+  perm = w + SL_HEAD;
+  width = perm + rows;
+  e = width + ns;
+  w[0] = (uint32_t)rows;
+  w[1] = (uint32_t)ns;
+  for (i = 0; i < rows; i++)
+    perm[slot[SL_LEN(vrow_ptr, i)]++] = (uint32_t)i;
+  caml_stat_free(slot);
+  for (k = 0; k < ns; k++) {
+    width[k] = (uint32_t)SL_LEN(vrow_ptr, perm[8 * k]);
+    for (c = 0; c < (intnat)width[k]; c++, e += 16)
+      for (j = 0; j < 8; j++) {
+        intnat r = 8 * k + j;
+        if (r < rows && c < SL_LEN(vrow_ptr, perm[r])) {
+          intnat at = ELT(vrow_ptr, perm[r]) + c;
+          e[j] = (uint32_t)ELT(vcols, at);
+          e[8 + j] = (uint32_t)ELT(vvals, at);
+        }
+        else
+          e[j] = e[8 + j] = 0;
+      }
+  }
+  CAMLreturn(vop);
+}
+
+#if KP_CLONES
+/* dst <- A·x for a SELL-8 operator: per slice column one vpgatherdq of
+   8 tagged x words (its signed 32-bit offsets reach 2^31 words),
+   shifted once to their residues, and one vpmuludq against the 8
+   values.  A product is below (p−1)^2 < 2^60, so a slice no wider than
+   fit = ⌊(2^64−1)/(p−1)^2⌋ (at least 16) sums its lanes exactly in 64
+   bits and each row takes one Barrett step; a wider slice splits each
+   product into a low 32-bit lane sum and a high one (no overflow below
+   2^32 columns) and folds each row once. */
+__attribute__((target("avx512f"))) static void
+gfp_sell_rows_avx512(const uint32_t *w, const value *x, value *dst,
+                     uint64_t p, uint64_t m)
+{
+  const __m512i low = _mm512_set1_epi64(0xffffffff);
+  intnat rows = w[0], ns = w[1], k, c, j;
+  const uint32_t *perm = w + SL_HEAD, *width = perm + rows,
+                 *e = width + ns;
+  uint64_t fit = p > 1 ? UINT64_MAX / ((p - 1) * (p - 1)) : UINT64_MAX;
+  for (k = 0; k < ns; k++) {
+    __m512i lo = _mm512_setzero_si512(), hi = _mm512_setzero_si512();
+    intnat lanes = rows - 8 * k < 8 ? rows - 8 * k : 8;
+    int exact = width[k] <= fit;
+    uint64_t l[8], h[8];
+    for (c = 0; c < (intnat)width[k]; c++, e += 16) {
+      __m512i xv = _mm512_srli_epi64(
+          _mm512_i32gather_epi64(_mm256_loadu_si256((const __m256i *)e),
+                                 (const void *)x, 8),
+          1);
+      __m512i t = _mm512_mul_epu32(BF_LD(e + 8), xv);
+      if (exact)
+        lo = _mm512_add_epi64(lo, t);
+      else {
+        lo = _mm512_add_epi64(lo, _mm512_and_si512(t, low));
+        hi = _mm512_add_epi64(hi, _mm512_srli_epi64(t, 32));
+      }
+    }
+    _mm512_storeu_si512(l, lo);
+    _mm512_storeu_si512(h, hi);
+    for (j = 0; j < lanes; j++)
+      dst[perm[8 * k + j]] =
+          Val_long((intnat)(exact ? gfp_barrett(l[j], p, m)
+                                  : gfp_fold(l[j], h[j], p, m)));
+  }
+}
+#endif
+
+/* dst <- A·src for a SELL-8 operator, which only an AVX-512 host
+   prepares (Gfp_cstub keeps the CSR arrays elsewhere) */
+CAMLprim value kp_gfp_sell_apply(value vop, value vsrc, value vdst, value vp)
+{
+#if KP_CLONES
+  uint64_t p = Long_val(vp);
+  gfp_sell_rows_avx512((const uint32_t *)Bytes_val(vop), Op_val(vsrc),
+                       Op_val(vdst), p, UINT64_MAX / p);
+#else
+  (void)vop, (void)vsrc, (void)vdst, (void)vp;
+#endif
+  return Val_unit;
+}
+
+/* the instruction set the GF(p) loops run on.  The loader resolved the
+   clones of gfp_dot_words, gfp_matvec_rows, gfp_axpy_words and
+   gfp_scale_words to it; on "avx512f" the prepared dense apply
+   (gfp_dense_rows_avx512), the butterfly network (bf_layer_avx512,
+   bf_scale_avx512) and the prepared sparse operator (SELL-8,
+   gfp_sell_rows_avx512) run their intrinsics loops, and on "avx2" and
+   "default" the plain bodies' clones of the first two and the CSR loop
+   kp_gfp_csr_matvec.  The same feature checks, in the resolver's order. */
 CAMLprim value kp_gfp_isa(value unit)
 {
   (void)unit;

@@ -32,9 +32,16 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
 
   let of_sparse s =
     if S.rows s <> S.cols s then invalid_arg "Blackbox.of_sparse: non-square";
+    let n = S.rows s in
+    let row_ptr, cols, vals = S.csr s in
+    let op = K.csr_prepare ~row_ptr ~cols ~vals in
     {
-      dim = S.rows s;
-      apply_into = S.matvec_into s;
+      dim = n;
+      apply_into =
+        (fun v dst ->
+          if Array.length v <> n || Array.length dst <> n then
+            invalid_arg "Blackbox.of_sparse: dimension mismatch";
+          K.csr_apply_into op ~src:v ~dst);
       apply_transpose = Some (S.matvec_transpose s);
       ops_per_apply = 2 * S.nnz s;
     }

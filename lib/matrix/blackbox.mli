@@ -34,7 +34,13 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
       @raise Invalid_argument on non-square input. *)
 
   val of_sparse : Sparse.Make(F).t -> t
-  (** Applies with {!Sparse.Make.matvec_into}. *)
+  (** Prepares A's CSR arrays once
+      ({!Kp_kernel.Kernel_intf.KERNEL.csr_prepare}) and applies the
+      prepared operator, one kernel call per apply, with the row
+      semantics of {!Sparse.Make.matvec}.  A must not change
+      afterwards, since a backend may read its arrays in place or have
+      copied them.
+      @raise Invalid_argument on non-square input. *)
 
   val of_fun : int -> (F.t array -> F.t array) -> t
   (** A box from an allocating map; its [apply_into] copies the result

@@ -88,16 +88,11 @@ module Make (F : Kp_field.Field_intf.FIELD) = struct
 
   (* one kernel call per product — the same sequential per-row
      accumulation as the historical scalar loop *)
-  let matvec_into t v dst =
-    if Array.length v <> t.cols || Array.length dst <> t.rows then
-      invalid_arg "Sparse.matvec_into: dimension mismatch";
-    K.csr_matvec_into ~row_ptr:t.row_ptr ~cols:t.col_idx ~vals:t.values
-      ~row_lo:0 ~row_hi:t.rows ~x:v ~dst
-
   let matvec t v =
     if Array.length v <> t.cols then invalid_arg "Sparse.matvec: dimension mismatch";
     let out = Array.make t.rows F.zero in
-    matvec_into t v out;
+    K.csr_matvec_into ~row_ptr:t.row_ptr ~cols:t.col_idx ~vals:t.values
+      ~row_lo:0 ~row_hi:t.rows ~x:v ~dst:out;
     out
 
   let matvec_transpose t v =

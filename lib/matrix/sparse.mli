@@ -25,11 +25,9 @@ module Make (F : Kp_field.Field_intf.FIELD) : sig
   val get : t -> int -> int -> F.t
 
   val matvec : t -> F.t array -> F.t array
-
-  val matvec_into : t -> F.t array -> F.t array -> unit
-  (** [matvec_into a v dst] writes [a·v] into [dst] (length [rows]) with
-      one kernel [csr_matvec_into] and no allocation.  [dst] must not be
-      [v]. *)
+  (** [a·v] in a fresh array, by one kernel [csr_matvec_into]: the
+      one-off product.  A black box that applies A repeatedly prepares
+      it once ({!Blackbox.Make.of_sparse}). *)
 
   val matvec_transpose : t -> F.t array -> F.t array
 

@@ -27,6 +27,7 @@ let find name =
       Option.map (fun c -> Atomic.get c.cell) (Hashtbl.find_opt counters name))
 
 let register_gauge name f = locked (fun () -> Hashtbl.replace gauges name f)
+let unregister_gauge name = locked (fun () -> Hashtbl.remove gauges name)
 
 let gauges_snapshot () =
   let gauge_fns =

@@ -26,6 +26,10 @@ val register_gauge : string -> (unit -> int) -> unit
 (** Register (or replace) a named read-only gauge sampled at snapshot
     time.  A gauge that raises reports 0. *)
 
+val unregister_gauge : string -> unit
+(** Remove the gauge [name], if one is registered, so snapshots stop
+    listing it and its closure can be collected. *)
+
 val gauges_snapshot : unit -> (string * int) list
 (** Only the registered gauges, sampled now, sorted by name — the live
     instantaneous view (queue depths, in-flight work, breaker states) as

@@ -244,18 +244,32 @@ struct
   (* One exchange layer ({!Kp_kernel.Kernel_intf.butterfly_layer}): pair
      k's block is [[a b];[c dd]] with dd = (1 + b·c)/a, so the block
      determinant is 1 and det(P) reduces to the diagonal.  Drawn per pair,
-     in pair order: a (non-zero), b, c, then dd. *)
+     in pair order: a (non-zero), b, c.  Every 1/a comes from one
+     inversion of the layer's product of a's (Montgomery's trick): the
+     draw loop leaves the prefix a.(0)·…·a.(k−1) in dd.(k), and from the
+     last pair down, that prefix times the inverse of the product through
+     a.(k) is 1/a.(k). *)
   let butterfly_layer ~card_s ~n st stride :
       F.t Kp_kernel.Kernel_intf.butterfly_layer =
     let pairs = Kp_kernel.Kernel_intf.butterfly_pairs ~n ~stride in
     let a = Array.make pairs F.zero and b = Array.make pairs F.zero in
     let c = Array.make pairs F.zero and dd = Array.make pairs F.zero in
+    let prod = ref F.one in
     for k = 0 to pairs - 1 do
       a.(k) <- sample_nonzero st ~card_s;
       b.(k) <- F.sample st ~card_s;
       c.(k) <- F.sample st ~card_s;
-      dd.(k) <- F.div (F.add F.one (F.mul b.(k) c.(k))) a.(k)
+      dd.(k) <- !prod;
+      prod := F.mul !prod a.(k)
     done;
+    if pairs > 0 then begin
+      let inv = ref (F.inv !prod) in
+      for k = pairs - 1 downto 0 do
+        let inv_a = F.mul !inv dd.(k) in
+        inv := F.mul !inv a.(k);
+        dd.(k) <- F.mul (F.add F.one (F.mul b.(k) c.(k))) inv_a
+      done
+    end;
     { stride; a; b; c; dd }
 
   (* strides 1, 2, 4, … below n, drawn in that order *)

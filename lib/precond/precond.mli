@@ -131,6 +131,14 @@ module Make
   val sample_nonzero : Random.State.t -> card_s:int -> F.t
   (** The legacy non-zero draw: at most 100 samples, then [F.one]. *)
 
+  val butterfly_layer :
+    card_s:int -> n:int -> Random.State.t -> int ->
+    F.t Kp_kernel.Kernel_intf.butterfly_layer
+  (** [butterfly_layer ~card_s ~n st s]: the stride-[s] exchange layer
+      of {!Sparse_butterfly}, drawn as {!build} draws it — per pair, in
+      pair order, a (by {!sample_nonzero}), b and c — with every
+      dd = (1 + b·c)/a computed from one [F.inv] per layer. *)
+
   val det_hd_elimination : det_routine
   (** det(H)·det(D) with det(H) by Gaussian elimination on the
       materialised Hankel (O(n³) sequential work, no charpoly).  Equal to

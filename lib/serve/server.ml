@@ -455,6 +455,8 @@ struct
 
   (* ---- lifecycle ---- *)
 
+  let breaker_gauge name = "serve.breaker." ^ name ^ ".state"
+
   let start ?pool ?now cfg st =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ());
@@ -504,7 +506,7 @@ struct
     List.iter
       (fun (name, _) ->
         Cnt.register_gauge
-          ("serve.breaker." ^ name ^ ".state")
+          (breaker_gauge name)
           (fun () -> List.assoc name (E.breaker_codes t.eng)))
       (E.breaker_codes t.eng);
     t.io_thread <- Some (Thread.create io_loop t);
@@ -529,9 +531,14 @@ struct
     Option.iter Thread.join t.io_thread;
     Option.iter Thread.join t.worker_thread
 
+  (* the gauges [start] registered go with the server: a later snapshot
+     must not list them, nor their closures keep the engines alive *)
   let stop t =
     drain t;
     wait t;
+    List.iter Cnt.unregister_gauge
+      ("serve.queue.depth" :: "serve.inflight" :: "serve.draining"
+      :: List.map (fun (name, _) -> breaker_gauge name) (E.breaker_codes t.eng));
     try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ -> ()
 
   let install_sigterm t =

@@ -92,7 +92,8 @@ module Make
   (** Join both threads (blocks until a drain completes). *)
 
   val stop : t -> unit
-  (** [drain] then [wait], then remove the socket file. *)
+  (** [drain] then [wait], then remove the socket file and unregister
+      the [serve.*] gauges [start] registered. *)
 
   val install_sigterm : t -> unit
   (** SIGTERM → [drain].  The handler only flips an atomic — safe in a

@@ -70,6 +70,29 @@ let butterfly_strides n =
     let rec pow2 s = if s <= n then s :: pow2 (2 * s) else [] in
     List.sort_uniq compare (pow2 1 @ [ 3; 5; 7; (n / 2) + 1; n - 1; n + 1 ])
 
+(* a prepared sparse operator against the derived kernel's
+   [csr_matvec_into] over all rows, into a garbage destination longer
+   than the row count whose tail must stay untouched, applied twice from
+   one prepare, the source untouched *)
+let check_csr_prepared ~ctx (module F : F_INT)
+    (module S : Kp_kernel.Kernel_intf.KERNEL with type t = int) ~elt ~row_ptr
+    ~cols ~vals ~x what =
+  let module D = Kp_kernel.Derived.Make (F) in
+  let rows = Array.length row_ptr - 1 in
+  let x0 = Array.copy x in
+  let want = Array.init (rows + 2) (fun _ -> elt ()) in
+  let op = S.csr_prepare ~row_ptr ~cols ~vals in
+  let dst = Array.copy want in
+  D.csr_matvec_into ~row_ptr ~cols ~vals ~row_lo:0 ~row_hi:rows ~x ~dst:want;
+  for i = 1 to 2 do
+    S.csr_apply_into op ~src:x ~dst;
+    check_bool
+      (ctx (Printf.sprintf "%s %d rows, apply %d" what rows i))
+      true
+      (Array.for_all2 F.equal dst want)
+  done;
+  check_bool (ctx (what ^ ": source untouched")) true (x = x0)
+
 (* CSR product: random row lengths up to 20 (empty rows included, and rows
    longer than the shortest delayed-reduction block) over random columns;
    the full row range, an inner one and the two halves, written into a
@@ -100,7 +123,9 @@ let check_csr ~ctx (module F : F_INT)
         (ctx (Printf.sprintf "csr_matvec_into %d..%d" row_lo row_hi))
         true
         (Array.for_all2 F.equal d1 d2))
-    ranges
+    ranges;
+  check_csr_prepared ~ctx (module F) (module S) ~elt ~row_ptr ~cols ~vals ~x
+    "csr prepared"
 
 (* a network of a random diagonal and [layers], forward and transposed,
    against the derived network over the same arrays; the destination
@@ -501,6 +526,140 @@ let test_butterfly_network_sizes () =
             [ ("uniform", false); ("all p-1", true) ])
         (backends_for (module F)))
     fields
+
+(* prepared sparse operators at the shapes SELL-8 tells apart: no rows,
+   a single row of every length 0 … 40, fewer rows than a slice, row
+   counts that leave a partial last slice, rows of every length 1 … 40
+   in one matrix (slices wider than the 16 products whose sum fits 64
+   bits at p near 2^30), empty rows among full ones and all-empty
+   matrices, the identity, and the black-box route's n = 1000 at about 8
+   entries per row; uniform and all-(p−1) values, on every backend *)
+let test_csr_prepared_shapes () =
+  let fields =
+    ("gf2", (module Kp_field.Gf2 : F_INT))
+    :: List.map
+         (fun p -> (Printf.sprintf "gfp.%d" p, Kp_field.Gfp.make p))
+         [ 2; 97; 998244353; 1073741789 ]
+  in
+  let shuffled st l =
+    let a = Array.of_list l in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  let st = Kp_util.Rng.make 40 in
+  let random_lens rows cap =
+    List.init rows (fun _ -> Random.State.int st (cap + 1))
+  in
+  (* (what, row lengths, column count) *)
+  let shapes =
+    [ ("no rows", [], 5) ]
+    @ List.init 41 (fun len -> (Printf.sprintf "one row of %d" len, [ len ], 45))
+    @ List.map
+        (fun rows -> (Printf.sprintf "%d rows" rows, random_lens rows 40, 50))
+        [ 1; 2; 3; 5; 7; 9; 15; 17; 63; 65; 100; 1001 ]
+    @ [
+        ("rows of 1 to 40", shuffled st (List.init 40 (fun i -> i + 1)), 64);
+        ( "rows of 0 to 40 twice",
+          shuffled st (List.init 82 (fun i -> i mod 41)),
+          41 );
+        ("all empty", List.init 13 (fun _ -> 0), 13);
+        ( "every other row empty",
+          List.init 21 (fun i -> if i land 1 = 0 then 0 else 3 + i),
+          30 );
+        ("n = 1000, about 8 per row", random_lens 1000 15, 1000);
+      ]
+  in
+  List.iter
+    (fun (fname, (module F : F_INT)) ->
+      let max_elt = F.sub F.zero F.one in
+      List.iter
+        (fun (bname, k) ->
+          List.iter
+            (fun (style, max) ->
+              let elt () = if max then max_elt else F.random st in
+              let ctx what = Printf.sprintf "%s/%s %s %s" fname bname style what in
+              List.iter
+                (fun (what, lens, ncols) ->
+                  let rows = List.length lens in
+                  let row_ptr = Array.make (rows + 1) 0 in
+                  List.iteri (fun i l -> row_ptr.(i + 1) <- row_ptr.(i) + l) lens;
+                  let nnz = row_ptr.(rows) in
+                  let cols = Array.init nnz (fun _ -> Random.State.int st ncols) in
+                  let vals = Array.init nnz (fun _ -> elt ()) in
+                  let x = Array.init ncols (fun _ -> elt ()) in
+                  check_csr_prepared ~ctx (module F) k ~elt ~row_ptr ~cols ~vals
+                    ~x what)
+                shapes;
+              List.iter
+                (fun n ->
+                  let x = Array.init n (fun _ -> elt ()) in
+                  check_csr_prepared ~ctx (module F) k ~elt
+                    ~row_ptr:(Array.init (n + 1) Fun.id)
+                    ~cols:(Array.init n Fun.id) ~vals:(Array.make n F.one) ~x
+                    (Printf.sprintf "identity n=%d" n))
+                [ 1; 7; 8; 13; 1000 ])
+            [ ("uniform", false); ("all p-1", true) ])
+        (backends_for (module F)))
+    fields
+
+(* the GF(p) butterfly through both C bodies — the apply, which runs the
+   AVX-512 loops where the CPU has them, and the plain body's test entry,
+   which every other host runs — against the derived network, forward
+   and transposed: a one-layer network at every stride 1 … n + 1
+   (strides 1, 2 and 4 take the AVX-512 loop's permute path, every other
+   stride its contiguous runs, and ragged tails the scalar pairs) and
+   the full network, for n = 1 … 70 and 1000, uniform and all-(p−1) *)
+let test_butterfly_bodies () =
+  List.iter
+    (fun p ->
+      let module F = (val Kp_field.Gfp.make p) in
+      let module D = Kp_kernel.Derived.Make (F) in
+      List.iter
+        (fun (style, max) ->
+          List.iter
+            (fun n ->
+              let st = Kp_util.Rng.make (p + n) in
+              let elt () = if max then p - 1 else F.random st in
+              let check ~layers what =
+                let d = Array.init n (fun _ -> elt ()) in
+                let src = Array.init n (fun _ -> elt ()) in
+                let net = Kp_kernel.Cstub.gfp_butterfly_prepare d layers p in
+                let nd = D.butterfly_prepare ~d ~layers in
+                List.iter
+                  (fun transpose ->
+                    let want = Array.make n F.zero in
+                    D.butterfly_apply_into nd ~transpose ~src ~dst:want;
+                    List.iter
+                      (fun (body, apply) ->
+                        let dst = Array.init n (fun _ -> elt ()) in
+                        apply net transpose src dst;
+                        check_bool
+                          (Printf.sprintf "p=%d n=%d %s %s %s transpose=%b" p n
+                             style what body transpose)
+                          true (dst = want))
+                      [
+                        ("apply", Kp_kernel.Cstub.gfp_butterfly_apply);
+                        ("plain body", Kp_kernel.Cstub.gfp_butterfly_apply_plain);
+                      ])
+                  [ false; true ]
+              in
+              for stride = 1 to n + 1 do
+                check
+                  ~layers:[| random_layer ~elt ~n stride |]
+                  (Printf.sprintf "s=%d" stride)
+              done;
+              let rec strides s = if s < n then s :: strides (2 * s) else [] in
+              check
+                ~layers:(Array.of_list (List.map (random_layer ~elt ~n) (strides 1)))
+                "network")
+            (List.init 70 (fun i -> i + 1) @ [ 1000 ]))
+        [ ("uniform", false); ("all p-1", true) ])
+    [ 2; 97; 998244353; 1073741789 ]
 
 (* prepared dense applies at the shapes the AVX-512 loop and the plain
    body tell apart — row counts around its four-row passes, column counts
@@ -958,16 +1117,61 @@ let test_dense_meters () =
       done)
     [ (1, 1); (5, 37); (64, 64) ]
 
-(* the GF(p) prepared dense apply runs the AVX-512 loop only where the
-   CPU has it; the plain body runs on every host through its test entry *)
+(* a prepared sparse operator is metered once per apply, by its entry
+   count — exactly a csr_matvec_into over all rows, never a padded
+   SELL-8 count — and prepare ticks nothing *)
+let test_csr_meters () =
+  let find c = Option.value ~default:0 (Kp_obs.Counter.find c) in
+  let module F = Kp_field.Fields.Gf_97 in
+  let module K =
+    (val Dispatch.of_field
+           (module F : Kp_field.Field_intf.FIELD with type t = int))
+  in
+  let st = Kp_util.Rng.make 9 in
+  let snap () =
+    List.map find
+      [ "kernel.cstub.calls"; "kernel.bulk_ops"; "kernel.cstub.bulk_ops" ]
+  in
+  List.iter
+    (fun lens ->
+      let rows = List.length lens in
+      let row_ptr = Array.make (rows + 1) 0 in
+      List.iteri (fun i l -> row_ptr.(i + 1) <- row_ptr.(i) + l) lens;
+      let nnz = row_ptr.(rows) in
+      let cols = Array.init nnz (fun _ -> Random.State.int st 40) in
+      let vals = Array.init nnz (fun _ -> F.random st) in
+      let src = Array.init 40 (fun _ -> F.random st)
+      and dst = Array.make rows 0 in
+      let s0 = snap () in
+      let op = K.csr_prepare ~row_ptr ~cols ~vals in
+      check_bool
+        (Printf.sprintf "%d rows: prepare ticks nothing" rows)
+        true
+        (snap () = s0);
+      for i = 1 to 2 do
+        K.csr_apply_into op ~src ~dst;
+        check_bool
+          (Printf.sprintf "%d rows, nnz %d, apply %d: one call, nnz ops" rows
+             nnz i)
+          true
+          (snap () = List.map2 ( + ) s0 [ i; i * nnz; i * nnz ])
+      done)
+    [ [ 1 ]; [ 0; 3; 1 ]; [ 9; 1; 1; 1; 1; 1; 1; 1; 1; 2 ]; List.init 37 (fun i -> i) ]
+
+(* the GF(p) prepared dense apply, butterfly network and sparse operator
+   run their AVX-512 loops only where the CPU has them; the plain dense
+   and butterfly bodies run on every host through their test entries *)
 let () =
   match Kp_kernel.Cstub.gfp_isa () with
   | "avx512f" ->
-    print_endline "kp_kernel: prepared dense apply: AVX-512 loop and plain body"
+    print_endline
+      "kp_kernel: GF(p) prepared dense apply and butterfly network: AVX-512 \
+       loops and plain bodies; prepared sparse operator: SELL-8 AVX-512 loop"
   | isa ->
     Printf.printf
-      "kp_kernel: prepared dense apply: SKIP the AVX-512 loop (gfp_isa = %s), \
-       plain body only\n"
+      "kp_kernel: GF(p) prepared dense apply, butterfly network and sparse \
+       operator: SKIP the AVX-512 loop (gfp_isa = %s), plain bodies and the \
+       CSR loop only\n"
       isa
 
 let () =
@@ -983,6 +1187,8 @@ let () =
             test_network_meters;
           Alcotest.test_case "dense metered once per apply" `Quick
             test_dense_meters;
+          Alcotest.test_case "csr metered once per apply" `Quick
+            test_csr_meters;
         ] );
       ( "differential",
         Alcotest.test_case "edge sizes x all backends" `Quick
@@ -993,6 +1199,10 @@ let () =
         :: Alcotest.test_case "butterfly network x route sizes" `Quick
              test_butterfly_network_sizes
         :: Alcotest.test_case "dense x shapes" `Quick test_dense_shapes
+        :: Alcotest.test_case "csr prepared x shapes" `Quick
+             test_csr_prepared_shapes
+        :: Alcotest.test_case "butterfly avx-512 x plain body" `Quick
+             test_butterfly_bodies
         :: Alcotest.test_case "shoup quotient exact" `Quick
              test_shoup_quotient
         :: Alcotest.test_case "dot and matvec x row shapes x primes" `Quick

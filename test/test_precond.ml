@@ -268,6 +268,40 @@ let test_butterfly_matches_reference () =
         (farr_eq (p.Pc.apply_transpose v) (M.matvec (M.transpose pm) v)))
     [ 1; 2; 3; 5; 100; 1000 ]
 
+(* the butterfly's layers, whose dd come from one inversion per layer,
+   equal the per-pair division's: the same draws of a, b and c in pair
+   order, the same dd = (1 + b·c)/a and the same RNG state afterwards,
+   over fields of every kernel family and Q *)
+let batched_layers (type a) ~ns (module Fx : Kp_field.Field_intf.FIELD with type t = a)
+    () =
+  let module Cx = Kp_poly.Conv.Karatsuba (Fx) in
+  let module SPx = Kp_precond.Precond.Make (Fx) (Cx) in
+  let card_s = 4096 in
+  List.iter
+    (fun n ->
+      let rec strides s = if s < n then s :: strides (2 * s) else [] in
+      List.iter
+        (fun stride ->
+          let what fmt =
+            Printf.sprintf ("%s n=%d s=%d: " ^^ fmt) Fx.name n stride
+          in
+          let st_new = st0 (n + stride) and st_ref = st0 (n + stride) in
+          let l = SPx.butterfly_layer ~card_s ~n st_new stride in
+          let pairs = Kp_kernel.Kernel_intf.butterfly_pairs ~n ~stride in
+          check_int (what "pairs") pairs (Array.length l.Kp_kernel.Kernel_intf.dd);
+          for k = 0 to pairs - 1 do
+            let a = SPx.sample_nonzero st_ref ~card_s in
+            let b = Fx.sample st_ref ~card_s in
+            let c = Fx.sample st_ref ~card_s in
+            let dd = Fx.div (Fx.add Fx.one (Fx.mul b c)) a in
+            check_bool (what "pair %d equals the division's" k) true
+              (Fx.equal a l.a.(k) && Fx.equal b l.b.(k) && Fx.equal c l.c.(k)
+              && Fx.equal dd l.dd.(k))
+          done;
+          check_bool (what "RNG state") true (st_new = st_ref))
+        (strides 1 @ [ 3 ]))
+    ns
+
 let test_butterfly_is_cheap () =
   (* the sparse track's payoff: ops per apply is O(n log n), far below the
      dense Hankel convolution cost for the same n *)
@@ -450,6 +484,15 @@ let () =
             test_butterfly_is_cheap;
           Alcotest.test_case "butterfly = reference draws and products" `Quick
             test_butterfly_matches_reference;
+          Alcotest.test_case "batched layers = per-pair division" `Quick
+            (fun () ->
+              let small = [ 1; 2; 3; 61 ] in
+              batched_layers ~ns:small (module Kp_field.Fields.Gf2) ();
+              batched_layers ~ns:small (module Kp_field.Fields.Gf_97) ();
+              batched_layers ~ns:(small @ [ 1000 ])
+                (module Kp_field.Fields.Gf_ntt) ();
+              batched_layers ~ns:small (module Kp_field.Fields.Gf2_16) ();
+              batched_layers ~ns:small (module Kp_field.Fields.Q) ());
           Alcotest.test_case "ext-field GF(2) record consistent" `Quick
             test_ext_field_gf2;
           Alcotest.test_case "apply_into GF(p): all kinds" `Quick

@@ -913,6 +913,19 @@ let test_server_blank_lines () =
   check_str "and nothing queued behind it" "r"
     (str_field (Result.get_ok (Wire.parse (input_line ic))) "id")
 
+(* stop unregisters the gauges start registered: a stopped server
+   leaves no serve.* gauge for a later snapshot to list *)
+let test_server_stop_drops_gauges () =
+  let serve_gauges () =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"serve." name)
+      (Kp_obs.Counter.gauges_snapshot ())
+  in
+  with_server ~seed:77 (fun _path _srv ->
+      check_bool "a running server lists serve.draining" true
+        (List.mem_assoc "serve.draining" (serve_gauges ())));
+  check_bool "no serve.* gauge after stop" true (serve_gauges () = [])
+
 let test_server_drain_no_request_dropped () =
   with_server ~cfg_fn:(fun c -> { c with Srv.drain_grace_ms = 10_000 }) ~seed:71
   @@ fun path srv ->
@@ -1030,5 +1043,7 @@ let () =
             test_server_blank_lines;
           Alcotest.test_case "SIGTERM drain drops nothing" `Quick
             test_server_drain_no_request_dropped;
+          Alcotest.test_case "stop drops its gauges" `Quick
+            test_server_stop_drops_gauges;
         ] );
     ]

@@ -305,6 +305,40 @@ let test_block_applies () =
       (count "blackbox.preconditioned.applies" - pre0);
     check_int "plus one residual apply of A" 137 (count "blackbox.applies" - all0)
 
+(* a sparse black box ticks the kernel counters exactly as the CSR
+   product it replaced: one kernel call per apply of A, by the matrix's
+   own entry count (never a padded SELL-8 count), so a first-attempt
+   solve_preconditioned on a sparse n = 64 box ticks the applies, calls
+   and bulk operations it ticked when each apply was one
+   csr_matvec_into *)
+let test_sparse_counters_pinned () =
+  let module Counter = Kp_obs.Counter in
+  let n = 64 in
+  let st = st0 19 in
+  let s = Sp.random_nonsingular st n ~density:0.1 in
+  let x_true = Array.init n (fun _ -> F.random st) in
+  let b = Sp.matvec s x_true in
+  let bb = Bb.of_sparse s in
+  let pinned =
+    [ ("blackbox.applies", 184); ("kernel.cstub.calls", 817);
+      ("kernel.bulk_ops", 222761) ]
+  in
+  let snap () =
+    List.map
+      (fun (name, _) -> Option.value ~default:0 (Counter.find name))
+      pinned
+  in
+  let s0 = snap () in
+  match W.solve_preconditioned (st0 20) bb b with
+  | Error e -> Alcotest.fail (W.O.error_to_string e)
+  | Ok (x, report) ->
+    check_bool "solution" true (farr_eq x x_true);
+    check_int "one attempt" 1 report.W.O.attempts;
+    List.iter2
+      (fun (name, want) got -> check_int name want got)
+      pinned
+      (List.map2 ( - ) (snap ()) s0)
+
 (* ---- cross-validation: counting field vs circuit size ---- *)
 
 let test_counting_equals_circuit_size () =
@@ -379,6 +413,8 @@ let () =
             test_solve_preconditioned_with_counters;
           Alcotest.test_case "kept Krylov basis: 2n - 1 applies" `Quick
             test_kept_basis_applies;
+          Alcotest.test_case "sparse counters pinned" `Quick
+            test_sparse_counters_pinned;
           Alcotest.test_case "block solve: b (sigma - 1) applies" `Quick
             test_block_applies;
         ] );
