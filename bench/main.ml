@@ -636,48 +636,7 @@ let e9 () =
               ]
           | _ -> ()))
     pools;
-  Tables.print t2;
-  (* pooled end-to-end charpoly: the §3 engine with every layer (Newton
-     doubling, Gohberg/Semencul applies, convolutions) fanned out on the
-     pool — pooled output is required to be bit-identical to sequential *)
-  let nc = 128 in
-  let module TCN = Kp_structured.Toeplitz_charpoly.Make (F) (NK) in
-  let dvec = Array.init ((2 * nc) - 1) (fun _ -> F.random rng) in
-  let cp_seq = TCN.charpoly ~n:nc dvec in
-  let t3 =
-    Tables.create
-      ~title:
-        (Printf.sprintf
-           "pooled Toeplitz charpoly (n = %d, NTT multiplier) over OCaml \
-            domains" nc)
-      ~columns:[ "domains"; "time/run"; "speedup"; "identical" ]
-  in
-  let base = ref nan in
-  List.iter
-    (fun domains ->
-      Kp_util.Pool.with_pool ~domains (fun pool ->
-          let identical =
-            Array.for_all2 F.equal (TCN.charpoly ~pool ~n:nc dvec) cp_seq
-          in
-          let tests =
-            [
-              Test.make ~name:(Printf.sprintf "pcharpoly d=%d" domains)
-                (Staged.stage (fun () -> ignore (TCN.charpoly ~pool ~n:nc dvec)));
-            ]
-          in
-          match run_bechamel tests with
-          | [ (_, ns) ] ->
-            if domains = 1 then base := ns;
-            Tables.add_row t3
-              [
-                string_of_int domains;
-                Printf.sprintf "%.1f ms" (ns /. 1e6);
-                Printf.sprintf "%.2fx" (!base /. ns);
-                string_of_bool identical;
-              ]
-          | _ -> ()))
-    pools;
-  Tables.print t3
+  Tables.print t2
 
 (* ------------------------------------------------------------------ *)
 (* E10: ablation — the matrix-multiplication black box (ω)              *)

@@ -354,13 +354,17 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
     print_endline "kp serve: drained";
     `Ok ()
 
-  let charpoly ~domains prime toeplitz =
-    with_pool_opt ~domains @@ fun pool ->
+  let charpoly prime toeplitz =
     let d =
       String.split_on_char ',' toeplitz
       |> List.map String.trim
       |> List.filter (fun s -> s <> "")
-      |> List.map (fun s -> F.of_int (int_of_string s))
+      |> List.mapi (fun i s ->
+             match int_of_string_opt s with
+             | Some v -> F.of_int v
+             | None ->
+               Printf.ksprintf failwith
+                 "toeplitz: token %d (%S) is not an integer" (i + 1) s)
       |> Array.of_list
     in
     let len = Array.length d in
@@ -369,8 +373,7 @@ module Cmds (F : Kp_field.Field_intf.FIELD with type t = int) = struct
     else begin
       let n = (len + 1) / 2 in
       let cp =
-        if F.characteristic > n then TC.charpoly ?pool ~n d
-        else Ch.charpoly ?pool ~n d
+        if F.characteristic > n then TC.charpoly ~n d else Ch.charpoly ~n d
       in
       Printf.printf "det(λI - T), low to high coefficients (mod %d):\n" prime;
       Array.iteri (fun i c -> Printf.printf "  λ^%d: %s\n" i (F.to_string c)) cp;
@@ -385,7 +388,7 @@ module type DRIVER = sig
   val det : setup -> ret
   val rank : setup -> ret
   val inverse : setup -> ret
-  val charpoly : domains:int -> int -> string -> ret
+  val charpoly : int -> string -> ret
   val serve : domains:int -> seed:int -> serve_opts -> ret
 end
 
@@ -478,7 +481,7 @@ let domains_t =
            ~doc:
              "Run the solver core on a pool of this many domains (the PRAM \
               stand-in).  Results are identical to $(b,--domains 1); the \
-              pool.* counters in $(b,--stats) show which layers fanned out.")
+              pool.* counters in $(b,--stats) show which fan-outs ran.")
 
 let stats_t =
   Arg.(value
@@ -735,13 +738,11 @@ let charpoly_cmd =
        ~doc:"Characteristic polynomial of a Toeplitz matrix (Theorem 3).")
     Term.(
       ret
-        (const (fun p t stats domains ->
-             let r =
-               dispatch p (fun (module D : DRIVER) -> D.charpoly ~domains p t)
-             in
+        (const (fun p t stats ->
+             let r = dispatch p (fun (module D : DRIVER) -> D.charpoly p t) in
              print_stats stats;
              (r :> unit Cmdliner.Term.ret))
-         $ prime_t $ toeplitz_t $ stats_t $ domains_t))
+         $ prime_t $ toeplitz_t $ stats_t))
 
 let () =
   let info =

@@ -45,7 +45,8 @@ module Make
       random states are split off [st] up front (in column order), so the
       result is a deterministic function of [st] whether or not a pool is
       supplied; with [?pool] the columns fan out on the pool (counted in
-      [pool.inverse.columns]) and each solve also uses the pooled kernels.
+      [pool.inverse.columns]) and each solve fans its matrix products out
+      on the same pool ({!Kp_matrix.Dense.Make.mul_parallel}).
       The report (on success or inside the error) accumulates attempts over
       the columns preceding the first failure. *)
 

@@ -12,21 +12,9 @@ struct
 
   type charpoly_engine = n:int -> F.t array -> F.t array
 
-  (* The pooled constructors close over the (optional) pool so the engine
-     type stays a plain function — circuit builders and counting fields keep
-     using the unpooled aliases below and never see a pool. *)
-  let charpoly_leverrier_pooled pool : charpoly_engine =
-   fun ~n d -> TC.charpoly ?pool ~n d
-
-  let charpoly_chistov_pooled pool : charpoly_engine =
-   fun ~n d -> CH.charpoly ?pool ~n d
-
-  let charpoly_chistov_parallel_pooled pool : charpoly_engine =
-   fun ~n d -> CH.charpoly_parallel ?pool ~n d
-
-  let charpoly_leverrier = charpoly_leverrier_pooled None
-  let charpoly_chistov = charpoly_chistov_pooled None
-  let charpoly_chistov_parallel = charpoly_chistov_parallel_pooled None
+  let charpoly_leverrier : charpoly_engine = TC.charpoly
+  let charpoly_chistov : charpoly_engine = CH.charpoly
+  let charpoly_chistov_parallel : charpoly_engine = CH.charpoly_parallel
 
   type strategy = Doubling | Sequential
 
@@ -51,7 +39,7 @@ struct
     mul a hd
 
   (* solve T z = rhs by Cayley-Hamilton using the charpoly of T *)
-  let toeplitz_ch_solve ?pool ~charpoly ~strategy ~mul ~n dt rhs =
+  let toeplitz_ch_solve ~charpoly ~strategy ~mul ~n dt rhs =
     let cp = charpoly ~n dt in
     (* T^{-1} rhs = -(1/cp_0) Σ_{k=1}^{n} cp_k T^{k-1} rhs *)
     let acc =
@@ -61,7 +49,7 @@ struct
         let w = ref rhs in
         for k = 1 to n do
           acc := Array.mapi (fun i ai -> F.add ai (F.mul cp.(k) !w.(i))) !acc;
-          if k < n then w := TZ.matvec ?pool ~n dt !w
+          if k < n then w := TZ.matvec ~n dt !w
         done;
         !acc
       | Doubling ->
@@ -72,7 +60,7 @@ struct
     let neg_inv = F.neg (F.inv cp.(0)) in
     Array.map (F.mul neg_inv) acc
 
-  let minimal_generator ?mul ?pool ~generator ~strategy ~n seq =
+  let minimal_generator ?mul ~generator ~strategy ~n seq =
     Span.with_ "pipeline.generator" @@ fun () ->
     if Array.length seq < 2 * n then invalid_arg "Pipeline.minimal_generator";
     match generator with
@@ -81,7 +69,7 @@ struct
       let mul = Option.value mul ~default:M.mul in
       let dt = Array.sub seq 0 ((2 * n) - 1) in
       let rhs = Array.init n (fun j -> seq.(n + j)) in
-      let x = toeplitz_ch_solve ?pool ~charpoly ~strategy ~mul ~n dt rhs in
+      let x = toeplitz_ch_solve ~charpoly ~strategy ~mul ~n dt rhs in
       (* x solves T x = rhs; generator f(λ) = λ^n - Σ_{i<n} x_{n-1-i} λ^i *)
       Array.init (n + 1) (fun i -> if i = n then F.one else F.neg x.(n - 1 - i))
 
@@ -106,28 +94,28 @@ struct
   (* undo the preconditioner: from the Krylov columns of Ã on b and the
      degree-n generator f, recover x with A·x = b.
        x̃ = -(1/f_0) Σ_{i=0}^{n-1} f_{i+1} Ã^i b,  x = P · x̃ *)
-  let recover ?pool ~n ~f ~p cols =
+  let recover ~n ~f ~p cols =
     Span.with_ "pipeline.recover" @@ fun () ->
     let comb = K.combination (M.init n n (fun i j -> M.get cols i j)) (Array.sub f 1 n) in
     let neg_inv = F.neg (F.inv f.(0)) in
     let x_tilde = Array.map (F.mul neg_inv) comb in
-    p.Pc.apply ?pool x_tilde
+    p.Pc.apply x_tilde
 
-  let solve ?mul ?pool ~generator ~strategy (a : M.t) ~b ~p ~u =
+  let solve ?mul ~generator ~strategy (a : M.t) ~b ~p ~u =
     let mul = Option.value mul ~default:M.mul in
     let n = a.M.rows in
     let a_tilde = preconditioned ~mul a p in
     let cols, seq = krylov ~strategy ~mul a_tilde ~u ~v:b n in
-    let f = minimal_generator ~mul ?pool ~generator ~strategy ~n seq in
-    let x = recover ?pool ~n ~f ~p cols in
+    let f = minimal_generator ~mul ~generator ~strategy ~n seq in
+    let x = recover ~n ~f ~p cols in
     { x; f; seq }
 
-  let det ?mul ?pool ~generator ~strategy (a : M.t) ~p ~u ~v =
+  let det ?mul ~generator ~strategy (a : M.t) ~p ~u ~v =
     let mul = Option.value mul ~default:M.mul in
     let n = a.M.rows in
     let a_tilde = preconditioned ~mul a p in
     let _, seq = krylov ~strategy ~mul a_tilde ~u ~v n in
-    let f = minimal_generator ~mul ?pool ~generator ~strategy ~n seq in
+    let f = minimal_generator ~mul ~generator ~strategy ~n seq in
     let det_tilde = det_from_generator ~n f in
     F.div det_tilde (p.Pc.det ())
 end

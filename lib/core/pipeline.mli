@@ -34,16 +34,6 @@ module Make
   (** §5 composition with the §3 Newton iteration — O((log n)²) depth at
       the (12) work bound; use when tracing small-characteristic circuits. *)
 
-  val charpoly_leverrier_pooled : Kp_util.Pool.t option -> charpoly_engine
-  (** {!charpoly_leverrier} with the pool closed over: the Newton doubling
-      and convolution layers fan out on it, with bit-identical output. *)
-
-  val charpoly_chistov_pooled : Kp_util.Pool.t option -> charpoly_engine
-  (** {!charpoly_chistov} with the n independent βᵢ series pooled. *)
-
-  val charpoly_chistov_parallel_pooled : Kp_util.Pool.t option -> charpoly_engine
-  (** {!charpoly_chistov_parallel}, pooled likewise. *)
-
   type strategy = Doubling | Sequential
   (** How Krylov vectors are produced: [Doubling] is the paper's (9)
       (O(n^ω log n) size, O((log n)²) depth); [Sequential] trades depth for
@@ -83,15 +73,12 @@ module Make
 
   val minimal_generator :
     ?mul:(M.t -> M.t -> M.t) ->
-    ?pool:Kp_util.Pool.t ->
     generator:generator -> strategy:strategy -> n:int -> F.t array -> F.t array
   (** From the 2n-term sequence {u·Ãⁱ·v}: the degree-n monic generator f
       (length n+1, low-to-high), under the [pipeline.generator] span.
-      [mul], [pool] and [strategy] only reach the {!Toeplitz} route. *)
+      [mul] and [strategy] only reach the {!Toeplitz} route. *)
 
-  val recover :
-    ?pool:Kp_util.Pool.t ->
-    n:int -> f:F.t array -> p:precond -> M.t -> F.t array
+  val recover : n:int -> f:F.t array -> p:precond -> M.t -> F.t array
   (** Undo the preconditioner: from the Krylov columns of Ã on b and the
       generator f, x = P·x̃ with x̃ = −(1/f₀)·Σᵢ fᵢ₊₁·Ãⁱ·b.  Divides by
       f(0). *)
@@ -108,21 +95,16 @@ module Make
 
   val solve :
     ?mul:(M.t -> M.t -> M.t) ->
-    ?pool:Kp_util.Pool.t ->
     generator:generator ->
     strategy:strategy ->
     M.t -> b:F.t array -> p:precond -> u:F.t array ->
     solve_result
   (** The full Theorem-4 straight-line program (v := b).  [mul] is the
       matrix-multiplication black box (default: classical; pass Strassen or
-      a pool-parallel product to swap the ω).  [?pool] reaches the
-      structured matrix–vector kernels of the recovery stage; pass the
-      matching pooled charpoly engine to cover the generator stage too.
-      Pooled and sequential runs return identical results. *)
+      a pool-parallel product to swap the ω). *)
 
   val det :
     ?mul:(M.t -> M.t -> M.t) ->
-    ?pool:Kp_util.Pool.t ->
     generator:generator ->
     strategy:strategy ->
     M.t -> p:precond -> u:F.t array -> v:F.t array ->

@@ -13,10 +13,9 @@ struct
   module Rt = Kp_robust.Retry
   module Span = Kp_obs.Span
 
-  let charpoly_for_field ?pool ~n =
-    if F.characteristic = 0 || F.characteristic > n then
-      P.charpoly_leverrier_pooled pool
-    else P.charpoly_chistov_pooled pool
+  let charpoly_for_field ~n =
+    if F.characteristic = 0 || F.characteristic > n then P.charpoly_leverrier
+    else P.charpoly_chistov
 
   type route = Massey_elimination | Toeplitz_charpoly
 
@@ -85,7 +84,6 @@ struct
   type ctx = {
     n : int;
     mul : M.t -> M.t -> M.t;
-    pool : Kp_util.Pool.t option;
     strategy : P.strategy;
     generator : P.generator;
     det_hd : SP.det_routine option;
@@ -98,19 +96,19 @@ struct
       match route with
       | Massey_elimination -> (P.Direct massey_generator, None)
       | Toeplitz_charpoly ->
-        let charpoly = charpoly_for_field ?pool ~n in
+        let charpoly = charpoly_for_field ~n in
         (P.Toeplitz charpoly, Some (SP.det_hd ~charpoly))
     in
     (* the matrix-multiplication black box, on the pool when one is
        supplied (the PRAM stand-in): bit-identical either way *)
     let mul = match pool with None -> MD.mul | Some p -> MD.mul_parallel p in
-    { n; mul; pool; strategy; generator; det_hd }
+    { n; mul; strategy; generator; det_hd }
 
   let build ctx st ~card_s kind =
     SP.build ?det_hd:ctx.det_hd ~card_s ~n:ctx.n kind st
 
   let generate ctx seq =
-    P.minimal_generator ~mul:ctx.mul ?pool:ctx.pool ~generator:ctx.generator
+    P.minimal_generator ~mul:ctx.mul ~generator:ctx.generator
       ~strategy:ctx.strategy ~n:ctx.n seq
 
   (* the 2n Krylov columns of Ã on [v] and their projection on [u] *)
@@ -144,7 +142,7 @@ struct
     with
     | Error reject -> reject
     | Ok (cols, f) ->
-      Lv.verified (M.matvec a) (P.recover ?pool:ctx.pool ~n ~f ~p cols) b
+      Lv.verified (M.matvec a) (P.recover ~n ~f ~p cols) b
 
   (* one randomized det evaluation: det A = (−1)ⁿ·f(0)/det P.  Unlike
      solve, det has no residual to check against the original input: a

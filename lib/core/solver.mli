@@ -29,10 +29,8 @@ module Make
 
   module O = Kp_robust.Outcome
 
-  val charpoly_for_field : ?pool:Kp_util.Pool.t -> n:int -> P.charpoly_engine
-  (** Leverrier engine if the characteristic allows, Chistov otherwise.
-      The returned engine closes over [?pool]: its Newton/convolution (or
-      βᵢ-fan-out) layers run on the pool, with bit-identical output. *)
+  val charpoly_for_field : n:int -> P.charpoly_engine
+  (** Leverrier engine if the characteristic allows, Chistov otherwise. *)
 
   type route =
     | Massey_elimination

@@ -9,7 +9,7 @@ struct
           invalid_arg "Bivariate: series length mismatch")
       a
 
-  let mul_outer_pool pool ~len a b =
+  let mul_outer ~len a b =
     check_len ~len a;
     check_len ~len b;
     let na = Array.length a and nb = Array.length b in
@@ -25,15 +25,13 @@ struct
         out
       in
       let pa = pack a na and pb = pack b nb in
-      let prod = C.mul_full_pool pool pa pb in
+      let prod = C.mul_full pa pb in
       let n_out = na + nb - 1 in
       Array.init n_out (fun m ->
           Array.init len (fun k ->
               let idx = (m * stride) + k in
               if idx < Array.length prod then prod.(idx) else F.zero))
     end
-
-  let mul_outer ~len a b = mul_outer_pool None ~len a b
 
   let scale_outer ~len s v =
     check_len ~len v;
@@ -53,5 +51,4 @@ struct
   module B = Make (F) (C)
 
   let mul_full a b = B.mul_outer ~len:L.len a b
-  let mul_full_pool pool a b = B.mul_outer_pool pool ~len:L.len a b
 end

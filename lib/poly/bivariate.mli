@@ -17,12 +17,6 @@ module Make
       series multiplied and truncated mod λ{^len}.  Result has outer length
       la+lb-1 (empty if either is empty). *)
 
-  val mul_outer_pool :
-    Kp_util.Pool.t option ->
-    len:int -> F.t array array -> F.t array array -> F.t array array
-  (** [mul_outer] with the underlying long univariate product delegated to
-      [C.mul_full_pool] — same result, pool-parallel inner convolution. *)
-
   val scale_outer : len:int -> F.t array -> F.t array array -> F.t array array
   (** Multiply every outer coefficient by one series (truncated). *)
 end

@@ -1,16 +1,8 @@
-module Pool = Kp_util.Pool
-
 module type S = sig
   type elt
 
   val mul_full : elt array -> elt array -> elt array
-  val mul_full_pool : Pool.t option -> elt array -> elt array -> elt array
 end
-
-(* Per-layer pool telemetry: one tick per product that actually engaged the
-   pool (small products run sequentially regardless). *)
-let c_pool_karatsuba = Kp_obs.Counter.make "pool.conv.karatsuba"
-let c_pool_ntt = Kp_obs.Counter.make "pool.conv.ntt"
 
 module Karatsuba_k
     (F : Kp_field.Field_intf.FIELD_CORE)
@@ -21,21 +13,6 @@ struct
   module Ser = Series.Make_k (F) (K)
 
   let mul_full = Ser.mul_full
-
-  (* Below this operand length the region bookkeeping costs more than the
-     leaf products; the recursion halves lengths, so forking stops well
-     above the dense-leaf threshold. *)
-  let fork_width = 256
-
-  let mul_full_pool pool a b =
-    match pool with
-    | Some pool
-      when Pool.size pool > 1
-           && Array.length a >= fork_width
-           && Array.length b >= fork_width ->
-      Kp_obs.Counter.incr c_pool_karatsuba;
-      Ser.mul_full_fork ~fork:(Pool.region_run pool) ~fork_width a b
-    | _ -> Ser.mul_full a b
 end
 
 module Karatsuba (F : Kp_field.Field_intf.FIELD_CORE) =
@@ -76,8 +53,9 @@ struct
 
   let inv_mod a = pow_mod a (P.p - 2)
 
-  (* cache of lifted root tables per transform length; guarded so pooled
-     transforms from several domains cannot race the hashtable.  Bounded:
+  (* cache of lifted root tables per transform length; guarded because
+     pooled solves (an inverse's columns, a session batch's right-hand
+     sides) can convolve from several domains at once.  Bounded:
      a long-running process convolving at many distinct lengths would
      otherwise retain one O(len) table pair per length forever, so past
      [max_root_tables] lengths the least-recently-used table is dropped
@@ -133,25 +111,11 @@ struct
     Mutex.unlock root_tables_mutex;
     r
 
-  (* A transform shorter than this runs sequentially even with a pool: one
-     butterfly level is ~n/2 multiplies, too little to amortize a region. *)
-  let pool_width = 1 lsl 12
-
-  (* One butterfly level is a data-parallel loop over n/2 independent
-     (u, v) pairs, executed as three bulk kernel passes per block:
-     v = a_hi ⊙ roots into a scratch slice, then a_hi = a_lo - v and
-     a_lo = a_lo + v.  Block [blk] owns the scratch slice at [blk·half], so
-     any partition of the blocks (or of the k-range inside the single
-     topmost block) is race-free, and every pair is touched by exactly one
-     chunk — values are identical to the sequential schedule. *)
-  let transform ?pool (a : F.t array) ~inverse =
+  (* One butterfly level is a loop over n/2 independent (u, v) pairs,
+     executed as three bulk kernel passes per block: v = a_hi ⊙ roots into
+     a scratch slice, then a_hi = a_lo - v and a_lo = a_lo + v. *)
+  let transform (a : F.t array) ~inverse =
     let n = Array.length a in
-    let pool =
-      match pool with
-      | Some p when n >= pool_width && Pool.size p > 1 -> Some p
-      | _ -> None
-    in
-    if pool <> None then Kp_obs.Counter.incr c_pool_ntt;
     let j = ref 0 in
     for i = 1 to n - 1 do
       let bit = ref (n lsr 1) in
@@ -172,8 +136,7 @@ struct
       let fwd, bwd = roots_for !len in
       let roots = if inverse then bwd else fwd in
       let half = !len lsr 1 in
-      let nblocks = n / !len in
-      let do_block blk =
+      for blk = 0 to (n / !len) - 1 do
         let i = blk * !len in
         let vo = blk * half in
         K.pointwise_mul_into ~x:a ~xoff:(i + half) ~y:roots ~yoff:0 ~dst:vbuf
@@ -181,44 +144,13 @@ struct
         K.sub_into ~x:a ~xoff:i ~y:vbuf ~yoff:vo ~dst:a ~doff:(i + half)
           ~len:half;
         K.add_into ~x:a ~xoff:i ~y:vbuf ~yoff:vo ~dst:a ~doff:i ~len:half
-      in
-      (match pool with
-      | Some p when nblocks >= 2 ->
-        Pool.parallel_for_chunked p ~lo:0 ~hi:nblocks
-          ~chunk:(max 1 (nblocks / (4 * Pool.size p)))
-          (fun bl bh ->
-            for blk = bl to bh - 1 do
-              do_block blk
-            done)
-      | Some p ->
-        (* single block spanning the whole array: split the k-range *)
-        Pool.parallel_for_chunked p ~lo:0 ~hi:half
-          ~chunk:(max 1024 (half / (4 * Pool.size p)))
-          (fun kl kh ->
-            let w = kh - kl in
-            K.pointwise_mul_into ~x:a ~xoff:(half + kl) ~y:roots ~yoff:kl
-              ~dst:vbuf ~doff:kl ~len:w;
-            K.sub_into ~x:a ~xoff:kl ~y:vbuf ~yoff:kl ~dst:a ~doff:(half + kl)
-              ~len:w;
-            K.add_into ~x:a ~xoff:kl ~y:vbuf ~yoff:kl ~dst:a ~doff:kl ~len:w)
-      | None ->
-        for blk = 0 to nblocks - 1 do
-          do_block blk
-        done);
+      done;
       len := !len lsl 1
     done;
-    if inverse then begin
-      let ninv = F.of_int (inv_mod n) in
-      match pool with
-      | Some p ->
-        Pool.parallel_for_chunked p ~lo:0 ~hi:n
-          ~chunk:(max 1024 (n / (4 * Pool.size p)))
-          (fun cl ch ->
-            K.scale_into ~a:ninv ~x:a ~xoff:cl ~dst:a ~doff:cl ~len:(ch - cl))
-      | None -> K.scale_into ~a:ninv ~x:a ~xoff:0 ~dst:a ~doff:0 ~len:n
-    end
+    if inverse then
+      K.scale_into ~a:(F.of_int (inv_mod n)) ~x:a ~xoff:0 ~dst:a ~doff:0 ~len:n
 
-  let mul_full_pool pool a b =
+  let mul_full a b =
     let la = Array.length a and lb = Array.length b in
     if la = 0 || lb = 0 then [||]
     else begin
@@ -227,30 +159,20 @@ struct
       while !size < out_len do
         size := !size lsl 1
       done;
-      if !size > 1 lsl P.max_log2 then Fallback.mul_full_pool pool a b
+      if !size > 1 lsl P.max_log2 then Fallback.mul_full a b
       else begin
         let pad v =
           Array.init !size (fun i -> if i < Array.length v then v.(i) else F.zero)
         in
         let fa = pad a and fb = pad b in
-        transform ?pool fa ~inverse:false;
-        transform ?pool fb ~inverse:false;
-        (match pool with
-        | Some p when !size >= pool_width && Pool.size p > 1 ->
-          Pool.parallel_for_chunked p ~lo:0 ~hi:!size
-            ~chunk:(max 1024 (!size / (4 * Pool.size p)))
-            (fun cl ch ->
-              K.pointwise_mul_into ~x:fa ~xoff:cl ~y:fb ~yoff:cl ~dst:fa
-                ~doff:cl ~len:(ch - cl))
-        | _ ->
-          K.pointwise_mul_into ~x:fa ~xoff:0 ~y:fb ~yoff:0 ~dst:fa ~doff:0
-            ~len:!size);
-        transform ?pool fa ~inverse:true;
+        transform fa ~inverse:false;
+        transform fb ~inverse:false;
+        K.pointwise_mul_into ~x:fa ~xoff:0 ~y:fb ~yoff:0 ~dst:fa ~doff:0
+          ~len:!size;
+        transform fa ~inverse:true;
         Array.sub fa 0 out_len
       end
     end
-
-  let mul_full a b = mul_full_pool None a b
 end
 
 module Ntt_generic (F : Kp_field.Field_intf.FIELD_CORE) (P : NTT_PRIME) =

@@ -2,7 +2,7 @@
 
     The paper treats both matrix multiplication and polynomial multiplication
     (Cantor–Kaltofen) as black boxes whose cost parameterises the final
-    bounds.  Algorithms in [kp_structured]/[kp_core] take a [CONV] module so
+    bounds.  Algorithms in [kp_structured]/[kp_core] take an {!S} module so
     the experiments can swap multipliers:
 
     - {!Karatsuba}: field-independent, O(n^{log₂3});
@@ -10,24 +10,16 @@
       GF(p) for an NTT-friendly prime p (including its counting and circuit
       wrappers — the butterfly plan is computed on plain ints and lifted
       through [of_int], so tracing it yields the genuine O(log n)-depth
-      multiplication circuit). *)
+      multiplication circuit).
+
+    Both run sequentially: a product's parallel time is the depth of its
+    traced circuit. *)
 
 module type S = sig
   type elt
 
   val mul_full : elt array -> elt array -> elt array
   (** Full product, length la+lb-1 ([[||]] if either input is empty). *)
-
-  val mul_full_pool :
-    Kp_util.Pool.t option -> elt array -> elt array -> elt array
-  (** [mul_full_pool (Some pool) a b] is [mul_full a b] with the work fanned
-      out over [pool] — parallel butterfly layers for the NTT, forked
-      sub-products for Karatsuba — and [mul_full_pool None] {e is}
-      [mul_full].  Parallel execution never changes the result: products
-      below an internal width threshold run sequentially, larger ones
-      partition disjoint index ranges whose per-coefficient operation order
-      is schedule-independent.  Pooled calls are counted in the
-      [pool.conv.*] {!Kp_obs} counters. *)
 end
 
 module Karatsuba_k

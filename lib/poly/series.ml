@@ -12,12 +12,6 @@ module type S = sig
   val neg : t -> t
   val scale : elt -> t -> t
   val mul_full : elt array -> elt array -> elt array
-
-  val mul_full_fork :
-    fork:((unit -> unit) list -> unit) ->
-    fork_width:int ->
-    elt array -> elt array -> elt array
-
   val mul : t -> t -> t
   val inv : t -> t
   val div : t -> t -> t
@@ -82,15 +76,8 @@ struct
   let karatsuba_threshold = 24
 
   (* Oblivious full product: no zero tests, so the op sequence depends only
-     on lengths (exactly what gets traced into circuits).
-
-     The recursion is written against an abstract [fork] so the same code
-     runs sequentially or with the three Karatsuba sub-products fanned out
-     onto a domain pool (see [Conv.Karatsuba.mul_full_pool]).  Each output
-     coefficient is accumulated in the same order either way, so the result
-     is bit-identical no matter how the sub-products are scheduled. *)
-  let rec mul_full_fork ~fork ~fork_width (a : F.t array) (b : F.t array) :
-      F.t array =
+     on lengths (exactly what gets traced into circuits). *)
+  let rec mul_full (a : F.t array) (b : F.t array) : F.t array =
     let la = Array.length a and lb = Array.length b in
     if la = 0 || lb = 0 then [||]
     else if la < karatsuba_threshold || lb < karatsuba_threshold then begin
@@ -117,14 +104,13 @@ struct
             F.add x y)
       in
       let a0 = lo a and a1 = hi a and b0 = lo b and b1 = hi b in
-      let z0 = ref [||] and z1 = ref [||] and z2 = ref [||] in
-      let sub dst u v () = dst := mul_full_fork ~fork ~fork_width u v in
-      let thunks =
-        [ sub z0 a0 b0; sub z2 a1 b1; sub z1 (padd a0 a1) (padd b0 b1) ]
-      in
-      if la >= fork_width && lb >= fork_width then fork thunks
-      else List.iter (fun t -> t ()) thunks;
-      let z0 = !z0 and z1 = !z1 and z2 = !z2 in
+      (* the gate order a traced circuit records: both sums (b's first),
+         then z0, z2, z1 *)
+      let sb = padd b0 b1 in
+      let sa = padd a0 a1 in
+      let z0 = mul_full a0 b0 in
+      let z2 = mul_full a1 b1 in
+      let z1 = mul_full sa sb in
       (* z1 placed at offset m transiently overflows la+lb-1 before the
          -z0 -z2 corrections cancel its top; use a scratch and truncate. *)
       let out = Array.make (max (la + lb - 1) (3 * m)) F.zero in
@@ -142,9 +128,6 @@ struct
       acc false z2 m;
       Array.sub out 0 (la + lb - 1)
     end
-
-  let mul_full a b =
-    mul_full_fork ~fork:(List.iter (fun t -> t ())) ~fork_width:max_int a b
 
   let mul a b =
     check_len a b "mul";

@@ -43,17 +43,6 @@ module type S = sig
   (** Full product, length la+lb-1 (empty if either is empty); Karatsuba
       above a threshold.  Oblivious: multiplies zero coefficients too. *)
 
-  val mul_full_fork :
-    fork:((unit -> unit) list -> unit) ->
-    fork_width:int ->
-    elt array -> elt array -> elt array
-  (** [mul_full] with the three Karatsuba sub-products of every node whose
-      operands are both at least [fork_width] long handed to [fork] (which
-      must run every thunk to completion before returning — e.g.
-      [Kp_util.Pool.region_run pool]).  The accumulation order of each
-      output coefficient is independent of the schedule, so the result is
-      bit-identical to [mul_full]. *)
-
   val mul : t -> t -> t
   (** Truncated product mod x{^len} where [len] is the common length. *)
 

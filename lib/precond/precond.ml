@@ -100,11 +100,11 @@ let kind_for_attempt ~retries ~attempt kind =
 type 'a t = {
   kind : kind;
   n : int;
-  apply : ?pool:Kp_util.Pool.t -> 'a array -> 'a array;
+  apply : 'a array -> 'a array;
       (* v ↦ P·v; composing a black box A with this gives Ã = A·P *)
   apply_into : 'a array -> 'a array -> unit;
       (* P·src written into dst, which must not be src *)
-  apply_transpose : ?pool:Kp_util.Pool.t -> 'a array -> 'a array;
+  apply_transpose : 'a array -> 'a array;
       (* v ↦ Pᵀ·v *)
   dense : unit -> 'a array;  (* row-major n×n materialisation of P *)
   det : unit -> 'a;          (* det P, fresh arithmetic on every call *)
@@ -117,7 +117,7 @@ type 'a t = {
 
 (* [apply_into] for a kind whose apply allocates anyway: P·src copied out *)
 let copy_into apply src dst =
-  let w = apply ?pool:None src in
+  let w = apply src in
   Array.blit w 0 dst 0 (Array.length w)
 
 (* ---- straight-line layer (FIELD_CORE): the dense Hankel·Diagonal ---- *)
@@ -157,12 +157,12 @@ struct
      pipeline (and op-identical under a counting field). *)
   let hankel_diag ?ops_per_apply ~(det : det_routine) ~n ~h ~d () =
     let ops_per_apply = Option.value ops_per_apply ~default:(lazy 0) in
-    let apply ?pool v =
+    let apply v =
       let dv = Array.init n (fun i -> F.mul d.(i) v.(i)) in
-      HK.matvec ?pool ~n h dv
+      HK.matvec ~n h dv
     in
-    let apply_transpose ?pool v =
-      let hv = HK.matvec ?pool ~n h v in
+    let apply_transpose v =
+      let hv = HK.matvec ~n h v in
       Array.init n (fun i -> F.mul d.(i) hv.(i))
     in
     {
@@ -285,12 +285,12 @@ struct
     let apply_into v dst =
       K.butterfly_apply_into net ~transpose:false ~src:v ~dst
     in
-    let apply ?pool:_ v =
+    let apply v =
       let w = Array.make n F.zero in
       apply_into v w;
       w
     in
-    let apply_transpose ?pool:_ v =
+    let apply_transpose v =
       let w = Array.make n F.zero in
       K.butterfly_apply_into net ~transpose:true ~src:v ~dst:w;
       w
@@ -518,7 +518,7 @@ struct
       let dmats = Array.map (mulmat ~mlow) ediag in
       let get_chunk w c = Array.sub w (c * k) k in
       let set_chunk w c v = Array.blit v 0 w (c * k) k in
-      let apply ?pool:_ v =
+      let apply v =
         let w = Array.copy v in
         for c = 0 to nch - 1 do
           set_chunk w c (matvec_k ~k dmats.(c) (get_chunk w c))
@@ -537,7 +537,7 @@ struct
           chunk_layers;
         w
       in
-      let apply_transpose ?pool:_ v =
+      let apply_transpose v =
         let w = Array.copy v in
         List.iter
           (fun pairs ->

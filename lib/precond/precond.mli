@@ -68,7 +68,7 @@ val kind_for_attempt : retries:int -> attempt:int -> kind -> kind
 type 'a t = {
   kind : kind;
   n : int;
-  apply : ?pool:Kp_util.Pool.t -> 'a array -> 'a array;
+  apply : 'a array -> 'a array;
       (** v ↦ P·v.  Composing a black box A with this gives Ã = A·P; the
           recovery step x = P·x̃ is this same map. *)
   apply_into : 'a array -> 'a array -> unit;
@@ -77,7 +77,7 @@ type 'a t = {
           kinds apply the kernel network they prepared at build time, one
           kernel call per apply; the dense H·D and the chunked extension
           kind copy [apply]'s result out. *)
-  apply_transpose : ?pool:Kp_util.Pool.t -> 'a array -> 'a array;
+  apply_transpose : 'a array -> 'a array;
       (** v ↦ Pᵀ·v (for transposed black-box composition). *)
   dense : unit -> 'a array;
       (** Row-major n×n materialisation of P (the dense pipeline's matrix

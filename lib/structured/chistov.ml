@@ -5,8 +5,6 @@ struct
   module Ser = Kp_poly.Series.Make (F)
   module TZ = Toeplitz.Make (F) (C)
 
-  let c_pool_betas = Kp_obs.Counter.make "pool.charpoly.chistov"
-
   (* ((I - λT)^{-1} e_n)_n = Σ_k λ^k (T^k e_n)_n mod λ^len, by len-1
      successive Toeplitz matrix-vector products. *)
   let diagonal_resolvent_entry ~n ~len d =
@@ -20,17 +18,6 @@ struct
     done;
     out
 
-  (* The n series inversions β_i^{-1} are mutually independent — the
-     parallel axis of the §5 route.  Each slot is written by exactly one
-     chunk and every computation is pure, so pooled and sequential runs
-     produce identical arrays. *)
-  let inv_betas_init ?pool n compute =
-    match pool with
-    | Some p when Kp_util.Pool.size p > 1 && n > 1 ->
-      Kp_obs.Counter.incr c_pool_betas;
-      Kp_util.Pool.parallel_init p n compute
-    | _ -> Array.init n compute
-
   let finish_from_inv_betas ~n inv_betas =
     let rec tree lo hi =
       if hi - lo = 1 then inv_betas.(lo)
@@ -43,25 +30,26 @@ struct
     (* g = det(I - λT); det(λI - T) coefficient of λ^{n-k} is g_k *)
     Array.init (n + 1) (fun j -> g.(n - j))
 
-  let charpoly ?pool ~n d =
+  let charpoly ~n d =
     let len = n + 1 in
     (* β_i for each leading principal submatrix, inverted (constant term 1),
-       multiplied together by a balanced tree *)
+       multiplied together by a balanced tree; the n inversions are mutually
+       independent — the parallel axis of the §5 route *)
     let inv_betas =
-      inv_betas_init ?pool n (fun idx ->
+      Array.init n (fun idx ->
           let i = idx + 1 in
           let di = TZ.leading_principal ~n d i in
           Ser.inv (diagonal_resolvent_entry ~n:i ~len di))
     in
     finish_from_inv_betas ~n inv_betas
 
-  let charpoly_parallel ?pool ~n d =
+  let charpoly_parallel ~n d =
     let module TC = Toeplitz_charpoly.Make (F) (C) in
     let len = n + 1 in
     (* β_i = last entry of the last column of (I_i - λT_i)^{-1}, which the
        §3 Newton iteration produces in O((log n)^2) depth *)
     let inv_betas =
-      inv_betas_init ?pool n (fun idx ->
+      Array.init n (fun idx ->
           let i = idx + 1 in
           let di = TZ.leading_principal ~n d i in
           let _, y = TC.inverse_columns ~n:i ~len di in
@@ -69,7 +57,7 @@ struct
     in
     finish_from_inv_betas ~n inv_betas
 
-  let det ?pool ~n d =
-    let cp = charpoly ?pool ~n d in
+  let det ~n d =
+    let cp = charpoly ~n d in
     if n land 1 = 0 then cp.(0) else F.neg cp.(0)
 end

@@ -18,19 +18,16 @@ module Make
   val diagonal_resolvent_entry : n:int -> len:int -> F.t array -> F.t array
   (** [(Iₙ − λT)⁻¹]ₙ,ₙ mod λ{^len} by the Neumann series (straight-line). *)
 
-  val charpoly : ?pool:Kp_util.Pool.t -> n:int -> F.t array -> F.t array
+  val charpoly : n:int -> F.t array -> F.t array
   (** Same contract as {!Toeplitz_charpoly.Make.charpoly}: det(λI − T)
       low-to-high, monic, but valid over any field.  The Neumann series is
-      evaluated sequentially (cheapest total work, Θ(n) depth); [?pool]
-      computes the n independent βᵢ series concurrently (counted in
-      [pool.charpoly.chistov]) with an identical result. *)
+      evaluated sequentially (cheapest total work, Θ(n) depth). *)
 
-  val charpoly_parallel :
-    ?pool:Kp_util.Pool.t -> n:int -> F.t array -> F.t array
+  val charpoly_parallel : n:int -> F.t array -> F.t array
   (** The §5 composition the paper describes: each βᵢ is extracted from the
       first/last columns of (Iᵢ − λTᵢ)⁻¹ computed by the §3 Newton
       iteration, keeping O((log n)²) depth at the (12) work bound.
-      Identical output to {!charpoly}; [?pool] fans the βᵢ out. *)
+      Identical output to {!charpoly}. *)
 
-  val det : ?pool:Kp_util.Pool.t -> n:int -> F.t array -> F.t
+  val det : n:int -> F.t array -> F.t
 end

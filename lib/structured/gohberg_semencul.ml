@@ -5,42 +5,25 @@ module Make_k
 struct
   module M = Kp_matrix.Dense.Core (F)
 
-  let c_pool_apply = Kp_obs.Counter.make "pool.gs.apply"
-
   let conv_at c idx = if idx >= 0 && idx < Array.length c then c.(idx) else F.zero
 
-  let apply ?pool ~x ~y v =
+  let apply ~x ~y v =
     let n = Array.length v in
     if Array.length x <> n || Array.length y <> n then
       invalid_arg "Gohberg_semencul.apply: length mismatch";
-    (* T⁻¹v = (1/x₀)(L(x)·U(ỹ)·v − L(y↓)·U(x̃)·v): two independent chains of
-       two convolutions each; with a pool they run as one fork–join region
-       (and each convolution may itself fan out — regions are re-entrant). *)
-    let r1 = ref [||] and r2 = ref [||] in
-    let chain1 () =
-      (* t1 = U(ỹ)·v : t1_i = conv(y, v)_{n-1+i} *)
-      let cyv = C.mul_full_pool pool y v in
-      let t1 = Array.init n (fun i -> conv_at cyv (n - 1 + i)) in
-      (* r1 = L(x)·t1 = conv(x, t1) truncated *)
-      let cxt1 = C.mul_full_pool pool x t1 in
-      r1 := Array.init n (fun i -> conv_at cxt1 i)
-    in
-    let chain2 () =
-      (* t2 = U(x̃)·v : t2_i = conv(x, v)_{n+i} *)
-      let cxv = C.mul_full_pool pool x v in
-      let t2 = Array.init n (fun i -> conv_at cxv (n + i)) in
-      (* r2 = L(y↓)·t2 : r2_i = conv(y, t2)_{i-1} *)
-      let cyt2 = C.mul_full_pool pool y t2 in
-      r2 := Array.init n (fun i -> conv_at cyt2 (i - 1))
-    in
-    (match pool with
-    | Some p when Kp_util.Pool.size p > 1 ->
-      Kp_obs.Counter.incr c_pool_apply;
-      Kp_util.Pool.region_run p [ chain1; chain2 ]
-    | _ ->
-      chain1 ();
-      chain2 ());
-    let r1 = !r1 and r2 = !r2 in
+    (* T⁻¹v = (1/x₀)(L(x)·U(ỹ)·v − L(y↓)·U(x̃)·v), two convolutions per
+       chain.  t1 = U(ỹ)·v : t1_i = conv(y, v)_{n-1+i} *)
+    let cyv = C.mul_full y v in
+    let t1 = Array.init n (fun i -> conv_at cyv (n - 1 + i)) in
+    (* r1 = L(x)·t1 = conv(x, t1) truncated *)
+    let cxt1 = C.mul_full x t1 in
+    let r1 = Array.init n (fun i -> conv_at cxt1 i) in
+    (* t2 = U(x̃)·v : t2_i = conv(x, v)_{n+i} *)
+    let cxv = C.mul_full x v in
+    let t2 = Array.init n (fun i -> conv_at cxv (n + i)) in
+    (* r2 = L(y↓)·t2 : r2_i = conv(y, t2)_{i-1} *)
+    let cyt2 = C.mul_full y t2 in
+    let r2 = Array.init n (fun i -> conv_at cyt2 (i - 1)) in
     let x0_inv = F.inv x.(0) in
     (* (1/x₀)(r1 − r2) as two bulk passes — same subs/muls as the historical
        per-element F.mul x0_inv (F.sub r1 r2) *)

@@ -18,13 +18,9 @@
 module Make
     (F : Kp_field.Field_intf.FIELD_CORE)
     (C : Kp_poly.Conv.S with type elt = F.t) : sig
-  val apply :
-    ?pool:Kp_util.Pool.t -> x:F.t array -> y:F.t array -> F.t array -> F.t array
-  (** [apply ~x ~y v] = T⁻¹·v (four convolutions + one inversion of x₀).
-      With [?pool] the two independent triangular-Toeplitz chains
-      (L(x)·U(ỹ)·v and L(y↓)·U(x̃)·v) run concurrently, and their
-      convolutions may fan out further; the result is identical.  Pooled
-      applies tick the [pool.gs.apply] counter. *)
+  val apply : x:F.t array -> y:F.t array -> F.t array -> F.t array
+  (** [apply ~x ~y v] = T⁻¹·v (four convolutions + one inversion of x₀):
+      the triangular-Toeplitz chain L(x)·U(ỹ)·v, then L(y↓)·U(x̃)·v. *)
 
   val trace : x:F.t array -> y:F.t array -> F.t
   (** Trace(T⁻¹) = (1/x₀)·( Σₘ (n−m)·xₘ·y₍ₙ₋₁₋ₘ₎ − Σₘ≥₁ (n−m)·y₍ₘ₋₁₎·x₍ₙ₋ₘ₎ )

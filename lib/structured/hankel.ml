@@ -12,12 +12,12 @@ struct
     check ~n h;
     h.(i + j)
 
-  let matvec ?pool ~n h v =
+  let matvec ~n h v =
     check ~n h;
     if Array.length v <> n then invalid_arg "Hankel.matvec: bad vector";
     (* (Hv)_i = Σ_j h_{i+j} v_j = conv(h, rev v)_{i+n-1} *)
     let rv = Array.init n (fun j -> v.(n - 1 - j)) in
-    let c = C.mul_full_pool pool h rv in
+    let c = C.mul_full h rv in
     Array.init n (fun i ->
         let idx = i + n - 1 in
         if idx < Array.length c then c.(idx) else F.zero)

@@ -12,9 +12,8 @@ module Make
     (C : Kp_poly.Conv.S with type elt = F.t) : sig
   val entry : n:int -> F.t array -> int -> int -> F.t
 
-  val matvec :
-    ?pool:Kp_util.Pool.t -> n:int -> F.t array -> F.t array -> F.t array
-  (** One convolution; [?pool] runs it pool-parallel, same result. *)
+  val matvec : n:int -> F.t array -> F.t array -> F.t array
+  (** One convolution: (H·v)ᵢ = conv(h, rev v)₍ᵢ₊ₙ₋₁₎. *)
 
   val to_dense : n:int -> F.t array -> Kp_matrix.Dense.Core(F).t
 

@@ -2,22 +2,9 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) = struct
   module M = Kp_matrix.Dense.Core (F)
   module S = Kp_poly.Series.Make (F)
 
-  let c_pool = Kp_obs.Counter.make "pool.charpoly.leverrier"
-
-  (* The power-sum → coefficient conversions are dominated by an inherently
-     sequential recurrence (the triangular solve / the series exp), but the
-     surrounding coefficient maps are data-parallel; [?pool] runs those on
-     the pool.  Pure per-slot writes: identical results either way. *)
-  let pooled_init ?pool n f =
-    match pool with
-    | Some p when Kp_util.Pool.size p > 1 && n > 1 ->
-      Kp_obs.Counter.incr c_pool;
-      Kp_util.Pool.parallel_init p n f
-    | _ -> Array.init n f
-
   (* e_k = (1/k) Σ_{i=1}^{k} (-1)^{i-1} e_{k-i} s_i ; charpoly coeff of
      λ^{n-k} is (-1)^k e_k *)
-  let newton_identities ?pool ~n s =
+  let newton_identities ~n s =
     if Array.length s < n + 1 then invalid_arg "Leverrier.newton_identities";
     let e = Array.make (n + 1) F.zero in
     e.(0) <- F.one;
@@ -29,21 +16,21 @@ module Make (F : Kp_field.Field_intf.FIELD_CORE) = struct
       done;
       e.(k) <- F.div !acc (F.of_int k)
     done;
-    pooled_init ?pool (n + 1) (fun j ->
+    Array.init (n + 1) (fun j ->
         (* coefficient of λ^j is (-1)^(n-j) e_{n-j} *)
         let k = n - j in
         if k land 1 = 0 then e.(k) else F.neg e.(k))
 
-  let from_trace_series ?pool ~n tr =
+  let from_trace_series ~n tr =
     if Array.length tr < n + 1 then invalid_arg "Leverrier.from_trace_series";
     (* g(λ) = det(I - λT) = exp( - Σ_{k>=1} s_k λ^k / k ), then
        det(λI - T) = λ^n g(1/λ): coefficient of λ^{n-k} is g_k *)
     let integrand =
-      pooled_init ?pool (n + 1) (fun k ->
+      Array.init (n + 1) (fun k ->
           if k = 0 then F.zero else F.neg (F.div tr.(k) (F.of_int k)))
     in
     let g = S.exp integrand in
-    pooled_init ?pool (n + 1) (fun j -> g.(n - j))
+    Array.init (n + 1) (fun j -> g.(n - j))
 
   let char_to_det ~n cp =
     if n land 1 = 0 then cp.(0) else F.neg cp.(0)

@@ -10,14 +10,12 @@
       det(I − λT) = exp(−Σₖ₌₁ sₖ·λᵏ/k), straight-line. *)
 
 module Make (F : Kp_field.Field_intf.FIELD_CORE) : sig
-  val newton_identities : ?pool:Kp_util.Pool.t -> n:int -> F.t array -> F.t array
+  val newton_identities : n:int -> F.t array -> F.t array
   (** [newton_identities ~n s] where [s.(k)] = Trace(Tᵏ) for 1 <= k <= n
       ([s.(0)] ignored, array length >= n+1): coefficients of det(λI − T),
-      low-to-high, length n+1, monic.  [?pool] parallelizes the coefficient
-      maps around the sequential recurrence (identical result; counted in
-      [pool.charpoly.leverrier]). *)
+      low-to-high, length n+1, monic. *)
 
-  val from_trace_series : ?pool:Kp_util.Pool.t -> n:int -> F.t array -> F.t array
+  val from_trace_series : n:int -> F.t array -> F.t array
   (** Same contract; input is the trace generating series
       Σₖ Trace(Tᵏ)·λᵏ truncated to length >= n+1 (the §3 engine produces
       exactly this). *)

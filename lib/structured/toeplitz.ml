@@ -12,10 +12,10 @@ struct
     check ~n d;
     d.(n - 1 + i - j)
 
-  let matvec ?pool ~n d v =
+  let matvec ~n d v =
     check ~n d;
     if Array.length v <> n then invalid_arg "Toeplitz.matvec: bad vector";
-    let c = C.mul_full_pool pool d v in
+    let c = C.mul_full d v in
     Array.init n (fun i ->
         let idx = n - 1 + i in
         if idx < Array.length c then c.(idx) else F.zero)

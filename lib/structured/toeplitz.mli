@@ -13,11 +13,8 @@ module Make
     (C : Kp_poly.Conv.S with type elt = F.t) : sig
   val entry : n:int -> F.t array -> int -> int -> F.t
 
-  val matvec :
-    ?pool:Kp_util.Pool.t -> n:int -> F.t array -> F.t array -> F.t array
-  (** One convolution: (T·v)ᵢ = conv(d, v)₍ₙ₋₁₊ᵢ₎.  [?pool] runs the
-      convolution pool-parallel ({!Kp_poly.Conv.S.mul_full_pool}); the
-      result is identical. *)
+  val matvec : n:int -> F.t array -> F.t array -> F.t array
+  (** One convolution: (T·v)ᵢ = conv(d, v)₍ₙ₋₁₊ᵢ₎. *)
 
   val to_dense : n:int -> F.t array -> Kp_matrix.Dense.Core(F).t
 

@@ -5,12 +5,10 @@ struct
   module Ser = Kp_poly.Series.Make (F)
   module Lev = Leverrier.Make (F)
 
-  let c_pool_newton = Kp_obs.Counter.make "pool.charpoly.newton"
-
   (* One Newton doubling step at precision [len']: given the first and last
      columns of (I - λT)^{-1} accurate mod λ^len (len >= ceil(len'/2)),
      return them accurate mod λ^{len'}. *)
-  let newton_step ?pool ~n ~len' d x y =
+  let newton_step ~n ~len' d x y =
     let module R =
       Kp_poly.Series_ring.Make
         (F)
@@ -37,22 +35,13 @@ struct
           s)
     in
     let refine col =
-      let t = TZ.matvec ?pool ~n dT col in
-      let xt = GS.apply ?pool ~x ~y t in
+      let t = TZ.matvec ~n dT col in
+      let xt = GS.apply ~x ~y t in
       Array.init n (fun i -> R.sub (R.add col.(i) col.(i)) xt.(i))
     in
-    (* The two column refinements are independent; with a pool they form a
-       two-thunk region (each of which opens further regions inside). *)
-    match pool with
-    | Some p when Kp_util.Pool.size p > 1 ->
-      Kp_obs.Counter.incr c_pool_newton;
-      let rx = ref [||] and ry = ref [||] in
-      Kp_util.Pool.region_run p
-        [ (fun () -> rx := refine x); (fun () -> ry := refine y) ];
-      (!rx, !ry)
-    | _ -> (refine x, refine y)
+    (refine x, refine y)
 
-  let inverse_columns ?pool ~n ~len d =
+  let inverse_columns ~n ~len d =
     if Array.length d <> (2 * n) - 1 then
       invalid_arg "Toeplitz_charpoly: diagonal vector must have length 2n-1";
     if len < 1 then invalid_arg "Toeplitz_charpoly: len < 1";
@@ -67,14 +56,14 @@ struct
       if l >= len then (x, y)
       else begin
         let len' = min len (2 * l) in
-        let x', y' = newton_step ?pool ~n ~len' d x y in
+        let x', y' = newton_step ~n ~len' d x y in
         grow len' x' y'
       end
     in
     grow 1 x0 y0
 
-  let trace_series ?pool ~n ~len d =
-    let x, y = inverse_columns ?pool ~n ~len d in
+  let trace_series ~n ~len d =
+    let x, y = inverse_columns ~n ~len d in
     let module R =
       Kp_poly.Series_ring.Make
         (F)
@@ -91,22 +80,22 @@ struct
     let module GS = Gohberg_semencul.Make (R) (SC) in
     GS.trace ~x ~y
 
-  let charpoly ?pool ~n d =
-    let tr = trace_series ?pool ~n ~len:(n + 1) d in
+  let charpoly ~n d =
+    let tr = trace_series ~n ~len:(n + 1) d in
     Lev.from_trace_series ~n tr
 
-  let det ?pool ~n d = Lev.char_to_det ~n (charpoly ?pool ~n d)
+  let det ~n d = Lev.char_to_det ~n (charpoly ~n d)
 
-  let solve ?pool ~n d b =
+  let solve ~n d b =
     if Array.length b <> n then invalid_arg "Toeplitz_charpoly.solve: bad rhs";
     let module TZ = Toeplitz.Make (F) (C) in
-    let cp = charpoly ?pool ~n d in
+    let cp = charpoly ~n d in
     (* T^{-1} b = -(1/c_0) Σ_{k=1}^{n} c_k T^{k-1} b *)
     let acc = ref (Array.make n F.zero) in
     let w = ref b in
     for k = 1 to n do
       acc := Array.mapi (fun i ai -> F.add ai (F.mul cp.(k) !w.(i))) !acc;
-      if k < n then w := TZ.matvec ?pool ~n d !w
+      if k < n then w := TZ.matvec ~n d !w
     done;
     let c = F.neg (F.inv cp.(0)) in
     Array.map (F.mul c) !acc

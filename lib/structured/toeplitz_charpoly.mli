@@ -17,28 +17,22 @@ module Make
     (F : Kp_field.Field_intf.FIELD_CORE)
     (C : Kp_poly.Conv.S with type elt = F.t) : sig
   val inverse_columns :
-    ?pool:Kp_util.Pool.t ->
     n:int -> len:int -> F.t array -> F.t array array * F.t array array
   (** [inverse_columns ~n ~len d]: first and last columns of
       (I − λT)⁻¹ mod λ{^len}, as [n] series of length [len] each.
-      Straight-line (Newton iteration, no zero tests).  With [?pool] each
-      doubling step refines the two columns concurrently (counted in
-      [pool.charpoly.newton]) and the bivariate convolutions underneath fan
-      out on the same pool; the output is bit-identical. *)
+      Straight-line (Newton iteration, no zero tests). *)
 
-  val trace_series :
-    ?pool:Kp_util.Pool.t -> n:int -> len:int -> F.t array -> F.t array
+  val trace_series : n:int -> len:int -> F.t array -> F.t array
   (** Σₖ₌₀ Trace(Tᵏ)·λᵏ mod λ{^len} (so coefficient 0 is n·1). *)
 
-  val charpoly : ?pool:Kp_util.Pool.t -> n:int -> F.t array -> F.t array
+  val charpoly : n:int -> F.t array -> F.t array
   (** Coefficients of det(λI − T), low-to-high, length n+1, monic.
       [d] is the Toeplitz diagonal vector of length 2n-1. *)
 
-  val det : ?pool:Kp_util.Pool.t -> n:int -> F.t array -> F.t
+  val det : n:int -> F.t array -> F.t
   (** det(T) = (−1)ⁿ·charpoly(0). *)
 
-  val solve :
-    ?pool:Kp_util.Pool.t -> n:int -> F.t array -> F.t array -> F.t array
+  val solve : n:int -> F.t array -> F.t array -> F.t array
   (** [solve ~n d b]: the unique solution of T·x = b via the characteristic
       polynomial and Cayley–Hamilton,
       T⁻¹ = −(1/c₀)·Σₖ₌₁ cₖ·T^(k−1) — the "solution of non-singular Toeplitz

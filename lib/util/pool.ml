@@ -77,20 +77,7 @@ let create ~domains =
   t.workers <- List.init (streams - 1) (fun _ -> Domain.spawn (worker_loop t));
   t
 
-(* see [default] below; declared here so [shutdown] can refuse to tear the
-   shared default pool down from under other users *)
-let default_mutex = Mutex.create ()
-let default_pool = ref None
-
 let shutdown t =
-  let is_default =
-    Mutex.lock default_mutex;
-    let d = match !default_pool with Some d -> d == t | None -> false in
-    Mutex.unlock default_mutex;
-    d
-  in
-  if is_default then
-    invalid_arg "Pool.shutdown: the default pool must not be shut down";
   let workers =
     locked t (fun () ->
         if t.closing then []
@@ -211,46 +198,6 @@ let parallel_init t n f =
     out
   end
 
-let map_reduce t ~map ~combine ~init n =
-  if n = 0 then init
-  else begin
-    let streams = t.streams in
-    let chunk = max 1 ((n + streams - 1) / streams) in
-    (* One slot per actual chunk; a slot folds only its own mapped values
-       (seeded from [map cl], NOT from [init]) so that [init] enters the
-       final fold exactly once — correct even for non-neutral [init]. *)
-    let slots = (n + chunk - 1) / chunk in
-    let partials = Array.make slots None in
-    parallel_for_chunked t ~lo:0 ~hi:n ~chunk (fun cl ch ->
-        let acc = ref (map cl) in
-        for i = cl + 1 to ch - 1 do
-          acc := combine !acc (map i)
-        done;
-        partials.(cl / chunk) <- Some !acc);
-    Array.fold_left
-      (fun acc slot ->
-        match slot with None -> acc | Some x -> combine acc x)
-      init partials
-  end
-
 let with_pool ~domains f =
   let t = create ~domains in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* The process-wide default pool: initialisation is guarded by a mutex so
-   two domains racing through the first [default ()] call cannot each spawn
-   a pool (the loser's workers would leak — nothing would ever shut them
-   down). *)
-let default () =
-  Mutex.lock default_mutex;
-  let t =
-    match !default_pool with
-    | Some t -> t
-    | None ->
-      let domains = min 8 (Domain.recommended_domain_count ()) in
-      let t = create ~domains in
-      default_pool := Some t;
-      t
-  in
-  Mutex.unlock default_mutex;
-  t

@@ -1,10 +1,13 @@
 (** Fork–join parallel execution over OCaml 5 domains.
 
     This is the PRAM stand-in used by the repository: the paper's algorithms
-    are analysed on an algebraic PRAM; here the data-parallel loops of the
-    concrete implementations (matrix products, a session batch's
-    right-hand sides, polynomial convolutions) execute on a fixed pool of
-    worker domains.
+    are analysed on an algebraic PRAM; here three coarse fan-outs of the
+    concrete implementations execute on a fixed pool of worker domains —
+    the row blocks of a dense matrix product ([Dense.Make.mul_parallel]),
+    a session batch's right-hand sides, and the columns of an inverse
+    built from n solves.  The last nests the first (each column's solve
+    fans its products out on the same pool), which is why regions are
+    re-entrant.
 
     A pool owns [domains - 1] worker domains; the calling domain participates
     in every parallel region, so [create ~domains:1] degenerates to purely
@@ -25,10 +28,7 @@ val create : domains:int -> t
 
 val shutdown : t -> unit
 (** Terminate the worker domains. The pool must not be used afterwards.
-    Idempotent.
-
-    @raise Invalid_argument on the pool returned by {!default}: that pool
-    is shared process-wide and must never be shut down. *)
+    Idempotent. *)
 
 val size : t -> int
 (** Number of execution streams (including the caller). *)
@@ -57,22 +57,6 @@ val parallel_init : t -> int -> (int -> 'a) -> 'a array
 (** [parallel_init pool n f] is [Array.init n f] with [f] applied in
     parallel. [n = 0] yields [[||]]. *)
 
-val map_reduce :
-  t -> map:(int -> 'a) -> combine:('a -> 'a -> 'a) -> init:'a -> int -> 'a
-(** [map_reduce pool ~map ~combine ~init n] computes
-    [combine (... (combine init (map 0)) ...) (map (n-1))] with the mapped
-    values folded chunk-wise in parallel.  [combine] must be associative;
-    [init] is folded in {e exactly once}, so it need not be a unit of
-    [combine] (e.g. [~combine:( + ) ~init:1] over [map i = i] yields
-    [1 + Σ i]). *)
-
 val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [with_pool ~domains f] creates a pool, runs [f], and shuts the pool down
     even if [f] raises. *)
-
-val default : unit -> t
-(** A lazily created process-wide pool sized from
-    [Domain.recommended_domain_count], capped at 8.  Creation is guarded by
-    a mutex, so concurrent first calls from several domains return the same
-    pool (no worker-domain leak).  {!shutdown} must not be called on the
-    returned pool — it raises [Invalid_argument]. *)

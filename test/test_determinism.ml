@@ -1,21 +1,17 @@
-(* Determinism of the pooled kernels: for every domain count, a pooled
-   kernel must return the exact array/matrix the sequential kernel returns
-   — not an approximation, the identical field elements.  This is the
-   architectural invariant the ?pool threading relies on (pure field ops,
-   disjoint index writes, schedule-independent accumulation order), checked
-   here property-style over random inputs for domains ∈ {1, 2, 4}.
-
-   Each property creates its own short-lived pool; sizes are chosen to
-   cross the kernels' parallelism thresholds (Karatsuba forks at operand
-   length >= 256, the NTT engages its pooled butterflies at transform size
-   >= 4096), so the pooled code paths genuinely run. *)
+(* Determinism of the pool's fan-outs: for every domain count, a pooled
+   run must return the exact array/matrix the sequential run returns — not
+   an approximation, the identical field elements.  The pool reaches three
+   places: the row blocks of [Dense.mul_parallel], the columns of
+   [Inverse.inverse_via_solves] (each column's solve nesting its products
+   on the same pool) and a session batch's right-hand sides (pinned in
+   test_session).  The invariant they rely on — pure field ops, disjoint
+   index writes, a per-column RNG split fixed before the fan-out — is
+   checked here property-style over random inputs for domains ∈ {1, 2, 4},
+   each property on its own short-lived pool. *)
 
 module F = Kp_field.Fields.Gf_ntt
 module CK = Kp_poly.Conv.Karatsuba (F)
-module NK = Kp_poly.Conv.Ntt_generic (F) (Kp_poly.Conv.Default_ntt_prime)
 module M = Kp_matrix.Dense.Make (F)
-module TC = Kp_structured.Toeplitz_charpoly.Make (F) (NK)
-module CH = Kp_structured.Chistov.Make (F) (CK)
 module I = Kp_core.Inverse.Make (F) (CK)
 module S = Kp_core.Solver.Make (F) (CK)
 module Pool = Kp_util.Pool
@@ -37,56 +33,6 @@ let prop_mul_parallel =
       let expected = M.mul a b in
       with_each_pool (fun ~domains:_ pool ->
           M.equal (M.mul_parallel pool a b) expected))
-
-(* polynomial products, both multipliers; lengths straddle the fork/NTT
-   thresholds so both the engaged and not-engaged paths are exercised *)
-let prop_conv_karatsuba =
-  QCheck.Test.make ~name:"Karatsuba mul_full_pool = mul_full (domains 1/2/4)"
-    ~count:8
-    (QCheck.triple (QCheck.int_range 1 600) (QCheck.int_range 1 600)
-       QCheck.small_int)
-    (fun (la, lb, seed) ->
-      let st = Kp_util.Rng.make (seed + la + (7 * lb)) in
-      let a = rand_array st la and b = rand_array st lb in
-      let expected = CK.mul_full a b in
-      with_each_pool (fun ~domains:_ pool ->
-          Array.for_all2 F.equal (CK.mul_full_pool (Some pool) a b) expected))
-
-let prop_conv_ntt =
-  QCheck.Test.make ~name:"NTT mul_full_pool = mul_full (domains 1/2/4)"
-    ~count:4
-    (QCheck.triple (QCheck.int_range 1 3000) (QCheck.int_range 1 3000)
-       QCheck.small_int)
-    (fun (la, lb, seed) ->
-      let st = Kp_util.Rng.make (seed + la + (7 * lb)) in
-      let a = rand_array st la and b = rand_array st lb in
-      let expected = NK.mul_full a b in
-      with_each_pool (fun ~domains:_ pool ->
-          Array.for_all2 F.equal (NK.mul_full_pool (Some pool) a b) expected))
-
-(* Toeplitz charpoly: the §3 Newton/Gohberg-Semencul tower end-to-end *)
-let prop_toeplitz_charpoly =
-  QCheck.Test.make
-    ~name:"Toeplitz charpoly pooled = sequential (domains 1/2/4)" ~count:6
-    (QCheck.pair (QCheck.int_range 2 48) QCheck.small_int)
-    (fun (n, seed) ->
-      let st = Kp_util.Rng.make (seed + (31 * n)) in
-      let d = rand_array st ((2 * n) - 1) in
-      let expected = TC.charpoly ~n d in
-      with_each_pool (fun ~domains:_ pool ->
-          Array.for_all2 F.equal (TC.charpoly ~pool ~n d) expected))
-
-(* Chistov: the βᵢ fan-out *)
-let prop_chistov_charpoly =
-  QCheck.Test.make ~name:"Chistov charpoly pooled = sequential (domains 1/2/4)"
-    ~count:6
-    (QCheck.pair (QCheck.int_range 2 24) QCheck.small_int)
-    (fun (n, seed) ->
-      let st = Kp_util.Rng.make (seed + (17 * n)) in
-      let d = rand_array st ((2 * n) - 1) in
-      let expected = CH.charpoly ~n d in
-      with_each_pool (fun ~domains:_ pool ->
-          Array.for_all2 F.equal (CH.charpoly ~pool ~n d) expected))
 
 (* the full solver on the pool: answers and attempt counts are a
    function of the seed alone — the pool is invisible to results *)
@@ -152,10 +98,6 @@ let () =
         qsuite
           [
             prop_mul_parallel;
-            prop_conv_karatsuba;
-            prop_conv_ntt;
-            prop_toeplitz_charpoly;
-            prop_chistov_charpoly;
             prop_pooled_solve;
             prop_inverse_via_solves;
           ] );

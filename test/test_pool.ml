@@ -1,5 +1,5 @@
-(* Pool regression tests: region semantics, nesting, exception propagation,
-   and the map_reduce non-neutral-init fix. *)
+(* Pool regression tests: region semantics, nesting and exception
+   propagation. *)
 
 open Kp_util
 
@@ -107,36 +107,6 @@ let test_nested_parallel_for () =
             row)
         hits)
 
-(* map_reduce with a non-neutral init *)
-
-let test_map_reduce_non_neutral_init () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      let n = 1000 in
-      let s = Pool.map_reduce pool ~map:(fun i -> i) ~combine:( + ) ~init:1 n in
-      check_int "init folded exactly once" (1 + (n * (n - 1) / 2)) s;
-      (* n smaller than the stream count: unwritten slots must not fold *)
-      let s2 = Pool.map_reduce pool ~map:(fun i -> i + 10) ~combine:( + ) ~init:5 2 in
-      check_int "n < streams" (5 + 10 + 11) s2;
-      (* n = 1 *)
-      let s3 = Pool.map_reduce pool ~map:(fun _ -> 3) ~combine:( + ) ~init:7 1 in
-      check_int "single element" 10 s3;
-      (* empty still returns init *)
-      let s4 = Pool.map_reduce pool ~map:(fun i -> i) ~combine:( + ) ~init:9 0 in
-      check_int "empty returns init" 9 s4)
-
-let test_map_reduce_order_preserved () =
-  (* associative but non-commutative combine: string concatenation.  The
-     chunked fold must preserve left-to-right order. *)
-  Pool.with_pool ~domains:3 (fun pool ->
-      let n = 26 in
-      let s =
-        Pool.map_reduce pool
-          ~map:(fun i -> String.make 1 (Char.chr (Char.code 'a' + i)))
-          ~combine:( ^ ) ~init:">" n
-      in
-      check_bool "concatenation in order" true
-        (s = ">" ^ "abcdefghijklmnopqrstuvwxyz"))
-
 (* 1-domain pool: everything runs in the caller, regions still complete *)
 
 let test_one_domain_pool () =
@@ -146,8 +116,6 @@ let test_one_domain_pool () =
       Pool.region_run pool
         (List.init 5 (fun i -> fun () -> acc := !acc + i));
       check_int "region completes" 10 !acc;
-      let s = Pool.map_reduce pool ~map:(fun i -> i) ~combine:( + ) ~init:1 100 in
-      check_int "map_reduce on 1 domain" (1 + 4950) s;
       let nested = ref 0 in
       Pool.parallel_for pool ~lo:0 ~hi:4 (fun _ ->
           Pool.parallel_for pool ~lo:0 ~hi:4 (fun _ -> incr nested));
@@ -188,41 +156,6 @@ let test_fewer_tasks_than_domains () =
       Pool.region_run pool [];
       check_int "region_run no thunks" 2 (Atomic.get acc))
 
-(* default pool: shared, and protected from shutdown *)
-
-let test_default_pool_protected () =
-  let p1 = Pool.default () in
-  let p2 = Pool.default () in
-  check_bool "default is a singleton" true (p1 == p2);
-  check_bool "shutdown on default raises" true
-    (try
-       Pool.shutdown p1;
-       false
-     with Invalid_argument _ -> true);
-  (* still usable after the refused shutdown *)
-  let acc = ref 0 in
-  Pool.parallel_for p1 ~lo:0 ~hi:10 (fun _ -> ignore acc);
-  Pool.region_run p1 [ (fun () -> acc := 1) ];
-  check_int "default pool alive" 1 !acc
-
-let test_default_pool_concurrent_init () =
-  (* racing first-callers must agree on one pool (exercises the once-cell;
-     the pre-fix code could double-create).  Pool.default may already be
-     initialised by the previous test — that still checks agreement. *)
-  let results = Array.make 8 None in
-  let domains =
-    Array.init 8 (fun i ->
-        Domain.spawn (fun () -> results.(i) <- Some (Pool.default ())))
-  in
-  Array.iter Domain.join domains;
-  let first = Pool.default () in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Some p -> check_bool (Printf.sprintf "domain %d same pool" i) true (p == first)
-      | None -> Alcotest.fail "domain did not record a pool")
-    results
-
 let () =
   Alcotest.run "kp_pool"
     [
@@ -238,20 +171,10 @@ let () =
         ] );
       ( "nesting",
         [ Alcotest.test_case "nested parallel_for" `Quick test_nested_parallel_for ] );
-      ( "map_reduce",
-        [
-          Alcotest.test_case "non-neutral init" `Quick test_map_reduce_non_neutral_init;
-          Alcotest.test_case "order preserved" `Quick test_map_reduce_order_preserved;
-        ] );
       ( "degenerate",
         [
           Alcotest.test_case "one-domain pool" `Quick test_one_domain_pool;
           Alcotest.test_case "fewer tasks than domains" `Quick
             test_fewer_tasks_than_domains;
-        ] );
-      ( "default",
-        [
-          Alcotest.test_case "shutdown refused" `Quick test_default_pool_protected;
-          Alcotest.test_case "concurrent init" `Quick test_default_pool_concurrent_init;
         ] );
     ]

@@ -22,7 +22,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let farr_eq a b = Array.length a = Array.length b && Array.for_all2 F.equal a b
 
-let charpoly ~n d = (S.charpoly_for_field ?pool:None ~n) ~n d
+let charpoly ~n d = S.charpoly_for_field ~n ~n d
 
 (* ---- registry and selection ---- *)
 

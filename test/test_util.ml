@@ -33,15 +33,6 @@ let test_parallel_init () =
       Array.iteri (fun i v -> check_int "value" (i * i) v) a;
       check_int "empty" 0 (Array.length (Pool.parallel_init pool 0 (fun i -> i))))
 
-let test_map_reduce () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      let s =
-        Pool.map_reduce pool ~map:(fun i -> i) ~combine:( + ) ~init:0 1000
-      in
-      check_int "sum 0..999" 499500 s;
-      let s0 = Pool.map_reduce pool ~map:(fun i -> i) ~combine:( + ) ~init:0 0 in
-      check_int "empty map_reduce" 0 s0)
-
 let test_exceptions_propagate () =
   Pool.with_pool ~domains:4 (fun pool ->
       let raised =
@@ -164,7 +155,6 @@ let () =
           Alcotest.test_case "empty ranges" `Quick test_parallel_for_empty;
           Alcotest.test_case "sequential pool" `Quick test_parallel_for_sequential_pool;
           Alcotest.test_case "parallel_init" `Quick test_parallel_init;
-          Alcotest.test_case "map_reduce" `Quick test_map_reduce;
           Alcotest.test_case "exceptions propagate" `Quick test_exceptions_propagate;
           Alcotest.test_case "chunked covers" `Quick test_chunked_covers;
           Alcotest.test_case "size clamping" `Quick test_pool_size;
